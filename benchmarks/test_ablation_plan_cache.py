@@ -1,20 +1,21 @@
-"""Ablation -- expression compiler + ad-hoc plan cache on the hot path.
+"""Ablation -- the ad-hoc plan cache on the hot path.
 
 Section 4.5.3: "query parsing and planning are done serially" per
 request, and the Figure 16 reproduction turns the measured per-query
-service time into queries/sec -- so the serial front half plus the
-per-row AST walk is directly benchmarked overhead.  This bench runs the
-Figure 16 scan statement shape in three configurations:
+service time into queries/sec -- so the serial front half is directly
+benchmarked overhead.  This bench runs the Figure 16 scan statement
+shape in two configurations:
 
-* ``interpreted, cold``  -- expression compiler off, plan cache cleared
-  before every request: the seed repo's parse -> plan -> tree-walk path.
-* ``compiled, cold``     -- compiler on, plan cache cleared before every
-  request: isolates the closure-compilation win.
-* ``compiled + cached``  -- compiler on, warm plan cache: the full hot
-  path (what repeated ad-hoc statements actually get).
+* ``compiled, cold``     -- plan cache cleared before every request:
+  parse -> plan -> compile on every execution.
+* ``compiled + cached``  -- warm plan cache: the full hot path (what
+  repeated ad-hoc statements actually get).
+
+(The tree-walking interpreter this was once compared against left the
+product; its numbers are in EXPERIMENTS.md and this file's git history.)
 
 Self-timed (no pytest-benchmark fixture) so CI can run it as a smoke
-test with ``REPRO_ABLATION_ITERS=1``; the 2x acceptance assertion only
+test with ``REPRO_ABLATION_ITERS=1``; the acceptance assertion only
 applies when enough iterations ran for the means to be meaningful.
 """
 
@@ -26,7 +27,6 @@ from conftest import print_series
 
 from repro import Cluster
 from repro.common.services import Service
-from repro.n1ql import compile as n1ql_compile
 
 ITERS = int(os.environ.get("REPRO_ABLATION_ITERS", "400"))
 #: Below this, means are noise; run the modes but skip the perf gate.
@@ -51,8 +51,7 @@ def cluster():
     return cluster
 
 
-def _timed_mean(cluster, iters: int, *, compile_enabled: bool,
-                clear_cache: bool) -> float:
+def _timed_mean(cluster, iters: int, *, clear_cache: bool) -> float:
     service = cluster.service_node(Service.QUERY).query_service
 
     def op():
@@ -60,46 +59,34 @@ def _timed_mean(cluster, iters: int, *, compile_enabled: bool,
             service.plan_cache.clear()
         return cluster.query(SCAN_QUERY, params=PARAMS).rows
 
-    previous = n1ql_compile.COMPILE_ENABLED
-    n1ql_compile.COMPILE_ENABLED = compile_enabled
-    try:
-        rows = op()  # warm-up; also primes the cache for the cached mode
-        assert len(rows) == 20
-        assert rows[0]["id"] == "u0100"
-        start = time.perf_counter()
-        for _ in range(iters):
-            op()
-        return (time.perf_counter() - start) / iters
-    finally:
-        n1ql_compile.COMPILE_ENABLED = previous
+    rows = op()  # warm-up; also primes the cache for the cached mode
+    assert len(rows) == 20
+    assert rows[0]["id"] == "u0100"
+    start = time.perf_counter()
+    for _ in range(iters):
+        op()
+    return (time.perf_counter() - start) / iters
 
 
 def test_plan_cache_ablation(cluster):
-    interpreted_cold = _timed_mean(cluster, ITERS, compile_enabled=False,
-                                   clear_cache=True)
-    compiled_cold = _timed_mean(cluster, ITERS, compile_enabled=True,
-                                clear_cache=True)
-    compiled_cached = _timed_mean(cluster, ITERS, compile_enabled=True,
-                                  clear_cache=False)
-    speedup = interpreted_cold / compiled_cached
+    compiled_cold = _timed_mean(cluster, ITERS, clear_cache=True)
+    compiled_cached = _timed_mean(cluster, ITERS, clear_cache=False)
     print_series(
-        "Ablation: compiled + cached vs interpreted N1QL hot path "
+        "Ablation: cached vs cold N1QL plans "
         f"(Figure 16 scan shape, {ITERS} iters)",
         ("mode", "mean latency", "speedup"),
         [
-            ("interpreted, cold", f"{interpreted_cold * 1e3:.3f} ms", "1.00x"),
-            ("compiled, cold", f"{compiled_cold * 1e3:.3f} ms",
-             f"{interpreted_cold / compiled_cold:.2f}x"),
+            ("compiled, cold", f"{compiled_cold * 1e3:.3f} ms", "1.00x"),
             ("compiled + cached", f"{compiled_cached * 1e3:.3f} ms",
-             f"{speedup:.2f}x"),
+             f"{compiled_cold / compiled_cached:.2f}x"),
         ],
     )
     # Sanity: the plan cache actually served the cached mode.
     service = cluster.service_node(Service.QUERY).query_service
     assert service.node.metrics.counter_value("n1ql.plan_cache.hit") >= ITERS
     if ITERS >= MIN_ITERS_FOR_ASSERT:
-        # Acceptance gate: the full hot path must at least halve the
-        # per-query service time of the interpreted cold path.
-        assert speedup >= 2.0, (
-            f"compiled+cached only {speedup:.2f}x faster than interpreted"
+        # Acceptance gate: skipping parse + plan + compile must pay.
+        assert compiled_cached < compiled_cold, (
+            f"cached {compiled_cached * 1e3:.3f} ms not faster than "
+            f"cold {compiled_cold * 1e3:.3f} ms"
         )

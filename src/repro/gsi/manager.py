@@ -49,11 +49,6 @@ if TYPE_CHECKING:
 #: size, so a LIMIT-k query drains at most k + one page per partition.
 SCAN_PAGE_SIZE = 64
 
-#: Ablation flag: False reverts to the serial fan-out that materializes
-#: every partition's full partial before merging (the pre-scatter-gather
-#: behaviour, minus the removed concat+sort).
-PARALLEL_SCAN_ENABLED = True
-
 #: Total order over (key_components, doc_id) rows for the k-way merge;
 #: identical to the ordering the index nodes return pages in.
 _ROW_ORDER = functools.cmp_to_key(
@@ -289,7 +284,8 @@ class GsiCoordinator:
         meta = self.registry.require(name)
         if meta.state != "ready":
             raise IndexNotReadyError(name)
-        high = self._pad_high(meta, high, inclusive_high)
+        low, high = self._pad_span(meta, low, inclusive_low,
+                                   high, inclusive_high)
         self._consistency_barrier(meta, scan_consistency, mutation_tokens)
         if limit is not None and limit <= 0:
             return []
@@ -305,24 +301,6 @@ class GsiCoordinator:
                 limit,
             )
             return rows if limit is None else rows[:limit]
-        if not PARALLEL_SCAN_ENABLED:
-            # Ablation baseline: serial fan-out, each partition charged
-            # its own round trip and materialized in full before the
-            # k-way merge.
-            partials = [
-                # Deliberate: this branch exists to measure serial
-                # fan-out against the parallel default (ablation knob).
-                # repro-hotpath: disable-next=n-plus-one-rpc
-                self.cluster.network.call(
-                    "gsi-coordinator", node_name, "gsi_scan", name,
-                    low, high, inclusive_low, inclusive_high, descending,
-                    limit,
-                )
-                for node_name in node_names
-            ]
-            merged = heapq.merge(*partials, key=_ROW_ORDER,
-                                 reverse=descending)
-            return list(itertools.islice(merged, limit))
         # Parallel scatter-gather: one wave of first-page RPCs to every
         # partition (charged a single round trip -- the calls overlap),
         # then a streaming k-way merge over lazily pulled pages.  With a
@@ -384,7 +362,8 @@ class GsiCoordinator:
         meta = self.registry.require(name)
         if meta.state != "ready":
             raise IndexNotReadyError(name)
-        high = self._pad_high(meta, high, inclusive_high)
+        low, high = self._pad_span(meta, low, inclusive_low,
+                                   high, inclusive_high)
         self._consistency_barrier(meta, scan_consistency, mutation_tokens)
         node_names = list(dict.fromkeys(meta.nodes))
         # A down partition would silently drop its groups' rows from the
@@ -420,14 +399,19 @@ class GsiCoordinator:
         out.sort(key=_GROUP_ORDER)
         return out
 
-    def _pad_high(self, meta: IndexMeta, high: list | None,
-                  inclusive_high: bool) -> list | None:
+    def _pad_span(self, meta: IndexMeta, low: list | None,
+                  inclusive_low: bool, high: list | None,
+                  inclusive_high: bool) -> tuple[list | None, list | None]:
+        """Prefix bounds over a composite index: pad with a
+        past-everything sentinel so an inclusive upper bound includes,
+        and an exclusive lower bound excludes, every entry sharing the
+        prefix."""
         arity = len(meta.definition.key_sources)
+        if low is not None and not inclusive_low and len(low) < arity:
+            low = list(low) + [HIGH_BOUND] * (arity - len(low))
         if high is not None and inclusive_high and len(high) < arity:
-            # Prefix upper bound: pad with a past-everything sentinel so
-            # composite entries sharing the prefix are included.
             high = list(high) + [HIGH_BOUND] * (arity - len(high))
-        return high
+        return low, high
 
     def _consistency_barrier(self, meta: IndexMeta, scan_consistency: str,
                              mutation_tokens: list | None) -> None:

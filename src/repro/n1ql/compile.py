@@ -1,11 +1,10 @@
 """The N1QL expression compiler.
 
 Section 4.5.3 observes that "query parsing and planning are done
-serially" per request; the same is true of expression evaluation, which
-the interpreter in :mod:`repro.n1ql.expressions` performs by re-walking
-the AST for every row.  This module lowers an expression AST **once per
-plan** into a chain of Python closures, so the per-row work collapses to
-direct calls:
+serially" per request; the same would be true of expression evaluation
+if it re-walked the AST for every row.  This module lowers an expression
+AST **once per plan** into a chain of Python closures, so the per-row
+work collapses to direct calls:
 
 * constant sub-expressions are folded at compile time (scalar results
   only -- folded containers would be shared across rows);
@@ -13,21 +12,17 @@ direct calls:
   direct dict-chain access instead of one dispatch per AST node;
 * scalar functions are resolved against :data:`~repro.n1ql.functions.SCALARS`
   at compile time instead of per row;
-* aggregate references pre-compute their canonical ``$agg:`` lookup key
-  (the interpreter re-prints the AST for every row);
+* aggregate references pre-compute their canonical ``$agg:`` lookup key;
 * comparison operators bind their comparator once.
 
 A compiled expression is called as ``fn(env, ev)`` where ``env`` is the
 row :class:`~repro.n1ql.expressions.Env` and ``ev`` the per-execution
 :class:`~repro.n1ql.expressions.Evaluator` (which carries query
 parameters, so one compiled plan serves every parameterization).  The
-compiler must agree *exactly* with the interpreter, MISSING/NULL
+closures must agree *exactly* with the tree-walking reference evaluator
+kept under ``tests/n1ql/reference_evaluator.py``, MISSING/NULL
 discipline included -- ``tests/n1ql/test_query_model_property.py``
 checks that on randomized expressions.
-
-Set :data:`COMPILE_ENABLED` to False to force the interpreter fallback
-(the plan-cache ablation benchmark uses this to measure the compiled
-speedup in isolation).
 """
 
 from __future__ import annotations
@@ -60,10 +55,6 @@ from .syntax import (
     Unary,
 )
 
-#: Ablation switch: when False, :func:`compile_expr` returns an
-#: interpreter trampoline instead of a lowered closure.
-COMPILE_ENABLED = True
-
 #: Total top-level compilations performed (mirrored into the per-node
 #: ``n1ql.compile.count`` counter by the callers that have a registry).
 __shared_state__ = ("COMPILE_COUNT",)
@@ -81,25 +72,12 @@ def compile_expr(expr: Expr, default_alias: str | None) -> Compiled:
     """
     global COMPILE_COUNT
     COMPILE_COUNT += 1
-    if not COMPILE_ENABLED:
-        return _interpret(expr)
     return _compile(expr, default_alias)
 
 
 # ---------------------------------------------------------------------------
 # Internals
 # ---------------------------------------------------------------------------
-
-
-def _interpret(expr: Expr) -> Compiled:
-    """Interpreter trampoline: per-row AST walk, used as the ablation
-    baseline and as the safety net for unknown node types."""
-
-    def fn(env, ev):
-        return ev.evaluate(expr, env)
-
-    fn.is_const = False  # type: ignore[attr-defined]
-    return fn
 
 
 def _const(value: Any) -> Compiled:
@@ -129,8 +107,8 @@ _FOLD_ENV = None  # constant closures never touch the env
 
 def _fold(fn: Compiled) -> Compiled:
     """Evaluate a closure over constants once.  Container results are
-    NOT folded: the interpreter builds a fresh list/object per row, and
-    callers may mutate what a query returns."""
+    NOT folded: each row gets a fresh list/object, because callers may
+    mutate what a query returns."""
     value = fn(_FOLD_ENV, _FOLD_EV)
     if isinstance(value, (list, dict)):
         return _dynamic(fn)
@@ -144,7 +122,9 @@ def _all_const(fns) -> bool:
 def _compile(expr: Expr, alias: str | None) -> Compiled:
     handler = _HANDLERS.get(type(expr))
     if handler is None:
-        return _interpret(expr)
+        raise N1qlSemanticError(
+            f"no compiler for expression node {type(expr).__name__}"
+        )
     return handler(expr, alias)
 
 
@@ -278,7 +258,7 @@ def _c_unary(expr: Unary, alias):
                 return -value
             return None
     else:
-        return _interpret(expr)
+        raise N1qlSemanticError(f"unknown unary operator {expr.op}")
     if _all_const((operand,)):
         return _fold(_dynamic(fn))
     return _dynamic(fn)
@@ -381,7 +361,7 @@ def _c_binary(expr: Binary, alias):
                 return None
             return arith(a, b)
     else:
-        return _interpret(expr)
+        raise N1qlSemanticError(f"unknown binary operator {op}")
     if _all_const((left, right)):
         return _fold(_dynamic(fn))
     return _dynamic(fn)

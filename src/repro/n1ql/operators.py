@@ -7,6 +7,11 @@ IDs, so the fetch operator is needed whenever a query includes
 additional projections that cannot be answered from the index alone",
 section 4.5.3); the join family performs nested-loop key lookups; and
 the two projection phases shape the final JSON.
+
+The pipeline runs at batch granularity: every executor consumes and
+produces lists of up to :data:`BATCH_SIZE` row environments, so the
+generator machinery runs once per batch and the compiled expression
+closures (see :mod:`repro.n1ql.compile`) run in tight per-batch loops.
 """
 
 from __future__ import annotations
@@ -46,7 +51,14 @@ if TYPE_CHECKING:
     from ..client.smart_client import SmartClient
     from ..server import Cluster
 
+#: Rows per batch.  Small enough that LIMIT overshoots by at most one
+#: batch and memory stays bounded, large enough to amortize the
+#: per-batch dispatch to noise (and that a Fetch batch spanning the whole
+#: cluster amortizes to ~1 RPC per node).
+BATCH_SIZE = 64
+
 Rows = Iterator[Env]
+Batches = Iterator[list[Env]]
 
 
 class ExecutionContext:
@@ -135,6 +147,24 @@ def _cover_doc(cover_parts: list[list[str]], key_values: list) -> dict:
     return doc
 
 
+def _batched(rows: Iterator[Env]) -> Batches:
+    """Chunk a row stream into batches (adapter for the view-backed
+    scans, which stay row-at-a-time underneath)."""
+    batch: list[Env] = []
+    for env in rows:
+        batch.append(env)
+        if len(batch) >= BATCH_SIZE:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
+def _chunks(rows: list) -> Batches:
+    for start in range(0, len(rows), BATCH_SIZE):
+        yield rows[start:start + BATCH_SIZE]
+
+
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
@@ -142,20 +172,25 @@ def _cover_doc(cover_parts: list[list[str]], key_values: list) -> dict:
 
 @hot_path
 @cost("O(n)")
-def run_key_scan(op: KeyScan, ctx: ExecutionContext) -> Rows:
+def run_key_scan(op: KeyScan, ctx: ExecutionContext) -> Batches:
     keys = _compiled(op, "_compiled_keys", op.keys, ctx)(Env(), ctx.evaluator)
     if isinstance(keys, str):
         keys = [keys]
     if not isinstance(keys, list):
         return
     ctx.count("n1ql.keyscan")
+    batch: list[Env] = []
     for key in keys:
         if not isinstance(key, str):
             continue
         env = Env()
-        env.bind(op.alias, {"__pending_fetch__": key},
-                 {"id": key})
-        yield env
+        env.bind(op.alias, {"__pending_fetch__": key}, {"id": key})
+        batch.append(env)
+        if len(batch) >= BATCH_SIZE:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def _evaluate_span(span, ctx: ExecutionContext):
@@ -195,9 +230,9 @@ def _pushed_limit(op, ctx: ExecutionContext) -> int | None:
 
 @hot_path
 @cost("O(n)")
-def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
+def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
     if op.using == "view":
-        yield from _run_view_index_scan(op, ctx)
+        yield from _batched(_run_view_index_scan(op, ctx))
         return
     low, high, inclusive_low, inclusive_high = _evaluate_span(op.span, ctx)
     rows = ctx.cluster.gsi.scan(
@@ -212,14 +247,19 @@ def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
     if cover_parts is None and op.covered:
         cover_parts = [path.split(".") for path in op.cover_paths]
         op._cover_parts = cover_parts
-    for key_values, doc_id in rows:
-        env = Env()
-        if op.covered:
-            env.bind(op.alias, _cover_doc(cover_parts, key_values),
-                     {"id": doc_id})
-        else:
-            env.bind(op.alias, {"__pending_fetch__": doc_id}, {"id": doc_id})
-        yield env
+    covered, alias = op.covered, op.alias
+    for start in range(0, len(rows), BATCH_SIZE):
+        batch = []
+        for key_values, doc_id in rows[start:start + BATCH_SIZE]:
+            env = Env()
+            if covered:
+                env.bind(alias, _cover_doc(cover_parts, key_values),
+                         {"id": doc_id})
+            else:
+                env.bind(alias, {"__pending_fetch__": doc_id},
+                         {"id": doc_id})
+            batch.append(env)
+        yield batch
 
 
 def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
@@ -253,23 +293,30 @@ def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
 
 @hot_path
 @cost("O(n)")
-def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
+def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Batches:
     ctx.count("n1ql.primaryscan")
-    if op.using == "gsi":
-        rows = ctx.cluster.gsi.scan(op.index_name,
-                                    limit=_pushed_limit(op, ctx),
-                                    scan_consistency=ctx.scan_consistency,
-                                    mutation_tokens=ctx.scan_tokens)
-        covered = getattr(op, "covered", False)
-        for _key_values, doc_id in rows:
+    if op.using != "gsi":
+        yield from _batched(_run_view_primary_scan(op, ctx))
+        return
+    rows = ctx.cluster.gsi.scan(op.index_name,
+                                limit=_pushed_limit(op, ctx),
+                                scan_consistency=ctx.scan_consistency,
+                                mutation_tokens=ctx.scan_tokens)
+    covered, alias = getattr(op, "covered", False), op.alias
+    for start in range(0, len(rows), BATCH_SIZE):
+        batch = []
+        for _key_values, doc_id in rows[start:start + BATCH_SIZE]:
             env = Env()
             if covered:
-                env.bind(op.alias, {}, {"id": doc_id})
+                env.bind(alias, {}, {"id": doc_id})
             else:
-                env.bind(op.alias, {"__pending_fetch__": doc_id},
+                env.bind(alias, {"__pending_fetch__": doc_id},
                          {"id": doc_id})
-            yield env
-        return
+            batch.append(env)
+        yield batch
+
+
+def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
     from ..views.viewindex import ViewQueryParams
     # Same as _run_view_index_scan: at_plus on a view-backed path must
     # not degrade below stale="false".
@@ -302,7 +349,7 @@ def _finalize_partial(name: str, partial: list) -> Any:
 @hot_path
 @cost("O(n)")
 def run_index_aggregate(op: IndexAggregateScan,
-                        ctx: ExecutionContext) -> Rows:
+                        ctx: ExecutionContext) -> Batches:
     """Covered GROUP BY served by the index nodes (section 5.1): each
     partition pre-aggregates its rows, the GSI coordinator merges the
     partial states, and this operator shapes each merged group into the
@@ -329,20 +376,22 @@ def run_index_aggregate(op: IndexAggregateScan,
         env = Env()
         for key, name, _position in op.agg_entries:
             env.bind(key, _finalize_partial(name, [0, 0, MISSING]))
-        yield env
+        yield [env]
         return
+    envs = []
     for group_values, partials in groups:
         env = Env()
         env.bind(op.alias, _cover_doc(cover_parts, group_values),
                  {"id": None})
         for (key, name, _position), partial in zip(op.agg_entries, partials):
             env.bind(key, _finalize_partial(name, partial))
-        yield env
+        envs.append(env)
+    yield from _chunks(envs)
 
 
 @hot_path
 @cost("O(n)")
-def run_system_scan(op, ctx: ExecutionContext) -> Rows:
+def run_system_scan(op, ctx: ExecutionContext) -> Batches:
     """Rows of a system catalog keyspace."""
     cluster = ctx.cluster
     rows: list[dict] = []
@@ -375,10 +424,12 @@ def run_system_scan(op, ctx: ExecutionContext) -> Rows:
                 "ejected": name in cluster.manager.ejected,
                 "down": cluster.network.is_down(name),
             })
+    envs = []
     for index, row in enumerate(rows):
         env = Env()
         env.bind(op.alias, row, {"id": f"{op.what}:{index}"})
-        yield env
+        envs.append(env)
+    yield from _chunks(envs)
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +437,15 @@ def run_system_scan(op, ctx: ExecutionContext) -> Rows:
 # ---------------------------------------------------------------------------
 
 
-#: Rows buffered per bulk fetch.  Small enough to keep the pipeline
-#: streaming (LIMIT stops after at most one extra chunk), large enough
-#: that a chunk spanning the whole cluster amortizes to ~1 RPC per node.
-FETCH_BATCH = 64
-
-
 class FetchState:
-    """Whole-operator fetch state, shared by the row and batch fetch
-    executors.
+    """Whole-operator fetch state.
 
     Fetched documents are cached for the life of the operator, so a key
     appearing again -- in the same chunk or a later one -- reuses the
     first fetch's snapshot instead of re-fetching (a re-fetch could
     observe a concurrent mutation, making two rows for the same key
     disagree mid-query), and every occurrence after the first gets a
-    fresh copy so duplicate rows never share mutable state.  The old
-    per-chunk bookkeeping applied copy-on-duplicate only within one
-    chunk; a duplicate landing in a later chunk was re-fetched."""
+    fresh copy so duplicate rows never share mutable state."""
 
     __slots__ = ("op", "ctx", "docs", "bound")
 
@@ -451,39 +493,42 @@ class FetchState:
 
 @hot_path
 @cost("O(n)")
-def run_fetch(op: Fetch, ctx: ExecutionContext, rows: Rows) -> Rows:
-    """Resolve pending document fetches in node-grouped batches: the
-    operator buffers up to :data:`FETCH_BATCH` rows, issues one bulk
-    lookup for their keys (one RPC per node holding any of them), and
-    re-emits the rows in order.  Rows whose document vanished between
-    scan and fetch are dropped, as before."""
+def run_fetch(op: Fetch, ctx: ExecutionContext,
+              batches: Batches) -> Batches:
+    """Resolve pending document fetches in node-grouped batches: one
+    bulk lookup per incoming batch (one RPC per node holding any of its
+    keys), rows re-emitted in order.  Rows whose document vanished
+    between scan and fetch are dropped."""
     state = FetchState(op, ctx)
-    chunk: list[Env] = []
-    for env in rows:
-        found, value = env.lookup(op.alias)
-        if not found:
+    for batch in batches:
+        buffered = []
+        for env in batch:
+            found, _value = env.lookup(op.alias)
+            if found:
+                buffered.append(env)
+        if not buffered:
             continue
-        chunk.append(env)
-        if len(chunk) >= FETCH_BATCH:
-            yield from state.drain(chunk)
-            chunk = []
-    if chunk:
-        yield from state.drain(chunk)
+        out = state.drain(buffered)
+        if out:
+            yield out
 
 
 @hot_path
 @cost("O(n)")
-def run_filter(op: Filter, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_filter(op: Filter, ctx: ExecutionContext,
+               batches: Batches) -> Batches:
     condition = _compiled(op, "_compiled_condition", op.condition, ctx)
     ev = ctx.evaluator
-    for env in rows:
-        if condition(env, ev) is True:
-            yield env
+    for batch in batches:
+        kept = [env for env in batch if condition(env, ev) is True]
+        if kept:
+            yield kept
 
 
 @hot_path
 @cost("O(n)")
-def run_let(op: LetOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_let(op: LetOp, ctx: ExecutionContext,
+            batches: Batches) -> Batches:
     compiled = getattr(op, "_compiled_bindings", None)
     if compiled is None:
         alias = ctx.evaluator.default_alias
@@ -492,15 +537,19 @@ def run_let(op: LetOp, ctx: ExecutionContext, rows: Rows) -> Rows:
         op._compiled_bindings = compiled
         ctx.count("n1ql.compile.count", len(compiled))
     ev = ctx.evaluator
-    for env in rows:
-        child = env.child()
-        for name, fn in compiled:
-            child.bind(name, fn(child, ev))
-        yield child
+    for batch in batches:
+        out = []
+        for env in batch:
+            child = env.child()
+            for name, fn in compiled:
+                child.bind(name, fn(child, ev))
+            out.append(child)
+        yield out
 
 
 # ---------------------------------------------------------------------------
-# Join family (nested-loop, key-based -- section 4.5.3)
+# Join family (nested-loop, key-based -- section 4.5.3).  Joins and
+# UNNEST multiply rows, so their output is re-chunked to BATCH_SIZE.
 # ---------------------------------------------------------------------------
 
 
@@ -515,66 +564,93 @@ def _on_keys_list(fn, ctx: ExecutionContext, env: Env) -> list[str]:
 
 @hot_path
 @cost("O(n)")
-def run_join(op: JoinOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_join(op: JoinOp, ctx: ExecutionContext,
+             batches: Batches) -> Batches:
     on_keys = _compiled(op, "_compiled_on_keys", op.on_keys, ctx)
-    for env in rows:
-        keys = _on_keys_list(on_keys, ctx, env)
-        matched = False
-        for key in keys:
-            doc = ctx.fetch_doc(op.keyspace, key)
-            if doc is None:
-                continue
-            matched = True
-            child = env.child()
-            child.bind(op.alias, doc.value, meta_dict(doc))
-            yield child
-        if not matched and op.outer:
-            child = env.child()
-            child.bind(op.alias, MISSING)
-            yield child
+    out: list[Env] = []
+    for batch in batches:
+        for env in batch:
+            keys = _on_keys_list(on_keys, ctx, env)
+            matched = False
+            for key in keys:
+                doc = ctx.fetch_doc(op.keyspace, key)
+                if doc is None:
+                    continue
+                matched = True
+                child = env.child()
+                child.bind(op.alias, doc.value, meta_dict(doc))
+                out.append(child)
+                if len(out) >= BATCH_SIZE:
+                    yield out
+                    out = []
+            if not matched and op.outer:
+                child = env.child()
+                child.bind(op.alias, MISSING)
+                out.append(child)
+                if len(out) >= BATCH_SIZE:
+                    yield out
+                    out = []
+    if out:
+        yield out
 
 
 @hot_path
 @cost("O(n)")
-def run_nest(op: NestOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_nest(op: NestOp, ctx: ExecutionContext,
+             batches: Batches) -> Batches:
     """NEST: one output row per left row, with the fetched inner
     documents collected into an array (section 3.2.3)."""
     on_keys = _compiled(op, "_compiled_on_keys", op.on_keys, ctx)
-    for env in rows:
-        keys = _on_keys_list(on_keys, ctx, env)
-        collected = []
-        for key in keys:
-            doc = ctx.fetch_doc(op.keyspace, key)
-            if doc is not None:
-                collected.append(doc.value)
-        if collected:
-            child = env.child()
-            child.bind(op.alias, collected)
-            yield child
-        elif op.outer:
-            child = env.child()
-            child.bind(op.alias, MISSING)
-            yield child
+    for batch in batches:
+        out = []
+        for env in batch:
+            keys = _on_keys_list(on_keys, ctx, env)
+            collected = []
+            for key in keys:
+                doc = ctx.fetch_doc(op.keyspace, key)
+                if doc is not None:
+                    collected.append(doc.value)
+            if collected:
+                child = env.child()
+                child.bind(op.alias, collected)
+                out.append(child)
+            elif op.outer:
+                child = env.child()
+                child.bind(op.alias, MISSING)
+                out.append(child)
+        if out:
+            yield out
 
 
 @hot_path
 @cost("O(n)")
-def run_unnest(op: UnnestOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_unnest(op: UnnestOp, ctx: ExecutionContext,
+               batches: Batches) -> Batches:
     """UNNEST: the parent is repeated for each element of the nested
     array (section 4.5.3)."""
     unnest_fn = _compiled(op, "_compiled_expr", op.expr, ctx)
     ev = ctx.evaluator
-    for env in rows:
-        value = unnest_fn(env, ev)
-        if isinstance(value, list) and value:
-            for item in value:
+    out: list[Env] = []
+    for batch in batches:
+        for env in batch:
+            value = unnest_fn(env, ev)
+            if isinstance(value, list) and value:
+                for item in value:
+                    child = env.child()
+                    child.bind(op.alias, item)
+                    out.append(child)
+                    if len(out) >= BATCH_SIZE:
+                        yield out
+                        out = []
+            elif op.outer:
                 child = env.child()
-                child.bind(op.alias, item)
-                yield child
-        elif op.outer:
-            child = env.child()
-            child.bind(op.alias, MISSING)
-            yield child
+                child.bind(op.alias, MISSING)
+                out.append(child)
+                if len(out) >= BATCH_SIZE:
+                    yield out
+                    out = []
+    if out:
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +661,7 @@ def run_unnest(op: UnnestOp, ctx: ExecutionContext, rows: Rows) -> Rows:
 def _group_compiled(op: GroupOp, ctx: ExecutionContext):
     """Compiled grouping machinery: group-key closures plus, per
     aggregate, its pre-printed ``$agg:`` binding key and argument
-    closure (the interpreter re-printed each aggregate AST per group)."""
+    closure."""
     compiled = getattr(op, "_compiled_group", None)
     if compiled is None:
         alias = ctx.evaluator.default_alias
@@ -608,52 +684,53 @@ def _group_compiled(op: GroupOp, ctx: ExecutionContext):
 
 @hot_path
 @cost("O(n)")
-def run_group(op: GroupOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_group(op: GroupOp, ctx: ExecutionContext,
+              batches: Batches) -> Batches:
     group_fns, agg_entries = _group_compiled(op, ctx)
     ev = ctx.evaluator
     groups: dict[str, tuple[Env, list[Accumulator]]] = {}
     order: list[str] = []
-
-    def group_token(env: Env) -> str:
-        values = [fn(env, ev) for fn in group_fns]
-        return json.dumps(
-            [None if v is MISSING else ["$", _jsonable(v)] for v in values],
-            sort_keys=True,
-        )
-
-    for env in rows:
-        token = group_token(env)
-        if token not in groups:
-            accumulators = [
-                Accumulator(name, distinct)
-                for _key, name, distinct, _star, _fn in agg_entries
-            ]
-            groups[token] = (env, accumulators)
-            order.append(token)
-        _env, accumulators = groups[token]
-        for entry, accumulator in zip(agg_entries, accumulators):
-            _key, _name, _distinct, star, arg_fn = entry
-            if star:
-                accumulator.add(_COUNT_STAR)
-            else:
-                accumulator.add(arg_fn(env, ev))
+    for batch in batches:
+        for env in batch:
+            values = [fn(env, ev) for fn in group_fns]
+            token = json.dumps(
+                [None if v is MISSING else ["$", _jsonable(v)]
+                 for v in values],
+                sort_keys=True,
+            )
+            entry = groups.get(token)
+            if entry is None:
+                entry = (env, [
+                    Accumulator(name, distinct)
+                    for _key, name, distinct, _star, _fn in agg_entries
+                ])
+                groups[token] = entry
+                order.append(token)
+            for spec, accumulator in zip(agg_entries, entry[1]):
+                _key, _name, _distinct, star, arg_fn = spec
+                accumulator.add(_COUNT_STAR if star else arg_fn(env, ev))
 
     if not groups and not group_fns and agg_entries:
         # Aggregates over an empty input still produce one row
         # (COUNT(*) = 0, SUM = NULL, ...).
         env = Env()
         for key, name, distinct, _star, _fn in agg_entries:
-            accumulator = Accumulator(name, distinct)
-            env.bind(key, accumulator.result())
-        yield env
+            env.bind(key, Accumulator(name, distinct).result())
+        yield [env]
         return
 
+    batch = []
     for token in order:
         representative, accumulators = groups[token]
         out = representative.child()
-        for entry, accumulator in zip(agg_entries, accumulators):
-            out.bind(entry[0], accumulator.result())
-        yield out
+        for spec, accumulator in zip(agg_entries, accumulators):
+            out.bind(spec[0], accumulator.result())
+        batch.append(out)
+        if len(batch) >= BATCH_SIZE:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def _jsonable(value):
@@ -669,35 +746,43 @@ def _jsonable(value):
 
 @hot_path
 @cost("O(n)")
-def run_order(op: OrderOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_order(op: OrderOp, ctx: ExecutionContext,
+              batches: Batches) -> Batches:
     key_of = getattr(op, "_compiled_key", None)
     if key_of is None:
         key_of = compile_sort_key(op.terms, ctx.evaluator.default_alias)
         op._compiled_key = key_of
         ctx.count("n1ql.compile.count", len(op.terms))
     ev = ctx.evaluator
-    materialized = list(rows)
+    materialized = [env for batch in batches for env in batch]
     materialized.sort(key=lambda env: key_of(env, ev))
     ctx.count("n1ql.sorted_rows", len(materialized))
-    yield from materialized
+    yield from _chunks(materialized)
 
 
 @hot_path
 @cost("O(n)")
-def run_offset(op: OffsetOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_offset(op: OffsetOp, ctx: ExecutionContext,
+               batches: Batches) -> Batches:
     count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
                                                             ctx.evaluator)
     if not isinstance(count, (int, float)):
         raise N1qlRuntimeError("OFFSET requires a number")
     skip = int(count)
-    for index, env in enumerate(rows):
-        if index >= skip:
-            yield env
+    for batch in batches:
+        if skip:
+            if skip >= len(batch):
+                skip -= len(batch)
+                continue
+            batch = batch[skip:]
+            skip = 0
+        yield batch
 
 
 @hot_path
 @cost("O(n)")
-def run_limit(op: LimitOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_limit(op: LimitOp, ctx: ExecutionContext,
+              batches: Batches) -> Batches:
     count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
                                                             ctx.evaluator)
     if not isinstance(count, (int, float)):
@@ -705,11 +790,12 @@ def run_limit(op: LimitOp, ctx: ExecutionContext, rows: Rows) -> Rows:
     remaining = int(count)
     if remaining <= 0:
         return
-    for env in rows:
-        yield env
-        remaining -= 1
-        if remaining <= 0:
+    for batch in batches:
+        if len(batch) >= remaining:
+            yield batch[:remaining]
             return
+        remaining -= len(batch)
+        yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -744,45 +830,48 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
 @hot_path
 @cost("O(n)")
 def run_initial_project(op: InitialProject, ctx: ExecutionContext,
-                        rows: Rows) -> Rows:
+                        batches: Batches) -> Batches:
     """Evaluate the projection list; emits envs carrying '$result'."""
     entries = _project_compiled(op, ctx)
     ev = ctx.evaluator
     raw_fn = entries[0][0] if op.raw else None
-    for env in rows:
-        if op.raw:
-            value = raw_fn(env, ev)
-            result: Any = None if value is MISSING else value
-        else:
-            result = {}
-            unnamed = 0
-            for fn, name, star_of in entries:
-                if fn is None:
-                    # '*' or alias.*: splice document(s) in.
-                    if star_of is not None:
-                        found, value = env.lookup(star_of)
-                        if found and isinstance(value, dict):
-                            result.update(value)
+    for batch in batches:
+        out_batch = []
+        for env in batch:
+            if op.raw:
+                value = raw_fn(env, ev)
+                result: Any = None if value is MISSING else value
+            else:
+                result = {}
+                unnamed = 0
+                for fn, name, star_of in entries:
+                    if fn is None:
+                        # '*' or alias.*: splice document(s) in.
+                        if star_of is not None:
+                            found, value = env.lookup(star_of)
+                            if found and isinstance(value, dict):
+                                result.update(value)
+                            continue
+                        # Bare '*': N1QL wraps each keyspace's document
+                        # under its alias (SELECT * FROM b -> [{"b": {...}}]).
+                        for alias in reversed(env.aliases()):
+                            found, value = env.lookup(alias)
+                            if found and value is not MISSING:
+                                result[alias] = value
                         continue
-                    # Bare '*': N1QL wraps each keyspace's document under
-                    # its alias (SELECT * FROM b -> [{"b": {...}}]).
-                    for alias in reversed(env.aliases()):
-                        found, value = env.lookup(alias)
-                        if found and value is not MISSING:
-                            result[alias] = value
-                    continue
-                value = fn(env, ev)
-                if value is MISSING:
-                    continue
-                if name is None:
-                    unnamed += 1
-                    key = f"${unnamed}"
-                else:
-                    key = name
-                result[key] = value
-        out = env.child()
-        out.bind("$result", result)
-        yield out
+                    value = fn(env, ev)
+                    if value is MISSING:
+                        continue
+                    if name is None:
+                        unnamed += 1
+                        key = f"${unnamed}"
+                    else:
+                        key = name
+                    result[key] = value
+            out = env.child()
+            out.bind("$result", result)
+            out_batch.append(out)
+        yield out_batch
 
 
 def _implicit_name(expr) -> str | None:
@@ -798,21 +887,25 @@ def _implicit_name(expr) -> str | None:
 
 @hot_path
 @cost("O(n)")
-def run_distinct(op: DistinctOp, ctx: ExecutionContext, rows: Rows) -> Rows:
+def run_distinct(op: DistinctOp, ctx: ExecutionContext,
+                 batches: Batches) -> Batches:
     seen: set[str] = set()
-    for env in rows:
-        found, result = env.lookup("$result")
-        token = json.dumps(result, sort_keys=True, default=str)
-        if token in seen:
-            continue
-        seen.add(token)
-        yield env
+    for batch in batches:
+        kept = []
+        for env in batch:
+            _found, result = env.lookup("$result")
+            token = json.dumps(result, sort_keys=True, default=str)
+            if token in seen:
+                continue
+            seen.add(token)
+            kept.append(env)
+        if kept:
+            yield kept
 
 
 @hot_path
 @cost("O(n)")
 def run_final_project(op: FinalProject, ctx: ExecutionContext,
-                      rows: Rows) -> Iterator[Any]:
-    for env in rows:
-        _found, result = env.lookup("$result")
-        yield result
+                      batches: Batches) -> Iterator[list[Any]]:
+    for batch in batches:
+        yield [env.lookup("$result")[1] for env in batch]

@@ -5,11 +5,10 @@ service coordinates first with the index service and then with the data
 service.  The query results are streamed to the client as they become
 available."  The generator chain here is exactly that streaming shape.
 
-Two executor tables implement the same operator vocabulary: the
-row-at-a-time pipeline (one generator hop per Env) and the
-batch-vectorized pipeline of :mod:`repro.n1ql.batch` (one hop per
-:data:`~repro.n1ql.batch.BATCH_SIZE` rows).  ``batch.BATCH_ENABLED``
-selects between them per query; both yield the identical result stream.
+Operators exchange batches of up to
+:data:`~repro.n1ql.operators.BATCH_SIZE` rows (one generator hop per
+batch, not per row); :func:`execute_plan` flattens the last operator's
+batches back into a stream of result values.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import itertools
 from typing import Any, Iterator
 
 from ..common.errors import N1qlRuntimeError
-from . import batch
 from .expressions import Env
 from .operators import (
     ExecutionContext,
@@ -87,59 +85,25 @@ _TRANSFORMS = {
     FinalProject: run_final_project,
 }
 
-_BATCH_SOURCES = {
-    KeyScan: batch.run_key_scan_batch,
-    IndexScan: batch.run_index_scan_batch,
-    PrimaryScan: batch.run_primary_scan_batch,
-    SystemScan: batch.run_system_scan_batch,
-    IndexAggregateScan: batch.run_index_aggregate_batch,
-}
 
-_BATCH_TRANSFORMS = {
-    Fetch: batch.run_fetch_batch,
-    Filter: batch.run_filter_batch,
-    LetOp: batch.run_let_batch,
-    JoinOp: batch.run_join_batch,
-    NestOp: batch.run_nest_batch,
-    UnnestOp: batch.run_unnest_batch,
-    GroupOp: batch.run_group_batch,
-    OrderOp: batch.run_order_batch,
-    OffsetOp: batch.run_offset_batch,
-    LimitOp: batch.run_limit_batch,
-    InitialProject: batch.run_initial_project_batch,
-    DistinctOp: batch.run_distinct_batch,
-    FinalProject: batch.run_final_project_batch,
-}
-
-
-def _wire(plan: QueryPlan, ctx: ExecutionContext, sources: dict,
-          transforms: dict, empty_stream: Iterator) -> Iterator:
+def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> Iterator[Any]:
+    """Run the pipeline; yields final result values."""
     operators = plan.operators
-    stream: Iterator = empty_stream
-    start = 0
-    first = operators[0]
-    source = sources.get(type(first))
+    if not operators:
+        return iter(())
+    source = _SOURCES.get(type(operators[0]))
     if source is not None:
-        stream = source(first, ctx)
-        start = 1
-    for op in operators[start:]:
-        transform = transforms.get(type(op))
+        batches = source(operators[0], ctx)
+        operators = operators[1:]
+    else:
+        # No FROM clause: a single empty row flows through the pipeline
+        # (SELECT 1+1 style).
+        batches = iter([[Env()]])
+    for op in operators:
+        transform = _TRANSFORMS.get(type(op))
         if transform is None:
             raise N1qlRuntimeError(
                 f"no executor for plan operator {type(op).__name__}"
             )
-        stream = transform(op, ctx, stream)
-    return stream
-
-
-def execute_plan(plan: QueryPlan, ctx: ExecutionContext) -> Iterator[Any]:
-    """Run the pipeline; yields final result values."""
-    if not plan.operators:
-        return iter(())
-    if batch.BATCH_ENABLED:
-        # No FROM clause: a single empty row flows through the pipeline
-        # (SELECT 1+1 style).
-        batches = _wire(plan, ctx, _BATCH_SOURCES, _BATCH_TRANSFORMS,
-                        iter([[Env()]]))
-        return itertools.chain.from_iterable(batches)
-    return _wire(plan, ctx, _SOURCES, _TRANSFORMS, iter([Env()]))
+        batches = transform(op, ctx, batches)
+    return itertools.chain.from_iterable(batches)

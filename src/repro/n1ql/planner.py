@@ -438,7 +438,7 @@ class Planner:
           (so dropping it loses nothing);
         * every grouping expression is a *leading prefix* of the index
           keys, in clause order -- that makes the coordinator's merged
-          (collation) order identical to the row pipeline's first-seen
+          (collation) order identical to the Group operator's first-seen
           order, since a covering scan sees rows in key order;
         * every aggregate is a non-DISTINCT COUNT/SUM/AVG/MIN/MAX whose
           argument is an index key or meta().id, so the node can fold it
@@ -522,7 +522,7 @@ class Planner:
     def _non_aggregate_paths(self, statement, alias) -> set[str] | None:
         """Paths referenced outside aggregate arguments in the parts of
         the statement that run *after* grouping (projections, HAVING,
-        ORDER BY).  The row pipeline evaluates these against each
+        ORDER BY).  The unpushed plan evaluates these against each
         group's representative row; the pushed plan only reconstructs
         the grouping keys, so anything beyond them blocks the rewrite.
         None means analysis is impossible (whole-document reference)."""

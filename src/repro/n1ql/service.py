@@ -140,11 +140,6 @@ class CachedPlan:
     plan: QueryPlan
     epoch: tuple
 
-    def __getitem__(self, index):
-        # Backward compatibility with the original (statement, plan)
-        # tuples a few tests unpack.
-        return (self.statement, self.plan, self.epoch)[index]
-
 
 class PlanCache:
     """LRU of compiled plans for *ad-hoc* statements, keyed by statement

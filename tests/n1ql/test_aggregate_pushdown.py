@@ -9,7 +9,6 @@ index keys and nothing downstream needs more than the group keys.
 import pytest
 
 from repro import Cluster
-from repro.n1ql import batch
 from repro.n1ql.planner import Planner
 
 
@@ -83,11 +82,9 @@ def test_pushdown_refused(cluster, text):
 
 
 @pytest.mark.parametrize("text", PUSHED)
-@pytest.mark.parametrize("enabled", [True, False])
-def test_pushed_matches_unpushed(cluster, monkeypatch, text, enabled):
+def test_pushed_matches_unpushed(cluster, monkeypatch, text):
     """Property: pushed plan == covering-scan + Group plan, rows and
-    order, in both pipeline modes."""
-    monkeypatch.setattr(batch, "BATCH_ENABLED", enabled)
+    order."""
     pushed = cluster.query(text, scan_consistency="request_plus").rows
     monkeypatch.setattr(Planner, "_push_group_to_index",
                         lambda self, statement, operators, aggregates: None)

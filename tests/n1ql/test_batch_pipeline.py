@@ -1,10 +1,11 @@
-"""Batch-vectorized pipeline properties.
+"""Batch pipeline properties.
 
-The batch executors of :mod:`repro.n1ql.batch` must be observationally
-identical to the row pipeline -- same rows, same order, same ``n1ql.*``
-operator metrics -- across the whole operator vocabulary, including the
-parallel scatter-gather scan over a partitioned index and failure
-propagation from a down index node.
+The operator pipeline exchanges batches of rows; across the whole
+operator vocabulary -- including the parallel scatter-gather scan over a
+partitioned index -- it must return exactly the rows an independent
+plain-Python evaluation of the fixture data gives, in the access path's
+order, with the pinned ``n1ql.*`` operator metrics, and a down index
+node must fail the query rather than drop its rows.
 """
 
 import pytest
@@ -12,11 +13,11 @@ import pytest
 from repro import Cluster
 from repro.common.errors import NodeDownError
 from repro.gsi import manager as gsi_manager
-from repro.n1ql import batch, operators
+from repro.n1ql import operators
 
-#: Per-row operator counters that must match between pipelines.  Compile
-#: and plan-cache counters are excluded on purpose: the second execution
-#: of a query text reuses the cached, already-compiled plan.
+#: Per-row operator counters pinned per query.  Compile and plan-cache
+#: counters are excluded on purpose: they depend on whether the query
+#: text was seen before.
 FLOW_METRICS = [
     "n1ql.keyscan",
     "n1ql.indexscan",
@@ -37,13 +38,25 @@ def flow_counters(cluster) -> dict[str, int]:
     return totals
 
 
-def run_mode(cluster, monkeypatch, enabled: bool, text: str, params=None):
-    monkeypatch.setattr(batch, "BATCH_ENABLED", enabled)
-    before = flow_counters(cluster)
-    rows = cluster.query(text, params,
-                         scan_consistency="request_plus").rows
-    after = flow_counters(cluster)
-    return rows, {name: after[name] - before[name] for name in FLOW_METRICS}
+PROFILES = {
+    f"u{i:03d}": {
+        "name": f"user{i:03d}",
+        "age": 20 + i % 13,
+        "city": ["SF", "NY", "LA"][i % 3],
+        "order_ids": [f"o{i:03d}a", f"o{i:03d}b"],
+        "categories": [f"c{i % 4}", "all"],
+    }
+    for i in range(150)
+}
+ORDERS = {
+    f"o{i:03d}{suffix}": {"total": unit * i}
+    for i in range(150) for suffix, unit in (("a", 10), ("b", 5))
+}
+
+#: Profiles in primary-index (document key) order and in ``by_age``
+#: index order; a query without ORDER BY returns its access path's order.
+BY_KEY = [PROFILES[key] for key in sorted(PROFILES)]
+BY_AGE = sorted(BY_KEY, key=lambda p: (p["age"], p["name"]))
 
 
 @pytest.fixture(scope="module")
@@ -52,16 +65,10 @@ def cluster():
     cluster.create_bucket("profiles")
     cluster.create_bucket("orders")
     client = cluster.connect()
-    for i in range(150):
-        client.upsert("profiles", f"u{i:03d}", {
-            "name": f"user{i:03d}",
-            "age": 20 + i % 13,
-            "city": ["SF", "NY", "LA"][i % 3],
-            "order_ids": [f"o{i:03d}a", f"o{i:03d}b"],
-            "categories": [f"c{i % 4}", "all"],
-        })
-        client.upsert("orders", f"o{i:03d}a", {"total": 10 * i})
-        client.upsert("orders", f"o{i:03d}b", {"total": 5 * i})
+    for key, doc in PROFILES.items():
+        client.upsert("profiles", key, doc)
+    for key, doc in ORDERS.items():
+        client.upsert("orders", key, doc)
     cluster.run_until_idle()
     cluster.query('CREATE INDEX by_age ON profiles(age, name) USING GSI '
                   'WITH {"num_partitions": 3}')
@@ -70,60 +77,119 @@ def cluster():
     return cluster
 
 
+def _grouped(profiles, key):
+    groups: dict = {}
+    for p in profiles:
+        groups.setdefault(p[key], []).append(p)
+    return groups
+
+
+#: ``(statement, expected rows computed from the fixture data in plain
+#: Python, expected non-zero FLOW_METRICS deltas)``.
 CORPUS = [
-    'SELECT p.name FROM profiles p USE KEYS ["u001", "u002", "u001"]',
-    "SELECT name, age FROM profiles p WHERE p.age >= 22 AND p.age < 26",
-    "SELECT p.city FROM profiles p WHERE p.age = 24",
-    "SELECT name FROM profiles p WHERE p.city = 'SF'",
+    ('SELECT p.name FROM profiles p USE KEYS ["u001", "u002", "u001"]',
+     [{"name": "user001"}, {"name": "user002"}, {"name": "user001"}],
+     {"n1ql.keyscan": 1, "n1ql.fetch": 3}),
+    ("SELECT name, age FROM profiles p WHERE p.age >= 22 AND p.age < 26",
+     [{"name": p["name"], "age": p["age"]}
+      for p in BY_AGE if 22 <= p["age"] < 26],
+     {"n1ql.indexscan": 1}),
+    ("SELECT p.city FROM profiles p WHERE p.age = 24",
+     [{"city": p["city"]} for p in BY_AGE if p["age"] == 24],
+     {"n1ql.indexscan": 1, "n1ql.fetch": 12}),
+    ("SELECT name FROM profiles p WHERE p.city = 'SF'",
+     [{"name": p["name"]} for p in BY_KEY if p["city"] == "SF"],
+     {"n1ql.primaryscan": 1, "n1ql.fetch": 150}),
     # ORDER BY + LIMIT + OFFSET over the partitioned index.
-    "SELECT name, age FROM profiles p WHERE p.age >= 20 "
-    "ORDER BY p.name DESC LIMIT 7 OFFSET 3",
+    ("SELECT name, age FROM profiles p WHERE p.age >= 20 "
+     "ORDER BY p.name DESC LIMIT 7 OFFSET 3",
+     [{"name": p["name"], "age": p["age"]}
+      for p in sorted(BY_KEY, key=lambda p: p["name"], reverse=True)[3:10]],
+     {"n1ql.indexscan": 1, "n1ql.sorted_rows": 150}),
     # Sort elimination + LIMIT pushdown: index order, parallel merge.
-    "SELECT age, name FROM profiles p WHERE p.age > 21 "
-    "ORDER BY p.age LIMIT 10",
-    "SELECT RAW p.age FROM profiles p WHERE p.age BETWEEN 21 AND 23",
-    "SELECT DISTINCT city FROM profiles p WHERE p.age >= 20",
-    "SELECT city, COUNT(*) AS n, AVG(p.age) AS mean FROM profiles p "
-    "WHERE p.city != '' GROUP BY city",
-    # Partial-aggregate pushdown shape (IndexAggregateScan both modes).
-    "SELECT age, COUNT(*) AS n, MIN(p.name) AS lo FROM profiles p "
-    "WHERE p.age >= 21 GROUP BY age",
-    "SELECT COUNT(*) AS n FROM profiles p WHERE p.age > 999",
-    "SELECT p.name, o.total FROM profiles p "
-    "JOIN orders o ON KEYS p.order_ids WHERE p.age = 23",
-    "SELECT p.name, os FROM profiles p "
-    "NEST orders os ON KEYS p.order_ids WHERE p.age = 21",
-    "SELECT p.name, c FROM profiles p UNNEST p.categories AS c "
-    "WHERE p.age = 22",
-    "SELECT 1+1 AS two",
-    "SELECT s.name FROM system:indexes s",
-    "SELECT meta(p).id AS id FROM profiles p WHERE meta(p).id >= 'u140'",
+    # The exclusive bound on a key prefix must not let the pushed LIMIT
+    # spend itself on the age = 21 entries.
+    ("SELECT age, name FROM profiles p WHERE p.age > 21 "
+     "ORDER BY p.age LIMIT 10",
+     [{"age": p["age"], "name": p["name"]}
+      for p in BY_AGE if p["age"] > 21][:10],
+     {"n1ql.indexscan": 1}),
+    ("SELECT RAW p.age FROM profiles p WHERE p.age BETWEEN 21 AND 23",
+     [p["age"] for p in BY_AGE if 21 <= p["age"] <= 23],
+     {"n1ql.indexscan": 1}),
+    ("SELECT DISTINCT city FROM profiles p WHERE p.age >= 20",
+     [{"city": city} for city in dict.fromkeys(p["city"] for p in BY_AGE)],
+     {"n1ql.indexscan": 1, "n1ql.fetch": 150}),
+    ("SELECT city, COUNT(*) AS n, AVG(p.age) AS mean FROM profiles p "
+     "WHERE p.city != '' GROUP BY city",
+     [{"city": city, "n": len(members),
+       "mean": sum(p["age"] for p in members) / len(members)}
+      for city, members in _grouped(BY_KEY, "city").items()],
+     {"n1ql.primaryscan": 1, "n1ql.fetch": 150}),
+    # Partial-aggregate pushdown shape (IndexAggregateScan).
+    ("SELECT age, COUNT(*) AS n, MIN(p.name) AS lo FROM profiles p "
+     "WHERE p.age >= 21 GROUP BY age",
+     [{"age": age, "n": len(members),
+       "lo": min(p["name"] for p in members)}
+      for age, members in _grouped(BY_AGE, "age").items() if age >= 21],
+     {"n1ql.aggscan": 1}),
+    # Pushed aggregate under an exclusive bound on a key prefix.
+    ("SELECT age, COUNT(*) AS n FROM profiles p WHERE p.age > 21 "
+     "GROUP BY age",
+     [{"age": age, "n": len(members)}
+      for age, members in _grouped(BY_AGE, "age").items() if age > 21],
+     {"n1ql.aggscan": 1}),
+    ("SELECT COUNT(*) AS n FROM profiles p WHERE p.age > 999",
+     [{"n": 0}],
+     {"n1ql.aggscan": 1}),
+    ("SELECT p.name, o.total FROM profiles p "
+     "JOIN orders o ON KEYS p.order_ids WHERE p.age = 23",
+     [{"name": p["name"], "total": ORDERS[order_id]["total"]}
+      for p in BY_AGE if p["age"] == 23 for order_id in p["order_ids"]],
+     {"n1ql.indexscan": 1, "n1ql.fetch": 12}),
+    ("SELECT p.name, os FROM profiles p "
+     "NEST orders os ON KEYS p.order_ids WHERE p.age = 21",
+     [{"name": p["name"],
+       "os": [ORDERS[order_id] for order_id in p["order_ids"]]}
+      for p in BY_AGE if p["age"] == 21],
+     {"n1ql.indexscan": 1, "n1ql.fetch": 12}),
+    ("SELECT p.name, c FROM profiles p UNNEST p.categories AS c "
+     "WHERE p.age = 22",
+     [{"name": p["name"], "c": category}
+      for p in BY_AGE if p["age"] == 22 for category in p["categories"]],
+     {"n1ql.indexscan": 1, "n1ql.fetch": 12}),
+    ("SELECT 1+1 AS two",
+     [{"two": 2}],
+     {}),
+    ("SELECT s.name FROM system:indexes s",
+     [{"name": "#primary_orders"}, {"name": "#primary_profiles"},
+      {"name": "by_age"}],
+     {}),
+    ("SELECT meta(p).id AS id FROM profiles p WHERE meta(p).id >= 'u140'",
+     [{"id": key} for key in sorted(PROFILES) if key >= "u140"],
+     {"n1ql.indexscan": 1}),
 ]
 
 
-@pytest.mark.parametrize("text", CORPUS)
-def test_batch_matches_row_pipeline(cluster, monkeypatch, text):
-    """Same rows, same order, same operator metrics in both modes."""
-    rows_batch, delta_batch = run_mode(cluster, monkeypatch, True, text)
-    rows_row, delta_row = run_mode(cluster, monkeypatch, False, text)
-    assert rows_batch == rows_row
-    assert delta_batch == delta_row
+@pytest.mark.parametrize("text, expected_rows, expected_flow", CORPUS,
+                         ids=[entry[0] for entry in CORPUS])
+def test_corpus_matches_oracle(cluster, text, expected_rows, expected_flow):
+    """Same rows, same order, same operator metrics as the fixture data
+    evaluated in plain Python."""
+    before = flow_counters(cluster)
+    rows = cluster.query(text, scan_consistency="request_plus").rows
+    after = flow_counters(cluster)
+    assert rows == expected_rows
+    expected = dict.fromkeys(FLOW_METRICS, 0)
+    expected.update(expected_flow)
+    expected["n1ql.result_rows"] = len(expected_rows)
+    assert {name: after[name] - before[name]
+            for name in FLOW_METRICS} == expected
 
 
-@pytest.mark.parametrize("text", CORPUS)
-def test_serial_scan_ablation_matches(cluster, monkeypatch, text):
-    """PARALLEL_SCAN_ENABLED=False (concat-free serial merge) yields the
-    identical stream."""
-    rows_parallel, _ = run_mode(cluster, monkeypatch, True, text)
-    monkeypatch.setattr(gsi_manager, "PARALLEL_SCAN_ENABLED", False)
-    rows_serial, _ = run_mode(cluster, monkeypatch, True, text)
-    assert rows_parallel == rows_serial
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_duplicate_keys_across_fetch_chunks(monkeypatch, enabled):
-    """A key repeated past a FETCH_BATCH/BATCH_SIZE boundary is fetched
-    once, and the duplicate row gets its own copy of the document."""
+def test_duplicate_keys_across_fetch_chunks(monkeypatch):
+    """A key repeated past a BATCH_SIZE boundary is fetched once, and
+    the duplicate row gets its own copy of the document."""
     cluster = Cluster(nodes=2, vbuckets=8)
     cluster.create_bucket("b")
     client = cluster.connect()
@@ -131,9 +197,7 @@ def test_duplicate_keys_across_fetch_chunks(monkeypatch, enabled):
         client.upsert("b", f"k{i}", {"v": i, "tags": ["a", "b"]})
     cluster.run_until_idle()
 
-    monkeypatch.setattr(operators, "FETCH_BATCH", 4)
-    monkeypatch.setattr(batch, "BATCH_SIZE", 4)
-    monkeypatch.setattr(batch, "BATCH_ENABLED", enabled)
+    monkeypatch.setattr(operators, "BATCH_SIZE", 4)
     fetched: list[list[str]] = []
     original = operators.ExecutionContext.fetch_docs
 
@@ -153,7 +217,9 @@ def test_duplicate_keys_across_fetch_chunks(monkeypatch, enabled):
     # must not reach through to the other.
     assert rows[0]["x"] == rows[6]["x"] and rows[0]["x"] is not rows[6]["x"]
     assert rows[2]["x"] == rows[7]["x"] and rows[2]["x"] is not rows[7]["x"]
-    # One fetch per unique key, even across chunk boundaries.
+    # The duplicates sit in the second chunk, yet every unique key is
+    # fetched exactly once.
+    assert len(fetched) == 2
     requested = [key for chunk in fetched for key in chunk]
     assert sorted(requested) == sorted(set(keys))
 
@@ -174,13 +240,11 @@ def _partitioned_cluster():
     return cluster
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_index_node_down_propagates(monkeypatch, enabled):
+def test_index_node_down_propagates():
     """A down partition must fail the scan -- and the pushed aggregate
-    scan -- in both pipeline modes, never silently drop its rows."""
+    scan -- never silently drop its rows."""
     cluster = _partitioned_cluster()
     cluster.network.set_down("i2")
-    monkeypatch.setattr(batch, "BATCH_ENABLED", enabled)
     with pytest.raises(NodeDownError):
         cluster.query("SELECT v, w FROM b x WHERE x.v >= 0")
     with pytest.raises(NodeDownError):

@@ -15,8 +15,13 @@ from repro.n1ql.collation import (
     sort_key,
     type_rank,
 )
+from repro.common.errors import N1qlSemanticError
+from repro.n1ql import syntax
+from repro.n1ql.compile import _HANDLERS, compile_expr
 from repro.n1ql.expressions import Env, Evaluator
 from repro.n1ql.parser import Parser
+
+from .reference_evaluator import ReferenceEvaluator
 
 json_values = st.recursive(
     st.none()
@@ -30,10 +35,25 @@ json_values = st.recursive(
 )
 
 
-def eval_expr(text, env=None, params=None, default_alias=None):
-    parser = Parser(text)
-    expr = parser.parse_expr()
-    return Evaluator(params or {}, default_alias).evaluate(expr, env or Env())
+def _compiled(expr, params, default_alias, env):
+    return compile_expr(expr, default_alias)(
+        env, Evaluator(params, default_alias))
+
+
+def _reference(expr, params, default_alias, env):
+    return ReferenceEvaluator(params, default_alias).evaluate(expr, env)
+
+
+@pytest.fixture(params=[_compiled, _reference],
+                ids=["compiled", "reference"])
+def eval_expr(request):
+    """The shipped compiled closures and the tree-walking reference
+    evaluator must both satisfy every semantic case below."""
+    def run(text, env=None, params=None, default_alias=None):
+        expr = Parser(text).parse_expr()
+        return request.param(expr, params or {}, default_alias, env or Env())
+
+    return run
 
 
 class TestCollation:
@@ -89,25 +109,25 @@ class TestCollation:
 
 
 class TestLiteralsAndParams:
-    def test_literals(self):
+    def test_literals(self, eval_expr):
         assert eval_expr("42") == 42
         assert eval_expr("'hi'") == "hi"
         assert eval_expr("TRUE") is True
         assert eval_expr("NULL") is None
         assert eval_expr("MISSING") is MISSING
 
-    def test_array_object_literals(self):
+    def test_array_object_literals(self, eval_expr):
         assert eval_expr("[1, 'a', [2]]") == [1, "a", [2]]
         assert eval_expr('{"a": 1, "b": {"c": 2}}') == {"a": 1, "b": {"c": 2}}
 
-    def test_object_literal_drops_missing(self):
+    def test_object_literal_drops_missing(self, eval_expr):
         assert eval_expr('{"a": MISSING, "b": 1}') == {"b": 1}
 
-    def test_params(self):
+    def test_params(self, eval_expr):
         assert eval_expr("$x", params={"x": 9}) == 9
         assert eval_expr("$1 + $2", params={"1": 1, "2": 2}) == 3
 
-    def test_missing_param_raises(self):
+    def test_missing_param_raises(self, eval_expr):
         from repro.common.errors import N1qlSemanticError
         with pytest.raises(N1qlSemanticError):
             eval_expr("$nope")
@@ -120,59 +140,59 @@ class TestFieldAccess:
                        "tags": ["a", "b"]}, {"id": "u1", "cas": 7})
         return env
 
-    def test_field(self):
+    def test_field(self, eval_expr):
         assert eval_expr("p.name", self.make_env()) == "Dipti"
 
-    def test_nested(self):
+    def test_nested(self, eval_expr):
         assert eval_expr("p.address.zip", self.make_env()) == "94040"
 
-    def test_absent_is_missing(self):
+    def test_absent_is_missing(self, eval_expr):
         assert eval_expr("p.ghost", self.make_env()) is MISSING
         assert eval_expr("p.ghost.deeper", self.make_env()) is MISSING
 
-    def test_element_access(self):
+    def test_element_access(self, eval_expr):
         assert eval_expr("p.tags[1]", self.make_env()) == "b"
         assert eval_expr("p.tags[-1]", self.make_env()) == "b"
         assert eval_expr("p.tags[9]", self.make_env()) is MISSING
 
-    def test_default_alias_resolution(self):
+    def test_default_alias_resolution(self, eval_expr):
         assert eval_expr("name", self.make_env(), default_alias="p") == "Dipti"
 
-    def test_meta(self):
+    def test_meta(self, eval_expr):
         assert eval_expr("meta(p).id", self.make_env()) == "u1"
         assert eval_expr("meta().cas", self.make_env(),
                          default_alias="p") == 7
 
 
 class TestOperators:
-    def test_arithmetic(self):
+    def test_arithmetic(self, eval_expr):
         assert eval_expr("2 + 3 * 4") == 14
         assert eval_expr("10 / 4") == 2.5
         assert eval_expr("10 % 3") == 1
         assert eval_expr("-(2 + 3)") == -5
 
-    def test_division_by_zero_is_null(self):
+    def test_division_by_zero_is_null(self, eval_expr):
         assert eval_expr("1 / 0") is None
         assert eval_expr("1 % 0") is None
 
-    def test_arithmetic_on_non_numbers_is_null(self):
+    def test_arithmetic_on_non_numbers_is_null(self, eval_expr):
         assert eval_expr("'a' + 1") is None
         assert eval_expr("TRUE + 1") is None
 
-    def test_arithmetic_missing_propagates(self):
+    def test_arithmetic_missing_propagates(self, eval_expr):
         assert eval_expr("MISSING + 1") is MISSING
 
-    def test_comparisons(self):
+    def test_comparisons(self, eval_expr):
         assert eval_expr("1 < 2") is True
         assert eval_expr("'a' != 'b'") is True
         assert eval_expr("[1,2] = [1,2]") is True
 
-    def test_comparison_null_missing(self):
+    def test_comparison_null_missing(self, eval_expr):
         assert eval_expr("1 = NULL") is None
         assert eval_expr("1 = MISSING") is MISSING
         assert eval_expr("NULL = MISSING") is MISSING
 
-    def test_and_or_truth_tables(self):
+    def test_and_or_truth_tables(self, eval_expr):
         assert eval_expr("TRUE AND FALSE") is False
         assert eval_expr("FALSE AND MISSING") is False
         assert eval_expr("TRUE AND MISSING") is MISSING
@@ -182,39 +202,39 @@ class TestOperators:
         assert eval_expr("MISSING OR MISSING") is MISSING
         assert eval_expr("FALSE OR FALSE") is False
 
-    def test_not(self):
+    def test_not(self, eval_expr):
         assert eval_expr("NOT TRUE") is False
         assert eval_expr("NOT NULL") is None
         assert eval_expr("NOT MISSING") is MISSING
 
-    def test_concat(self):
+    def test_concat(self, eval_expr):
         assert eval_expr("'a' || 'b'") == "ab"
         assert eval_expr("'a' || 1") is None
 
-    def test_like(self):
+    def test_like(self, eval_expr):
         assert eval_expr("'Dipti' LIKE 'Di%'") is True
         assert eval_expr("'Dipti' LIKE 'D_pti'") is True
         assert eval_expr("'Dipti' NOT LIKE 'x%'") is True
         assert eval_expr("'a.b' LIKE 'a.b'") is True
         assert eval_expr("'axb' LIKE 'a.b'") is False  # dot is literal
 
-    def test_between(self):
+    def test_between(self, eval_expr):
         assert eval_expr("5 BETWEEN 1 AND 10") is True
         assert eval_expr("5 NOT BETWEEN 6 AND 10") is True
 
-    def test_in(self):
+    def test_in(self, eval_expr):
         assert eval_expr("2 IN [1, 2, 3]") is True
         assert eval_expr("9 NOT IN [1, 2]") is True
         assert eval_expr("1 IN 'notarray'") is None
 
-    def test_is_family(self):
+    def test_is_family(self, eval_expr):
         assert eval_expr("NULL IS NULL") is True
         assert eval_expr("MISSING IS MISSING") is True
         assert eval_expr("MISSING IS NULL") is MISSING
         assert eval_expr("1 IS VALUED") is True
         assert eval_expr("NULL IS NOT VALUED") is True
 
-    def test_case(self):
+    def test_case(self, eval_expr):
         assert eval_expr("CASE WHEN 1 > 2 THEN 'a' WHEN 2 > 1 THEN 'b' END") == "b"
         assert eval_expr("CASE WHEN FALSE THEN 1 END") is None
         assert eval_expr("CASE WHEN FALSE THEN 1 ELSE 9 END") == 9
@@ -228,46 +248,46 @@ class TestCollectionConstructs:
                                    {"sku": "b", "qty": 0}]})
         return env
 
-    def test_any_satisfies(self):
+    def test_any_satisfies(self, eval_expr):
         env = self.make_env()
         assert eval_expr("ANY t IN doc.tags SATISFIES t = 'urgent' END", env) is True
         assert eval_expr("ANY t IN doc.tags SATISFIES t = 'green' END", env) is False
 
-    def test_every_satisfies(self):
+    def test_every_satisfies(self, eval_expr):
         env = self.make_env()
         assert eval_expr(
             "EVERY i IN doc.items SATISFIES i.qty >= 0 END", env) is True
         assert eval_expr(
             "EVERY i IN doc.items SATISFIES i.qty > 0 END", env) is False
 
-    def test_every_empty_collection_false(self):
+    def test_every_empty_collection_false(self, eval_expr):
         env = Env()
         env.bind("doc", {"xs": []})
         assert eval_expr("EVERY x IN doc.xs SATISFIES TRUE END", env) is False
 
-    def test_array_comprehension(self):
+    def test_array_comprehension(self, eval_expr):
         env = self.make_env()
         assert eval_expr("ARRAY i.sku FOR i IN doc.items END", env) == ["a", "b"]
 
-    def test_array_comprehension_when(self):
+    def test_array_comprehension_when(self, eval_expr):
         env = self.make_env()
         assert eval_expr(
             "ARRAY i.sku FOR i IN doc.items WHEN i.qty > 0 END", env) == ["a"]
 
-    def test_distinct_array(self):
+    def test_distinct_array(self, eval_expr):
         env = self.make_env()
         assert eval_expr("DISTINCT ARRAY t FOR t IN doc.tags END", env) == [
             "red", "urgent",
         ]
 
-    def test_comprehension_over_non_array(self):
+    def test_comprehension_over_non_array(self, eval_expr):
         env = self.make_env()
         assert eval_expr("ARRAY x FOR x IN doc.absent END", env) is MISSING
         assert eval_expr("ARRAY x FOR x IN 5 END", env) is None
 
 
 class TestFunctions:
-    def test_string_functions(self):
+    def test_string_functions(self, eval_expr):
         assert eval_expr("LOWER('AbC')") == "abc"
         assert eval_expr("UPPER('abc')") == "ABC"
         assert eval_expr("LENGTH('abcd')") == 4
@@ -276,7 +296,7 @@ class TestFunctions:
         assert eval_expr("CONTAINS('hello', 'ell')") is True
         assert eval_expr("SPLIT('a,b', ',')") == ["a", "b"]
 
-    def test_numeric_functions(self):
+    def test_numeric_functions(self, eval_expr):
         assert eval_expr("ABS(-3)") == 3
         assert eval_expr("ROUND(2.567, 1)") == 2.6
         assert eval_expr("FLOOR(2.9)") == 2
@@ -284,13 +304,13 @@ class TestFunctions:
         assert eval_expr("SQRT(16)") == 4
         assert eval_expr("POWER(2, 10)") == 1024
 
-    def test_array_functions(self):
+    def test_array_functions(self, eval_expr):
         assert eval_expr("ARRAY_LENGTH([1,2,3])") == 3
         assert eval_expr("ARRAY_CONTAINS([1,2], 2)") is True
         assert eval_expr("ARRAY_APPEND([1], 2)") == [1, 2]
         assert eval_expr("ARRAY_DISTINCT([1,1,2])") == [1, 2]
 
-    def test_type_functions(self):
+    def test_type_functions(self, eval_expr):
         assert eval_expr("TYPE(1)") == "number"
         assert eval_expr("TYPE('x')") == "string"
         assert eval_expr("TYPE(MISSING)") == "missing"
@@ -298,24 +318,52 @@ class TestFunctions:
         assert eval_expr("TONUMBER('3.5')") == 3.5
         assert eval_expr("TONUMBER('zz')") is None
 
-    def test_conditional_functions(self):
+    def test_conditional_functions(self, eval_expr):
         assert eval_expr("IFMISSING(MISSING, 2)") == 2
         assert eval_expr("IFNULL(NULL, 3)") == 3
         assert eval_expr("IFMISSINGORNULL(MISSING, NULL, 4)") == 4
         assert eval_expr("LEAST(3, 1, 2)") == 1
         assert eval_expr("GREATEST(3, 1, 2)") == 3
 
-    def test_missing_propagation_in_functions(self):
+    def test_missing_propagation_in_functions(self, eval_expr):
         assert eval_expr("LOWER(MISSING)") is MISSING
         assert eval_expr("LOWER(NULL)") is None
         assert eval_expr("LOWER(5)") is None
 
-    def test_unknown_function(self):
+    def test_unknown_function(self, eval_expr):
         from repro.common.errors import N1qlSemanticError
         with pytest.raises(N1qlSemanticError):
             eval_expr("FROBNICATE(1)")
 
-    def test_aggregate_outside_group_raises(self):
+    def test_aggregate_outside_group_raises(self, eval_expr):
         from repro.common.errors import N1qlSemanticError
         with pytest.raises(N1qlSemanticError):
             eval_expr("SUM(x)")
+
+
+class TestCompilerCoverage:
+    """No interpreter stands behind the compiler, so a gap must fail at
+    compile time, never evaluate to something."""
+
+    def test_every_expr_node_has_a_handler(self):
+        node_types = {
+            cls for cls in vars(syntax).values()
+            if isinstance(cls, type) and issubclass(cls, syntax.Expr)
+            and cls is not syntax.Expr
+        }
+        assert len(node_types) >= 17
+        assert node_types == set(_HANDLERS)
+
+    def test_unknown_node_type_raises(self):
+        class Mystery(syntax.Expr):
+            pass
+
+        with pytest.raises(N1qlSemanticError, match="Mystery"):
+            compile_expr(Mystery(), None)
+
+    def test_unknown_operators_raise(self):
+        one = syntax.Literal(1)
+        with pytest.raises(N1qlSemanticError, match="unary operator ~"):
+            compile_expr(syntax.Unary("~", one), None)
+        with pytest.raises(N1qlSemanticError, match="binary operator XOR"):
+            compile_expr(syntax.Binary("XOR", one, one), None)

@@ -63,13 +63,13 @@ class TestPreparedStatements:
                       "WHERE x.name = 'n01'")
         from repro.common.services import Service
         service = cluster.service_node(Service.QUERY).query_service
-        plan_before = service.prepared["stable"][1]
+        plan_before = service.prepared["stable"].plan
         assert type(plan_before.operators[0]).__name__ == "PrimaryScan"
         for _ in range(3):
             rows = cluster.query("EXECUTE stable",
                                  scan_consistency="request_plus").rows
             assert rows == [{"name": "n01"}]
-        assert service.prepared["stable"][1] is plan_before
+        assert service.prepared["stable"].plan is plan_before
 
     def test_prepared_plan_replanned_after_ddl(self, cluster):
         """Index DDL moves the catalog epoch, so the next EXECUTE
@@ -81,13 +81,13 @@ class TestPreparedStatements:
                       "WHERE x.name = 'n01'")
         from repro.common.services import Service
         service = cluster.service_node(Service.QUERY).query_service
-        plan_before = service.prepared["hotpath"][1]
+        plan_before = service.prepared["hotpath"].plan
         assert type(plan_before.operators[0]).__name__ == "PrimaryScan"
         cluster.query("CREATE INDEX by_name ON b(name) USING GSI")
         rows = cluster.query("EXECUTE hotpath",
                              scan_consistency="request_plus").rows
         assert rows == [{"name": "n01"}]
-        plan_after = service.prepared["hotpath"][1]
+        plan_after = service.prepared["hotpath"].plan
         assert plan_after is not plan_before
         scan = plan_after.operators[0]
         assert type(scan).__name__ == "IndexScan"

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from repro import Cluster
 from repro.n1ql.collation import MISSING
 from repro.n1ql.compile import compile_expr
-from repro.n1ql.expressions import Env, Evaluator
+from repro.n1ql.expressions import Env
 from repro.n1ql.parser import parse
+
+from .reference_evaluator import ReferenceEvaluator
 
 # -- document and predicate generators ---------------------------------------
 
@@ -202,12 +204,12 @@ class TestWherePredicates:
         assert {(r["a"], r["n"]) for r in rows} == set(model.items())
 
 
-# -- compiled vs. interpreted expression evaluation ----------------------------
+# -- compiled vs. reference expression evaluation ------------------------------
 #
 # The expression compiler (n1ql/compile.py) lowers ASTs into closures
 # once per plan.  It must be *observationally identical* to the tree-
-# walking Evaluator, including the MISSING/NULL discipline and exact
-# result types (True is not 1; 2 is not 2.0).
+# walking ReferenceEvaluator, including the MISSING/NULL discipline and
+# exact result types (True is not 1; 2 is not 2.0).
 
 @st.composite
 def scalar_expressions(draw, depth=0):
@@ -268,42 +270,42 @@ expression_documents = st.fixed_dictionaries(
 )
 
 
-class TestCompiledMatchesInterpreted:
+class TestCompiledMatchesReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(expression_documents, scalar_expressions())
-    def test_compiled_equals_interpreted(self, doc, text):
+    def test_compiled_equals_reference(self, doc, text):
         statement = parse(f"SELECT {text} AS v FROM b x")
         expr = statement.projections[0].expr
-        evaluator = Evaluator({}, default_alias="x")
+        evaluator = ReferenceEvaluator({}, default_alias="x")
 
         def fresh_env():
             env = Env()
             env.bind("x", dict(doc), {"id": "d1"})
             return env
 
-        interpreted = evaluator.evaluate(expr, fresh_env())
+        expected = evaluator.evaluate(expr, fresh_env())
         compiled = compile_expr(expr, "x")
         got = compiled(fresh_env(), evaluator)
         # MISSING must stay the sentinel (never collapse to None), and
         # result types must match exactly (bool vs int, int vs float).
-        assert (got is MISSING) == (interpreted is MISSING)
-        if interpreted is not MISSING:
-            assert type(got) is type(interpreted)
-            assert got == interpreted
+        assert (got is MISSING) == (expected is MISSING)
+        if expected is not MISSING:
+            assert type(got) is type(expected)
+            assert got == expected
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(expression_documents, scalar_expressions())
     def test_compiled_predicate_verdict_matches(self, doc, text):
         """WHERE keeps a row only on exact TRUE; the compiled predicate
-        must reach the same verdict as the interpreter for every
+        must reach the same verdict as the reference for every
         expression, including non-boolean and MISSING results."""
         statement = parse(f"SELECT x.a FROM b x WHERE {text}")
         condition = statement.where
-        evaluator = Evaluator({}, default_alias="x")
+        evaluator = ReferenceEvaluator({}, default_alias="x")
         env = Env()
         env.bind("x", dict(doc), {"id": "d1"})
-        interpreted = evaluator.evaluate(condition, env) is True
+        expected = evaluator.evaluate(condition, env) is True
         compiled = compile_expr(condition, "x")
-        assert (compiled(env, evaluator) is True) == interpreted
+        assert (compiled(env, evaluator) is True) == expected
