@@ -18,7 +18,7 @@ Cooldowns are exponential with seeded jitter and are driven by the
 deterministic scheduler: opening arms a virtual-time timer whose firing
 moves the breaker to half-open, and ``allow()`` double-checks the clock
 so the transition also happens if time advanced without draining timers.
-No wall clock, no unseeded randomness -- repro-lint enforces both.
+No wall clock, no unseeded randomness -- repro.analysis enforces both.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from random import Random
 
 from ..common.metrics import MetricsRegistry
-from ..common.protomodel import protocol
+from ..common.contracts import protocol
 from ..common.scheduler import Scheduler
 
 CLOSED = "closed"

@@ -115,7 +115,7 @@ class AdmissionController:
 
     #: Decayed pressure scores below this are indistinguishable from
     #: "never overloaded" and are dropped, so `_pressure` holds only
-    #: nodes with live incidents (found by repro-bounds: entries for
+    #: nodes with live incidents (found by the bounds checks: entries for
     #: long-recovered or removed nodes lingered forever).
     PRESSURE_FLOOR = 1e-4
 
@@ -154,7 +154,7 @@ class AdmissionController:
         """Release a disconnected client's registration and its tenant
         token bucket.  Client handles get a fresh unique name on every
         connect, so without this the controller retained one bucket per
-        connection ever made (found by repro-bounds)."""
+        connection ever made (found by the bounds checks)."""
         self._clients.pop(name, None)
         self._tenants.pop(name, None)
 

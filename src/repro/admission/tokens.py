@@ -8,8 +8,8 @@ request is just a slower rejection.  Refill is computed lazily from the
 shared :class:`~repro.common.clock.Clock`, so buckets cost nothing while
 idle and stay exact under the deterministic scheduler.
 
-Backoff delays are exponential with *seeded* jitter: the repro-lint
-``no-unseeded-random`` rule (and the sanitizer's replay guarantee)
+Backoff delays are exponential with *seeded* jitter: the lint-family
+``no-unseeded-random`` check (and the sanitizer's replay guarantee)
 forbids wall clocks and unseeded randomness, so jitter comes from a
 ``random.Random(seed)`` stream owned by the backoff instance -- the same
 seed always yields the same delay sequence.

@@ -1,66 +1,96 @@
-"""Shared machinery for the static/dynamic analysis CLIs.
+"""repro.analysis: one static-analysis framework for the repro tree.
 
-Five tools gate this tree in CI -- repro-lint (per-file AST
-invariants), repro-sanitize (schedule-interleaving race detection),
-repro-flow (whole-program call-graph analysis), repro-hotpath (static
-cost analysis of the hot set) and repro-bounds (resource-bounds and
-lifecycle analysis) -- and they share one contract so a CI job can
-treat them interchangeably:
+The paper's architecture rests on invariants Python does not enforce --
+services reach the data service only over the fabric, all background
+work is bounded scheduler pumps under a memory quota, vBucket and
+stream lifecycles are small state machines (sections 2.3, 4.2, 4.3.1).
+This package encodes them as many small checks over one shared
+structure: the tree is parsed once into a :class:`Project` index, one
+name-resolved :class:`CallGraph` is built over it, and every check is a
+function registered in one rule registry that reads them (and the facts
+derived from them, each computed at most once per run) through a
+per-run :class:`Context`.  Five families:
 
-* exit status 0 when clean, 1 when findings were reported, 2 on usage
-  errors (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`);
-* per-line suppressions ``# <tool>: disable=<name>[,<name>...]`` with a
-  ``disable-next=`` form for multi-line statements
-  (:func:`parse_suppressions`);
-* ``--format github`` emitting ``::error`` workflow commands that land
-  as inline PR annotations (:func:`github_annotation`);
-* a strict/relaxed/auto profile split resolving per file -- strict under
-  ``src/repro``, relaxed for harness code (:func:`profile_for`);
-* one CLI scaffold -- check selection, the suppression +
-  relaxed-profile finding filter, and finding rendering
-  (:func:`select_checks` / :func:`keep_finding` / :func:`print_finding`).
+* **lint** -- per-module AST invariants: determinism (no wall clock,
+  no unseeded randomness), pump discipline, error taxonomy, metric
+  naming, MISSING/NULL discipline, declared shared state;
+* **flow** -- whole-program: exception-flow exhaustiveness against
+  ``@declared_raises``, option plumbing from client API to engine sink,
+  layer conformance of the import graph;
+* **hotpath** -- cost rules scoped to the hot set (``@hot_path`` roots
+  and scheduler pumps, closed over the call graph) and the ``@cost``
+  contract up the graph;
+* **bounds** -- everything that accumulates is bounded, memory charges
+  balance, retries back off, acquired slots release on error paths;
+* **proto** -- every write of a ``@protocol`` state field is a
+  declared, guarded, ordered, owner-local, observable transition.
 
-This package holds that contract in one place; the tools keep only
-their own rules/scenarios/analyses.
+One contract for all of them, and for the dynamic ``repro.sanitize``:
+
+* ``python -m repro.analysis [paths] --check <family|check>[,...]``
+  exits 0 when clean, 1 when findings were reported, 2 on usage errors;
+* one :class:`Finding` ``(check, path, line, col, message)``;
+* per-line suppressions ``# repro: disable=<check>[,<check>...]`` with a
+  ``disable-next=`` form for multi-line statements, parsed once per
+  module at index time -- every suppression should carry a
+  justification comment;
+* ``--format github`` emits ``::error`` workflow commands that land as
+  inline PR annotations;
+* ``--profile auto`` resolves per file -- strict under ``src/repro``,
+  relaxed (``strict_only`` checks off) for harness code.
 """
 
-from .harness import (  # noqa: F401
+# Importing a rule module registers its checks; this order is the order
+# ``--report rules`` lists them in.
+from . import (  # noqa: F401
+    lint,
+    layers,
+    excflow,
+    options,
+    hotpath,
+    costs,
+    bounds,
+    charges,
+    proto,
+)
+from .callgraph import CallEdge, CallGraph, build_callgraph
+from .framework import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
     EXIT_USAGE,
+    FAMILIES,
     PROFILES,
+    Check,
+    Finding,
     UsageError,
-    discover,
-    discover_program,
-    keep_finding,
-    module_name_for,
-    parse_suppressions,
-    print_finding,
+    all_checks,
     profile_for,
-    report_parse_errors,
     select_checks,
-    suppressed,
-    suppressions_by_path,
 )
-from .output import FORMATS, github_annotation  # noqa: F401
+from .output import FORMATS, github_annotation
+from .project import Project, discover
+from .runner import Context, Run, analyze
 
 __all__ = [
     "EXIT_CLEAN",
     "EXIT_FINDINGS",
     "EXIT_USAGE",
+    "FAMILIES",
     "FORMATS",
     "PROFILES",
+    "CallEdge",
+    "CallGraph",
+    "Check",
+    "Context",
+    "Finding",
+    "Project",
+    "Run",
     "UsageError",
+    "all_checks",
+    "analyze",
+    "build_callgraph",
     "discover",
-    "discover_program",
     "github_annotation",
-    "keep_finding",
-    "module_name_for",
-    "parse_suppressions",
-    "print_finding",
     "profile_for",
-    "report_parse_errors",
     "select_checks",
-    "suppressed",
-    "suppressions_by_path",
 ]

@@ -1,0 +1,10 @@
+"""``python -m repro.analysis`` dispatches to the CLI."""
+
+from __future__ import annotations
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

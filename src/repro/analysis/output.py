@@ -1,8 +1,8 @@
-"""GitHub-annotations output, shared by all three analysis CLIs.
+"""GitHub-annotations output, shared with the repro-sanitize CLI.
 
 GitHub Actions turns specially formatted stdout lines into inline PR
 annotations: ``::error file=...,line=...,col=...,title=...::message``.
-Every CLI offers ``--format github`` so CI findings land on the diff
+Both CLIs offer ``--format github`` so CI findings land on the diff
 instead of only in the job log.
 """
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
-from ..common.costmodel import cost, hot_path
+from ..common.contracts import cost, hot_path
 from ..common.document import Document
 from ..common.errors import (
     AdmissionRejectedError,
@@ -139,7 +139,7 @@ class SmartClient:
         get a fresh unique name per connect, so an application that
         connects and discards handles without closing them leaks one
         tenant bucket per connection in the controller (found by
-        repro-bounds)."""
+        the bounds checks)."""
         if self.admission is not None:
             self.admission.unregister_client(self.name)
         self._maps.clear()
@@ -187,7 +187,7 @@ class SmartClient:
                 try:
                     # One logical RPC; the enclosing loop is a bounded
                     # MAX_RETRIES topology-retry, not per-item fan-out.
-                    # repro-hotpath: disable-next=n-plus-one-rpc
+                    # repro: disable-next=n-plus-one-rpc
                     result = self.network.call(
                         self.name, node, method, bucket, vbucket_id, key, *args
                     )
@@ -443,7 +443,7 @@ class SmartClient:
                 try:
                     # This IS the batched path: one multi_* RPC per
                     # node, looping over nodes -- not per key.
-                    # repro-hotpath: disable-next=n-plus-one-rpc
+                    # repro: disable-next=n-plus-one-rpc
                     outcomes = self.network.call(
                         self.name, node, method, bucket, request
                     )
@@ -540,7 +540,7 @@ class SmartClient:
                 try:
                     out[key] = self.get(bucket, key)
                 # Absent keys are simply omitted from the result dict (documented API).
-                # repro-flow: disable-next=swallowed-exception
+                # repro: disable-next=swallowed-exception
                 except KeyNotFoundError:
                     continue
             return out

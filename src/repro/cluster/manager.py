@@ -222,11 +222,11 @@ class ClusterManager:
             try:
                 # Control plane: one RPC per *node* on a map change,
                 # O(nodes) and rare -- not per-document fan-out.
-                # repro-hotpath: disable-next=n-plus-one-rpc
+                # repro: disable-next=n-plus-one-rpc
                 self.network.call("cluster-manager", name, "apply_cluster_map",
                                   bucket, cluster_map)
             # Down nodes pick the map up from the manager when they reconnect.
-            # repro-flow: disable-next=swallowed-exception
+            # repro: disable-next=swallowed-exception
             except NodeDownError:
                 continue
 
@@ -293,11 +293,11 @@ class ClusterManager:
             try:
                 # One demotion RPC per bucket during a failover -- a rare
                 # control-plane event bounded by bucket count.
-                # repro-hotpath: disable-next=n-plus-one-rpc
+                # repro: disable-next=n-plus-one-rpc
                 self.network.call("cluster-manager", node_name,
                                   "apply_cluster_map", bucket, new_map)
             # Demotion is best-effort: a truly dead node has nothing to demote.
-            # repro-flow: disable-next=swallowed-exception
+            # repro: disable-next=swallowed-exception
             except NodeDownError:
                 pass
             report[bucket] = {"promoted": promoted, "lost": lost}
@@ -308,7 +308,7 @@ class ClusterManager:
 
     #: Retained observability-event history.  The log is fed from the
     #: failure-detector pump, so without a cap a long-running cluster
-    #: accumulates events forever (found by repro-bounds).
+    #: accumulates events forever (found by the bounds checks).
     EVENT_LOG_LIMIT = 512
 
     def _log(self, event: str, detail: str) -> None:

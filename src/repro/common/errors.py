@@ -18,7 +18,7 @@ def declared_raises(*exception_names: str):
     """Declare the taxonomy exceptions a service entry point may raise.
 
     The declaration is data, not behavior: it sets ``__raises__`` on the
-    function, and ``repro-flow``'s exception-flow analysis checks that
+    function, and ``repro.analysis``'s exception-flow check verifies that
     the set of exceptions that can actually escape the entry point is
     covered by it (a declared base class covers its subclasses).  Names
     are strings so declaring does not force imports across layers::
@@ -27,7 +27,7 @@ def declared_raises(*exception_names: str):
         def get(self, bucket, key):
             ...
 
-    Run ``python -m repro.flow --suggest-raises`` to generate the
+    Run ``python -m repro.analysis --report raises`` to generate the
     declaration for a new entry point.
     """
 

@@ -111,13 +111,13 @@ class MetricsRegistry:
         measured quantity *is* elapsed real time (how long our own code
         took), never simulated time, so it cannot leak nondeterminism
         into simulation logic.  Everything else must use the injected
-        Clock -- enforced by repro-lint's no-wall-clock rule.
+        Clock -- enforced by the no-wall-clock check.
         """
-        start = time.perf_counter()  # repro-lint: disable=no-wall-clock
+        start = time.perf_counter()  # repro: disable=no-wall-clock
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start  # repro-lint: disable=no-wall-clock
+            elapsed = time.perf_counter() - start  # repro: disable=no-wall-clock
             self.histograms[name].record(elapsed)
 
     def counter_value(self, name: str) -> int:

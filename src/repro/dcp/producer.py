@@ -25,9 +25,9 @@ from collections import deque
 from enum import Enum
 
 from ..common import tracing
-from ..common.costmodel import cost, hot_path
+from ..common.contracts import cost, hot_path
 from ..common.errors import StreamRollbackRequired
-from ..common.protomodel import protocol
+from ..common.contracts import protocol
 from ..kv.engine import KVEngine, VBucket
 from ..kv.types import VBucketState
 from .messages import Deletion, DcpMessage, Mutation, SnapshotMarker, StreamEnd
@@ -63,7 +63,7 @@ class DcpStream:
         # deque, not list: backfill parks the entire persisted history
         # here, and take() drains from the left -- list.pop(0) would
         # shift the whole backlog per message (quadratic per stream).
-        # Consumer-drained (repro-bounds): every pump that owns a
+        # Consumer-drained (bounds checks): every pump that owns a
         # stream calls take() each round until caught_up().
         self._pending: deque[DcpMessage] = deque()
         #: Stable per-run identity for the write-race tracker: the first

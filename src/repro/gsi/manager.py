@@ -251,7 +251,7 @@ class GsiCoordinator:
                     "gsi-coordinator", node_name, "gsi_drop_local", name
                 )
             # Drop is best-effort: registry removal already hides the index.
-            # repro-flow: disable-next=swallowed-exception
+            # repro: disable-next=swallowed-exception
             except NodeDownError:
                 continue
 
@@ -333,7 +333,7 @@ class GsiCoordinator:
                 return
             # One RPC per *page*, pulled only when the merge frontier
             # drains past the buffer -- paging is the point here.
-            # repro-hotpath: disable-next=n-plus-one-rpc
+            # repro: disable-next=n-plus-one-rpc
             rows, exhausted = self.cluster.network.call(
                 "gsi-coordinator", node_name, "gsi_scan_page", name,
                 low, high, inclusive_low, inclusive_high, descending,
@@ -443,13 +443,13 @@ class GsiCoordinator:
                     try:
                         # Consistency barrier polls one watermark RPC
                         # per index replica node -- bounded by replicas.
-                        # repro-hotpath: disable-next=n-plus-one-rpc
+                        # repro: disable-next=n-plus-one-rpc
                         watermarks = self.cluster.network.call(
                             "gsi-coordinator", node_name,
                             "gsi_watermarks", meta.definition.name,
                         )
                     # Barrier polls other replicas; a down node just cannot advance it.
-                    # repro-flow: disable-next=swallowed-exception
+                    # repro: disable-next=swallowed-exception
                     except NodeDownError:
                         continue
                     best = max(best, watermarks.get(vb, 0))

@@ -79,7 +79,7 @@ class Router:
             try:
                 # Mutations route to exactly one partition node; only
                 # deletions fan out, and correctness requires it.
-                # repro-hotpath: disable-next=n-plus-one-rpc
+                # repro: disable-next=n-plus-one-rpc
                 self.network.call(self.node.name, target, "gsi_apply", kv)
             except NodeDownError:
                 delivered = False

@@ -20,8 +20,8 @@ import itertools
 from typing import Callable, Iterator
 
 from ..common import tracing
-from ..common.boundsmodel import bounded
-from ..common.costmodel import cost, hot_path
+from ..common.contracts import bounded
+from ..common.contracts import cost, hot_path
 from ..common.clock import Clock, VirtualClock
 from ..common.disk import SimulatedDisk
 from ..common.document import Document, DocumentMeta

@@ -5,7 +5,7 @@ everything else -- vBucket states in the cluster map, mutation tokens
 returned to clients, observe results used by durability polling.  They
 live apart from :mod:`repro.kv.engine` so that non-data services
 (client, n1ql, gsi, views, xdcr) can name them without importing the
-engine itself; the repro-lint ``no-cross-service-reach-through`` rule
+engine itself; the ``layer-restricted`` check of :mod:`repro.analysis`
 enforces that split.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..common.protomodel import protocol
+from ..common.contracts import protocol
 
 
 @protocol(

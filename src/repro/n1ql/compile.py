@@ -98,7 +98,6 @@ class _FoldEvaluator:
     sub-expressions (no parameters, no aggregates in scope)."""
 
     params: dict = {}
-    aggregate_values: dict = {}
 
 
 _FOLD_EV = _FoldEvaluator()
@@ -564,15 +563,12 @@ def _c_function_call(expr: FunctionCall, alias):
     if name == "META":
         return _c_meta(expr, alias)
     if is_aggregate(name):
-        canonical = print_expr(expr)
-        agg_key = "$agg:" + canonical
+        agg_key = "$agg:" + print_expr(expr)
 
         def fn(env, ev):
             found, value = env.lookup(agg_key)
             if found:
                 return value
-            if canonical in ev.aggregate_values:
-                return ev.aggregate_values[canonical]
             raise N1qlSemanticError(
                 f"aggregate {name} used outside GROUP BY context"
             )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..common.costmodel import cost, hot_path
+from ..common.contracts import cost, hot_path
 from ..common.errors import (
     CasMismatchError,
     KeyExistsError,
@@ -316,7 +316,7 @@ def execute_update(statement: UpdateStatement, planner: Planner,
                 # Read-modify-write with CAS is inherently per-document:
                 # the re-read, the WHERE re-check and the conditional
                 # replace form one atomicity unit per key.
-                # repro-hotpath: disable-next=n-plus-one-rpc
+                # repro: disable-next=n-plus-one-rpc
                 current = client.get(statement.keyspace, key)
             except KeyNotFoundError:
                 break
@@ -340,11 +340,11 @@ def execute_update(statement: UpdateStatement, planner: Planner,
                     updated, _resolve_path(steps, mutate_env, ev))
             try:
                 # Same CAS unit as the get above.
-                # repro-hotpath: disable-next=n-plus-one-rpc
+                # repro: disable-next=n-plus-one-rpc
                 client.replace(statement.keyspace, key, updated,
                                cas=current.meta.cas)
             # CAS retry loop: re-read and re-apply on concurrent write.
-            # repro-flow: disable-next=swallowed-exception
+            # repro: disable-next=swallowed-exception
             except CasMismatchError:
                 continue  # concurrent writer -- re-read and retry
             count += 1

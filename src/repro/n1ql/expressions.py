@@ -74,9 +74,6 @@ class Evaluator:
                  default_alias: str | None = None):
         self.params = params if params is not None else {}
         self.default_alias = default_alias
-        #: Canonical-source -> value map for pre-computed aggregates,
-        #: installed by the grouping operator before final projection.
-        self.aggregate_values: dict[str, Any] = {}
 
 
 def collect_aggregates(exprs: list[Expr]) -> list[FunctionCall]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterator
 
-from ..common.boundsmodel import bounded
-from ..common.costmodel import cost, hot_path
+from ..common.contracts import bounded
+from ..common.contracts import cost, hot_path
 from ..common.errors import KeyNotFoundError, N1qlRuntimeError
 from .collation import MISSING
 from .compile import compile_expr, compile_sort_key
@@ -107,7 +107,7 @@ class ExecutionContext:
         """Forwarding shim over the registry; every caller passes a
         literal metric name, which the linter checks at the call sites."""
         if self.metrics is not None:
-            self.metrics.inc(name, amount)  # repro-lint: disable=metrics-naming
+            self.metrics.inc(name, amount)  # repro: disable=metrics-naming
 
 
 def _compiled(op, slot: str, expr, ctx: "ExecutionContext"):

@@ -97,13 +97,13 @@ class DurabilityMonitor:
                 try:
                     # Observe is a per-replica poll by design: one RPC
                     # per replica node, bounded by the replica count.
-                    # repro-hotpath: disable-next=n-plus-one-rpc
+                    # repro: disable-next=n-plus-one-rpc
                     observed = self.network.call(
                         self.client_name, node, "kv_observe",
                         bucket, vbucket_id, key,
                     )
                 # Observe keeps polling the reachable replicas.
-                # repro-flow: disable-next=swallowed-exception
+                # repro: disable-next=swallowed-exception
                 except NodeDownError:
                     continue
                 if observed.exists and observed.cas == result.cas:

@@ -17,7 +17,7 @@ checks that property instead of assuming it:
   proving the detectors actually detect.
 
 Run it: ``python -m repro.sanitize --seeds 25`` (exit 0 clean, 1 on
-findings, 2 on usage errors -- the same contract as repro-lint).
+findings, 2 on usage errors -- the same contract as repro.analysis).
 """
 
 from .digest import cluster_state, diff_paths, state_digest

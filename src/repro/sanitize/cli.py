@@ -1,6 +1,6 @@
 """Command line front end: ``python -m repro.sanitize [--seeds N]``.
 
-Exit status mirrors repro-lint so CI can gate on both the same way:
+Exit status mirrors repro.analysis so CI gates on both the same way:
 0 when every scenario converges identically under every explored
 schedule and no write races were tracked, 1 when anything was found,
 2 on usage errors.

@@ -103,7 +103,7 @@ class ViewQueryCoordinator:
                 continue
             # Scatter-gather: one view RPC per data node, each holding
             # vbuckets nobody else serves -- per-node by design.
-            # repro-hotpath: disable-next=n-plus-one-rpc
+            # repro: disable-next=n-plus-one-rpc
             partial = self.cluster.network.call(
                 "view-coordinator", node.name, "view_query_local",
                 bucket, design, view, params,

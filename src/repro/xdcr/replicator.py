@@ -35,7 +35,7 @@ from ..common.errors import (
     declared_raises,
 )
 from ..common.metrics import MetricsRegistry
-from ..common.protomodel import protocol
+from ..common.contracts import protocol
 from ..dcp.messages import Deletion, Mutation
 from ..dcp.producer import DcpStream
 from ..kv.types import VBucketState
@@ -162,7 +162,7 @@ class XdcrReplication:
                 )
                 self.metrics.inc("xdcr.stream_opened")
             # Vbucket moved mid-sweep; next pump re-derives streams.
-            # repro-flow: disable-next=swallowed-exception
+            # repro: disable-next=swallowed-exception
             except NotMyVBucketError:
                 continue
 

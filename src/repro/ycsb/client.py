@@ -118,7 +118,7 @@ class YcsbClient:
                 self.client.upsert(self.bucket, key, value, cas=doc.meta.cas)
                 return
             # YCSB read-modify-write races by design; retry up to the cap.
-            # repro-flow: disable-next=swallowed-exception
+            # repro: disable-next=swallowed-exception
             except CasMismatchError:
                 continue
 

@@ -47,10 +47,10 @@ def measure_service_time(client: YcsbClient, operations: int = 300,
     # This function's whole job is to measure real elapsed time of the
     # stack under test; the wall clock is the measurement instrument,
     # not simulation state.
-    start = time.perf_counter()  # repro-lint: disable=no-wall-clock
+    start = time.perf_counter()  # repro: disable=no-wall-clock
     for _ in range(operations):
         client.run_one()
-    elapsed = time.perf_counter() - start  # repro-lint: disable=no-wall-clock
+    elapsed = time.perf_counter() - start  # repro: disable=no-wall-clock
     return elapsed / operations
 
 

@@ -1,5 +1,5 @@
 """Protocol coverage for the circuit breaker: the declared CircuitBreaker
-lifecycle must be picked up by repro-proto's inventory, and the inventory
+lifecycle must be picked up by the proto family's inventory, and the inventory
 must find exactly the breaker's real transition sites -- no more (no
 unrelated ``state`` fields dragged in), no fewer (no invisible writes)."""
 
@@ -8,8 +8,9 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro
-from repro.flow.project import Project
-from repro.proto import ProtoInventory, collect_protocols
+from repro.analysis.contracts import collect_protocols
+from repro.analysis.project import Project
+from repro.analysis.protocols import ProtoInventory
 
 BREAKER = Path(repro.__file__).resolve().parent / "admission" / "breaker.py"
 
@@ -29,7 +30,7 @@ class TestBreakerProtocolCoverage:
         assert spec.field == "state"
         assert spec.states == {"CLOSED", "OPEN", "HALF_OPEN"}
         assert ("CLOSED", "OPEN") in spec.transitions
-        # The defect repro-proto found: OPEN->CLOSED is *not* declared.
+        # The defect the proto checks found: OPEN->CLOSED is *not* declared.
         assert ("OPEN", "CLOSED") not in spec.transitions
 
     def test_binding_is_the_breakers_state_field(self):

@@ -7,6 +7,10 @@ def hot_path(fn):
     return fn
 
 
+def cost(bound):
+    return lambda fn: fn
+
+
 class AccountedTable:
     def __init__(self):
         self.entries = {}
@@ -16,11 +20,13 @@ class AccountedTable:
         self.mem_used += delta
 
     @hot_path
+    @cost("O(1)")
     def set(self, key, size):
         self.entries[key] = size
         self.charge(size)
 
     @hot_path
+    @cost("O(1)")
     def delete(self, key):
         # Removes from the charged container with no charge(-...) on
         # any path through this method: charge-balance must flag it.

@@ -6,8 +6,13 @@ def hot_path(fn):
     return fn
 
 
+def cost(bound):
+    return lambda fn: fn
+
+
 class Frontdoor:
     @hot_path
+    @cost("O(n)")
     def handle(self, request):
         slot = self.bulkhead.acquire()
         result = self.process(request)

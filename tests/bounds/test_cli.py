@@ -1,13 +1,12 @@
-"""The repro-bounds CLI contract: exit codes, check selection,
-profiles, suppressions (including cross-tool isolation), declaration
-forms, output formats, and the scope report -- one contract shared
-with repro-lint/sanitize/flow/hotpath."""
+"""The bounds family through ``python -m repro.analysis``: exit codes,
+check selection, profiles, suppressions, declaration forms, output
+formats, and the scope report."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bounds.cli import main
+from repro.analysis.cli import main
 
 #: A hot, growing, undrained buffer: one unbounded-buffer finding.
 BAD_BUFFER = '''\
@@ -15,11 +14,16 @@ def hot_path(fn):
     return fn
 
 
+def cost(bound):
+    return lambda fn: fn
+
+
 class EventCollector:
     def __init__(self):
         self.backlog = []
 
     @hot_path
+    @cost("O(1)")
     def on_event(self, event):
         self.backlog.append(event)
 '''
@@ -30,11 +34,16 @@ def hot_path(fn):
     return fn
 
 
+def cost(bound):
+    return lambda fn: fn
+
+
 class DrainedCollector:
     def __init__(self):
         self.queue = []
 
     @hot_path
+    @cost("O(1)")
     def push(self, item):
         self.queue.append(item)
 
@@ -97,11 +106,16 @@ def hot_path(fn):
     return fn
 
 
+def cost(bound):
+    return lambda fn: fn
+
+
 class Memo:
     def __init__(self):
         self.seen = {}
 
     @hot_path
+    @cost("O(1)")
     def get(self, key):
         value = self.seen.get(key)
         if value is None:
@@ -126,17 +140,18 @@ class TestSuppressions:
         suppressed = BAD_BUFFER.replace(
             "        self.backlog.append(event)",
             "        # justified: fixture harness, reset between runs\n"
-            "        # repro-bounds: disable-next=unbounded-buffer\n"
+            "        # repro: disable-next=unbounded-buffer\n"
             "        self.backlog.append(event)",
         )
         code = main([_write(tmp_path, suppressed), "--profile", "strict"])
         assert code == 0, capsys.readouterr().out
 
     def test_other_tools_comments_do_not_silence(self, tmp_path, capsys):
+        """A comment silences only the checks it names: another
+        family's name leaves this finding standing."""
         not_ours = BAD_BUFFER.replace(
             "        self.backlog.append(event)",
-            "        # repro-lint: disable-next=unbounded-buffer\n"
-            "        # repro-hotpath: disable-next=unbounded-buffer\n"
+            "        # repro: disable-next=list-shift,no-wall-clock\n"
             "        self.backlog.append(event)",
         )
         code = main([_write(tmp_path, not_ours), "--profile", "strict"])
@@ -146,13 +161,13 @@ class TestSuppressions:
 class TestDeclarations:
     def test_bounded_decorator_silences_growth(self, tmp_path, capsys):
         declared = BAD_BUFFER.replace(
-            "def hot_path(fn):\n    return fn",
-            "def hot_path(fn):\n    return fn\n\n\n"
+            "def cost(bound):\n    return lambda fn: fn",
+            "def cost(bound):\n    return lambda fn: fn\n\n\n"
             "def bounded(kind, reason):\n"
             "    def mark(fn):\n        return fn\n    return mark",
         ).replace(
-            "    @hot_path\n    def on_event",
-            "    @hot_path\n"
+            "    @cost(\"O(1)\")\n    def on_event",
+            "    @cost(\"O(1)\")\n"
             "    @bounded(\"consumer-drained\", \"reporting pump drains "
             "it each round\")\n    def on_event",
         )
@@ -194,7 +209,7 @@ class TestOutputFormats:
         out = capsys.readouterr().out
         assert code == 1
         assert "::error " in out
-        assert "title=repro-bounds%3A unbounded-buffer" in out
+        assert "title=unbounded-buffer" in out
 
     def test_quiet_drops_summary(self, tmp_path, capsys):
         main([_write(tmp_path, CLEAN_BUFFER), "--profile", "strict", "-q"])

@@ -1,79 +1,50 @@
-"""Every broken fixture must fail with exactly its intended check, and
-the tree itself must analyze clean -- the tier-1 gate that keeps the
-resource-bounds invariants true going forward, mirroring the CI
-``repro-bounds`` step (and the shape of ``tests/hotpath/test_fixtures.py``)."""
+"""Every broken bounds fixture must fail with exactly its intended
+check through the one CLI with every family selected, and the bounds
+slice of the shared strict tree run must be clean."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis import parse_suppressions, suppressed
-from repro.bounds import ALL_CHECKS, analyze
-from repro.bounds.cli import main
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
+from tests.analysis.support import (
+    assert_fails_with_exactly,
+    family_checks,
+    family_fixtures,
+    fixture_dirs_on_disk,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-#: fixture directory -> the single check its defect must trip.
-EXPECTED = {
-    "unbounded_buffer": "unbounded-buffer",
-    "cache_without_eviction": "cache-without-eviction",
-    "charge_balance": "charge-balance",
-    "retry_without_backoff": "retry-without-backoff",
-    "leak_on_error": "leak-on-error",
-}
+FAMILY = "bounds"
 
 
 def test_every_fixture_is_covered():
-    assert sorted(EXPECTED) == sorted(
-        p.name for p in FIXTURES.iterdir() if p.is_dir()
-    )
+    assert [name for name, _check in family_fixtures(FAMILY)] \
+        == fixture_dirs_on_disk(FAMILY)
 
 
 def test_every_check_has_a_fixture():
-    assert sorted(EXPECTED.values()) == sorted(ALL_CHECKS)
+    assert sorted(check for _name, check in family_fixtures(FAMILY)) \
+        == family_checks(FAMILY)
 
 
-@pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
+@pytest.mark.parametrize("fixture,check", family_fixtures(FAMILY))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
-    out = capsys.readouterr().out
-    assert code == 1, out
-    finding_lines = [
-        line for line in out.splitlines()
-        if line and not line.startswith("repro-bounds:")
-    ]
-    assert finding_lines, out
-    assert all(f" {check}: " in line for line in finding_lines), out
+    assert_fails_with_exactly(FAMILY, fixture, check, capsys)
 
 
-def test_repro_package_is_strictly_clean():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    result = analyze(project, build_callgraph(project))
-    suppressions = {
-        module.path: parse_suppressions(module.source_lines, "repro-bounds")
-        for module in project.modules.values()
-    }
-    remaining = [
-        f for f in result.findings
-        if not suppressed(f.check, f.line, suppressions.get(f.path, {}))
-    ]
+def test_repro_package_is_strictly_clean(strict_tree_run):
+    checks = set(family_checks(FAMILY))
+    remaining = [f for f in strict_tree_run.findings if f.check in checks]
     assert remaining == [], "\n".join(f.format() for f in remaining)
     # The derived scope must stay non-trivial: pumps, RPC handlers, and
     # @hot_path roots pull in the whole data path.
-    assert len(result.scope.roots) > 40
-    assert len(result.scope.members) > len(result.scope.roots)
+    scope = strict_tree_run.context.bounds_scope
+    assert len(scope.roots) > 40
+    assert len(scope.members) > len(scope.roots)
     # And the inventory actually tracks the system's containers.
-    assert len(result.inventory.containers) > 100
+    assert len(strict_tree_run.context.containers.containers) > 100
 
 
-def test_tree_clean_via_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_via_cli(strict_tree_cli):
+    code, out = strict_tree_cli
     assert code == 0, out
+    assert out.startswith("repro-analysis: 0 findings"), out

@@ -9,5 +9,5 @@ class Manager:
         self.scheduler = scheduler
         self.scheduler.register("heartbeat", self._pump)
 
-    def _pump(self):
+    def _pump(self) -> bool:
         raise NodeDownError("node1")

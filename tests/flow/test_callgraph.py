@@ -5,20 +5,13 @@ loads."""
 
 from __future__ import annotations
 
-import textwrap
-
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
+from repro.analysis import build_callgraph
+from tests.analysis.support import build_tree
 
 
 def _build(tmp_path, files: dict[str, str]):
     """Write a mini ``repro`` tree and build its call graph."""
-    for rel, source in files.items():
-        path = tmp_path / "repro" / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    project = Project.build(sorted((tmp_path / "repro").rglob("*.py")))
-    return build_callgraph(project)
+    return build_callgraph(build_tree(tmp_path, files))
 
 
 def _edges(graph, kind: str) -> set[tuple[str, str]]:

@@ -1,23 +1,15 @@
-"""The ``python -m repro.flow`` front end: the 0/1/2 exit contract
-shared with repro-lint and repro-sanitize, output formats, profiles,
-suppressions, and the two helper modes."""
+"""The flow family through ``python -m repro.analysis``: the 0/1/2 exit
+contract shared with repro-sanitize, output formats, profiles,
+suppressions, and the dead-code / raises reports."""
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 
-from repro.flow.cli import main
+from repro.analysis.cli import main
+from tests.analysis.support import write_tree as _write_tree
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
-def _write_tree(tmp_path, files: dict[str, str]) -> Path:
-    for rel, source in files.items():
-        path = tmp_path / "repro" / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    return tmp_path
 
 
 CLEAN_TREE = {"common/util.py": """
@@ -40,7 +32,7 @@ class TestExitContract:
     def test_unknown_check_is_a_usage_error(self, capsys):
         code = main([str(FIXTURES / "exc_swallow"), "--check", "nonsense"])
         assert code == 2
-        assert "unknown analysis" in capsys.readouterr().err
+        assert "unknown check nonsense" in capsys.readouterr().err
 
     def test_no_files_is_a_usage_error(self, tmp_path, capsys):
         code = main([str(tmp_path / "does-not-exist")])
@@ -58,12 +50,13 @@ class TestExitContract:
 class TestCheckSelection:
     def test_other_analyses_do_not_run(self, capsys):
         """A layering fixture is clean as far as option plumbing goes."""
-        code = main([str(FIXTURES / "layer_up"), "--check", "options",
+        code = main([str(FIXTURES / "layer_up"), "--check",
+                     "option-dropped,option-renamed,option-domain",
                      "--profile", "strict"])
         assert code == 0, capsys.readouterr().out
 
     def test_selected_analysis_still_fires(self, capsys):
-        code = main([str(FIXTURES / "layer_up"), "--check", "layers",
+        code = main([str(FIXTURES / "layer_up"), "--check", "flow",
                      "--profile", "strict"])
         assert code == 1
         assert "layer-violation" in capsys.readouterr().out
@@ -105,7 +98,7 @@ class TestSuppressions:
                     try:
                         return _lookup(key)
                     # Absence is an expected answer here.
-                    # repro-flow: disable-next=swallowed-exception
+                    # repro: disable-next=swallowed-exception
                     except KeyNotFoundError:
                         return None
             """,
@@ -121,7 +114,7 @@ class TestOutputFormats:
         out = capsys.readouterr().out
         assert code == 1
         assert out.startswith("::error ")
-        assert "title=repro-flow" in out and "option-dropped" in out
+        assert "title=option-dropped" in out
 
     def test_quiet_drops_the_summary_line(self, tmp_path, capsys):
         root = _write_tree(tmp_path, CLEAN_TREE)
@@ -144,7 +137,7 @@ class TestHelperModes:
         assert "not a gate" in out
 
     def test_suggest_raises_prints_a_decorator(self, capsys):
-        code = main([str(FIXTURES / "exc_undeclared"), "--suggest-raises"])
+        code = main([str(FIXTURES / "exc_undeclared"), "--report", "raises"])
         out = capsys.readouterr().out
         assert code == 0
         assert "@declared_raises('KeyNotFoundError')" in out

@@ -1,86 +1,39 @@
-"""Every broken fixture must fail with exactly its intended check, and
-the tree itself must analyze clean -- the tier-1 gate that keeps the
-flow invariants true going forward, mirroring the CI ``repro-flow``
-step (and the shape of ``tests/lint/test_tree_clean.py``)."""
+"""Every broken flow fixture must fail with exactly its intended check
+through the one CLI with every family selected, and the flow slice of
+the shared strict tree run must be clean."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.flow.callgraph import build_callgraph
-from repro.flow.cli import main
-from repro.flow.excflow import analyze_exceptions
-from repro.flow.layers import analyze_layers
-from repro.flow.options import analyze_options
-from repro.flow.project import Project
+from tests.analysis.support import (
+    assert_fails_with_exactly,
+    family_checks,
+    family_fixtures,
+    fixture_dirs_on_disk,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-#: fixture directory -> the single check its defect must trip.
-EXPECTED = {
-    "exc_undeclared": "exception-escape",
-    "exc_swallow": "swallowed-exception",
-    "exc_pump": "exception-escape",
-    "opt_dropped": "option-dropped",
-    "opt_renamed": "option-renamed",
-    "opt_domain": "option-domain",
-    "layer_up": "layer-violation",
-    "layer_restricted": "layer-restricted",
-    "layer_cycle": "import-cycle",
-}
+FAMILY = "flow"
 
 
 def test_every_fixture_is_covered():
-    assert sorted(EXPECTED) == sorted(
-        p.name for p in FIXTURES.iterdir() if p.is_dir()
-    )
+    fixtures = family_fixtures(FAMILY)
+    assert [name for name, _check in fixtures] == fixture_dirs_on_disk(FAMILY)
+    assert sorted({check for _name, check in fixtures}) == family_checks(FAMILY)
 
 
-@pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
+@pytest.mark.parametrize("fixture,check", family_fixtures(FAMILY))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
-    out = capsys.readouterr().out
-    assert code == 1, out
-    finding_lines = [
-        line for line in out.splitlines()
-        if line and not line.startswith("repro-flow:")
-    ]
-    assert finding_lines, out
-    assert all(f" {check}: " in line for line in finding_lines), out
+    assert_fails_with_exactly(FAMILY, fixture, check, capsys)
 
 
-def _tree_findings():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    graph = build_callgraph(project)
-    return (list(analyze_exceptions(graph).findings)
-            + list(analyze_options(graph))
-            + list(analyze_layers(project)), project)
-
-
-def test_repro_package_is_strictly_clean():
-    findings, project = _tree_findings()
-    from repro.analysis import suppressed
-
-    def kept(finding):
-        module = next(
-            (m for m in project.modules.values() if m.path == finding.path),
-            None,
-        )
-        return module is None or not suppressed(
-            finding.check, finding.line, module.suppressions
-        )
-
-    remaining = [f for f in findings if kept(f)]
+def test_repro_package_is_strictly_clean(strict_tree_run):
+    checks = set(family_checks(FAMILY))
+    remaining = [f for f in strict_tree_run.findings if f.check in checks]
     assert remaining == [], "\n".join(f.format() for f in remaining)
 
 
-def test_tree_clean_through_the_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_through_the_cli(strict_tree_cli):
+    code, out = strict_tree_cli
     assert code == 0, out
-    assert out.startswith("repro-flow: 0 findings"), out
+    assert out.startswith("repro-analysis: 0 findings"), out

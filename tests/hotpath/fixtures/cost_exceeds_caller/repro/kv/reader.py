@@ -1,4 +1,4 @@
-from ..common.costmodel import cost, hot_path
+from ..common.contracts import cost, hot_path
 
 
 @cost("O(n)")

@@ -1,4 +1,4 @@
-from ..common.costmodel import hot_path
+from ..common.contracts import hot_path
 
 
 @hot_path

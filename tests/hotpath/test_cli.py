@@ -1,42 +1,24 @@
-"""The ``python -m repro.hotpath`` front end: the 0/1/2 exit contract
-shared with repro-lint/flow/sanitize, output formats, profiles,
+"""The hotpath family through ``python -m repro.analysis``: the 0/1/2
+exit contract shared with repro-sanitize, output formats, profiles,
 suppressions, and the hot-set provenance report."""
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 
-from repro.hotpath.cli import main
+from repro.analysis.cli import main
+from tests.analysis.support import CONTRACTS_STUB, write_tree
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-COSTMODEL_STUB = """
-    def hot_path(fn):
-        fn.__hot_path__ = True
-        return fn
-
-
-    def cost(bound):
-        def mark(fn):
-            fn.__declared_cost__ = bound
-            return fn
-        return mark
-    """
-
 
 def _write_tree(tmp_path, files: dict[str, str]) -> Path:
-    files = dict(files)
-    files.setdefault("common/costmodel.py", COSTMODEL_STUB)
-    for rel, source in files.items():
-        path = tmp_path / "repro" / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    return tmp_path
+    return write_tree(tmp_path,
+                      {"common/contracts.py": CONTRACTS_STUB, **files})
 
 
 CLEAN_TREE = {"kv/engine.py": """
-    from ..common.costmodel import cost, hot_path
+    from ..common.contracts import cost, hot_path
 
 
     @hot_path
@@ -118,7 +100,7 @@ class TestProfiles:
 class TestSuppressions:
     def test_disable_next_silences_the_finding(self, tmp_path, capsys):
         root = _write_tree(tmp_path, {"dcp/stream.py": """
-            from ..common.costmodel import cost, hot_path
+            from ..common.contracts import cost, hot_path
 
 
             @hot_path
@@ -127,7 +109,7 @@ class TestSuppressions:
                 taken = []
                 while pending:
                     # The queue is bounded at 2 in-flight messages.
-                    # repro-hotpath: disable-next=list-shift
+                    # repro: disable-next=list-shift
                     taken.append(pending.pop(0))
                 return taken
             """})
@@ -135,8 +117,10 @@ class TestSuppressions:
         capsys.readouterr()
 
     def test_other_tools_suppressions_do_not_apply(self, tmp_path, capsys):
+        """A comment silences only the checks it names: another
+        family's name leaves this finding standing."""
         root = _write_tree(tmp_path, {"dcp/stream.py": """
-            from ..common.costmodel import cost, hot_path
+            from ..common.contracts import cost, hot_path
 
 
             @hot_path
@@ -144,7 +128,7 @@ class TestSuppressions:
             def drain(pending):
                 taken = []
                 while pending:
-                    # repro-lint: disable-next=list-shift
+                    # repro: disable-next=unbounded-buffer
                     taken.append(pending.pop(0))
                 return taken
             """})
@@ -159,7 +143,7 @@ class TestOutputFormats:
         out = capsys.readouterr().out
         assert code == 1
         assert out.startswith("::error ")
-        assert "title=repro-hotpath" in out and "n-plus-one-rpc" in out
+        assert "title=n-plus-one-rpc" in out
 
     def test_quiet_drops_the_summary_line(self, tmp_path, capsys):
         root = _write_tree(tmp_path, CLEAN_TREE)
@@ -168,7 +152,7 @@ class TestOutputFormats:
 
     def test_summary_counts_the_hot_set(self, tmp_path, capsys):
         root = _write_tree(tmp_path, CLEAN_TREE)
-        assert main([str(root), "--profile", "strict"]) == 0
+        assert main([str(root), "--report", "hot-set"]) == 0
         out = capsys.readouterr().out
         assert "1 hot functions from 1 roots" in out
 

@@ -1,85 +1,48 @@
-"""Every broken fixture must fail with exactly its intended check, and
-the tree itself must analyze clean -- the tier-1 gate that keeps the
-hot-path cost invariants true going forward, mirroring the CI
-``repro-hotpath`` step (and the shape of ``tests/flow/test_fixtures.py``)."""
+"""Every broken hotpath fixture must fail with exactly its intended
+check through the one CLI with every family selected, and the hotpath
+slice of the shared strict tree run must be clean."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis import parse_suppressions, suppressed
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
-from repro.hotpath import analyze
-from repro.hotpath.cli import main
+from tests.analysis.support import (
+    assert_fails_with_exactly,
+    family_checks,
+    family_fixtures,
+    fixture_dirs_on_disk,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-#: fixture directory -> the single check its defect must trip.
-EXPECTED = {
-    "quadratic_membership": "quadratic-membership",
-    "list_shift": "list-shift",
-    "sort_in_loop": "sort-in-loop",
-    "str_concat_in_loop": "str-concat-in-loop",
-    "copy_in_loop": "copy-in-loop",
-    "invariant_in_loop": "invariant-in-loop",
-    "n_plus_one_rpc": "n-plus-one-rpc",
-    "cost_undeclared": "cost-undeclared",
-    "cost_exceeds_caller": "cost-exceeds-caller",
-    "cost_loop_amplified": "cost-loop-amplified",
-}
+FAMILY = "hotpath"
 
 
 def test_every_fixture_is_covered():
-    assert sorted(EXPECTED) == sorted(
-        p.name for p in FIXTURES.iterdir() if p.is_dir()
-    )
+    assert [name for name, _check in family_fixtures(FAMILY)] \
+        == fixture_dirs_on_disk(FAMILY)
 
 
 def test_every_check_has_a_fixture():
-    from repro.hotpath import ALL_CHECKS
+    assert sorted(check for _name, check in family_fixtures(FAMILY)) \
+        == family_checks(FAMILY)
 
-    assert sorted(EXPECTED.values()) == sorted(ALL_CHECKS)
 
-
-@pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
+@pytest.mark.parametrize("fixture,check", family_fixtures(FAMILY))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
-    out = capsys.readouterr().out
-    assert code == 1, out
-    finding_lines = [
-        line for line in out.splitlines()
-        if line and not line.startswith("repro-hotpath:")
-    ]
-    assert finding_lines, out
-    assert all(f" {check}: " in line for line in finding_lines), out
+    assert_fails_with_exactly(FAMILY, fixture, check, capsys)
 
 
-def test_repro_package_is_strictly_clean():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    result = analyze(project, build_callgraph(project))
-    suppressions = {
-        module.path: parse_suppressions(module.source_lines, "repro-hotpath")
-        for module in project.modules.values()
-    }
-    remaining = [
-        f for f in result.findings
-        if not suppressed(f.check, f.line, suppressions.get(f.path, {}))
-    ]
+def test_repro_package_is_strictly_clean(strict_tree_run):
+    checks = set(family_checks(FAMILY))
+    remaining = [f for f in strict_tree_run.findings if f.check in checks]
     assert remaining == [], "\n".join(f.format() for f in remaining)
     # The hot set itself must stay non-trivial: the KV ops, client
     # senders, and operator bodies are decorated roots.
-    assert len(result.hotset.roots) > 40
-    assert len(result.hotset.members) > len(result.hotset.roots)
+    hot_set = strict_tree_run.context.hot_set
+    assert len(hot_set.roots) > 40
+    assert len(hot_set.members) > len(hot_set.roots)
 
 
-def test_tree_clean_through_the_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_through_the_cli(strict_tree_cli):
+    code, out = strict_tree_cli
     assert code == 0, out
-    assert out.startswith("repro-hotpath: 0 findings"), out
+    assert out.startswith("repro-analysis: 0 findings"), out

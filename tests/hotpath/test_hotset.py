@@ -7,38 +7,21 @@ scheduler pumps in, reference-only bindings and cold helpers out.
 
 from __future__ import annotations
 
-import textwrap
-
-from repro.flow.callgraph import build_callgraph
-from repro.flow.hotset import derive_hot_set
-from repro.flow.project import Project
-from repro.hotpath import analyze
-
-COSTMODEL_STUB = """
-    def hot_path(fn):
-        fn.__hot_path__ = True
-        return fn
-
-
-    def cost(bound):
-        def mark(fn):
-            fn.__declared_cost__ = bound
-            return fn
-        return mark
-    """
+from repro.analysis import analyze, build_callgraph, select_checks
+from repro.analysis.reach import derive_hot_set
+from tests.analysis.support import CONTRACTS_STUB, build_tree
 
 
 def _build(tmp_path, files: dict[str, str]):
-    files = dict(files)
-    files.setdefault("common/costmodel.py", COSTMODEL_STUB)
-    for rel, source in files.items():
-        path = tmp_path / "repro" / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    project = Project.build(sorted((tmp_path / "repro").rglob("*.py")))
-    assert not project.parse_errors
-    graph = build_callgraph(project)
-    return project, graph, derive_hot_set(project, graph)
+    project = build_tree(tmp_path,
+                         {"common/contracts.py": CONTRACTS_STUB, **files})
+    return project, derive_hot_set(build_callgraph(project))
+
+
+def _hotpath(project):
+    """The hotpath family's strict findings plus the run's hot set."""
+    run = analyze(project, select_checks("hotpath"), profile="strict")
+    return run.findings, run.context.hot_set
 
 
 def _member(hotset, suffix: str) -> str | None:
@@ -47,8 +30,8 @@ def _member(hotset, suffix: str) -> str | None:
 
 class TestRootsAndClosure:
     def test_decorated_root_pulls_in_its_callees(self, tmp_path):
-        _, _, hotset = _build(tmp_path, {"kv/engine.py": """
-            from ..common.costmodel import cost, hot_path
+        _, hotset = _build(tmp_path, {"kv/engine.py": """
+            from ..common.contracts import cost, hot_path
 
 
             def encode(doc):
@@ -71,7 +54,7 @@ class TestRootsAndClosure:
         assert hotset.roots[root] == "@hot_path"
 
     def test_pump_registration_is_a_root(self, tmp_path):
-        _, _, hotset = _build(tmp_path, {"kv/flusher.py": """
+        _, hotset = _build(tmp_path, {"kv/flusher.py": """
             class Flusher:
                 def __init__(self, scheduler):
                     scheduler.register("kv.flusher", self._pump)
@@ -89,8 +72,8 @@ class TestRootsAndClosure:
         assert _member(hotset, "Flusher._drain")
 
     def test_reference_only_binding_stays_cold(self, tmp_path):
-        _, _, hotset = _build(tmp_path, {"kv/engine.py": """
-            from ..common.costmodel import cost, hot_path
+        _, hotset = _build(tmp_path, {"kv/engine.py": """
+            from ..common.contracts import cost, hot_path
 
 
             class Engine:
@@ -109,8 +92,8 @@ class TestRootsAndClosure:
         assert _member(hotset, "Engine.cold_sweep") is None
 
     def test_why_chain_traces_back_to_the_root(self, tmp_path):
-        _, _, hotset = _build(tmp_path, {"kv/engine.py": """
-            from ..common.costmodel import cost, hot_path
+        _, hotset = _build(tmp_path, {"kv/engine.py": """
+            from ..common.contracts import cost, hot_path
 
 
             def inner(doc):
@@ -133,20 +116,20 @@ class TestRootsAndClosure:
 
 class TestRuleScoping:
     def test_cold_code_is_not_scanned(self, tmp_path):
-        project, graph, _ = _build(tmp_path, {"tools/offline.py": """
+        project, _ = _build(tmp_path, {"tools/offline.py": """
             def rebuild_report(entries):
                 lines = []
                 while entries:
                     lines.append(entries.pop(0))
                 return lines
             """})
-        result = analyze(project, graph)
-        assert result.findings == []
-        assert result.hotset.members == set()
+        findings, hotset = _hotpath(project)
+        assert findings == []
+        assert hotset.members == set()
 
     def test_same_defect_in_hot_code_is_flagged(self, tmp_path):
-        project, graph, _ = _build(tmp_path, {"tools/online.py": """
-            from ..common.costmodel import cost, hot_path
+        project, _ = _build(tmp_path, {"tools/online.py": """
+            from ..common.contracts import cost, hot_path
 
 
             @hot_path
@@ -157,14 +140,14 @@ class TestRuleScoping:
                     lines.append(entries.pop(0))
                 return lines
             """})
-        result = analyze(project, graph)
-        assert [f.check for f in result.findings] == ["list-shift"]
+        findings, _ = _hotpath(project)
+        assert [f.check for f in findings] == ["list-shift"]
         # Findings carry the provenance of why the function is hot.
-        assert "@hot_path root" in result.findings[0].message
+        assert "@hot_path root" in findings[0].message
 
     def test_defect_in_pulled_in_callee_is_flagged(self, tmp_path):
-        project, graph, _ = _build(tmp_path, {"tools/chain.py": """
-            from ..common.costmodel import cost, hot_path
+        project, _ = _build(tmp_path, {"tools/chain.py": """
+            from ..common.contracts import cost, hot_path
 
 
             def helper(entries):
@@ -179,6 +162,6 @@ class TestRuleScoping:
             def render(entries):
                 return helper(entries)
             """})
-        result = analyze(project, graph)
-        assert [f.check for f in result.findings] == ["str-concat-in-loop"]
-        assert "@hot_path root chain.render via" in result.findings[0].message
+        findings, _ = _hotpath(project)
+        assert [f.check for f in findings] == ["str-concat-in-loop"]
+        assert "@hot_path root chain.render via" in findings[0].message

@@ -1,4 +1,4 @@
-"""Regressions for the true positives repro-bounds found in its first
+"""Regressions for the true positives the bounds checks found in its first
 whole-tree run.  Each test pins the *fix* (a real bound or lifecycle,
 never a suppression):
 

@@ -1,4 +1,4 @@
-"""Regression tests for the defects repro-flow's first whole-tree run
+"""Regression tests for the defects the flow checks' first whole-tree run
 surfaced (option plumbing and swallowed-exception findings).
 
 Each test pins the *fixed* behaviour:

@@ -1,4 +1,4 @@
-"""Regressions for the true positives repro-proto found in its first
+"""Regressions for the true positives the proto checks found in its first
 whole-tree run.  Each test pins the *fix* (a real state-machine repair,
 never a suppression):
 

@@ -1,20 +1,29 @@
-"""Harness self-tests: suppressions, profiles, module naming, the CLI
-exit-code contract, and the registry."""
+"""Framework self-tests seen through the lint family: suppressions,
+profiles, module naming, check selection, the CLI exit-code contract,
+and the registry."""
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, lint_paths, lint_source
-from repro.lint.cli import main
-from repro.lint.engine import _ConfigError, module_name_for, profile_for
+from repro.analysis import (
+    Project,
+    UsageError,
+    all_checks,
+    analyze,
+    discover,
+    profile_for,
+    select_checks,
+)
+from repro.analysis.cli import main
+from repro.analysis.project import module_name_for
+from tests.analysis.support import analyze_sources
 
 
-def run(source: str, **kwargs):
-    return lint_source(textwrap.dedent(source), path="fixture.py", **kwargs)
+def run(source: str, check: str = "lint", profile: str = "strict"):
+    return analyze_sources({"fixture": source}, check=check, profile=profile)
 
 
 # -- suppressions -----------------------------------------------------------
@@ -25,7 +34,7 @@ def test_same_line_suppression():
         import time
 
         def stamp():
-            return time.time()  # repro-lint: disable=no-wall-clock
+            return time.time()  # repro: disable=no-wall-clock
     """)
     assert violations == []
 
@@ -35,7 +44,7 @@ def test_disable_next_covers_following_line():
         import time
 
         def stamp():
-            # repro-lint: disable-next=no-wall-clock
+            # repro: disable-next=no-wall-clock
             return time.time()
     """)
     assert violations == []
@@ -46,7 +55,7 @@ def test_disable_all_suppresses_every_rule():
         import time
 
         def stamp():
-            return time.time()  # repro-lint: disable=all
+            return time.time()  # repro: disable=all
     """)
     assert violations == []
 
@@ -56,9 +65,9 @@ def test_suppressing_a_different_rule_does_not_hide():
         import time
 
         def stamp():
-            return time.time()  # repro-lint: disable=error-taxonomy
+            return time.time()  # repro: disable=error-taxonomy
     """)
-    assert [v.rule for v in violations] == ["no-wall-clock"]
+    assert [v.check for v in violations] == ["no-wall-clock"]
 
 
 def test_suppression_list_is_comma_separated():
@@ -66,7 +75,7 @@ def test_suppression_list_is_comma_separated():
         import time, random
 
         def stamp():
-            return time.time(), random.random()  # repro-lint: disable=no-wall-clock, no-unseeded-random
+            return time.time(), random.random()  # repro: disable=no-wall-clock, no-unseeded-random
     """)
     assert violations == []
 
@@ -92,7 +101,7 @@ def test_relaxed_profile_still_enforces_other_rules():
         def pick():
             return random.random()
     """, profile="relaxed")
-    assert [v.rule for v in violations] == ["no-unseeded-random"]
+    assert [v.check for v in violations] == ["no-unseeded-random"]
 
 
 def test_profile_for_auto_resolution():
@@ -119,15 +128,18 @@ def test_module_name_outside_package_is_stem():
 
 
 def test_syntax_error_reports_parse_error_violation():
-    violations = run("""
-        def broken(:
-    """)
-    assert [v.rule for v in violations] == ["parse-error"]
+    """A file that does not parse is a usage error (exit 2), recorded on
+    the index instead of being analyzed half-way."""
+    project = Project()
+    project.add_source(Path("fixture.py"), "def broken(:\n")
+    assert [(path, line) for path, line, _msg in project.parse_errors] == [
+        ("fixture.py", 1)]
+    assert project.modules == {}
 
 
 def test_select_unknown_rule_raises():
-    with pytest.raises(_ConfigError):
-        run("x = 1", select=["no-such-rule"])
+    with pytest.raises(UsageError):
+        select_checks("no-such-rule")
 
 
 def test_select_limits_to_named_rules():
@@ -136,16 +148,15 @@ def test_select_limits_to_named_rules():
 
         def stamp():
             return time.time(), random.random()
-    """, select=["no-wall-clock"])
-    assert {v.rule for v in violations} == {"no-wall-clock"}
+    """, check="no-wall-clock")
+    assert {v.check for v in violations} == {"no-wall-clock"}
 
 
-def test_registry_has_the_nine_rules():
-    names = {rule.name for rule in all_rules()}
-    assert names == {
+def test_registry_has_the_eight_lint_rules():
+    lint = [check for check in all_checks() if check.family == "lint"]
+    assert {check.name for check in lint} == {
         "no-wall-clock",
         "no-unseeded-random",
-        "no-cross-service-reach-through",
         "error-taxonomy",
         "pump-contract",
         "metrics-naming",
@@ -153,7 +164,9 @@ def test_registry_has_the_nine_rules():
         "no-pump-reentrancy",
         "declared-shared-state",
     }
-    assert all(rule.invariant for rule in all_rules())
+    assert {check.name for check in lint if check.strict_only} == {
+        "no-wall-clock", "declared-shared-state"}
+    assert all(check.invariant for check in all_checks())
 
 
 # -- CLI exit codes ---------------------------------------------------------
@@ -164,7 +177,7 @@ def test_cli_exits_zero_on_clean_file(tmp_path, capsys):
     clean.parent.mkdir(parents=True)
     clean.write_text("def nothing():\n    return 1\n")
     assert main([str(clean)]) == 0
-    assert "0 violations" in capsys.readouterr().out
+    assert "0 findings" in capsys.readouterr().out
 
 
 def test_cli_exits_one_on_violation(tmp_path, capsys):
@@ -185,21 +198,39 @@ def test_cli_exits_two_on_empty_path(tmp_path, capsys):
 def test_cli_exits_two_on_unknown_rule(tmp_path, capsys):
     f = tmp_path / "x.py"
     f.write_text("x = 1\n")
-    assert main([str(f), "--select", "bogus"]) == 2
+    assert main([str(f), "--check", "bogus"]) == 2
 
 
 def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["--report", "rules", "--check", "lint"]) == 0
     out = capsys.readouterr().out
-    assert "no-wall-clock" in out and "pump-contract" in out
+    assert "no-wall-clock (lint, strict-only)" in out
+    assert "pump-contract (lint)" in out
+    assert "layer-violation" not in out
 
 
 def test_lint_paths_auto_profile(tmp_path):
+    """``auto`` resolves per file: the same wall-clock read is a finding
+    under src/repro and harness business under benchmarks/."""
     repro_file = tmp_path / "src" / "repro" / "mod.py"
     repro_file.parent.mkdir(parents=True)
     repro_file.write_text("import time\nt = time.time()\n")
     bench_file = tmp_path / "benchmarks" / "bench.py"
     bench_file.parent.mkdir(parents=True)
     bench_file.write_text("import time\nt = time.time()\n")
-    violations = lint_paths([tmp_path])
+    violations = analyze(Project.build(discover([tmp_path])),
+                         select_checks("lint")).findings
     assert [Path(v.path).name for v in violations] == ["mod.py"]
+
+
+def test_scripts_sharing_a_stem_are_both_checked(tmp_path):
+    """Outside the package a module is named by its bare stem; two
+    ``conftest.py`` must not shadow each other in the index."""
+    for directory in ("examples", "benchmarks"):
+        script = tmp_path / directory / "conftest.py"
+        script.parent.mkdir()
+        script.write_text("import random\nx = random.random()\n")
+    violations = analyze(Project.build(discover([tmp_path])),
+                         select_checks("lint")).findings
+    assert sorted(Path(v.path).parent.name for v in violations) == [
+        "benchmarks", "examples"]

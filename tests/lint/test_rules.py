@@ -1,26 +1,23 @@
-"""Per-rule self-tests: each rule gets at least one fixture that must
-fire and one clean fixture that must not.
+"""Per-rule self-tests of the lint family: each rule gets at least one
+inline source that must fire and one clean source that must not.
 
-Fixtures are inline sources handed to :func:`repro.lint.lint_source`
-with an explicit dotted ``module`` so package-scoped rules
-(cross-service, missing-null) see the module they would in the tree.
+Sources are handed to :func:`tests.analysis.support.analyze_sources`
+under an explicit dotted module name so package-scoped rules
+(missing-null) see the module they would in the tree.
 """
 
 from __future__ import annotations
 
-import textwrap
-
-from repro.lint import lint_source
+from tests.analysis.support import analyze_sources
 
 
 def run(source: str, module: str = "repro.kv.fixture",
-        profile: str = "strict", select=None):
-    return lint_source(textwrap.dedent(source), path="fixture.py",
-                       module=module, profile=profile, select=select)
+        profile: str = "strict", check: str = "lint"):
+    return analyze_sources({module: source}, check=check, profile=profile)
 
 
-def rule_names(violations):
-    return sorted({v.rule for v in violations})
+def rule_names(findings):
+    return sorted({f.check for f in findings})
 
 
 # -- no-wall-clock ----------------------------------------------------------
@@ -110,39 +107,55 @@ def test_seeded_random_is_clean():
     assert violations == []
 
 
-# -- no-cross-service-reach-through -----------------------------------------
+# -- layer-restricted --------------------------------------------------------
+#
+# The known-bad and known-good sources of the retired lint rule
+# ``no-cross-service-reach-through``: flow's ``layer-restricted`` forbids
+# the same importers of ``repro.kv.engine`` (and exempts
+# ``TYPE_CHECKING`` the same way), so the same inputs pin it.
+
+KV_STUBS = {
+    "repro.kv.engine": "class KVEngine:\n    pass\n",
+    "repro.kv.types": "class MutationResult:\n    pass\n\n\n"
+                      "class VBucketState:\n    pass\n",
+}
+
+
+def run_layers(source: str, module: str):
+    return analyze_sources({**KV_STUBS, module: source},
+                           check="layer-restricted,layer-violation")
 
 
 def test_client_importing_kv_engine_fires():
-    violations = run("""
+    violations = run_layers("""
         from ..kv.engine import KVEngine
     """, module="repro.client.fixture")
-    assert rule_names(violations) == ["no-cross-service-reach-through"]
+    assert rule_names(violations) == ["layer-restricted"]
 
 
 def test_absolute_engine_import_fires():
-    violations = run("""
+    violations = run_layers("""
         from repro.kv.engine import KVEngine
     """, module="repro.n1ql.fixture")
-    assert rule_names(violations) == ["no-cross-service-reach-through"]
+    assert rule_names(violations) == ["layer-restricted"]
 
 
 def test_kv_types_import_is_clean():
-    violations = run("""
+    violations = run_layers("""
         from ..kv.types import MutationResult, VBucketState
     """, module="repro.client.fixture")
     assert violations == []
 
 
 def test_engine_import_inside_kv_is_clean():
-    violations = run("""
+    violations = run_layers("""
         from .engine import KVEngine
     """, module="repro.kv.fixture")
     assert violations == []
 
 
 def test_type_checking_engine_import_is_clean():
-    violations = run("""
+    violations = run_layers("""
         from typing import TYPE_CHECKING
 
         if TYPE_CHECKING:
@@ -271,25 +284,6 @@ def test_eq_none_in_n1ql_fires():
     assert rule_names(violations) == ["missing-null-discipline"]
 
 
-def test_is_none_on_evaluate_result_fires():
-    violations = run("""
-        def check(evaluator, expr, env):
-            return evaluator.evaluate(expr, env) is None
-    """, module="repro.n1ql.fixture")
-    assert rule_names(violations) == ["missing-null-discipline"]
-
-
-def test_bound_result_is_none_is_clean():
-    violations = run("""
-        def check(evaluator, expr, env):
-            value = evaluator.evaluate(expr, env)
-            if value is MISSING:
-                return False
-            return value is None
-    """, module="repro.n1ql.fixture")
-    assert violations == []
-
-
 def test_eq_none_outside_n1ql_is_ignored():
     violations = run("""
         def project(row):
@@ -307,7 +301,7 @@ def test_pump_calling_run_until_idle_fires():
             def pump(self) -> bool:
                 self.node.scheduler.run_until_idle()
                 return True
-    """, select=["no-pump-reentrancy"])
+    """, check="no-pump-reentrancy")
     assert rule_names(violations) == ["no-pump-reentrancy"]
 
 
@@ -317,7 +311,7 @@ def test_pump_calling_step_or_advance_fires():
             scheduler.step()
             clock_owner.advance(1.0)
             return False
-    """, select=["no-pump-reentrancy"])
+    """, check="no-pump-reentrancy")
     assert len(violations) == 2
     assert rule_names(violations) == ["no-pump-reentrancy"]
 
@@ -329,7 +323,7 @@ def test_pump_draining_its_queue_is_clean():
                 for message in self.stream.take(64):
                     self.apply(message)
                 return True
-    """, select=["no-pump-reentrancy"])
+    """, check="no-pump-reentrancy")
     assert violations == []
 
 
@@ -337,7 +331,7 @@ def test_drive_calls_outside_pumps_are_fine():
     violations = run("""
         def settle(cluster):
             cluster.scheduler.run_until_idle()
-    """, select=["no-pump-reentrancy"])
+    """, check="no-pump-reentrancy")
     assert violations == []
 
 
@@ -349,7 +343,7 @@ def test_undeclared_module_counter_fires():
         import itertools
 
         _ids = itertools.count(1)
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert rule_names(violations) == ["declared-shared-state"]
 
 
@@ -359,7 +353,7 @@ def test_declared_module_counter_is_clean():
 
         __shared_state__ = ("_ids",)
         _ids = itertools.count(1)
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert violations == []
 
 
@@ -370,7 +364,7 @@ def test_undeclared_global_statement_fires():
         def bump():
             global TOTAL
             TOTAL += 1
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert rule_names(violations) == ["declared-shared-state"]
 
 
@@ -382,14 +376,14 @@ def test_declared_global_statement_is_clean():
         def bump():
             global TOTAL
             TOTAL += 1
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert violations == []
 
 
 def test_lowercase_mutable_display_fires():
     violations = run("""
         _registry = {}
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert rule_names(violations) == ["declared-shared-state"]
 
 
@@ -397,7 +391,7 @@ def test_constant_case_display_is_treated_as_frozen():
     violations = run("""
         KNOWN_KINDS = ["kv", "views", "gsi"]
         _TABLE = {"a": 1}
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert violations == []
 
 
@@ -409,12 +403,12 @@ def test_function_local_state_is_not_module_state():
             ids = itertools.count(1)
             seen = {}
             return ids, seen
-    """, select=["declared-shared-state"])
+    """, check="declared-shared-state")
     assert violations == []
 
 
 def test_suppression_comment_still_works():
     violations = run("""
-        _cache = {}  # repro-lint: disable=declared-shared-state
-    """, select=["declared-shared-state"])
+        _cache = {}  # repro: disable=declared-shared-state
+    """, check="declared-shared-state")
     assert violations == []

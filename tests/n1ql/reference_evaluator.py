@@ -306,8 +306,6 @@ class ReferenceEvaluator(Evaluator):
             found, value = env.lookup(canonical)
             if found:
                 return value
-            if canonical[5:] in self.aggregate_values:
-                return self.aggregate_values[canonical[5:]]
             raise N1qlSemanticError(
                 f"aggregate {name} used outside GROUP BY context"
             )

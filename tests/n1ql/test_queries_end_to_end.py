@@ -273,6 +273,19 @@ class TestGrouping:
         # COUNT over nothing is 0; SUM over nothing is NULL.
         assert rows == [{"n": 0, "s": None}]
 
+    @pytest.mark.parametrize("statement", [
+        # WHERE runs per row, before any grouping operator has bound
+        # the aggregate's value.
+        "SELECT p.name FROM profiles p WHERE SUM(p.age) > 1",
+        "SELECT p.city FROM profiles p GROUP BY SUM(p.age)",
+        "UPDATE profiles p SET p.age = MAX(p.age)",
+    ])
+    def test_aggregate_outside_group_by_context_fails(self, client,
+                                                      statement):
+        with pytest.raises(N1qlSemanticError,
+                           match="used outside GROUP BY context"):
+            client.query(statement, **RP)
+
 
 class TestDml:
     def test_insert_and_select(self, client):

@@ -1,13 +1,12 @@
-"""The repro-proto CLI contract: exit codes, check selection, profiles,
-suppressions (including cross-tool isolation), declaration forms, output
-formats, the protocols report, and call-graph indirection -- one
-contract shared with repro-lint/sanitize/flow/hotpath/bounds."""
+"""The proto family through ``python -m repro.analysis``: exit codes,
+check selection, profiles, suppressions, declaration forms, output
+formats, the protocols report, and call-graph indirection."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.proto.cli import main
+from repro.analysis.cli import main
 
 #: Stubs every fixture source starts from: the zero-overhead declaration
 #: marker (read off the AST by name) and a metrics-shaped emitter.
@@ -137,17 +136,18 @@ class TestSuppressions:
         suppressed = BAD_MACHINE.replace(
             "            self.phase = Phase.DONE",
             "            # justified: recovery path revalidates the log\n"
-            "            # repro-proto: disable-next=illegal-transition\n"
+            "            # repro: disable-next=illegal-transition\n"
             "            self.phase = Phase.DONE",
         )
         code = main([_write(tmp_path, suppressed), "--profile", "strict"])
         assert code == 0, capsys.readouterr().out
 
     def test_other_tools_comments_do_not_silence(self, tmp_path, capsys):
+        """A comment silences only the checks it names: another
+        family's name leaves this finding standing."""
         not_ours = BAD_MACHINE.replace(
             "            self.phase = Phase.DONE",
-            "            # repro-lint: disable-next=illegal-transition\n"
-            "            # repro-bounds: disable-next=illegal-transition\n"
+            "            # repro: disable-next=unguarded-transition,leak-on-error\n"
             "            self.phase = Phase.DONE",
         )
         code = main([_write(tmp_path, not_ours), "--profile", "strict"])
@@ -201,7 +201,7 @@ class TestOutputFormats:
         out = capsys.readouterr().out
         assert code == 1
         assert "::error " in out
-        assert "title=repro-proto%3A illegal-transition" in out
+        assert "title=illegal-transition" in out
 
     def test_quiet_drops_summary(self, tmp_path, capsys):
         main([_write(tmp_path, CLEAN_MACHINE), "--profile", "strict", "-q"])

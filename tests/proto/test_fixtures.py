@@ -1,89 +1,65 @@
-"""Every broken fixture must fail with exactly its intended check, and
-the tree itself must analyze clean with *zero* suppressions -- the
-tier-1 gate that keeps the declared lifecycles true going forward,
-mirroring the CI ``repro-proto`` step (and the shape of
-``tests/bounds/test_fixtures.py``)."""
+"""Every broken proto fixture must fail with exactly its intended check
+through the one CLI with every family selected, and the proto slice of
+the shared strict tree run must be clean with *zero* suppressions."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
-from repro.proto import ALL_CHECKS, analyze
-from repro.proto.cli import main
+from tests.analysis.support import (
+    assert_fails_with_exactly,
+    family_checks,
+    family_fixtures,
+    fixture_dirs_on_disk,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-#: fixture directory -> the single check its defect must trip.
-EXPECTED = {
-    "illegal_transition": "illegal-transition",
-    "unguarded_transition": "unguarded-transition",
-    "handoff_order": "handoff-order",
-    "outside_owner": "transition-outside-owner",
-    "silent_transition": "silent-transition",
-}
+FAMILY = "proto"
 
 
 def test_every_fixture_is_covered():
-    assert sorted(EXPECTED) == sorted(
-        p.name for p in FIXTURES.iterdir() if p.is_dir()
-    )
+    assert [name for name, _check in family_fixtures(FAMILY)] \
+        == fixture_dirs_on_disk(FAMILY)
 
 
 def test_every_check_has_a_fixture():
-    assert sorted(EXPECTED.values()) == sorted(ALL_CHECKS)
+    assert sorted(check for _name, check in family_fixtures(FAMILY)) \
+        == family_checks(FAMILY)
 
 
-@pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
+@pytest.mark.parametrize("fixture,check", family_fixtures(FAMILY))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
-    out = capsys.readouterr().out
-    assert code == 1, out
-    finding_lines = [
-        line for line in out.splitlines()
-        if line and not line.startswith("repro-proto:")
-    ]
-    assert finding_lines, out
-    assert all(f" {check}: " in line for line in finding_lines), out
+    assert_fails_with_exactly(FAMILY, fixture, check, capsys)
 
 
-def test_repro_package_is_strictly_clean():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    result = analyze(project, build_callgraph(project))
+def test_repro_package_is_strictly_clean(strict_tree_run):
     # Zero suppressions: the raw findings themselves must be empty, not
     # merely silenced.
-    assert result.findings == [], "\n".join(
-        f.format() for f in result.findings
-    )
+    checks = set(family_checks(FAMILY))
+    raw = [f for f in strict_tree_run.raw if f.check in checks]
+    assert raw == [], "\n".join(f.format() for f in raw)
     # The declared surface must stay non-trivial: the vBucket, breaker,
     # DCP and XDCR lifecycles at minimum.
-    assert len(result.protocols) >= 4
-    assert len(result.inventory.bindings) >= 4
-    assert len(result.inventory.sites) >= 15
-    assert {spec.name for spec in result.protocols.values()} >= {
+    analysis = strict_tree_run.context.protocols
+    assert len(analysis.specs) >= 4
+    assert len(analysis.inventory.bindings) >= 4
+    assert len(analysis.inventory.sites) >= 15
+    assert {spec.name for spec in analysis.specs.values()} >= {
         "VBucketState", "CircuitBreaker", "DcpStreamState", "XdcrStreamState",
     }
 
 
-def test_no_proto_suppressions_in_tree():
-    proto_pkg = REPO_ROOT / "src" / "repro" / "proto"
+def test_no_proto_suppressions_in_tree(strict_tree_run):
+    checks = set(family_checks(FAMILY))
     offenders = [
-        path for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
-        # The analyzer's own package documents the syntax; everywhere
-        # else the string can only be a live suppression comment.
-        if proto_pkg not in path.parents
-        and "repro-proto: disable" in path.read_text()
+        (module.path, line)
+        for module in strict_tree_run.context.project.modules.values()
+        for line, names in module.suppressions.items()
+        if names & checks
     ]
     assert offenders == []
 
 
-def test_tree_clean_via_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_via_cli(strict_tree_cli):
+    code, out = strict_tree_cli
     assert code == 0, out
+    assert out.startswith("repro-analysis: 0 findings"), out
