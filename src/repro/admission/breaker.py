@@ -33,6 +33,10 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Initial cooldown of an opened breaker (virtual seconds); also the
+#: retry hint the query front door hands a request shed for overload.
+DEFAULT_COOLDOWN = 0.25
+
 
 @protocol(
     # The docstring's machine, verbatim: closed trips open, open cools
@@ -48,7 +52,7 @@ class CircuitBreaker:
     """Overload breaker for one target node."""
 
     def __init__(self, name: str, scheduler: Scheduler, *,
-                 threshold: int = 5, cooldown: float = 0.25,
+                 threshold: int = 5, cooldown: float = DEFAULT_COOLDOWN,
                  factor: float = 2.0, max_cooldown: float = 30.0,
                  jitter: float = 0.25, seed: int = 0,
                  metrics: MetricsRegistry | None = None):

@@ -36,7 +36,7 @@ from ..common.crc import crc32
 from ..common.errors import AdmissionRejectedError, declared_raises
 from ..common.metrics import MetricsRegistry
 from ..common.scheduler import Scheduler
-from .breaker import CLOSED, CircuitBreaker
+from .breaker import CLOSED, DEFAULT_COOLDOWN, CircuitBreaker
 from .bulkhead import Bulkhead
 from .tokens import ExponentialBackoff, TokenBucket
 
@@ -56,10 +56,10 @@ class AdmissionConfig:
     """Tuning knobs.  With nothing configured the controller is pure
     observability (no rate caps, no inflight caps) -- but the moment a
     deployment opts into a service budget, tenants get real defaults:
-    an unconfigured tenant is limited to :attr:`tenant_fair_share` of
-    its service's budget, so one greedy handle cannot starve the
-    tenants an operator actually provisioned.  Breakers and
-    backpressure are always on."""
+    an unconfigured tenant is limited to
+    :attr:`AdmissionController.TENANT_FAIR_SHARE` of its service's
+    budget, so one greedy handle cannot starve the tenants an operator
+    actually provisioned.  Breakers and backpressure are always on."""
 
     #: Per-tenant token rate (ops per virtual second) and burst; None
     #: disables tenant throttling.
@@ -68,40 +68,17 @@ class AdmissionConfig:
     #: Explicit per-tenant ``(rate, burst)`` overrides, e.g.
     #: ``{"analytics": (5.0, 2.0)}`` -- wins over every default.
     tenant_rates: dict = field(default_factory=dict)
-    #: Fair-share default for tenants with no explicit budget: the
-    #: fraction of the *service* budget one such tenant may consume.
-    #: Only applies where ``service_rates`` names a budget, so the
-    #: zero-config posture stays permissive.
-    tenant_fair_share: float = 0.5
     #: Per-service (rate, burst) budgets, e.g. {"n1ql": (50.0, 10.0)}.
     service_rates: dict = field(default_factory=dict)
     #: Per-service in-flight caps, e.g. {"n1ql": 4}.
     service_inflight: dict = field(default_factory=dict)
     #: Per-node in-flight cap enforced at the fabric dispatch point.
     node_inflight: int | None = None
-    #: Breaker: consecutive overload failures before opening, initial
-    #: cooldown, growth factor, and cap (virtual seconds).
+    #: Breaker: consecutive overload failures before opening.
     breaker_threshold: int = 5
-    breaker_cooldown: float = 0.25
-    breaker_factor: float = 2.0
-    breaker_max_cooldown: float = 30.0
-    #: Client backoff ladder under overload.
-    backoff_base: float = 0.005
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.25
-    #: Bounded scheduler rounds granted per backoff so the flusher/pager
-    #: make progress without the old full-cluster quiesce.
-    relief_steps: int = 2
-    #: Pressure-score half-life (virtual seconds) and the score at which
-    #: the degradation policy starts shedding N1QL.
-    pressure_half_life: float = 0.5
+    #: Pressure score at which the degradation policy starts shedding
+    #: N1QL.
     shed_threshold: float = 1.0
-    #: Overload-signal weighting: a TMPFAIL's ``pending_writes`` adds
-    #: one extra pressure point per this many queued mutations, and one
-    #: signal's total weight never exceeds the cap.
-    pressure_depth_scale: float = 256.0
-    pressure_weight_cap: float = 4.0
-    seed: int = 101
 
 
 class AdmissionController:
@@ -118,22 +95,33 @@ class AdmissionController:
     #: nodes with live incidents (found by the bounds checks: entries for
     #: long-recovered or removed nodes lingered forever).
     PRESSURE_FLOOR = 1e-4
+    #: Pressure-score half-life (virtual seconds).
+    PRESSURE_HALF_LIFE = 0.5
+    #: Overload-signal weighting: a TMPFAIL's ``pending_writes`` adds
+    #: one extra pressure point per this many queued mutations, and one
+    #: signal's total weight never exceeds the cap.
+    PRESSURE_DEPTH_SCALE = 256.0
+    PRESSURE_WEIGHT_CAP = 4.0
+    #: Fair-share default for tenants with no explicit budget: the
+    #: fraction of the *service* budget one such tenant may consume.
+    #: Only applies where ``service_rates`` names a budget, so the
+    #: zero-config posture stays permissive.
+    TENANT_FAIR_SHARE = 0.5
+    #: Bounded scheduler rounds granted per backoff so the flusher/pager
+    #: make progress without a full-cluster quiesce.
+    RELIEF_STEPS = 2
+    #: Base of every jitter stream (mixed with the controller id).
+    SEED = 101
 
     def __init__(self, scheduler: Scheduler, *,
-                 config: AdmissionConfig | None = None,
-                 metrics: MetricsRegistry | None = None):
+                 config: AdmissionConfig | None = None):
         self.scheduler = scheduler
         self.clock = scheduler.clock
         self.config = config if config is not None else AdmissionConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.controller_id = next(_controller_ids)
-        seed = self.config.seed * _SEED_MIX + self.controller_id
-        self._backoff = ExponentialBackoff(
-            base=self.config.backoff_base,
-            factor=self.config.backoff_factor,
-            max_delay=self.config.backoff_max,
-            seed=seed,
-        )
+        self._seed = self.SEED * _SEED_MIX + self.controller_id
+        self._backoff = ExponentialBackoff(seed=self._seed)
         self._tenants: dict[str, TokenBucket] = {}
         self._services: dict[str, tuple[TokenBucket, Bulkhead]] = {}
         self._nodes: dict[str, Bulkhead] = {}
@@ -180,7 +168,7 @@ class AdmissionController:
             return self.config.tenant_rate, self.config.tenant_burst
         rate, burst = self.config.service_rates.get(service, (None, None))
         if rate is not None:
-            share = self.config.tenant_fair_share
+            share = self.TENANT_FAIR_SHARE
             return rate * share, (burst * share if burst is not None
                                   else None)
         return None, None
@@ -207,15 +195,11 @@ class AdmissionController:
         """The circuit breaker guarding RPCs to ``node``."""
         breaker = self._breakers.get(node)
         if breaker is None:
-            seed = (self.config.seed * _SEED_MIX + self.controller_id) \
-                * _SEED_MIX + crc32(node.encode("utf-8"))
             breaker = CircuitBreaker(
                 node, self.scheduler,
                 threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-                factor=self.config.breaker_factor,
-                max_cooldown=self.config.breaker_max_cooldown,
-                seed=seed, metrics=self.metrics,
+                seed=self._seed * _SEED_MIX + crc32(node.encode("utf-8")),
+                metrics=self.metrics,
             )
             self._breakers[node] = breaker
         return breaker
@@ -223,20 +207,22 @@ class AdmissionController:
     # -- admission ---------------------------------------------------------
 
     @declared_raises('AdmissionRejectedError')
-    def acquire(self, service: str, tenant: str, ops: int = 1
-                ) -> Callable[[], None] | None:
+    def acquire(self, service: str, tenant: str | None, ops: int = 1
+                ) -> Callable[[], None]:
         """Admit ``ops`` operations for ``tenant`` on the ``service``
-        compartment, or shed them.  Returns the compartment release
-        callback (call exactly once, in a finally) or None when nothing
-        was claimed."""
+        compartment, or shed them.  ``tenant=None`` is a service-level
+        admission: only the compartment's own budget applies.  Returns
+        the compartment release callback (call exactly once, in a
+        finally)."""
         self.metrics.inc("admission.requests", ops)
-        tenant_bucket = self._tenant_bucket(tenant, service)
-        if not tenant_bucket.try_acquire(ops):
-            self.metrics.inc("admission.tenant.shed", ops)
-            raise AdmissionRejectedError(
-                f"tenant {tenant!r} over its rate budget",
-                retry_after=tenant_bucket.deficit_delay(ops),
-            )
+        if tenant is not None:
+            tenant_bucket = self._tenant_bucket(tenant, service)
+            if not tenant_bucket.try_acquire(ops):
+                self.metrics.inc("admission.tenant.shed", ops)
+                raise AdmissionRejectedError(
+                    f"tenant {tenant!r} over its rate budget",
+                    retry_after=tenant_bucket.deficit_delay(ops),
+                )
         bucket, bulkhead = self._service_slot(service)
         if not bucket.try_acquire(ops):
             self._count_shed(service, ops)
@@ -253,16 +239,19 @@ class AdmissionController:
         return bulkhead.exit
 
     @declared_raises('AdmissionRejectedError')
-    def admit_query(self, tenant: str = "n1ql") -> Callable[[], None] | None:
+    def admit_query(self, tenant: str | None = None) -> Callable[[], None]:
         """The query front door.  Degradation is ordered shed-N1QL-
         before-KV: whenever the data path reports overload (pressure
         score past threshold, or any breaker not closed) new queries are
-        refused here, while KV point ops keep flowing."""
+        refused here, while KV point ops keep flowing.  Without a
+        caller-supplied ``tenant`` this is a service-level admission on
+        the n1ql compartment alone: one synthetic tenant shared by every
+        query would be capped at a tenant's fair share of the budget."""
         if self.overloaded():
             self._count_shed("n1ql", 1)
             raise AdmissionRejectedError(
                 "query shed: data service under memory pressure",
-                retry_after=self.config.breaker_cooldown,
+                retry_after=DEFAULT_COOLDOWN,
             )
         return self.acquire("n1ql", tenant)
 
@@ -311,9 +300,9 @@ class AdmissionController:
         if error is not None:
             pending = getattr(error, "pending_writes", None) or 0
             ratio = getattr(error, "memory_ratio", None) or 0.0
-            weight += pending / self.config.pressure_depth_scale
+            weight += pending / self.PRESSURE_DEPTH_SCALE
             weight += max(0.0, ratio - 1.0)
-            weight = min(weight, self.config.pressure_weight_cap)
+            weight = min(weight, self.PRESSURE_WEIGHT_CAP)
         self._pressure[node] = (score + weight, now)
         self.metrics.inc("admission.overload_signals")
         self.metrics.observe("admission.overload_weight", weight)
@@ -323,7 +312,7 @@ class AdmissionController:
         if score <= 0.0:
             return 0.0
         elapsed = max(0.0, now - last)
-        return score * 0.5 ** (elapsed / self.config.pressure_half_life)
+        return score * 0.5 ** (elapsed / self.PRESSURE_HALF_LIFE)
 
     def pressure_score(self) -> float:
         """Cluster-wide pressure: the hottest node's decayed score.
@@ -349,12 +338,12 @@ class AdmissionController:
         """Client-side reaction to one overload failure: a *bounded*
         number of scheduler rounds so the flusher and pager make
         progress, then an exponential-with-jitter virtual-time sleep
-        (stretched to the server's ``retry_after`` hint).  This replaces
-        the old ``run_until_idle()`` full-cluster quiesce per retry.
+        (stretched to the server's ``retry_after`` hint) -- never a
+        ``run_until_idle()`` full-cluster quiesce per retry.
 
         Declared: driving the scheduler surfaces its policy-permutation
         guard (``InvalidArgumentError``) if a schedule policy is buggy."""
-        for _ in range(self.config.relief_steps):
+        for _ in range(self.RELIEF_STEPS):
             if not self.scheduler.step():
                 break
         delay = self._backoff.delay(attempt)

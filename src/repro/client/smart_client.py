@@ -102,13 +102,11 @@ class SmartClient:
     cluster: "Cluster | None" = None
 
     def __init__(self, manager, network: Network, scheduler: Scheduler,
-                 admission: "AdmissionController | None" = None,
-                 service: str = "kv"):
+                 admission: "AdmissionController", service: str = "kv"):
         self.manager = manager
         self.network = network
         self.scheduler = scheduler
-        #: The cluster's admission controller; None means legacy behavior
-        #: (unprotected retry spin) -- kept for the ablation benchmark.
+        #: The cluster's admission controller (the overload front door).
         self.admission = admission
         #: Service class for bulkhead attribution: "kv" for application
         #: handles, "n1ql" for the query engine's internal data traffic.
@@ -116,8 +114,7 @@ class SmartClient:
         self.name = f"client{next(_client_ids)}"
         self._maps: dict[str, Any] = {}
         self._durability = DurabilityMonitor(network, scheduler, self.name)
-        if admission is not None:
-            admission.register_client(self.name, service)
+        admission.register_client(self.name, service)
 
     # -- cluster map handling ----------------------------------------------------
 
@@ -140,32 +137,25 @@ class SmartClient:
         connects and discards handles without closing them leaks one
         tenant bucket per connection in the controller (found by
         the bounds checks)."""
-        if self.admission is not None:
-            self.admission.unregister_client(self.name)
+        self.admission.unregister_client(self.name)
         self._maps.clear()
 
     @hot_path
     @cost("O(log n)")
     def _call(self, bucket: str, key: str, method: str, *args) -> Any:
-        """Route one KV op through the admission front door (when wired)
-        and to the key's active node."""
-        if self.admission is None:
-            return self._routed_call(bucket, key, method, args)
+        """Route one KV op through the admission front door and to the
+        key's active node."""
         release = self.admission.acquire(self.service, self.name)
         try:
             return self._routed_call(bucket, key, method, args)
         finally:
-            if release is not None:
-                release()
+            release()
 
     def _routed_call(self, bucket: str, key: str, method: str,
                      args: tuple) -> Any:
         """Route one KV op to the key's active node, with map-refresh
         retries on topology errors and breaker/backoff handling of
-        overload TMPFAILs.  Without an admission controller this is the
-        legacy path: every temporary failure quiesces the whole cluster
-        (``run_until_idle``) before retrying -- unbounded work per retry,
-        which is exactly what the overload benchmark shows collapsing."""
+        overload TMPFAILs."""
         last_error: Exception | None = None
         overload_attempts = 0
         for attempt in range(self.MAX_RETRIES):
@@ -175,9 +165,8 @@ class SmartClient:
             if node is None:
                 last_error = NodeDownError(f"vbucket {vbucket_id} unassigned")
             else:
-                breaker = (self.admission.breaker(node)
-                           if self.admission is not None else None)
-                if breaker is not None and not breaker.allow():
+                breaker = self.admission.breaker(node)
+                if not breaker.allow():
                     # Fail fast: the node told us it is saturated and its
                     # cooldown has not elapsed.  No RPC, no retry loop.
                     raise AdmissionRejectedError(
@@ -191,8 +180,7 @@ class SmartClient:
                     result = self.network.call(
                         self.name, node, method, bucket, vbucket_id, key, *args
                     )
-                    if breaker is not None:
-                        breaker.record_success()
+                    breaker.record_success()
                     return result
                 except (NotMyVBucketError, NodeDownError) as error:
                     last_error = error
@@ -203,10 +191,6 @@ class SmartClient:
                     raise
                 except TemporaryFailureError as error:
                     last_error = error
-                    if self.admission is None:
-                        # Legacy: give the flusher/pager a chance, retry.
-                        self.scheduler.run_until_idle()
-                        continue
                     if error.retry_after is None:
                         # Semantic TMPFAIL (counter on a non-int, unlock
                         # of an unlocked doc): waiting cannot fix it.
@@ -379,21 +363,20 @@ class SmartClient:
         for the whole batch, sized by its key count) and to the cluster."""
         batch = BatchResult()
         pending = list(dict.fromkeys(keys))  # de-dup, keep order
-        release = None
-        if self.admission is not None and pending:
-            try:
-                release = self.admission.acquire(self.service, self.name,
-                                                 ops=len(pending))
-            except AdmissionRejectedError as error:
-                for key in pending:
-                    batch.errors[key] = error
-                return batch
+        if not pending:
+            return batch
+        try:
+            release = self.admission.acquire(self.service, self.name,
+                                             ops=len(pending))
+        except AdmissionRejectedError as error:
+            for key in pending:
+                batch.errors[key] = error
+            return batch
         try:
             return self._routed_multi_call(batch, bucket, method, pending,
                                            payload)
         finally:
-            if release is not None:
-                release()
+            release()
 
     def _routed_multi_call(self, batch: BatchResult, bucket: str, method: str,
                            pending: list[str],
@@ -422,9 +405,8 @@ class SmartClient:
                 )
                 topology_retry.append(key)
             for node, items in sorted(groups.items()):
-                breaker = (self.admission.breaker(node)
-                           if self.admission is not None else None)
-                if breaker is not None and not breaker.allow():
+                breaker = self.admission.breaker(node)
+                if not breaker.allow():
                     rejection = AdmissionRejectedError(
                         f"circuit breaker open for node {node!r}",
                         retry_after=breaker.remaining(),
@@ -459,13 +441,7 @@ class SmartClient:
                         topology_retry.append(key)
                     continue
                 except TemporaryFailureError as error:
-                    if self.admission is None:
-                        # Legacy: treat like a topology error (quiesce,
-                        # refresh, retry).
-                        for _vbucket_id, key in items:
-                            last_errors[key] = error
-                            topology_retry.append(key)
-                    elif error.retry_after is not None:
+                    if error.retry_after is not None:
                         breaker.record_failure()
                         self.admission.note_overload(node, error)
                         overload_hint = max(overload_hint, error.retry_after)
@@ -484,10 +460,7 @@ class SmartClient:
                         last_errors[key] = value
                         topology_retry.append(key)
                     elif isinstance(value, TemporaryFailureError):
-                        if self.admission is None:
-                            last_errors[key] = value
-                            topology_retry.append(key)
-                        elif value.retry_after is not None:
+                        if value.retry_after is not None:
                             node_overloaded = True
                             overload_hint = max(overload_hint,
                                                 value.retry_after)
@@ -497,12 +470,11 @@ class SmartClient:
                             batch.errors[key] = value
                     else:
                         batch.errors[key] = value
-                if breaker is not None:
-                    if node_overloaded:
-                        breaker.record_failure()
-                        self.admission.note_overload(node)
-                    else:
-                        breaker.record_success()
+                if node_overloaded:
+                    breaker.record_failure()
+                    self.admission.note_overload(node)
+                else:
+                    breaker.record_success()
             if not topology_retry and not overload_retry:
                 return batch
             if topology_retry:
@@ -513,7 +485,7 @@ class SmartClient:
                 self._refresh_map(bucket)
             else:
                 # Pure overload: one bounded, shared backoff per round
-                # instead of the legacy full-cluster quiesce.
+                # rather than a full-cluster quiesce.
                 overload_attempts += 1
                 self.admission.backoff(overload_attempts,
                                        hint=overload_hint or None)
@@ -525,25 +497,10 @@ class SmartClient:
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
                      'InvalidArgumentError', 'NodeDownError',
                      'NotMyVBucketError', 'TemporaryFailureError')
-    def multi_get(self, bucket: str, keys: list[str], *,
-                  batched: bool = True) -> dict[str, Document]:
+    def multi_get(self, bucket: str, keys: list[str]) -> dict[str, Document]:
         """Batch point lookups: one ``kv_multi_get`` RPC per involved
         node instead of one round trip per key.  Missing keys are simply
-        absent from the result; any other per-key error propagates.
-
-        ``batched=False`` keeps the legacy per-key routed path (one
-        round trip per key) -- the ablation benchmark compares the two.
-        """
-        if not batched:
-            out: dict[str, Document] = {}
-            for key in keys:
-                try:
-                    out[key] = self.get(bucket, key)
-                # Absent keys are simply omitted from the result dict (documented API).
-                # repro: disable-next=swallowed-exception
-                except KeyNotFoundError:
-                    continue
-            return out
+        absent from the result; any other per-key error propagates."""
         batch = self.multi_get_batch(bucket, keys)
         for key, error in batch.errors.items():
             if not isinstance(error, KeyNotFoundError):

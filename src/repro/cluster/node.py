@@ -260,11 +260,6 @@ class Node:
     # -- replication RPC surface ----------------------------------------------------
 
     @declared_raises('BucketNotFoundError', 'NotMyVBucketError')
-    def kv_apply_replicated(self, bucket: str, vbucket_id: int,
-                            doc: Document) -> None:
-        self.engine(bucket).apply_replicated(vbucket_id, doc)
-
-    @declared_raises('BucketNotFoundError', 'NotMyVBucketError')
     def kv_replica_apply_batch(self, bucket: str, vbucket_id: int,
                                docs: list[Document]) -> None:
         """Replication inbound, batched: one RPC applies one DCP stream

@@ -114,9 +114,10 @@ class Rebalancer:
                 if stream.caught_up():
                     break
                 continue
-            for message in batch:
-                if isinstance(message, (Mutation, Deletion)):
-                    destination_engine.apply_replicated(vbucket_id, message.doc)
+            destination_engine.apply_replicated_batch(vbucket_id, [
+                message.doc for message in batch
+                if isinstance(message, (Mutation, Deletion))
+            ])
 
         # Atomic switchover (section 4.3.1): replica/pending -> active on
         # the destination, active -> dead on the source.

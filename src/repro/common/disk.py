@@ -7,8 +7,8 @@ simulate crashes that lose unsynced writes -- we back the storage engine
 with an in-memory "disk" whose files track a **synced prefix**: bytes
 appended but not yet fsynced are discarded by :meth:`SimulatedDisk.crash`.
 
-The disk also keeps I/O accounting (bytes written, fsync count) used by
-the compaction ablation bench to measure write amplification.
+The disk also keeps I/O accounting (bytes written, fsync count): write
+amplification and durability waits are measured and asserted on it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Lightweight metrics: counters and latency histograms.
 
-Every service keeps a :class:`MetricsRegistry`; the YCSB runner and the
-ablation benches read throughput and latency percentiles from these.
+Every service keeps a :class:`MetricsRegistry`; tests and the perf
+ledger read counts and latency percentiles from these.
 Histograms use fixed logarithmic buckets so memory stays bounded no
 matter how many samples are recorded.
 """

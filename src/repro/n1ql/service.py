@@ -233,8 +233,7 @@ class QueryService:
         # door (before parse/plan/execute cost anything) while KV point
         # ops keep flowing.  The admission slot is held for the whole
         # request so the n1ql bulkhead counts running queries.
-        admission = getattr(self.cluster, "admission", None)
-        release = admission.admit_query() if admission is not None else None
+        release = self.cluster.admission.admit_query()
         try:
             metrics = self.node.metrics
             metrics.inc("n1ql.requests")
@@ -251,8 +250,7 @@ class QueryService:
             return self._dispatch(statement, _normalize_params(params),
                                   scan_consistency, tokens, text=text)
         finally:
-            if release is not None:
-                release()
+            release()
 
     def _dispatch(self, statement, params: dict,
                   scan_consistency: str,

@@ -49,26 +49,20 @@ class Cluster:
         vbuckets: int = 64,
         auto_failover: bool = True,
         network_latency: float = 0.0,
-        admission: bool | AdmissionConfig = True,
+        admission: AdmissionConfig | None = None,
     ):
         """``nodes`` is either a count (all-service nodes named node1..N)
         or an iterable of ``(name, services)`` pairs.  ``vbuckets``
         defaults to 64 for in-process speed; pass 1024 for the paper's
-        fixed production value.  ``admission`` is True (default controller
-        with permissive limits), an :class:`AdmissionConfig` with explicit
-        budgets, or False for the unprotected legacy overload behavior
-        (the ablation baseline of the overload benchmark)."""
+        fixed production value.  ``admission`` is an
+        :class:`AdmissionConfig` with explicit budgets; None gives the
+        default controller (permissive limits, breakers and backpressure
+        on)."""
         self.clock = VirtualClock()
         self.scheduler = Scheduler(self.clock)
         self.network = Network(default_latency=network_latency)
-        if admission:
-            config = admission if isinstance(admission, AdmissionConfig) else None
-            self.admission: AdmissionController | None = AdmissionController(
-                self.scheduler, config=config
-            )
-            self.network.call_filter = self.admission.fabric_filter
-        else:
-            self.admission = None
+        self.admission = AdmissionController(self.scheduler, config=admission)
+        self.network.call_filter = self.admission.fabric_filter
         self.manager = ClusterManager(
             self.network, self.scheduler, auto_failover=auto_failover
         )

@@ -28,7 +28,7 @@ class Compactor:
     def __init__(self, disk: SimulatedDisk, threshold: float = 0.3):
         self.disk = disk
         self.threshold = threshold
-        #: Number of compactions performed (for stats / ablation benches).
+        #: Number of compactions performed.
         self.runs = 0
 
     def needs_compaction(self, store: VBucketStore) -> bool:

@@ -1,7 +1,7 @@
 """YCSB (Yahoo! Cloud Serving Benchmark) harness: generators, core
 workloads A-F, the client adapter (KV ops + the paper's N1QL scan
-query), and the measured-service-time + closed-MVA thread-sweep model
-used to regenerate Figures 15 and 16 (appendix 10.1)."""
+query), and the closed-MVA thread-sweep model that turns a measured
+service time into Figures 15 and 16 (appendix 10.1)."""
 
 from .client import SCAN_QUERY, YcsbClient
 from .generators import (
@@ -16,9 +16,7 @@ from .generators import (
 from .runner import (
     ClusterModel,
     SweepPoint,
-    measure_service_time,
     mva_throughput,
-    run_sweep,
     seidmann_extra_delay,
     sweep_threads,
 )
@@ -40,8 +38,7 @@ __all__ = [
     "Operation", "SCAN_QUERY", "ScrambledZipfianGenerator", "SweepPoint",
     "UniformGenerator", "WORKLOADS", "WorkloadConfig", "YcsbClient",
     "ZipfianGenerator", "fnv_hash_64", "make_request_generator",
-    "measure_service_time", "mva_throughput", "run_sweep",
-    "seidmann_extra_delay", "sweep_threads",
+    "mva_throughput", "seidmann_extra_delay", "sweep_threads",
     "workload_a", "workload_b", "workload_c", "workload_d", "workload_e",
     "workload_f",
 ]

@@ -11,7 +11,13 @@ the paper prints::
 
 from __future__ import annotations
 
-from ..common.errors import InvalidArgumentError, KeyNotFoundError
+from itertools import islice
+
+from ..common.errors import (
+    InvalidArgumentError,
+    KeyNotFoundError,
+    TemporaryFailureError,
+)
 from .workload import CoreWorkload, Operation
 
 SCAN_QUERY = (
@@ -39,28 +45,40 @@ class YcsbClient:
 
     #: Records per bulk insert during the load phase.
     LOAD_BATCH = 128
+    #: Sends per chunk before the load gives up on keys still shed.
+    LOAD_ATTEMPTS = 8
 
-    def load(self, show_progress_every: int = 0) -> int:
+    def load(self) -> int:
         """Insert the initial dataset through the node-grouped batch
         path (one ``kv_multi_mutate`` RPC per node per chunk, the way
         real YCSB loaders pipeline their bulk inserts); returns the
         record count."""
+        keys = iter(self.workload.load_keys())
         count = 0
-        chunk: list[tuple[str, dict]] = []
-
-        def flush_chunk() -> None:
-            if chunk:
-                self.client.multi_upsert(self.bucket, chunk).require_ok()
-                chunk.clear()
-
-        for key in self.workload.load_keys():
-            chunk.append((key, self.workload.build_record()))
-            count += 1
-            if len(chunk) >= self.LOAD_BATCH:
-                flush_chunk()
-        flush_chunk()
-        self.cluster.run_until_idle()
+        while chunk := {key: self.workload.build_record()
+                        for key in islice(keys, self.LOAD_BATCH)}:
+            self._load_chunk(chunk)
+            count += len(chunk)
         return count
+
+    def _load_chunk(self, pending: dict[str, dict]) -> None:
+        """Upsert one chunk and drain the cluster behind it, so a dataset
+        above the quota is flushed and ejected as it arrives instead of
+        piling up dirty until a node's breaker opens.  Keys shed for
+        overload are re-sent -- only those -- after a beat of virtual
+        time; any other per-key error raises."""
+        for _attempt in range(self.LOAD_ATTEMPTS):
+            batch = self.client.multi_upsert(self.bucket, pending)
+            self.cluster.run_until_idle()
+            if batch.ok:
+                return
+            for key in sorted(batch.errors):
+                if not isinstance(batch.errors[key], TemporaryFailureError):
+                    raise batch.errors[key]
+            pending = {key: pending[key] for key in batch.errors}
+            # Breaker cooldowns and pressure decay run on the virtual clock.
+            self.cluster.tick(1.0)
+        batch.require_ok()
 
     # -- run phase --------------------------------------------------------------------
 

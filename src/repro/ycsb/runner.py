@@ -1,23 +1,24 @@
-"""Throughput measurement and the thread-scaling model.
+"""The thread-scaling model.
 
 The paper's Figures 15 and 16 plot cluster throughput against the number
 of client threads (4 YCSB clients x 12..32 threads).  Reproducing that
 curve with real OS threads in CPython is meaningless -- the GIL
-serializes them -- so this module does the honest equivalent:
+serializes them -- so the reproduction does the honest equivalent:
 
-1. **Measure** the real per-operation service time by executing the
-   workload's operations through the full stack (smart client ->
-   network fabric -> KV engine / query service) single-stream and
-   timing them.  This exercises every code path the paper's servers
-   execute.
-2. **Model** the closed-loop thread sweep with mean-value analysis
-   (MVA) of a two-station queueing network: an infinite-server "delay"
-   station (client think time + network round trip) and a
-   multi-server "cluster" station (the 4 nodes' worth of service
-   capacity), using the Seidmann approximation for the multi-server
-   queue.  Closed MVA is exactly the model of N YCSB threads issuing
-   synchronous requests: throughput rises roughly linearly while the
-   delay dominates and saturates at ``servers / service_time``.
+1. **Measure** the real per-operation service time single-stream
+   through the full stack (smart client -> network fabric -> KV engine
+   / query service).  That is the perf ledger's job
+   (``benchmarks/ledger``: ``op_p50_us`` of ``kv_a_resident`` and
+   ``n1ql_e_scan``); nothing in this package reads a wall clock.
+2. **Model** the closed-loop thread sweep (this module) with mean-value
+   analysis (MVA) of a two-station queueing network: an
+   infinite-server "delay" station (client think time + network round
+   trip) and a multi-server "cluster" station (the 4 nodes' worth of
+   service capacity), using the Seidmann approximation for the
+   multi-server queue.  Closed MVA is exactly the model of N YCSB
+   threads issuing synchronous requests: throughput rises roughly
+   linearly while the delay dominates and saturates at
+   ``servers / service_time``.  ``benchmarks/figures.py`` joins the two.
 
 The *shape* -- rise and saturate, and the ~33x gap between KV ops and
 N1QL range queries -- comes from the measured service times, not from
@@ -26,10 +27,7 @@ fitted constants.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-from .client import YcsbClient
 
 
 @dataclass
@@ -37,21 +35,6 @@ class SweepPoint:
     threads: int
     throughput: float
     mean_latency: float
-
-
-def measure_service_time(client: YcsbClient, operations: int = 300,
-                         warmup: int = 30) -> float:
-    """Mean wall-clock seconds per operation through the real stack."""
-    for _ in range(warmup):
-        client.run_one()
-    # This function's whole job is to measure real elapsed time of the
-    # stack under test; the wall clock is the measurement instrument,
-    # not simulation state.
-    start = time.perf_counter()  # repro: disable=no-wall-clock
-    for _ in range(operations):
-        client.run_one()
-    elapsed = time.perf_counter() - start  # repro: disable=no-wall-clock
-    return elapsed / operations
 
 
 def seidmann_extra_delay(service_time: float, servers: int) -> float:
@@ -136,16 +119,3 @@ def sweep_threads(
         )
         points.append(SweepPoint(threads, throughput, response))
     return points
-
-
-def run_sweep(
-    client: YcsbClient,
-    thread_counts: list[int],
-    measure_ops: int = 300,
-    model: ClusterModel | None = None,
-) -> tuple[float, list[SweepPoint]]:
-    """Measure the real service time, then model the sweep.
-
-    Returns ``(measured_service_time_seconds, sweep points)``."""
-    service_time = measure_service_time(client, operations=measure_ops)
-    return service_time, sweep_threads(service_time, thread_counts, model)

@@ -221,7 +221,7 @@ class TestController:
             self, scheduler):
         """Regression: once a deployment configures a service budget, a
         tenant nobody provisioned must NOT be unlimited -- it gets
-        ``tenant_fair_share`` of the service budget, so one greedy
+        ``TENANT_FAIR_SHARE`` of the service budget, so one greedy
         handle cannot starve the tenants an operator actually set up."""
         controller = self.make(
             scheduler,
@@ -249,7 +249,7 @@ class TestController:
             retry_after=0.1, pending_writes=512, memory_ratio=1.5)
         controller.note_overload("deep", deep_error)
         assert controller._pressure["flat"][0] == pytest.approx(1.0)
-        # 1.0 base + 512/pressure_depth_scale + (1.5 - 1.0) overshoot.
+        # 1.0 base + 512/PRESSURE_DEPTH_SCALE + (1.5 - 1.0) overshoot.
         assert controller._pressure["deep"][0] == pytest.approx(3.5)
 
     def test_overload_weight_is_capped(self, scheduler):
@@ -258,7 +258,7 @@ class TestController:
             retry_after=0.1, pending_writes=10 ** 6, memory_ratio=9.0)
         controller.note_overload("node1", monster)
         assert controller._pressure["node1"][0] == pytest.approx(
-            controller.config.pressure_weight_cap)
+            controller.PRESSURE_WEIGHT_CAP)
 
     def test_service_bulkhead_isolates_compartments(self, scheduler):
         controller = self.make(scheduler, service_inflight={"n1ql": 1})
@@ -283,9 +283,31 @@ class TestController:
         # Pressure decays with virtual time; queries come back.
         clock.advance(10.0)
         assert not controller.overloaded()
-        release = controller.admit_query()
-        if release is not None:
-            release()
+        controller.admit_query()()
+
+    def test_query_front_door_draws_on_the_service_budget(self, scheduler):
+        """Regression: ``admit_query`` charged every query to a synthetic
+        tenant "n1ql", which the fair-share default capped at half the
+        n1ql budget -- half the provisioned rate was unusable and the
+        refusals were booked as tenant sheds."""
+        controller = self.make(scheduler, service_rates={"n1ql": (8.0, 4.0)})
+        for _ in range(4):
+            controller.admit_query()()
+        with pytest.raises(AdmissionRejectedError):
+            controller.admit_query()
+        counter = controller.metrics.counter_value
+        assert counter("admission.n1ql.shed") == 1
+        assert counter("admission.tenant.shed") == 0
+
+    def test_query_from_a_named_tenant_keeps_its_fair_share(self, scheduler):
+        controller = self.make(scheduler, service_rates={"n1ql": (8.0, 4.0)})
+        controller.admit_query("reports")()
+        controller.admit_query("reports")()
+        with pytest.raises(AdmissionRejectedError):
+            controller.admit_query("reports")
+        assert controller.metrics.counter_value("admission.tenant.shed") == 1
+        # The rest of the service budget is still there for everyone else.
+        controller.admit_query()()
 
     def test_open_breaker_sheds_queries(self, clock, scheduler):
         controller = self.make(scheduler, breaker_threshold=1)
@@ -314,9 +336,9 @@ class TestController:
         scheduler.register("noisy", lambda: (pumped.append(1), True)[1])
         before_rounds = scheduler._round
         controller.backoff(1, hint=0.05)
-        # Bounded relief: at most relief_steps rounds, never a drain of
+        # Bounded relief: at most RELIEF_STEPS rounds, never a drain of
         # the always-busy pump.
-        assert scheduler._round - before_rounds <= controller.config.relief_steps
+        assert scheduler._round - before_rounds <= controller.RELIEF_STEPS
         assert clock.now() >= 0.05
 
     def test_snapshot_shape(self, scheduler):

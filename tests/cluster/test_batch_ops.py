@@ -62,9 +62,12 @@ class TestNodeGrouping:
         keys = [f"k{i}" for i in range(50)]
         client.multi_upsert("b", {k: 1 for k in keys})
 
+        # The naive bulk read: one routed round trip per key.
         cluster.network.reset_counters()
-        client.multi_get("b", keys, batched=False)
+        for key in keys:
+            client.get("b", key)
         per_key = cluster.network.latency_charged
+        assert per_key == pytest.approx(0.001 * len(keys))
 
         cluster.network.reset_counters()
         client.multi_get("b", keys)

@@ -1,7 +1,7 @@
 """Partial batch outcomes under memory pressure: ``kv_multi_mutate``
 keeps the BatchResult contract (every key in exactly one of ``results``
-/ ``errors``) when some keys TMPFAIL mid-batch, with and without the
-admission front door."""
+/ ``errors``) when some keys TMPFAIL mid-batch behind the admission
+front door."""
 
 import pytest
 
@@ -21,9 +21,11 @@ def _mixed_batch():
     return items
 
 
-@pytest.fixture(params=[True, False], ids=["admission", "legacy"])
-def cluster(request):
-    cluster = Cluster(nodes=3, vbuckets=32, admission=request.param)
+# Parametrised with its one arm so the test ids keep the ``[admission]``
+# suffix they had beside the deleted controller-less arm.
+@pytest.fixture(params=["admission"])
+def cluster():
+    cluster = Cluster(nodes=3, vbuckets=32)
     cluster.create_bucket("b", replicas=1, quota_bytes=QUOTA,
                           expiry_pager_interval=None)
     return cluster

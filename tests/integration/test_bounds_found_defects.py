@@ -93,12 +93,12 @@ class TestPressureEntriesPruned:
         # Many half-lives later the scores are indistinguishable from
         # "never overloaded" and must not linger.
         controller.clock.advance(
-            controller.config.pressure_half_life * 64)
+            controller.PRESSURE_HALF_LIFE * 64)
         assert controller.pressure_score() == 0.0
         assert controller._pressure == {}
 
     def test_live_scores_survive_pruning(self, controller):
         controller.note_overload("node1")
-        controller.clock.advance(controller.config.pressure_half_life)
+        controller.clock.advance(controller.PRESSURE_HALF_LIFE)
         assert controller.pressure_score() == pytest.approx(0.5)
         assert "node1" in controller._pressure

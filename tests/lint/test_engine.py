@@ -107,7 +107,7 @@ def test_relaxed_profile_still_enforces_other_rules():
 def test_profile_for_auto_resolution():
     assert profile_for(Path("src/repro/kv/engine.py"), "auto") == "strict"
     assert profile_for(Path("/abs/src/repro/kv/engine.py"), "auto") == "strict"
-    assert profile_for(Path("benchmarks/test_figure15_ycsb_a.py"), "auto") == "relaxed"
+    assert profile_for(Path("benchmarks/figures.py"), "auto") == "relaxed"
     assert profile_for(Path("examples/quickstart.py"), "auto") == "relaxed"
     assert profile_for(Path("benchmarks/x.py"), "strict") == "strict"
 

@@ -105,6 +105,39 @@ class TestPlanCache:
         for text in statements[2:]:
             assert text in service.plan_cache
 
+    def test_serial_front_half_runs_only_for_a_cold_statement(self, cluster):
+        """Section 4.5.3: "query parsing and planning are done serially"
+        per request -- pure overhead for a hot statement.  A cold ad-hoc
+        statement is parsed once and planned once; the same text again is
+        neither; ``EXECUTE`` parses only its own short text and never
+        plans.  Counted as observations of the two phase timers, so no
+        duration is compared."""
+        service = query_service(cluster)
+        histograms = service.node.metrics.histograms
+
+        def phases(statement, **kwargs):
+            parsed = histograms["n1ql.parse_seconds"].count
+            planned = histograms["n1ql.plan_seconds"].count
+            rows = cluster.query(statement, **kwargs).rows
+            return (rows,
+                    histograms["n1ql.parse_seconds"].count - parsed,
+                    histograms["n1ql.plan_seconds"].count - planned)
+
+        text = "SELECT x.name FROM b x WHERE x.age = $1"
+        cluster.query(f"PREPARE hot FROM {text}")
+        service.plan_cache.clear()
+
+        cold_rows, cold_parses, cold_plans = phases(text, params={"1": 22})
+        assert (cold_parses, cold_plans) == (1, 1)
+        cached_rows, cached_parses, cached_plans = phases(
+            text, params={"1": 22})
+        assert (cached_parses, cached_plans) == (0, 0)
+        prepared_rows, _parses, prepared_plans = phases(
+            "EXECUTE hot", params={"1": 22})
+        assert prepared_plans == 0
+        assert cold_rows == cached_rows == prepared_rows
+        assert len(cold_rows) == 4
+
     def test_non_select_statements_not_cached(self, cluster):
         service = query_service(cluster)
         service.plan_cache.clear()

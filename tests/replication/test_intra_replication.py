@@ -142,11 +142,6 @@ class TestBatchedReplicaApply:
             count for (_dst, method), count in calls.items()
             if method == "kv_replica_apply_batch"
         )
-        per_doc_calls = sum(
-            count for (_dst, method), count in calls.items()
-            if method == "kv_apply_replicated"
-        )
-        assert per_doc_calls == 0
         assert 0 < batch_calls < 40
 
     def test_batched_replicas_converge(self, cluster, client):

@@ -97,13 +97,43 @@ class TestCompactor:
         assert compactor.runs == 1
 
     def test_write_amplification_accounting(self):
-        """Compaction costs extra writes -- the disk stats expose this for
-        the ablation bench."""
+        """Compaction costs extra writes -- the disk stats expose this."""
         disk = SimulatedDisk()
         store, _ = churned_store(disk)
         written_before = disk.stats.bytes_written
         Compactor(disk).compact(store)
         assert disk.stats.bytes_written > written_before
+
+    def test_threshold_trades_file_size_for_write_amplification(self):
+        """Section 4.3.3: "Compaction is periodically run, based on a
+        fragmentation threshold".  Over a sustained overwrite workload
+        (40 rounds of 20 hot keys) an aggressive threshold keeps the file
+        smaller and writes more bytes in total; a lax one the inverse.  Pure
+        ``SimulatedDisk`` byte counts -- the ordering any change to the
+        compaction policy has to keep."""
+        sizes, written = {}, {}
+        for threshold in (0.2, 0.5, 0.8):
+            disk = SimulatedDisk()
+            store = VBucketStore(disk, "vb0", 0)
+            compactor = Compactor(disk, threshold=threshold)
+            seq = 0
+            for _ in range(40):
+                batch = []
+                for k in range(20):
+                    seq += 1
+                    batch.append(make_doc(
+                        f"key{k:04d}", {"pad": "x" * 120, "seq": seq},
+                        seqno=seq, rev=seq))
+                store.save_docs(batch)
+                store.write_header()
+                if compactor.needs_compaction(store):
+                    store = compactor.compact(store)
+            sizes[threshold] = store.file_size
+            written[threshold] = disk.stats.bytes_written
+        assert sizes[0.2] <= sizes[0.5] <= sizes[0.8]
+        assert written[0.2] >= written[0.5] >= written[0.8]
+        # The sweep really spans the trade-off, not three equal runs.
+        assert sizes[0.2] < sizes[0.8] and written[0.2] > written[0.8]
 
 
 class TestFragmentationAccounting:

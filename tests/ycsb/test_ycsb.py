@@ -1,9 +1,18 @@
 """Tests for the YCSB harness: generators, workloads, client adapter,
-and the MVA throughput model."""
+the MVA throughput model, and the figures script that joins the model
+to a ledger result set."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import Cluster
+from repro.admission import AdmissionConfig
+from repro.common.errors import DocumentLockedError
 from repro.ycsb import (
     CoreWorkload,
     CounterGenerator,
@@ -17,6 +26,7 @@ from repro.ycsb import (
     seidmann_extra_delay,
     sweep_threads,
     workload_a,
+    workload_b,
     workload_e,
     workload_f,
 )
@@ -197,6 +207,42 @@ class TestClientIntegration:
             client.run_one()
         assert client.ops_done == 60
 
+    def test_load_above_quota_drains_instead_of_tripping_a_breaker(self):
+        """Regression: the loader sent chunk after chunk with no drain,
+        so a dataset above the quota piled up dirty (nothing flushed,
+        nothing ejectable) until a node TMPFAILed, its breaker opened on
+        the retries and ``require_ok()`` turned the first shed key into
+        ``AdmissionRejectedError``.  Reported at 20 000 docs / 4 MB per
+        node with the default breaker threshold (a 44 s load); a
+        threshold of 2 reproduces the same pile-up at 1 200 docs."""
+        cluster = Cluster(nodes=2, vbuckets=16,
+                          admission=AdmissionConfig(breaker_threshold=2))
+        cluster.create_bucket("ycsb", quota_bytes=700_000)
+        workload = CoreWorkload(workload_b(record_count=1200), seed=11)
+        client = YcsbClient(cluster, "ycsb", workload)
+        assert client.load() == 1200
+        for index in (0, 599, 1199):
+            key = workload.key_for(index)
+            assert client.client.get("ycsb", key).value
+        # Above quota means the pager had to eject: the dataset really
+        # did not fit, and the load still completed.
+        ejected = sum(node.engines["ycsb"].metrics.counter_value("kv.evictions")
+                      for node in cluster.nodes())
+        assert ejected > 0
+
+    def test_load_still_raises_errors_that_waiting_cannot_fix(self):
+        cluster = Cluster(nodes=1, vbuckets=8)
+        cluster.create_bucket("ycsb")
+        workload = CoreWorkload(workload_a(record_count=10), seed=1)
+        client = YcsbClient(cluster, "ycsb", workload)
+        # Someone else holds a lock on one of the load's keys.
+        client.client.upsert("ycsb", workload.key_for(3), {})
+        client.client.get_and_lock("ycsb", workload.key_for(3))
+        with pytest.raises(DocumentLockedError):
+            client.load()
+        # Raised on the first attempt, not after eight one-second waits.
+        assert cluster.clock.now() < 1.0
+
 
 class TestMvaModel:
     def test_throughput_rises_with_population(self):
@@ -251,3 +297,55 @@ class TestMvaModel:
         fast = sweep_threads(0.0001, [64])[0].throughput
         slow = sweep_threads(0.01, [64])[0].throughput
         assert fast > slow * 10
+
+
+class TestFiguresScript:
+    """``benchmarks/figures.py``: a ledger result set in, the Fig 15/16
+    tables and the shape verdict out."""
+
+    REPO = Path(__file__).resolve().parents[2]
+
+    def run(self, tmp_path, document: dict):
+        result_set = tmp_path / "ledger.json"
+        result_set.write_text(json.dumps(document))
+        return subprocess.run(
+            [sys.executable, str(self.REPO / "benchmarks" / "figures.py"),
+             str(result_set)],
+            env={**os.environ, "PYTHONPATH": str(self.REPO / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+
+    @staticmethod
+    def result_set(kv_us: float, n1ql_us: float) -> dict:
+        return {
+            "seed": 1, "seconds": 10, "trace": 0,
+            "results": {
+                name: {"correct": True, "metrics": {
+                    "op_p50_us": {"value": value, "unit": "us"}}}
+                for name, value in (("kv_a_resident", kv_us),
+                                    ("n1ql_e_scan", n1ql_us))
+            },
+        }
+
+    def test_tables_from_a_result_set(self, tmp_path):
+        done = self.run(tmp_path, self.result_set(kv_us=36.0, n1ql_us=240.0))
+        assert done.returncode == 0, done.stderr
+        out = done.stdout
+        assert "seed 1, --seconds 10" in out
+        assert "Figure 15" in out and "Figure 16" in out
+        # The model's own number for the first row, beside the paper's.
+        at_48 = sweep_threads(36e-6, [48])[0].throughput
+        assert f"{at_48:,.0f}" in out and "110,000" in out
+        assert "5,400" in out
+        assert "gap 6.7x" in out
+        assert "FAILED" not in out
+
+    def test_inverted_gap_exits_1(self, tmp_path):
+        done = self.run(tmp_path, self.result_set(kv_us=240.0, n1ql_us=36.0))
+        assert done.returncode == 1
+        assert "FAILED" in done.stdout
+
+    def test_unusable_file_exits_2(self, tmp_path):
+        done = self.run(tmp_path, {})
+        assert done.returncode == 2
+        assert "not a ledger result set" in done.stderr
