@@ -34,6 +34,12 @@ crawl, per-row expression interpretation):
     A single-key client op (``client.get`` and friends, ``self._call``)
     inside a loop over keys: one RPC per key where a batched
     ``multi_*`` / ``call_fanout`` path exists.
+``byte-loop``
+    ``for byte in data`` (statement or comprehension) where ``data`` is
+    a parameter annotated ``bytes`` / ``bytearray`` / ``memoryview``: a
+    Python-level iteration per byte -- the table-driven CRC-32 that was
+    59 % of the write path.  Use the C routine (``zlib``, ``struct``,
+    ``bytes`` methods).
 
 Rules are heuristic by design; a justified exception carries a
 ``# repro: disable=<check>`` suppression at the site.  Every finding
@@ -88,9 +94,13 @@ RULES = {
     "n-plus-one-rpc":
         "a hot loop over keys issues one batched multi_* / call_fanout "
         "RPC, not one single-key RPC per item",
+    "byte-loop":
+        "hot code never iterates a bytes parameter in Python; per-byte "
+        "work goes through a C routine (zlib, struct, bytes methods)",
 }
 
 _LIST_BUILTINS = {"list", "sorted"}
+_BYTES_TYPES = {"bytes", "bytearray", "memoryview"}
 _COPY_CALLS = {"deepcopy", "deep_copy", "copy"}
 
 
@@ -135,6 +145,13 @@ def _annotation_is_list(annotation: ast.expr | None) -> bool:
     return name in {"list", "List"}
 
 
+def _annotation_is_bytes(annotation: ast.expr | None) -> bool:
+    """``bytes``, or a union that includes it (``bytes | bytearray``)."""
+    return annotation is not None and any(
+        isinstance(node, ast.Name) and node.id in _BYTES_TYPES
+        for node in ast.walk(annotation))
+
+
 class _FunctionScan(ast.NodeVisitor):
     """One pass over a hot function's body, tracking loop context."""
 
@@ -147,6 +164,8 @@ class _FunctionScan(ast.NodeVisitor):
         #: names known to hold lists / strings in this function.
         self.list_names: set[str] = set()
         self.str_names: set[str] = set()
+        #: parameters annotated as a bytes-like type.
+        self.bytes_params: set[str] = set()
 
     # -- plumbing --------------------------------------------------------------
 
@@ -180,6 +199,8 @@ class _FunctionScan(ast.NodeVisitor):
         for arg in list(node.args.args) + list(node.args.kwonlyargs):
             if _annotation_is_list(arg.annotation):
                 self.list_names.add(arg.arg)
+            elif _annotation_is_bytes(arg.annotation):
+                self.bytes_params.add(arg.arg)
         for stmt in ast.walk(node):
             if isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
@@ -213,7 +234,17 @@ class _FunctionScan(ast.NodeVisitor):
             loop.assigned |= _assigned_names(node.target)
         self.loops.append(loop)
 
+    def _check_byte_loop(self, iterable: ast.expr) -> None:
+        if isinstance(iterable, ast.Name) and iterable.id in self.bytes_params:
+            self._flag(
+                "byte-loop", iterable,
+                f"iterating bytes parameter {iterable.id!r} runs Python "
+                f"code once per byte; use the C routine (zlib, struct, "
+                f"bytes methods)",
+            )
+
     def visit_For(self, node: ast.For) -> None:
+        self._check_byte_loop(node.iter)
         self.visit(node.iter)
         self._enter_loop(node, [node.body])
         for stmt in node.body:
@@ -233,6 +264,7 @@ class _FunctionScan(ast.NodeVisitor):
 
     def _visit_comprehension(self, node) -> None:
         for comp in node.generators:
+            self._check_byte_loop(comp.iter)
             self.visit(comp.iter)
         loop = _Loop(node)
         for comp in node.generators:

@@ -1,10 +1,13 @@
 """CRC32 key hashing (section 4.1, Figure 5).
 
 Smart clients map every document ID onto one of the bucket's 1024
-vBuckets by hashing the key with CRC32 and taking the low bits.  We
-implement the standard reflected CRC-32 (polynomial 0xEDB88320, the same
-one memcached/libcouchbase use) from scratch with a table-driven
-algorithm; the test suite cross-checks it against :func:`zlib.crc32`.
+vBuckets by hashing the key with CRC32 and taking the low bits.  The
+digest is the standard reflected CRC-32 (polynomial 0xEDB88320, the same
+one memcached/libcouchbase use), computed by :func:`zlib.crc32`; this
+module is the one import point for it, so record checksums
+(``storage/appendlog.py``), key placement, the projector's partition
+hash and the admission seed all use the same C routine.  The test suite
+keeps a table-driven pure-Python CRC-32 as the oracle.
 
 Couchbase folds the 32-bit digest to the vBucket count with
 ``(crc >> 16) & 0x7fff % num_vbuckets`` in libcouchbase; we follow the
@@ -13,31 +16,9 @@ same fold so key placement matches the real client's behaviour.
 
 from __future__ import annotations
 
-_POLY = 0xEDB88320
+from zlib import crc32
 
-
-def _build_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
-
-
-_TABLE = _build_table()
-
-
-def crc32(data: bytes, value: int = 0) -> int:
-    """Reflected CRC-32 of ``data``, optionally continuing from ``value``."""
-    crc = value ^ 0xFFFFFFFF
-    for byte in data:
-        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+__all__ = ["crc32", "vbucket_for_key"]
 
 
 def vbucket_for_key(key: str | bytes, num_vbuckets: int) -> int:

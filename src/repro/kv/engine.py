@@ -38,6 +38,8 @@ from ..common.errors import (
 )
 from ..common.jsonval import JsonValue, deep_copy, sizeof, validate_json_value
 from ..common.metrics import MetricsRegistry
+from ..storage.compaction import Compactor
+from ..storage.couchstore import VBucketStore
 from .hashtable import HashTable
 from .types import MutationResult, ObserveResult, VBucketState
 
@@ -80,7 +82,6 @@ class VBucket:
         self.state = state
         self.uuid = next(_vb_uuid_counter)
         self.hashtable = HashTable(vbucket_id)
-        from ..storage.couchstore import VBucketStore
         self.store = VBucketStore(disk, f"{bucket_name}/vb{vbucket_id}.couch",
                                   vbucket_id)
         self.high_seqno = self.store.update_seq
@@ -177,6 +178,7 @@ class KVEngine:
         self.eviction_policy = eviction_policy
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.vbuckets: dict[int, VBucket] = {}
+        self.compactor = Compactor(self.disk)
         #: Bucket-wide memory usage, maintained incrementally by hash
         #: table charge callbacks (insert/replace/eject/delete) so quota
         #: checks and the pager loop are O(1), not O(vbuckets x checks).
@@ -703,15 +705,13 @@ class KVEngine:
         the system is online").  Compacts at most one vBucket per call
         so the pump never hogs a scheduler round; returns True if a file
         was rewritten."""
-        from ..storage.compaction import Compactor
-        compactor = Compactor(self.disk, threshold=threshold)
         for vb in self.vbuckets.values():
             if vb.dirty_queue:
                 continue  # let the flusher drain first
-            if not compactor.needs_compaction(vb.store):
+            if not self.compactor.needs_compaction(vb.store, threshold):
                 continue
             tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
-            vb.store = compactor.compact(vb.store)
+            vb.store = self.compactor.compact(vb.store)
             self.metrics.inc("kv.compactions")
             return True
         return False

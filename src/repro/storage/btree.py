@@ -18,6 +18,7 @@ IDs), the by-seqno index (integers), view indexes (view collation on
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Callable, Iterator
 
@@ -81,15 +82,32 @@ class BTree:
 
     # -- node I/O -------------------------------------------------------------
 
-    def _write_node(self, kind: str, items: list) -> int:
-        body = json.dumps([kind, items], separators=(",", ":")).encode("utf-8")
-        self._update_written += _HEADER.size + len(body)
-        return self.log.append(RT_NODE, body)
-
     #: Bound on the per-log decoded-node cache.  Nodes are immutable at
     #: their offsets (append-only copy-on-write), so cached entries are
-    #: valid forever; the bound only caps memory.
+    #: valid for the life of their :class:`AppendLog`; the bound only
+    #: caps memory.
     NODE_CACHE_CAPACITY = 4096
+
+    def _cache_node(self, pointer: int, node: tuple[str, list, int]) -> None:
+        cache = self.log.node_cache
+        if len(cache) >= self.NODE_CACHE_CAPACITY:
+            cache.pop(next(iter(cache)))
+        cache[pointer] = node
+
+    def _write_node(self, kind: str, items: list) -> int:
+        """Append a node and write it through to the log's node cache:
+        the next batch's read-modify-write of this leaf or root is then
+        a dict hit, not two file reads, a checksum and a JSON parse.
+        The cached node is the ``items`` just serialized, not a parsed
+        copy, so it equals what a cold read decodes only for JSON-native
+        keys, values and reductions (lists, never tuples; string object
+        keys) -- which is what every caller stores."""
+        body = json.dumps([kind, items], separators=(",", ":")).encode("utf-8")
+        size = _HEADER.size + len(body)
+        self._update_written += size
+        pointer = self.log.append(RT_NODE, body)
+        self._cache_node(pointer, (kind, items, size))
+        return pointer
 
     def _read_node(self, pointer: int) -> tuple[str, list]:
         kind, items, _size = self._read_node_sized(pointer)
@@ -99,15 +117,12 @@ class BTree:
         """Like :meth:`_read_node` but also returns the record's on-disk
         size (framing + body), which the copy-on-write update path needs
         to account freed bytes when it replaces a node."""
-        cache = self.log.node_cache
-        node = cache.get(pointer)
+        node = self.log.node_cache.get(pointer)
         if node is None:
             _rt, body = self.log.read(pointer)
             kind, items = json.loads(body.decode("utf-8"))
             node = (kind, items, _HEADER.size + len(body))
-            if len(cache) >= self.NODE_CACHE_CAPACITY:
-                cache.pop(next(iter(cache)))
-            cache[pointer] = node
+            self._cache_node(pointer, node)
         return node
 
     # -- reduce ---------------------------------------------------------------
@@ -336,31 +351,33 @@ class BTree:
         An insert with an existing key replaces its value.  Deletes of
         absent keys are ignored.  Only the touched root-to-leaf paths are
         rewritten (append-only copy-on-write)."""
+        #: token -> [key as first given, latest action, its value]
         actions: dict = {}
-        ordered_keys: list[JsonValue] = []
 
-        def key_token(key: JsonValue):
-            return json.dumps(key, sort_keys=True, separators=(",", ":"))
+        def note(key: JsonValue, action: str, value: JsonValue) -> None:
+            # Doc IDs and seqnos are their own dict key.  Everything
+            # else is tokenized by its JSON text, because Python's
+            # ``1 == 1.0 == True`` (and unhashable lists/dicts) are not
+            # JSON's; the 1-tuple keeps a token apart from a str key.
+            if type(key) is str or type(key) is int:
+                token = key
+            else:
+                token = (json.dumps(key, sort_keys=True, separators=(",", ":")),)
+            entry = actions.get(token)
+            if entry is None:
+                actions[token] = [key, action, value]
+            else:
+                entry[1:] = action, value
 
-        tokens: dict[str, JsonValue] = {}
         for key in deletes or []:
-            token = key_token(key)
-            if token not in tokens:
-                tokens[token] = key
-                ordered_keys.append(key)
-            actions[token] = ("delete", None)
+            note(key, "delete", None)
         for key, value in inserts or []:
-            token = key_token(key)
-            if token not in tokens:
-                tokens[token] = key
-                ordered_keys.append(key)
-            actions[token] = ("insert", value)
+            note(key, "insert", value)
         if not actions:
             return self
 
-        import functools
-        ordered_keys.sort(key=functools.cmp_to_key(self.compare))
-        work = [(key, *actions[key_token(key)]) for key in ordered_keys]
+        collate = functools.cmp_to_key(self.compare)
+        work = sorted(actions.values(), key=lambda entry: collate(entry[0]))
 
         self._update_written = 0
         self._update_freed = 0

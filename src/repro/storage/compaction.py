@@ -31,9 +31,13 @@ class Compactor:
         #: Number of compactions performed.
         self.runs = 0
 
-    def needs_compaction(self, store: VBucketStore) -> bool:
+    def needs_compaction(self, store: VBucketStore,
+                         threshold: float | None = None) -> bool:
+        """True past ``threshold`` (default: the compactor's own)."""
+        if threshold is None:
+            threshold = self.threshold
         # Tiny files are never worth compacting, whatever their ratio.
-        return store.file_size > 4096 and store.fragmentation() >= self.threshold
+        return store.file_size > 4096 and store.fragmentation() >= threshold
 
     def compact(
         self,
@@ -75,10 +79,14 @@ class Compactor:
         since_seq: int,
         purge_before_seq: int,
     ) -> int:
-        highest = since_seq
+        # The scan below reads the by-seqno tree as it is now, so it
+        # covers every mutation through the source's current update_seq
+        # -- which can exceed the newest *record's* seqno once a purge
+        # has dropped the newest tombstone.  Reporting the newest record
+        # instead would leave the catch-up loop waiting for it forever.
+        through = source.update_seq
         batch = []
         for doc in source.changes_since(since_seq):
-            highest = max(highest, doc.meta.seqno)
             if doc.meta.deleted and doc.meta.seqno <= purge_before_seq:
                 continue  # purge old tombstone
             batch.append(doc)
@@ -87,5 +95,5 @@ class Compactor:
                 batch = []
         if batch:
             target.save_docs(batch)
-        target.update_seq = max(target.update_seq, source.update_seq)
-        return highest
+        target.update_seq = max(target.update_seq, through)
+        return through

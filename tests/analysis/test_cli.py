@@ -47,7 +47,7 @@ class TestCheckSelection:
     def test_family_name_selects_the_whole_family(self, capsys):
         assert main([LIST_SHIFT, "--check", "hotpath",
                      "--profile", "strict"]) == 1
-        assert "(10 checks)" in capsys.readouterr().out
+        assert "(11 checks)" in capsys.readouterr().out
 
     def test_other_families_do_not_run(self, capsys):
         assert main([LIST_SHIFT, "--check", "lint,flow,bounds,proto",
@@ -132,7 +132,7 @@ class TestReports:
     def test_rules_report_needs_no_files(self, tmp_path, capsys):
         assert main([str(tmp_path / "missing"), "--report", "rules"]) == 0
         out = capsys.readouterr().out
-        assert out.count("\n    ") == len(all_checks()) == 36
+        assert out.count("\n    ") == len(all_checks()) == 37
         assert "exception-escape (flow, strict-only)" in out
 
 

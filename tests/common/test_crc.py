@@ -1,4 +1,8 @@
-"""Tests for the from-scratch CRC32 and the key -> vBucket fold."""
+"""Tests for the CRC32 digest and the key -> vBucket fold.
+
+The product's ``crc32`` is :func:`zlib.crc32`; the oracle here is the
+table-driven pure-Python CRC-32 the product used to carry, so
+"matches zlib" still compares two independent implementations."""
 
 import zlib
 
@@ -6,6 +10,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.crc import crc32, vbucket_for_key
+
+_POLY = 0xEDB88320
+
+
+def _build_table() -> tuple[int, ...]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            if crc & 1:
+                crc = (crc >> 1) ^ _POLY
+            else:
+                crc >>= 1
+        table.append(crc)
+    return tuple(table)
+
+
+_TABLE = _build_table()
+
+
+def reference_crc32(data: bytes, value: int = 0) -> int:
+    """Reflected CRC-32 of ``data``, optionally continuing from ``value``."""
+    crc = value ^ 0xFFFFFFFF
+    for byte in data:
+        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
 
 
 class TestCrc32:
@@ -15,18 +45,20 @@ class TestCrc32:
     def test_known_vector(self):
         # Standard CRC-32 check value for "123456789".
         assert crc32(b"123456789") == 0xCBF43926
+        assert reference_crc32(b"123456789") == 0xCBF43926
 
     def test_matches_zlib_on_samples(self):
         for sample in [b"a", b"hello world", b"\x00\xff" * 100, b"key::123"]:
-            assert crc32(sample) == zlib.crc32(sample)
+            assert crc32(sample) == zlib.crc32(sample) == reference_crc32(sample)
 
     @given(st.binary(max_size=256))
     def test_matches_zlib_property(self, data):
-        assert crc32(data) == zlib.crc32(data)
+        assert crc32(data) == zlib.crc32(data) == reference_crc32(data)
 
     @given(st.binary(max_size=64), st.binary(max_size=64))
     def test_streaming_continuation(self, a, b):
-        assert crc32(b, crc32(a)) == zlib.crc32(b, zlib.crc32(a))
+        expected = reference_crc32(b, reference_crc32(a))
+        assert crc32(b, crc32(a)) == expected == reference_crc32(a + b)
 
 
 class TestVBucketMapping:
@@ -59,3 +91,16 @@ class TestVBucketMapping:
         # The fold must use bits 16..30 of the digest.
         digest = crc32(b"somekey")
         assert vbucket_for_key("somekey", 1024) == ((digest >> 16) & 0x7FFF) % 1024
+
+    def test_placement_is_pinned(self):
+        """Literal placements: every persisted file, rebalance plan and
+        client map depends on these, so neither the digest nor the fold
+        may drift."""
+        placement = {key: (vbucket_for_key(key, 64), vbucket_for_key(key, 1024))
+                     for key in ["user::1", "somekey", "a", "key::123"]}
+        assert placement == {
+            "user::1": (37, 997),
+            "somekey": (5, 453),
+            "a": (55, 183),
+            "key::123": (14, 526),
+        }

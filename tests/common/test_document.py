@@ -1,5 +1,6 @@
 """Tests for Document/DocumentMeta semantics."""
 
+import dataclasses
 
 from repro.common.document import Document, DocumentMeta
 
@@ -16,6 +17,19 @@ class TestDocumentMeta:
         copy = meta.copy()
         copy.cas = 9
         assert meta.cas == 5
+
+    def test_copy_carries_every_field(self):
+        """``copy`` names its fields one by one (it is on the KV read
+        path); a field added to the dataclass must be added there."""
+        samples = {int: 7, float: 2.5, bool: True, str: "k"}
+        meta = DocumentMeta(**{
+            f.name: samples[type(f.default)] if f.name != "key" else "k"
+            for f in dataclasses.fields(DocumentMeta)
+        })
+        assert meta != DocumentMeta(key="k")
+        assert all(getattr(meta, f.name) != f.default
+                   for f in dataclasses.fields(DocumentMeta) if f.name != "key")
+        assert meta.copy() == meta and meta.copy() is not meta
 
     def test_expiry_semantics(self):
         meta = DocumentMeta(key="k", expiry=100.0)

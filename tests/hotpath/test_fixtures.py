@@ -7,6 +7,8 @@ from __future__ import annotations
 import pytest
 
 from tests.analysis.support import (
+    CONTRACTS_STUB,
+    analyze_sources,
     assert_fails_with_exactly,
     family_checks,
     family_fixtures,
@@ -46,3 +48,27 @@ def test_tree_clean_through_the_cli(strict_tree_cli):
     code, out = strict_tree_cli
     assert code == 0, out
     assert out.startswith("repro-analysis: 0 findings"), out
+
+
+def test_byte_loop_goes_by_the_annotation():
+    """Only a parameter *annotated* bytes-like counts (unions included,
+    comprehensions included); str, unannotated and local iterables are
+    other rules' business."""
+    findings = analyze_sources({
+        "repro.common.contracts": CONTRACTS_STUB,
+        "repro.kv.ops": """
+            from ..common.contracts import cost, hot_path
+
+
+            @hot_path
+            @cost("O(n)")
+            def fold(data: bytes | bytearray, text: str, rows):
+                flipped = [byte ^ 1 for byte in data]
+                for char in text:
+                    flipped.append(ord(char))
+                for row in rows:
+                    flipped.append(row)
+                return sum(flipped)
+            """,
+    }, check="byte-loop")
+    assert [(f.check, f.line) for f in findings] == [("byte-loop", 8)]

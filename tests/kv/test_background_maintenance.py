@@ -43,6 +43,13 @@ class TestEngineCompactor:
         engine.flush()
         assert engine.run_compactor(threshold=0.6)
 
+    def test_one_compactor_per_engine(self):
+        engine = self.make_churned()
+        compactor = engine.compactor
+        assert not engine.run_compactor(threshold=0.99)
+        assert engine.run_compactor(threshold=0.6)
+        assert engine.compactor is compactor and compactor.runs == 1
+
     def test_reads_survive_compaction(self):
         engine = self.make_churned()
         engine.run_compactor(threshold=0.5)

@@ -89,6 +89,31 @@ class TestCompactor:
         assert not compacted.by_key.lookup("a")[0]
         assert compacted.contains("b")
 
+    def test_recompaction_after_purging_the_newest_tombstone_terminates(self):
+        """Found by the ``VBucketStore`` state machine: once a purge
+        drops the newest tombstone, ``update_seq`` (2) is ahead of the
+        newest record (1), and the catch-up loop of the *next*
+        compaction waited for a record that no longer exists."""
+        disk = SimulatedDisk()
+        store = VBucketStore(disk, "vb0", 0)
+        store.save_docs([make_doc("a", 1, seqno=1),
+                         make_doc("b", None, seqno=2, deleted=True)])
+        store.write_header()
+        compactor = Compactor(disk)
+        purged = compactor.compact(store, purge_before_seq=2)
+        assert purged.update_seq == 2
+        again = compactor.compact(purged)
+        assert again.update_seq == 2
+        assert [d.key for d in again.changes_since(0)] == ["a"]
+        assert compactor.runs == 2
+
+    def test_threshold_can_be_given_per_call(self):
+        disk = SimulatedDisk()
+        store, _ = churned_store(disk)
+        compactor = Compactor(disk, threshold=0.99)
+        assert not compactor.needs_compaction(store)
+        assert compactor.needs_compaction(store, 0.3)
+
     def test_run_counter(self):
         disk = SimulatedDisk()
         store, _ = churned_store(disk)
