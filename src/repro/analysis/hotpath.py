@@ -33,7 +33,11 @@ crawl, per-row expression interpretation):
 ``n-plus-one-rpc``
     A single-key client op (``client.get`` and friends, ``self._call``)
     inside a loop over keys: one RPC per key where a batched
-    ``multi_*`` / ``call_fanout`` path exists.
+    ``multi_*`` / ``call_fanout`` path exists.  A wrapper does not hide
+    it: a call in the loop whose callee reaches such an op over the
+    call graph (without passing through a batched ``multi_*`` /
+    ``*batch*`` / ``*fanout*`` function) counts, and the finding prints
+    the chain.
 ``byte-loop``
     ``for byte in data`` (statement or comprehension) where ``data`` is
     a parameter annotated ``bytes`` / ``bytearray`` / ``memoryview``: a
@@ -52,6 +56,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from .callgraph import CallGraph
 from .framework import Finding, register
 from .project import FuncInfo, ModuleInfo, last_component
 
@@ -108,6 +113,100 @@ def _call_name(call: ast.Call) -> str | None:
     return last_component(call.func)
 
 
+def _batched(name: str) -> bool:
+    """The name says one call serves many items."""
+    return "multi" in name or "batch" in name or "fanout" in name
+
+
+def _client_receiver(call: ast.Call) -> str | None:
+    """The receiver's last name segment when it is client-like."""
+    if not isinstance(call.func, ast.Attribute):
+        return None
+    receiver = last_component(call.func.value)
+    if receiver is not None and (receiver in CLIENT_RECEIVERS
+                                 or receiver.endswith("_client")):
+        return receiver
+    return None
+
+
+def _single_key_op(call: ast.Call) -> str | None:
+    """``"client.get"`` when ``call`` is a single-key op on a
+    client-like receiver, or the smart client's own ``_call`` /
+    ``_routed_call`` sender: an RPC per call that has a batched twin."""
+    name = _call_name(call)
+    if name in {"_call", "_routed_call"} \
+            and isinstance(call.func, ast.Attribute):
+        return f"{last_component(call.func.value)}.{name}"
+    receiver = _client_receiver(call)
+    if receiver is not None and name in SINGLE_KEY_OPS:
+        return f"{receiver}.{name}"
+    return None
+
+
+def _fabric_call(call: ast.Call) -> str | None:
+    """``"network.call"`` for a raw fabric dispatch, unless its method
+    name literal says it is batched (one call serves many items --
+    exactly what the rule asks for)."""
+    receiver = _client_receiver(call)
+    if receiver is None or _call_name(call) != "call" or any(
+            isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            and _batched(arg.value) for arg in call.args):
+        return None
+    return f"{receiver}.call"
+
+
+class _RpcReach:
+    """Which functions issue a single-key client op every time they are
+    called, themselves or through their callees -- so a one-line
+    wrapper around ``client.get`` is as visible in a loop as the op.
+
+    Only client ops are followed through a function boundary, not raw
+    ``network.call`` sites: a key lookup has a batched twin by
+    construction, while a function that makes one fabric call (a map
+    push, a stream handshake, a page pull) says nothing about whether
+    its caller's loop could have been one call."""
+
+    def __init__(self, graph: CallGraph):
+        self.graph = graph
+        #: fqn -> chain down to the op; () when there is none, and
+        #: while the walk is still inside the function (recursion).
+        self._chains: dict[str, tuple[str, ...]] = {}
+
+    def chain(self, fqn: str) -> tuple[str, ...]:
+        """``("ExecutionContext.fetch_doc", "client.get")`` when ``fqn``
+        reaches a single-key op, else ``()``."""
+        known = self._chains.get(fqn)
+        if known is not None:
+            return known
+        self._chains[fqn] = ()
+        func = self.graph.project.functions.get(fqn)
+        if func is None:
+            return ()
+        op = next((op for node in ast.walk(func.node)
+                   if isinstance(node, ast.Call)
+                   and (op := _single_key_op(node)) is not None), None)
+        rest = (op,) if op is not None \
+            else self.through(self.graph.out_edges(fqn))
+        if rest:
+            label = func.name if func.cls is None \
+                else f"{func.cls.rsplit('.', 1)[-1]}.{func.name}"
+            self._chains[fqn] = (label, *rest)
+        return self._chains[fqn]
+
+    def through(self, edges) -> tuple[str, ...]:
+        """The chain of the first of ``edges`` that leads to a
+        single-key op.  Only ordinary calls are followed, and never into
+        a batched function: what happens behind ``multi_get`` is one
+        call serving many items."""
+        for edge in edges:
+            if edge.kind in ("call", "method") \
+                    and not _batched(edge.callee.rsplit(".", 1)[-1]):
+                chain = self.chain(edge.callee)
+                if chain:
+                    return chain
+        return ()
+
+
 @dataclass
 class _Loop:
     node: ast.AST
@@ -155,10 +254,12 @@ def _annotation_is_bytes(annotation: ast.expr | None) -> bool:
 class _FunctionScan(ast.NodeVisitor):
     """One pass over a hot function's body, tracking loop context."""
 
-    def __init__(self, func: FuncInfo, module: ModuleInfo, why: str):
+    def __init__(self, func: FuncInfo, module: ModuleInfo, why: str,
+                 reach: _RpcReach):
         self.func = func
         self.module = module
         self.why = why
+        self.reach = reach
         self.findings: list[Finding] = []
         self.loops: list[_Loop] = []
         #: names known to hold lists / strings in this function.
@@ -370,7 +471,7 @@ class _FunctionScan(ast.NodeVisitor):
             self._check_sort(node, name)
             self._check_copy(node, name)
             self._check_invariant_call(node, name)
-            self._check_rpc(node, name)
+            self._check_rpc(node)
         self.generic_visit(node)
 
     def _check_sort(self, node: ast.Call, name: str | None) -> None:
@@ -429,41 +530,37 @@ class _FunctionScan(ast.NodeVisitor):
                 f"every iteration; compile/resolve once before the loop",
             )
 
-    def _check_rpc(self, node: ast.Call, name: str | None) -> None:
-        if not isinstance(node.func, ast.Attribute):
-            return
-        receiver = last_component(node.func.value)
-        is_client = receiver is not None and (
-            receiver in CLIENT_RECEIVERS or receiver.endswith("_client")
-        )
-        if is_client and name == "call" and any(
-                isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                and ("multi" in arg.value or "batch" in arg.value
-                     or "fanout" in arg.value)
-                for arg in node.args):
-            # The loop dispatches an explicitly batched RPC (one call
-            # serves many items) -- exactly what this rule asks for.
-            return
-        if (is_client and name in SINGLE_KEY_OPS) or (
-                is_client and name == "call") or name in {"_call",
-                                                          "_routed_call"}:
+    def _check_rpc(self, node: ast.Call) -> None:
+        op = _single_key_op(node) or _fabric_call(node)
+        if op is not None:
             self._flag(
                 "n-plus-one-rpc", node,
-                f"single-key {receiver}.{name}(...) inside a loop issues "
+                f"single-key {op}(...) inside a loop issues "
                 f"one RPC per item; use the batched multi_* / "
                 f"call_fanout path",
             )
+            return
+        chain = self.reach.through(
+            self.reach.graph.site_edges.get(id(node), ()))
+        if chain:
+            self._flag(
+                "n-plus-one-rpc", node,
+                f"{chain[0]}(...) inside a loop issues one RPC per "
+                f"item ({' -> '.join(chain)}); use the batched "
+                f"multi_* / call_fanout path",
+            )
 
 
-def scan_function(func: FuncInfo, module: ModuleInfo,
-                  why: str) -> list[Finding]:
+def scan_function(func: FuncInfo, module: ModuleInfo, why: str,
+                  reach: _RpcReach) -> list[Finding]:
     """Run every rule over one hot function."""
-    return _FunctionScan(func, module, why).scan()
+    return _FunctionScan(func, module, why, reach).scan()
 
 
 @register("hotpath", RULES)
 def hot_rules(context) -> list[Finding]:
     project, hot_set = context.project, context.hot_set
+    reach = _RpcReach(context.graph)
     findings: list[Finding] = []
     for fqn in sorted(hot_set.members):
         func = project.functions.get(fqn)
@@ -473,5 +570,5 @@ def hot_rules(context) -> list[Finding]:
         if module is None:
             continue
         findings.extend(
-            scan_function(func, module, f"hot: {hot_set.why(fqn)}"))
+            scan_function(func, module, f"hot: {hot_set.why(fqn)}", reach))
     return findings

@@ -30,6 +30,18 @@ from .projector import KeyVersion
 from .storage import composite_compare, make_storage
 
 
+def _same_group(values: list, previous: list) -> bool:
+    """Whether two rows' group values share a group token.  Decided
+    without serializing only for same-typed strings, integers, booleans,
+    NULL and MISSING: Python's ``1 == 1.0 == True`` and ``0.0 == -0.0``
+    are not JSON's, and a list or object could hide either inside."""
+    for mine, theirs in zip(values, previous):
+        if (type(mine) is not type(theirs) or mine != theirs
+                or isinstance(mine, (float, list, dict))):
+            return False
+    return True
+
+
 class IndexInstance:
     """One index's rows (or one partition of them) on one index node."""
 
@@ -178,18 +190,23 @@ class Indexer:
         equality, not object identity."""
         instance = self.instance(name)
         groups: dict[str, tuple[list, list[list]]] = {}
+        entry = None
         for key_components, doc_id in instance.storage.scan(
             low, high, inclusive_low, inclusive_high, False,
         ):
             values = [key_components[p] for p in group_positions]
-            token = json.dumps(
-                [None if v is MISSING else ["$", v] for v in values],
-                sort_keys=True,
-            )
-            entry = groups.get(token)
-            if entry is None:
-                entry = (values, [[0, 0, MISSING] for _ in agg_specs])
-                groups[token] = entry
+            # Index order keeps a leading group key's rows together, so
+            # most rows land in the previous row's group: serialize a
+            # token only when the group values change.
+            if entry is None or not _same_group(values, entry[0]):
+                token = json.dumps(
+                    [None if v is MISSING else ["$", v] for v in values],
+                    sort_keys=True,
+                )
+                entry = groups.get(token)
+                if entry is None:
+                    entry = (values, [[0, 0, MISSING] for _ in agg_specs])
+                    groups[token] = entry
             for (agg_name, position), partial in zip(agg_specs, entry[1]):
                 if position is None:  # COUNT(*): counts rows, not values
                     partial[0] += 1

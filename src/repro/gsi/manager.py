@@ -432,30 +432,36 @@ class GsiCoordinator:
                 f"unknown scan consistency {scan_consistency!r}")
 
     def _barrier(self, meta: IndexMeta, marks: dict[int, int]) -> None:
-        """Wait until the index has processed the given seqno marks."""
+        """Wait until the index has processed the given seqno marks.
+
+        One ``gsi_watermarks`` wave per poll: every hosting node returns
+        its whole vBucket -> seqno vector, every mark some vector has
+        reached is struck from ``pending``, and a struck mark is never
+        asked about again.  The maximum over partitions is the right
+        test because the router delivers a vBucket's key versions in
+        seqno order and stops at the first undelivered one: a partition
+        holding seqno s proves every earlier key version of that vBucket
+        reached its own partition.  The scan behind the barrier needs
+        every hosting node, so an unreachable one fails the barrier
+        before its first poll instead of after the last."""
         if not marks:
             return
+        network = self.cluster.network
+        hosts = list(dict.fromkeys(meta.nodes))
+        for host in hosts:
+            if not network.reachable("gsi-coordinator", host):
+                raise NodeDownError(host)
+        pending = dict(marks)
 
         def satisfied() -> bool:
-            for vb, seqno in marks.items():
-                best = 0
-                for node_name in dict.fromkeys(meta.nodes):
-                    try:
-                        # Consistency barrier polls one watermark RPC
-                        # per index replica node -- bounded by replicas.
-                        # repro: disable-next=n-plus-one-rpc
-                        watermarks = self.cluster.network.call(
-                            "gsi-coordinator", node_name,
-                            "gsi_watermarks", meta.definition.name,
-                        )
-                    # Barrier polls other replicas; a down node just cannot advance it.
-                    # repro: disable-next=swallowed-exception
-                    except NodeDownError:
-                        continue
-                    best = max(best, watermarks.get(vb, 0))
-                if best < seqno:
-                    return False
-            return True
+            for vector in network.call_fanout(
+                "gsi-coordinator", hosts, "gsi_watermarks",
+                meta.definition.name,
+            ):
+                for vb in [vb for vb, seqno in pending.items()
+                           if vector.get(vb, 0) >= seqno]:
+                    del pending[vb]
+            return not pending
 
         if not self.cluster.scheduler.run_until(satisfied):
             raise TimeoutError_(

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..common.contracts import bounded
 from ..common.contracts import cost, hot_path
-from ..common.errors import KeyNotFoundError, N1qlRuntimeError
+from ..common.errors import N1qlRuntimeError
 from .collation import MISSING
 from .compile import compile_expr, compile_sort_key
 from .expressions import Env, Evaluator
@@ -86,14 +86,6 @@ class ExecutionContext:
         if self._client is None:
             self._client = self.cluster.connect()
         return self._client
-
-    def fetch_doc(self, bucket: str, key: str):
-        """Point lookup via the data service; None when absent."""
-        try:
-            doc = self.client.get(bucket, key)
-        except KeyNotFoundError:
-            return None
-        return doc
 
     def fetch_docs(self, bucket: str, keys: list[str]) -> dict:
         """Bulk lookup through the smart client's node-grouped batch
@@ -562,6 +554,32 @@ def _on_keys_list(fn, ctx: ExecutionContext, env: Env) -> list[str]:
     return []
 
 
+def _fetch_on_keys(op, ctx: ExecutionContext, on_keys,
+                   batch: list[Env]) -> list[list]:
+    """Resolve one incoming batch's ON KEYS with a single bulk lookup
+    (one RPC per data node holding any of them, however many left rows
+    there are).  Returns, per row, the documents its keys found, in key
+    order; a document the batch joins more than once is copied, so rows
+    never share mutable state."""
+    key_lists = [_on_keys_list(on_keys, ctx, env) for env in batch]
+    wanted = dict.fromkeys(key for keys in key_lists for key in keys)
+    found = ctx.fetch_docs(op.keyspace, list(wanted))
+    bound: set[str] = set()
+    joined = []
+    for keys in key_lists:
+        docs = []
+        for key in keys:
+            doc = found.get(key)
+            if doc is None:
+                continue
+            if key in bound:
+                doc = doc.copy()
+            bound.add(key)
+            docs.append(doc)
+        joined.append(docs)
+    return joined
+
+
 @hot_path
 @cost("O(n)")
 def run_join(op: JoinOp, ctx: ExecutionContext,
@@ -569,21 +587,15 @@ def run_join(op: JoinOp, ctx: ExecutionContext,
     on_keys = _compiled(op, "_compiled_on_keys", op.on_keys, ctx)
     out: list[Env] = []
     for batch in batches:
-        for env in batch:
-            keys = _on_keys_list(on_keys, ctx, env)
-            matched = False
-            for key in keys:
-                doc = ctx.fetch_doc(op.keyspace, key)
-                if doc is None:
-                    continue
-                matched = True
+        for env, docs in zip(batch, _fetch_on_keys(op, ctx, on_keys, batch)):
+            for doc in docs:
                 child = env.child()
                 child.bind(op.alias, doc.value, meta_dict(doc))
                 out.append(child)
                 if len(out) >= BATCH_SIZE:
                     yield out
                     out = []
-            if not matched and op.outer:
+            if not docs and op.outer:
                 child = env.child()
                 child.bind(op.alias, MISSING)
                 out.append(child)
@@ -603,16 +615,10 @@ def run_nest(op: NestOp, ctx: ExecutionContext,
     on_keys = _compiled(op, "_compiled_on_keys", op.on_keys, ctx)
     for batch in batches:
         out = []
-        for env in batch:
-            keys = _on_keys_list(on_keys, ctx, env)
-            collected = []
-            for key in keys:
-                doc = ctx.fetch_doc(op.keyspace, key)
-                if doc is not None:
-                    collected.append(doc.value)
-            if collected:
+        for env, docs in zip(batch, _fetch_on_keys(op, ctx, on_keys, batch)):
+            if docs:
                 child = env.child()
-                child.bind(op.alias, collected)
+                child.bind(op.alias, [doc.value for doc in docs])
                 out.append(child)
             elif op.outer:
                 child = env.child()

@@ -173,50 +173,70 @@ class BTree:
 
         ``None`` bounds mean unbounded on that side.  ``descending``
         reverses the iteration order (section 3.1.2 allows descending
-        view scans)."""
+        view scans).
 
-        def in_range(key: JsonValue) -> bool:
-            if start is not None:
-                order = self.compare(key, start)
-                if order < 0 or (order == 0 and not inclusive_start):
-                    return False
-            if end is not None:
-                order = self.compare(key, end)
-                if order > 0 or (order == 0 and not inclusive_end):
-                    return False
-            return True
+        Bounds are compared only along the range's two boundary paths.
+        A kp entry's ``last_key`` is its subtree's greatest key and the
+        previous entry's is an exclusive lower bound, so in any node
+        only the first candidate child can hold keys before ``start``
+        and only the last can hold keys past ``end``: those two inherit
+        the check, found by bisection, and everything between them --
+        whole subtrees, down to their leaves -- is yielded without a
+        comparison."""
+        compare = self.compare
 
-        def before_range(last_key: JsonValue) -> bool:
-            """Whole subtree ends before the range starts."""
-            if start is None:
-                return False
-            order = self.compare(last_key, start)
+        def below(key: JsonValue) -> bool:
+            order = compare(key, start)
             return order < 0 or (order == 0 and not inclusive_start)
 
-        def walk(pointer: int) -> Iterator[tuple[JsonValue, JsonValue]]:
+        def within(key: JsonValue) -> bool:
+            order = compare(key, end)
+            return order < 0 or (order == 0 and inclusive_end)
+
+        def ends_before(last_key: JsonValue) -> bool:
+            """The subtree's greatest key is strictly before ``end``, so
+            the next sibling may still hold in-range keys."""
+            return compare(last_key, end) < 0
+
+        def first_not(holds, items: list, low: int) -> int:
+            """Bisect ``items[low:]`` -- ``holds(item[0])`` true for a
+            prefix, false after it -- for the first index where it is
+            false."""
+            high = len(items)
+            while low < high:
+                middle = (low + high) // 2
+                if holds(items[middle][0]):
+                    low = middle + 1
+                else:
+                    high = middle
+            return low
+
+        def walk(pointer: int, check_start: bool,
+                 check_end: bool) -> Iterator[tuple[JsonValue, JsonValue]]:
             kind, items = self._read_node(pointer)
+            first = first_not(below, items, 0) if check_start else 0
             if kind == "kv":
-                sequence = reversed(items) if descending else items
-                for key, value in sequence:
-                    if in_range(key):
-                        yield key, value
-            else:
-                candidates = []
-                for last_key, child, _reduction in items:
-                    if before_range(last_key):
-                        continue
-                    candidates.append((last_key, child))
-                    # Children are ordered; once a child's last key passes
-                    # the end bound, later children are entirely past it.
-                    if end is not None and self.compare(last_key, end) >= 0:
-                        break
+                stop = first_not(within, items, first) if check_end \
+                    else len(items)
+                span = items[first:stop]
                 if descending:
-                    candidates.reverse()
-                for _last_key, child in candidates:
-                    yield from walk(child)
+                    span.reverse()
+                for key, value in span:
+                    yield key, value
+                return
+            # Children are ordered; the first whose last key reaches the
+            # end bound is the last candidate, later ones are past it.
+            last = len(items) - 1
+            if check_end:
+                last = min(first_not(ends_before, items, first), last)
+            children = range(first, last + 1)
+            for index in reversed(children) if descending else children:
+                yield from walk(items[index][1],
+                                check_start and index == first,
+                                check_end and index == last)
 
         if self.root is not None:
-            yield from walk(self.root)
+            yield from walk(self.root, start is not None, end is not None)
 
     def items(self) -> Iterator[tuple[JsonValue, JsonValue]]:
         return self.range()

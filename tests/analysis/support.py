@@ -39,6 +39,7 @@ EXPECTED = {
     "hotpath/copy_in_loop": "copy-in-loop",
     "hotpath/invariant_in_loop": "invariant-in-loop",
     "hotpath/n_plus_one_rpc": "n-plus-one-rpc",
+    "hotpath/n_plus_one_rpc_wrapper": "n-plus-one-rpc",
     "hotpath/byte_loop": "byte-loop",
     "hotpath/cost_undeclared": "cost-undeclared",
     "hotpath/cost_exceeds_caller": "cost-exceeds-caller",

@@ -9,6 +9,8 @@ from repro.common.errors import (
     NodeDownError,
     ServiceUnavailableError,
 )
+from repro.gsi.indexdef import IndexDefinition, path_extractor
+from repro.gsi.projector import _hash_partition
 from repro.kv.engine import VBucketState
 
 
@@ -152,6 +154,39 @@ class TestServiceLoss:
         # empty) result set.  It must fail instead.
         with pytest.raises(NodeDownError):
             cluster.gsi.scan("by_v")
+
+    @pytest.mark.parametrize("partition", [0, 1])
+    def test_barrier_behind_a_down_partition_fails_fast(self, partition):
+        """The scan behind a request_plus barrier needs every hosting
+        node, so the barrier raises NodeDownError before its first poll
+        whichever partition the caller's last write hashed to (it used
+        to drain the whole scheduler and time out when the write hashed
+        to the down node, and raise only after polling otherwise)."""
+        cluster = Cluster(
+            nodes=[("d1", {"data"}), ("i1", {"index"}), ("i2", {"index"}),
+                   ("q1", {"query"})],
+            vbuckets=8,
+        )
+        cluster.create_bucket("b", replicas=0)
+        client = cluster.connect()
+        for i in range(5):
+            client.upsert("b", f"k{i}", {"v": i})
+        meta = cluster.create_index(IndexDefinition(
+            name="by_v", bucket="b", key_sources=["v"],
+            extractors=[path_extractor("v")], num_partitions=2,
+        ))
+        assert meta.nodes == ["i1", "i2"]
+        cluster.run_until_idle()
+        cluster.network.set_down("i1")
+        key = next(f"w{i}" for i in range(100)
+                   if _hash_partition(f"w{i}", 2) == partition)
+        client.upsert("b", key, {"v": 99})
+        cluster.network.reset_counters()
+        cluster.scheduler.trace = []
+        with pytest.raises(NodeDownError):
+            cluster.gsi.scan("by_v", scan_consistency="request_plus")
+        assert cluster.network.calls == {}
+        assert cluster.scheduler.trace == []  # no scheduler round either
 
 
 class TestNodeCrashRecovery:

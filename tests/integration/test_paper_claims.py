@@ -16,6 +16,7 @@ the LIMIT short-circuit of the partitioned scan
 
 from repro import Cluster
 from repro.common.disk import SimulatedDisk
+from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.gsi.storage import make_storage
 from repro.views import ViewDefinition, ViewQueryParams
 
@@ -171,6 +172,97 @@ def test_stale_false_waits_for_the_view_indexer_and_stale_ok_does_not():
 
     assert ids("false") == FRESH
     assert scheduler._round > before
+
+
+# -- what freshness costs in messages (3.2.3, 4.2) ---------------------------
+
+LATENCY = 1e-3
+
+
+def waves(cluster) -> int:
+    """Latency waves charged since the last ``reset_counters``: one per
+    ``Network.call``, one per ``call_fanout`` however wide."""
+    return round(cluster.network.latency_charged / LATENCY)
+
+
+def test_request_plus_barrier_costs_one_watermark_wave_per_poll():
+    """Section 4.2: the query waits "until the index is updated up to
+    the maximum sequence number for each vBucket".  That wait is paid in
+    polls, and a poll is one wave to the index's hosting nodes -- each
+    returns its whole watermark vector -- not a message per vBucket
+    mark: the message count follows the nodes, not the data's 64
+    partitions."""
+    cluster = Cluster(nodes=3, vbuckets=64, network_latency=LATENCY)
+    cluster.create_bucket("b")
+    client = cluster.connect()
+    for i in range(100):
+        client.upsert("b", f"k{i:04d}", {"age": i % 40})
+    meta = cluster.create_index(IndexDefinition(
+        name="by_age", bucket="b", key_sources=["age"],
+        extractors=[path_extractor("age")], num_partitions=3,
+    ))
+    assert len(set(meta.nodes)) == 3
+    cluster.run_until_idle()
+    scheduler = cluster.scheduler
+
+    def request_plus_scan() -> dict:
+        cluster.network.reset_counters()
+        before = scheduler._round
+        rows = cluster.gsi.scan("by_age", [7], [7],
+                                scan_consistency="request_plus")
+        # Every other RPC is a pump's (replication, gsi_apply) inside a
+        # scheduler round the barrier drove: one call, one wave each.
+        mine = rpcs(cluster, "gsi_watermarks", "gsi_scan_page")
+        background = sum(cluster.network.calls.values()) - mine
+        return {
+            "ids": {doc_id for _key, doc_id in rows},
+            "watermark_rpcs": rpcs(cluster, "gsi_watermarks"),
+            "scan_rpcs": rpcs(cluster, "gsi_scan_page"),
+            "waves": waves(cluster) - background,
+            "rounds": scheduler._round - before,
+        }
+
+    # Nothing outstanding: one look at the three vectors and no waiting,
+    # then the scan's own wave (each partition's first page).
+    assert request_plus_scan() == {
+        "ids": {"k0007", "k0047", "k0087"},
+        "watermark_rpcs": 3, "scan_rpcs": 3, "waves": 1 + 1, "rounds": 0,
+    }
+
+    # One write behind: a look before the scheduler round that carries
+    # it to its partition and a look after -- 2 polls x 3 hosting nodes.
+    client.upsert("b", "hot", {"age": 7})
+    assert request_plus_scan() == {
+        "ids": {"k0007", "k0047", "k0087", "hot"},
+        "watermark_rpcs": 6, "scan_rpcs": 3, "waves": 2 + 1, "rounds": 1,
+    }
+
+
+def test_key_join_fetches_each_side_in_one_batch_per_data_node():
+    """Section 4.5.3's key-based join: both the USE KEYS side and the
+    ON KEYS side resolve through the node-grouped bulk lookup, so ten
+    left rows cost at most one ``kv_multi_get`` per data node per side
+    and never a ``kv_get`` per row."""
+    cluster = Cluster(nodes=3, vbuckets=64, network_latency=LATENCY)
+    cluster.create_bucket("b")
+    client = cluster.connect()
+    for i in range(10):
+        client.upsert("b", f"order{i}", {"cust": f"cust{i % 4}", "n": i})
+    for i in range(3):  # cust3 is absent: its orders drop out of the join
+        client.upsert("b", f"cust{i}", {"name": f"name{i}"})
+    cluster.run_until_idle()
+    keys = ", ".join(f'"order{i}"' for i in range(10))
+    cluster.network.reset_counters()
+    rows = cluster.query(
+        f"SELECT o.n, c.name FROM b o USE KEYS [{keys}] "
+        f"JOIN b c ON KEYS o.cust").rows
+    assert sorted((row["n"], row["name"]) for row in rows) == [
+        (i, f"name{i % 4}") for i in range(10) if i % 4 != 3]
+    assert rpcs(cluster, "kv_get") == 0
+    per_node = {dst: count for (dst, method), count
+                in cluster.network.calls.items() if method == "kv_multi_get"}
+    assert per_node and all(count <= 2 for count in per_node.values())
+    assert rpcs(cluster, "kv_") == sum(per_node.values())
 
 
 # -- per-mutation durability (section 2.3.2) ---------------------------------

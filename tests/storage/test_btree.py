@@ -1,12 +1,16 @@
 """Tests for the append-only copy-on-write B+tree."""
 
+import functools
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.disk import SimulatedDisk
+from repro.gsi.storage import HIGH_BOUND, composite_compare
 from repro.storage.appendlog import AppendLog
-from repro.storage.btree import BTree
+from repro.storage.btree import BTree, default_compare
 
 
 def make_tree(**kwargs) -> BTree:
@@ -253,3 +257,107 @@ class TestPropertyBased:
         model = dict(inserts)
         expected = sum(v for k, v in model.items() if start <= k <= end)
         assert tree.reduce_range(start=start, end=end) == expected
+
+
+# -- BTree.range against a model ----------------------------------------------
+#
+# The walk compares bounds only on its two boundary paths and finds them
+# by bisection, so the cases that matter are the ones where a bound sits
+# exactly on a node boundary.  The model is a flat sorted list filtered
+# key by key with the comparator -- no bisection, no tree.
+
+#: One value of every N1QL collation class, the encoded MISSING among
+#: them; no two compare equal (so no ``1`` next to ``1.0``).
+COMPONENTS = [{"__missing__": True}, None, False, True, 0, 1, 2.5,
+              "a", "b", [1], {"k": 1}]
+DOC_IDS = ["", "d0", "d1", "d2", HIGH_BOUND]
+
+int_keys = st.integers(0, 120)
+composite_keys = st.tuples(
+    st.lists(st.sampled_from(COMPONENTS), min_size=0, max_size=2),
+    st.sampled_from(DOC_IDS),
+).map(list)
+
+
+def node_last_keys(tree: BTree) -> tuple[list, int]:
+    """Every interior entry's ``last_key`` and every leaf's last key --
+    the bounds that land exactly on a node boundary -- and the depth."""
+    found, depth, level = [], 0, [tree.root]
+    while level:
+        depth += 1
+        below = []
+        for pointer in level:
+            kind, items = tree._read_node(pointer)
+            found.append(items[-1][0])
+            if kind == "kp":
+                found.extend(last_key for last_key, _p, _r in items)
+                below.extend(child for _k, child, _r in items)
+        level = below
+    return found, depth
+
+
+def check_range_against_model(data, compare, keys):
+    tree = make_tree(max_node_items=data.draw(st.sampled_from([3, 4])),
+                     compare=compare)
+    model: dict[str, tuple] = {}
+    first = data.draw(st.lists(keys, min_size=40, max_size=70))
+    batches = [(first, [])] + data.draw(st.lists(
+        st.tuples(st.lists(keys, max_size=8), st.lists(keys, max_size=4)),
+        max_size=4))
+    serial = 0
+    for inserts, deletes in batches:
+        pairs = []
+        for key in inserts:
+            serial += 1
+            pairs.append((key, serial))
+        tree = tree.batch_update(inserts=pairs, deletes=deletes)
+        for key in deletes:
+            model.pop(json.dumps(key), None)
+        for key, value in pairs:
+            model[json.dumps(key)] = (key, value)
+    ordered = sorted(model.values(),
+                     key=functools.cmp_to_key(lambda a, b: compare(a[0], b[0])))
+    boundaries, depth = node_last_keys(tree)
+    assume(depth >= 3)
+    bound = st.one_of(
+        st.none(),
+        st.sampled_from(boundaries),
+        st.sampled_from([key for key, _value in ordered]),   # present
+        keys,                                                # mostly absent
+    )
+    for _query in range(8):
+        start, end = data.draw(bound), data.draw(bound)
+        inclusive_start, inclusive_end, descending = (
+            data.draw(st.booleans()) for _flag in range(3))
+
+        def in_range(key):
+            if start is not None:
+                order = compare(key, start)
+                if order < 0 or (order == 0 and not inclusive_start):
+                    return False
+            if end is not None:
+                order = compare(key, end)
+                if order > 0 or (order == 0 and not inclusive_end):
+                    return False
+            return True
+
+        expected = [pair for pair in ordered if in_range(pair[0])]
+        if descending:
+            expected.reverse()
+        rows = list(tree.range(
+            start=start, end=end, inclusive_start=inclusive_start,
+            inclusive_end=inclusive_end, descending=descending))
+        assert rows == expected
+        assert all(type(row) is tuple for row in rows)
+
+
+class TestRangeAgainstModel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_default_comparator(self, data):
+        check_range_against_model(data, default_compare, int_keys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_composite_comparator(self, data):
+        check_range_against_model(data, composite_compare, composite_keys)
