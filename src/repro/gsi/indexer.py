@@ -59,13 +59,17 @@ class IndexInstance:
         self.watermarks: dict[int, int] = {}
         self.items_applied = 0
 
-    def apply(self, kv: KeyVersion) -> None:
+    def apply(self, key_versions: list[KeyVersion]) -> None:
+        """One storage rewrite for the batch, then the watermarks: a
+        watermark never names a seqno whose rows are not in the tree."""
         tracing.record_write(f"gsi/{self.node_name}/{self.definition.name}")
-        self.storage.update_doc(kv.doc_id, kv.entries)
-        current = self.watermarks.get(kv.vbucket_id, 0)
-        if kv.seqno > current:
-            self.watermarks[kv.vbucket_id] = kv.seqno
-        self.items_applied += 1
+        self.storage.update_docs(
+            [(kv.doc_id, kv.entries) for kv in key_versions])
+        watermarks = self.watermarks
+        for kv in key_versions:
+            if kv.seqno > watermarks.get(kv.vbucket_id, 0):
+                watermarks[kv.vbucket_id] = kv.seqno
+        self.items_applied += len(key_versions)
 
     def set_watermarks(self, marks: dict[int, int]) -> None:
         for vbucket_id, seqno in marks.items():
@@ -90,7 +94,9 @@ class Indexer:
         return instance
 
     def drop(self, name: str) -> None:
-        self.instances.pop(name, None)
+        instance = self.instances.pop(name, None)
+        if instance is not None:
+            instance.storage.destroy()
 
     def instance(self, name: str) -> IndexInstance:
         instance = self.instances.get(name)
@@ -100,10 +106,18 @@ class Indexer:
 
     # -- RPC surface -----------------------------------------------------------------
 
-    def apply(self, kv: KeyVersion) -> None:
-        instance = self.instances.get(kv.index_name)
-        if instance is not None:
-            instance.apply(kv)
+    def apply(self, key_versions: list[KeyVersion]) -> None:
+        """Apply one router batch: its key versions grouped by index,
+        one storage rewrite per index.  A document's key versions arrive
+        in seqno order and the last one wins, so replaying a batch (the
+        projector does after a partial delivery) changes nothing."""
+        by_index: dict[str, list[KeyVersion]] = {}
+        for kv in key_versions:
+            by_index.setdefault(kv.index_name, []).append(kv)
+        for name, batch in by_index.items():
+            instance = self.instances.get(name)
+            if instance is not None:
+                instance.apply(batch)
 
     @declared_raises('IndexNotFoundError')
     def scan(self, name: str, low: list | None, high: list | None,

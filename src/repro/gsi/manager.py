@@ -39,7 +39,7 @@ from ..kv.types import VBucketState
 from ..n1ql.collation import MISSING, compare
 from .indexdef import IndexDefinition
 from .indexer import Indexer
-from .projector import KeyVersion, Router
+from .projector import KeyVersion, Projector, Router
 from .storage import HIGH_BOUND, composite_compare
 
 if TYPE_CHECKING:
@@ -68,7 +68,9 @@ class IndexMeta:
     #: Hosting index nodes; one entry per partition for partitioned
     #: indexes (entries may repeat when partitions share a node).
     nodes: list[str]
-    #: "ready" | "deferred" | "building"
+    #: "ready" | "deferred" | "building".  Only "ready" is planned,
+    #: scanned and maintained by projectors; "building" outside
+    #: :meth:`GsiCoordinator._build` means a build failed part-way.
     state: str = "ready"
 
     def describe(self) -> dict:
@@ -198,20 +200,32 @@ class GsiCoordinator:
         return meta
 
     def build_index(self, name: str) -> None:
-        """BUILD INDEX for a deferred index (defer_build, section 3.3.3)."""
+        """BUILD INDEX for a deferred index (defer_build, section 3.3.3),
+        or for one whose earlier build failed part-way."""
         meta = self.registry.require(name)
         if meta.state == "ready":
             return
+        if meta.state == "building":
+            # Only a build that raised leaves this state behind.  Its
+            # rows may belong to documents deleted since (nothing is
+            # routed to an index that is not ready), so start over from
+            # empty instances.
+            network = self.cluster.network
+            for node_name in dict.fromkeys(meta.nodes):
+                network.call("gsi-coordinator", node_name,
+                             "gsi_drop_local", name)
+                network.call("gsi-coordinator", node_name,
+                             "gsi_create_local", meta.definition)
         self._build(meta)
 
     def _build(self, meta: IndexMeta) -> None:
         """Initial materialization: snapshot-scan every active vBucket on
-        every data node, route entries to the hosting indexer(s), then
-        install watermarks at the snapshot seqnos."""
+        every data node, route the entries to the hosting indexer(s) in
+        projector-sized slices, install watermarks at the snapshot
+        seqnos, and only then declare the index ready."""
         definition = meta.definition
         manager = self.cluster.manager
-        meta.state = "ready"  # the router only routes for ready indexes
-        self.registry.epoch += 1  # a new access path exists; invalidate plans
+        meta.state = "building"
         marks: dict[int, int] = {}
         for node_name in manager.data_nodes():
             node = manager.nodes[node_name]
@@ -219,28 +233,36 @@ class GsiCoordinator:
             if engine is None:
                 continue
             router = Router(node, manager.index_registry, self.cluster.network)
-            for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
-                for doc in engine.docs_in_vbucket(vbucket_id):
-                    entries = definition.entries_for(doc.value, doc.key)
-                    if entries:
-                        if not router.route(KeyVersion(
-                            index_name=definition.name,
-                            bucket=definition.bucket,
-                            doc_id=doc.key,
-                            entries=entries,
-                            vbucket_id=vbucket_id,
-                            seqno=doc.meta.seqno,
-                        )):
-                            # Installing watermarks over a row the
-                            # indexer never received would declare a
-                            # permanently incomplete index "ready".
-                            raise ServiceUnavailableError("index")
+            active = engine.owned_vbuckets(VBucketState.ACTIVE)
+            key_versions = (
+                KeyVersion(
+                    index_name=definition.name,
+                    bucket=definition.bucket,
+                    doc_id=doc.key,
+                    entries=entries,
+                    vbucket_id=vbucket_id,
+                    seqno=doc.meta.seqno,
+                )
+                for vbucket_id in active
+                for doc in engine.docs_in_vbucket(vbucket_id)
+                if (entries := definition.entries_for(doc.value, doc.key))
+            )
+            while batch := list(itertools.islice(key_versions,
+                                                 Projector.BATCH)):
+                if router.route(batch):
+                    # Installing watermarks over a row the indexer never
+                    # received would declare a permanently incomplete
+                    # index "ready".
+                    raise ServiceUnavailableError("index")
+            for vbucket_id in active:
                 marks[vbucket_id] = engine.vbuckets[vbucket_id].high_seqno
         for node_name in dict.fromkeys(meta.nodes):
             instance = self.cluster.node(node_name).indexer.indexer.instance(
                 definition.name
             )
             instance.set_watermarks(marks)
+        meta.state = "ready"
+        self.registry.epoch += 1  # a new access path exists; invalidate plans
         self.cluster.run_until_idle()
 
     def drop_index(self, name: str) -> None:

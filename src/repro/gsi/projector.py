@@ -51,39 +51,56 @@ class Router:
         self.registry = registry
         self.network = network
 
-    def route(self, kv: KeyVersion) -> bool:
-        """Deliver the key version to every responsible indexer node.
+    def route(self, key_versions: list[KeyVersion]) -> set[int]:
+        """Deliver a slice of key versions, one ``gsi_apply`` per
+        responsible index node, and return the vBuckets that were NOT
+        delivered in full.
 
-        Returns False when any target was unreachable.  The caller must
-        NOT advance its watermark past an undelivered key version --
-        dropping it here would mean the indexer never sees that seqno
-        and the index diverges from the bucket permanently (the old code
-        swallowed NodeDownError and lost the key version)."""
+        The caller must not advance such a vBucket: it replays the
+        vBucket's slice instead, which is safe because a batch replaces
+        a document's entries.  A vBucket owed to an unreachable node
+        sends nothing to any node this slice -- the ``request_plus``
+        barrier reads the maximum watermark over an index's partitions,
+        and that is only sound while no partition holds a vBucket's
+        later seqno before another holds its earlier one."""
+        batches: dict[str, list[KeyVersion]] = {}
+        for kv in key_versions:
+            for target in self._targets(kv):
+                batches.setdefault(target, []).append(kv)
+        source = self.node.name
+        held = {
+            kv.vbucket_id
+            for target, batch in batches.items()
+            if not self.network.reachable(source, target)
+            for kv in batch
+        }
+        for target, batch in batches.items():
+            if held:
+                batch = [kv for kv in batch if kv.vbucket_id not in held]
+                if not batch:
+                    continue
+            try:
+                # The loop is over index nodes, one batch each.
+                # repro: disable-next=n-plus-one-rpc
+                self.network.call(source, target, "gsi_apply", batch)
+            except NodeDownError:
+                held.update(kv.vbucket_id for kv in batch)
+        return held
+
+    def _targets(self, kv: KeyVersion) -> list[str]:
         meta = self.registry.get(kv.index_name)
         if meta is None:
-            return True
+            return []
         if meta.definition.num_partitions == 1:
-            targets = [meta.nodes[0]]
-        else:
-            # Partitioned index: hash the doc id to a partition; a delete
-            # with a changed partition key would need the old partition
-            # too, so deletions fan out to every partition's node.
-            if kv.entries:
-                partition = _hash_partition(kv.doc_id,
-                                            meta.definition.num_partitions)
-                targets = [meta.nodes[partition % len(meta.nodes)]]
-            else:
-                targets = list(dict.fromkeys(meta.nodes))
-        delivered = True
-        for target in targets:
-            try:
-                # Mutations route to exactly one partition node; only
-                # deletions fan out, and correctness requires it.
-                # repro: disable-next=n-plus-one-rpc
-                self.network.call(self.node.name, target, "gsi_apply", kv)
-            except NodeDownError:
-                delivered = False
-        return delivered
+            return meta.nodes[:1]
+        # Partitioned index: hash the doc id to a partition; a delete
+        # with a changed partition key would need the old partition
+        # too, so deletions fan out to every partition's node.
+        if kv.entries:
+            partition = _hash_partition(kv.doc_id,
+                                        meta.definition.num_partitions)
+            return [meta.nodes[partition % len(meta.nodes)]]
+        return list(dict.fromkeys(meta.nodes))
 
 
 def _hash_partition(doc_id: str, partitions: int) -> int:
@@ -106,42 +123,48 @@ class Projector:
         self.projected_seqnos: dict[int, int] = {}
 
     def pump(self) -> bool:
+        """Project everything the streams yield this slice, route it as
+        one batch, and advance the vBuckets the batch was delivered for.
+        True only when something was delivered: claiming progress for a
+        slice that will be replayed would livelock ``run_until_idle``
+        while an indexer node is down."""
         engine = self.node.engines.get(self.bucket)
         if engine is None or not self.node.alive:
             return False
         self._sync_streams(engine)
-        progressed = False
-        for vbucket_id, stream in list(self._streams.items()):
-            delivered_all = True
+        definitions = [
+            meta.definition for meta in self.registry.indexes_on(self.bucket)
+            if meta.state == "ready"
+        ]
+        key_versions: list[KeyVersion] = []
+        yielded: set[int] = set()
+        for vbucket_id, stream in self._streams.items():
             for message in stream.take(self.BATCH):
                 if not isinstance(message, (Mutation, Deletion)):
                     continue
-                if self._project(vbucket_id, message):
-                    # Advance only past key versions every indexer saw.
-                    # Undelivered messages do not count as progress: the
-                    # stream is dropped and replayed below, and claiming
-                    # progress for a replay-forever loop would livelock
-                    # run_until_idle while an indexer node is down.
-                    progressed = True
-                    self.projected_seqnos[vbucket_id] = max(
-                        self.projected_seqnos.get(vbucket_id, 0),
-                        message.doc.meta.seqno,
-                    )
-                else:
-                    delivered_all = False
-                    break
-            if delivered_all:
-                self.projected_seqnos[vbucket_id] = max(
-                    self.projected_seqnos.get(vbucket_id, 0),
-                    stream.last_seqno,
-                )
-            else:
-                # An indexer node was unreachable: drop the stream and
-                # let _sync_streams reopen it from the last seqno that
-                # was actually delivered, so the key version is retried
-                # instead of silently lost.
-                del self._streams[vbucket_id]
-        return progressed
+                yielded.add(vbucket_id)
+                doc = message.doc
+                for definition in definitions:
+                    key_versions.append(KeyVersion(
+                        index_name=definition.name,
+                        bucket=self.bucket,
+                        doc_id=doc.key,
+                        entries=[] if doc.meta.deleted
+                        else definition.entries_for(doc.value, doc.key),
+                        vbucket_id=vbucket_id,
+                        seqno=doc.meta.seqno,
+                    ))
+                self.node.metrics.inc("gsi.projected")
+        undelivered = (self.router.route(key_versions) if key_versions
+                       else set())
+        for vbucket_id in undelivered:
+            # Reopened by _sync_streams from the last delivered seqno,
+            # so the slice is retried instead of silently lost.
+            del self._streams[vbucket_id]
+        for vbucket_id, stream in self._streams.items():
+            if stream.last_seqno > self.projected_seqnos.get(vbucket_id, 0):
+                self.projected_seqnos[vbucket_id] = stream.last_seqno
+        return bool(yielded - undelivered)
 
     def _sync_streams(self, engine) -> None:
         active = set(engine.owned_vbuckets(VBucketState.ACTIVE))
@@ -156,26 +179,3 @@ class Projector:
                 self._streams[vbucket_id] = producer.stream_request(
                     vbucket_id, start_seqno=start
                 )
-
-    def _project(self, vbucket_id: int, message) -> bool:
-        """Project one mutation into key versions; True when every key
-        version reached every responsible indexer."""
-        doc = message.doc
-        deleted = doc.meta.deleted
-        delivered = True
-        for meta in self.registry.indexes_on(self.bucket):
-            if meta.state != "ready":
-                continue
-            definition = meta.definition
-            entries = [] if deleted else definition.entries_for(doc.value, doc.key)
-            if not self.router.route(KeyVersion(
-                index_name=definition.name,
-                bucket=self.bucket,
-                doc_id=doc.key,
-                entries=entries,
-                vbucket_id=vbucket_id,
-                seqno=doc.meta.seqno,
-            )):
-                delivered = False
-        self.node.metrics.inc("gsi.projected")
-        return delivered

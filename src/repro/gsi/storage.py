@@ -5,8 +5,11 @@ data structure" (section 4.3.4); version 4.5 adds fully memory-resident
 indexes with disk backups for recoverability (section 6.1.1).  Both
 backends expose the same interface:
 
-* ``update_doc(doc_id, entries)`` -- replace all entries of a document
-  (the back-index lives inside the storage so updates are one call);
+* ``update_docs([(doc_id, entries), ...])`` -- replace all entries of
+  every document in the batch, the last pair per ``doc_id`` winning (the
+  back-index lives inside the storage so a batch is one call, and
+  replaying a batch leaves the index as it was); ``update_doc`` is the
+  batch of one;
 * ``scan(low, high, ...)``        -- ordered range scan over composite
   keys, yielding ``(key_tuple, doc_id)``;
 * ``count()`` / stats.
@@ -78,23 +81,29 @@ class BTreeIndexStorage:
     kind = "standard"
 
     def __init__(self, disk: SimulatedDisk, filename: str):
+        self._disk = disk
+        self._filename = filename
         self.log = AppendLog(disk.open(filename))
         self.tree = BTree(self.log, compare=composite_compare)
         self.back_index: dict[str, list] = {}
 
-    def update_doc(self, doc_id: str, entries: list[list]) -> None:
-        deletes = self.back_index.pop(doc_id, [])
-        inserts = []
-        stored_keys = []
-        for key_components in entries:
-            composite = [encode_key(key_components), doc_id]
-            inserts.append((composite, None))
-            stored_keys.append(composite)
-        if not deletes and not inserts:
-            return
+    def update_docs(self, batch: list[tuple[str, list[list]]]) -> None:
+        """One copy-on-write tree rewrite for the whole batch."""
+        deletes: list = []
+        inserts: list = []
+        for doc_id, entries in dict(batch).items():
+            deletes.extend(self.back_index.pop(doc_id, ()))
+            composites = [[encode_key(key_components), doc_id]
+                          for key_components in entries]
+            if composites:
+                self.back_index[doc_id] = composites
+                inserts.extend((composite, None) for composite in composites)
+        # A key both deleted and inserted is inserted: batch_update lets
+        # the insert win.
         self.tree = self.tree.batch_update(inserts=inserts, deletes=deletes)
-        if stored_keys:
-            self.back_index[doc_id] = stored_keys
+
+    def update_doc(self, doc_id: str, entries: list[list]) -> None:
+        self.update_docs([(doc_id, entries)])
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
@@ -119,6 +128,12 @@ class BTreeIndexStorage:
 
     def disk_bytes(self) -> int:
         return self.log.size
+
+    def destroy(self) -> None:
+        """Delete the index file.  The tree's root lives only in memory,
+        so a later instance of the same name could never read these
+        bytes -- it would only append behind them."""
+        self._disk.delete(self._filename)
 
 
 class _SkipNode:
@@ -203,16 +218,20 @@ class SkipListIndexStorage:
 
     # -- storage interface ---------------------------------------------------------
 
+    def update_docs(self, batch: list[tuple[str, list[list]]]) -> None:
+        for doc_id, entries in dict(batch).items():
+            for old_key in self.back_index.pop(doc_id, []):
+                self._delete(old_key, doc_id)
+            stored = []
+            for key_components in entries:
+                encoded = encode_key(key_components)
+                self._insert(encoded, doc_id)
+                stored.append(encoded)
+            if stored:
+                self.back_index[doc_id] = stored
+
     def update_doc(self, doc_id: str, entries: list[list]) -> None:
-        for old_key in self.back_index.pop(doc_id, []):
-            self._delete(old_key, doc_id)
-        stored = []
-        for key_components in entries:
-            encoded = encode_key(key_components)
-            self._insert(encoded, doc_id)
-            stored.append(encoded)
-        if stored:
-            self.back_index[doc_id] = stored
+        self.update_docs([(doc_id, entries)])
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
@@ -257,6 +276,11 @@ class SkipListIndexStorage:
 
     def disk_bytes(self) -> int:
         return 0
+
+    def destroy(self) -> None:
+        """Delete the disk backup, if one was ever written."""
+        if self._disk is not None and self._filename is not None:
+            self._disk.delete(self._filename + ".snapshot")
 
     # -- recoverability (disk backup) ---------------------------------------------------
 

@@ -13,6 +13,7 @@ defined view, and tracks the per-vBucket indexed seqno -- which is what
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 from ..common import tracing
@@ -25,6 +26,20 @@ from .viewindex import ViewIndex, ViewQueryParams
 
 if TYPE_CHECKING:
     from ..kv.engine import KVEngine
+
+
+def _map_rows(definition: ViewDefinition, docs: list) -> list:
+    """``ViewIndex.update_docs`` input for ``(vbucket_id, doc)`` pairs: a
+    deleted document maps to no rows."""
+    batch = []
+    for vbucket_id, doc in docs:
+        rows = []
+        if not doc.meta.deleted:
+            meta = DocMetaView(doc.key, doc.meta.rev, doc.meta.expiry,
+                               doc.meta.flags)
+            rows = definition.run_map(doc.value, meta)
+        batch.append((doc.key, vbucket_id, rows))
+    return batch
 
 
 class ViewEngine:
@@ -59,12 +74,13 @@ class ViewEngine:
         index = ViewIndex(definition, self.node.disk, filename)
         tracing.record_write(f"views/{self.node.name}/{self.bucket}")
         engine = self.engine
-        for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
-            for doc in engine.docs_in_vbucket(vbucket_id):
-                meta = DocMetaView(doc.key, doc.meta.rev, doc.meta.expiry,
-                                   doc.meta.flags)
-                rows = definition.run_map(doc.value, meta)
-                index.update_doc(doc.key, vbucket_id, rows)
+        docs = (
+            (vbucket_id, doc)
+            for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)
+            for doc in engine.docs_in_vbucket(vbucket_id)
+        )
+        while batch := list(itertools.islice(docs, self.BATCH)):
+            index.update_docs(_map_rows(definition, batch))
         self.indexes[key] = index
         self.node.metrics.inc("views.defined")
         return index
@@ -85,22 +101,25 @@ class ViewEngine:
     # -- incremental maintenance (the DCP consumer pump) ----------------------------
 
     def pump(self) -> bool:
+        """Apply everything the streams yield this slice: one tree
+        rewrite per view, however many documents changed."""
         if not self.node.alive or not self.indexes:
             return False
         self._sync_streams()
-        progressed = False
-        for vbucket_id, stream in list(self._streams.items()):
+        batch = []
+        for vbucket_id, stream in self._streams.items():
             for message in stream.take(self.BATCH):
-                if isinstance(message, Mutation):
-                    self._apply(vbucket_id, message.doc, deleted=False)
-                    progressed = True
-                elif isinstance(message, Deletion):
-                    self._apply(vbucket_id, message.doc, deleted=True)
-                    progressed = True
-            self.indexed_seqnos[vbucket_id] = max(
-                self.indexed_seqnos.get(vbucket_id, 0), stream.last_seqno
-            )
-        return progressed
+                if isinstance(message, (Mutation, Deletion)):
+                    batch.append((vbucket_id, message.doc))
+        if batch:
+            tracing.record_write(f"views/{self.node.name}/{self.bucket}")
+            for index in self.indexes.values():
+                index.update_docs(_map_rows(index.definition, batch))
+            self.node.metrics.inc("views.mutations_indexed", len(batch))
+        for vbucket_id, stream in self._streams.items():
+            if stream.last_seqno > self.indexed_seqnos.get(vbucket_id, 0):
+                self.indexed_seqnos[vbucket_id] = stream.last_seqno
+        return bool(batch)
 
     def _sync_streams(self) -> None:
         """Track local active vBuckets: open streams for new ones, drop
@@ -121,18 +140,6 @@ class ViewEngine:
             self._streams[vbucket_id] = producer.stream_request(
                 vbucket_id, start_seqno=start
             )
-
-    def _apply(self, vbucket_id: int, doc, deleted: bool) -> None:
-        tracing.record_write(f"views/{self.node.name}/{self.bucket}")
-        for index in self.indexes.values():
-            if deleted:
-                index.remove_doc(doc.key)
-            else:
-                meta = DocMetaView(doc.key, doc.meta.rev, doc.meta.expiry,
-                                   doc.meta.flags)
-                rows = index.definition.run_map(doc.value, meta)
-                index.update_doc(doc.key, vbucket_id, rows)
-        self.node.metrics.inc("views.mutations_indexed")
 
     # -- staleness --------------------------------------------------------------------
 

@@ -8,8 +8,9 @@ belonging to migrated partitions can be masked out during rebalance and
 failover without a rebuild.
 
 A back-index (doc_id -> previously emitted keys) makes incremental
-updates possible: when a document changes, its old rows are removed and
-the new emissions inserted in one batch.
+updates possible: when documents change, their old rows are removed and
+the new emissions inserted in one batch -- one tree rewrite per view per
+pump slice (:meth:`ViewIndex.update_docs`).
 """
 
 from __future__ import annotations
@@ -73,25 +74,40 @@ class ViewIndex:
 
     # -- maintenance -----------------------------------------------------------
 
-    def update_doc(self, doc_id: str, vbucket_id: int,
-                   rows: list[tuple[Any, Any]]) -> None:
-        """Replace the rows emitted by ``doc_id`` with ``rows``."""
-        deletes = self.back_index.pop(doc_id, [])
-        inserts = []
-        keys = []
-        for emitted_key, emitted_value in rows:
-            composite = [emitted_key, doc_id]
-            inserts.append((composite, {"v": emitted_value, "vb": vbucket_id}))
-            keys.append(composite)
-        if not deletes and not inserts:
-            return
+    def update_docs(
+        self, batch: list[tuple[str, int, list[tuple[Any, Any]]]],
+    ) -> None:
+        """Replace the rows of every ``(doc_id, vbucket_id, rows)`` in
+        the batch in one tree rewrite; the last triple per ``doc_id``
+        wins, and empty ``rows`` removes the document."""
+        deletes: list = []
+        inserts: list = []
+        latest = {doc_id: (vbucket_id, rows)
+                  for doc_id, vbucket_id, rows in batch}
+        for doc_id, (vbucket_id, rows) in latest.items():
+            old_keys = self.back_index.pop(doc_id, [])
+            if not old_keys and not rows:
+                continue
+            deletes.extend(old_keys)
+            keys = []
+            for emitted_key, emitted_value in rows:
+                composite = [emitted_key, doc_id]
+                inserts.append(
+                    (composite, {"v": emitted_value, "vb": vbucket_id}))
+                keys.append(composite)
+            if keys:
+                self.back_index[doc_id] = keys
+                self.vbuckets_present.add(vbucket_id)
+            self.updates_since_compaction += 1
+        # A key both deleted and inserted is inserted: batch_update lets
+        # the insert win.
         self.tree = self.tree.batch_update(inserts=inserts, deletes=deletes)
-        if keys:
-            self.back_index[doc_id] = keys
-            self.vbuckets_present.add(vbucket_id)
-        self.updates_since_compaction += 1
         if self.updates_since_compaction >= self.COMPACT_EVERY:
             self.compact()
+
+    def update_doc(self, doc_id: str, vbucket_id: int,
+                   rows: list[tuple[Any, Any]]) -> None:
+        self.update_docs([(doc_id, vbucket_id, rows)])
 
     def remove_doc(self, doc_id: str) -> None:
         self.update_doc(doc_id, -1, [])

@@ -59,6 +59,35 @@ class TestDdl:
         with pytest.raises(IndexNotFoundError):
             cluster.gsi.scan("i")
 
+    def test_drop_deletes_the_index_file(self, cluster, client):
+        """The tree's root lives only in memory, so a dropped index's
+        bytes are unreadable garbage: DROP must free them, or a re-CREATE
+        of the same name appends a second build behind the first."""
+        load(client, 200)
+        cluster.run_until_idle()
+        meta = cluster.create_index(attribute_index("ia", "b", "age"))
+        disk = cluster.node(meta.nodes[0]).disk
+        first_build = disk.open("gsi/b/ia.index").size
+        assert first_build > 0
+        cluster.drop_index("ia")
+        assert "gsi/b/ia.index" not in disk.list_files()
+        again = cluster.create_index(
+            attribute_index("ia", "b", "age"), nodes=meta.nodes)
+        assert again.nodes == meta.nodes
+        assert disk.open("gsi/b/ia.index").size == first_build
+
+    def test_drop_deletes_a_memopt_snapshot(self, cluster, client):
+        load(client)
+        meta = cluster.create_index(IndexDefinition(
+            name="mem", bucket="b", key_sources=["age"],
+            extractors=[path_extractor("age")], storage="memopt",
+        ))
+        node = cluster.node(meta.nodes[0])
+        node.indexer.indexer.instance("mem").storage.snapshot_to_disk()
+        assert "gsi/b/mem.index.snapshot" in node.disk.list_files()
+        cluster.drop_index("mem")
+        assert "gsi/b/mem.index.snapshot" not in node.disk.list_files()
+
     def test_drop_unknown(self, cluster):
         with pytest.raises(IndexNotFoundError):
             cluster.drop_index("ghost")

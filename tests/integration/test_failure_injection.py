@@ -6,7 +6,9 @@ import pytest
 from repro import Cluster
 from repro.common.errors import (
     DurabilityError,
+    IndexNotReadyError,
     NodeDownError,
+    NoSuitableIndexError,
     ServiceUnavailableError,
 )
 from repro.gsi.indexdef import IndexDefinition, path_extractor
@@ -187,6 +189,125 @@ class TestServiceLoss:
             cluster.gsi.scan("by_v", scan_consistency="request_plus")
         assert cluster.network.calls == {}
         assert cluster.scheduler.trace == []  # no scheduler round either
+
+
+class TestIndexBuild:
+    def test_failed_build_leaves_no_ready_partial_index(self, cluster, client):
+        """A build that cannot reach its hosting node must not leave a
+        plannable index behind: the index used to be marked ready before
+        the first row was routed, so after heal() the COUNT below was
+        pushed down to a 44-row index of a 60-document bucket."""
+        for i in range(60):
+            client.upsert("b", f"k{i}", {"a": i})
+        cluster.run_until_idle()
+        cluster.network.partition("node3", "node1")
+        epoch = cluster.manager.index_registry.epoch
+        with pytest.raises(ServiceUnavailableError):
+            cluster.query("CREATE INDEX ia ON b(a)")
+        (described,) = cluster.gsi.list_indexes("b")
+        assert described["nodes"] == ["node1"]
+        assert described["state"] == "building"
+        # Registered, but no new access path was announced to the planner.
+        assert cluster.manager.index_registry.epoch == epoch + 1
+        cluster.network.heal()
+        with pytest.raises(NoSuitableIndexError):
+            cluster.query("SELECT COUNT(*) AS n FROM b WHERE a >= 0")
+        with pytest.raises(IndexNotReadyError):
+            cluster.gsi.scan("ia")
+        # Nothing is routed to an index that is not ready, so a document
+        # the failed build did deliver can vanish unseen: the retry must
+        # start from empty instances, not on top of the partial rows.
+        delivered = {doc_id for _key, doc_id in
+                     cluster.node("node1").indexer.indexer.scan("ia", None, None)}
+        assert len(delivered) == 44
+        client.remove("b", min(delivered))
+        cluster.run_until_idle()
+        cluster.query("BUILD INDEX ON b(ia)")
+        assert cluster.query(
+            "SELECT COUNT(*) AS n FROM b WHERE a >= 0").rows == [{"n": 59}]
+        cluster.query("CREATE INDEX fresh ON b(a)")
+        assert cluster.gsi.scan("ia") == cluster.gsi.scan("fresh")
+        assert len(cluster.gsi.scan("ia")) == 59
+
+
+class TestPartialDelivery:
+    """One projector slice, two hosting index nodes, one of them down."""
+
+    @pytest.fixture
+    def cluster(self):
+        cluster = Cluster(
+            nodes=[("d1", {"data"}), ("i1", {"index"}), ("i2", {"index"}),
+                   ("q1", {"query"})],
+            vbuckets=8,
+        )
+        cluster.create_bucket("b", replicas=0)
+        return cluster
+
+    def test_only_fully_delivered_vbuckets_advance_and_heal_converges(
+            self, cluster):
+        client = cluster.connect()
+        vbucket_of = cluster.manager.cluster_maps["b"].vbucket_for_key
+        candidates = [f"k{i}" for i in range(200)]
+        # ``landed`` holds only keys of partition 0 (i1, up); ``owed``
+        # mixes both partitions, so part of its slice is owed to i2.
+        landed_vb, owed_vb = 0, 1
+        landed = [k for k in candidates if vbucket_of(k) == landed_vb
+                  and _hash_partition(k, 2) == 0][:4]
+        owed = [[k for k in candidates if vbucket_of(k) == owed_vb
+                 and _hash_partition(k, 2) == partition][:3]
+                for partition in (0, 1)]
+        bucket = {owed[0][0]: 1, owed[1][0]: 2, owed[1][1]: 3}
+        for key, v in bucket.items():
+            client.upsert("b", key, {"v": v})
+        meta = cluster.create_index(IndexDefinition(
+            name="by_v", bucket="b", key_sources=["v"],
+            extractors=[path_extractor("v")], num_partitions=2,
+        ))
+        assert meta.nodes == ["i1", "i2"]
+        cluster.run_until_idle()
+        projector = dict(cluster.scheduler._pumps)["projector/d1/b"].__self__
+        engine = cluster.node("d1").engines["b"]
+        i1 = cluster.node("i1").indexer.indexer
+        before = (projector.projected_seqnos[owed_vb],
+                  i1.watermarks("by_v")[owed_vb])
+
+        cluster.network.set_down("i2")
+        for key in landed:
+            bucket[key] = 10
+        # In the owed vBucket: an update and a new key for the live
+        # partition, then an update, a delete and a new key for the down
+        # one -- the replay after heal() sends all of them again.
+        bucket[owed[0][0]] = 11
+        bucket[owed[0][1]] = 12
+        bucket[owed[1][0]] = 13
+        bucket[owed[1][2]] = 14
+        for key in landed + [owed[0][0], owed[0][1], owed[1][0], owed[1][2]]:
+            client.upsert("b", key, {"v": bucket[key]})
+        client.remove("b", owed[1][1])
+        del bucket[owed[1][1]]
+
+        cluster.network.reset_counters()
+        assert projector.pump() is True  # the landed vBucket was delivered
+        assert cluster.network.calls == {("i1", "gsi_apply"): 1}
+        assert projector.projected_seqnos[landed_vb] == \
+            engine.vbuckets[landed_vb].high_seqno
+        assert i1.watermarks("by_v")[landed_vb] == \
+            engine.vbuckets[landed_vb].high_seqno
+        # The owed vBucket advanced nowhere: not in the projector, and
+        # not on the live partition (which a max-over-partitions barrier
+        # would otherwise take as proof that i2 is up to date too).
+        assert (projector.projected_seqnos[owed_vb],
+                i1.watermarks("by_v")[owed_vb]) == before
+        # Only the owed vBucket is left: nothing can be delivered, so the
+        # pump must not claim progress (run_until_idle would livelock).
+        cluster.network.reset_counters()
+        assert projector.pump() is False
+        assert cluster.network.calls == {}
+        cluster.run_until_idle()
+
+        cluster.network.set_down("i2", False)
+        rows = cluster.gsi.scan("by_v", scan_consistency="request_plus")
+        assert rows == sorted(([v], key) for key, v in bucket.items())
 
 
 class TestNodeCrashRecovery:

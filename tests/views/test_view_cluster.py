@@ -87,6 +87,31 @@ class TestIncrementalMaintenance:
         assert len(result.rows) == 0
 
 
+    def test_a_pump_slice_rewrites_a_view_tree_once(self):
+        """The documents one pump slice carries are one tree rewrite per
+        view -- here one appended root, because 20 rows fit a leaf --
+        while ``updates_since_compaction`` still counts documents."""
+        cluster = Cluster(nodes=1, vbuckets=8)
+        cluster.create_bucket("b", replicas=0)
+        client = cluster.connect()
+        cluster.define_view("b", age_view())
+        load_users(client, 10)
+        cluster.run_until_idle()
+        node = cluster.node("node1")
+        index = node.view_engines["b"].get_index("dd", "by_age")
+        assert index.updates_since_compaction == 10
+        size = index.log.size
+        records = sum(1 for _ in index.log.scan())
+        load_users(client, 20)  # ten updates, ten inserts
+        client.remove("b", "u3")
+        cluster.run_until_idle()
+        assert sum(1 for _ in index.log.scan()) - records == 1
+        assert index.log.size > size
+        assert index.updates_since_compaction == 10 + 20
+        assert len(client.view_query("b", "dd", "by_age", stale="ok",
+                                     reduce=False).rows) == 19
+
+
 class TestStaleness:
     def test_stale_ok_may_miss_fresh_writes(self, cluster, client):
         """Eventually consistent by default (section 3.1.2): without
