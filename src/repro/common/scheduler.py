@@ -216,7 +216,7 @@ class Scheduler:
         self._round += 1
         names = self.pump_names()
         ordered = self.policy.order(round_index, names)
-        if sorted(ordered) != sorted(names):
+        if ordered is not names and sorted(ordered) != sorted(names):
             raise InvalidArgumentError(
                 f"schedule policy {self.policy.describe()} returned "
                 f"{ordered!r}, not a permutation of {names!r}"

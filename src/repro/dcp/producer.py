@@ -64,7 +64,7 @@ class DcpStream:
         # here, and take() drains from the left -- list.pop(0) would
         # shift the whole backlog per message (quadratic per stream).
         # Consumer-drained (bounds checks): every pump that owns a
-        # stream calls take() each round until caught_up().
+        # stream calls take() each round until idle().
         self._pending: deque[DcpMessage] = deque()
         #: Stable per-run identity for the write-race tracker: the first
         #: pump to take() from this stream owns it; anyone else taking
@@ -85,6 +85,20 @@ class DcpStream:
     def caught_up(self) -> bool:
         """True when the consumer has everything the vBucket has."""
         return self.last_seqno >= self.vb.high_seqno
+
+    def idle(self) -> bool:
+        """True when :meth:`take` would return nothing and change nothing:
+        no message pending, the position at the vBucket's newest
+        deliverable change (its high seqno, unless a refused write used
+        the last seqnos up), and the stream short of its ``end_seqno``
+        (which would emit :class:`StreamEnd`).  A pump polls with this
+        before taking, so a round costs a stream only when it has news.
+        Polling is consuming for the single-consumer rule: it claims the
+        stream like ``take``."""
+        tracing.record_take(self.stream_id)
+        last = self.last_seqno
+        return (not self._pending
+                and self.vb.last_change_seqno() <= last < self.end_seqno)
 
     @hot_path
     @cost("O(n)")

@@ -131,14 +131,20 @@ class Projector:
         engine = self.node.engines.get(self.bucket)
         if engine is None or not self.node.alive:
             return False
-        self._sync_streams(engine)
         definitions = [
             meta.definition for meta in self.registry.indexes_on(self.bucket)
             if meta.state == "ready"
         ]
+        if not definitions:
+            return self._fast_forward(engine)
+        self._sync_streams(engine)
         key_versions: list[KeyVersion] = []
         yielded: set[int] = set()
+        taken: list[tuple[int, DcpStream]] = []
         for vbucket_id, stream in self._streams.items():
+            if stream.idle():
+                continue
+            taken.append((vbucket_id, stream))
             for message in stream.take(self.BATCH):
                 if not isinstance(message, (Mutation, Deletion)):
                     continue
@@ -161,10 +167,44 @@ class Projector:
             # Reopened by _sync_streams from the last delivered seqno,
             # so the slice is retried instead of silently lost.
             del self._streams[vbucket_id]
-        for vbucket_id, stream in self._streams.items():
-            if stream.last_seqno > self.projected_seqnos.get(vbucket_id, 0):
+        # An idle stream did not move, so only the streams taken from
+        # can advance a projected seqno.
+        for vbucket_id, stream in taken:
+            if vbucket_id not in undelivered \
+                    and stream.last_seqno > self.projected_seqnos.get(vbucket_id, 0):
                 self.projected_seqnos[vbucket_id] = stream.last_seqno
         return bool(yielded - undelivered)
+
+    def _fast_forward(self, engine) -> bool:
+        """The pump without a ready index: nothing to project, so hold no
+        streams, copy no documents, and record each active vBucket's
+        newest change (its high seqno, see ``VBucket.last_change_seqno``)
+        as projected -- exactly where taking and discarding the whole
+        backlog would leave a stream.  An index that becomes ready later
+        is built from a snapshot, and its first projection starts here.
+        Progress is the answer the discarded messages would have given:
+        some active vBucket had a change past its mark."""
+        self._streams.clear()
+        projected = self.projected_seqnos
+        progressed = False
+        active = 0
+        for vbucket_id, vb in engine.vbuckets.items():
+            if vb.state is not VBucketState.ACTIVE:
+                continue
+            active += 1
+            last, mark = vb.last_change_seqno(), projected.get(vbucket_id)
+            if last != mark:
+                projected[vbucket_id] = last
+                progressed = progressed or last > (mark or 0)
+        # Every active vBucket has a mark now, so a surplus mark belongs
+        # to one that stopped being active here.
+        if len(projected) > active:
+            self.projected_seqnos = {
+                vbucket_id: seqno for vbucket_id, seqno in projected.items()
+                if vbucket_id in engine.vbuckets
+                and engine.vbuckets[vbucket_id].state is VBucketState.ACTIVE
+            }
+        return progressed
 
     def _sync_streams(self, engine) -> None:
         active = set(engine.owned_vbuckets(VBucketState.ACTIVE))

@@ -17,6 +17,7 @@ an active vBucket assigns sequence numbers and CAS values.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterator
 
 from ..common import tracing
@@ -48,6 +49,8 @@ from .types import MutationResult, ObserveResult, VBucketState
 __shared_state__ = ("_vb_uuid_counter",)
 
 _vb_uuid_counter = itertools.count(1000)
+
+_position = operator.attrgetter("position")
 
 
 def _xdcr_wins(incoming: Document, existing: Document) -> bool:
@@ -93,6 +96,9 @@ class VBucket:
         self.buffer_start_seqno = self.store.update_seq
         #: Keys with un-persisted mutations, in arrival order.
         self.dirty_queue: list[str] = []
+        #: Slot in the owning engine's ``vbuckets`` iteration order, which
+        #: is the order the flusher visits dirty vBuckets in.
+        self.position = 0
         #: History branches: (vb_uuid, seqno at which this branch began).
         self.failover_log: list[tuple[int, int]] = [(self.uuid, self.high_seqno)]
         #: For replicas: the producer's failover log adopted at stream
@@ -109,6 +115,13 @@ class VBucket:
         self.change_buffer.append(doc.copy())
         if len(self.change_buffer) > self.MAX_BUFFER:
             self.trim_change_buffer()
+
+    def last_change_seqno(self) -> int:
+        """Seqno of the newest mutation a DCP stream can deliver from this
+        copy.  It trails ``high_seqno`` after a write that was assigned a
+        seqno and then refused (a TMPFAIL raised past assignment)."""
+        buffer = self.change_buffer
+        return buffer[-1].meta.seqno if buffer else self.buffer_start_seqno
 
     def trim_change_buffer(self) -> None:
         """Drop buffered mutations already persisted; DCP backfills those
@@ -178,7 +191,20 @@ class KVEngine:
         self.eviction_policy = eviction_policy
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.vbuckets: dict[int, VBucket] = {}
+        #: The vBuckets whose dirty queue is non-empty, so the flusher and
+        #: the queue-depth probes visit only those.
+        self._dirty: dict[int, VBucket] = {}
+        #: Source of ``VBucket.position``: a vBucket's slot in the
+        #: iteration order of ``vbuckets`` (a new id goes last).
+        self._positions = itertools.count()
         self.compactor = Compactor(self.disk)
+        #: The vBuckets whose compaction answer may have changed since the
+        #: compactor last compared them with ``_checked_threshold``: new
+        #: ones, ones the flusher wrote to, one just compacted, and any
+        #: it skipped as dirty.  Every other file is unchanged and was
+        #: below that threshold.
+        self._to_check: dict[int, VBucket] = {}
+        self._checked_threshold: float | None = None
         #: Bucket-wide memory usage, maintained incrementally by hash
         #: table charge callbacks (insert/replace/eject/delete) so quota
         #: checks and the pager loop are O(1), not O(vbuckets x checks).
@@ -194,7 +220,13 @@ class KVEngine:
                        state: VBucketState = VBucketState.ACTIVE) -> VBucket:
         vb = VBucket(vbucket_id, state, self.disk, self.bucket_name)
         vb.hashtable.memory_listener = self._charge_memory
+        replaced = self.vbuckets.get(vbucket_id)
+        # Assigning to an existing key keeps its dict slot.
+        vb.position = (replaced.position if replaced is not None
+                       else next(self._positions))
+        self._dirty.pop(vbucket_id, None)  # the replaced copy's queue
         self.vbuckets[vbucket_id] = vb
+        self._to_check[vbucket_id] = vb
         return vb
 
     def set_vbucket_state(self, vbucket_id: int, state: VBucketState) -> None:
@@ -224,6 +256,8 @@ class KVEngine:
 
     def drop_vbucket(self, vbucket_id: int) -> None:
         vb = self.vbuckets.pop(vbucket_id, None)
+        self._dirty.pop(vbucket_id, None)
+        self._to_check.pop(vbucket_id, None)
         if vb is not None:
             self._memory_used -= vb.hashtable.memory_used
             vb.hashtable.memory_listener = None
@@ -279,6 +313,7 @@ class KVEngine:
         entry.locked_until = 0.0  # any successful mutation releases the lock
         entry.lock_cas = 0
         vb.dirty_queue.append(doc.key)
+        self._dirty[vb.id] = vb
         vb.record_change(doc)
         self.metrics.inc("kv.mutations")
         for listener in self.mutation_listeners:
@@ -650,6 +685,8 @@ class KVEngine:
             vb.high_seqno = max(vb.high_seqno, copy.meta.seqno)
             vb.high_cas = max(vb.high_cas, copy.meta.cas)
             vb.record_change(copy)
+        if docs:
+            self._dirty[vb.id] = vb
         self.metrics.inc("kv.replica_mutations", len(docs))
 
     # -- background pumps ------------------------------------------------------------
@@ -660,15 +697,19 @@ class KVEngine:
         """Drain the disk write queue (the flusher).  Persists up to
         ``max_batch`` mutations across vBuckets, commits headers, marks
         entries clean, and advances persisted seqnos.  Returns True if
-        anything was written."""
+        anything was written.  Visits only the dirty vBuckets, in
+        ``vbuckets`` order, so the shared budget lands where it always
+        did."""
         budget = max_batch if max_batch is not None else self.FLUSH_BATCH
         self.metrics.observe("kv.queue_depth", self.pending_writes())
         wrote = False
-        for vb in self.vbuckets.values():
-            if not vb.dirty_queue or budget <= 0:
-                continue
+        for vb in sorted(self._dirty.values(), key=_position):
+            if budget <= 0:
+                break
             keys, vb.dirty_queue = vb.dirty_queue[:budget], vb.dirty_queue[budget:]
             budget -= len(keys)
+            if not vb.dirty_queue:
+                del self._dirty[vb.id]
             docs = []
             seen = set()
             for key in keys:
@@ -691,11 +732,12 @@ class KVEngine:
                 vb.persisted_seqno = max(vb.persisted_seqno,
                                          max(d.meta.seqno for d in docs))
                 self.metrics.inc("kv.flushed", len(docs))
+                self._to_check[vb.id] = vb  # its file grew
                 wrote = True
         return wrote
 
     def pending_writes(self) -> int:
-        return sum(len(vb.dirty_queue) for vb in self.vbuckets.values())
+        return sum(len(vb.dirty_queue) for vb in self._dirty.values())
 
     @hot_path
     @cost("O(n)")
@@ -704,16 +746,26 @@ class KVEngine:
         periodically run, based on a fragmentation threshold, and while
         the system is online").  Compacts at most one vBucket per call
         so the pump never hogs a scheduler round; returns True if a file
-        was rewritten."""
-        for vb in self.vbuckets.values():
+        was rewritten.
+
+        A pass visits, in ``vbuckets`` order, only the vBuckets whose
+        answer may have changed since the last one (see ``_to_check``);
+        a threshold other than the last pass's re-compares every file,
+        each against its cached ratio.  So the first vBucket past the
+        threshold is the one a walk over every file would pick."""
+        if threshold != self._checked_threshold:
+            self._checked_threshold = threshold
+            self._to_check = dict(self.vbuckets)
+        for vb in sorted(self._to_check.values(), key=_position):
             if vb.dirty_queue:
                 continue  # let the flusher drain first
             if not self.compactor.needs_compaction(vb.store, threshold):
+                del self._to_check[vb.id]
                 continue
             tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
             vb.store = self.compactor.compact(vb.store)
             self.metrics.inc("kv.compactions")
-            return True
+            return True  # ``vb`` stays to be checked: its file is new
         return False
 
     @hot_path

@@ -44,7 +44,8 @@ class IntraReplicator:
                      'InvalidArgumentError')
     def pump(self) -> bool:
         """One scheduler round: refresh topology if needed, then forward
-        one batch per stream.  Returns True if any mutation moved."""
+        one batch per stream that has news (an idle stream costs one
+        predicate, no take).  Returns True if any mutation moved."""
         cluster_map = self.node.cluster_maps.get(self.bucket)
         engine = self.node.engines.get(self.bucket)
         if cluster_map is None or engine is None or not self.node.alive:
@@ -56,6 +57,8 @@ class IntraReplicator:
             vb = engine.vbuckets.get(vbucket_id)
             if vb is None or vb.state is not VBucketState.ACTIVE:
                 del self._streams[(vbucket_id, target)]
+                continue
+            if stream.idle():
                 continue
             messages = stream.take(self.BATCH)
             docs = [message.doc for message in messages

@@ -265,6 +265,13 @@ class Cluster:
                 node.view_define(bucket, definition)
         if node.indexer is not None:
             indexer = node.indexer.indexer
+            # A standard index's tree root lived only in the dead
+            # process's memory: its file is unreadable, and the rebuild
+            # below would append behind it.  (A memopt index's backup
+            # snapshot is left where it is.)
+            for instance in indexer.instances.values():
+                if instance.storage.kind == "standard":
+                    instance.storage.destroy()
             indexer.instances.clear()
             for index_name in manager.index_registry.names():
                 meta = manager.index_registry.require(index_name)

@@ -30,6 +30,12 @@ class Compactor:
         self.threshold = threshold
         #: Number of compactions performed.
         self.runs = 0
+        #: filename -> (store, file size, ``store.fragmentation()`` at that
+        #: size), one entry per file name.  Every writer appends, so an
+        #: unchanged size means unchanged counters; a truncation (crash,
+        #: ``destroy()``) gives a new size and a compaction swap a new
+        #: store object.
+        self._ratios: dict[str, tuple[VBucketStore, int, float]] = {}
 
     def needs_compaction(self, store: VBucketStore,
                          threshold: float | None = None) -> bool:
@@ -37,7 +43,19 @@ class Compactor:
         if threshold is None:
             threshold = self.threshold
         # Tiny files are never worth compacting, whatever their ratio.
-        return store.file_size > 4096 and store.fragmentation() >= threshold
+        return store.file_size > 4096 and self.fragmentation(store) >= threshold
+
+    def fragmentation(self, store: VBucketStore) -> float:
+        """``store.fragmentation()``, recomputed only when the file's size
+        or the store object changed since the last call.  Only the ratio
+        is cached, never the yes/no answer: the threshold is the caller's,
+        compared afresh on every call."""
+        size = store.file_size
+        cached = self._ratios.get(store.filename)
+        if cached is None or cached[0] is not store or cached[1] != size:
+            cached = (store, size, store.fragmentation())
+            self._ratios[store.filename] = cached
+        return cached[2]
 
     def compact(
         self,
@@ -69,6 +87,7 @@ class Compactor:
         self.disk.delete(old_name)
         self.disk.rename(temp_name, old_name)
         new_store.filename = old_name
+        self._ratios.pop(old_name, None)  # the old store is retired
         self.runs += 1
         return new_store
 

@@ -102,12 +102,17 @@ class ViewEngine:
 
     def pump(self) -> bool:
         """Apply everything the streams yield this slice: one tree
-        rewrite per view, however many documents changed."""
+        rewrite per view, however many documents changed.  An idle
+        stream costs one predicate, no take."""
         if not self.node.alive or not self.indexes:
             return False
         self._sync_streams()
         batch = []
+        taken: list[tuple[int, DcpStream]] = []
         for vbucket_id, stream in self._streams.items():
+            if stream.idle():
+                continue
+            taken.append((vbucket_id, stream))
             for message in stream.take(self.BATCH):
                 if isinstance(message, (Mutation, Deletion)):
                     batch.append((vbucket_id, message.doc))
@@ -116,7 +121,7 @@ class ViewEngine:
             for index in self.indexes.values():
                 index.update_docs(_map_rows(index.definition, batch))
             self.node.metrics.inc("views.mutations_indexed", len(batch))
-        for vbucket_id, stream in self._streams.items():
+        for vbucket_id, stream in taken:
             if stream.last_seqno > self.indexed_seqnos.get(vbucket_id, 0):
                 self.indexed_seqnos[vbucket_id] = stream.last_seqno
         return bool(batch)

@@ -12,6 +12,11 @@ from repro.common.errors import (
 )
 from repro.gsi import array_index, attribute_index, primary_index
 from repro.gsi.indexdef import IndexDefinition, path_extractor
+from repro.kv.types import VBucketState
+
+
+def node_counter(cluster, name: str) -> int:
+    return sum(node.metrics.counter_value(name) for node in cluster.nodes())
 
 
 @pytest.fixture
@@ -164,6 +169,43 @@ class TestMaintenance:
         assert len(rows) == 9
         rows = cluster.gsi.scan("tags", low=["t0"], high=["t0"])
         assert len(rows) == 3
+
+    def test_index_after_an_index_less_run_misses_and_replays_nothing(
+            self, cluster, client):
+        """Without a ready index a projector holds no streams and copies
+        no documents; it records each active vBucket's newest change as
+        projected.  An index built later covers everything up to its
+        snapshot, and the projector then projects exactly the mutations
+        made after it -- none missing, none replayed from before."""
+        expected: dict[str, int] = {}
+        for i in range(200):  # 120 documents, 80 of them updated
+            key = f"d{i % 120:03d}"
+            expected[key] = i % 23
+            client.upsert("b", key, {"age": expected[key]})
+            if i == 99:
+                cluster.run_until_idle()
+        cluster.run_until_idle()
+        for node in cluster.nodes():
+            projector = dict(cluster.scheduler._pumps)[
+                f"projector/{node.name}/b"].__self__
+            engine = node.engines["b"]
+            assert projector.projected_seqnos == {
+                vbucket_id: engine.vbuckets[vbucket_id].high_seqno
+                for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)}
+        assert node_counter(cluster, "gsi.projected") == 0
+
+        cluster.create_index(attribute_index("by_age", "b", "age"))
+        for i in range(50):  # 20 updates, 20 new documents, 10 deletes
+            key = f"d{(i * 7) % 140:03d}"
+            if i % 5 == 4 and key in expected:
+                client.remove("b", key)
+                del expected[key]
+            else:
+                expected[key] = 100 + i
+                client.upsert("b", key, {"age": expected[key]})
+        rows = cluster.gsi.scan("by_age", scan_consistency="request_plus")
+        assert rows == sorted(([age], key) for key, age in expected.items())
+        assert node_counter(cluster, "gsi.projected") == 50
 
 
 class TestScans:

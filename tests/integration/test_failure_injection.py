@@ -326,6 +326,43 @@ class TestNodeCrashRecovery:
         reopened = VBucketStore(node.disk, f"b/vb{vb}.couch", vb)
         assert reopened.get("durable").value == {"v": 1}
 
+    def test_restart_rebuilds_a_hosted_index_into_a_fresh_file(self):
+        """``restart_node`` rebuilds every index its node hosted.  The
+        tree root of the old file died with the process, so the rebuild
+        must start from an empty file: it used to append behind the
+        crashed process's 34 529 bytes (86 025 instead of 51 478 here).
+        The restarted file is the one a node whose disk never held the
+        index writes through the same restart -- the snapshot build plus
+        the restarted projector's replay of the node's own vBuckets --
+        and queries answer as before."""
+        def indexed_cluster() -> Cluster:
+            cluster = Cluster(nodes=3, vbuckets=16)
+            cluster.create_bucket("b", replicas=1)
+            cluster.connect().multi_upsert("b", {
+                f"k{i:03d}": {"a": i % 37, "t": f"t{i % 11}"}
+                for i in range(600)}).require_ok()
+            cluster.run_until_idle()
+            cluster.query("CREATE INDEX ia ON b(a, t)")
+            return cluster
+
+        def answers(cluster: Cluster) -> list:
+            return cluster.query(
+                "SELECT COUNT(*) AS n, SUM(a) AS s FROM b WHERE a >= 0").rows
+
+        cluster, twin = indexed_cluster(), indexed_cluster()
+        (host,) = cluster.gsi.list_indexes("b")[0]["nodes"]
+        before = answers(cluster)
+        assert before == [{"n": 600, "s": sum(i % 37 for i in range(600))}]
+        for each in (cluster, twin):
+            each.crash_node(host)
+        twin.node(host).disk.delete("gsi/b/ia.index")
+        for each in (cluster, twin):
+            each.restart_node(host)
+        sizes = [each.node(host).disk.open("gsi/b/ia.index").size
+                 for each in (cluster, twin)]
+        assert sizes[0] == sizes[1]
+        assert answers(cluster) == answers(twin) == before
+
     def test_unpersisted_write_lost_on_crash(self, cluster, client):
         client.upsert("b", "volatile", {"v": 1})  # memory-only ack
         cluster_map = cluster.manager.cluster_maps["b"]

@@ -18,10 +18,12 @@ import math
 
 from repro import Cluster
 from repro.common.disk import SimulatedDisk
+from repro.dcp.producer import DcpStream
 from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.gsi.projector import Projector
 from repro.gsi.storage import make_storage
 from repro.kv.types import VBucketState
+from repro.storage.couchstore import VBucketStore
 from repro.views import ViewDefinition, ViewQueryParams
 
 
@@ -318,6 +320,58 @@ def test_durability_waits_cost_observe_round_trips_and_scheduler_rounds():
     assert (plain["client_rpcs"] < replicated["client_rpcs"]
             <= both["client_rpcs"])
     assert plain["client_rpcs"] < persisted["client_rpcs"]
+
+
+def test_a_scheduler_round_costs_what_changed(monkeypatch):
+    """The asynchronous consumers of section 2.3.2 sit inside every
+    durability wait, so a round must cost what changed since the last
+    one, not what the node holds.  Over 128 vBucket files and 128 DCP
+    streams, a round after ``run_until_idle()`` computes no
+    fragmentation ratio and takes from no stream; the round after one
+    upsert re-reads the two files that grew and materializes the replica
+    stream's two messages.  (Walking everything, as every pump once
+    did, cost 128 ratios and 128 takes per round, and the index-less
+    projector copied the upsert into two more messages.)"""
+    cluster = Cluster(nodes=4, vbuckets=64)
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    client.multi_upsert("b", {f"k{i:04d}": {"i": i, "pad": "x" * 380}
+                              for i in range(1000)}).require_ok()
+    cluster.run_until_idle()
+
+    counts = {"ratios": 0, "takes": 0, "messages": 0}
+    fragmentation, take = VBucketStore.fragmentation, DcpStream.take
+
+    def counted_fragmentation(store):
+        counts["ratios"] += 1
+        return fragmentation(store)
+
+    def counted_take(stream, max_items=64):
+        messages = take(stream, max_items)
+        counts["takes"] += 1
+        counts["messages"] += len(messages)
+        return messages
+
+    monkeypatch.setattr(VBucketStore, "fragmentation", counted_fragmentation)
+    monkeypatch.setattr(DcpStream, "take", counted_take)
+
+    assert not cluster.scheduler.step()
+    assert counts == {"ratios": 0, "takes": 0, "messages": 0}
+
+    # A key whose replica node's pumps run after its active node's, so
+    # the active write and the replica write are both flushed this round.
+    cluster_map = cluster.manager.cluster_maps["b"]
+
+    def chain(key: str) -> list:
+        return cluster_map.chains[cluster_map.vbucket_for_key(key)]
+
+    key = next(key for key in (f"k{i:04d}" for i in range(1000))
+               if chain(key)[0] < chain(key)[1])
+    client.upsert("b", key, {"i": -1, "pad": "y" * 380})
+    assert cluster.scheduler.step()
+    assert counts == {"ratios": 2, "takes": 1, "messages": 2}
+    assert not cluster.scheduler.step()
+    assert counts == {"ratios": 2, "takes": 1, "messages": 2}
 
 
 # -- index maintenance in batches (4.3.3, 4.3.4) -----------------------------

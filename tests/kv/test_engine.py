@@ -327,6 +327,28 @@ class TestPersistence:
         engine.flush(max_batch=4)
         assert engine.pending_writes() == 6
 
+    def test_shared_budget_follows_vbucket_order_not_dirty_order(self):
+        """The flusher visits only dirty vBuckets, but in the order of
+        ``vbuckets`` -- creation order, a dropped-and-recreated id last
+        -- so a budget smaller than the backlog lands where a walk over
+        every vBucket would put it."""
+        engine = KVEngine("node1", "default")
+        for vbucket_id in (5, 1, 7, 3):
+            engine.create_vbucket(vbucket_id)
+        engine.drop_vbucket(1)
+        engine.create_vbucket(1)  # now last: 5, 7, 3, 1
+        for vbucket_id in (1, 3, 7, 5):  # dirtied in the opposite order
+            for i in range(3):
+                engine.upsert(vbucket_id, f"k{vbucket_id}.{i}", i)
+        engine.flush(max_batch=7)
+        persisted = {vbucket_id: vb.persisted_seqno
+                     for vbucket_id, vb in engine.vbuckets.items()}
+        assert persisted == {5: 3, 7: 3, 3: 1, 1: 0}
+        assert engine.pending_writes() == 5
+        engine.flush()
+        assert engine.pending_writes() == 0
+        assert not engine.flush()
+
     def test_crash_recovery_to_last_flush(self, engine):
         engine.upsert(VB, "a", 1)
         engine.flush()

@@ -5,6 +5,11 @@ The model is two dicts: what the store object holds now, and what it
 held at the last *synced* header -- which is what a reopen after
 ``disk.crash()`` must come back with.  Every invariant is checked after
 every rule, so the failing step is the one that broke it.
+
+The compactor's cached fragmentation ratio rides along: it is refreshed
+only when the file's size (or the store object) changed, so after every
+rule it must equal a fresh ``fragmentation()`` -- a rule that moved the
+counters without moving the size would break it.
 """
 
 import copy
@@ -103,6 +108,13 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = VBucketStore(self.disk, FILENAME, 7)
         self.now = copy.deepcopy(self.durable)
 
+    @rule()
+    def destroy(self):
+        # Truncated to nothing and synced: gone now and after a crash.
+        self.store.destroy()
+        self.now = Model()
+        self.durable = Model()
+
     @invariant()
     def point_reads_agree(self):
         store = self.store
@@ -159,6 +171,11 @@ class StoreMachine(RuleBasedStateMachine):
             # Nothing at all, or nothing but headers: the one state in
             # which the whole file is garbage.
             assert fragmentation in (0.0, 1.0)
+
+    @invariant()
+    def cached_fragmentation_is_fresh(self):
+        assert self.compactor.fragmentation(self.store) == \
+            self.store.fragmentation()
 
 
 StoreMachine.TestCase.settings = settings(
