@@ -32,8 +32,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..common.contracts import declared_raises
 from ..common.crc import crc32
-from ..common.errors import AdmissionRejectedError, declared_raises
+from ..common.errors import AdmissionRejectedError
 from ..common.metrics import MetricsRegistry
 from ..common.scheduler import Scheduler
 from .breaker import CLOSED, DEFAULT_COOLDOWN, CircuitBreaker

@@ -13,15 +13,14 @@ per-run :class:`Context`.  Five families:
 
 * **lint** -- per-module AST invariants: determinism (no wall clock,
   no unseeded randomness), pump discipline, error taxonomy, metric
-  naming, MISSING/NULL discipline, declared shared state;
+  naming, declared shared state;
 * **flow** -- whole-program: exception-flow exhaustiveness against
   ``@declared_raises``, option plumbing from client API to engine sink,
   layer conformance of the import graph;
 * **hotpath** -- cost rules scoped to the hot set (``@hot_path`` roots
-  and scheduler pumps, closed over the call graph) and the ``@cost``
-  contract up the graph;
-* **bounds** -- everything that accumulates is bounded, memory charges
-  balance, retries back off, acquired slots release on error paths;
+  and scheduler pumps, closed over the call graph);
+* **bounds** -- everything that accumulates is bounded, retries back
+  off, acquired slots release on error paths;
 * **proto** -- every write of a ``@protocol`` state field is a
   declared, guarded, ordered, owner-local, observable transition.
 
@@ -48,9 +47,7 @@ from . import (  # noqa: F401
     excflow,
     options,
     hotpath,
-    costs,
     bounds,
-    charges,
     proto,
 )
 from .callgraph import CallEdge, CallGraph, build_callgraph

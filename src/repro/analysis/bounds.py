@@ -4,8 +4,7 @@ bounded and everything it *acquires* is released.
 Container rules (**unbounded-buffer**, **cache-without-eviction**) run
 off the :class:`~repro.analysis.containers.Inventory`; the lifecycle
 rules (**retry-without-backoff**, **leak-on-error**) are per-function
-AST scans in the style of :mod:`repro.analysis.hotpath`;
-**charge-balance** lives in :mod:`repro.analysis.charges`.  Everything
+AST scans in the style of :mod:`repro.analysis.hotpath`.  Everything
 is scoped to the bounds scope (:func:`repro.analysis.reach.
 derive_bounds_scope`): growth in setup code is a one-shot, growth on a
 pump/RPC path is a leak.

@@ -30,7 +30,8 @@ distinct ways and each needs different treatment downstream:
 
 Type inference is deliberately shallow -- parameter and return
 annotations, ``self.x = ClassName(...)`` constructor assignments,
-class-body annotations, and dict value types -- because that is exactly
+class-body annotations, and dict value types (through ``values()`` and
+``sorted``/``list`` of them) -- because that is exactly
 the discipline the tree already follows; where the baseline run found
 resolution gaps, the fix was to add the missing annotation, which helps
 human readers as much as the analyzer.
@@ -696,9 +697,17 @@ class _Builder:
         callee = call.func
         if isinstance(callee, ast.Attribute):
             base = self._infer(callee.value, env, func, emit=False)
-            if base is not None and base[0] == "dictof" \
-                    and callee.attr in ("get", "pop", "setdefault"):
-                return ("instance", base[1])
+            if base is not None and base[0] == "dictof":
+                if callee.attr in ("get", "pop", "setdefault"):
+                    return ("instance", base[1])
+                if callee.attr == "values":
+                    return ("listof", base[1])
+        elif isinstance(callee, ast.Name) and callee.id in ("sorted", "list") \
+                and call.args and callee.id not in env:
+            # ``sorted(d.values(), key=...)`` keeps the element type.
+            elements = self._infer(call.args[0], env, func, emit=False)
+            if elements is not None and elements[0] == "listof":
+                return elements
         resolved = self._resolve_call_target(call, env, func)
         if resolved is None:
             return None

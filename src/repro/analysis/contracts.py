@@ -5,8 +5,7 @@ module attaches at runtime is read here by name, off the AST, so fixture
 trees (and code that stubs the declaration module) analyze without
 being importable.
 
-* ``@hot_path`` / ``@cost("...")`` on a function
-  (:func:`is_hot_root`, :func:`declared_cost`);
+* ``@hot_path`` on a function (:func:`is_hot_root`);
 * ``@bounded("kind", "reason")`` on a function exempts every container
   growth site inside it (:func:`declared_bound`); ``__bounds__ =
   ("attr", ...)`` in a class body -- or ``("Class.attr", ...)`` at
@@ -32,16 +31,6 @@ from .project import ClassInfo, FuncInfo, ModuleInfo, Project, decorator_name
 def is_hot_root(func: FuncInfo) -> bool:
     """True when ``func`` carries the ``@hot_path`` decorator."""
     return any(decorator_name(dec) == "hot_path" for dec in func.decorators)
-
-
-def declared_cost(func: FuncInfo) -> str | None:
-    """The ``@cost("...")`` bound declared on ``func``, or None."""
-    for dec in func.decorators:
-        if (decorator_name(dec) == "cost" and isinstance(dec, ast.Call)
-                and dec.args and isinstance(dec.args[0], ast.Constant)
-                and isinstance(dec.args[0].value, str)):
-            return dec.args[0].value
-    return None
 
 
 def declared_bound(func: FuncInfo) -> tuple[str, str] | None:

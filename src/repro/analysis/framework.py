@@ -53,7 +53,7 @@ class Check:
     #: Not enforced on files resolving to the relaxed profile
     #: (``examples/``, ``benchmarks/``, fixture trees run without
     #: ``--profile strict``): harness code legitimately measures wall
-    #: time, and a demo need not commit to a cost, raises, eviction or
+    #: time, and a demo need not commit to a raises, eviction or
     #: observability contract.
     strict_only: bool
     run: Callable[..., Iterable[Finding]]     #: takes the run's Context

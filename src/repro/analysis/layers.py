@@ -39,16 +39,16 @@ Checks:
     replication and the analysis tooling may import them (shared value
     types live in ``repro.kv.types``).
 
-``import-cycle``
-    Strongly connected components in the *eager* import graph.  Deferred
-    imports are excluded here (a function-body import cannot deadlock
-    module init) but still rank-checked above.
+Because cross-package imports must go down the table, an import cycle
+can only form inside one package, inside the tooling tier, or between
+same-rank interface modules.  An eager ``from .a import name`` cycle
+fails at import time, so every test importing either module fails.
 """
 
 from __future__ import annotations
 
 from .framework import Finding, register
-from .project import DEFERRED, EAGER, ModuleInfo, Project
+from .project import DEFERRED, ModuleInfo, Project
 
 RANKS = {
     "common": 0,
@@ -117,8 +117,6 @@ def _resolve_importee(project: Project, target: str,
         "only kv, cluster, dcp, replication and the tooling import "
         "kv.engine / kv.hashtable; services reach the data service "
         "over the fabric",
-    "import-cycle":
-        "the eager import graph has no cycles",
 })
 def layer_conformance(context) -> list[Finding]:
     return analyze_layers(context.project)
@@ -126,7 +124,6 @@ def layer_conformance(context) -> list[Finding]:
 
 def analyze_layers(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    eager_graph: dict[str, set[str]] = {}
     for module in project.modules.values():
         package = package_of(module.name)
         rank = RANKS.get(package)
@@ -135,11 +132,8 @@ def analyze_layers(project: Project) -> list[Finding]:
                                          record.symbol)
             if importee is None or record.kind == "type-checking":
                 continue
-            if record.kind == EAGER:
-                eager_graph.setdefault(module.name, set()).add(importee)
             findings.extend(_check_record(module, record, importee,
                                           package, rank))
-    findings.extend(_find_cycles(project, eager_graph))
     return findings
 
 
@@ -198,75 +192,4 @@ def _check_record(module: ModuleInfo, record, importee: str,
             f"{deferred_note}"
         ),
     ))
-    return findings
-
-
-def _find_cycles(project: Project,
-                 graph: dict[str, set[str]]) -> list[Finding]:
-    """Tarjan SCC over the eager import graph; every non-trivial SCC is
-    one finding anchored at its first module."""
-    index_counter = [0]
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    sccs: list[list[str]] = []
-
-    def strongconnect(node: str) -> None:
-        # Iterative Tarjan: (node, edge iterator) frames.
-        work = [(node, iter(sorted(graph.get(node, ()))))]
-        index[node] = low[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while work:
-            current, edges = work[-1]
-            advanced = False
-            for child in edges:
-                if child not in graph and child not in index:
-                    continue
-                if child not in index:
-                    index[child] = low[child] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(graph.get(child, ())))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[current] = min(low[current], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[current])
-            if low[current] == index[current]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == current:
-                        break
-                if len(component) > 1 or current in graph.get(current, ()):
-                    sccs.append(sorted(component))
-
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-
-    findings = []
-    for component in sccs:
-        anchor = project.modules.get(component[0])
-        findings.append(Finding(
-            check="import-cycle",
-            path=str(anchor.path) if anchor else component[0],
-            line=1, col=1,
-            message=(
-                f"eager import cycle: {' -> '.join(component)} -> "
-                f"{component[0]}; break it with a deferred import or by "
-                f"moving the shared piece down a layer"
-            ),
-        ))
     return findings

@@ -1,12 +1,12 @@
 """The lint family: per-module AST invariants.
 
 The architecture the paper implies rests on invariants nothing in the
-Python language enforces: all time flows through ``VirtualClock``, all
-background work runs as bounded deterministic pumps, and N1QL honors
-the MISSING/NULL value discipline.  Each rule here judges one module at
-a time over the already-parsed :class:`~repro.analysis.project.
-ModuleInfo` and keeps those invariants from silently eroding -- one
-careless ``time.time()`` away from nondeterministic tests.
+Python language enforces: all time flows through ``VirtualClock``, and
+all background work runs as bounded deterministic pumps.  Each rule here
+judges one module at a time over the already-parsed
+:class:`~repro.analysis.project.ModuleInfo` and keeps those invariants
+from silently eroding -- one careless ``time.time()`` away from
+nondeterministic tests.
 
 A rule is a generator ``rule(module)`` yielding ``(node, message)`` for
 each offence, decorated with :func:`_rule`, which registers it to run
@@ -43,10 +43,6 @@ def _rule(name: str, invariant: str, strict_only: bool = False):
                  strict_only={name} if strict_only else ())(run)
         return check
     return add
-
-
-def _module_in(module: ModuleInfo, prefix: str) -> bool:
-    return module.name == prefix or module.name.startswith(prefix + ".")
 
 
 # -- no-wall-clock -----------------------------------------------------------------
@@ -215,7 +211,7 @@ def _raised_name(node: ast.Raise) -> str | None:
     return None
 
 
-# -- pump-contract / no-pump-reentrancy --------------------------------------------
+# -- pump-contract -----------------------------------------------------------------
 #
 # ``Scheduler.run_until_idle`` terminates only because every pump (a) does
 # a *bounded* batch of work per invocation and (b) returns ``bool`` so the
@@ -223,20 +219,10 @@ def _raised_name(node: ast.Raise) -> str | None:
 # its queue drains starves every other pump and defeats the livelock
 # safety valve; a pump without a ``-> bool`` annotation is one refactor
 # away from returning ``None`` (falsy) and silently ending rounds early.
-#
-# A pump also runs *inside* ``Scheduler.step``; calling ``run_until_idle``
-# / ``step`` / ``run_until`` / ``advance`` from a pump body recursively
-# drives the other pumps from an arbitrary point in the current round.
-# That nests rounds (quiescence detection sees a mix of two rounds'
-# progress), reorders pumps behind the schedule policy's back, and raises
-# ``SchedulerReentrancyError`` at runtime.  The lint catches it at review
-# time instead: pumps return and let the scheduler call them again.
-#
-# Both rules check the conventionally named pump entry points (``pump`` /
+# The rule checks the conventionally named pump entry points (``pump`` /
 # ``_pump``) that ``Scheduler.register`` call sites hand over.
 
 _PUMP_NAMES = frozenset({"pump", "_pump"})
-_DRIVE_METHODS = frozenset({"run_until_idle", "step", "run_until", "advance"})
 
 
 def _pumps(module: ModuleInfo):
@@ -274,24 +260,6 @@ def _has_break(loop: ast.While) -> bool:
     # loops inside an unbounded drain are rare enough that the coarse
     # check keeps the rule simple; suppress if it misfires.
     return any(isinstance(node, ast.Break) for node in ast.walk(loop))
-
-
-@_rule("no-pump-reentrancy",
-       "pump bodies never call the scheduler drive loop (run_until_idle/"
-       "step/run_until/advance); pumps return and get re-invoked")
-def no_pump_reentrancy(module: ModuleInfo) -> Iterator[Offence]:
-    for node in _pumps(module):
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            callee = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if callee in _DRIVE_METHODS:
-                yield call, (
-                    f"pump {node.name}() calls {callee}(), re-entering "
-                    f"the scheduler drive loop mid-round; return instead "
-                    f"and let the scheduler re-invoke the pump")
 
 
 # -- metrics-naming ----------------------------------------------------------------
@@ -341,38 +309,6 @@ def _receiver_is_metrics(receiver: ast.expr) -> bool:
     if isinstance(receiver, ast.Attribute):
         return receiver.attr == "metrics"
     return False
-
-
-# -- missing-null-discipline -------------------------------------------------------
-#
-# Section 3.2.1's value space has *two* absent values: MISSING (the field
-# is not there) and NULL (it is there and null), and they propagate
-# differently through every operator.  Python code that compares a value
-# with ``== None`` silently collapses the two (and is a Python style bug
-# besides).  The rule fires only inside ``repro.n1ql``.
-
-
-@_rule("missing-null-discipline",
-       "n1ql code never conflates MISSING with NULL: no `== None` / "
-       "`!= None` comparisons")
-def missing_null_discipline(module: ModuleInfo) -> Iterator[Offence]:
-    if not _module_in(module, "repro.n1ql"):
-        return
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Eq, ast.NotEq)) and (
-                    _is_none(left) or _is_none(right)):
-                yield node, (
-                    "`== None` conflates NULL with MISSING (and is "
-                    "never identity-safe); use `is None` after an "
-                    "explicit `is MISSING` check")
-
-
-def _is_none(node: ast.expr) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
 
 
 # -- declared-shared-state ---------------------------------------------------------

@@ -1,22 +1,16 @@
 """Option plumbing: tracked query/durability options must survive the
-trip from the client API to the engine sink under their canonical names.
+trip from the client API to the engine sink.
 
 The tracked set is the options the paper's consistency story hangs on:
 ``replicate_to`` / ``persist_to`` (durability requirements) and
 ``scan_consistency`` / ``consistent_with`` / ``stale`` (index staleness
-control).  Three ways to lose one:
+control).  Two ways to lose one:
 
 ``option-dropped``
     The caller takes a tracked option and calls a function that would
     accept it, but doesn't pass it on -- the option silently reverts to
     the callee's default.  Forwarding through ``*args`` / ``**kwargs``
     splats counts as passing.
-
-``option-renamed``
-    A tracked option is handed to a *public* callee under a different
-    parameter name.  Renames at public seams are how ``at_plus`` turns
-    into someone's ``consistency=`` that nothing downstream recognizes;
-    private normalizers (``_normalize_tokens(tokens=...)``) are exempt.
 
 ``option-domain``
     Code that dispatches on a tracked option's string value must handle
@@ -58,9 +52,6 @@ MUST_HANDLE = {
     "option-dropped":
         "a tracked durability/consistency option a caller takes is "
         "passed on to every callee that accepts it",
-    "option-renamed":
-        "tracked options keep their canonical parameter name across "
-        "public seams",
     "option-domain":
         "code dispatching on scan_consistency / stale handles every "
         "value that changes behaviour, and only values in the domain",
@@ -85,18 +76,13 @@ def analyze_options(graph: CallGraph) -> list[Finding]:
 
 def _check_site(func: FuncInfo, call: ast.Call, callee: FuncInfo,
                 path: str) -> list[Finding]:
-    findings = []
-    caller_tracked = [p for p in (*func.params, *func.kwonly) if p in TRACKED]
+    if has_star_kwargs(call) or (
+            callee.has_vararg and any(isinstance(a, ast.Starred)
+                                      for a in call.args)):
+        return []   # forwarding through a splat counts as passing
     bound = map_call_args(call, callee)
-    splat = has_star_kwargs(call) or (
-        callee.has_vararg and any(isinstance(a, ast.Starred)
-                                  for a in call.args))
-    for option in caller_tracked:
-        if splat or option in bound:
-            continue
-        if not callee.accepts(option):
-            continue
-        findings.append(Finding(
+    return [
+        Finding(
             check="option-dropped", path=path,
             line=call.lineno, col=call.col_offset + 1,
             message=(
@@ -104,45 +90,11 @@ def _check_site(func: FuncInfo, call: ast.Call, callee: FuncInfo,
                 f"caller takes it and the callee accepts it, but it is not "
                 f"passed on (silently falls back to the callee default)"
             ),
-        ))
-    if callee.name.startswith("_"):
-        return findings  # private seam: normalizers may rename freely
-    for param, value in bound.items():
-        option = _tracked_source(value, func)
-        if option is None or param == option:
-            continue
-        if callee.accepts(option):
-            # The canonical name exists on the callee and was bypassed.
-            findings.append(Finding(
-                check="option-renamed", path=path,
-                line=call.lineno, col=call.col_offset + 1,
-                message=(
-                    f"tracked option {option!r} passed to "
-                    f"{_display(callee.fqn)} as {param!r} although the "
-                    f"callee accepts {option!r}; use the canonical name"
-                ),
-            ))
-        elif param not in TRACKED:
-            findings.append(Finding(
-                check="option-renamed", path=path,
-                line=call.lineno, col=call.col_offset + 1,
-                message=(
-                    f"tracked option {option!r} renamed to {param!r} at the "
-                    f"public seam {_display(callee.fqn)}; renames lose the "
-                    f"option's identity across layers"
-                ),
-            ))
-    return findings
-
-
-def _tracked_source(value: ast.expr, func: FuncInfo) -> str | None:
-    """Is this argument expression the caller's tracked option?"""
-    if isinstance(value, ast.Name) and value.id in TRACKED \
-            and func.accepts(value.id):
-        return value.id
-    if isinstance(value, ast.Attribute) and value.attr in TRACKED:
-        return value.attr
-    return None
+        )
+        for option in (*func.params, *func.kwonly)
+        if option in TRACKED and option not in bound
+        and callee.accepts(option)
+    ]
 
 
 def _check_domains(func: FuncInfo, path: str) -> list[Finding]:

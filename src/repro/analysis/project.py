@@ -82,7 +82,7 @@ def last_component(node: ast.expr) -> str | None:
 
 def decorator_name(dec: ast.expr) -> str | None:
     """Last dotted segment of a decorator, looking through a call:
-    ``@common.cost("O(1)")`` -> ``cost``."""
+    ``@contracts.bounded("maxlen", "...")`` -> ``bounded``."""
     return last_component(dec.func if isinstance(dec, ast.Call) else dec)
 
 

@@ -22,12 +22,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
-from ..common.contracts import cost, hot_path
+from ..common.contracts import declared_raises, hot_path
 from ..common.document import Document
 from ..common.errors import (
     AdmissionRejectedError,
     BucketNotFoundError,
-    declared_raises,
     NotConnectedError,
     KeyNotFoundError,
     NodeDownError,
@@ -141,7 +140,6 @@ class SmartClient:
         self._maps.clear()
 
     @hot_path
-    @cost("O(log n)")
     def _call(self, bucket: str, key: str, method: str, *args) -> Any:
         """Route one KV op through the admission front door and to the
         key's active node."""
@@ -355,7 +353,6 @@ class SmartClient:
         return groups, unassigned
 
     @hot_path
-    @cost("O(n)")
     def _multi_call(self, bucket: str, method: str,
                     keys: list[str],
                     payload: dict[str, dict] | None = None) -> BatchResult:

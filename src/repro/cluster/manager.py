@@ -18,6 +18,7 @@ full consensus protocol, which the paper does not describe either.
 from __future__ import annotations
 
 from ..common.clock import Clock
+from ..common.contracts import declared_raises
 from ..common.errors import (
     BucketExistsError,
     BucketNotFoundError,
@@ -25,7 +26,6 @@ from ..common.errors import (
     NodeExistsError,
     NodeNotFoundError,
     NoQuorumError,
-    declared_raises,
 )
 from ..common.scheduler import Scheduler
 from ..common.transport import Network

@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING
 
 from ..common.clock import Clock
 from ..common.disk import SimulatedDisk
+from ..common.contracts import declared_raises
 from ..common.document import Document
-from ..common.errors import BucketNotFoundError, declared_raises
+from ..common.errors import BucketNotFoundError
 from ..common.metrics import MetricsRegistry
 from ..common.transport import Network
 from ..dcp.producer import DcpProducer

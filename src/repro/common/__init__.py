@@ -3,7 +3,7 @@ cooperative scheduler, the simulated disk, the in-process network, CRC32
 key hashing, and metrics."""
 
 from .clock import Clock, VirtualClock
-from .contracts import cost, hot_path
+from .contracts import hot_path
 from .crc import crc32, vbucket_for_key
 from .disk import DiskStats, SimulatedDisk, SimulatedFile
 from .document import Document, DocumentMeta
@@ -37,7 +37,6 @@ __all__ = [
     "SimulatedDisk",
     "SimulatedFile",
     "VirtualClock",
-    "cost",
     "crc32",
     "decode",
     "deep_copy",

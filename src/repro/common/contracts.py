@@ -1,4 +1,5 @@
-"""Declared contracts the static analyzer checks: costs, bounds, protocols.
+"""Declared contracts the static analyzer checks: hot roots, raises,
+bounds, protocols.
 
 The paper's architecture rests on properties Python does not enforce:
 the managed cache serves KV traffic at memcached-like speed with query
@@ -16,15 +17,16 @@ analyzer reads the decorators statically (by name, off the AST) --
 importability is not required, which is why fixture trees can stub this
 module.
 
-**Costs.**  ``@hot_path`` marks a function as a hot-set *root*:
+**Hot roots.**  ``@hot_path`` marks a function as a hot-set *root*:
 everything it (transitively) calls is checked for accidental per-call
 blowups (quadratic loops, defensive copies, loop-invariant work, N+1
-RPC fan-out).  ``@cost("O(1)" | "O(log n)" | "O(n)")`` declares an upper
-bound on a hot root's per-call work, where *n* is the size of the input
-the call actually touches (a batch, one vBucket's live set) -- never the
-whole keyspace.  Declarations must be consistent up the call graph: an
-``O(1)`` function may not call an ``O(n)`` one, and a loop multiplies
-whatever it calls.
+RPC fan-out).
+
+**Raises.**  ``@declared_raises("KeyNotFoundError", ...)`` on a service
+entry point names the ``common.errors`` taxonomy exceptions it may
+raise; the exception-flow check verifies that every exception that can
+escape the entry point is covered (a declared base class covers its
+subclasses).
 
 **Bounds.**  Any container that grows on a pump- or RPC-reachable path
 must either be structurally bounded (a ``maxlen`` deque, an evicting
@@ -75,15 +77,6 @@ from .errors import InvalidArgumentError
 F = TypeVar("F", bound=Callable)
 C = TypeVar("C", bound=type)
 
-#: The declarable cost vocabulary, cheapest first.  Anything that cannot
-#: honestly declare ``O(n)`` of its *per-call input* does not belong on
-#: a hot path and should be restructured (bounded slices, batching)
-#: rather than given a bigger annotation.
-COSTS = ("O(1)", "O(log n)", "O(n)")
-
-#: Rank order used by the analyzer's contract check.
-COST_RANK = {name: rank for rank, name in enumerate(COSTS)}
-
 #: The declarable bounding mechanisms.  Anything that fits none of these
 #: is not bounded -- fix the container instead of inventing a kind.
 BOUND_KINDS = ("maxlen", "evicted", "consumer-drained")
@@ -103,24 +96,26 @@ def hot_path(fn: F) -> F:
     return fn
 
 
-def cost(bound: str) -> Callable[[F], F]:
-    """Declare ``fn``'s per-call cost bound (one of :data:`COSTS`).
+def declared_raises(*exception_names: str):
+    """Declare the taxonomy exceptions a service entry point may raise.
 
-    ``n`` is the size of the per-call input -- the keys in one multi-op,
-    the rows in one batch, the dirty queue slice one pump drains -- not
-    global state.  The bound is enforced statically (callees must
-    declare costs no greater than their callers'), never at runtime.
+    The declaration is data, not behavior: it sets ``__raises__`` on the
+    function.  Names are strings so declaring does not force imports
+    across layers::
+
+        @declared_raises("KeyNotFoundError", "NodeDownError")
+        def get(self, bucket, key):
+            ...
+
+    Run ``python -m repro.analysis --report raises`` to generate the
+    declaration for a new entry point.
     """
-    if bound not in COSTS:
-        raise InvalidArgumentError(
-            f"cost bound must be one of {COSTS}, got {bound!r}"
-        )
 
-    def mark(fn: F) -> F:
-        fn.__declared_cost__ = bound
-        return fn
+    def decorate(func):
+        func.__raises__ = tuple(exception_names)
+        return func
 
-    return mark
+    return decorate
 
 
 def bounded(kind: str, reason: str) -> Callable[[F], F]:

@@ -14,30 +14,6 @@ class ReproError(Exception):
     """Base class for every error raised by this library."""
 
 
-def declared_raises(*exception_names: str):
-    """Declare the taxonomy exceptions a service entry point may raise.
-
-    The declaration is data, not behavior: it sets ``__raises__`` on the
-    function, and ``repro.analysis``'s exception-flow check verifies that
-    the set of exceptions that can actually escape the entry point is
-    covered by it (a declared base class covers its subclasses).  Names
-    are strings so declaring does not force imports across layers::
-
-        @declared_raises("KeyNotFoundError", "NodeDownError")
-        def get(self, bucket, key):
-            ...
-
-    Run ``python -m repro.analysis --report raises`` to generate the
-    declaration for a new entry point.
-    """
-
-    def decorate(func):
-        func.__raises__ = tuple(exception_names)
-        return func
-
-    return decorate
-
-
 class InvalidArgumentError(ReproError, ValueError):
     """A service was handed an argument it cannot act on -- an unknown
     enum value, an out-of-range bound, a malformed spec.  Subclasses the

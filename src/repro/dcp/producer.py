@@ -25,7 +25,7 @@ from collections import deque
 from enum import Enum
 
 from ..common import tracing
-from ..common.contracts import cost, hot_path
+from ..common.contracts import hot_path
 from ..common.errors import StreamRollbackRequired
 from ..common.contracts import protocol
 from ..kv.engine import KVEngine, VBucket
@@ -101,7 +101,6 @@ class DcpStream:
                 and self.vb.last_change_seqno() <= last < self.end_seqno)
 
     @hot_path
-    @cost("O(n)")
     def take(self, max_items: int = 64) -> list[DcpMessage]:
         """Return up to ``max_items`` messages (snapshot markers are free).
 
@@ -206,7 +205,6 @@ class DcpProducer:
         self._stream_seq = itertools.count(1)
 
     @hot_path
-    @cost("O(n)")
     def stream_request(
         self,
         vbucket_id: int,

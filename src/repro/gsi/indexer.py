@@ -16,11 +16,11 @@ updated up to the maximum sequence number for each vBucket").
 from __future__ import annotations
 
 from ..common import tracing
+from ..common.contracts import declared_raises
 from ..common.disk import SimulatedDisk
 from ..common.errors import (
     IndexExistsError,
     IndexNotFoundError,
-    declared_raises,
 )
 from ..common.jsonval import deep_copy
 from .indexdef import IndexDefinition

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from ..common import tracing
 from ..common.contracts import bounded
-from ..common.contracts import cost, hot_path
+from ..common.contracts import hot_path
 from ..common.clock import Clock, VirtualClock
 from ..common.disk import SimulatedDisk
 from ..common.document import Document, DocumentMeta
@@ -363,7 +363,6 @@ class KVEngine:
     # -- public KV API (section 3.1.1) -------------------------------------------
 
     @hot_path
-    @cost("O(log n)")
     def get(self, vbucket_id: int, key: str) -> Document:
         vb = self._active(vbucket_id)
         entry = self._live_entry(vb, key)
@@ -382,7 +381,6 @@ class KVEngine:
         return entry.doc.copy()
 
     @hot_path
-    @cost("O(log n)")
     def upsert(self, vbucket_id: int, key: str, value: JsonValue, *,
                cas: int = 0, expiry: float = 0.0, flags: int = 0) -> MutationResult:
         """The memcached SET: create or replace."""
@@ -399,7 +397,6 @@ class KVEngine:
         return MutationResult(doc.meta.cas, doc.meta.seqno, vb.id)
 
     @hot_path
-    @cost("O(log n)")
     def insert(self, vbucket_id: int, key: str, value: JsonValue, *,
                expiry: float = 0.0, flags: int = 0) -> MutationResult:
         """The memcached ADD: fails if the key exists."""
@@ -409,7 +406,6 @@ class KVEngine:
         return self.upsert(vbucket_id, key, value, expiry=expiry, flags=flags)
 
     @hot_path
-    @cost("O(log n)")
     def replace(self, vbucket_id: int, key: str, value: JsonValue, *,
                 cas: int = 0, expiry: float = 0.0, flags: int = 0) -> MutationResult:
         """The memcached REPLACE: fails unless the key exists."""
@@ -420,7 +416,6 @@ class KVEngine:
                            flags=flags)
 
     @hot_path
-    @cost("O(log n)")
     def delete(self, vbucket_id: int, key: str, *, cas: int = 0) -> MutationResult:
         vb = self._active(vbucket_id)
         entry = self._live_entry(vb, key)
@@ -434,7 +429,6 @@ class KVEngine:
         return MutationResult(doc.meta.cas, doc.meta.seqno, vb.id)
 
     @hot_path
-    @cost("O(log n)")
     def touch(self, vbucket_id: int, key: str, expiry: float) -> MutationResult:
         vb = self._active(vbucket_id)
         entry = self._live_entry(vb, key)
@@ -444,7 +438,6 @@ class KVEngine:
                            flags=entry.doc.meta.flags)
 
     @hot_path
-    @cost("O(log n)")
     def counter(self, vbucket_id: int, key: str, delta: int, *,
                 initial: int | None = None) -> tuple[int, MutationResult]:
         """memcached-style atomic counter: add ``delta`` to an integer
@@ -469,7 +462,6 @@ class KVEngine:
     # -- batched operations (the smart client's node-grouped bulk path) -----------
 
     @hot_path
-    @cost("O(n)")
     def multi_get(self, items: list[tuple[int, str]]) -> list[tuple[str, object]]:
         """Serve a batch of point lookups in one call.  ``items`` is a
         list of ``(vbucket_id, key)`` pairs; the result carries one
@@ -486,7 +478,6 @@ class KVEngine:
         return out
 
     @hot_path
-    @cost("O(n)")
     def multi_mutate(
         self, ops: list[tuple[str, int, str, dict]]
     ) -> list[tuple[str, object]]:
@@ -517,7 +508,6 @@ class KVEngine:
     # lookups and updates; the SDK exposes them as lookup_in/mutate_in) ----
 
     @hot_path
-    @cost("O(log n)")
     def lookup_in(self, vbucket_id: int, key: str,
                   paths: list[str]) -> list:
         """Fetch selected sub-document paths without shipping the whole
@@ -532,7 +522,6 @@ class KVEngine:
         return results
 
     @hot_path
-    @cost("O(log n)")
     def mutate_in(self, vbucket_id: int, key: str,
                   operations: list[tuple[str, str, JsonValue]],
                   *, cas: int = 0) -> MutationResult:
@@ -566,7 +555,6 @@ class KVEngine:
                            flags=entry.doc.meta.flags)
 
     @hot_path
-    @cost("O(log n)")
     def get_and_lock(self, vbucket_id: int, key: str,
                      lock_time: float | None = None) -> Document:
         """Pessimistic locking (section 3.1.1).  The returned document's
@@ -591,7 +579,6 @@ class KVEngine:
         return entry.doc.copy()
 
     @hot_path
-    @cost("O(log n)")
     def unlock(self, vbucket_id: int, key: str, cas: int) -> None:
         vb = self._active(vbucket_id)
         entry = vb.hashtable.peek(key)
@@ -605,7 +592,6 @@ class KVEngine:
         entry.lock_cas = 0
 
     @hot_path
-    @cost("O(log n)")
     def observe(self, vbucket_id: int, key: str) -> ObserveResult:
         """Durability probe: is the key in memory here, and has its latest
         mutation been persisted?  Works on active and replica vBuckets
@@ -632,7 +618,6 @@ class KVEngine:
     # -- XDCR inbound (section 4.6) --------------------------------------------------
 
     @hot_path
-    @cost("O(log n)")
     def set_with_meta(self, vbucket_id: int, incoming: Document) -> bool:
         """Apply a remotely replicated mutation, preserving its metadata,
         after conflict resolution (section 4.6.1): the document with the
@@ -657,7 +642,6 @@ class KVEngine:
     # -- replica side (DCP consumer) ----------------------------------------------
 
     @hot_path
-    @cost("O(n)")
     def apply_replicated(self, vbucket_id: int, doc: Document) -> None:
         """Apply a mutation received over DCP to a replica or pending
         vBucket.  Seqno/CAS arrive pre-assigned by the active side.
@@ -665,7 +649,6 @@ class KVEngine:
         self.apply_replicated_batch(vbucket_id, [doc])
 
     @hot_path
-    @cost("O(n)")
     def apply_replicated_batch(self, vbucket_id: int,
                                docs: list[Document]) -> None:
         """Apply one DCP stream batch to a replica or pending vBucket.
@@ -692,7 +675,6 @@ class KVEngine:
     # -- background pumps ------------------------------------------------------------
 
     @hot_path
-    @cost("O(n)")
     def flush(self, max_batch: int | None = None) -> bool:
         """Drain the disk write queue (the flusher).  Persists up to
         ``max_batch`` mutations across vBuckets, commits headers, marks
@@ -740,7 +722,6 @@ class KVEngine:
         return sum(len(vb.dirty_queue) for vb in self._dirty.values())
 
     @hot_path
-    @cost("O(n)")
     def run_compactor(self, threshold: float = 0.6) -> bool:
         """Online compaction pass (section 4.3.3: "Compaction is
         periodically run, based on a fragmentation threshold, and while
@@ -769,7 +750,6 @@ class KVEngine:
         return False
 
     @hot_path
-    @cost("O(n)")
     def run_expiry_pager(self) -> int:
         """Proactively convert expired documents into delete mutations so
         replicas and indexes learn about expiry without waiting for an
@@ -846,7 +826,6 @@ class KVEngine:
             )
 
     @hot_path
-    @cost("O(n)")
     def run_item_pager(self) -> int:
         """Eject NRU clean values until usage falls below the low
         watermark.  Two sweeps: the first skips recently referenced

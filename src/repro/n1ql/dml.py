@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..common.contracts import cost, hot_path
+from ..common.contracts import hot_path
 from ..common.errors import (
     CasMismatchError,
     KeyExistsError,
@@ -113,7 +113,6 @@ def _returning(statement, ctx: ExecutionContext, env: Env) -> Any:
 
 
 @hot_path
-@cost("O(n)")
 def execute_insert(statement: InsertStatement, ctx: ExecutionContext) -> dict:
     client = ctx.client
     empty = Env()
@@ -291,7 +290,6 @@ def _apply_path_unset(doc, steps: list) -> None:
 
 
 @hot_path
-@cost("O(n)")
 def execute_update(statement: UpdateStatement, planner: Planner,
                    ctx: ExecutionContext) -> dict:
     client = ctx.client
@@ -357,7 +355,6 @@ def execute_update(statement: UpdateStatement, planner: Planner,
 
 
 @hot_path
-@cost("O(n)")
 def execute_delete(statement: DeleteStatement, planner: Planner,
                    ctx: ExecutionContext) -> dict:
     client = ctx.client

@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterator
 
-from ..common.contracts import bounded
-from ..common.contracts import cost, hot_path
+from ..common.contracts import bounded, hot_path
 from ..common.errors import N1qlRuntimeError
 from .collation import MISSING
 from .compile import compile_expr, compile_sort_key
@@ -163,7 +162,6 @@ def _chunks(rows: list) -> Batches:
 
 
 @hot_path
-@cost("O(n)")
 def run_key_scan(op: KeyScan, ctx: ExecutionContext) -> Batches:
     keys = _compiled(op, "_compiled_keys", op.keys, ctx)(Env(), ctx.evaluator)
     if isinstance(keys, str):
@@ -221,7 +219,6 @@ def _pushed_limit(op, ctx: ExecutionContext) -> int | None:
 
 
 @hot_path
-@cost("O(n)")
 def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
     if op.using == "view":
         yield from _batched(_run_view_index_scan(op, ctx))
@@ -284,7 +281,6 @@ def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
 
 
 @hot_path
-@cost("O(n)")
 def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Batches:
     ctx.count("n1ql.primaryscan")
     if op.using != "gsi":
@@ -339,7 +335,6 @@ def _finalize_partial(name: str, partial: list) -> Any:
 
 
 @hot_path
-@cost("O(n)")
 def run_index_aggregate(op: IndexAggregateScan,
                         ctx: ExecutionContext) -> Batches:
     """Covered GROUP BY served by the index nodes (section 5.1): each
@@ -382,7 +377,6 @@ def run_index_aggregate(op: IndexAggregateScan,
 
 
 @hot_path
-@cost("O(n)")
 def run_system_scan(op, ctx: ExecutionContext) -> Batches:
     """Rows of a system catalog keyspace."""
     cluster = ctx.cluster
@@ -484,7 +478,6 @@ class FetchState:
 
 
 @hot_path
-@cost("O(n)")
 def run_fetch(op: Fetch, ctx: ExecutionContext,
               batches: Batches) -> Batches:
     """Resolve pending document fetches in node-grouped batches: one
@@ -506,7 +499,6 @@ def run_fetch(op: Fetch, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_filter(op: Filter, ctx: ExecutionContext,
                batches: Batches) -> Batches:
     condition = _compiled(op, "_compiled_condition", op.condition, ctx)
@@ -518,7 +510,6 @@ def run_filter(op: Filter, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_let(op: LetOp, ctx: ExecutionContext,
             batches: Batches) -> Batches:
     compiled = getattr(op, "_compiled_bindings", None)
@@ -581,7 +572,6 @@ def _fetch_on_keys(op, ctx: ExecutionContext, on_keys,
 
 
 @hot_path
-@cost("O(n)")
 def run_join(op: JoinOp, ctx: ExecutionContext,
              batches: Batches) -> Batches:
     on_keys = _compiled(op, "_compiled_on_keys", op.on_keys, ctx)
@@ -607,7 +597,6 @@ def run_join(op: JoinOp, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_nest(op: NestOp, ctx: ExecutionContext,
              batches: Batches) -> Batches:
     """NEST: one output row per left row, with the fetched inner
@@ -629,7 +618,6 @@ def run_nest(op: NestOp, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_unnest(op: UnnestOp, ctx: ExecutionContext,
                batches: Batches) -> Batches:
     """UNNEST: the parent is repeated for each element of the nested
@@ -689,7 +677,6 @@ def _group_compiled(op: GroupOp, ctx: ExecutionContext):
 
 
 @hot_path
-@cost("O(n)")
 def run_group(op: GroupOp, ctx: ExecutionContext,
               batches: Batches) -> Batches:
     group_fns, agg_entries = _group_compiled(op, ctx)
@@ -751,7 +738,6 @@ def _jsonable(value):
 
 
 @hot_path
-@cost("O(n)")
 def run_order(op: OrderOp, ctx: ExecutionContext,
               batches: Batches) -> Batches:
     key_of = getattr(op, "_compiled_key", None)
@@ -767,7 +753,6 @@ def run_order(op: OrderOp, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_offset(op: OffsetOp, ctx: ExecutionContext,
                batches: Batches) -> Batches:
     count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
@@ -786,7 +771,6 @@ def run_offset(op: OffsetOp, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_limit(op: LimitOp, ctx: ExecutionContext,
               batches: Batches) -> Batches:
     count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
@@ -834,7 +818,6 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
 
 
 @hot_path
-@cost("O(n)")
 def run_initial_project(op: InitialProject, ctx: ExecutionContext,
                         batches: Batches) -> Batches:
     """Evaluate the projection list; emits envs carrying '$result'."""
@@ -892,7 +875,6 @@ def _implicit_name(expr) -> str | None:
 
 
 @hot_path
-@cost("O(n)")
 def run_distinct(op: DistinctOp, ctx: ExecutionContext,
                  batches: Batches) -> Batches:
     seen: set[str] = set()
@@ -910,7 +892,6 @@ def run_distinct(op: DistinctOp, ctx: ExecutionContext,
 
 
 @hot_path
-@cost("O(n)")
 def run_final_project(op: FinalProject, ctx: ExecutionContext,
                       batches: Batches) -> Iterator[list[Any]]:
     for batch in batches:

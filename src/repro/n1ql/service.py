@@ -20,11 +20,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..common.errors import (
-    IndexNotFoundError,
-    N1qlSemanticError,
-    declared_raises,
-)
+from ..common.contracts import declared_raises
+from ..common.errors import IndexNotFoundError, N1qlSemanticError
 from ..gsi.indexdef import IndexDefinition, primary_index
 from .catalog import Catalog, ViewIndexInfo
 from .compile import compile_expr

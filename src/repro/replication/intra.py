@@ -15,11 +15,11 @@ seqno 0.
 
 from __future__ import annotations
 
+from ..common.contracts import declared_raises
 from ..common.errors import (
     NodeDownError,
     NotMyVBucketError,
     StreamRollbackRequired,
-    declared_raises,
 )
 from ..common.transport import Network
 from ..dcp.messages import Deletion, Mutation

@@ -20,7 +20,7 @@ fixture:
 
 from __future__ import annotations
 
-from ..common.errors import declared_raises
+from ..common.contracts import declared_raises
 from ..common.scheduler import SchedulePolicy, Scheduler
 from .scenarios import RunOutcome, Scenario, sanitized_cluster
 
@@ -101,6 +101,7 @@ def _run_queue_theft(policy: SchedulePolicy) -> RunOutcome:
     cluster.define_view("b", ViewDefinition("dd", "by_i", by_i))
     view_engine = cluster.node("qt1").view_engines["b"]
 
+    @declared_raises('CorruptFileError', 'InvalidArgumentError')
     def thief_pump() -> bool:
         # The bug under test: a second consumer draining the view
         # engine's single-consumer DCP streams, racing it for messages.

@@ -17,6 +17,7 @@ import itertools
 from typing import TYPE_CHECKING
 
 from ..common import tracing
+from ..common.contracts import declared_raises
 from ..common.errors import ViewExistsError
 from ..dcp.messages import Deletion, Mutation
 from ..dcp.producer import DcpStream
@@ -100,6 +101,8 @@ class ViewEngine:
 
     # -- incremental maintenance (the DCP consumer pump) ----------------------------
 
+    @declared_raises('CorruptFileError', 'DiskFullError',
+                     'InvalidArgumentError')
     def pump(self) -> bool:
         """Apply everything the streams yield this slice: one tree
         rewrite per view, however many documents changed.  An idle

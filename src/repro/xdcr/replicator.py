@@ -27,15 +27,14 @@ from __future__ import annotations
 import re
 from enum import Enum
 
+from ..common.contracts import declared_raises, protocol
 from ..common.errors import (
     BucketNotFoundError,
     LivelockError,
     NodeDownError,
     NotMyVBucketError,
-    declared_raises,
 )
 from ..common.metrics import MetricsRegistry
-from ..common.contracts import protocol
 from ..dcp.messages import Deletion, Mutation
 from ..dcp.producer import DcpStream
 from ..kv.types import VBucketState

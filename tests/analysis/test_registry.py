@@ -30,7 +30,7 @@ def test_fixtures_and_registry_are_a_bijection():
         for path in (TESTS / family / "fixtures").iterdir() if path.is_dir()
     )
     assert on_disk == sorted(EXPECTED)
-    assert len(on_disk) == 31
+    assert len(on_disk) == 25
     by_family = {family: {c.name for c in all_checks() if c.family == family}
                  for family in FAMILIES}
     for family in FAMILIES[1:]:
@@ -39,8 +39,8 @@ def test_fixtures_and_registry_are_a_bijection():
         assert covered == by_family[family], family
     # The lint family's known-bad inputs are the inline sources of
     # tests/lint/test_rules.py; its names are pinned in test_engine.py.
-    assert len(by_family["lint"]) == 8
-    assert len(all_checks()) == 37
+    assert len(by_family["lint"]) == 6
+    assert len(all_checks()) == 29
 
 
 def test_check_names_are_unique_across_families():
@@ -65,7 +65,7 @@ def test_one_invocation_indexes_and_derives_everything_once(
     """One CLI invocation with every family selected: one parse per
     file, one call graph, and each derived fact (hot set and bounds
     scope = two closures, container inventory, protocol analysis,
-    exception flow) computed exactly once, however many of the 37
+    exception flow) computed exactly once, however many of the 29
     checks read it."""
     calls: dict[str, int] = {}
     _count_calls(monkeypatch, Project, "add_source", calls)

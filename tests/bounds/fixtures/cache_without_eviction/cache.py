@@ -5,10 +5,6 @@ def hot_path(fn):
     return fn
 
 
-def cost(bound):
-    return lambda fn: fn
-
-
 def compile_plan(text):
     return ("plan", text)
 
@@ -20,7 +16,6 @@ class PlanCache:
         self.plans = {}
 
     @hot_path
-    @cost("O(n)")
     def lookup(self, text):
         plan = self.plans.get(text)
         if plan is None:

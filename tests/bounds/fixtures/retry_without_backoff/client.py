@@ -6,17 +6,12 @@ def hot_path(fn):
     return fn
 
 
-def cost(bound):
-    return lambda fn: fn
-
-
 class TemporaryFailureError(Exception):
     pass
 
 
 class SpinningClient:
     @hot_path
-    @cost("O(1)")
     def fetch(self, key):
         for _attempt in range(5):
             try:

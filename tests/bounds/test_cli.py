@@ -14,16 +14,11 @@ def hot_path(fn):
     return fn
 
 
-def cost(bound):
-    return lambda fn: fn
-
-
 class EventCollector:
     def __init__(self):
         self.backlog = []
 
     @hot_path
-    @cost("O(1)")
     def on_event(self, event):
         self.backlog.append(event)
 '''
@@ -34,16 +29,11 @@ def hot_path(fn):
     return fn
 
 
-def cost(bound):
-    return lambda fn: fn
-
-
 class DrainedCollector:
     def __init__(self):
         self.queue = []
 
     @hot_path
-    @cost("O(1)")
     def push(self, item):
         self.queue.append(item)
 
@@ -106,16 +96,11 @@ def hot_path(fn):
     return fn
 
 
-def cost(bound):
-    return lambda fn: fn
-
-
 class Memo:
     def __init__(self):
         self.seen = {}
 
     @hot_path
-    @cost("O(1)")
     def get(self, key):
         value = self.seen.get(key)
         if value is None:
@@ -161,13 +146,12 @@ class TestSuppressions:
 class TestDeclarations:
     def test_bounded_decorator_silences_growth(self, tmp_path, capsys):
         declared = BAD_BUFFER.replace(
-            "def cost(bound):\n    return lambda fn: fn",
-            "def cost(bound):\n    return lambda fn: fn\n\n\n"
+            "class EventCollector:",
             "def bounded(kind, reason):\n"
-            "    def mark(fn):\n        return fn\n    return mark",
+            "    def mark(fn):\n        return fn\n    return mark\n\n\n"
+            "class EventCollector:",
         ).replace(
-            "    @cost(\"O(1)\")\n    def on_event",
-            "    @cost(\"O(1)\")\n"
+            "    def on_event",
             "    @bounded(\"consumer-drained\", \"reporting pump drains "
             "it each round\")\n    def on_event",
         )

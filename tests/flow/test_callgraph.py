@@ -273,3 +273,58 @@ class TestPropertyLoads:
         assert ("repro.cluster.facade.Facade.use",
                 "repro.cluster.facade.Facade.client") in \
             _edges(graph, "method")
+
+
+class TestTypedDictValues:
+    """A loop variable drawn from a typed dict's ``values()`` -- directly,
+    or through ``sorted(...)`` / ``list(...)`` -- has the dict's value
+    type, so the methods called on it are edges."""
+
+    def test_values_sorted_and_list_keep_the_element_type(self, tmp_path):
+        graph = _build(tmp_path, {"kv/engine.py": """
+            class Store:
+                def save_docs(self, docs):
+                    return docs
+
+                def write_header(self):
+                    return None
+
+                def compact(self):
+                    return None
+
+
+            class VBucket:
+                def __init__(self):
+                    self.store = Store()
+
+
+            class Engine:
+                def __init__(self):
+                    self.vbuckets: dict[int, VBucket] = {}
+
+                def flush(self):
+                    for vb in sorted(self.vbuckets.values(), key=id):
+                        vb.store.save_docs([])
+
+                def sync(self):
+                    for vb in self.vbuckets.values():
+                        vb.store.write_header()
+
+                def compact(self):
+                    for vb in list(self.vbuckets.values()):
+                        vb.store.compact()
+            """})
+        assert _edges(graph, "method") >= {
+            ("repro.kv.engine.Engine.flush", "repro.kv.engine.Store.save_docs"),
+            ("repro.kv.engine.Engine.sync", "repro.kv.engine.Store.write_header"),
+            ("repro.kv.engine.Engine.compact", "repro.kv.engine.Store.compact"),
+        }
+
+    def test_the_flusher_reaches_the_store(self, strict_tree_run):
+        edges = _edges(strict_tree_run.context.graph, "method")
+        assert {
+            ("repro.kv.engine.KVEngine.flush",
+             "repro.storage.couchstore.VBucketStore.save_docs"),
+            ("repro.kv.engine.KVEngine.flush",
+             "repro.storage.couchstore.VBucketStore.write_header"),
+        } <= edges

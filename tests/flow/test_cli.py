@@ -51,7 +51,7 @@ class TestCheckSelection:
     def test_other_analyses_do_not_run(self, capsys):
         """A layering fixture is clean as far as option plumbing goes."""
         code = main([str(FIXTURES / "layer_up"), "--check",
-                     "option-dropped,option-renamed,option-domain",
+                     "option-dropped,option-domain",
                      "--profile", "strict"])
         assert code == 0, capsys.readouterr().out
 

@@ -1,9 +1,8 @@
-from ..common.contracts import cost, hot_path
+from ..common.contracts import hot_path
 from .compile import compile_expr
 
 
 @hot_path
-@cost("O(n)")
 def project_rows(rows, expr):
     out = []
     for row in rows:

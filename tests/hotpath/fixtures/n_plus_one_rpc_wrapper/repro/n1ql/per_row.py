@@ -1,9 +1,8 @@
-from ..common.contracts import cost, hot_path
+from ..common.contracts import hot_path
 from .context import ExecutionContext
 
 
 @hot_path
-@cost("O(n)")
 def join_per_row(ctx: ExecutionContext, batches):
     for batch in batches:
         out = []

@@ -1,8 +1,7 @@
-from ..common.contracts import cost, hot_path
+from ..common.contracts import hot_path
 
 
 @hot_path
-@cost("O(n)")
 def merge_batches(batches, ranking):
     merged = []
     for batch in batches:

@@ -18,11 +18,10 @@ def _write_tree(tmp_path, files: dict[str, str]) -> Path:
 
 
 CLEAN_TREE = {"kv/engine.py": """
-    from ..common.contracts import cost, hot_path
+    from ..common.contracts import hot_path
 
 
     @hot_path
-    @cost("O(1)")
     def get(store, key):
         return store[key]
     """}
@@ -72,26 +71,13 @@ class TestCheckSelection:
         assert "quadratic-membership" in capsys.readouterr().out
 
     def test_comma_separated_selection(self, capsys):
-        code = main([str(FIXTURES / "cost_exceeds_caller"), "--check",
-                     "cost-exceeds-caller,cost-loop-amplified",
-                     "--profile", "strict"])
+        code = main([str(FIXTURES / "sort_in_loop"), "--check",
+                     "sort-in-loop,copy-in-loop", "--profile", "strict"])
         assert code == 1
-        assert "cost-exceeds-caller" in capsys.readouterr().out
+        assert "sort-in-loop" in capsys.readouterr().out
 
 
 class TestProfiles:
-    def test_relaxed_exempts_cost_undeclared(self, capsys):
-        """Fixture trees live outside src/repro, so auto resolves to
-        relaxed -- a demo hot root need not commit to a @cost bound."""
-        assert main([str(FIXTURES / "cost_undeclared")]) == 0
-        capsys.readouterr()
-
-    def test_strict_requires_the_declaration(self, capsys):
-        code = main([str(FIXTURES / "cost_undeclared"),
-                     "--profile", "strict"])
-        assert code == 1
-        assert "cost-undeclared" in capsys.readouterr().out
-
     def test_relaxed_still_flags_rule_findings(self, capsys):
         assert main([str(FIXTURES / "list_shift")]) == 1
         capsys.readouterr()
@@ -100,11 +86,10 @@ class TestProfiles:
 class TestSuppressions:
     def test_disable_next_silences_the_finding(self, tmp_path, capsys):
         root = _write_tree(tmp_path, {"dcp/stream.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             @hot_path
-            @cost("O(n)")
             def drain(pending):
                 taken = []
                 while pending:
@@ -120,11 +105,10 @@ class TestSuppressions:
         """A comment silences only the checks it names: another
         family's name leaves this finding standing."""
         root = _write_tree(tmp_path, {"dcp/stream.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             @hot_path
-            @cost("O(n)")
             def drain(pending):
                 taken = []
                 while pending:

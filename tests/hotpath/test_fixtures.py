@@ -47,7 +47,7 @@ def test_wrapper_in_a_row_loop_is_flagged_with_its_chain(capsys):
     findings = [line for line in out.splitlines()
                 if not line.startswith("repro-analysis:")]
     assert len(findings) == 1, out
-    assert "per_row.py:11:" in findings[0]
+    assert "per_row.py:10:" in findings[0]
     assert "(ExecutionContext.fetch_doc -> client.get)" in findings[0]
 
 
@@ -59,7 +59,7 @@ def test_reach_follows_client_ops_not_bare_fabric_calls():
     findings = analyze_sources({
         "repro.common.contracts": CONTRACTS_STUB,
         "repro.kv.ops": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             def handshake(network, node):
@@ -79,7 +79,6 @@ def test_reach_follows_client_ops_not_bare_fabric_calls():
 
 
             @hot_path
-            @cost("O(n)")
             def sweep(client, network, nodes, keys):
                 for node in nodes:
                     handshake(network, node)
@@ -90,7 +89,7 @@ def test_reach_follows_client_ops_not_bare_fabric_calls():
             """,
     }, check="n-plus-one-rpc")
     assert [(f.line, f.message.split(" [")[0]) for f in findings] == [
-        (27, "indirect(...) inside a loop issues one RPC per item "
+        (26, "indirect(...) inside a loop issues one RPC per item "
              "(indirect -> lookup -> client.get); use the batched "
              "multi_* / call_fanout path"),
     ]
@@ -120,11 +119,10 @@ def test_byte_loop_goes_by_the_annotation():
     findings = analyze_sources({
         "repro.common.contracts": CONTRACTS_STUB,
         "repro.kv.ops": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             @hot_path
-            @cost("O(n)")
             def fold(data: bytes | bytearray, text: str, rows):
                 flipped = [byte ^ 1 for byte in data]
                 for char in text:
@@ -134,4 +132,4 @@ def test_byte_loop_goes_by_the_annotation():
                 return sum(flipped)
             """,
     }, check="byte-loop")
-    assert [(f.check, f.line) for f in findings] == [("byte-loop", 8)]
+    assert [(f.check, f.line) for f in findings] == [("byte-loop", 7)]

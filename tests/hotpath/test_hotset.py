@@ -31,7 +31,7 @@ def _member(hotset, suffix: str) -> str | None:
 class TestRootsAndClosure:
     def test_decorated_root_pulls_in_its_callees(self, tmp_path):
         _, hotset = _build(tmp_path, {"kv/engine.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             def encode(doc):
@@ -39,7 +39,6 @@ class TestRootsAndClosure:
 
 
             @hot_path
-            @cost("O(1)")
             def get(store, key):
                 return encode(store[key])
 
@@ -73,12 +72,11 @@ class TestRootsAndClosure:
 
     def test_reference_only_binding_stays_cold(self, tmp_path):
         _, hotset = _build(tmp_path, {"kv/engine.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             class Engine:
                 @hot_path
-                @cost("O(1)")
                 def start(self):
                     self.on_close = self.cold_sweep
                     return True
@@ -93,7 +91,7 @@ class TestRootsAndClosure:
 
     def test_why_chain_traces_back_to_the_root(self, tmp_path):
         _, hotset = _build(tmp_path, {"kv/engine.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             def inner(doc):
@@ -105,7 +103,6 @@ class TestRootsAndClosure:
 
 
             @hot_path
-            @cost("O(1)")
             def get(store, key):
                 return outer(store[key])
             """})
@@ -129,11 +126,10 @@ class TestRuleScoping:
 
     def test_same_defect_in_hot_code_is_flagged(self, tmp_path):
         project, _ = _build(tmp_path, {"tools/online.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             @hot_path
-            @cost("O(n)")
             def rebuild_report(entries):
                 lines = []
                 while entries:
@@ -147,7 +143,7 @@ class TestRuleScoping:
 
     def test_defect_in_pulled_in_callee_is_flagged(self, tmp_path):
         project, _ = _build(tmp_path, {"tools/chain.py": """
-            from ..common.contracts import cost, hot_path
+            from ..common.contracts import hot_path
 
 
             def helper(entries):
@@ -158,7 +154,6 @@ class TestRuleScoping:
 
 
             @hot_path
-            @cost("O(n)")
             def render(entries):
                 return helper(entries)
             """})

@@ -152,7 +152,7 @@ def test_select_limits_to_named_rules():
     assert {v.check for v in violations} == {"no-wall-clock"}
 
 
-def test_registry_has_the_eight_lint_rules():
+def test_registry_has_the_six_lint_rules():
     lint = [check for check in all_checks() if check.family == "lint"]
     assert {check.name for check in lint} == {
         "no-wall-clock",
@@ -160,8 +160,6 @@ def test_registry_has_the_eight_lint_rules():
         "error-taxonomy",
         "pump-contract",
         "metrics-naming",
-        "missing-null-discipline",
-        "no-pump-reentrancy",
         "declared-shared-state",
     }
     assert {check.name for check in lint if check.strict_only} == {

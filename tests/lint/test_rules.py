@@ -3,7 +3,7 @@ inline source that must fire and one clean source that must not.
 
 Sources are handed to :func:`tests.analysis.support.analyze_sources`
 under an explicit dotted module name so package-scoped rules
-(missing-null) see the module they would in the tree.
+(layer-restricted) see the module they would in the tree.
 """
 
 from __future__ import annotations
@@ -270,68 +270,6 @@ def test_dotted_literal_metric_name_is_clean():
             def record(self):
                 self.node.metrics.inc("n1ql.plan_cache.hit")
     """)
-    assert violations == []
-
-
-# -- missing-null-discipline ------------------------------------------------
-
-
-def test_eq_none_in_n1ql_fires():
-    violations = run("""
-        def project(row):
-            return row == None
-    """, module="repro.n1ql.fixture")
-    assert rule_names(violations) == ["missing-null-discipline"]
-
-
-def test_eq_none_outside_n1ql_is_ignored():
-    violations = run("""
-        def project(row):
-            return row == None  # noqa: E711
-    """, module="repro.kv.fixture")
-    assert violations == []
-
-
-# -- no-pump-reentrancy -----------------------------------------------------
-
-
-def test_pump_calling_run_until_idle_fires():
-    violations = run("""
-        class Flusher:
-            def pump(self) -> bool:
-                self.node.scheduler.run_until_idle()
-                return True
-    """, check="no-pump-reentrancy")
-    assert rule_names(violations) == ["no-pump-reentrancy"]
-
-
-def test_pump_calling_step_or_advance_fires():
-    violations = run("""
-        def _pump() -> bool:
-            scheduler.step()
-            clock_owner.advance(1.0)
-            return False
-    """, check="no-pump-reentrancy")
-    assert len(violations) == 2
-    assert rule_names(violations) == ["no-pump-reentrancy"]
-
-
-def test_pump_draining_its_queue_is_clean():
-    violations = run("""
-        class Views:
-            def pump(self) -> bool:
-                for message in self.stream.take(64):
-                    self.apply(message)
-                return True
-    """, check="no-pump-reentrancy")
-    assert violations == []
-
-
-def test_drive_calls_outside_pumps_are_fine():
-    violations = run("""
-        def settle(cluster):
-            cluster.scheduler.run_until_idle()
-    """, check="no-pump-reentrancy")
     assert violations == []
 
 
