@@ -158,12 +158,21 @@ def _catches_tmpfail(handler: ast.ExceptHandler, func: FuncInfo,
 
 
 def _handler_retries(handler: ast.ExceptHandler) -> bool:
-    """Does control return to the loop after this handler?  A handler
-    that re-raises or leaves the loop is not a retry."""
-    for node in ast.walk(handler):
-        if isinstance(node, (ast.Raise, ast.Return, ast.Break)):
-            return False
-    return True
+    """Can control return to the loop after this handler?  A handler
+    that re-raises or leaves the loop on every path is not a retry; one
+    that re-raises on one branch and falls through on another is."""
+    return not _always_leaves(handler.body)
+
+
+def _always_leaves(body: list[ast.stmt]) -> bool:
+    """Does every path through ``body`` raise, return or break?"""
+    for stmt in body:
+        if isinstance(stmt, (ast.Raise, ast.Return, ast.Break)):
+            return True
+        if isinstance(stmt, ast.If) and _always_leaves(stmt.body) \
+                and _always_leaves(stmt.orelse):
+            return True
+    return False
 
 
 def _loop_reissues_rpc(loop: ast.AST) -> bool:

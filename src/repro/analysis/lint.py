@@ -135,6 +135,8 @@ _ALLOWED_RANDOM_ATTRS = frozenset({"Random"})
        "every RNG is constructed with an explicit seed")
 def no_unseeded_random(module: ModuleInfo) -> Iterator[Offence]:
     random_aliases: set[str] = set()
+    #: Local names of ``random.Random`` (``from random import Random``).
+    random_classes: set[str] = set()
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -142,17 +144,23 @@ def no_unseeded_random(module: ModuleInfo) -> Iterator[Offence]:
                     random_aliases.add(alias.asname or "random")
         elif isinstance(node, ast.ImportFrom) and node.module == "random":
             for alias in node.names:
-                if alias.name not in _ALLOWED_RANDOM_ATTRS:
+                if alias.name == "Random":
+                    random_classes.add(alias.asname or "Random")
+                elif alias.name not in _ALLOWED_RANDOM_ATTRS:
                     yield node, (
                         f"random.{alias.name} uses the process-global "
                         f"RNG; construct random.Random(seed) instead")
     for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id in random_classes:
+            attr = "Random"
+        elif (isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id in random_aliases):
+            attr = node.func.attr
+        else:
             continue
-        attr = node.func.attr
         if attr == "Random":
             if not node.args and not node.keywords:
                 yield node, (

@@ -216,10 +216,11 @@ class SmartClient:
         return self._call(bucket, key, "kv_get")
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
-                     'DocumentLockedError', 'DurabilityError',
-                     'DurabilityImpossibleError', 'InvalidArgumentError',
-                     'NodeDownError', 'NotMyVBucketError',
-                     'TemporaryFailureError', 'ValueTooLargeError')
+                     'CorruptFileError', 'DocumentLockedError',
+                     'DurabilityError', 'DurabilityImpossibleError',
+                     'InvalidArgumentError', 'NodeDownError',
+                     'NotMyVBucketError', 'TemporaryFailureError',
+                     'ValueTooLargeError')
     def upsert(self, bucket: str, key: str, value: JsonValue, *,
                cas: int = 0, expiry: float = 0.0, flags: int = 0,
                replicate_to: int = 0, persist_to: int = 0) -> MutationResult:
@@ -577,7 +578,7 @@ class SmartClient:
     # -- view query API (section 3.1.2) -------------------------------------------------
 
     @declared_raises('CorruptFileError', 'InvalidArgumentError',
-                     'NotConnectedError', 'TimeoutError_',
+                     'NodeDownError', 'NotConnectedError', 'TimeoutError_',
                      'ViewNotFoundError', 'ViewQueryError')
     def view_query(self, bucket: str, design: str, view: str, **params):
         """Query a view with the REST-style parameters (key, keys,

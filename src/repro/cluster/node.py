@@ -26,7 +26,8 @@ from ..common.metrics import MetricsRegistry
 from ..common.transport import Network
 from ..dcp.producer import DcpProducer
 from ..kv.engine import KVEngine
-from ..kv.types import MutationResult, ObserveResult, VBucketState
+from ..kv.types import (MutationResult, ObserveResult, ObserveWaiter,
+                        SeqnoWaiter, VBucketState)
 from .cluster_map import ClusterMap
 from ..common.services import BucketConfig, Service
 
@@ -215,6 +216,16 @@ class Node:
     def kv_observe(self, bucket: str, vbucket_id: int, key: str) -> ObserveResult:
         return self.engine(bucket).observe(vbucket_id, key)
 
+    @declared_raises('BucketNotFoundError', 'CorruptFileError',
+                     'InvalidArgumentError')
+    def kv_observe_wait(self, bucket: str, vbucket_id: int, key: str,
+                        cas: int, active: str) -> ObserveWaiter:
+        """Register a durability wait on this node's copy of ``key``
+        (see :meth:`repro.kv.engine.KVEngine.observe_wait`).  ``active``
+        names the node the client counts as the vBucket's active."""
+        return self.engine(bucket).observe_wait(vbucket_id, key, cas,
+                                                active == self.name)
+
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
                      'InvalidArgumentError', 'KeyNotFoundError',
@@ -260,7 +271,8 @@ class Node:
 
     # -- replication RPC surface ----------------------------------------------------
 
-    @declared_raises('BucketNotFoundError', 'NotMyVBucketError')
+    @declared_raises('BucketNotFoundError', 'CorruptFileError',
+                     'InvalidArgumentError', 'NotMyVBucketError')
     def kv_replica_apply_batch(self, bucket: str, vbucket_id: int,
                                docs: list[Document]) -> None:
         """Replication inbound, batched: one RPC applies one DCP stream
@@ -330,6 +342,11 @@ class Node:
     @declared_raises('ViewNotFoundError')
     def view_drop(self, bucket: str, design: str, view: str) -> None:
         self.view_engines[bucket].drop_view(design, view)
+
+    def view_wait(self, bucket: str) -> SeqnoWaiter:
+        """Register a ``stale=false`` wait on this node's view engine
+        (see :meth:`repro.views.engine.ViewEngine.wait`)."""
+        return self.view_engines[bucket].wait()
 
     # -- health ------------------------------------------------------------------------
 

@@ -10,7 +10,10 @@ key versions pushed by routers, and serves range scans.  Watermarks are
 what ``request_plus`` consistency waits on: the scan coordinator blocks
 until the indexer has processed every data-service seqno that existed at
 query time (section 4.2: "the query engine will wait until the index is
-updated up to the maximum sequence number for each vBucket").
+updated up to the maximum sequence number for each vBucket").  The
+coordinator registers that wait once (:meth:`Indexer.wait`); the
+instance strikes its marks as ``apply`` and ``set_watermarks`` pass
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from ..common.errors import (
     IndexNotFoundError,
 )
 from ..common.jsonval import deep_copy
+from ..kv.types import SeqnoWaiter, SeqnoWaiters
 from .indexdef import IndexDefinition
 from .projector import KeyVersion
 from .storage import Groups, composite_compare, make_storage
@@ -44,6 +48,8 @@ class IndexInstance:
         #: key version).
         self.watermarks: dict[int, int] = {}
         self.items_applied = 0
+        #: ``request_plus`` / ``at_plus`` waits on this instance.
+        self.waiters = SeqnoWaiters()
 
     def apply(self, key_versions: list[KeyVersion]) -> None:
         """One storage rewrite for the batch, then the watermarks: a
@@ -56,11 +62,15 @@ class IndexInstance:
             if kv.seqno > watermarks.get(kv.vbucket_id, 0):
                 watermarks[kv.vbucket_id] = kv.seqno
         self.items_applied += len(key_versions)
+        if self.waiters:
+            self.waiters.strike(watermarks)
 
     def set_watermarks(self, marks: dict[int, int]) -> None:
         for vbucket_id, seqno in marks.items():
             if seqno > self.watermarks.get(vbucket_id, 0):
                 self.watermarks[vbucket_id] = seqno
+        if self.waiters:
+            self.waiters.strike(self.watermarks)
 
 
 class Indexer:
@@ -83,6 +93,7 @@ class Indexer:
         instance = self.instances.pop(name, None)
         if instance is not None:
             instance.storage.destroy()
+            instance.waiters.fail(IndexNotFoundError(name))
 
     def instance(self, name: str) -> IndexInstance:
         instance = self.instances.get(name)
@@ -200,6 +211,14 @@ class Indexer:
     @declared_raises('IndexNotFoundError')
     def watermarks(self, name: str) -> dict[int, int]:
         return dict(self.instance(name).watermarks)
+
+    @declared_raises('IndexNotFoundError')
+    def wait(self, name: str, marks: dict[int, int]) -> SeqnoWaiter:
+        """Register a ``request_plus`` / ``at_plus`` wait on this
+        node's instance of ``name``; a drop fails it with
+        :class:`IndexNotFoundError`."""
+        instance = self.instance(name)
+        return instance.waiters.register(marks, instance.watermarks)
 
     def count(self, name: str) -> int:
         return self.instance(name).storage.count()

@@ -136,7 +136,7 @@ class IndexService:
         node.gsi_scan = self.indexer.scan
         node.gsi_scan_page = self.indexer.scan_page
         node.gsi_scan_aggregate = self.indexer.scan_aggregate
-        node.gsi_watermarks = self.indexer.watermarks
+        node.gsi_wait = self.indexer.wait
         node.gsi_count = self.indexer.count
         node.gsi_create_local = self.indexer.create
         node.gsi_drop_local = self.indexer.drop
@@ -434,16 +434,16 @@ class GsiCoordinator:
     def _barrier(self, meta: IndexMeta, marks: dict[int, int]) -> None:
         """Wait until the index has processed the given seqno marks.
 
-        One ``gsi_watermarks`` wave per poll: every hosting node returns
-        its whole vBucket -> seqno vector, every mark some vector has
-        reached is struck from ``pending``, and a struck mark is never
-        asked about again.  The maximum over partitions is the right
-        test because the router delivers a vBucket's key versions in
+        One ``gsi_wait`` wave registers the marks with every hosting
+        node, whose instance strikes each mark its watermark passes, and
+        the wait then checks the returned handles locally: no message
+        per scheduler round.  A mark is met once *some* partition passed
+        it, because the router delivers a vBucket's key versions in
         seqno order and stops at the first undelivered one: a partition
         holding seqno s proves every earlier key version of that vBucket
         reached its own partition.  The scan behind the barrier needs
         every hosting node, so an unreachable one fails the barrier
-        before its first poll instead of after the last."""
+        before the wave instead of after the wait."""
         if not marks:
             return
         network = self.cluster.network
@@ -451,19 +451,23 @@ class GsiCoordinator:
         for host in hosts:
             if not network.reachable("gsi-coordinator", host):
                 raise NodeDownError(host)
-        pending = dict(marks)
+        waiters = network.call_fanout("gsi-coordinator", hosts, "gsi_wait",
+                                      meta.definition.name, marks)
 
         def satisfied() -> bool:
-            for vector in network.call_fanout(
-                "gsi-coordinator", hosts, "gsi_watermarks",
-                meta.definition.name,
-            ):
-                for vb in [vb for vb, seqno in pending.items()
-                           if vector.get(vb, 0) >= seqno]:
-                    del pending[vb]
+            pending = waiters[0].pending.keys()
+            for waiter in waiters:
+                if waiter.error is not None:
+                    raise waiter.error
+                pending = pending & waiter.pending.keys()
             return not pending
 
-        if not self.cluster.scheduler.run_until(satisfied):
+        try:
+            met = self.cluster.scheduler.run_until(satisfied)
+        finally:
+            for waiter in waiters:
+                waiter.cancel()
+        if not met:
             raise TimeoutError_(
                 f"request_plus barrier for index {meta.definition.name!r} "
                 f"did not converge"

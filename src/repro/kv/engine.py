@@ -16,6 +16,7 @@ an active vBucket assigns sequence numbers and CAS values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Callable, Iterator
@@ -42,7 +43,7 @@ from ..common.metrics import MetricsRegistry
 from ..storage.compaction import Compactor
 from ..storage.couchstore import VBucketStore
 from .hashtable import HashTable
-from .types import MutationResult, ObserveResult, VBucketState
+from .types import MutationResult, ObserveResult, ObserveWaiter, VBucketState
 
 #: Registered mutable module state (declared-shared-state lint rule):
 #: monotonic vBucket-UUID source shared by every engine in the process.
@@ -213,6 +214,9 @@ class KVEngine:
         #: Callbacks invoked with each new mutation Document -- the DCP
         #: fan-out point (replication streams attach here).
         self.mutation_listeners: list[Callable[[Document], None]] = []
+        #: Durability waits registered here, by vBucket; see
+        #: :meth:`observe_wait`.
+        self._waiters: dict[int, list[ObserveWaiter]] = {}
 
     # -- vBucket lifecycle ----------------------------------------------------
 
@@ -253,11 +257,15 @@ class KVEngine:
         else:
             vb.state = state
         self.metrics.inc("kv.vbucket_state_changes")
+        if self._waiters:
+            self._settle(vbucket_id)
 
     def drop_vbucket(self, vbucket_id: int) -> None:
         vb = self.vbuckets.pop(vbucket_id, None)
         self._dirty.pop(vbucket_id, None)
         self._to_check.pop(vbucket_id, None)
+        if self._waiters:
+            self._settle(vbucket_id)  # each now carries NotMyVBucketError
         if vb is not None:
             self._memory_used -= vb.hashtable.memory_used
             vb.hashtable.memory_listener = None
@@ -615,6 +623,48 @@ class KVEngine:
         return ObserveResult(exists=True, cas=entry.doc.meta.cas,
                              persisted=persisted)
 
+    @bounded("consumer-drained", "a waiter leaves when its wait ends "
+                                 "(cancel) or once it is settled")
+    def observe_wait(self, vbucket_id: int, key: str, cas: int,
+                     active: bool) -> ObserveWaiter:
+        """Register a durability wait on this copy of ``key``: the
+        answer of :meth:`observe` for the mutation with ``cas``, now and
+        again wherever it can turn true -- after the flusher syncs this
+        vBucket's header, after a replica apply, and when the vBucket
+        changes state or leaves (the waiter then carries
+        :class:`NotMyVBucketError`).  A settled waiter is not kept."""
+        waiter = ObserveWaiter(key, cas, active)
+        self._note(vbucket_id, waiter)
+        if not waiter.settled:
+            self._waiters.setdefault(vbucket_id, []).append(waiter)
+            waiter.hold(functools.partial(self._forget, vbucket_id, waiter))
+        return waiter
+
+    def _note(self, vbucket_id: int, waiter: ObserveWaiter) -> None:
+        try:
+            waiter.note(self.observe(vbucket_id, waiter.key))
+        except NotMyVBucketError as error:
+            waiter.error = error
+
+    def _settle(self, vbucket_id: int) -> None:
+        """Re-evaluate the waiters on one vBucket; settled ones leave."""
+        waiters = self._waiters.get(vbucket_id)
+        if waiters is None:
+            return
+        settled = []
+        for waiter in waiters:
+            self._note(vbucket_id, waiter)
+            if waiter.settled:
+                settled.append(waiter)
+        for waiter in settled:
+            waiter.cancel()
+
+    def _forget(self, vbucket_id: int, waiter: ObserveWaiter) -> None:
+        waiters = self._waiters[vbucket_id]
+        waiters.remove(waiter)
+        if not waiters:
+            del self._waiters[vbucket_id]
+
     # -- XDCR inbound (section 4.6) --------------------------------------------------
 
     @hot_path
@@ -670,6 +720,8 @@ class KVEngine:
             vb.record_change(copy)
         if docs:
             self._dirty[vb.id] = vb
+            if self._waiters:
+                self._settle(vbucket_id)
         self.metrics.inc("kv.replica_mutations", len(docs))
 
     # -- background pumps ------------------------------------------------------------
@@ -713,6 +765,8 @@ class KVEngine:
                     vb.hashtable.mark_clean(doc.key, doc.meta.seqno)
                 vb.persisted_seqno = max(vb.persisted_seqno,
                                          max(d.meta.seqno for d in docs))
+                if self._waiters:
+                    self._settle(vb.id)
                 self.metrics.inc("kv.flushed", len(docs))
                 self._to_check[vb.id] = vb  # its file grew
                 wrote = True

@@ -2,19 +2,22 @@
 
 These are the values that cross the wire between the data service and
 everything else -- vBucket states in the cluster map, mutation tokens
-returned to clients, observe results used by durability polling.  They
-live apart from :mod:`repro.kv.engine` so that non-data services
-(client, n1ql, gsi, views, xdcr) can name them without importing the
-engine itself; the ``layer-restricted`` check of :mod:`repro.analysis`
-enforces that split.
+returned to clients, observe results, and the waiter handles that
+durability and freshness waits hold.  They live apart from
+:mod:`repro.kv.engine` so that non-data services (client, n1ql, gsi,
+views, xdcr) can name them without importing the engine itself; the
+``layer-restricted`` check of :mod:`repro.analysis` enforces that split.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from ..common.contracts import protocol
+from ..common.contracts import bounded, protocol
+from ..common.errors import ReproError
 
 
 @protocol(
@@ -55,3 +58,123 @@ class ObserveResult:
     exists: bool
     cas: int
     persisted: bool
+
+
+class Waiter:
+    """A wait registered with the component whose own work ends it.
+
+    The flusher, the replica apply, the indexer and the view pump update
+    their waiters where that work may have turned the answer true, so
+    the waiting side reads the handle locally instead of sending a
+    message per check.  The waiting side cancels the handle when its
+    wait ends, met or not; the owner may drop it earlier, once nothing
+    it does can change the answer."""
+
+    def __init__(self) -> None:
+        #: Set by the owner when the wait can never be met there (the
+        #: vBucket left the node, the index was dropped); the waiting
+        #: side raises it.
+        self.error: ReproError | None = None
+        self._release: Callable[[], None] | None = None
+
+    def hold(self, release: Callable[[], None]) -> None:
+        """Called by the owner that registered this waiter; ``release``
+        unregisters it."""
+        self._release = release
+
+    def cancel(self) -> None:
+        """End the wait: the owner forgets this waiter.  Idempotent."""
+        release, self._release = self._release, None
+        if release is not None:
+            release()
+
+
+class ObserveWaiter(Waiter):
+    """A durability wait on one copy of a key (section 2.3.2): what
+    :meth:`repro.kv.engine.KVEngine.observe` says about the mutation
+    with ``cas``, folded into this copy's contribution to
+    ``replicate_to`` and ``persist_to``.  A flag, once set, stays set."""
+
+    def __init__(self, key: str, cas: int, active: bool):
+        super().__init__()
+        self.key = key
+        self.cas = cas
+        #: The copy the client counts as active: it counts toward
+        #: ``persist_to`` only, whatever version it holds.
+        self.active = active
+        self.replicated = False
+        self.persisted = False
+
+    def note(self, observed: ObserveResult) -> None:
+        if self.active:
+            self.persisted = self.persisted or observed.persisted
+        elif observed.cas == self.cas:
+            # A replica counts only the mutation itself: its live version
+            # or, for a delete, its tombstone.  An older tombstone of the
+            # key -- persisted long ago -- says nothing about a later
+            # write.
+            self.replicated = True
+            self.persisted = self.persisted or observed.persisted
+
+    @property
+    def settled(self) -> bool:
+        """Nothing the owner does later can change this waiter."""
+        return self.error is not None or (
+            self.persisted and (self.active or self.replicated))
+
+
+class SeqnoWaiter(Waiter):
+    """A freshness wait (sections 3.1.2 and 4.2): the per-vBucket seqno
+    marks one index on one node has not processed yet.  Its owner
+    strikes a mark once its own watermark for that vBucket reaches it."""
+
+    def __init__(self, marks: dict[int, int]):
+        super().__init__()
+        self.pending = dict(marks)
+
+    def strike(self, watermarks: dict[int, int]) -> None:
+        pending = self.pending
+        for vbucket_id in [vb for vb, seqno in pending.items()
+                           if watermarks.get(vb, 0) >= seqno]:
+            del pending[vbucket_id]
+
+
+class SeqnoWaiters:
+    """The freshness waits one index holds (a GSI instance, a node's
+    view engine), struck against its own per-vBucket watermarks."""
+
+    def __init__(self) -> None:
+        self._waiters: list[SeqnoWaiter] = []
+
+    def __len__(self) -> int:
+        return len(self._waiters)
+
+    @bounded("consumer-drained", "a waiter leaves when its wait ends "
+                                 "(cancel) or once its marks are passed")
+    def register(self, marks: dict[int, int],
+                 watermarks: dict[int, int]) -> SeqnoWaiter:
+        """A waiter for the ``marks`` these ``watermarks`` have not
+        passed yet; kept only while some are left."""
+        waiter = SeqnoWaiter(marks)
+        waiter.strike(watermarks)
+        if waiter.pending:
+            self._waiters.append(waiter)
+            waiter.hold(functools.partial(self._waiters.remove, waiter))
+        return waiter
+
+    def strike(self, watermarks: dict[int, int]) -> None:
+        """The owner's watermarks advanced: strike every passed mark;
+        a waiter with none left leaves."""
+        done = []
+        for waiter in self._waiters:
+            waiter.strike(watermarks)
+            if not waiter.pending:
+                done.append(waiter)
+        for waiter in done:
+            waiter.cancel()
+
+    def fail(self, error: ReproError) -> None:
+        """The index is gone: every waiter carries ``error`` and leaves."""
+        for waiter in list(self._waiters):
+            waiter.error = error
+            waiter.cancel()

@@ -1,26 +1,25 @@
-"""Durability observation.
+"""Durability waits.
 
 Section 2.3.2: *"At write time, Couchbase provides client applications
 with the option to wait for replication and/or for persistence on a per
 mutation basis."*  The client issues the write (acknowledged from
-memory), then observes the key across the vBucket's chain until the
-requested number of replicas hold it in memory (``replicate_to``) and
-the requested number of copies are on disk (``persist_to``,
-which counts the active).
+memory), then waits until the requested number of replicas hold it in
+memory (``replicate_to``) and the requested number of copies are on
+disk (``persist_to``, which counts the active).
 
-The observe fan-out is driven through the scheduler so the replication
-and flusher pumps make progress while the client "waits".
+The wait costs one message wave, not a poll per scheduler round: one
+``kv_observe_wait`` fan-out registers a waiter on every chain node that
+can contribute -- the active when ``persist_to >= 1``, the replicas when
+``replicate_to >= 1`` or ``persist_to >= 2`` -- and the flusher and the
+replica apply on those nodes complete them.  The scheduler drives the
+pumps while the client checks the returned handles locally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.errors import (
-    DurabilityError,
-    DurabilityImpossibleError,
-    NodeDownError,
-)
+from ..common.errors import DurabilityError, DurabilityImpossibleError
 from ..common.scheduler import Scheduler
 from ..common.transport import Network
 from ..kv.types import MutationResult
@@ -43,7 +42,7 @@ class DurabilityRequirement:
 
 
 class DurabilityMonitor:
-    """Client-side observe loop."""
+    """Client side of a durability wait."""
 
     def __init__(self, network: Network, scheduler: Scheduler,
                  client_name: str = "client"):
@@ -63,7 +62,9 @@ class DurabilityMonitor:
 
         Raises :class:`DurabilityImpossibleError` if the bucket's chain
         cannot ever satisfy it, :class:`DurabilityError` if the pumps go
-        idle before it is met (e.g. a replica node is down)."""
+        idle before it is met (e.g. a replica node is down), and the
+        :class:`NotMyVBucketError` a waiter carries when its vBucket
+        leaves that node mid-wait."""
         if requirement.trivial:
             return
         vbucket_id = result.vbucket_id
@@ -79,53 +80,36 @@ class DurabilityMonitor:
                 f"persist_to={requirement.persist_to} exceeds the chain "
                 f"length {1 + len(replicas)}"
             )
+        active = chain[0]
+        targets = [active] if requirement.persist_to else []
+        if requirement.replicate_to or requirement.persist_to > 1:
+            targets += replicas
+        # A node the client cannot reach contributes nothing, as a
+        # failed observe never did.
+        waiters = self.network.call_fanout(
+            self.client_name,
+            [n for n in targets if self.network.reachable(self.client_name, n)],
+            "kv_observe_wait", bucket, vbucket_id, key, result.cas, active,
+        )
 
         def satisfied() -> bool:
-            replicated = 0
-            persisted = 0
-            active = chain[0]
-            try:
-                observed = self.network.call(
-                    self.client_name, active, "kv_observe",
-                    bucket, vbucket_id, key,
-                )
-                if observed.persisted:
-                    persisted += 1
-            except NodeDownError:
-                return False
-            for node in replicas:
-                try:
-                    # Observe is a per-replica poll by design: one RPC
-                    # per replica node, bounded by the replica count.
-                    # repro: disable-next=n-plus-one-rpc
-                    observed = self.network.call(
-                        self.client_name, node, "kv_observe",
-                        bucket, vbucket_id, key,
-                    )
-                # Observe keeps polling the reachable replicas.
-                # repro: disable-next=swallowed-exception
-                except NodeDownError:
-                    continue
-                if observed.exists and observed.cas == result.cas:
-                    replicated += 1
-                    if observed.persisted:
-                        persisted += 1
-                elif not observed.exists:
-                    # Deletion path.  An in-memory tombstone carrying the
-                    # mutation's CAS counts as replicated; it counts as
-                    # persisted only once the tombstone itself reached
-                    # disk (observe no longer confuses a stale live
-                    # version on disk with a persisted delete).
-                    if observed.cas == result.cas or observed.persisted:
-                        replicated += 1
-                    if observed.persisted:
-                        persisted += 1
+            replicated = persisted = 0
+            for waiter in waiters:
+                if waiter.error is not None:
+                    raise waiter.error
+                replicated += waiter.replicated
+                persisted += waiter.persisted
             return (
                 replicated >= requirement.replicate_to
                 and persisted >= requirement.persist_to
             )
 
-        if not self.scheduler.run_until(satisfied):
+        try:
+            met = self.scheduler.run_until(satisfied)
+        finally:
+            for waiter in waiters:
+                waiter.cancel()
+        if not met:
             raise DurabilityError(
                 f"durability requirement not met for {key!r} "
                 f"(replicate_to={requirement.replicate_to}, "

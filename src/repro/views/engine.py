@@ -8,7 +8,8 @@ data files and applies the map function across every document."
 One :class:`ViewEngine` runs per (node, bucket).  Its pump maintains a
 DCP stream per locally active vBucket, applies every mutation to every
 defined view, and tracks the per-vBucket indexed seqno -- which is what
-``stale=false`` queries wait on (section 3.1.2).
+``stale=false`` queries wait on (section 3.1.2): the pump completes the
+waiters :meth:`ViewEngine.wait` registers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..common.contracts import declared_raises
 from ..common.errors import ViewExistsError
 from ..dcp.messages import Deletion, Mutation
 from ..dcp.producer import DcpStream
-from ..kv.types import VBucketState
+from ..kv.types import SeqnoWaiter, SeqnoWaiters, VBucketState
 from .mapreduce import DocMetaView, ViewDefinition
 from .viewindex import ViewIndex, ViewQueryParams
 
@@ -54,6 +55,8 @@ class ViewEngine:
         self.indexes: dict[tuple[str, str], ViewIndex] = {}
         self._streams: dict[int, DcpStream] = {}
         self.indexed_seqnos: dict[int, int] = {}
+        #: ``stale=false`` waits on this engine; see :meth:`wait`.
+        self.waiters = SeqnoWaiters()
 
     @property
     def engine(self) -> KVEngine:
@@ -127,6 +130,8 @@ class ViewEngine:
         for vbucket_id, stream in taken:
             if stream.last_seqno > self.indexed_seqnos.get(vbucket_id, 0):
                 self.indexed_seqnos[vbucket_id] = stream.last_seqno
+        if self.waiters:
+            self.waiters.strike(self.indexed_seqnos)
         return bool(batch)
 
     def _sync_streams(self) -> None:
@@ -151,15 +156,16 @@ class ViewEngine:
 
     # -- staleness --------------------------------------------------------------------
 
-    def caught_up(self) -> bool:
-        """True when every locally active vBucket is indexed through its
-        current high seqno (what stale=false waits for)."""
-        engine = self.engine
-        for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
-            vb = engine.vbuckets[vbucket_id]
-            if self.indexed_seqnos.get(vbucket_id, 0) < vb.high_seqno:
-                return False
-        return True
+    def wait(self) -> SeqnoWaiter:
+        """Register a ``stale=false`` wait: every locally active vBucket
+        indexed through the high seqno it has now.  The pump strikes the
+        marks as its indexed seqnos pass them."""
+        marks = {
+            vbucket_id: vb.high_seqno
+            for vbucket_id, vb in self.engine.vbuckets.items()
+            if vb.state is VBucketState.ACTIVE
+        }
+        return self.waiters.register(marks, self.indexed_seqnos)
 
     # -- local query (one scatter target) ------------------------------------------------
 

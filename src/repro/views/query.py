@@ -12,8 +12,9 @@ grouped queries merge group keys across nodes and re-reduce per group.
 
 Staleness (section 3.1.2) is enforced here:
 
-* ``stale=false``  -- drive the scheduler until every node's view engine
-  has indexed through the data's current seqnos, then query.
+* ``stale=false``  -- one wave registers a waiter with every node's view
+  engine for the seqnos its active vBuckets hold at request time; drive
+  the scheduler until the view pumps complete them, then query.
 * ``stale=ok``     -- query whatever is indexed right now.
 * ``stale=update_after`` -- query now; the ever-running indexer pumps
   apply the pending mutations afterwards.  This is the default.
@@ -25,7 +26,7 @@ import heapq
 import json
 from typing import TYPE_CHECKING, Any
 
-from ..common.errors import TimeoutError_, ViewNotFoundError
+from ..common.errors import NodeDownError, TimeoutError_, ViewNotFoundError
 from ..n1ql.collation import sort_key
 from .viewindex import ViewQueryParams
 
@@ -85,32 +86,47 @@ class ViewQueryCoordinator:
             raise TypeError("pass either params or keyword options, not both")
         definition = self._definition(bucket, design, view)
 
-        if params.stale == "false":
-            engines = self._view_engines(bucket)
-            caught_up = lambda: all(e.caught_up() for e in engines)  # noqa: E731
-            if not self.cluster.scheduler.run_until(caught_up):
-                raise TimeoutError_("stale=false wait did not converge")
-
         # Scatter to every data node hosting the bucket, down or not:
         # each holds vbuckets no other node serves, so skipping one
         # would silently drop its rows from the result.  A down node
         # makes network.call raise NodeDownError to the caller.
-        partials = []
         manager = self.cluster.manager
-        for name in manager.data_nodes():
-            node = manager.nodes[name]
-            if bucket not in node.view_engines:
-                continue
+        names = [name for name in manager.data_nodes()
+                 if bucket in manager.nodes[name].view_engines]
+        if params.stale == "false":
+            self._wait_indexed(bucket, names)
+        partials = []
+        for name in names:
             # Scatter-gather: one view RPC per data node, each holding
             # vbuckets nobody else serves -- per-node by design.
             # repro: disable-next=n-plus-one-rpc
             partial = self.cluster.network.call(
-                "view-coordinator", node.name, "view_query_local",
+                "view-coordinator", name, "view_query_local",
                 bucket, design, view, params,
             )
             partials.append(partial)
         self.cluster.network.calls[("view-coordinator", "scatter_gather")] += 1
         return self._merge(definition, partials, params)
+
+    def _wait_indexed(self, bucket: str, names: list[str]) -> None:
+        """``stale=false``: one ``view_wait`` wave registers the wait
+        with every node's view engine, the view pumps complete it, and
+        the wait checks the handles locally.  The scatter behind it needs
+        every node, so an unreachable one fails before the wave."""
+        network = self.cluster.network
+        for name in names:
+            if not network.reachable("view-coordinator", name):
+                raise NodeDownError(name)
+        waiters = network.call_fanout("view-coordinator", names,
+                                      "view_wait", bucket)
+        try:
+            met = self.cluster.scheduler.run_until(
+                lambda: not any(waiter.pending for waiter in waiters))
+        finally:
+            for waiter in waiters:
+                waiter.cancel()
+        if not met:
+            raise TimeoutError_("stale=false wait did not converge")
 
     # -- merging ----------------------------------------------------------------------
 

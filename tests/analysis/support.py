@@ -42,6 +42,7 @@ EXPECTED = {
     "bounds/unbounded_buffer": "unbounded-buffer",
     "bounds/cache_without_eviction": "cache-without-eviction",
     "bounds/retry_without_backoff": "retry-without-backoff",
+    "bounds/retry_reraise_branch": "retry-without-backoff",
     "bounds/leak_on_error": "leak-on-error",
     "proto/illegal_transition": "illegal-transition",
     "proto/unguarded_transition": "unguarded-transition",

@@ -23,14 +23,16 @@ from .support import EXPECTED, TESTS, fixture_dir
 def test_fixtures_and_registry_are_a_bijection():
     """Every known-bad fixture directory on disk is in the table, every
     non-lint check has a fixture (n-plus-one-rpc has two: the op in the
-    loop, and a wrapper around it), and nothing else is registered."""
+    loop, and a wrapper around it; retry-without-backoff has two: a
+    handler that always retries, and one that re-raises on one branch),
+    and nothing else is registered."""
     on_disk = sorted(
         f"{family}/{path.name}"
         for family in FAMILIES if (TESTS / family / "fixtures").is_dir()
         for path in (TESTS / family / "fixtures").iterdir() if path.is_dir()
     )
     assert on_disk == sorted(EXPECTED)
-    assert len(on_disk) == 25
+    assert len(on_disk) == 26
     by_family = {family: {c.name for c in all_checks() if c.family == family}
                  for family in FAMILIES}
     for family in FAMILIES[1:]:

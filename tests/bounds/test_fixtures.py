@@ -22,7 +22,7 @@ def test_every_fixture_is_covered():
 
 
 def test_every_check_has_a_fixture():
-    assert sorted(check for _name, check in family_fixtures(FAMILY)) \
+    assert sorted({check for _name, check in family_fixtures(FAMILY)}) \
         == family_checks(FAMILY)
 
 

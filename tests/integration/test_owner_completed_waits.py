@@ -1,0 +1,179 @@
+"""Waits that the owner of the work completes (sections 2.3.2, 3.1.2,
+4.2): a durability wait, a ``request_plus`` barrier and a
+``stale=false`` view query each register waiters in one wave, and the
+flusher, the replica apply, the indexer and the view pump complete them.
+
+These tests pin what the waits do when they fail, and that no waiter
+outlives its wait -- met, failed or raised.
+"""
+
+import pytest
+
+from repro import Cluster
+from repro.common.errors import (
+    DurabilityError,
+    IndexNotFoundError,
+    NodeDownError,
+    NotMyVBucketError,
+)
+from repro.gsi.indexdef import IndexDefinition, path_extractor
+from repro.kv.types import VBucketState
+from repro.views import ViewDefinition
+
+
+def kv_waiters(cluster) -> int:
+    return sum(len(waiters) for node in cluster.nodes()
+               for engine in node.engines.values()
+               for waiters in engine._waiters.values())
+
+
+def index_waiters(cluster) -> int:
+    return sum(len(instance.waiters) for node in cluster.nodes()
+               if node.indexer is not None
+               for instance in node.indexer.indexer.instances.values())
+
+
+def view_waiters(cluster) -> int:
+    return sum(len(engine.waiters) for node in cluster.nodes()
+               for engine in node.view_engines.values())
+
+
+def run_once_in_a_round(cluster, action) -> None:
+    """Register a pump that performs ``action`` in the next scheduler
+    round -- inside whatever wait drives that round."""
+    done = []
+
+    def pump() -> bool:
+        if not done:
+            done.append(True)
+            action()
+        return False
+
+    cluster.scheduler.register("test/mid-wait", pump)
+
+
+@pytest.fixture
+def cluster():
+    cluster = Cluster(nodes=3, vbuckets=8)
+    cluster.create_bucket("b", replicas=2)
+    return cluster
+
+
+class TestDurabilityWaits:
+    def test_no_waiter_outlives_a_durable_write(self, cluster):
+        client = cluster.connect()
+        client.upsert("b", "met", {"v": 1}, replicate_to=2, persist_to=3)
+        assert kv_waiters(cluster) == 0
+
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("unmet")
+        active = cluster_map.chains[vb][0]
+        for name in cluster_map.replica_nodes(vb):
+            cluster.network.partition(active, name)  # replication stalls
+        with pytest.raises(DurabilityError):
+            client.upsert("b", "unmet", {"v": 1}, replicate_to=1)
+        assert kv_waiters(cluster) == 0
+
+    def test_an_unreachable_replica_is_left_out_and_fails_the_wait(
+            self, cluster):
+        client = cluster.connect()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("k")
+        for name in cluster_map.replica_nodes(vb):
+            cluster.network.set_down(name)
+        cluster.network.reset_counters()
+        with pytest.raises(DurabilityError):
+            client.upsert("b", "k", {"v": 1}, replicate_to=1, persist_to=1)
+        # The wave went to the active alone.
+        assert sum(count for (_dst, method), count
+                   in cluster.network.calls.items()
+                   if method == "kv_observe_wait") == 1
+        assert kv_waiters(cluster) == 0
+
+    @pytest.mark.parametrize("demote", [True, False],
+                             ids=["demoted-then-dropped", "dropped"])
+    def test_a_vbucket_leaving_mid_wait_raises_not_my_vbucket(
+            self, cluster, demote):
+        """Map reconciliation marks a copy DEAD before dropping it; a
+        replica reset drops it outright.  Either way the wait raises."""
+        client = cluster.connect()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("k")
+        active = cluster_map.chains[vb][0]
+        replicas = cluster_map.replica_nodes(vb)
+        for name in replicas:
+            cluster.network.partition(active, name)  # replication stalls
+        engine = cluster.node(replicas[0]).engines["b"]
+
+        def leave() -> None:
+            if demote:
+                engine.set_vbucket_state(vb, VBucketState.DEAD)
+            engine.drop_vbucket(vb)
+
+        run_once_in_a_round(cluster, leave)
+        with pytest.raises(NotMyVBucketError):
+            client.upsert("b", "k", {"v": 1}, replicate_to=1)
+        assert kv_waiters(cluster) == 0
+
+
+class TestBarriers:
+    @pytest.fixture
+    def indexed(self, cluster):
+        client = cluster.connect()
+        for i in range(20):
+            client.upsert("b", f"k{i}", {"v": i})
+        cluster.create_index(IndexDefinition(
+            name="by_v", bucket="b", key_sources=["v"],
+            extractors=[path_extractor("v")], num_partitions=2,
+        ))
+        cluster.run_until_idle()
+        # An un-indexed backlog longer than one projector round: 600
+        # versions of one document.
+        for i in range(600):
+            client.upsert("b", "busy", {"v": 100 + i})
+        return cluster
+
+    def test_no_waiter_outlives_a_barrier(self, indexed):
+        rows = indexed.gsi.scan("by_v", scan_consistency="request_plus")
+        assert len(rows) == 21 and [699] in [key for key, _id in rows]
+        assert index_waiters(indexed) == 0
+
+    def test_an_index_dropped_mid_barrier_raises_index_not_found(
+            self, indexed):
+        run_once_in_a_round(indexed, lambda: indexed.gsi.drop_index("by_v"))
+        with pytest.raises(IndexNotFoundError):
+            indexed.gsi.scan("by_v", scan_consistency="request_plus")
+        assert index_waiters(indexed) == 0
+
+
+class TestStaleFalse:
+    @pytest.fixture
+    def viewed(self, cluster):
+        def by_v(doc, meta, emit):
+            emit(doc["v"], None)
+
+        cluster.define_view("b", ViewDefinition("dd", "by_v", by_v))
+        client = cluster.connect()
+        for i in range(30):
+            client.upsert("b", f"k{i}", {"v": i})  # un-indexed backlog
+        return cluster
+
+    def test_one_wave_registers_the_wait_and_nothing_outlives_it(
+            self, viewed):
+        viewed.network.reset_counters()
+        result = viewed.views.query("b", "dd", "by_v", stale="false")
+        assert len(result.rows) == 30
+        assert {dst for (dst, method) in viewed.network.calls
+                if method == "view_wait"} == {"node1", "node2", "node3"}
+        assert sum(count for (_dst, method), count
+                   in viewed.network.calls.items()
+                   if method == "view_wait") == 3
+        assert view_waiters(viewed) == 0
+
+    def test_a_partitioned_view_node_fails_fast(self, viewed):
+        viewed.network.partition("view-coordinator", "node2")
+        before = viewed.scheduler._round
+        with pytest.raises(NodeDownError):
+            viewed.views.query("b", "dd", "by_v", stale="false")
+        assert viewed.scheduler._round == before
+        assert view_waiters(viewed) == 0

@@ -193,11 +193,13 @@ def waves(cluster) -> int:
 
 def test_request_plus_barrier_costs_one_watermark_wave_per_poll():
     """Section 4.2: the query waits "until the index is updated up to
-    the maximum sequence number for each vBucket".  That wait is paid in
-    polls, and a poll is one wave to the index's hosting nodes -- each
-    returns its whole watermark vector -- not a message per vBucket
-    mark: the message count follows the nodes, not the data's 64
-    partitions."""
+    the maximum sequence number for each vBucket".  That wait costs one
+    wave, however long it lasts: one ``gsi_wait`` to each of the index's
+    hosting nodes registers the marks, and the indexers strike them as
+    their watermarks pass -- no message per scheduler round, and none
+    per vBucket mark: the message count follows the nodes, not the
+    data's 64 partitions.  (It was one ``gsi_watermarks`` wave per poll,
+    a poll before the first round and one after each.)"""
     cluster = Cluster(nodes=3, vbuckets=64, network_latency=LATENCY)
     cluster.create_bucket("b")
     client = cluster.connect()
@@ -210,6 +212,8 @@ def test_request_plus_barrier_costs_one_watermark_wave_per_poll():
     assert len(set(meta.nodes)) == 3
     cluster.run_until_idle()
     scheduler = cluster.scheduler
+    instances = [cluster.node(name).indexer.indexer.instance("by_age")
+                 for name in meta.nodes]
 
     def request_plus_scan() -> dict:
         cluster.network.reset_counters()
@@ -218,30 +222,44 @@ def test_request_plus_barrier_costs_one_watermark_wave_per_poll():
                                 scan_consistency="request_plus")
         # Every other RPC is a pump's (replication, gsi_apply) inside a
         # scheduler round the barrier drove: one call, one wave each.
-        mine = rpcs(cluster, "gsi_watermarks", "gsi_scan_page")
+        mine = rpcs(cluster, "gsi_wait", "gsi_scan_page")
         background = sum(cluster.network.calls.values()) - mine
         return {
             "ids": {doc_id for _key, doc_id in rows},
-            "watermark_rpcs": rpcs(cluster, "gsi_watermarks"),
+            "wait_rpcs": rpcs(cluster, "gsi_wait"),
             "scan_rpcs": rpcs(cluster, "gsi_scan_page"),
             "waves": waves(cluster) - background,
             "rounds": scheduler._round - before,
+            "waiters_left": sum(len(i.waiters) for i in instances),
         }
 
-    # Nothing outstanding: one look at the three vectors and no waiting,
-    # then the scan's own wave (each partition's first page).
+    # Nothing outstanding: the registration wave finds every mark passed
+    # and nothing waits, then the scan's own wave (each partition's
+    # first page).
     assert request_plus_scan() == {
         "ids": {"k0007", "k0047", "k0087"},
-        "watermark_rpcs": 3, "scan_rpcs": 3, "waves": 1 + 1, "rounds": 0,
+        "wait_rpcs": 3, "scan_rpcs": 3, "waves": 1 + 1, "rounds": 0,
+        "waiters_left": 0,
     }
 
-    # One write behind: a look before the scheduler round that carries
-    # it to its partition and a look after -- 2 polls x 3 hosting nodes.
+    # One write behind: the same one wave, and the scheduler round that
+    # carries the write to its partition completes the wait.
     client.upsert("b", "hot", {"age": 7})
     assert request_plus_scan() == {
         "ids": {"k0007", "k0047", "k0087", "hot"},
-        "watermark_rpcs": 6, "scan_rpcs": 3, "waves": 2 + 1, "rounds": 1,
+        "wait_rpcs": 3, "scan_rpcs": 3, "waves": 1 + 1, "rounds": 1,
+        "waiters_left": 0,
     }
+
+    # 600 versions of one document behind, more than a projector takes
+    # from one vBucket per round: several rounds, still one wave.
+    for i in range(600):
+        client.upsert("b", "busy", {"age": 7, "v": i})
+    result = request_plus_scan()
+    assert result["ids"] == {"k0007", "k0047", "k0087", "hot", "busy"}
+    assert result["rounds"] == 3
+    assert (result["wait_rpcs"], result["waves"], result["waiters_left"]) \
+        == (3, 1 + 1, 0)
 
 
 def test_key_join_fetches_each_side_in_one_batch_per_data_node():
@@ -277,49 +295,65 @@ def test_durability_waits_cost_observe_round_trips_and_scheduler_rounds():
     """Section 2.3.2: "Most users choose to receive a response
     immediately once the data hits memory, or ... first replicate the
     data to one other node for safety".  The memory ack is one RPC and
-    no waiting; each durability wait adds observe polls while the
-    replicator / flusher run."""
-    cluster = Cluster(nodes=3, vbuckets=32)
+    no waiting.  A durability wait adds one wave, however many rounds
+    it lasts: one ``kv_observe_wait`` to each chain node that can
+    contribute registers a waiter there, and the replica apply and the
+    flusher complete it while the scheduler runs them.  (It was a
+    ``kv_observe`` poll of the whole chain before the first round and
+    after each.)"""
+    cluster = Cluster(nodes=3, vbuckets=32, network_latency=LATENCY)
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
     scheduler = cluster.scheduler
+    engines = [node.engines["b"] for node in cluster.nodes()]
 
     def syncs() -> int:
         return sum(node.disk.stats.syncs for node in cluster.nodes())
 
-    def write(key: str, **durability) -> dict:
-        cluster.run_until_idle()
+    def write(key: str, drain: bool = True, **durability) -> dict:
+        if drain:
+            cluster.run_until_idle()
         cluster.network.reset_counters()
         rounds, synced = scheduler._round, syncs()
         result = client.upsert("b", key, {"payload": "x" * 256}, **durability)
+        client_rpcs = rpcs(cluster, "kv_upsert", "kv_observe")
+        background = sum(cluster.network.calls.values()) - client_rpcs
+        assert all(not engine._waiters for engine in engines)
         return {
             "result": result,
-            "all_rpcs": sum(cluster.network.calls.values()),
-            "client_rpcs": rpcs(cluster, "kv_upsert", "kv_observe"),
-            "observes": rpcs(cluster, "kv_observe"),
+            "client_rpcs": client_rpcs,
+            "waves": waves(cluster) - background,
             "rounds": scheduler._round - rounds,
             "syncs": syncs() - synced,
         }
 
-    plain = write("k-plain")
-    assert plain["all_rpcs"] == plain["client_rpcs"] == 1
-    assert plain["rounds"] == 0 and plain["syncs"] == 0
+    def cost(outcome: dict) -> tuple:
+        return outcome["client_rpcs"], outcome["waves"], outcome["rounds"]
 
+    plain = write("k-plain")
+    assert cost(plain) == (1, 1, 0) and plain["syncs"] == 0
+
+    # Registrations: the replica alone, the active alone, then both.
     replicated = write("k-replicated", replicate_to=1)
-    assert replicated["observes"] >= 1 and replicated["rounds"] >= 1
+    assert cost(replicated) == (2, 2, 1)
 
     persisted = write("k-persisted", persist_to=1)
-    assert persisted["observes"] >= 1 and persisted["rounds"] >= 1
-    assert persisted["syncs"] >= 1
+    assert cost(persisted) == (2, 2, 1) and persisted["syncs"] >= 1
     result = persisted["result"]
     active = cluster.manager.cluster_maps["b"].active_node(result.vbucket_id)
     vbucket = cluster.node(active).engines["b"].vbuckets[result.vbucket_id]
     assert vbucket.persisted_seqno >= result.seqno
 
     both = write("k-both", replicate_to=1, persist_to=2)
-    assert (plain["client_rpcs"] < replicated["client_rpcs"]
-            <= both["client_rpcs"])
-    assert plain["client_rpcs"] < persisted["client_rpcs"]
+    assert cost(both) == (3, 2, 1) and both["syncs"] >= 2
+
+    # Behind a flusher backlog the wait lasts several rounds; it still
+    # costs the one registration wave.
+    client.multi_upsert("b", {f"backlog{i:04d}": {"i": i}
+                              for i in range(1500)}).require_ok()
+    behind = write("k-behind", drain=False, persist_to=1)
+    assert behind["rounds"] > 1
+    assert behind["client_rpcs"] == 2 and behind["waves"] == 2
 
 
 def test_a_scheduler_round_costs_what_changed(monkeypatch):

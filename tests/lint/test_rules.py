@@ -8,7 +8,8 @@ under an explicit dotted module name so package-scoped rules
 
 from __future__ import annotations
 
-from tests.analysis.support import analyze_sources
+from repro.analysis.cli import main
+from tests.analysis.support import analyze_sources, write_tree
 
 
 def run(source: str, module: str = "repro.kv.fixture",
@@ -103,6 +104,39 @@ def test_seeded_random_is_clean():
         import random
 
         rng = random.Random(42)
+    """)
+    assert violations == []
+
+
+def test_unseeded_from_imported_random_fires():
+    violations = run("""
+        from random import Random
+
+        rng = Random()
+    """)
+    assert rule_names(violations) == ["no-unseeded-random"]
+
+
+def test_unseeded_aliased_random_fails_the_cli(tmp_path, capsys):
+    write_tree(tmp_path, {"kv/rng.py": """
+        from random import Random as R
+
+        def stream():
+            return R()
+    """})
+    code = main([str(tmp_path), "--profile", "strict"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    findings = [line for line in out.splitlines()
+                if line and not line.startswith("repro-analysis:")]
+    assert len(findings) == 1 and " no-unseeded-random: " in findings[0]
+
+
+def test_seeded_from_imported_random_is_clean():
+    violations = run("""
+        from random import Random as R
+
+        rng = R(7)
     """)
     assert violations == []
 

@@ -149,6 +149,25 @@ class TestDeletionDurability:
             entry = cluster.node(name).engines["b"].vbuckets[vb].hashtable.peek("k")
             assert entry is not None and entry.doc.meta.deleted
 
+    @pytest.mark.parametrize("durability", [{"replicate_to": 1},
+                                            {"persist_to": 2}])
+    def test_an_old_tombstone_does_not_make_a_later_write_durable(
+            self, cluster, durability):
+        """A replica still holding the key's persisted tombstone has not
+        received a later write of the key, so it counts toward neither
+        level (it once counted toward both, acking the write at once)."""
+        client = cluster.connect()
+        client.upsert("b", "k", {"v": 1})
+        client.remove("b", "k")
+        cluster.run_until_idle()  # every copy persisted the tombstone
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("k")
+        active = cluster_map.chains[vb][0]
+        for name in cluster_map.replica_nodes(vb):
+            cluster.network.partition(active, name)  # replication stalls
+        with pytest.raises(DurabilityError):
+            client.insert("b", "k", {"v": 2}, **durability)
+
     def test_remove_durability_through_failover(self, cluster):
         client = cluster.connect()
         result = client.upsert("b", "k", {"v": 1},
