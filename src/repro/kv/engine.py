@@ -756,7 +756,7 @@ class KVEngine:
                 doc = entry.doc
                 if doc.ejected:
                     continue  # already persisted (that's how it got ejected)
-                docs.append(doc.copy())
+                docs.append(doc)  # save_docs only serializes it
             if docs:
                 tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
                 vb.store.save_docs(docs)

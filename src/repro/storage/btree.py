@@ -30,6 +30,10 @@ Comparator = Callable[[JsonValue, JsonValue], int]
 ReduceFn = Callable[[list[JsonValue]], JsonValue]
 RereduceFn = Callable[[list[JsonValue]], JsonValue]
 
+#: The one encoder of every storage record (document, node, header):
+#: ``json.dumps(..., separators=...)`` builds a new encoder per call.
+encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def default_compare(a: JsonValue, b: JsonValue) -> int:
     """Comparator for homogeneous keys (strings or numbers)."""
@@ -102,7 +106,7 @@ class BTree:
         copy, so it equals what a cold read decodes only for JSON-native
         keys, values and reductions (lists, never tuples; string object
         keys) -- which is what every caller stores."""
-        body = json.dumps([kind, items], separators=(",", ":")).encode("utf-8")
+        body = encode_record([kind, items]).encode("utf-8")
         size = _HEADER.size + len(body)
         self._update_written += size
         pointer = self.log.append(RT_NODE, body)
@@ -345,9 +349,8 @@ class BTree:
 
     def measure_node_bytes(self) -> int:
         """Walk the tree and total its nodes' on-disk bytes, setting
-        :attr:`node_bytes`.  One full traversal -- recovery fallback for
-        files whose header predates the persisted counter; steady-state
-        callers rely on the incremental accounting instead."""
+        :attr:`node_bytes`.  One full traversal -- the tests' oracle for
+        the incremental accounting, which every caller relies on."""
         total = 0
         stack = [] if self.root is None else [self.root]
         while stack:

@@ -3,11 +3,15 @@
 Each vBucket persists to its own append-only file (as couchstore does),
 containing three kinds of records: document bodies, B-tree nodes, and
 **headers**.  A header names the roots of the two indexes -- the by-key
-tree (doc ID -> document location + metadata) and the by-seqno tree
-(mutation seqno -> doc ID) -- plus the vBucket's high seqno and counters.
-Because trees are copy-on-write, a header is a consistent snapshot: DCP
-backfill and compaction read from a header while the writer keeps
-appending (section 4.3.3).
+tree (doc ID -> ``[pointer, seqno, size, deleted]``) and the by-seqno
+tree (mutation seqno -> document pointer) -- plus the vBucket's high
+seqno and counters.  Because trees are copy-on-write, a header is a
+consistent snapshot: DCP backfill and compaction read from a header
+while the writer keeps appending (section 4.3.3).
+
+Leaf values and headers hold only fields some reader reads, by position:
+a flush rewrites each leaf it touches, and compaction rewrites it again,
+so every byte in an entry is paid for many times.
 
 Recovery after a crash scans for the last intact header and truncates
 everything after it; un-headered appends are exactly the writes whose
@@ -21,10 +25,10 @@ import json
 
 from ..common.disk import SimulatedDisk
 from ..common.document import Document, DocumentMeta
-from ..common.errors import KeyNotFoundError
+from ..common.errors import CorruptFileError, KeyNotFoundError
 from ..common.jsonval import JsonValue
 from .appendlog import _HEADER, RT_DOC, RT_HEADER, AppendLog
-from .btree import BTree
+from .btree import BTree, encode_record
 
 
 class VBucketStore:
@@ -57,23 +61,19 @@ class VBucketStore:
             return
         offset, body = found
         header = json.loads(body.decode("utf-8"))
+        if type(header) is not list or len(header) != 9:
+            raise CorruptFileError(
+                f"{self.filename!r}: header at offset {offset} is not "
+                f"the 9-field list write_header writes"
+            )
         # Truncate everything after the header record: those are appends
         # that never reached a commit point.
         self.log.file.truncate(offset + _HEADER.size + len(body))
-        self.by_key = BTree(self.log, header["by_key_root"])
-        self.by_seq = BTree(self.log, header["by_seq_root"])
-        self.update_seq = header["update_seq"]
-        self.doc_count = header["doc_count"]
-        self.deleted_count = header["deleted_count"]
-        self.live_size = header["live_size"]
-        # Tree-node byte counters ride in the header; files written
-        # before the counter existed pay one tree walk to rebuild them.
-        if "by_key_nodes" in header:
-            self.by_key.node_bytes = header["by_key_nodes"]
-            self.by_seq.node_bytes = header["by_seq_nodes"]
-        else:
-            self.by_key.measure_node_bytes()
-            self.by_seq.measure_node_bytes()
+        (key_root, seq_root, self.update_seq, self.doc_count,
+         self.deleted_count, self.live_size, key_nodes, seq_nodes,
+         _vbucket_id) = header
+        self.by_key = BTree(self.log, key_root, node_bytes=key_nodes)
+        self.by_seq = BTree(self.log, seq_root, node_bytes=seq_nodes)
 
     # -- write path -------------------------------------------------------------
 
@@ -95,37 +95,23 @@ class VBucketStore:
         seq_deletes: list[JsonValue] = []
         for doc in newest.values():
             meta = doc.meta
-            body = json.dumps(
-                [
-                    meta.key,
-                    doc.value,
-                    meta.cas,
-                    meta.seqno,
-                    meta.rev,
-                    meta.expiry,
-                    meta.flags,
-                    meta.deleted,
-                ],
-                separators=(",", ":"),
-            ).encode("utf-8")
+            body = encode_record([
+                meta.key, doc.value, meta.cas, meta.seqno, meta.rev,
+                meta.expiry, meta.flags, meta.deleted,
+            ]).encode("utf-8")
             pointer = self.log.append(RT_DOC, body)
             found, old = self.by_key.lookup(meta.key)
             if found:
-                seq_deletes.append(old["seq"])
-                self.live_size -= old["size"]
-                if old["del"]:
+                _old_pointer, old_seqno, old_size, old_deleted = old
+                seq_deletes.append(old_seqno)
+                self.live_size -= old_size
+                if old_deleted:
                     self.deleted_count -= 1
                 else:
                     self.doc_count -= 1
-            entry = {
-                "ptr": pointer,
-                "seq": meta.seqno,
-                "size": len(body),
-                "del": meta.deleted,
-            }
-            key_inserts.append((meta.key, entry))
-            seq_inserts.append((meta.seqno, {"key": meta.key, "ptr": pointer,
-                                             "del": meta.deleted}))
+            key_inserts.append(
+                (meta.key, [pointer, meta.seqno, len(body), int(meta.deleted)]))
+            seq_inserts.append((meta.seqno, pointer))
             self.live_size += len(body)
             if meta.deleted:
                 self.deleted_count += 1
@@ -139,18 +125,12 @@ class VBucketStore:
 
     def write_header(self, sync: bool = True) -> None:
         """Commit point: append a header naming the current tree roots."""
-        header = {
-            "by_key_root": self.by_key.root,
-            "by_seq_root": self.by_seq.root,
-            "update_seq": self.update_seq,
-            "doc_count": self.doc_count,
-            "deleted_count": self.deleted_count,
-            "live_size": self.live_size,
-            "by_key_nodes": self.by_key.node_bytes,
-            "by_seq_nodes": self.by_seq.node_bytes,
-            "vbucket_id": self.vbucket_id,
-        }
-        self.log.append(RT_HEADER, json.dumps(header, separators=(",", ":")).encode())
+        header = [
+            self.by_key.root, self.by_seq.root, self.update_seq,
+            self.doc_count, self.deleted_count, self.live_size,
+            self.by_key.node_bytes, self.by_seq.node_bytes, self.vbucket_id,
+        ]
+        self.log.append(RT_HEADER, encode_record(header).encode())
         if sync:
             self.log.sync()
 
@@ -184,32 +164,33 @@ class VBucketStore:
 
     def get(self, key: str, include_deleted: bool = False) -> Document:
         found, entry = self.by_key.lookup(key)
-        if not found or (entry["del"] and not include_deleted):
+        if not found or (entry[3] and not include_deleted):
             raise KeyNotFoundError(key)
-        return self._load_doc(entry["ptr"])
+        return self._load_doc(entry[0])
 
     def contains(self, key: str) -> bool:
         found, entry = self.by_key.lookup(key)
-        return found and not entry["del"]
+        return found and not entry[3]
 
     def has_tombstone(self, key: str) -> bool:
         """True when the latest persisted version of ``key`` is a delete
         (the durability monitor's deletion-path observe needs this)."""
         found, entry = self.by_key.lookup(key)
-        return found and bool(entry["del"])
+        return found and bool(entry[3])
 
     def changes_since(self, seqno: int):
         """Yield persisted documents with seqno strictly greater than
-        ``seqno``, in seqno order -- the DCP backfill scan."""
-        for _seq, entry in self.by_seq.range(start=seqno, inclusive_start=False):
-            yield self._load_doc(entry["ptr"])
+        ``seqno``, in seqno order -- the DCP backfill scan.  The key and
+        the tombstone flag come from the loaded document."""
+        for _seq, pointer in self.by_seq.range(start=seqno, inclusive_start=False):
+            yield self._load_doc(pointer)
 
     def all_docs(self, include_deleted: bool = False):
         """Scan every live document in key order (PrimaryScan substrate)."""
-        for key, entry in self.by_key.items():
-            if entry["del"] and not include_deleted:
+        for _key, (pointer, _seqno, _size, deleted) in self.by_key.items():
+            if deleted and not include_deleted:
                 continue
-            yield self._load_doc(entry["ptr"])
+            yield self._load_doc(pointer)
 
     # -- sizing -----------------------------------------------------------------
 

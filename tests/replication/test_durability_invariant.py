@@ -41,7 +41,10 @@ def synced_version(node, vbucket_id: int, key: str):
     copy.append(file.read(0, file.synced_size))
     copy.sync()
     found, entry = VBucketStore(scratch, file.name, vbucket_id).by_key.lookup(key)
-    return (entry["seq"], entry["del"]) if found else None
+    if not found:
+        return None
+    _pointer, seqno, _size, deleted = entry
+    return seqno, bool(deleted)
 
 
 def memory_version(node, vbucket_id: int, key: str):

@@ -2,6 +2,7 @@
 
 
 from repro.common.disk import SimulatedDisk
+from repro.storage.btree import BTree
 from repro.storage.compaction import Compactor
 from repro.storage.couchstore import VBucketStore
 
@@ -204,30 +205,24 @@ class TestFragmentationAccounting:
         assert reopened.by_seq.node_bytes == store.by_seq.node_bytes
         assert reopened.fragmentation() == store.fragmentation()
 
-    def test_legacy_header_without_counters_measures_by_walk(self):
-        """Files written before the counters existed recover by walking
-        the trees once instead of reporting garbage fragmentation."""
-        import json
-
-        from repro.storage.appendlog import RT_HEADER
-
+    def test_reopening_restores_node_counters_without_reading_a_node(
+            self, monkeypatch):
+        """Both node-byte counters come back from the header alone: a
+        reopen reads no tree node, and what it restores is what a walk
+        of the trees measures."""
         disk = SimulatedDisk()
         store, _ = churned_store(disk, rounds=10, keys=20)
-        legacy = {
-            "by_key_root": store.by_key.root,
-            "by_seq_root": store.by_seq.root,
-            "update_seq": store.update_seq,
-            "doc_count": store.doc_count,
-            "deleted_count": store.deleted_count,
-            "live_size": store.live_size,
-            "vbucket_id": store.vbucket_id,
-        }
-        store.log.append(RT_HEADER,
-                         json.dumps(legacy, separators=(",", ":")).encode())
-        store.log.sync()
+        node_reads = []
+        read_node_sized = BTree._read_node_sized
+        monkeypatch.setattr(BTree, "_read_node_sized", lambda tree, pointer: (
+            node_reads.append(pointer) or read_node_sized(tree, pointer)))
         reopened = VBucketStore(disk, "vb0", 0)
+        assert node_reads == []
         assert reopened.by_key.node_bytes == store.by_key.node_bytes
         assert reopened.by_seq.node_bytes == store.by_seq.node_bytes
+        assert reopened.by_key.node_bytes == reopened.by_key.measure_node_bytes()
+        assert reopened.by_seq.node_bytes == reopened.by_seq.measure_node_bytes()
+        assert node_reads
 
     def test_live_bytes_bounded_by_file_size(self):
         disk = SimulatedDisk()

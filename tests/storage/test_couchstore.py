@@ -1,6 +1,9 @@
 """Tests for the per-vBucket storage files: persistence, recovery after
 crash, snapshot reads, and the append-log framing."""
 
+import copy
+import json
+
 import pytest
 
 from repro.common.disk import SimulatedDisk
@@ -143,6 +146,21 @@ class TestVBucketStore:
         store.save_docs([make_doc("a", None, seqno=3, deleted=True)])
         assert [d.key for d in store.all_docs()] == ["b"]
 
+    def test_save_docs_leaves_its_input_unchanged(self):
+        """The flusher hands ``save_docs`` the hash table's own documents,
+        so it may only read them."""
+        store = VBucketStore(SimulatedDisk(), "vb0", 0)
+        store.save_docs([make_doc("a", {"v": [1, 2]}, seqno=1)])
+        docs = [make_doc("a", {"v": [3], "w": {"x": None}}, seqno=2),
+                make_doc("b", ["nested", {"k": 1}], seqno=3),
+                make_doc("b", None, seqno=4, deleted=True),
+                make_doc("c", {"w": {"y": [1]}}, seqno=5)]
+        snapshot = copy.deepcopy(docs)
+        store.save_docs(docs)
+        assert docs == snapshot
+        assert [d.key for d in store.all_docs(include_deleted=True)] == \
+            ["a", "b", "c"]
+
 
 class TestRecovery:
     def test_recover_after_clean_shutdown(self):
@@ -188,6 +206,29 @@ class TestRecovery:
         disk.crash()
         reopened = VBucketStore(disk, "vb0", 0)
         assert not reopened.contains("b")
+
+    def test_a_header_that_is_not_the_positional_list_fails_on_open(self):
+        """A header is the 9-field list ``write_header`` writes; a dict
+        (the keyed header form) would otherwise unpack into its key
+        names."""
+        disk = SimulatedDisk()
+        store = VBucketStore(disk, "vb0", 0)
+        store.save_docs([make_doc("a", 1, seqno=1)])
+        store.write_header(sync=True)
+        keyed = {
+            "by_key_root": store.by_key.root,
+            "by_seq_root": store.by_seq.root,
+            "update_seq": 1, "doc_count": 1, "deleted_count": 0,
+            "live_size": store.live_size,
+            "by_key_nodes": store.by_key.node_bytes,
+            "by_seq_nodes": store.by_seq.node_bytes,
+            "vbucket_id": 0,
+        }
+        offset = store.log.append(RT_HEADER, json.dumps(keyed).encode())
+        store.log.sync()
+        with pytest.raises(CorruptFileError,
+                           match=f"'vb0': header at offset {offset} "):
+            VBucketStore(disk, "vb0", 0)
 
     def test_recovery_truncates_garbage_tail(self):
         disk = SimulatedDisk()

@@ -153,12 +153,16 @@ class StoreMachine(RuleBasedStateMachine):
         assert store.deleted_count == len(self.now.tombstones())
         assert store.update_seq == self.now.update_seq
         # live_size is the sum of the live records' body lengths, and
-        # each entry's recorded size is its record's true length.
-        entries = [entry for _key, entry in store.by_key.items()]
-        for entry in entries:
-            _record_type, body = store.log.read(entry["ptr"])
-            assert entry["size"] == len(body)
-        assert store.live_size == sum(entry["size"] for entry in entries)
+        # each by-key entry [pointer, seqno, size, deleted] agrees with
+        # the record it points at.
+        entries = list(store.by_key.items())
+        for key, (pointer, seqno, size, deleted) in entries:
+            _record_type, body = store.log.read(pointer)
+            assert size == len(body)
+            doc = store._load_doc(pointer)
+            assert (doc.key, doc.meta.seqno, doc.meta.deleted) == \
+                (key, seqno, bool(deleted))
+        assert store.live_size == sum(entry[2] for _key, entry in entries)
         assert store.by_key.node_bytes == store.by_key.measure_node_bytes()
         assert store.by_seq.node_bytes == store.by_seq.measure_node_bytes()
 
