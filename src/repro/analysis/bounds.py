@@ -35,7 +35,7 @@ TMPFAIL = "TemporaryFailureError"
 RELIEF_CALLS = frozenset({"backoff", "delay", "sleep", "sleep_until"})
 
 #: RPC send surfaces a retry loop re-issues work through.
-RPC_ATTRS = frozenset({"call", "call_fanout"})
+RPC_ATTRS = frozenset({"call", "call_fanout", "scatter"})
 RPC_RECEIVERS = frozenset({"network", "fabric"})
 RPC_WRAPPERS = frozenset(
     {"_call", "_multi_call", "_routed_call", "_routed_multi_call"})

@@ -383,11 +383,13 @@ class _Builder:
                                           "scheduler", "Scheduler"):
                 self._register_callback(call, call.args[1], "timer", env, func)
                 return
-            if attr in ("call", "call_fanout") and len(call.args) >= 3 \
+            if attr in ("call", "call_fanout", "scatter") \
+                    and len(call.args) >= 3 \
                     and self._receiver_is(base, env, func,
                                           "network", "Network"):
-                # Both put the method name at args[2]; call_fanout is the
-                # parallel-wave variant, one rpc edge covers every dst.
+                # All three put the method name at args[2]; call_fanout
+                # and scatter are parallel waves, one rpc edge covers
+                # every dst.
                 self._handle_rpc_site(call, env, func)
                 return
             if attr == "partial" and last_component(base) == "functools" \

@@ -40,6 +40,7 @@ from ..kv.types import MutationResult
 from ..replication.durability import DurabilityMonitor, DurabilityRequirement
 
 if TYPE_CHECKING:
+    from ..admission.breaker import CircuitBreaker
     from ..admission.controller import AdmissionController
     from ..server import Cluster
 
@@ -379,14 +380,17 @@ class SmartClient:
     def _routed_multi_call(self, batch: BatchResult, bucket: str, method: str,
                            pending: list[str],
                            payload: dict[str, dict] | None) -> BatchResult:
-        """Group keys by active node, issue **one** ``kv_multi_get`` /
-        ``kv_multi_mutate`` RPC per node, then retry selectively: keys
+        """Group keys by active node, send **one** ``kv_multi_get`` /
+        ``kv_multi_mutate`` RPC per node, all of them in one parallel
+        wave (:meth:`Network.scatter`), then retry selectively: keys
         that failed with a topology error re-batch after a map refresh;
         keys shed for overload (pressure-tagged TMPFAIL) re-batch after
         one shared bounded backoff; keys rejected by an open breaker (or
         with semantic failures) land in ``errors`` immediately, keeping
         the partial-result contract -- every key ends up in exactly one
-        of ``results`` and ``errors``."""
+        of ``results`` and ``errors``.  A node with an open breaker gets
+        no RPC, and each retry round is again one wave carrying only the
+        failed keys."""
         last_errors: dict[str, Exception] = {}
         overload_attempts = 0
         for _attempt in range(self.MAX_RETRIES):
@@ -402,6 +406,8 @@ class SmartClient:
                     f"vbucket {cluster_map.vbucket_for_key(key)} unassigned"
                 )
                 topology_retry.append(key)
+            sent: list[tuple[str, list[tuple[int, str]], CircuitBreaker]] = []
+            requests: list[tuple[str, list]] = []
             for node, items in sorted(groups.items()):
                 breaker = self.admission.breaker(node)
                 if not breaker.allow():
@@ -420,38 +426,41 @@ class SmartClient:
                          payload[key]["kwargs"])
                         for vbucket_id, key in items
                     ]
-                try:
-                    # This IS the batched path: one multi_* RPC per
-                    # node, looping over nodes -- not per key.
-                    # repro: disable-next=n-plus-one-rpc
-                    outcomes = self.network.call(
-                        self.name, node, method, bucket, request
-                    )
-                except AdmissionRejectedError as error:
+                sent.append((node, items, breaker))
+                requests.append((bucket, request))
+            # One parallel wave carries every node's batch; each slot is
+            # that node's per-key outcomes or the error its dispatch raised.
+            outcomes = self.network.scatter(
+                self.name, [node for node, _items, _breaker in sent], method,
+                requests)
+            for (node, items, breaker), outcome in zip(sent, outcomes):
+                if isinstance(outcome, AdmissionRejectedError):
                     # Shed by the fabric's node bulkhead: honor it.
                     for _vbucket_id, key in items:
-                        batch.errors[key] = error
+                        batch.errors[key] = outcome
                     continue
-                except self._TOPOLOGY_RETRYABLE as error:
+                if isinstance(outcome, self._TOPOLOGY_RETRYABLE):
                     # Whole-node failure: every key of this group retries.
                     for _vbucket_id, key in items:
-                        last_errors[key] = error
+                        last_errors[key] = outcome
                         topology_retry.append(key)
                     continue
-                except TemporaryFailureError as error:
-                    if error.retry_after is not None:
+                if isinstance(outcome, TemporaryFailureError):
+                    if outcome.retry_after is not None:
                         breaker.record_failure()
-                        self.admission.note_overload(node, error)
-                        overload_hint = max(overload_hint, error.retry_after)
+                        self.admission.note_overload(node, outcome)
+                        overload_hint = max(overload_hint, outcome.retry_after)
                         for _vbucket_id, key in items:
-                            last_errors[key] = error
+                            last_errors[key] = outcome
                             overload_retry.append(key)
                     else:
                         for _vbucket_id, key in items:
-                            batch.errors[key] = error
+                            batch.errors[key] = outcome
                     continue
+                if isinstance(outcome, Exception):
+                    raise outcome
                 node_overloaded = False
-                for (_vbucket_id, key), (status, value) in zip(items, outcomes):
+                for (_vbucket_id, key), (status, value) in zip(items, outcome):
                     if status == "ok":
                         batch.results[key] = value
                     elif isinstance(value, self._TOPOLOGY_RETRYABLE):
@@ -497,8 +506,9 @@ class SmartClient:
                      'NotMyVBucketError', 'TemporaryFailureError')
     def multi_get(self, bucket: str, keys: list[str]) -> dict[str, Document]:
         """Batch point lookups: one ``kv_multi_get`` RPC per involved
-        node instead of one round trip per key.  Missing keys are simply
-        absent from the result; any other per-key error propagates."""
+        node, all in one round trip, instead of one round trip per key.
+        Missing keys are simply absent from the result; any other
+        per-key error propagates."""
         batch = self.multi_get_batch(bucket, keys)
         for key, error in batch.errors.items():
             if not isinstance(error, KeyNotFoundError):

@@ -7,8 +7,10 @@ in one Python process and "RPC" is a method call routed through a
 * **fault injection** -- nodes can be marked down and node pairs can be
   partitioned, and every call re-checks reachability, which is what the
   failure-detection and failover tests exercise (section 4.3.1);
-* **latency accounting** -- every call is charged a configurable virtual
-  latency, used by the YCSB cost model (appendix 10.1); and
+* **latency accounting** -- every wave of calls is charged a configurable
+  virtual latency, used by the YCSB cost model (appendix 10.1): a
+  :meth:`Network.call` is one wave, and so is a :meth:`Network.call_fanout`
+  or :meth:`Network.scatter` however many nodes it reaches; and
 * **observability** -- a per-(service, method) call counter that tests use
   to assert, e.g., that a key-value get touched exactly one node
   (section 3.1.1: "only the cluster node hosting the data with that key
@@ -18,7 +20,7 @@ in one Python process and "RPC" is a method call routed through a
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any
+from typing import Any, Iterable
 
 from . import tracing
 from .errors import InvalidArgumentError, NodeDownError
@@ -101,39 +103,75 @@ class Network:
     def call(self, src: str, dst: str, method: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke ``method`` on the endpoint named ``dst`` on behalf of
         ``src``.  Raises :class:`NodeDownError` if unreachable."""
-        return self._dispatch(src, dst, method, args, kwargs,
-                              charge_latency=True)
+        release = self._admit(src, dst, method)
+        self.latency_charged += self.default_latency
+        return self._deliver(dst, method, args, kwargs, release)
 
     def call_fanout(self, src: str, dsts: list[str], method: str,
                     *args: Any) -> list[Any]:
-        """Scatter ``method`` to every endpoint in ``dsts`` as one
-        parallel wave; returns the results in ``dsts`` order.
+        """Send ``method`` with the same ``args`` to every endpoint in
+        ``dsts`` as one parallel wave; returns the results in ``dsts``
+        order.
+
+        All or nothing: the first destination that fails -- unreachable,
+        shed, or raising -- raises to the caller (a partial scatter-gather
+        would silently drop that node's rows).  Dispatch happens in list
+        order, so the sanitizer sees identical merge inputs under any pump
+        schedule."""
+        return self._wave(src, method, [(dst, args) for dst in dsts],
+                          all_or_nothing=True)
+
+    def scatter(self, src: str, dsts: list[str], method: str,
+                args_per_dst: list[tuple]) -> list[Any]:
+        """Send ``method`` to every endpoint in ``dsts``, each with its
+        own arguments (``args_per_dst[i]`` goes to ``dsts[i]``), as one
+        parallel wave.
+
+        Unlike :meth:`call_fanout` a failed destination does not abort
+        the wave: each slot of the returned list holds that call's return
+        value or the exception its dispatch raised, in ``dsts`` order, and
+        what a failed slot means is the caller's to decide (the smart
+        client's batch path retries just that node's keys)."""
+        return self._wave(src, method, zip(dsts, args_per_dst, strict=True),
+                          all_or_nothing=False)
+
+    def _wave(self, src: str, method: str,
+              requests: Iterable[tuple[str, tuple]], *,
+              all_or_nothing: bool) -> list[Any]:
+        """Dispatch ``(dst, args)`` requests in order as one wave.
 
         The calls overlap in virtual time, so the wave is charged one
-        ``default_latency`` total instead of one per call; per-(node,
-        method) counters still tick for every call.  Dispatch happens in
-        list order -- the scatter is deterministic, so the sanitizer sees
-        identical merge inputs under any pump schedule -- and the first
-        unreachable destination raises :class:`NodeDownError` (a partial
-        scatter-gather would silently drop that node's rows)."""
-        results = []
-        for position, dst in enumerate(dsts):
-            results.append(self._dispatch(src, dst, method, args, {},
-                                          charge_latency=position == 0))
-        return results
+        ``default_latency`` in total, at the first dispatch that reaches
+        its endpoint -- a wave no destination received costs nothing --
+        while the per-(node, method) counters tick for every delivered
+        call."""
+        outcomes: list[Any] = []
+        charged = False
+        for dst, args in requests:
+            try:
+                release = self._admit(src, dst, method)
+                if not charged:
+                    self.latency_charged += self.default_latency
+                    charged = True
+                outcomes.append(self._deliver(dst, method, args, {}, release))
+            except Exception as error:
+                if all_or_nothing:
+                    raise
+                outcomes.append(error)
+        return outcomes
 
-    def _dispatch(self, src: str, dst: str, method: str, args: tuple,
-                  kwargs: dict, *, charge_latency: bool) -> Any:
-        if dst not in self._endpoints:
+    def _admit(self, src: str, dst: str, method: str) -> Any:
+        """Reachability and the admission hook, before anything is
+        delivered or charged; returns the hook's release (or None)."""
+        if dst not in self._endpoints or not self.reachable(src, dst):
             raise NodeDownError(dst)
-        if not self.reachable(src, dst):
-            raise NodeDownError(dst)
-        release = (self.call_filter(src, dst, method)
-                   if self.call_filter is not None else None)
+        return (self.call_filter(src, dst, method)
+                if self.call_filter is not None else None)
+
+    def _deliver(self, dst: str, method: str, args: tuple, kwargs: dict,
+                 release: Any) -> Any:
         try:
             self.calls[(dst, method)] += 1
-            if charge_latency:
-                self.latency_charged += self.default_latency
             # An RPC is a *declared* hand-off point: whatever the endpoint
             # mutates while serving it was mediated by the fabric, which the
             # write-race tracker treats as legitimate cross-pump

@@ -86,26 +86,21 @@ class ViewQueryCoordinator:
             raise TypeError("pass either params or keyword options, not both")
         definition = self._definition(bucket, design, view)
 
-        # Scatter to every data node hosting the bucket, down or not:
-        # each holds vbuckets no other node serves, so skipping one
-        # would silently drop its rows from the result.  A down node
-        # makes network.call raise NodeDownError to the caller.
+        # Scatter to every data node hosting the bucket, down or not, in
+        # one parallel wave: each holds vbuckets no other node serves, so
+        # skipping one would silently drop its rows from the result.  A
+        # down node makes the all-or-nothing fan-out raise NodeDownError
+        # to the caller.
         manager = self.cluster.manager
         names = [name for name in manager.data_nodes()
                  if bucket in manager.nodes[name].view_engines]
         if params.stale == "false":
             self._wait_indexed(bucket, names)
-        partials = []
-        for name in names:
-            # Scatter-gather: one view RPC per data node, each holding
-            # vbuckets nobody else serves -- per-node by design.
-            # repro: disable-next=n-plus-one-rpc
-            partial = self.cluster.network.call(
-                "view-coordinator", name, "view_query_local",
-                bucket, design, view, params,
-            )
-            partials.append(partial)
-        self.cluster.network.calls[("view-coordinator", "scatter_gather")] += 1
+        network = self.cluster.network
+        partials = network.call_fanout("view-coordinator", names,
+                                       "view_query_local",
+                                       bucket, design, view, params)
+        network.calls[("view-coordinator", "scatter_gather")] += 1
         return self._merge(definition, partials, params)
 
     def _wait_indexed(self, bucket: str, names: list[str]) -> None:

@@ -1,12 +1,18 @@
 """The node-grouped batch KV path: multi_get / multi_upsert /
-multi_remove issue one RPC per destination node, survive topology
-changes by re-batching only the failed keys, and surface per-key errors
-in a structured BatchResult."""
+multi_remove issue one RPC per destination node, all in one parallel
+wave, survive topology changes by re-batching only the failed keys, and
+surface per-key errors in a structured BatchResult."""
 
 import pytest
 
 from repro import BatchResult, Cluster
-from repro.common.errors import KeyExistsError, KeyNotFoundError
+from repro.client.smart_client import SmartClient
+from repro.common.errors import (
+    AdmissionRejectedError,
+    KeyExistsError,
+    KeyNotFoundError,
+    NodeDownError,
+)
 
 
 @pytest.fixture
@@ -56,6 +62,8 @@ class TestNodeGrouping:
             assert client.get("b", key).value == {"v": key}
 
     def test_batched_charges_less_latency_than_per_key(self):
+        """50 gets cost 50 round trips; the same 50 keys as one batch
+        cost one: the four per-node RPCs overlap in a single wave."""
         cluster = Cluster(nodes=4, vbuckets=64, network_latency=0.001)
         cluster.create_bucket("b")
         client = cluster.connect()
@@ -69,11 +77,13 @@ class TestNodeGrouping:
         per_key = cluster.network.latency_charged
         assert per_key == pytest.approx(0.001 * len(keys))
 
+        # The batch: one kv_multi_get per node, all four in one wave.
         cluster.network.reset_counters()
         client.multi_get("b", keys)
         batched = cluster.network.latency_charged
         assert batched < per_key
-        assert batched == pytest.approx(0.001 * 4)  # one unit per node
+        assert sum(batch_calls(cluster, "kv_multi_get").values()) == 4
+        assert batched == pytest.approx(0.001)  # one unit for all 4 nodes
 
     def test_deduplicates_keys(self, cluster, client):
         client.upsert("b", "dup", {"v": 1})
@@ -122,6 +132,80 @@ class TestPartialFailure:
         assert outcomes[0][0] == "err"
         assert isinstance(outcomes[0][1], KeyExistsError)
         assert vb2 >= 0  # vbucket hashing stays in range
+
+    def test_partitioned_node_fails_only_its_keys_one_wave_per_round(
+            self, monkeypatch):
+        """A node cut off from the client: the other nodes' keys come
+        back in the first wave, and the cut node's keys retry -- each
+        round one wave carrying only them -- until they land in
+        ``errors`` as NodeDownError after MAX_RETRIES rounds.  A wave
+        whose only destination is unreachable is charged nothing."""
+        cluster = Cluster(nodes=4, vbuckets=64, network_latency=0.001)
+        cluster.create_bucket("b", replicas=1)
+        client = cluster.connect()
+        keys = [f"user::{i}" for i in range(60)]
+        client.multi_upsert("b", {k: i for i, k in enumerate(keys)}).require_ok()
+        cluster.run_until_idle()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        cut = "node2"
+        on_cut = {k for k in keys if cluster_map.node_for_key(k) == cut}
+        assert 0 < len(on_cut) < len(keys)
+        cluster.network.partition(client.name, cut)
+
+        network = cluster.network
+        scatter = network.scatter
+        rounds = []
+
+        def recording_scatter(src, dsts, method, args_per_dst):
+            before = network.latency_charged
+            outcomes = scatter(src, dsts, method, args_per_dst)
+            carried = {key for _bucket, items in args_per_dst
+                       for _vbucket_id, key in items}
+            rounds.append((list(dsts), carried, network.latency_charged - before))
+            return outcomes
+
+        monkeypatch.setattr(network, "scatter", recording_scatter)
+        network.reset_counters()
+        batch = client.multi_get_batch("b", keys)
+
+        assert set(batch.results) == set(keys) - on_cut
+        assert set(batch.errors) == on_cut
+        assert all(isinstance(error, NodeDownError)
+                   for error in batch.errors.values())
+        assert len(rounds) == SmartClient.MAX_RETRIES
+        (first_dsts, first_keys, first_charge), *retries = rounds
+        assert first_dsts == ["node1", "node2", "node3", "node4"]
+        assert first_keys == set(keys)
+        assert first_charge == pytest.approx(0.001)
+        for dsts, carried, charge in retries:
+            assert (dsts, carried, charge) == ([cut], on_cut, 0.0)
+        assert network.latency_charged == pytest.approx(0.001)
+        assert cut not in batch_calls(cluster, "kv_multi_get")
+
+    def test_open_breaker_rejects_its_node_without_an_rpc(self, cluster,
+                                                          client):
+        """A node whose breaker is open gets no RPC: its keys fail fast
+        with AdmissionRejectedError and the other nodes answer theirs."""
+        keys = [f"user::{i}" for i in range(60)]
+        client.multi_upsert("b", {k: i for i, k in enumerate(keys)}).require_ok()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        tripped = "node3"
+        on_tripped = {k for k in keys
+                      if cluster_map.node_for_key(k) == tripped}
+        assert 0 < len(on_tripped) < len(keys)
+        breaker = cluster.admission.breaker(tripped)
+        for _ in range(breaker.threshold):
+            breaker.record_failure()
+        assert not breaker.allow()
+
+        cluster.network.reset_counters()
+        batch = client.multi_get_batch("b", keys)
+        assert set(batch.results) == set(keys) - on_tripped
+        assert set(batch.errors) == on_tripped
+        assert all(isinstance(error, AdmissionRejectedError)
+                   for error in batch.errors.values())
+        assert batch_calls(cluster, "kv_multi_get") == {
+            "node1": 1, "node2": 1, "node4": 1}
 
 
 class TestTopologyChanges:

@@ -240,6 +240,75 @@ class TestNetwork:
         net.call("c", "n1", "ping", 1)
         assert net.latency_charged == pytest.approx(0.002)
 
+    class Picky(Echo):
+        def refuse(self, value):
+            raise ValueError(value)
+
+    def three_nodes(self) -> Network:
+        net = Network(default_latency=0.001)
+        for name in ("n1", "n2", "n3"):
+            net.register(name, self.Picky())
+        return net
+
+    def test_scatter_slots_hold_results_or_errors(self):
+        net = self.three_nodes()
+        net.set_down("n2")
+        outcomes = net.scatter("c", ["n1", "n2", "n3"], "ping",
+                               [(1,), (2,), (3,)])
+        assert outcomes[0] == 1 and outcomes[2] == 3
+        assert isinstance(outcomes[1], NodeDownError)
+        raised = net.scatter("c", ["n1", "n3"], "refuse", [("a",), ("b",)])
+        assert [type(error) for error in raised] == [ValueError, ValueError]
+        assert [error.args for error in raised] == [("a",), ("b",)]
+
+    def test_scatter_charges_one_wave_however_wide(self):
+        net = self.three_nodes()
+        net.scatter("c", ["n1", "n2", "n3"], "ping", [(1,), (2,), (3,)])
+        assert net.latency_charged == pytest.approx(0.001)
+        net.scatter("c", ["n1"], "ping", [(1,)])
+        assert net.latency_charged == pytest.approx(0.002)
+        # The first destination unreachable: the wave is charged at the
+        # first dispatch that reaches its endpoint, once.
+        net.partition("c", "n1")
+        net.scatter("c", ["n1", "n2", "n3"], "ping", [(1,), (2,), (3,)])
+        assert net.latency_charged == pytest.approx(0.003)
+
+    def test_scatter_to_unreachable_nodes_charges_nothing(self):
+        net = self.three_nodes()
+        net.set_down("n1")
+        net.partition("c", "n2")
+        outcomes = net.scatter("c", ["n1", "n2", "ghost"], "ping",
+                               [(1,), (2,), (3,)])
+        assert all(isinstance(error, NodeDownError) for error in outcomes)
+        assert net.scatter("c", [], "ping", []) == []
+        assert net.latency_charged == 0.0
+        assert not net.calls
+
+    def test_scatter_counts_each_delivered_call(self):
+        net = self.three_nodes()
+        net.set_down("n3")
+        net.scatter("c", ["n1", "n2", "n3"], "ping", [(1,), (2,), (3,)])
+        net.scatter("c", ["n1", "n2"], "refuse", [(1,), (2,)])
+        assert net.calls == {("n1", "ping"): 1, ("n2", "ping"): 1,
+                             ("n1", "refuse"): 1, ("n2", "refuse"): 1}
+
+    def test_scatter_needs_one_argument_tuple_per_destination(self):
+        with pytest.raises(ValueError):
+            self.three_nodes().scatter("c", ["n1", "n2"], "ping", [(1,)])
+
+    def test_call_fanout_is_all_or_nothing(self):
+        net = self.three_nodes()
+        assert net.call_fanout("c", ["n1", "n2", "n3"], "ping", 7) == [7, 7, 7]
+        assert net.latency_charged == pytest.approx(0.001)
+        net.set_down("n2")
+        with pytest.raises(NodeDownError):
+            net.call_fanout("c", ["n1", "n2", "n3"], "ping", 7)
+        assert net.calls[("n3", "ping")] == 1  # n3 never saw the second
+        net.set_down("n1")
+        with pytest.raises(NodeDownError):
+            net.call_fanout("c", ["n1", "n3"], "ping", 7)
+        assert net.latency_charged == pytest.approx(0.002)
+
 
 class TestMetrics:
     def test_histogram_percentiles_ordered(self):

@@ -190,7 +190,8 @@ LATENCY = 1e-3
 
 def waves(cluster) -> int:
     """Latency waves charged since the last ``reset_counters``: one per
-    ``Network.call``, one per ``call_fanout`` however wide."""
+    ``Network.call``, one per ``call_fanout`` or ``scatter`` however
+    wide."""
     return round(cluster.network.latency_charged / LATENCY)
 
 
@@ -269,7 +270,9 @@ def test_key_join_fetches_each_side_in_one_batch_per_data_node():
     """Section 4.5.3's key-based join: both the USE KEYS side and the
     ON KEYS side resolve through the node-grouped bulk lookup, so ten
     left rows cost at most one ``kv_multi_get`` per data node per side
-    and never a ``kv_get`` per row."""
+    and never a ``kv_get`` per row -- and each side's per-node lookups
+    overlap in one wave, so the query costs two round trips however
+    many nodes the keys hash to (it was one wave per node per side)."""
     cluster = Cluster(nodes=3, vbuckets=64, network_latency=LATENCY)
     cluster.create_bucket("b")
     client = cluster.connect()
@@ -290,6 +293,7 @@ def test_key_join_fetches_each_side_in_one_batch_per_data_node():
                 in cluster.network.calls.items() if method == "kv_multi_get"}
     assert per_node and all(count <= 2 for count in per_node.values())
     assert rpcs(cluster, "kv_") == sum(per_node.values())
+    assert waves(cluster) == 2
 
 
 # -- per-mutation durability (section 2.3.2) ---------------------------------

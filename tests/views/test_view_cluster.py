@@ -5,7 +5,7 @@ failover."""
 import pytest
 
 from repro import Cluster
-from repro.common.errors import ViewNotFoundError
+from repro.common.errors import NodeDownError, ViewNotFoundError
 from repro.views import ViewDefinition, ViewQueryParams
 
 
@@ -218,6 +218,33 @@ class TestScatterGather:
         result = client.view_query("b", "dd", "sum_age", stale="false")
         expected = sum(20 + (i % 10) for i in range(30))
         assert result.value == expected
+
+    def test_scatter_gather_is_one_wave_and_all_or_nothing(self):
+        """The per-node partial queries overlap: a ``stale=ok`` query of
+        a 4-node cluster costs one latency wave, not one per node.  A
+        down node still fails the query rather than dropping its rows."""
+        cluster = Cluster(nodes=4, vbuckets=16, network_latency=0.001)
+        cluster.create_bucket("b")
+        client = cluster.connect()
+        load_users(client, 40)
+        cluster.define_view("b", age_view())
+        cluster.run_until_idle()
+
+        cluster.network.reset_counters()
+        result = client.view_query("b", "dd", "by_age", stale="ok",
+                                   reduce=False)
+        assert len(result.rows) == 40
+        calls = cluster.network.calls
+        assert {dst for (dst, method) in calls
+                if method == "view_query_local"} == set(cluster.manager.nodes)
+        assert sum(count for (_dst, method), count in calls.items()
+                   if method == "view_query_local") == 4
+        assert calls[("view-coordinator", "scatter_gather")] == 1
+        assert cluster.network.latency_charged == pytest.approx(0.001)
+
+        cluster.crash_node("node3")
+        with pytest.raises(NodeDownError):
+            client.view_query("b", "dd", "by_age", stale="ok", reduce=False)
 
 
 class TestTopologyChanges:
