@@ -2,9 +2,11 @@
 
 Reachability starts from everything the outside world can invoke --
 service entry points, RPC handlers, pump and timer bodies, dunders,
-``main`` functions, and anything decorated (decorators usually mean an
-external registry) -- and walks *every* edge kind, including ``ref``
-(bound-method references) and ``partial``.
+``main`` functions, anything decorated (decorators usually mean an
+external registry) and the ``visit_*`` methods of direct
+``ast.NodeVisitor`` subclasses, which ``visit`` calls by name -- and
+walks *every* edge kind, including ``ref`` (bound-method references)
+and ``partial``.
 
 A function the walk misses is only a *candidate*: dynamic dispatch can
 hide uses from any static analysis.  So each candidate is cross-checked
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 from .callgraph import CallGraph
 from .excflow import _entry_points
+from .project import ClassInfo, Project
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,20 @@ def _roots(graph: CallGraph) -> set[str]:
             roots.add(fqn)
         elif func.decorators:
             roots.add(fqn)
+        elif func.name.startswith("visit_") and func.cls is not None and (
+            _is_visitor(project, project.classes[func.cls])
+        ):
+            roots.add(fqn)
     return roots
+
+
+def _is_visitor(project: Project, klass: ClassInfo) -> bool:
+    """Whether ``klass`` names ``ast.NodeVisitor`` among its own bases."""
+    bindings = project.modules[klass.module].bindings
+    return any(
+        bindings.get(head, head) + dot + rest == "ast.NodeVisitor"
+        for head, dot, rest in (base.partition(".") for base in klass.bases)
+    )
 
 
 def analyze_dead_code(graph: CallGraph) -> list[DeadCandidate]:

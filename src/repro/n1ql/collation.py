@@ -121,21 +121,3 @@ def equal(a: Any, b: Any) -> bool:
 def less(a: Any, b: Any) -> bool:
     return compare(a, b) < 0
 
-
-def max_value(values) -> Any:
-    """Collation max of an iterable (raises on empty)."""
-    iterator = iter(values)
-    best = next(iterator)
-    for value in iterator:
-        if compare(value, best) > 0:
-            best = value
-    return best
-
-
-def min_value(values) -> Any:
-    iterator = iter(values)
-    best = next(iterator)
-    for value in iterator:
-        if compare(value, best) < 0:
-            best = value
-    return best

@@ -5,10 +5,17 @@ backtick-quoted identifiers, single/double-quoted strings, numbers,
 operators, and the positional (``$1``/``?``) and named (``$name``)
 parameters the YCSB workload-E query uses
 (``SELECT meta().id FROM bucket WHERE meta().id >= $1 LIMIT $2``).
+
+One compiled pattern does the scanning.  Each alternative is a named
+group, tried in order at every position; the last one catches what no
+other group starts with.  A token's line and column come from its match
+offset, and every matched span's newlines -- in whitespace, comments,
+strings and backtick identifiers alike -- advance the line count.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..common.errors import N1qlSyntaxError
@@ -26,11 +33,39 @@ KEYWORDS = {
     "WITH",
 }
 
-#: Multi-character operators first so maximal munch works.
-OPERATORS = [
-    "||", "<=", ">=", "==", "!=", "<>", "=", "<", ">", "+", "-", "*", "/",
-    "%", "(", ")", "[", "]", "{", "}", ",", ".", ":", ";",
-]
+#: The token grammar.  ``\s``, ``\d`` and ``\w`` are Python's Unicode
+#: classes: ``str.isspace()``, ``str.isdecimal()``, and ``str.isalnum()``
+#: or ``_``.  A string body takes one character per step, never a run,
+#: so an unterminated string backtracks in linear time; its closing
+#: quote may not be the first of a doubled pair, so it ends where a
+#: scan from left to right would.  A ``/`` that opens a comment is no
+#: operator: an unclosed comment is an error.  A number takes one
+#: fraction and one exponent, each only when a digit follows, so ``1.x``
+#: lexes as ``1`` ``.`` ``x``.
+_TOKEN = re.compile(r"""
+    (?P<skip> \s+ | --[^\n]* | /\*.*?\*/ )
+  | (?P<string> '(?:[^'\\]|\\.|'')*'(?!') | "(?:[^"\\]|\\.|"")*"(?!") )
+  | (?P<backtick> `[^`]*` )
+  | (?P<number> (?:\d+(?:\.\d+)?|\.\d+) (?:[eE][+-]?\d+)? )
+  | (?P<param> \$\w+ | \? )
+  | (?P<word> [^\W\d]\w* )
+  | (?P<op> \|\| | [<>=!]= | <> | [-=<>+*%()\[\]{},.:;] | /(?!\*) )
+  | (?P<error> /\* | . )
+""", re.VERBOSE | re.DOTALL)
+
+#: The message for an error match that opens a token but cannot finish it.
+_UNCLOSED = {
+    "/*": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated string literal",
+    "`": "unterminated backtick identifier",
+    "$": "bare '$' is not a valid parameter",
+}
+
+#: A string body's escapes: ``\x`` and the doubled quote of its own kind.
+_STRING_ESCAPE = {quote: re.compile(rf"\\(.)|{quote}{quote}", re.DOTALL)
+                  for quote in "'\""}
+_ESCAPED = {"n": "\n", "t": "\t"}
 
 
 @dataclass
@@ -49,161 +84,50 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    position = 0
-    line = 1
-    line_start = 0
-    length = len(text)
-
-    def column() -> int:
-        return position - line_start + 1
-
-    def error(message: str):
-        return N1qlSyntaxError(message, line, column())
-
-    while position < length:
-        char = text[position]
-        if char == "\n":
-            line += 1
-            position += 1
-            line_start = position
-            continue
-        if char.isspace():
-            position += 1
-            continue
-        if text.startswith("--", position):
-            while position < length and text[position] != "\n":
-                position += 1
-            continue
-        if text.startswith("/*", position):
-            end = text.find("*/", position + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            for i in range(position, end):
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-            position = end + 2
-            continue
-
-        start_line, start_col = line, column()
-
-        # Strings (single or double quoted; doubled quote escapes).
-        if char in ("'", '"'):
-            quote = char
-            position += 1
-            parts: list[str] = []
-            while True:
-                if position >= length:
-                    raise error("unterminated string literal")
-                current = text[position]
-                if current == quote:
-                    if position + 1 < length and text[position + 1] == quote:
-                        parts.append(quote)
-                        position += 2
-                        continue
-                    position += 1
-                    break
-                if current == "\\" and position + 1 < length:
-                    escape = text[position + 1]
-                    mapping = {"n": "\n", "t": "\t", "\\": "\\",
-                               "'": "'", '"': '"'}
-                    parts.append(mapping.get(escape, escape))
-                    position += 2
-                    continue
-                parts.append(current)
-                position += 1
-                if current == "\n":
-                    line += 1
-                    line_start = position
-            tokens.append(Token("string", "".join(parts), start_line, start_col))
-            continue
-
-        # Backtick-quoted identifiers (`Profile`).
-        if char == "`":
-            end = text.find("`", position + 1)
-            if end == -1:
-                raise error("unterminated backtick identifier")
-            tokens.append(Token("ident", text[position + 1:end],
-                                start_line, start_col))
-            newlines = text.count("\n", position, end)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", position, end) + 1
-            position = end + 1
-            continue
-
-        # Numbers.
-        if char.isdigit() or (
-            char == "." and position + 1 < length and text[position + 1].isdigit()
-        ):
-            end = position
-            seen_dot = False
-            seen_exp = False
-            while end < length:
-                current = text[end]
-                if current.isdigit():
-                    end += 1
-                elif current == "." and not seen_dot and not seen_exp:
-                    # Don't swallow "1.x" where x is not a digit (that is
-                    # field access on a number literal -- invalid anyway).
-                    if end + 1 < length and text[end + 1].isdigit():
-                        seen_dot = True
-                        end += 1
-                    else:
-                        break
-                elif current in "eE" and not seen_exp and end + 1 < length and (
-                    text[end + 1].isdigit()
-                    or (text[end + 1] in "+-" and end + 2 < length
-                        and text[end + 2].isdigit())
-                ):
-                    seen_exp = True
-                    end += 2 if text[end + 1] in "+-" else 1
-                else:
-                    break
-            raw = text[position:end]
-            value: int | float = float(raw) if ("." in raw or "e" in raw.lower()) else int(raw)
-            tokens.append(Token("number", value, start_line, start_col))
-            position = end
-            continue
-
-        # Parameters: $1, $name, ?.
-        if char == "$":
-            end = position + 1
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            if end == position + 1:
-                raise error("bare '$' is not a valid parameter")
-            tokens.append(Token("param", text[position + 1:end],
-                                start_line, start_col))
-            position = end
-            continue
-        if char == "?":
-            tokens.append(Token("param", "?", start_line, start_col))
-            position += 1
-            continue
-
-        # Identifiers / keywords.
-        if char.isalpha() or char == "_":
-            end = position
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[position:end]
-            upper = word.upper()
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, raw, start = match.lastgroup, match[0], match.start()
+        if kind == "word" and not (raw[0].isalpha() or raw[0] == "_"):
+            kind, raw = "error", raw[0]  # a numeral such as '²' starts no word
+        if kind == "error":
+            # An unterminated string runs to the end of the text.
+            at = len(text) if raw in ("'", '"') else start
+            raise _error(text, at, _UNCLOSED.get(
+                raw, f"unexpected character {raw!r}"))
+        column = start - line_start + 1
+        if kind == "string":
+            body = _STRING_ESCAPE[raw[0]].sub(_unescape, raw[1:-1])
+            tokens.append(Token("string", body, line, column))
+        elif kind == "backtick":
+            tokens.append(Token("ident", raw[1:-1], line, column))
+        elif kind == "number":
+            value = int(raw) if raw.isdecimal() else float(raw)
+            tokens.append(Token("number", value, line, column))
+        elif kind == "param":
+            name = raw if raw == "?" else raw[1:]
+            tokens.append(Token("param", name, line, column))
+        elif kind == "word":
+            upper = raw.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, start_line, start_col))
+                tokens.append(Token("keyword", upper, line, column))
             else:
-                tokens.append(Token("ident", word, start_line, start_col))
-            position = end
-            continue
-
-        # Operators.
-        for op in OPERATORS:
-            if text.startswith(op, position):
-                tokens.append(Token("op", op, start_line, start_col))
-                position += len(op)
-                break
-        else:
-            raise error(f"unexpected character {char!r}")
-
-    tokens.append(Token("eof", "", line, column()))
+                tokens.append(Token("ident", raw, line, column))
+        elif kind == "op":
+            tokens.append(Token("op", raw, line, column))
+        newlines = raw.count("\n")
+        if newlines:
+            line += newlines
+            line_start = start + raw.rindex("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _unescape(match: re.Match) -> str:
+    escaped = match[1]
+    return match[0][0] if escaped is None else _ESCAPED.get(escaped, escaped)
+
+
+def _error(text: str, offset: int, message: str) -> N1qlSyntaxError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return N1qlSyntaxError(message, text.count("\n", 0, offset) + 1,
+                           offset - line_start + 1)

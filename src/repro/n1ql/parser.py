@@ -14,7 +14,6 @@ stance the paper takes.
 
 from __future__ import annotations
 
-
 from ..common.errors import N1qlSyntaxError
 from .lexer import Token, tokenize
 from .syntax import (
@@ -30,6 +29,7 @@ from .syntax import (
     DeleteStatement,
     DropIndexStatement,
     ElementAccess,
+    ExecuteStatement,
     ExplainStatement,
     Expr,
     FieldAccess,
@@ -43,8 +43,10 @@ from .syntax import (
     Literal,
     MissingLiteral,
     NestClause,
+    ObjectLiteral,
     OrderTerm,
     Parameter,
+    PrepareStatement,
     Projection,
     SelectStatement,
     Unary,
@@ -52,6 +54,27 @@ from .syntax import (
     UpdateSet,
     UpdateStatement,
 )
+
+#: Binding powers, loosest first: prefix NOT's operand, the comparison
+#: level, and prefix -/+'s operand, which binds tighter than any binary
+#: operator.
+_NOT, _COMPARISON, _UNARY = 3, 4, 8
+
+#: Each binary operator's binding power.  Its right operand binds one
+#: level tighter, so every level is left-associative.  The comparison
+#: level's keyword forms ([NOT] LIKE / BETWEEN / IN, IS [NOT] ...) are
+#: built by :meth:`Parser._comparison`.
+_BINDING = {
+    "OR": 1, "AND": 2,
+    **dict.fromkeys(("=", "==", "!=", "<>", "<", "<=", ">", ">=", "LIKE",
+                     "BETWEEN", "IN", "IS", "NOT"), _COMPARISON),
+    "||": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7,
+}
+
+#: The spelling a comparison operator normalises to.
+_SPELLING = {"==": "=", "<>": "!="}
+
+_CONSTANTS = {"TRUE": True, "FALSE": False, "NULL": None}
 
 
 def parse(text: str | list[Token]):
@@ -177,6 +200,25 @@ class Parser:
             return str(token.value).lower()
         raise self.error(f"expected identifier, found {token.value!r}")
 
+    def _alias(self, default: str | None = None) -> str | None:
+        """An optional ``[AS] alias``, else ``default``."""
+        if self.accept_keyword("AS") or self.current.kind == "ident":
+            return self.expect_ident()
+        return default
+
+    def _use_keys(self) -> Expr | None:
+        if not self.accept_keyword("USE"):
+            return None
+        self.expect_keyword("KEYS")
+        return self.parse_expr()
+
+    def _comma_list(self, parse_item) -> list:
+        """One or more ``parse_item()`` results separated by commas."""
+        items = [parse_item()]
+        while self.accept_op(","):
+            items.append(parse_item())
+        return items
+
     # -- statements -----------------------------------------------------------------
 
     def parse_statement(self):
@@ -208,14 +250,12 @@ class Parser:
         if self.current.is_keyword("BUILD"):
             return self.parse_build_index()
         if self.accept_keyword("PREPARE"):
-            from .syntax import PrepareStatement
             name = None
             if self.current.kind == "ident" and self.peek().is_keyword("FROM"):
                 name = self.expect_ident()
                 self.expect_keyword("FROM")
             return PrepareStatement(name, self._statement())
         if self.accept_keyword("EXECUTE"):
-            from .syntax import ExecuteStatement
             return ExecuteStatement(self.expect_ident())
         raise self.error(f"expected a statement, found {self.current.value!r}")
 
@@ -223,10 +263,8 @@ class Parser:
 
     def parse_select(self) -> SelectStatement:
         self.expect_keyword("SELECT")
-        distinct = False
-        if self.accept_keyword("DISTINCT"):
-            distinct = True
-        else:
+        distinct = self.accept_keyword("DISTINCT")
+        if not distinct:
             self.accept_keyword("ALL")
         raw = self.accept_keyword("RAW")
 
@@ -242,48 +280,42 @@ class Parser:
 
         if self.accept_keyword("FROM"):
             statement.from_term = self.parse_keyspace_term()
-            while True:
-                clause = self.parse_join_like()
-                if clause is None:
-                    break
+            while (clause := self.parse_join_like()) is not None:
                 statement.joins.append(clause)
 
         if self.accept_keyword("LET"):
-            while True:
-                name = self.expect_ident()
-                self.expect_op("=")
-                statement.let_bindings.append((name, self.parse_expr()))
-                if not self.accept_op(","):
-                    break
+            statement.let_bindings = self._comma_list(self._let_binding)
 
         if self.accept_keyword("WHERE"):
             statement.where = self.parse_expr()
 
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
-            statement.group_by.append(self.parse_expr())
-            while self.accept_op(","):
-                statement.group_by.append(self.parse_expr())
+            statement.group_by = self._comma_list(self.parse_expr)
             if self.accept_keyword("HAVING"):
                 statement.having = self.parse_expr()
 
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
-            while True:
-                term = OrderTerm(self.parse_expr())
-                if self.accept_keyword("DESC"):
-                    term.descending = True
-                else:
-                    self.accept_keyword("ASC")
-                statement.order_by.append(term)
-                if not self.accept_op(","):
-                    break
+            statement.order_by = self._comma_list(self._order_term)
 
         if self.accept_keyword("LIMIT"):
             statement.limit = self.parse_expr()
         if self.accept_keyword("OFFSET"):
             statement.offset = self.parse_expr()
         return statement
+
+    def _let_binding(self) -> tuple[str, Expr]:
+        name = self.expect_ident()
+        self.expect_op("=")
+        return name, self.parse_expr()
+
+    def _order_term(self) -> OrderTerm:
+        expr = self.parse_expr()
+        descending = self.accept_keyword("DESC")
+        if not descending:
+            self.accept_keyword("ASC")
+        return OrderTerm(expr, descending)
 
     def parse_projection(self, raw: bool) -> Projection:
         if self.accept_op("*"):
@@ -299,27 +331,18 @@ class Parser:
             self.advance()
             self.advance()
             return Projection(expr=None, alias=None, star_of=expr.name)
-        alias = None
-        if self.accept_keyword("AS"):
-            alias = self.expect_ident()
-        elif self.current.kind == "ident" and not raw:
-            alias = self.expect_ident()
-        return Projection(expr=expr, alias=alias)
+        # SELECT RAW takes an alias only after AS.
+        if raw and not self.current.is_keyword("AS"):
+            return Projection(expr=expr, alias=None)
+        return Projection(expr=expr, alias=self._alias())
 
     def parse_keyspace_term(self) -> KeyspaceTerm:
         keyspace = self.expect_ident()
         if keyspace == "system" and self.accept_op(":"):
             keyspace = f"system:{self.expect_ident()}"
-        alias = keyspace.split(":")[-1]
-        if self.accept_keyword("AS"):
-            alias = self.expect_ident()
-        elif self.current.kind == "ident":
-            alias = self.expect_ident()
-        use_keys = None
-        if self.accept_keyword("USE"):
-            self.expect_keyword("KEYS")
-            use_keys = self.parse_expr()
-        return KeyspaceTerm(keyspace=keyspace, alias=alias, use_keys=use_keys)
+        alias = self._alias(keyspace.split(":")[-1])
+        return KeyspaceTerm(keyspace=keyspace, alias=alias,
+                            use_keys=self._use_keys())
 
     def parse_join_like(self):
         outer = False
@@ -329,39 +352,23 @@ class Parser:
             outer = True
         elif self.accept_keyword("INNER"):
             pass
-        if self.accept_keyword("JOIN"):
+        if self.current.is_keyword("JOIN", "NEST"):
+            join = self.advance().is_keyword("JOIN")
             keyspace = self.expect_ident()
-            alias = keyspace
-            if self.accept_keyword("AS"):
-                alias = self.expect_ident()
-            elif self.current.kind == "ident":
-                alias = self.expect_ident()
+            alias = self._alias(keyspace)
             self.expect_keyword("ON")
             if not self.accept_keyword("KEYS"):
                 raise self.error(
                     "N1QL joins require ON KEYS -- general join predicates "
                     "between secondary attributes are not supported "
-                    "(section 3.2.4 of the paper)"
+                    "(section 3.2.4 of the paper)" if join
+                    else "NEST requires ON KEYS"
                 )
-            return JoinClause(keyspace, alias, self.parse_expr(), outer)
-        if self.accept_keyword("NEST"):
-            keyspace = self.expect_ident()
-            alias = keyspace
-            if self.accept_keyword("AS"):
-                alias = self.expect_ident()
-            elif self.current.kind == "ident":
-                alias = self.expect_ident()
-            self.expect_keyword("ON")
-            if not self.accept_keyword("KEYS"):
-                raise self.error("NEST requires ON KEYS")
-            return NestClause(keyspace, alias, self.parse_expr(), outer)
+            clause = JoinClause if join else NestClause
+            return clause(keyspace, alias, self.parse_expr(), outer)
         if self.accept_keyword("UNNEST"):
             expr = self.parse_expr()
-            alias = None
-            if self.accept_keyword("AS"):
-                alias = self.expect_ident()
-            elif self.current.kind == "ident":
-                alias = self.expect_ident()
+            alias = self._alias()
             if alias is None:
                 if isinstance(expr, FieldAccess):
                     alias = expr.field
@@ -387,7 +394,7 @@ class Parser:
         self.expect_keyword("VALUES")
         values = [self.parse_key_value_pair()]
         while self.accept_op(","):
-            self.expect_keyword("VALUES") if self.current.is_keyword("VALUES") else None
+            self.accept_keyword("VALUES")
             values.append(self.parse_key_value_pair())
         returning = self.parse_returning()
         return InsertStatement(keyspace=keyspace, values=values,
@@ -404,37 +411,19 @@ class Parser:
     def parse_returning(self) -> list[Projection]:
         if not self.accept_keyword("RETURNING"):
             return []
-        projections = [self.parse_projection(raw=False)]
-        while self.accept_op(","):
-            projections.append(self.parse_projection(raw=False))
-        return projections
+        return self._comma_list(lambda: self.parse_projection(raw=False))
 
     def parse_update(self) -> UpdateStatement:
         self.expect_keyword("UPDATE")
         keyspace = self.expect_ident()
-        alias = keyspace
-        if self.accept_keyword("AS"):
-            alias = self.expect_ident()
-        elif self.current.kind == "ident":
-            alias = self.expect_ident()
-        use_keys = None
-        if self.accept_keyword("USE"):
-            self.expect_keyword("KEYS")
-            use_keys = self.parse_expr()
+        alias = self._alias(keyspace)
+        use_keys = self._use_keys()
         sets: list[UpdateSet] = []
         unsets: list[Expr] = []
         if self.accept_keyword("SET"):
-            while True:
-                path = self.parse_path_expr()
-                self.expect_op("=")
-                sets.append(UpdateSet(path, self.parse_expr()))
-                if not self.accept_op(","):
-                    break
+            sets = self._comma_list(self._update_set)
         if self.accept_keyword("UNSET"):
-            while True:
-                unsets.append(self.parse_path_expr())
-                if not self.accept_op(","):
-                    break
+            unsets = self._comma_list(self.parse_path_expr)
         if not sets and not unsets:
             raise self.error("UPDATE requires SET and/or UNSET")
         where = self.parse_expr() if self.accept_keyword("WHERE") else None
@@ -443,19 +432,17 @@ class Parser:
         return UpdateStatement(keyspace, alias, use_keys, sets, unsets,
                                where, limit, returning)
 
+    def _update_set(self) -> UpdateSet:
+        path = self.parse_path_expr()
+        self.expect_op("=")
+        return UpdateSet(path, self.parse_expr())
+
     def parse_delete(self) -> DeleteStatement:
         self.expect_keyword("DELETE")
         self.expect_keyword("FROM")
         keyspace = self.expect_ident()
-        alias = keyspace
-        if self.accept_keyword("AS"):
-            alias = self.expect_ident()
-        elif self.current.kind == "ident":
-            alias = self.expect_ident()
-        use_keys = None
-        if self.accept_keyword("USE"):
-            self.expect_keyword("KEYS")
-            use_keys = self.parse_expr()
+        alias = self._alias(keyspace)
+        use_keys = self._use_keys()
         where = self.parse_expr() if self.accept_keyword("WHERE") else None
         limit = self.parse_expr() if self.accept_keyword("LIMIT") else None
         returning = self.parse_returning()
@@ -494,27 +481,27 @@ class Parser:
         self.expect_keyword("ON")
         keyspace = self.expect_ident()
         self.expect_op("(")
-        keys = []
-        sources = []
-        while True:
-            start = self.position
-            keys.append(self.parse_expr())
-            sources.append(self._source_between(start, self.position))
-            if not self.accept_op(","):
-                break
+        keys = self._comma_list(self._sourced_expr)
         self.expect_op(")")
         where = None
         where_source = None
         if self.accept_keyword("WHERE"):
-            start = self.position
-            where = self.parse_expr()
-            where_source = self._source_between(start, self.position)
+            where, where_source = self._sourced_expr()
         using = self.parse_using()
         options = self.parse_with_options()
         return CreateIndexStatement(
-            name=name, keyspace=keyspace, keys=keys, where=where,
-            using=using, with_options=options, key_sources=sources,
+            name=name, keyspace=keyspace, keys=[key for key, _ in keys],
+            where=where, using=using, with_options=options,
+            key_sources=[source for _, source in keys],
             where_source=where_source,
+        )
+
+    def _sourced_expr(self) -> tuple[Expr, str]:
+        """An expression, and its tokens' values joined by spaces."""
+        start = self.position
+        expr = self.parse_expr()
+        return expr, " ".join(
+            str(token.value) for token in self.tokens[start:self.position]
         )
 
     def parse_using(self) -> str:
@@ -549,115 +536,70 @@ class Parser:
         self.expect_keyword("ON")
         keyspace = self.expect_ident()
         self.expect_op("(")
-        names = [self.expect_ident()]
-        while self.accept_op(","):
-            names.append(self.expect_ident())
+        names = self._comma_list(self.expect_ident)
         self.expect_op(")")
         return BuildIndexStatement(keyspace, names)
 
-    def _source_between(self, start: int, end: int) -> str:
-        return " ".join(
-            str(token.value) for token in self.tokens[start:end]
-        )
-
     # -- expressions ---------------------------------------------------------------------
-    # Precedence (loosest to tightest): OR, AND, NOT, comparison/IS/IN/
-    # BETWEEN/LIKE, ||, + -, * / %, unary -, postfix (.field, [index]).
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.accept_keyword("OR"):
-            left = Binary("OR", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.accept_keyword("AND"):
-            left = Binary("AND", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.accept_keyword("NOT"):
-            return Unary("NOT", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_concat()
+    def parse_expr(self, floor: int = 0) -> Expr:
+        """An expression whose binary operators bind at least as tightly
+        as ``floor`` (see ``_BINDING``); 0 parses any expression."""
+        # What an operator builds is the left operand only of operators
+        # binding no tighter than it: ``a IS NULL || b`` and
+        # ``NOT a IS NULL || b`` end before ``||``.
+        ceiling = _UNARY
+        if floor <= _NOT and self.accept_keyword("NOT"):
+            left = Unary("NOT", self.parse_expr(_NOT))
+            ceiling = _NOT
+        elif self.accept_op("-"):
+            left = Unary("-", self.parse_expr(_UNARY))
+        elif self.accept_op("+"):
+            left = self.parse_expr(_UNARY)
+        else:
+            left = self.parse_postfix()
         while True:
-            if self.current.is_op("=", "==", "!=", "<>", "<", "<=", ">", ">="):
-                op = str(self.advance().value)
-                if op == "==":
-                    op = "="
-                if op == "<>":
-                    op = "!="
-                left = Binary(op, left, self.parse_concat())
-                continue
-            negated = False
-            checkpoint = self.position
-            if self.accept_keyword("NOT"):
-                negated = True
-            if self.accept_keyword("LIKE"):
-                left = Binary("NOT LIKE" if negated else "LIKE",
-                              left, self.parse_concat())
-                continue
-            if self.accept_keyword("BETWEEN"):
-                low = self.parse_concat()
-                self.expect_keyword("AND")
-                high = self.parse_concat()
-                left = Between(left, low, high, negated)
-                continue
-            if self.accept_keyword("IN"):
-                left = InList(left, self.parse_concat(), negated)
-                continue
-            if negated:
-                self.position = checkpoint
-            if self.accept_keyword("IS"):
-                is_negated = self.accept_keyword("NOT")
-                if self.accept_keyword("NULL"):
-                    what = "NULL"
-                elif self.accept_keyword("MISSING"):
-                    what = "MISSING"
-                elif self.current.kind == "ident" and str(
-                    self.current.value
-                ).upper() == "VALUED":
-                    self.advance()
-                    what = "VALUED"
-                else:
-                    raise self.error("IS must be followed by NULL, MISSING, "
-                                     "or VALUED")
-                left = IsPredicate(left, what, is_negated)
-                continue
-            return left
+            token = self.current
+            op = str(token.value)
+            power = _BINDING.get(op) if token.kind in ("op", "keyword") else None
+            if power is None or not floor <= power <= ceiling or (
+                op == "NOT"
+                and not self.peek().is_keyword("LIKE", "BETWEEN", "IN")
+            ):
+                return left
+            self.advance()
+            ceiling = power
+            if power == _COMPARISON:
+                left = self._comparison(op, left)
+            else:
+                left = Binary(op, left, self.parse_expr(power + 1))
 
-    def parse_concat(self) -> Expr:
-        left = self.parse_additive()
-        while self.accept_op("||"):
-            left = Binary("||", left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.current.is_op("+", "-"):
-            op = str(self.advance().value)
-            left = Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while self.current.is_op("*", "/", "%"):
-            op = str(self.advance().value)
-            left = Binary(op, left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Expr:
-        if self.accept_op("-"):
-            return Unary("-", self.parse_unary())
-        if self.accept_op("+"):
-            return self.parse_unary()
-        return self.parse_postfix()
+    def _comparison(self, op: str, left: Expr) -> Expr:
+        """The comparison-level form ``op`` (just consumed) starts, with
+        ``left`` as its left operand."""
+        negated = op == "NOT"
+        if negated:
+            op = str(self.advance().value)  # LIKE, BETWEEN or IN
+        if op == "IS":
+            negated = self.accept_keyword("NOT")
+            token = self.current
+            if token.is_keyword("NULL", "MISSING") or (
+                token.kind == "ident" and str(token.value).upper() == "VALUED"
+            ):
+                self.advance()
+                return IsPredicate(left, str(token.value).upper(), negated)
+            raise self.error("IS must be followed by NULL, MISSING, "
+                             "or VALUED")
+        right = self.parse_expr(_COMPARISON + 1)
+        if op == "BETWEEN":
+            self.expect_keyword("AND")
+            high = self.parse_expr(_COMPARISON + 1)
+            return Between(left, right, high, negated)
+        if op == "IN":
+            return InList(left, right, negated)
+        if negated:
+            return Binary("NOT LIKE", left, right)
+        return Binary(_SPELLING.get(op, op), left, right)
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
@@ -688,15 +630,9 @@ class Parser:
                 self._positional += 1
                 name = f"?{self._positional}"
             return Parameter(name)
-        if token.is_keyword("TRUE"):
+        if token.kind == "keyword" and token.value in _CONSTANTS:
             self.advance()
-            return Literal(True)
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return Literal(False)
-        if token.is_keyword("NULL"):
-            self.advance()
-            return Literal(None)
+            return Literal(_CONSTANTS[token.value])
         if token.is_keyword("MISSING"):
             self.advance()
             return MissingLiteral()
@@ -719,22 +655,13 @@ class Parser:
         if self.accept_op("["):
             items = []
             if not self.current.is_op("]"):
-                items.append(self.parse_expr())
-                while self.accept_op(","):
-                    items.append(self.parse_expr())
+                items = self._comma_list(self.parse_expr)
             self.expect_op("]")
             return ArrayLiteral(items)
         if self.accept_op("{"):
-            pairs: list[tuple[str, Expr]] = []
+            pairs = []
             if not self.current.is_op("}"):
-                while True:
-                    key_token = self.advance()
-                    if key_token.kind not in ("string", "ident"):
-                        raise self.error("object keys must be strings")
-                    self.expect_op(":")
-                    pairs.append((str(key_token.value), self.parse_expr()))
-                    if not self.accept_op(","):
-                        break
+                pairs = self._comma_list(self._object_pair)
             self.expect_op("}")
             return ObjectLiteral(pairs)
         if token.kind == "ident" or token.kind == "keyword" and token.value in (
@@ -747,6 +674,13 @@ class Parser:
             return Identifier(name)
         raise self.error(f"unexpected token {token.value!r} in expression")
 
+    def _object_pair(self) -> tuple[str, Expr]:
+        key_token = self.advance()
+        if key_token.kind not in ("string", "ident"):
+            raise self.error("object keys must be strings")
+        self.expect_op(":")
+        return str(key_token.value), self.parse_expr()
+
     def parse_function_tail(self, name: str) -> FunctionCall:
         upper = name.upper()
         if self.accept_op(")"):
@@ -755,9 +689,7 @@ class Parser:
             self.expect_op(")")
             return FunctionCall(upper, [], star=True)
         distinct = self.accept_keyword("DISTINCT")
-        args = [self.parse_expr()]
-        while self.accept_op(","):
-            args.append(self.parse_expr())
+        args = self._comma_list(self.parse_expr)
         self.expect_op(")")
         return FunctionCall(upper, args, distinct=distinct)
 
@@ -802,8 +734,7 @@ class Parser:
 
 def _literal_object(expr: Expr) -> dict | None:
     """Fold a literal ObjectLiteral into a plain dict (WITH options)."""
-    from .syntax import ObjectLiteral as OL
-    if not isinstance(expr, OL):
+    if not isinstance(expr, ObjectLiteral):
         return None
     out = {}
     for key, value in expr.pairs:
@@ -816,7 +747,3 @@ def _literal_object(expr: Expr) -> dict | None:
         else:
             return None
     return out
-
-
-# Re-import guard for ObjectLiteral used above.
-from .syntax import ObjectLiteral  # noqa: E402

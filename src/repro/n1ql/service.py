@@ -41,9 +41,11 @@ from .syntax import (
     CreatePrimaryIndexStatement,
     DeleteStatement,
     DropIndexStatement,
+    ExecuteStatement,
     ExplainStatement,
     Expr,
     InsertStatement,
+    PrepareStatement,
     SelectStatement,
     UpdateStatement,
 )
@@ -313,7 +315,6 @@ class QueryService:
         """Run a parsed statement; ``request`` is ``(text, tokens, shape,
         literals)`` for :meth:`_select`."""
         self._scan_tokens = scan_tokens
-        from .syntax import ExecuteStatement, PrepareStatement
         if isinstance(statement, PrepareStatement):
             return self._prepare(statement)
         if isinstance(statement, ExecuteStatement):

@@ -136,6 +136,27 @@ class TestHelperModes:
         out = capsys.readouterr().out
         assert "not a gate" in out
 
+    def test_dead_code_report_roots_visitor_methods(self, tmp_path, capsys):
+        """``ast.NodeVisitor.visit`` calls ``visit_<Node>`` by name, so a
+        visitor's ``visit_*`` methods are reached; another class's are not."""
+        root = _write_tree(tmp_path, {"common/scan.py": """
+            import ast
+
+
+            class Calls(ast.NodeVisitor):
+                def visit_Call(self, node):
+                    return node
+
+
+            class Plain:
+                def visit_Name(self, node):
+                    return node
+            """})
+        assert main([str(root), "--report", "dead-code"]) == 0
+        out = capsys.readouterr().out
+        assert "Calls.visit_Call" not in out
+        assert "Plain.visit_Name" in out
+
     def test_suggest_raises_prints_a_decorator(self, capsys):
         code = main([str(FIXTURES / "exc_undeclared"), "--report", "raises"])
         out = capsys.readouterr().out

@@ -10,8 +10,6 @@ from repro.n1ql.collation import (
     compare,
     equal,
     less,
-    max_value,
-    min_value,
     sort_key,
     type_rank,
 )
@@ -98,10 +96,6 @@ class TestCollation:
     @given(json_values)
     def test_reflexive(self, a):
         assert compare(a, a) == 0
-
-    def test_min_max(self):
-        assert max_value([1, "a", None]) == "a"
-        assert min_value([1, "a", None]) is None
 
     def test_type_rank_rejects_garbage(self):
         with pytest.raises(TypeError):

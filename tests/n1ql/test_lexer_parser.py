@@ -1,6 +1,8 @@
 """Tests for the N1QL lexer and parser."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.common.errors import N1qlSyntaxError
 from repro.n1ql.lexer import tokenize
@@ -18,6 +20,7 @@ from repro.n1ql.syntax import (
     ExplainStatement,
     FieldAccess,
     FunctionCall,
+    Identifier,
     InsertStatement,
     JoinClause,
     Literal,
@@ -27,6 +30,15 @@ from repro.n1ql.syntax import (
     UnnestClause,
     UpdateStatement,
 )
+
+#: Text from the characters the lexer gives meaning to, mixed with
+#: arbitrary Unicode.
+n1ql_text = st.lists(
+    st.sampled_from(["'", '"', "`", "\\", "$", "?", "#", "@", "/*", "*/",
+                     "--", "\n", " ", "1", ".", "e", "x"])
+    | st.characters(),
+    max_size=24,
+).map("".join)
 
 
 class TestLexer:
@@ -42,6 +54,9 @@ class TestLexer:
     def test_string_escapes(self):
         assert tokenize(r"'a\'b'")[0].value == "a'b"
         assert tokenize("'it''s'")[0].value == "it's"
+        # A string doubles only its own quote.
+        assert tokenize("'a\"\"b'")[0].value == 'a""b'
+        assert tokenize('"a\'\'b"')[0].value == "a''b"
 
     def test_backtick_identifier(self):
         tokens = tokenize("`Profile Bucket`")
@@ -88,16 +103,58 @@ class TestLexer:
         tokens = tokenize(r'SELECT "a\nb" AS s')
         assert tokens[1].value == "a\nb"
         assert (tokens[2].line, tokens[2].column) == (1, 15)
+        # An escaped raw newline is a newline in the value and the source.
+        tokens = tokenize('SELECT "a\\\nb" AS s')
+        assert tokens[1].value == "a\nb"
+        assert (tokens[2].line, tokens[2].column) == (2, 4)
 
     def test_errors(self):
         with pytest.raises(N1qlSyntaxError):
             tokenize("'unterminated")
+        # An unterminated string is reported where the text ends.
+        with pytest.raises(N1qlSyntaxError) as raised:
+            tokenize("SELECT 'un\nterminated")
+        assert (raised.value.line, raised.value.column) == (2, 11)
         with pytest.raises(N1qlSyntaxError):
             tokenize("`unterminated")
         with pytest.raises(N1qlSyntaxError):
             tokenize("$ ")
         with pytest.raises(N1qlSyntaxError):
             tokenize("@")
+        with pytest.raises(N1qlSyntaxError, match="unterminated block comment"):
+            tokenize("SELECT 1 /* open")
+        # '²' is a digit to str.isdigit() but no decimal digit.
+        with pytest.raises(N1qlSyntaxError,
+                           match="unexpected character '²'") as raised:
+            tokenize("SELECT ² FROM b")
+        assert (raised.value.line, raised.value.column) == (1, 8)
+
+    @given(n1ql_text)
+    @example("SELECT ² FROM b")
+    @example('SELECT "a\\\nb" AS s')
+    def test_positions_map_to_source_offsets(self, text):
+        """Text lexes or raises N1qlSyntaxError.  Each token's (line,
+        column) is the offset its source starts at -- lexing the text from
+        there yields the same token first -- and eof's is the text's end.
+        The examples pin a non-decimal digit and an escaped raw newline,
+        which random text rarely combines into a failing input."""
+        try:
+            tokens = tokenize(text)
+        except N1qlSyntaxError:
+            return
+        assert [token.kind for token in tokens].count("eof") == 1
+        assert tokens[-1].kind == "eof"
+        lines = text.split("\n")
+
+        def offset(token):
+            assert 1 <= token.column <= len(lines[token.line - 1]) + 1
+            return sum(len(line) + 1 for line in lines[:token.line - 1]) \
+                + token.column - 1
+
+        for token in tokens[:-1]:
+            first = tokenize(text[offset(token):])[0]
+            assert (first.kind, first.value) == (token.kind, token.value)
+        assert offset(tokens[-1]) == len(text)
 
 
 class TestSelectParsing:
@@ -267,6 +324,16 @@ class TestExpressionParsing:
         assert expr.op == "+"
         assert expr.right.op == "*"
 
+    def test_every_binary_level_is_left_associative(self):
+        a, b, c = Identifier("a"), Identifier("b"), Identifier("c")
+        for op in ("OR", "AND", "=", "LIKE", "||", "-", "/"):
+            assert self.where_of(f"a {op} b {op} c") \
+                == Binary(op, Binary(op, a, b), c)
+
+    def test_comparison_spellings_normalised(self):
+        assert self.where_of("a == 1").op == "="
+        assert self.where_of("a <> 1").op == "!="
+
     def test_concat(self):
         expr = parse("SELECT a || b").projections[0].expr
         assert expr.op == "||"
@@ -405,6 +472,9 @@ class TestSyntaxErrors:
         "CREATE INDEX ON b(x)",
         "SELECT x FROM b trailing garbage (",
         "SELECT x x x FROM b",
+        "SELECT x FROM b WHERE a IS NULL || b",
+        "SELECT x FROM b WHERE NOT a IS NULL || b",
+        "SELECT x FROM b WHERE a = NOT b",
     ])
     def test_rejected(self, bad):
         with pytest.raises(N1qlSyntaxError):
