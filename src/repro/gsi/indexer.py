@@ -18,6 +18,8 @@ them.
 
 from __future__ import annotations
 
+import itertools
+
 from ..common import tracing
 from ..common.contracts import declared_raises
 from ..common.disk import SimulatedDisk
@@ -127,13 +129,9 @@ class Indexer:
         found" (section 4.5.1) -- plus the key components themselves,
         which is what makes covering indexes (section 5.1.2) possible."""
         instance = self.instance(name)
-        rows = []
-        for key_components, doc_id in instance.storage.scan(
+        rows = list(itertools.islice(instance.storage.scan(
             low, high, inclusive_low, inclusive_high, descending,
-        ):
-            rows.append((key_components, doc_id))
-            if limit is not None and len(rows) >= limit:
-                break
+        ), limit))
         self.node.metrics.inc("gsi.scans")
         self.node.metrics.inc("gsi.scan_rows", len(rows))
         return rows

@@ -53,8 +53,8 @@ class Router:
 
     def route(self, key_versions: list[KeyVersion]) -> set[int]:
         """Deliver a slice of key versions, one ``gsi_apply`` per
-        responsible index node, and return the vBuckets that were NOT
-        delivered in full.
+        responsible index node, all in one ``Network.scatter`` wave, and
+        return the vBuckets that were NOT delivered in full.
 
         The caller must not advance such a vBucket: it replays the
         vBucket's slice instead, which is safe because a batch replaces
@@ -74,17 +74,18 @@ class Router:
             if not self.network.reachable(source, target)
             for kv in batch
         }
-        for target, batch in batches.items():
-            if held:
-                batch = [kv for kv in batch if kv.vbucket_id not in held]
-                if not batch:
-                    continue
-            try:
-                # The loop is over index nodes, one batch each.
-                # repro: disable-next=n-plus-one-rpc
-                self.network.call(source, target, "gsi_apply", batch)
-            except NodeDownError:
+        if held:
+            batches = {target: kept for target, batch in batches.items()
+                       if (kept := [kv for kv in batch
+                                    if kv.vbucket_id not in held])}
+        outcomes = self.network.scatter(
+            source, list(batches), "gsi_apply",
+            [(batch,) for batch in batches.values()])
+        for batch, outcome in zip(batches.values(), outcomes):
+            if isinstance(outcome, NodeDownError):
                 held.update(kv.vbucket_id for kv in batch)
+            elif isinstance(outcome, Exception):
+                raise outcome
         return held
 
     def _targets(self, kv: KeyVersion) -> list[str]:

@@ -185,6 +185,9 @@ def _c_field_access(expr: FieldAccess, alias):
         fields.append(node.field)
         node = node.base
     fields.reverse()
+    if isinstance(node, FunctionCall) and node.name == "META" \
+            and (node.args or alias is not None):
+        return _c_meta_field(node, alias, tuple(fields))
     if isinstance(node, Identifier):
         root = _c_identifier(node, alias)
         path = tuple(fields)
@@ -616,6 +619,28 @@ def _c_meta(expr: FunctionCall, alias):
                 f"META(): unknown keyspace alias {target!r}"
             )
         return MISSING
+
+    return _dynamic(fn)
+
+
+def _c_meta_field(expr: FunctionCall, alias, path: tuple[str, ...]):
+    """``META(x).id``: one metadata lookup and the dict gets.  An alias
+    without metadata falls back to :func:`_c_meta`, which raises for an
+    unknown alias and otherwise yields MISSING, as does every field of
+    MISSING."""
+    meta_of = _c_meta(expr, alias)
+    target = expr.args[0].name if expr.args else alias
+
+    def fn(env, ev):
+        value = env.lookup_meta(target)
+        if value is None:
+            return meta_of(env, ev)
+        for field in path:
+            if isinstance(value, dict):
+                value = value.get(field, MISSING)
+            else:
+                return MISSING
+        return value
 
     return _dynamic(fn)
 

@@ -27,9 +27,14 @@ class Env:
     #: query; frames live for one row of one operator.
     __bounds__ = ("values", "metas")
 
-    def __init__(self, parent: "Env | None" = None):
-        self.values: dict[str, Any] = {}
-        self.metas: dict[str, dict] = {}
+    def __init__(self, values: dict[str, Any] | None = None,
+                 metas: dict[str, dict] | None = None,
+                 parent: "Env | None" = None):
+        """A frame over ``parent``; a scan row passes its one binding
+        in, ``Env({alias: doc}, {alias: meta})``, and the frame takes
+        both dicts as its own."""
+        self.values: dict[str, Any] = {} if values is None else values
+        self.metas: dict[str, dict] = {} if metas is None else metas
         self.parent = parent
 
     def bind(self, name: str, value: Any, meta: dict | None = None) -> None:
@@ -54,7 +59,7 @@ class Env:
         return None
 
     def child(self) -> "Env":
-        return Env(self)
+        return Env(parent=self)
 
     def aliases(self) -> list[str]:
         names: list[str] = []

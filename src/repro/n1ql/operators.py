@@ -6,12 +6,13 @@ reaches into the data service by key ("an index only contains document
 IDs, so the fetch operator is needed whenever a query includes
 additional projections that cannot be answered from the index alone",
 section 4.5.3); the join family performs nested-loop key lookups; and
-the two projection phases shape the final JSON.
+InitialProject shapes each row's result value.
 
 The pipeline runs at batch granularity: every executor consumes and
-produces lists of up to :data:`BATCH_SIZE` row environments, so the
-generator machinery runs once per batch and the compiled expression
-closures (see :mod:`repro.n1ql.compile`) run in tight per-batch loops.
+produces lists of up to :data:`BATCH_SIZE` row environments -- result
+values from InitialProject on -- so the generator machinery runs once
+per batch and the compiled expression closures (see
+:mod:`repro.n1ql.compile`) run in tight per-batch loops.
 """
 
 from __future__ import annotations
@@ -156,6 +157,15 @@ def _chunks(rows: list) -> Batches:
         yield rows[start:start + BATCH_SIZE]
 
 
+def _pending_batches(alias: str, rows: list) -> Batches:
+    """Index rows ``(key_values, doc_id)`` as row batches bound to a
+    placeholder the Fetch operator replaces with the document."""
+    for batch in _chunks(rows):
+        yield [Env({alias: {"__pending_fetch__": doc_id}},
+                   {alias: {"id": doc_id}})
+               for _key_values, doc_id in batch]
+
+
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
@@ -169,21 +179,13 @@ def run_key_scan(op: KeyScan, ctx: ExecutionContext) -> Batches:
     if not isinstance(keys, list):
         return
     ctx.count("n1ql.keyscan")
-    batch: list[Env] = []
-    for key in keys:
-        if not isinstance(key, str):
-            continue
-        env = Env()
-        env.bind(op.alias, {"__pending_fetch__": key}, {"id": key})
-        batch.append(env)
-        if len(batch) >= BATCH_SIZE:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    yield from _pending_batches(
+        op.alias, [(None, key) for key in keys if isinstance(key, str)])
 
 
 def _evaluate_span(span, ctx: ExecutionContext):
+    """The span's bound values as ``(low, high, inclusive_low,
+    inclusive_high)``, or None when the span admits no row."""
     compiled = getattr(span, "_compiled_bounds", None)
     if compiled is None:
         alias = ctx.evaluator.default_alias
@@ -196,14 +198,17 @@ def _evaluate_span(span, ctx: ExecutionContext):
     low_fns, high_fns = compiled
     empty = Env()
     ev = ctx.evaluator
-
-    def bound(fns):
-        if fns is None:
-            return None
-        return [fn(empty, ev) for fn in fns]
-
-    return (bound(low_fns), bound(high_fns),
-            span.inclusive_low, span.inclusive_high)
+    low = [fn(empty, ev) for fn in low_fns] if low_fns else None
+    high = [fn(empty, ev) for fn in high_fns] if high_fns else None
+    inclusive_low = span.inclusive_low
+    if any(v is None or v is MISSING for v in (low or []) + (high or [])):
+        return None  # no comparison with NULL or MISSING is TRUE
+    if high is not None and len(high) > len(low or ()):
+        # The range key has only an upper bound: start just past NULL,
+        # which (with MISSING) sorts before every value a comparison
+        # can admit.
+        low, inclusive_low = (low or []) + [None], False
+    return low, high, inclusive_low, span.inclusive_high
 
 
 def _pushed_limit(op, ctx: ExecutionContext) -> int | None:
@@ -223,7 +228,11 @@ def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
     if op.using == "view":
         yield from _batched(_run_view_index_scan(op, ctx))
         return
-    low, high, inclusive_low, inclusive_high = _evaluate_span(op.span, ctx)
+    ctx.count("n1ql.indexscan")
+    span = _evaluate_span(op.span, ctx)
+    if span is None:
+        return
+    low, high, inclusive_low, inclusive_high = span
     rows = ctx.cluster.gsi.scan(
         op.index_name, low, high,
         inclusive_low=inclusive_low, inclusive_high=inclusive_high,
@@ -231,29 +240,27 @@ def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
         scan_consistency=ctx.scan_consistency,
         mutation_tokens=ctx.scan_tokens,
     )
-    ctx.count("n1ql.indexscan")
+    alias = op.alias
+    if not op.covered:
+        yield from _pending_batches(alias, rows)
+        return
     cover_parts = getattr(op, "_cover_parts", None)
-    if cover_parts is None and op.covered:
+    if cover_parts is None:
         cover_parts = [path.split(".") for path in op.cover_paths]
         op._cover_parts = cover_parts
-    covered, alias = op.covered, op.alias
-    for start in range(0, len(rows), BATCH_SIZE):
-        batch = []
-        for key_values, doc_id in rows[start:start + BATCH_SIZE]:
-            env = Env()
-            if covered:
-                env.bind(alias, _cover_doc(cover_parts, key_values),
-                         {"id": doc_id})
-            else:
-                env.bind(alias, {"__pending_fetch__": doc_id},
-                         {"id": doc_id})
-            batch.append(env)
-        yield batch
+    for batch in _chunks(rows):
+        # A primary index covers meta().id alone: its rows bind no field.
+        yield [Env({alias: _cover_doc(cover_parts, key_values)
+                    if cover_parts else {}}, {alias: {"id": doc_id}})
+               for key_values, doc_id in batch]
 
 
 def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
     from ..views.viewindex import ViewQueryParams
-    low, high, inclusive_low, inclusive_high = _evaluate_span(op.span, ctx)
+    span = _evaluate_span(op.span, ctx)
+    if span is None:
+        return
+    low, high, inclusive_low, inclusive_high = span
     # at_plus has no token-level mapping onto a view index, so it takes
     # the conservative stale="false" path -- at least as fresh as the
     # mutation tokens demand.  Degrading it to "ok" would silently serve
@@ -275,9 +282,8 @@ def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
     for row in result.rows:
         if low and not inclusive_low and row["key"] == low[0]:
             continue
-        env = Env()
-        env.bind(op.alias, {"__pending_fetch__": row["id"]}, {"id": row["id"]})
-        yield env
+        yield Env({op.alias: {"__pending_fetch__": row["id"]}},
+                  {op.alias: {"id": row["id"]}})
 
 
 @hot_path
@@ -290,18 +296,13 @@ def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Batches:
                                 limit=_pushed_limit(op, ctx),
                                 scan_consistency=ctx.scan_consistency,
                                 mutation_tokens=ctx.scan_tokens)
-    covered, alias = getattr(op, "covered", False), op.alias
-    for start in range(0, len(rows), BATCH_SIZE):
-        batch = []
-        for _key_values, doc_id in rows[start:start + BATCH_SIZE]:
-            env = Env()
-            if covered:
-                env.bind(alias, {}, {"id": doc_id})
-            else:
-                env.bind(alias, {"__pending_fetch__": doc_id},
-                         {"id": doc_id})
-            batch.append(env)
-        yield batch
+    alias = op.alias
+    if not op.covered:
+        yield from _pending_batches(alias, rows)
+        return
+    for batch in _chunks(rows):
+        yield [Env({alias: {}}, {alias: {"id": doc_id}})
+               for _key_values, doc_id in batch]
 
 
 def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
@@ -316,9 +317,8 @@ def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
         ViewQueryParams(stale=stale, reduce=False),
     )
     for row in result.rows:
-        env = Env()
-        env.bind(op.alias, {"__pending_fetch__": row["id"]}, {"id": row["id"]})
-        yield env
+        yield Env({op.alias: {"__pending_fetch__": row["id"]}},
+                  {op.alias: {"id": row["id"]}})
 
 
 def _finalize_partial(name: str, partial: list) -> Any:
@@ -342,10 +342,10 @@ def run_index_aggregate(op: IndexAggregateScan,
     partial states, and this operator shapes each merged group into the
     same env :func:`run_group` emits -- the alias bound to a document
     reconstructed from the group keys plus the ``$agg:`` bindings."""
-    low, high, inclusive_low, inclusive_high = _evaluate_span(op.span, ctx)
-    groups = ctx.cluster.gsi.scan_aggregate(
-        op.index_name, low, high,
-        inclusive_low=inclusive_low, inclusive_high=inclusive_high,
+    span = _evaluate_span(op.span, ctx)
+    groups = [] if span is None else ctx.cluster.gsi.scan_aggregate(
+        op.index_name, span[0], span[1],
+        inclusive_low=span[2], inclusive_high=span[3],
         group_positions=op.group_positions,
         agg_specs=[(name, position)
                    for _key, name, position in op.agg_entries],
@@ -367,9 +367,8 @@ def run_index_aggregate(op: IndexAggregateScan,
         return
     envs = []
     for group_values, partials in groups:
-        env = Env()
-        env.bind(op.alias, _cover_doc(cover_parts, group_values),
-                 {"id": None})
+        env = Env({op.alias: _cover_doc(cover_parts, group_values)},
+                  {op.alias: {"id": None}})
         for (key, name, _position), partial in zip(op.agg_entries, partials):
             env.bind(key, _finalize_partial(name, partial))
         envs.append(env)
@@ -410,12 +409,9 @@ def run_system_scan(op, ctx: ExecutionContext) -> Batches:
                 "ejected": name in cluster.manager.ejected,
                 "down": cluster.network.is_down(name),
             })
-    envs = []
-    for index, row in enumerate(rows):
-        env = Env()
-        env.bind(op.alias, row, {"id": f"{op.what}:{index}"})
-        envs.append(env)
-    yield from _chunks(envs)
+    yield from _chunks([Env({op.alias: row},
+                            {op.alias: {"id": f"{op.what}:{index}"}})
+                        for index, row in enumerate(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -819,47 +815,46 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
 
 @hot_path
 def run_initial_project(op: InitialProject, ctx: ExecutionContext,
-                        batches: Batches) -> Batches:
-    """Evaluate the projection list; emits envs carrying '$result'."""
+                        batches: Batches) -> Iterator[list[Any]]:
+    """Evaluate the projection list; emits batches of result values,
+    which every operator after this one handles as they are."""
     entries = _project_compiled(op, ctx)
     ev = ctx.evaluator
-    raw_fn = entries[0][0] if op.raw else None
+    if op.raw:
+        raw_fn = entries[0][0]
+        for batch in batches:
+            values = [raw_fn(env, ev) for env in batch]
+            yield [None if value is MISSING else value for value in values]
+        return
     for batch in batches:
         out_batch = []
         for env in batch:
-            if op.raw:
-                value = raw_fn(env, ev)
-                result: Any = None if value is MISSING else value
-            else:
-                result = {}
-                unnamed = 0
-                for fn, name, star_of in entries:
-                    if fn is None:
-                        # '*' or alias.*: splice document(s) in.
-                        if star_of is not None:
-                            found, value = env.lookup(star_of)
-                            if found and isinstance(value, dict):
-                                result.update(value)
-                            continue
-                        # Bare '*': N1QL wraps each keyspace's document
-                        # under its alias (SELECT * FROM b -> [{"b": {...}}]).
-                        for alias in reversed(env.aliases()):
-                            found, value = env.lookup(alias)
-                            if found and value is not MISSING:
-                                result[alias] = value
+            result = {}
+            unnamed = 0
+            for fn, name, star_of in entries:
+                if fn is None:
+                    # '*' or alias.*: splice document(s) in.
+                    if star_of is not None:
+                        found, value = env.lookup(star_of)
+                        if found and isinstance(value, dict):
+                            result.update(value)
                         continue
-                    value = fn(env, ev)
-                    if value is MISSING:
-                        continue
-                    if name is None:
-                        unnamed += 1
-                        key = f"${unnamed}"
-                    else:
-                        key = name
-                    result[key] = value
-            out = env.child()
-            out.bind("$result", result)
-            out_batch.append(out)
+                    # Bare '*': N1QL wraps each keyspace's document
+                    # under its alias (SELECT * FROM b -> [{"b": {...}}]).
+                    for alias in reversed(env.aliases()):
+                        found, value = env.lookup(alias)
+                        if found and value is not MISSING:
+                            result[alias] = value
+                    continue
+                value = fn(env, ev)
+                if value is MISSING:
+                    continue
+                if name is None:
+                    unnamed += 1
+                    result[f"${unnamed}"] = value
+                else:
+                    result[name] = value
+            out_batch.append(result)
         yield out_batch
 
 
@@ -876,23 +871,22 @@ def _implicit_name(expr) -> str | None:
 
 @hot_path
 def run_distinct(op: DistinctOp, ctx: ExecutionContext,
-                 batches: Batches) -> Batches:
+                 batches: Iterator[list[Any]]) -> Iterator[list[Any]]:
     seen: set[str] = set()
     for batch in batches:
         kept = []
-        for env in batch:
-            _found, result = env.lookup("$result")
+        for result in batch:
             token = json.dumps(result, sort_keys=True, default=str)
             if token in seen:
                 continue
             seen.add(token)
-            kept.append(env)
+            kept.append(result)
         if kept:
             yield kept
 
 
-@hot_path
 def run_final_project(op: FinalProject, ctx: ExecutionContext,
-                      batches: Batches) -> Iterator[list[Any]]:
-    for batch in batches:
-        yield [env.lookup("$result")[1] for env in batch]
+                      batches: Iterator[list[Any]]) -> Iterator[list[Any]]:
+    """The result values are final already (:func:`run_initial_project`
+    emits them), so the batches pass through."""
+    return batches

@@ -4,8 +4,8 @@ The operator vocabulary of section 4.5.3 / Figure 11: keyspace scans
 (KeyScan / PrimaryScan / IndexScan), Fetch, Filter, the join operators
 (Join / Nest / Unnest -- all key-based, section 3.2.4), grouping,
 ordering, pagination, and the two projection phases (InitialProject
-reduces the stream to the referenced fields, FinalProject shapes the
-result JSON).
+turns each row into its result value, FinalProject hands the values
+on).
 
 EXPLAIN renders these nodes as a JSON-ish tree (section 4.5.3).
 """

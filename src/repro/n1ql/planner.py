@@ -26,7 +26,7 @@ nested-loop key-lookup join of section 4.5.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import NoSuitableIndexError, N1qlSemanticError
 from .catalog import Catalog
@@ -81,25 +81,37 @@ class SlotValueRead(Exception):
 
 @dataclass
 class Bounds:
-    """Accumulated restrictions on one attribute path."""
+    """Accumulated restrictions on one attribute path.
+
+    Each bound remembers the WHERE conjunct that set it.  The first
+    conjunct to set a bound keeps it: a later ``=``, ``>=`` or ``<`` on
+    the same path stays in the Filter.  A bound with no source (a LIKE
+    prefix range, a BETWEEN end whose twin was already set) narrows the
+    span without proving its conjunct."""
 
     eq: Expr | None = None
     low: Expr | None = None
     low_inclusive: bool = True
     high: Expr | None = None
     high_inclusive: bool = True
-    #: WHERE conjuncts *fully absorbed* into these bounds: every row the
-    #: bounds admit satisfies the conjunct.  LIKE-prefix ranges are not
-    #: recorded (the range is a superset of the matches).  Used for the
-    #: LIMIT-pushdown subsumption check.  At most one entry per WHERE
-    #: conjunct of the statement being planned.
-    __bounds__ = ("sources",)
-
-    sources: list = field(default_factory=list)
+    eq_source: Expr | None = None
+    low_source: Expr | None = None
+    high_source: Expr | None = None
 
     @property
     def restricted(self) -> bool:
         return self.eq is not None or self.low is not None or self.high is not None
+
+    @property
+    def sources(self) -> list[Expr]:
+        """The WHERE conjuncts a span built from these bounds enforces:
+        every row the span admits satisfies each of them.  A span uses
+        ``eq`` when there is one (``_build_span``), so the range
+        conjuncts then prove nothing."""
+        if self.eq is not None:
+            return [self.eq_source] if self.eq_source is not None else []
+        return [source for source in (self.low_source, self.high_source)
+                if source is not None]
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:
@@ -152,30 +164,28 @@ def extract_bounds(where: Expr | None, alias: str) -> dict[str, Bounds]:
                     continue
                 b = bound_for(path)
                 if op == "=":
-                    b.eq = right
-                    b.sources.append(conjunct)
+                    if b.eq is None:
+                        b.eq, b.eq_source = right, conjunct
                 elif op in (">", ">="):
                     if b.low is None:
-                        b.low = right
+                        b.low, b.low_source = right, conjunct
                         b.low_inclusive = op == ">="
-                        b.sources.append(conjunct)
-                elif op in ("<", "<="):
-                    if b.high is None:
-                        b.high = right
-                        b.high_inclusive = op == "<="
-                        b.sources.append(conjunct)
+                elif b.high is None:
+                    b.high, b.high_source = right, conjunct
+                    b.high_inclusive = op == "<="
                 break
         elif isinstance(conjunct, Between) and not conjunct.negated:
             path = path_of(conjunct.operand, strip_alias=alias)
             if path is not None and is_constant(conjunct.low) \
                     and is_constant(conjunct.high):
                 b = bound_for(path)
-                if b.low is None and b.high is None:
-                    b.sources.append(conjunct)
+                # The span proves BETWEEN only when it set both ends.
+                source = (conjunct if b.low is None and b.high is None
+                          else None)
                 if b.low is None:
-                    b.low = conjunct.low
+                    b.low, b.low_source = conjunct.low, source
                 if b.high is None:
-                    b.high = conjunct.high
+                    b.high, b.high_source = conjunct.high, source
         elif isinstance(conjunct, Binary) and conjunct.op == "LIKE":
             path = path_of(conjunct.left, strip_alias=alias)
             if path is not None and is_slot(conjunct.right):
@@ -188,6 +198,7 @@ def extract_bounds(where: Expr | None, alias: str) -> dict[str, Bounds]:
                     b = bound_for(path)
                     if b.low is None:
                         b.low = Literal(prefix)
+                    if b.high is None:
                         b.high = Literal(prefix + "￿")
     return bounds
 
@@ -206,14 +217,30 @@ def _like_prefix(pattern: str) -> str:
 
 
 def _span_absorbs_where(where: Expr | None, used_bounds: list[Bounds]) -> bool:
-    """True when every WHERE conjunct was fully absorbed into a bound the
-    scan span actually uses -- i.e. the scan returns only rows the Filter
-    would keep anyway.  That is the precondition for pushing LIMIT into
-    the scan: stopping the scan early must not starve the filter."""
+    """True when the span enforces every WHERE conjunct -- i.e. the scan
+    returns only rows the Filter would keep anyway.  Then a covered scan
+    needs no Filter, and LIMIT and GROUP BY may be pushed into it.
+
+    The proof per conjunct: it set a bound the span uses
+    (:attr:`Bounds.sources`); a NULL or MISSING bound value makes the
+    span empty, as it makes the comparison not TRUE
+    (``operators._evaluate_span``); and a span with only an upper bound
+    on its range key starts past NULL, which no comparison admits."""
     absorbed: set[int] = set()
     for b in used_bounds:
         absorbed.update(id(conjunct) for conjunct in b.sources)
     return all(id(conjunct) in absorbed for conjunct in split_conjuncts(where))
+
+
+def _span_is_filter(operators: list) -> bool:
+    """The pipeline so far is one covered GSI scan whose span absorbs
+    the whole WHERE clause, so a Filter would keep every row.  A scan
+    followed by Fetch keeps its Filter: the fetched document may be
+    newer than the index entry that matched."""
+    return (len(operators) == 1
+            and isinstance(operators[0], (IndexScan, PrimaryScan))
+            and operators[0].using == "gsi"
+            and getattr(operators[0], "_filter_subsumed", False))
 
 
 def referenced_paths(statement: SelectStatement, alias: str) -> set[str] | None:
@@ -376,7 +403,7 @@ class Planner:
                                               clause.outer))
         if statement.let_bindings:
             operators.append(LetOp(statement.let_bindings))
-        if statement.where is not None:
+        if statement.where is not None and not _span_is_filter(operators):
             operators.append(Filter(statement.where))
 
         aggregate_sources = (
@@ -445,9 +472,8 @@ class Planner:
 
         Requirements, all planner-proven:
 
-        * the pipeline head is exactly a covering GSI scan, optionally
-          followed by the WHERE Filter the scan span already subsumes
-          (so dropping it loses nothing);
+        * the pipeline so far is exactly a covering GSI scan whose span
+          absorbs the WHERE clause (so it has no Filter);
         * every grouping expression is a *leading prefix* of the index
           keys, in clause order -- that makes the coordinator's merged
           (collation) order identical to the Group operator's first-seen
@@ -459,22 +485,10 @@ class Planner:
           ORDER BY) only touches grouping keys, which the scan
           reconstructs into a covered document per group.
         """
-        if statement.joins or statement.let_bindings:
+        if statement.joins or statement.let_bindings \
+                or not _span_is_filter(operators):
             return None
-        scan = operators[0] if operators else None
-        if isinstance(scan, IndexScan):
-            if scan.using != "gsi" or not scan.covered:
-                return None
-        elif isinstance(scan, PrimaryScan):
-            if scan.using != "gsi" or not scan.covered:
-                return None
-        else:
-            return None
-        if not getattr(scan, "_filter_subsumed", False):
-            return None
-        rest = operators[1:]
-        if rest and not (len(rest) == 1 and isinstance(rest[0], Filter)):
-            return None
+        scan = operators[0]
         meta = self.catalog.cluster.manager.index_registry.get(scan.index_name)
         if meta is None or meta.definition.array_component is not None:
             return None

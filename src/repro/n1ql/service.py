@@ -163,12 +163,14 @@ class PlanCache:
     ``capacity`` counts plans.  Beside them, an LRU of the same capacity
     remembers which shape (and which literal values) a text had, so the
     same text again is not even lexed; it holds no plan, so texts never
-    take a plan's place."""
+    take a plan's place.  A third one remembers the name each ``EXECUTE``
+    text names, so that a repeated EXECUTE is not lexed either."""
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._entries: OrderedDict[tuple | str, CachedPlan] = OrderedDict()
         self._shapes: OrderedDict[str, tuple[tuple, list]] = OrderedDict()
+        self._executes: OrderedDict[str, str] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -187,10 +189,13 @@ class PlanCache:
         return entry
 
     def put(self, key: tuple | str, entry: CachedPlan) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self._put(self._entries, key, entry)
+
+    def _put(self, lru: OrderedDict, key, value) -> None:
+        lru[key] = value
+        lru.move_to_end(key)
+        while len(lru) > self.capacity:
+            lru.popitem(last=False)
 
     def lookup(self, text: str,
                epoch: tuple) -> tuple[CachedPlan | None, list]:
@@ -208,14 +213,23 @@ class PlanCache:
 
     def remember(self, text: str, shape: tuple, literals: list) -> None:
         """Note that ``text`` is served by the plan keyed ``shape``."""
-        self._shapes[text] = (shape, literals)
-        self._shapes.move_to_end(text)
-        while len(self._shapes) > self.capacity:
-            self._shapes.popitem(last=False)
+        self._put(self._shapes, text, (shape, literals))
+
+    def prepared_name(self, text: str) -> str | None:
+        """The prepared-statement name of a known ``EXECUTE`` text."""
+        name = self._executes.get(text)
+        if name is not None:
+            self._executes.move_to_end(text)
+        return name
+
+    def remember_execute(self, text: str, name: str) -> None:
+        """Note that ``text`` is ``EXECUTE name``."""
+        self._put(self._executes, text, name)
 
     def clear(self) -> None:
         self._entries.clear()
         self._shapes.clear()
+        self._executes.clear()
 
 
 class QueryService:
@@ -279,6 +293,12 @@ class QueryService:
             metrics.inc("n1ql.requests")
             scan_tokens = consistent_with or []
             params = _normalize_params(params)
+            # An EXECUTE text seen before is not lexed either; its name
+            # is looked up in ``self.prepared`` on every call.
+            name = self.plan_cache.prepared_name(text)
+            if name is not None:
+                self._scan_tokens = scan_tokens
+                return self._execute_prepared(name, params, scan_consistency)
             epoch = self.catalog.current_epoch()
             # A text seen before is not lexed; otherwise the key and the
             # parser share one token list.
@@ -318,6 +338,7 @@ class QueryService:
         if isinstance(statement, PrepareStatement):
             return self._prepare(statement)
         if isinstance(statement, ExecuteStatement):
+            self.plan_cache.remember_execute(request[0], statement.name)
             return self._execute_prepared(statement.name, params,
                                           scan_consistency)
         if isinstance(statement, ExplainStatement):

@@ -12,7 +12,7 @@ from repro.common.errors import (
     ServiceUnavailableError,
 )
 from repro.gsi.indexdef import IndexDefinition, path_extractor
-from repro.gsi.projector import _hash_partition
+from repro.gsi.projector import KeyVersion, _hash_partition
 from repro.kv.engine import VBucketState
 
 
@@ -308,6 +308,47 @@ class TestPartialDelivery:
         cluster.network.set_down("i2", False)
         rows = cluster.gsi.scan("by_v", scan_consistency="request_plus")
         assert rows == sorted(([v], key) for key, v in bucket.items())
+
+    def test_a_slice_routes_in_one_wave_and_holds_back_only_what_it_owes(
+            self, cluster):
+        """A slice for two index nodes is one ``gsi_apply`` wave.  With
+        the data node cut off from i2, only the vBuckets that owe i2 a
+        key version are held back -- from i1 too -- and the wave to i1
+        still costs one round trip."""
+        cluster.create_index(IndexDefinition(
+            name="by_v", bucket="b", key_sources=["v"],
+            extractors=[path_extractor("v")], num_partitions=2,
+        ))
+        partition_of = {}
+        for i in range(40):
+            partition_of.setdefault(_hash_partition(f"k{i}", 2), f"k{i}")
+        # vBucket 2 owes only i1, vBucket 3 only i2, vBucket 4 both.
+        slice_ = [KeyVersion("by_v", "b", partition_of[partition], [[seqno]],
+                             vbucket_id, seqno)
+                  for seqno, (vbucket_id, partition) in enumerate(
+                      [(2, 0), (3, 1), (4, 0), (4, 1)], start=100)]
+        router = dict(cluster.scheduler._pumps)[
+            "projector/d1/b"].__self__.router
+        network = cluster.network
+        network.default_latency = 0.001
+
+        network.reset_counters()
+        assert router.route(slice_) == set()
+        assert dict(network.calls) == {("i1", "gsi_apply"): 1,
+                                       ("i2", "gsi_apply"): 1}
+        assert network.latency_charged == network.default_latency
+
+        network.partition("d1", "i2")
+        network.reset_counters()
+        held = router.route([KeyVersion(kv.index_name, kv.bucket, kv.doc_id,
+                                        kv.entries, kv.vbucket_id,
+                                        kv.seqno + 10) for kv in slice_])
+        assert held == {3, 4}
+        assert dict(network.calls) == {("i1", "gsi_apply"): 1}
+        assert network.latency_charged == network.default_latency
+        # i1 took vBucket 2's new key version, not vBucket 4's.
+        marks = cluster.node("i1").indexer.indexer.watermarks("by_v")
+        assert (marks[2], marks[4]) == (110, 102)
 
 
 class TestNodeCrashRecovery:

@@ -78,6 +78,48 @@ NOT_PUSHED = [
 ]
 
 
+@pytest.fixture(scope="module")
+def days():
+    """A ``(day, total)`` index over ten documents whose day is NULL and
+    ten whose day is 0-9."""
+    cluster = Cluster(nodes=2, vbuckets=8)
+    cluster.create_bucket("b")
+    client = cluster.connect()
+    for i in range(10):
+        client.upsert("b", f"null{i}", {"day": None, "total": i})
+        client.upsert("b", f"day{i}", {"day": i, "total": 10 * i})
+    cluster.run_until_idle()
+    cluster.query("CREATE INDEX by_day ON b(day, total) USING GSI")
+    return cluster
+
+
+GROUP_DAYS = "SELECT s.day, COUNT(*) AS n FROM b s WHERE {} GROUP BY s.day"
+
+#: (statement, parameters, rows): pushed LIMITs and GROUP BYs whose span
+#: once admitted rows the WHERE clause does not -- the NULL days below
+#: an upper bound, every day for a NULL bound -- or whose second
+#: conjunct on one path was taken as proven.
+SPAN_IS_THE_WHERE = [
+    ("SELECT s.day, s.total FROM b s WHERE s.day < 100 LIMIT 3", None,
+     [{"day": 0, "total": 0}, {"day": 1, "total": 10},
+      {"day": 2, "total": 20}]),
+    (GROUP_DAYS.format("s.day < 3"), None,
+     [{"day": 0, "n": 1}, {"day": 1, "n": 1}, {"day": 2, "n": 1}]),
+    (GROUP_DAYS.format("s.day >= $1"), {"1": None}, []),
+    (GROUP_DAYS.format("s.day = 5 AND s.day > 7"), None, []),
+    (GROUP_DAYS.format("s.day = 5 AND s.day = 6"), None, []),
+]
+
+
+@pytest.mark.parametrize("text, params, rows", SPAN_IS_THE_WHERE, ids=[
+    "upper-bound-limit", "upper-bound-group-by", "null-parameter",
+    "equal-and-range", "equal-and-equal"])
+def test_a_pushed_span_admits_only_what_the_where_admits(days, text,
+                                                         params, rows):
+    assert days.query(text, params,
+                      scan_consistency="request_plus").rows == rows
+
+
 @pytest.mark.parametrize("text", PUSHED)
 def test_pushdown_engages(cluster, text):
     assert first_operator(cluster, text) == "IndexAggregateScan"

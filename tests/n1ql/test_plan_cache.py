@@ -304,6 +304,63 @@ class TestPreparedInvalidation:
         assert execute("p3") == [{"name": "n04"}]
 
 
+class TestExecuteText:
+    """A repeated ``EXECUTE <name>`` text is not lexed or parsed again,
+    and its name is still looked up in ``prepared`` on every call, so a
+    re-PREPARE or a catalog change reaches the next EXECUTE."""
+
+    SCAN = "SELECT meta().id AS id FROM b WHERE meta().id >= $1 LIMIT $2"
+
+    @pytest.fixture
+    def lexed(self, monkeypatch):
+        texts = []
+        monkeypatch.setattr(service_module, "tokenize",
+                            lambda text: texts.append(text) or tokenize(text))
+        return texts
+
+    def test_two_executes_lex_the_text_once(self, cluster, lexed):
+        cluster.query(f"PREPARE ycsb_scan FROM {self.SCAN}")
+        first = cluster.query("EXECUTE ycsb_scan", {"1": "u05", "2": 3})
+        second = cluster.query("EXECUTE ycsb_scan", {"1": "u10", "2": 2})
+        assert lexed.count("EXECUTE ycsb_scan") == 1
+        assert first.rows == [{"id": "u05"}, {"id": "u06"}, {"id": "u07"}]
+        assert second.rows == [{"id": "u10"}, {"id": "u11"}]
+
+    def test_a_re_prepare_takes_effect_on_the_next_execute(self, cluster,
+                                                           lexed):
+        cluster.query(f"PREPARE ycsb_scan FROM {self.SCAN}")
+        params = {"1": "u05", "2": 2}
+        assert cluster.query("EXECUTE ycsb_scan", params).rows \
+            == [{"id": "u05"}, {"id": "u06"}]
+        cluster.query("PREPARE ycsb_scan FROM SELECT x.name FROM b x "
+                      "WHERE meta(x).id >= $1 LIMIT $2")
+        assert cluster.query("EXECUTE ycsb_scan", params).rows \
+            == [{"name": "n05"}, {"name": "n06"}]
+        assert lexed.count("EXECUTE ycsb_scan") == 1
+
+    def test_a_create_index_takes_effect_on_the_next_execute(self, cluster,
+                                                             lexed):
+        service = query_service(cluster)
+        metrics = service.node.metrics
+        cluster.query("PREPARE byage FROM SELECT x.name FROM b x "
+                      "WHERE x.age = 22")
+        before = cluster.query("EXECUTE byage",
+                               scan_consistency="request_plus").rows
+        assert type(service.prepared["byage"].plan.operators[0]).__name__ \
+            == "PrimaryScan"
+        cluster.query("CREATE INDEX by_age ON b(age) USING GSI")
+        replans = metrics.counter_value("n1ql.prepared.replan")
+        after = cluster.query("EXECUTE byage",
+                              scan_consistency="request_plus").rows
+        assert metrics.counter_value("n1ql.prepared.replan") == replans + 1
+        assert service.prepared["byage"].plan.operators[0].index_name \
+            == "by_age"
+        assert sorted(row["name"] for row in after) \
+            == sorted(row["name"] for row in before) \
+            == ["n02", "n07", "n12", "n17"]
+        assert lexed.count("EXECUTE byage") == 1
+
+
 class TestCoverageAnalysis:
     def test_join_disables_coverage(self):
         """Satellite: statements with JOINs reference whole documents, so

@@ -7,7 +7,10 @@ access path the planner picks (primary scan vs. secondary index scan),
 since index selection is supposed to be invisible to correctness.
 """
 
-from hypothesis import HealthCheck, given, settings
+import json
+from collections import Counter
+
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster
@@ -202,6 +205,136 @@ class TestWherePredicates:
         from collections import Counter
         model = Counter(doc["a"] for doc in docs)
         assert {(r["a"], r["n"]) for r in rows} == set(model.items())
+
+
+# -- index spans against the model ---------------------------------------------
+#
+# A covered scan whose span absorbs the WHERE clause runs with no Filter,
+# and LIMIT and GROUP BY are pushed into it, so the span alone must admit
+# exactly the rows the WHERE clause keeps: NULL, MISSING and boolean
+# values, NULL parameters and two conjuncts on one path included.
+
+_DAYS = st.sampled_from([None, False, True, 0, 1, 2, 3, 4])
+_IDS = st.sampled_from([None, True, 3, "doc001", "doc002", "doc005", "doc0",
+                        "e"])
+
+span_documents = st.lists(
+    st.fixed_dictionaries({}, optional={"day": _DAYS,
+                                        "total": st.integers(0, 3)}),
+    min_size=1, max_size=12,
+)
+
+
+@st.composite
+def span_conjuncts(draw, path, values, params, kind):
+    """One sargable conjunct on ``path``, an ``=`` or a range (``<``,
+    ``<=``, ``>``, ``>=`` or BETWEEN); each operand is inlined or passed
+    as a ``$n`` parameter, which is recorded in ``params``."""
+    def operand():
+        value = draw(values)
+        if draw(st.booleans()):
+            params[str(len(params) + 1)] = value
+            return f"${len(params)}"
+        return json.dumps(value)
+
+    op = "=" if kind == "=" else draw(st.sampled_from(
+        ["<", "<=", ">", ">=", "BETWEEN"]))
+    if op == "BETWEEN":
+        return f"{path} BETWEEN {operand()} AND {operand()}"
+    return f"{path} {op} {operand()}"
+
+
+@st.composite
+def span_queries(draw):
+    """A query whose WHERE clause bounds ``s.day`` (the leading key of
+    the ``(day, total)`` index) or ``meta(s).id`` (the primary index's
+    key) with one or two conjuncts -- two give =/=, =/range and
+    range/range on one path -- sometimes with a conjunct on ``s.total``,
+    under a covered projection with or without LIMIT, or a GROUP BY on
+    the leading key."""
+    params: dict = {}
+    path, values = draw(st.sampled_from([("s.day", _DAYS),
+                                         ("meta(s).id", _IDS)]))
+    kinds = draw(st.sampled_from([("=",), ("range",), ("=", "="),
+                                  ("=", "range"), ("range", "="),
+                                  ("range", "range")]))
+    conjuncts = [draw(span_conjuncts(path, values, params, kind))
+                 for kind in kinds]
+    if draw(st.integers(0, 3)) == 0:
+        conjuncts.append(draw(span_conjuncts(
+            "s.total", st.sampled_from([None, 0, 1, 2]), params,
+            draw(st.sampled_from(["=", "range"])))))
+    where = " AND ".join(conjuncts)
+    shape = draw(st.sampled_from(["ids", "rows", "group"]))
+    limit = None
+    if shape == "group":
+        text = (f"SELECT s.day, COUNT(*) AS n FROM b s WHERE {where} "
+                "GROUP BY s.day")
+    else:
+        projection = "meta(s).id AS id" if shape == "ids" else "s.day, s.total"
+        text = f"SELECT {projection} FROM b s WHERE {where}"
+        limit = draw(st.none() | st.integers(0, 4))
+        if limit is not None:
+            text += f" LIMIT {limit}"
+    return {"text": text, "where": where, "shape": shape, "limit": limit,
+            "params": params}
+
+
+def span_model(docs, query) -> list[str]:
+    """The query's rows, as canonical JSON, from the tree-walking
+    evaluator applied to every document."""
+    where = parse(f"SELECT 1 FROM b s WHERE {query['where']}").where
+    evaluator = ReferenceEvaluator(query["params"], default_alias="s")
+    kept = []
+    for index, doc in enumerate(docs):
+        env = Env()
+        env.bind("s", dict(doc), {"id": f"doc{index:03d}"})
+        if evaluator.evaluate(where, env) is True:
+            kept.append((f"doc{index:03d}", doc))
+    if query["shape"] == "ids":
+        rows = [{"id": key} for key, _doc in kept]
+    elif query["shape"] == "rows":
+        rows = [{field: doc[field] for field in ("day", "total")
+                 if field in doc} for _key, doc in kept]
+    else:
+        # A MISSING day is a group of its own and projects no "day".
+        groups = Counter(json.dumps(doc["day"]) if "day" in doc else None
+                         for _key, doc in kept)
+        rows = [{"n": n} if day is None else {"day": json.loads(day), "n": n}
+                for day, n in groups.items()]
+    return sorted(json.dumps(row, sort_keys=True) for row in rows)
+
+
+class TestSpansMatchModel:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(span_documents, st.lists(span_queries(), min_size=1, max_size=4))
+    @example([{"day": 5, "total": 1}, {"day": 8, "total": 2}],
+             [{"text": "SELECT s.day, COUNT(*) AS n FROM b s "
+                       "WHERE s.day = 5 AND s.day > 7 GROUP BY s.day",
+               "where": "s.day = 5 AND s.day > 7", "shape": "group",
+               "limit": None, "params": {}}])
+    def test_primary_and_secondary_paths_match_the_model(self, docs,
+                                                         queries):
+        """Each query runs first with only the primary index, then with
+        the ``(day, total)`` index as well; both answers must be the
+        model's, and a LIMIT must return that many of its rows."""
+        cluster = build_cluster(docs)
+        cluster.query("CREATE PRIMARY INDEX ON b USING GSI")
+        for index_ddl in (None, "CREATE INDEX by_day ON b(day, total)"):
+            if index_ddl is not None:
+                cluster.query(index_ddl)
+            for query in queries:
+                rows = cluster.query(query["text"], query["params"],
+                                     scan_consistency="request_plus").rows
+                got = sorted(json.dumps(row, sort_keys=True) for row in rows)
+                want = span_model(docs, query)
+                if query["limit"] is None:
+                    assert got == want, query["text"]
+                else:
+                    assert len(got) == min(query["limit"], len(want)), \
+                        query["text"]
+                    assert not Counter(got) - Counter(want), query["text"]
 
 
 # -- compiled vs. reference expression evaluation ------------------------------
