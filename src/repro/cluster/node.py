@@ -21,7 +21,7 @@ from ..common.clock import Clock
 from ..common.disk import SimulatedDisk
 from ..common.contracts import declared_raises
 from ..common.document import Document
-from ..common.errors import BucketNotFoundError
+from ..common.errors import BucketNotFoundError, NotMyVBucketError
 from ..common.metrics import MetricsRegistry
 from ..common.transport import Network
 from ..dcp.producer import DcpProducer
@@ -304,14 +304,18 @@ class Node:
             vb.store.destroy()
         engine.create_vbucket(vbucket_id, VBucketState.REPLICA)
 
-    @declared_raises('BucketNotFoundError')
+    @declared_raises('BucketNotFoundError', 'NotMyVBucketError')
     def kv_replica_stream_state(self, bucket: str,
                                 vbucket_id: int) -> tuple:
         """What a resuming producer needs: the lineage uuid this replica
-        last synced under (None if it never synced) and its high seqno."""
+        last synced under (None if it never synced) and its high seqno.
+        Refused when the copy here is missing or active: there is nothing
+        to stream into, and the handshake's rollback would reset an
+        active copy (one promoted in place of an active the manager
+        could not demote, which still streams to it)."""
         vb = self.engine(bucket).vbuckets.get(vbucket_id)
-        if vb is None:
-            return (None, 0)
+        if vb is None or vb.state is VBucketState.ACTIVE:
+            raise NotMyVBucketError(vbucket_id, self.name)
         uuid = (vb.source_failover_log[-1][0]
                 if vb.source_failover_log else None)
         return (uuid, vb.high_seqno)

@@ -107,15 +107,12 @@ class Rebalancer:
         # The moved copy continues the source's history (lineage travels
         # with the data so later stream resumes validate correctly).
         pending.source_failover_log = producer.failover_log(vbucket_id)
+        # Until idle, not high_seqno: a write refused after its seqno was
+        # assigned leaves the stream below ``high_seqno`` for good.
         stream = producer.stream_request(vbucket_id, start_seqno=0)
-        while True:
-            batch = stream.take(256)
-            if not batch:
-                if stream.caught_up():
-                    break
-                continue
+        while not stream.idle():
             destination_engine.apply_replicated_batch(vbucket_id, [
-                message.doc for message in batch
+                message.doc for message in stream.take(256)
                 if isinstance(message, (Mutation, Deletion))
             ])
 

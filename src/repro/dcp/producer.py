@@ -1,10 +1,11 @@
 """DCP producer and streams.
 
 A :class:`DcpProducer` sits on top of a node's :class:`KVEngine` and
-hands out per-vBucket :class:`DcpStream` objects.  Consumers --
-intra-cluster replication, the view engine, the GSI projector, XDCR,
-rebalance movers -- pull messages with :meth:`DcpStream.take`, which is
-how the cooperative scheduler models "memory-to-memory streaming".
+hands out per-vBucket :class:`DcpStream` objects.  Consumers -- each
+a :class:`~repro.dcp.consumer.DcpConsumer` (intra-cluster replication,
+the view engine, the GSI projector, XDCR) or a rebalance mover -- pull
+messages with :meth:`DcpStream.take`, which is how the cooperative
+scheduler models "memory-to-memory streaming".
 
 A stream starts with **backfill** (reading the persisted, de-duplicated
 history from the storage snapshot) when the consumer's start point has
@@ -81,10 +82,6 @@ class DcpStream:
     @property
     def closed(self) -> bool:
         return self.phase is DcpStreamState.CLOSED
-
-    def caught_up(self) -> bool:
-        """True when the consumer has everything the vBucket has."""
-        return self.last_seqno >= self.vb.high_seqno
 
     def idle(self) -> bool:
         """True when :meth:`take` would return nothing and change nothing:
@@ -164,9 +161,6 @@ class DcpStream:
                 self._pending.append(Deletion(vb.id, doc.copy()))
             else:
                 self._pending.append(Mutation(vb.id, doc.copy()))
-        # The marker covers the whole gap even if trailing seqnos were
-        # superseded; advance past any silence at the end.
-        self._last_backfill_end = backfill_end
 
     def _from_buffer(self) -> None:
         vb = self.vb

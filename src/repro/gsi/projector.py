@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import NodeDownError
-from ..dcp.messages import Deletion, Mutation
-from ..dcp.producer import DcpStream
+from ..dcp.consumer import DcpConsumer
 from ..kv.types import VBucketState
 
 
@@ -109,17 +108,19 @@ def _hash_partition(doc_id: str, partitions: int) -> int:
     return crc32(doc_id.encode("utf-8")) % partitions
 
 
-class Projector:
-    """DCP consumer producing key versions (one per data node/bucket)."""
+class Projector(DcpConsumer):
+    """DCP consumer producing key versions (one per data node/bucket).
+    Its stream table is keyed by vBucket; the checkpoint is
+    :attr:`projected_seqnos`."""
 
     BATCH = 256
 
     def __init__(self, node, bucket: str, registry, network):
+        super().__init__()
         self.node = node
         self.bucket = bucket
         self.registry = registry
         self.router = Router(node, registry, network)
-        self._streams: dict[int, DcpStream] = {}
         #: Per-vBucket seqno this projector has processed through.
         self.projected_seqnos: dict[int, int] = {}
 
@@ -138,19 +139,15 @@ class Projector:
         ]
         if not definitions:
             return self._fast_forward(engine)
-        self._sync_streams(engine)
+        producer = self.node.producers[self.bucket]
+        self.sync({vbucket_id: (producer, vbucket_id)
+                   for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)})
         key_versions: list[KeyVersion] = []
         yielded: set[int] = set()
-        taken: list[tuple[int, DcpStream]] = []
-        for vbucket_id, stream in self._streams.items():
-            if stream.idle():
-                continue
-            taken.append((vbucket_id, stream))
-            for message in stream.take(self.BATCH):
-                if not isinstance(message, (Mutation, Deletion)):
-                    continue
+        polled = self.poll(self.BATCH)
+        for vbucket_id, _stream, docs in polled:
+            for doc in docs:
                 yielded.add(vbucket_id)
-                doc = message.doc
                 for definition in definitions:
                     key_versions.append(KeyVersion(
                         index_name=definition.name,
@@ -165,16 +162,24 @@ class Projector:
         undelivered = (self.router.route(key_versions) if key_versions
                        else set())
         for vbucket_id in undelivered:
-            # Reopened by _sync_streams from the last delivered seqno,
+            # Reopened by the next sync from the last delivered seqno,
             # so the slice is retried instead of silently lost.
-            del self._streams[vbucket_id]
-        # An idle stream did not move, so only the streams taken from
-        # can advance a projected seqno.
-        for vbucket_id, stream in taken:
+            self.drop(vbucket_id)
+        # An idle stream did not move, so only the streams polled can
+        # advance a projected seqno.
+        for vbucket_id, stream, _docs in polled:
             if vbucket_id not in undelivered \
                     and stream.last_seqno > self.projected_seqnos.get(vbucket_id, 0):
                 self.projected_seqnos[vbucket_id] = stream.last_seqno
         return bool(yielded - undelivered)
+
+    def checkpoint(self, vbucket_id: int) -> tuple[int, int]:
+        """Under the local copy's uuid: a mark lives only while active."""
+        vb = self.node.engines[self.bucket].vbuckets[vbucket_id]
+        return vb.uuid, self.projected_seqnos.get(vbucket_id, 0)
+
+    def retired(self, vbucket_id: int) -> None:
+        self.projected_seqnos.pop(vbucket_id, None)
 
     def _fast_forward(self, engine) -> bool:
         """The pump without a ready index: nothing to project, so hold no
@@ -185,7 +190,8 @@ class Projector:
         is built from a snapshot, and its first projection starts here.
         Progress is the answer the discarded messages would have given:
         some active vBucket had a change past its mark."""
-        self._streams.clear()
+        for vbucket_id in list(self.streams):
+            self.drop(vbucket_id)
         projected = self.projected_seqnos
         progressed = False
         active = 0
@@ -206,17 +212,3 @@ class Projector:
                 and engine.vbuckets[vbucket_id].state is VBucketState.ACTIVE
             }
         return progressed
-
-    def _sync_streams(self, engine) -> None:
-        active = set(engine.owned_vbuckets(VBucketState.ACTIVE))
-        for vbucket_id in list(self._streams):
-            if vbucket_id not in active:
-                del self._streams[vbucket_id]
-                self.projected_seqnos.pop(vbucket_id, None)
-        producer = self.node.producers[self.bucket]
-        for vbucket_id in active:
-            if vbucket_id not in self._streams:
-                start = self.projected_seqnos.get(vbucket_id, 0)
-                self._streams[vbucket_id] = producer.stream_request(
-                    vbucket_id, start_seqno=start
-                )

@@ -16,28 +16,25 @@ seqno 0.
 from __future__ import annotations
 
 from ..common.contracts import declared_raises
-from ..common.errors import (
-    NodeDownError,
-    NotMyVBucketError,
-    StreamRollbackRequired,
-)
+from ..common.errors import NodeDownError, NotMyVBucketError
 from ..common.transport import Network
-from ..dcp.messages import Deletion, Mutation
-from ..dcp.producer import DcpStream
+from ..dcp.consumer import DcpConsumer
 from ..kv.types import VBucketState
 
 
-class IntraReplicator:
-    """Replication pump for one bucket on one (source) node."""
+class IntraReplicator(DcpConsumer):
+    """Replication pump for one bucket on one (source) node.  Its stream
+    table is keyed ``(vbucket_id, replica node)``; the checkpoint lives on
+    the replica."""
 
     BATCH = 128
 
     def __init__(self, node, bucket: str, network: Network):
+        super().__init__()
         self.node = node
         self.bucket = bucket
         self.network = network
-        #: (vbucket_id, target_node) -> DcpStream
-        self._streams: dict[tuple[int, str], DcpStream] = {}
+        self._wanted: dict = {}
         self._map_revision = -1
 
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
@@ -51,18 +48,22 @@ class IntraReplicator:
         if cluster_map is None or engine is None or not self.node.alive:
             return False
         if cluster_map.revision != self._map_revision:
-            self._rebuild_streams(cluster_map)
+            # Topology changed: reconnect every stream, as real DCP
+            # consumers do on a new cluster map.  Reconnecting is also
+            # when a divergent replica -- one ahead of this active's
+            # history -- is detected by the handshake and reset.
+            self._map_revision = cluster_map.revision
+            self.sync({})
+            producer = self.node.producers[self.bucket]
+            self._wanted = {
+                (vbucket_id, target): (producer, vbucket_id)
+                for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)
+                if cluster_map.active_node(vbucket_id) == self.node.name
+                for target in cluster_map.replica_nodes(vbucket_id)
+            }
+        self.sync(self._wanted)
         moved = False
-        for (vbucket_id, target), stream in list(self._streams.items()):
-            vb = engine.vbuckets.get(vbucket_id)
-            if vb is None or vb.state is not VBucketState.ACTIVE:
-                del self._streams[(vbucket_id, target)]
-                continue
-            if stream.idle():
-                continue
-            messages = stream.take(self.BATCH)
-            docs = [message.doc for message in messages
-                    if isinstance(message, (Mutation, Deletion))]
+        for key, _stream, docs in self.poll(self.BATCH):
             if not docs:
                 continue
             try:
@@ -70,85 +71,33 @@ class IntraReplicator:
                 # one (vBucket, replica) pair coalesce into a single
                 # kv_replica_apply_batch, the replica-side mirror of the
                 # client's kv_multi_mutate.  The batch applies in stream
-                # order, so a failure rejects it wholesale and the next
-                # handshake resumes from the replica's seqno.
-                self.network.call(
-                    self.node.name, target, "kv_replica_apply_batch",
-                    self.bucket, vbucket_id, docs,
-                )
+                # order, so a failure rejects it wholesale and the
+                # reopened stream resumes from the replica's seqno.
+                self._replica_rpc(key, "kv_replica_apply_batch", docs)
                 moved = True
-            except NodeDownError:
-                # Target unreachable: drop the stream; the next map
-                # revision (failover) or reachability change will
-                # recreate it from the target's seqno.
-                del self._streams[(vbucket_id, target)]
-            except NotMyVBucketError:
-                del self._streams[(vbucket_id, target)]
+            except (NodeDownError, NotMyVBucketError):
+                self.drop(key)
         return moved
 
-    def _rebuild_streams(self, cluster_map) -> None:
-        """Topology changed: reconnect every stream.  Reconnecting (as
-        real DCP consumers do on a new cluster map) is also when a
-        divergent replica -- one ahead of this active's history -- gets
-        detected via the rollback handshake and reset."""
-        engine = self.node.engines[self.bucket]
-        producer = self.node.producers[self.bucket]
-        self._map_revision = cluster_map.revision
-        wanted: set[tuple[int, str]] = set()
-        for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
-            if cluster_map.active_node(vbucket_id) != self.node.name:
-                continue
-            for target in cluster_map.replica_nodes(vbucket_id):
-                wanted.add((vbucket_id, target))
-        self._streams.clear()
-        for vbucket_id, target in wanted:
-            stream = self._open_stream(producer, vbucket_id, target)
-            if stream is not None:
-                self._streams[(vbucket_id, target)] = stream
+    def _replica_rpc(self, key, method: str, *args):
+        """``method`` on the key's replica node, for the key's vBucket."""
+        vbucket_id, target = key
+        return self.network.call(self.node.name, target, method,
+                                 self.bucket, vbucket_id, *args)
 
-    def _open_stream(self, producer, vbucket_id: int, target: str):
-        """The DCP stream-open handshake: resume from the replica's seqno
-        only if its recorded lineage lies on this active's history;
-        otherwise reset and rebuild from zero (section 4.3.2)."""
-        try:
-            target_uuid, target_seqno = self.network.call(
-                self.node.name, target, "kv_replica_stream_state",
-                self.bucket, vbucket_id,
-            )
-        except NodeDownError:
-            return None
-        stream = None
-        if target_uuid is None and target_seqno > 0:
-            # The replica holds data of unknown lineage (e.g. leftover
-            # state from an earlier topology): never trust it.
-            stream = self._reset_and_stream(producer, vbucket_id, target)
-        else:
-            try:
-                stream = producer.stream_request(
-                    vbucket_id, start_seqno=target_seqno, vb_uuid=target_uuid,
-                )
-            except StreamRollbackRequired:
-                stream = self._reset_and_stream(producer, vbucket_id, target)
-        if stream is None:
-            return None
-        try:
-            self.network.call(
-                self.node.name, target, "kv_adopt_failover_log",
-                self.bucket, vbucket_id, producer.failover_log(vbucket_id),
-            )
-        except NodeDownError:
-            return None
+    def checkpoint(self, key) -> tuple:
+        """The replica's lineage uuid (None if it never synced) and seqno."""
+        return self._replica_rpc(key, "kv_replica_stream_state")
+
+    def rollback(self, key, seqno: int) -> int:
+        """The replica is off this active's history: reset it and rebuild
+        from zero (section 4.3.2)."""
+        self._replica_rpc(key, "kv_reset_replica")
+        return 0
+
+    def opened(self, key, stream):
+        """The replica adopts this active's failover log, the lineage its
+        next handshake is checked against."""
+        self._replica_rpc(key, "kv_adopt_failover_log",
+                          self.node.producers[self.bucket].failover_log(key[0]))
         return stream
-
-    def _reset_and_stream(self, producer, vbucket_id: int, target: str):
-        try:
-            self.network.call(
-                self.node.name, target, "kv_reset_replica",
-                self.bucket, vbucket_id,
-            )
-        except NodeDownError:
-            return None
-        return producer.stream_request(vbucket_id, start_seqno=0)
-
-    def stream_count(self) -> int:
-        return len(self._streams)

@@ -106,7 +106,7 @@ def _run_queue_theft(policy: SchedulePolicy) -> RunOutcome:
         # The bug under test: a second consumer draining the view
         # engine's single-consumer DCP streams, racing it for messages.
         stole = False
-        for stream in list(view_engine._streams.values()):
+        for stream in list(view_engine.streams.values()):
             if stream.take(4):
                 stole = True
         return stole

@@ -226,7 +226,10 @@ def _run_views_gsi(policy: SchedulePolicy) -> RunOutcome:
 
 def _run_xdcr(policy: SchedulePolicy) -> RunOutcome:
     """Bidirectional XDCR with conflicting writers: both clusters must
-    converge on the same winners whatever order the pumps ran in."""
+    converge on the same winners whatever order the pumps ran in -- also
+    after a source rebalance moves vBuckets under their XDCR slots and a
+    target node is down while the source writes, so slots resume from
+    their checkpoints on new nodes and after failed pushes."""
     east = sanitized_cluster(
         "east", policy, vbuckets=8, nodes=[("e1", _ALL), ("e2", _ALL)],
     )
@@ -250,8 +253,16 @@ def _run_xdcr(policy: SchedulePolicy) -> RunOutcome:
             cw.upsert("b", f"k{i}", {"side": "west", "i": i, "again": True})
     ce.remove("b", "k9")
     settle(east, west)
+    east.add_node("e3", services=_ALL)
+    east.rebalance()
+    west.crash_node("w3")
+    for i in range(10, 14):
+        ce.upsert("b", f"k{i}", {"side": "east", "i": i})
+    east.run_until_idle()  # pushes to w3's vBuckets fail: slots retire
+    west.restart_node("w3")
+    settle(east, west)
     converged = {}
-    for i in range(10):
+    for i in range(14):
         key = f"k{i}"
         try:
             east_value = ce.get("b", key).value

@@ -254,9 +254,13 @@ class Cluster:
                          "compactor"):
                 self.scheduler.unregister(f"{pump}/{name}/{bucket}")
             node.engines.pop(bucket, None)
-            node.producers.pop(bucket, None)
+            dead = node.producers.pop(bucket, None)
             node.view_engines.pop(bucket, None)
             node.create_bucket(config)
+            if dead is not None:
+                # Stream ids stay unique across incarnations, or the
+                # write-race tracker takes a new stream for a dead one.
+                node.producers[bucket]._stream_seq = dead._stream_seq
             if bucket in manager.cluster_maps:
                 node.apply_cluster_map(bucket, manager.cluster_maps[bucket])
             node.engines[bucket].warmup()

@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING
 from ..common import tracing
 from ..common.contracts import declared_raises
 from ..common.errors import ViewExistsError
-from ..dcp.messages import Deletion, Mutation
-from ..dcp.producer import DcpStream
+from ..dcp.consumer import DcpConsumer
 from ..kv.types import SeqnoWaiter, SeqnoWaiters, VBucketState
 from .mapreduce import DocMetaView, ViewDefinition
 from .viewindex import ViewIndex, ViewQueryParams
@@ -44,16 +43,18 @@ def _map_rows(definition: ViewDefinition, docs: list) -> list:
     return batch
 
 
-class ViewEngine:
-    """Local view indexing and querying for one bucket on one node."""
+class ViewEngine(DcpConsumer):
+    """Local view indexing and querying for one bucket on one node.  Its
+    stream table is keyed by vBucket; the checkpoint is
+    :attr:`indexed_seqnos`."""
 
     BATCH = 256
 
     def __init__(self, node, bucket: str):
+        super().__init__()
         self.node = node
         self.bucket = bucket
         self.indexes: dict[tuple[str, str], ViewIndex] = {}
-        self._streams: dict[int, DcpStream] = {}
         self.indexed_seqnos: dict[int, int] = {}
         #: ``stale=false`` waits on this engine; see :meth:`wait`.
         self.waiters = SeqnoWaiters()
@@ -112,47 +113,34 @@ class ViewEngine:
         stream costs one predicate, no take."""
         if not self.node.alive or not self.indexes:
             return False
-        self._sync_streams()
-        batch = []
-        taken: list[tuple[int, DcpStream]] = []
-        for vbucket_id, stream in self._streams.items():
-            if stream.idle():
-                continue
-            taken.append((vbucket_id, stream))
-            for message in stream.take(self.BATCH):
-                if isinstance(message, (Mutation, Deletion)):
-                    batch.append((vbucket_id, message.doc))
+        producer = self.node.producers[self.bucket]
+        self.sync({vbucket_id: (producer, vbucket_id) for vbucket_id
+                   in self.engine.owned_vbuckets(VBucketState.ACTIVE)})
+        polled = self.poll(self.BATCH)
+        batch = [(vbucket_id, doc) for vbucket_id, _stream, docs in polled
+                 for doc in docs]
         if batch:
             tracing.record_write(f"views/{self.node.name}/{self.bucket}")
             for index in self.indexes.values():
                 index.update_docs(_map_rows(index.definition, batch))
             self.node.metrics.inc("views.mutations_indexed", len(batch))
-        for vbucket_id, stream in taken:
+        for vbucket_id, stream, _docs in polled:
             if stream.last_seqno > self.indexed_seqnos.get(vbucket_id, 0):
                 self.indexed_seqnos[vbucket_id] = stream.last_seqno
         if self.waiters:
             self.waiters.strike(self.indexed_seqnos)
         return bool(batch)
 
-    def _sync_streams(self) -> None:
-        """Track local active vBuckets: open streams for new ones, drop
-        (and purge rows of) departed ones."""
-        engine = self.engine
-        active = set(engine.owned_vbuckets(VBucketState.ACTIVE))
-        for vbucket_id in list(self._streams):
-            if vbucket_id not in active:
-                self._streams.pop(vbucket_id)
-                self.indexed_seqnos.pop(vbucket_id, None)
-                for index in self.indexes.values():
-                    index.remove_vbucket(vbucket_id)
-        producer = self.node.producers[self.bucket]
-        for vbucket_id in active:
-            if vbucket_id in self._streams:
-                continue
-            start = self.indexed_seqnos.get(vbucket_id, 0)
-            self._streams[vbucket_id] = producer.stream_request(
-                vbucket_id, start_seqno=start
-            )
+    def checkpoint(self, vbucket_id: int) -> tuple[int, int]:
+        """Under the local copy's uuid: a mark lives only while active."""
+        vb = self.engine.vbuckets[vbucket_id]
+        return vb.uuid, self.indexed_seqnos.get(vbucket_id, 0)
+
+    def retired(self, vbucket_id: int) -> None:
+        """A vBucket that left this node takes its mark and its rows."""
+        self.indexed_seqnos.pop(vbucket_id, None)
+        for index in self.indexes.values():
+            index.remove_vbucket(vbucket_id)
 
     # -- staleness --------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from ..common.contracts import declared_raises, protocol
+from ..common.contracts import bounded, declared_raises, protocol
 from ..common.errors import (
     BucketNotFoundError,
     LivelockError,
@@ -35,7 +35,7 @@ from ..common.errors import (
     NotMyVBucketError,
 )
 from ..common.metrics import MetricsRegistry
-from ..dcp.messages import Deletion, Mutation
+from ..dcp.consumer import DcpConsumer
 from ..dcp.producer import DcpStream
 from ..kv.types import VBucketState
 
@@ -44,8 +44,8 @@ from ..kv.types import VBucketState
     # A slot streams until its push fails or the source topology stops
     # wanting it; FAILED is a one-way door to CLOSED -- a failed stream
     # already consumed mutations it could not deliver, so it must never
-    # resume (the replicator opens a *fresh* stream from seqno 0 and
-    # conflict resolution dedups the replayed prefix).
+    # resume (the replicator opens a *fresh* slot from the checkpoint,
+    # and conflict resolution drops any replayed prefix).
     "STREAMING->FAILED", "STREAMING->CLOSED", "FAILED->CLOSED",
 )
 class XdcrStreamState(Enum):
@@ -58,26 +58,44 @@ class XdcrStream:
     """One (source node, vBucket) replication slot: the DCP stream plus
     its delivery lifecycle state."""
 
-    def __init__(self, stream: DcpStream):
+    def __init__(self, stream: DcpStream, metrics: MetricsRegistry):
         self.stream = stream
+        self.metrics = metrics
         self.state = XdcrStreamState.STREAMING
 
+    def idle(self) -> bool:
+        return self.stream.idle()
 
-class XdcrReplication:
-    """One direction of replication between two clusters."""
+    def take(self, max_items: int) -> list:
+        return self.stream.take(max_items)
+
+    def close(self) -> None:
+        """Retire the slot (topology change, shutdown or a failed push)."""
+        self.stream.close()
+        if self.state is not XdcrStreamState.CLOSED:
+            self.state = XdcrStreamState.CLOSED
+        self.metrics.inc("xdcr.stream_closed")
+
+
+class XdcrReplication(DcpConsumer):
+    """One direction of replication between two clusters.  Its stream
+    table is keyed ``(source node, vbucket_id)``; the checkpoint is
+    :attr:`checkpoints`, per vBucket, so it survives a source move."""
 
     BATCH = 128
 
     def __init__(self, source_cluster, target_cluster, bucket: str,
                  target_bucket: str | None = None,
                  filter_pattern: str | None = None):
+        super().__init__()
         self.source = source_cluster
         self.target = target_cluster
         self.bucket = bucket
         self.target_bucket = target_bucket or bucket
         self.filter = re.compile(filter_pattern) if filter_pattern else None
-        #: (node_name, vbucket) -> XdcrStream slot
-        self._streams: dict[tuple[str, int], XdcrStream] = {}
+        #: vbucket_id -> (vb_uuid, seqno) of the last document the target
+        #: acknowledged (or the filter skipped).
+        self.checkpoints: dict[int, tuple[int, int]] = {}
         self.paused = False
         self.docs_sent = 0
         self.docs_filtered = 0
@@ -87,83 +105,55 @@ class XdcrReplication:
 
     def stop(self) -> None:
         self.source.scheduler.unregister(self.name)
-        for key in list(self._streams):
-            self._retire(key)
-
-    def _retire(self, key: tuple[str, int]) -> None:
-        """Close and forget one slot (topology change or shutdown)."""
-        slot = self._streams.pop(key)
-        if slot.state is not XdcrStreamState.CLOSED:
-            slot.state = XdcrStreamState.CLOSED
-        self.metrics.inc("xdcr.stream_closed")
+        self.sync({})
 
     # -- the pump ------------------------------------------------------------------
 
+    @bounded("maxlen", "one checkpoint per source vBucket")
     @declared_raises('CorruptFileError', 'InvalidArgumentError',
                      'KeyNotFoundError', 'TemporaryFailureError')
     def pump(self) -> bool:
         if self.paused:
             return False
-        self._sync_streams()
+        manager, bucket = self.source.manager, self.bucket
+        self.sync({  # one stream per (node, active vBucket)
+            (name, vbucket_id): (manager.nodes[name].producers[bucket], vbucket_id)
+            for name in manager.data_nodes()
+            if not self.source.network.is_down(name)
+            and bucket in manager.nodes[name].engines
+            for vbucket_id in manager.nodes[name].engines[bucket]
+            .owned_vbuckets(VBucketState.ACTIVE)
+        })
         moved = False
-        for key, slot in list(self._streams.items()):
-            for message in slot.stream.take(self.BATCH):
-                if not isinstance(message, (Mutation, Deletion)):
-                    continue
-                if self.filter is not None and not self.filter.search(
-                    message.doc.key
-                ):
+        for key, slot, docs in self.poll(self.BATCH):
+            for doc in docs:
+                if self.filter is not None and not self.filter.search(doc.key):
                     self.docs_filtered += 1
-                    continue
-                if self._push(message.doc):
+                elif self._push(doc):
                     moved = True
                 else:
                     # Delivery failed (target down, partitioned, or
                     # repartitioned mid-stream).  The stream already
                     # consumed this mutation, so silently continuing
                     # would drop it forever: fail the slot and retire it
-                    # -- _sync_streams reopens a fresh stream from seqno
-                    # 0 and conflict resolution dedups the replayed
-                    # prefix.  Not counted as progress, so a persistently
-                    # unreachable target still lets the scheduler quiesce.
+                    # -- the next round opens a fresh slot from the
+                    # checkpoint.  Not counted as progress, so a
+                    # persistently unreachable target still lets the
+                    # scheduler quiesce.
                     if slot.state is XdcrStreamState.STREAMING:
                         slot.state = XdcrStreamState.FAILED
                     self.metrics.inc("xdcr.stream_failed")
-                    self._retire(key)
+                    self.drop(key)
                     break
+                self.checkpoints[key[1]] = (slot.stream.vb.uuid, doc.meta.seqno)
         return moved
 
-    def _sync_streams(self) -> None:
-        """Track the source topology: one stream per (node, active vb)."""
-        manager = self.source.manager
-        wanted: set[tuple[str, int]] = set()
-        for node_name in manager.data_nodes():
-            if self.source.network.is_down(node_name):
-                continue
-            node = manager.nodes[node_name]
-            engine = node.engines.get(self.bucket)
-            if engine is None:
-                continue
-            for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
-                wanted.add((node_name, vbucket_id))
-        for key in list(self._streams):
-            if key not in wanted:
-                self._retire(key)
-        for node_name, vbucket_id in wanted:
-            if (node_name, vbucket_id) in self._streams:
-                continue
-            producer = self.source.manager.nodes[node_name].producers[self.bucket]
-            try:
-                self._streams[(node_name, vbucket_id)] = XdcrStream(
-                    producer.stream_request(
-                        vbucket_id, start_seqno=0, allow_replica=False,
-                    )
-                )
-                self.metrics.inc("xdcr.stream_opened")
-            # Vbucket moved mid-sweep; next pump re-derives streams.
-            # repro: disable-next=swallowed-exception
-            except NotMyVBucketError:
-                continue
+    def checkpoint(self, key) -> tuple[int | None, int]:
+        return self.checkpoints.get(key[1], (None, 0))
+
+    def opened(self, key, stream) -> XdcrStream:
+        self.metrics.inc("xdcr.stream_opened")
+        return XdcrStream(stream, self.metrics)
 
     # -- pushing to the target cluster ---------------------------------------------
 
@@ -191,16 +181,6 @@ class XdcrReplication:
             return False
         self.docs_sent += 1
         return True
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def backlog(self) -> int:
-        """Mutations not yet streamed (approximate, for tests/stats)."""
-        total = 0
-        for slot in self._streams.values():
-            stream = slot.stream
-            total += max(0, stream.vb.high_seqno - stream.last_seqno)
-        return total
 
 
 def settle(*clusters) -> None:

@@ -49,7 +49,7 @@ class TestInMemoryStreaming:
         messages = drain(stream)
         assert isinstance(messages[0], SnapshotMarker)
         assert [m.key for m in items_of(messages)] == [f"k{i}" for i in range(5)]
-        assert stream.caught_up()
+        assert stream.idle()
 
     def test_marker_covers_window(self, engine, producer):
         for i in range(3):
@@ -101,7 +101,7 @@ class TestInMemoryStreaming:
     def test_empty_vbucket_stream_is_quiet(self, producer):
         stream = producer.stream_request(VB)
         assert stream.take() == []
-        assert stream.caught_up()
+        assert stream.idle()
 
 
 class TestBackfill:

@@ -163,7 +163,7 @@ class TestClosedDcpStreamNeverResumes:
 
 class TestXdcrFailedSlotIsReplacedFresh:
     """XdcrStreamState: FAILED -> CLOSED only; delivery failure retires
-    the slot and a brand-new stream replays from seqno 0."""
+    the slot, and a brand-new slot resumes from the vBucket's checkpoint."""
 
     def make_pair(self):
         east = Cluster(nodes=1, vbuckets=8)
@@ -187,7 +187,7 @@ class TestXdcrFailedSlotIsReplacedFresh:
         assert repl.metrics.counter_value("xdcr.stream_failed") >= 1
         # Every retired slot was closed; none lingers in FAILED.
         assert all(slot.state is XdcrStreamState.STREAMING
-                   for slot in repl._streams.values())
+                   for slot in repl.streams.values())
         closed = repl.metrics.counter_value("xdcr.stream_closed")
         assert closed >= repl.metrics.counter_value("xdcr.stream_failed")
 
@@ -197,5 +197,5 @@ class TestXdcrFailedSlotIsReplacedFresh:
         for i in range(5):
             assert cw.get("b", f"during{i}").value == {"i": i}
         assert cw.get("b", "before").value == {"v": 1}
-        # The replacement streams were fresh opens, not resumptions.
+        # The replacement slots were fresh opens, not revived ones.
         assert repl.metrics.counter_value("xdcr.stream_opened") > closed

@@ -32,7 +32,7 @@ class TestStreamLifecycle:
         cluster_map = cluster.manager.cluster_maps["b"]
         for name in ("node1", "node2", "node3"):
             expected = len(cluster_map.active_vbuckets_of(name))
-            assert replicator_of(cluster, name).stream_count() == expected
+            assert len(replicator_of(cluster, name).streams) == expected
 
     def test_streams_rebuilt_on_revision_change(self, cluster, client):
         client.upsert("b", "k", 1)
@@ -127,6 +127,26 @@ class TestLineageHandshake:
         cluster.run_until_idle()
         assert cluster.node(replica_name).engines["b"].vbuckets[vb].uuid == marker
 
+    def test_a_stale_active_never_resets_the_promoted_copy(self, cluster, client):
+        """An active the manager failed over but could not reach still
+        replicates to the copy promoted in its place.  That copy refuses
+        the batch, and reopening the stream must not roll it back: a
+        replica-state request to an active copy is refused."""
+        client.upsert("b", "key-s", {"v": 1})
+        cluster.run_until_idle()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("key-s")
+        stale, promoted = cluster_map.chains[vb][:2]
+        cluster.network.partition(stale, "cluster-manager")
+        cluster.failover(stale)
+        promoted_engine = cluster.node(promoted).engines["b"]
+        promoted_engine.upsert(vb, "key-s", {"v": 2})
+        promoted_engine.upsert(vb, "key-t", {"v": 3})
+        cluster.node(stale).engines["b"].upsert(vb, "key-stale", {"v": 0})
+        cluster.run_until_idle()
+        assert promoted_engine.vbuckets[vb].state is VBucketState.ACTIVE
+        assert promoted_engine.get(vb, "key-s").value == {"v": 2}
+
 
 class TestBatchedReplicaApply:
     def test_pump_coalesces_mutations_into_batch_rpcs(self, cluster, client):
@@ -155,6 +175,28 @@ class TestBatchedReplicaApply:
                 replica_vb = cluster.node(replica).engines["b"].vbuckets[vb]
                 entry = replica_vb.hashtable.peek(f"conv-k{i}")
                 assert entry is not None and entry.doc.value == i
+
+
+class TestDeliveryFailure:
+    def test_a_replica_catches_up_after_a_partition_heals(self, cluster, client):
+        """Batches a partitioned replica refused are not lost: the stream
+        is dropped and reopened from the replica's seqno as soon as the
+        replica is reachable again, with no map change in between."""
+        cluster_map = cluster.manager.cluster_maps["b"]
+        keys = [f"p{i}" for i in range(40)]
+        active, replica = cluster_map.chains[cluster_map.vbucket_for_key("p0")][:2]
+        cluster.network.partition(active, replica)
+        for key in keys:
+            client.upsert("b", key, {"k": key})
+        cluster.run_until_idle()
+        cluster.network.heal()
+        cluster.run_until_idle()
+        for key in keys:
+            vb = cluster_map.vbucket_for_key(key)
+            for name in cluster_map.replica_nodes(vb):
+                entry = cluster.node(name).engines["b"].vbuckets[vb] \
+                    .hashtable.peek(key)
+                assert entry is not None and entry.doc.value == {"k": key}
 
 
 class TestReplicationUnderLoad:

@@ -215,8 +215,9 @@ class TestSetWithMeta:
 
 class TestDownTarget:
     """Regression: a push that fails after the stream already consumed
-    the mutation must not be silently dropped.  The pump now drops the
-    stream (to be reopened from seqno 0) instead of skipping the doc."""
+    the mutation must not be silently dropped.  The pump drops the slot
+    instead of skipping the doc, and a fresh slot resumes from the
+    vBucket's checkpoint: the last document the target acknowledged."""
 
     def test_docs_written_while_target_down_arrive_after_restart(self, east):
         west = make_cluster(1, 8)
@@ -250,8 +251,57 @@ class TestDownTarget:
         settle(east, west)
         west.restart_node("node1")
         settle(east, west)
-        # The reopened stream replays from seqno 0; conflict resolution
-        # must converge on the latest revision, not an echo of v1.
+        # The fresh slot resumes from the checkpoint, past v1; whatever
+        # it replays, conflict resolution must converge on the latest
+        # revision, not an echo of v1.
         remote = cw.get("b", "k")
         assert remote.value == {"v": 2}
         assert remote.meta.rev == 2
+
+
+class TestCheckpointResume:
+    """Each vBucket resumes from the ``(vb_uuid, seqno)`` of the last
+    document the target acknowledged, so a delivered document is not
+    sent again (section 4.6 over the DCP handshake of section 4.3.2)."""
+
+    def test_a_source_rebalance_resends_nothing(self):
+        east, west = make_cluster(3, 16), make_cluster(2, 16)
+        link = XdcrReplication(east, west, "b")
+        ce, cw = east.connect(), west.connect()
+        for i in range(200):
+            ce.upsert("b", f"k{i}", {"i": i})
+        settle(east, west)
+        assert link.docs_sent == 200
+        east.add_node("node4")
+        east.rebalance()
+        settle(east, west)
+        # 250 while every moved vBucket replayed from seqno 0.
+        assert link.docs_sent == 200
+        # A vBucket that moved resumes on its new node.
+        east_map = east.manager.cluster_maps["b"]
+        key = next(key for key in (f"after{i}" for i in range(1000))
+                   if east_map.active_node(east_map.vbucket_for_key(key))
+                   == "node4")
+        ce.upsert("b", key, {"moved": True})
+        settle(east, west)
+        assert link.docs_sent == 201
+        assert cw.get("b", key).value == {"moved": True}
+
+    def test_a_target_restart_sends_only_what_it_missed(self):
+        east, west = make_cluster(2, 8), make_cluster(1, 8)
+        link = XdcrReplication(east, west, "b")
+        ce, cw = east.connect(), west.connect()
+        for i in range(120):
+            ce.upsert("b", f"k{i}", {"i": i})
+        settle(east, west)
+        west.crash_node("node1")
+        for i in range(10):
+            ce.upsert("b", f"during{i}", {"i": i})
+        settle(east, west)
+        sent = link.docs_sent
+        west.restart_node("node1")
+        settle(east, west)
+        # 130 while each failed slot replayed its vBucket from seqno 0.
+        assert link.docs_sent - sent == 10
+        for i in range(10):
+            assert cw.get("b", f"during{i}").value == {"i": i}
