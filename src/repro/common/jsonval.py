@@ -57,13 +57,29 @@ def decode(data: bytes) -> JsonValue:
     return json.loads(data.decode("utf-8"))
 
 
+_CONTAINERS = (dict, list)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def deep_copy(value: JsonValue) -> JsonValue:
     """Copy a JSON value.  Faster than :func:`copy.deepcopy` because the
-    shape is known, and it never shares mutable containers."""
+    shape is known, and it never shares mutable containers: each dict or
+    list is copied shallowly (scalars are immutable and shared) and only
+    a nested container is recursed into -- a container holding only
+    scalars, the usual record, is one C-level type scan and one shallow
+    copy.  A dict or list subclass comes back as the plain type."""
     if isinstance(value, dict):
-        return {key: deep_copy(item) for key, item in value.items()}
+        copied = dict(value)
+        if not _SCALARS.issuperset(map(type, value.values())):
+            for key, item in value.items():
+                if isinstance(item, _CONTAINERS):
+                    copied[key] = deep_copy(item)
+        return copied
     if isinstance(value, list):
-        return [deep_copy(item) for item in value]
+        if _SCALARS.issuperset(map(type, value)):
+            return list(value)
+        return [deep_copy(item) if isinstance(item, _CONTAINERS) else item
+                for item in value]
     return value
 
 

@@ -25,14 +25,22 @@ class DcpConsumer:
     which opens a stream for each new key and retires the rest, then
     :meth:`poll`, which skips an idle stream at the cost of one ``idle()``
     predicate and hands out every other stream's ``Mutation`` /
-    ``Deletion`` documents.  It drops (:meth:`drop`) a stream whose
-    delivery failed, so that the next round reopens it from the
-    checkpoint.  A subclass supplies :meth:`checkpoint`; the other hooks
-    have defaults."""
+    ``Deletion`` documents -- or, when no engine its streams read has
+    changed since a poll found every stream idle, returns at the cost of
+    one comparison.  It drops (:meth:`drop`) a stream whose delivery
+    failed, so that the next round reopens it from the checkpoint.  A
+    subclass supplies :meth:`checkpoint`; the other hooks have
+    defaults."""
 
     def __init__(self):
         #: key -> the open stream (or what :meth:`opened` wrapped it in).
         self.streams: dict = {}
+        #: key -> the engine its stream reads.
+        self._sources: dict = {}
+        #: ``(engines, sum of their change counters)`` when a poll last
+        #: found every stream idle; None after an open or a drop.  The
+        #: counters only grow, so an equal sum means none moved.
+        self._quiet: tuple | None = None
 
     def checkpoint(self, key) -> tuple[int | None, int]:
         """``(vb_uuid, seqno)`` the consumer has applied the key through."""
@@ -76,6 +84,8 @@ class DcpConsumer:
                     vbucket_id, self.rollback(key, demanded.rollback_seqno),
                     allow_replica=False)
             self.streams[key] = self.opened(key, stream)
+            self._sources[key] = producer.engine
+            self._quiet = None
         except (NodeDownError, NotMyVBucketError, StreamRollbackRequired):
             # Moved, unreachable, or the history changed again between
             # the two requests: the next round tries again.
@@ -83,7 +93,15 @@ class DcpConsumer:
 
     def poll(self, max_items: int) -> list[tuple]:
         """``(key, stream, docs)`` for every stream that is not idle, with
-        the documents of up to ``max_items`` messages taken from it."""
+        the documents of up to ``max_items`` messages taken from it.
+
+        A stream's ``idle()`` answer changes only when it is taken from
+        or its engine's ``changes`` counter moves, so a poll that finds
+        every stream idle is repeated for free until a counter moves."""
+        quiet = self._quiet
+        if quiet is not None and quiet[1] == sum(
+                engine.changes for engine in quiet[0]):
+            return []
         polled = []
         for key, stream in self.streams.items():
             if not stream.idle():
@@ -91,9 +109,15 @@ class DcpConsumer:
                     message.doc for message in stream.take(max_items)
                     if isinstance(message, (Mutation, Deletion))
                 ]))
+        if not polled:
+            engines = quiet[0] if quiet is not None \
+                else set(self._sources.values())
+            self._quiet = (engines, sum(engine.changes for engine in engines))
         return polled
 
     def drop(self, key) -> None:
         """Close and forget the key's stream; if the key is still wanted,
         the next :meth:`sync` reopens it from the checkpoint."""
         self.streams.pop(key).close()
+        del self._sources[key]
+        self._quiet = None

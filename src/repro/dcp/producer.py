@@ -156,11 +156,16 @@ class DcpStream:
         self._pending.append(
             SnapshotMarker(vb.id, self.last_seqno + 1, backfill_end, from_disk=True)
         )
-        for doc in docs:
-            if doc.meta.deleted:
-                self._pending.append(Deletion(vb.id, doc.copy()))
-            else:
-                self._pending.append(Mutation(vb.id, doc.copy()))
+        self._enqueue(docs)
+
+    def _enqueue(self, docs) -> None:
+        """One message per document, carrying the document itself: a
+        stored document is immutable, so no consumer needs its own."""
+        vbucket_id = self.vb.id
+        self._pending.extend(
+            Deletion(vbucket_id, doc) if doc.meta.deleted
+            else Mutation(vbucket_id, doc)
+            for doc in docs)
 
     def _from_buffer(self) -> None:
         vb = self.vb
@@ -179,11 +184,7 @@ class DcpStream:
         self._pending.append(
             SnapshotMarker(vb.id, items[0].meta.seqno, items[-1].meta.seqno)
         )
-        for doc in items:
-            if doc.meta.deleted:
-                self._pending.append(Deletion(vb.id, doc.copy()))
-            else:
-                self._pending.append(Mutation(vb.id, doc.copy()))
+        self._enqueue(items)
 
     def close(self) -> None:
         self.phase = DcpStreamState.CLOSED

@@ -123,6 +123,9 @@ class Projector(DcpConsumer):
         self.router = Router(node, registry, network)
         #: Per-vBucket seqno this projector has processed through.
         self.projected_seqnos: dict[int, int] = {}
+        #: ``(engine, engine.changes)`` after the last fast-forward; the
+        #: marks are current while it holds.  None once streams run.
+        self._forwarded: tuple | None = None
 
     def pump(self) -> bool:
         """Project everything the streams yield this slice, route it as
@@ -139,6 +142,7 @@ class Projector(DcpConsumer):
         ]
         if not definitions:
             return self._fast_forward(engine)
+        self._forwarded = None
         producer = self.node.producers[self.bucket]
         self.sync({vbucket_id: (producer, vbucket_id)
                    for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)})
@@ -189,7 +193,13 @@ class Projector(DcpConsumer):
         backlog would leave a stream.  An index that becomes ready later
         is built from a snapshot, and its first projection starts here.
         Progress is the answer the discarded messages would have given:
-        some active vBucket had a change past its mark."""
+        some active vBucket had a change past its mark.  While the
+        engine's ``changes`` counter stands where the last pass left it,
+        no mark can differ, so the pass is one comparison."""
+        stamp = (engine, engine.changes)
+        if stamp == self._forwarded:
+            return False
+        self._forwarded = stamp
         for vbucket_id in list(self.streams):
             self.drop(vbucket_id)
         projected = self.projected_seqnos

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from dataclasses import replace
 from typing import Callable, Iterator
 
 from ..common import tracing
@@ -113,7 +114,7 @@ class VBucket:
         return self.high_seqno
 
     def record_change(self, doc: Document) -> None:
-        self.change_buffer.append(doc.copy())
+        self.change_buffer.append(doc)
         if len(self.change_buffer) > self.MAX_BUFFER:
             self.trim_change_buffer()
 
@@ -217,11 +218,18 @@ class KVEngine:
         #: Durability waits registered here, by vBucket; see
         #: :meth:`observe_wait`.
         self._waiters: dict[int, list[ObserveWaiter]] = {}
+        #: Bumped by every event that can change what a DCP stream over
+        #: this engine would yield or which vBuckets are active: a
+        #: recorded change, a vBucket created, dropped or changing state,
+        #: and warmup.  A consumer that found its streams idle at one
+        #: value skips them until it moves.
+        self.changes = 0
 
     # -- vBucket lifecycle ----------------------------------------------------
 
     def create_vbucket(self, vbucket_id: int,
                        state: VBucketState = VBucketState.ACTIVE) -> VBucket:
+        self.changes += 1
         vb = VBucket(vbucket_id, state, self.disk, self.bucket_name)
         vb.hashtable.memory_listener = self._charge_memory
         replaced = self.vbuckets.get(vbucket_id)
@@ -234,6 +242,7 @@ class KVEngine:
         return vb
 
     def set_vbucket_state(self, vbucket_id: int, state: VBucketState) -> None:
+        self.changes += 1
         vb = self.vbuckets.get(vbucket_id)
         if vb is None:
             if state is VBucketState.DEAD:
@@ -261,6 +270,7 @@ class KVEngine:
             self._settle(vbucket_id)
 
     def drop_vbucket(self, vbucket_id: int) -> None:
+        self.changes += 1
         vb = self.vbuckets.pop(vbucket_id, None)
         self._dirty.pop(vbucket_id, None)
         self._to_check.pop(vbucket_id, None)
@@ -323,13 +333,17 @@ class KVEngine:
         vb.dirty_queue.append(doc.key)
         self._dirty[vb.id] = vb
         vb.record_change(doc)
+        self.changes += 1
         self.metrics.inc("kv.mutations")
         for listener in self.mutation_listeners:
             listener(doc)
 
     def _build_doc(self, vb: VBucket, key: str, value: JsonValue | None,
                    *, expiry: float, flags: int, deleted: bool,
-                   old: Document | None) -> Document:
+                   old: Document | None, size: int = 0) -> Document:
+        """The next version of ``key``.  ``value`` is the engine's own
+        (copied on the way in) and ``size`` its ``sizeof``; a tombstone's
+        is None and 0."""
         meta = DocumentMeta(
             key=key,
             cas=self._next_cas(vb),
@@ -340,7 +354,7 @@ class KVEngine:
             deleted=deleted,
             vbucket_id=vb.id,
         )
-        return Document(meta, deep_copy(value) if not deleted else None)
+        return Document(meta, value, size=size)
 
     def _live_entry(self, vb: VBucket, key: str):
         """Entry if the key logically exists (not deleted, not expired)."""
@@ -377,30 +391,48 @@ class KVEngine:
         if entry is None:
             self.metrics.inc("kv.get_misses")
             raise KeyNotFoundError(key)
-        if entry.doc.ejected:
-            # Background fetch: restore the value from the storage engine.
-            stored = vb.store.get(key)
-            entry.doc.value = stored.value
-            entry.doc.ejected = False
-            vb.hashtable.charge(sizeof(stored.value or 0))
-            self.metrics.inc("kv.bg_fetches")
+        doc = entry.doc
+        if doc.ejected:
+            doc = self._resident(vb, entry)
         entry.referenced = True
         self.metrics.inc("kv.gets")
-        return entry.doc.copy()
+        # The client's own value (it may change what it read); the
+        # frozen meta is shared.
+        return Document(doc.meta, deep_copy(doc.value))
+
+    def _resident(self, vb: VBucket, entry) -> Document:
+        """The entry's document with its value in memory: an ejected one
+        is background-fetched from the storage engine into a new
+        document, re-charged the size it had when it was ejected."""
+        doc = entry.doc
+        if doc.ejected:
+            stored = vb.store.get(doc.key)
+            doc = entry.doc = Document(doc.meta, stored.value, size=doc.size)
+            vb.hashtable.charge(doc.size)
+            self.metrics.inc("kv.bg_fetches")
+        return doc
 
     @hot_path
     def upsert(self, vbucket_id: int, key: str, value: JsonValue, *,
                cas: int = 0, expiry: float = 0.0, flags: int = 0) -> MutationResult:
         """The memcached SET: create or replace."""
         validate_json_value(value)
-        if sizeof(value) > self.MAX_VALUE_SIZE:
+        return self._store(vbucket_id, key, deep_copy(value), cas=cas,
+                           expiry=expiry, flags=flags)
+
+    def _store(self, vbucket_id: int, key: str, value: JsonValue, *,
+               cas: int, expiry: float, flags: int) -> MutationResult:
+        """The upsert of a value the engine owns -- the one copy made on
+        the way in, or one built here -- sized by its only walk."""
+        size = sizeof(value)
+        if size > self.MAX_VALUE_SIZE:
             raise ValueTooLargeError(key)
         vb = self._active(vbucket_id)
         self._check_lock_and_cas(vb, key, cas)
         old_entry = vb.hashtable.peek(key)
         old = old_entry.doc if old_entry is not None else None
         doc = self._build_doc(vb, key, value, expiry=expiry, flags=flags,
-                              deleted=False, old=old)
+                              deleted=False, old=old, size=size)
         self._apply_mutation(vb, doc)
         return MutationResult(doc.meta.cas, doc.meta.seqno, vb.id)
 
@@ -442,8 +474,10 @@ class KVEngine:
         entry = self._live_entry(vb, key)
         if entry is None:
             raise KeyNotFoundError(key)
-        return self.upsert(vbucket_id, key, entry.doc.value, expiry=expiry,
-                           flags=entry.doc.meta.flags)
+        doc = self._resident(vb, entry)
+        # The stored value is immutable, so the new version shares it.
+        return self._store(vbucket_id, key, doc.value, cas=0, expiry=expiry,
+                           flags=doc.meta.flags)
 
     @hot_path
     def counter(self, vbucket_id: int, key: str, delta: int, *,
@@ -458,7 +492,7 @@ class KVEngine:
                 raise KeyNotFoundError(key)
             result = self.upsert(vbucket_id, key, initial)
             return initial, result
-        current = entry.doc.value
+        current = self._resident(vb, entry).value
         if not isinstance(current, int) or isinstance(current, bool):
             raise TemporaryFailureError(
                 f"counter target {key!r} is not an integer document"
@@ -542,7 +576,8 @@ class KVEngine:
         if entry is None:
             raise KeyNotFoundError(key)
         self._check_lock_and_cas(vb, key, cas)
-        updated = deep_copy(entry.doc.value)
+        doc = self._resident(vb, entry)
+        updated = deep_copy(doc.value)
         for op, path, value in operations:
             if op == "set":
                 set_path(updated, path, deep_copy(value))
@@ -557,10 +592,11 @@ class KVEngine:
                 target.append(deep_copy(value))
             else:
                 raise InvalidArgumentError(f"unknown sub-document op {op!r}")
+        validate_json_value(updated)
         self.metrics.inc("kv.subdoc_mutations")
-        return self.upsert(vbucket_id, key, updated, cas=cas,
-                           expiry=entry.doc.meta.expiry,
-                           flags=entry.doc.meta.flags)
+        # ``updated`` is already the engine's own copy.
+        return self._store(vbucket_id, key, updated, cas=cas,
+                           expiry=doc.meta.expiry, flags=doc.meta.flags)
 
     @hot_path
     def get_and_lock(self, vbucket_id: int, key: str,
@@ -576,15 +612,18 @@ class KVEngine:
         if entry.is_locked(now):
             raise DocumentLockedError(key)
         # Locking changes the visible CAS so other writers' optimistic
-        # updates fail fast.
+        # updates fail fast: a new document with a new meta, since the
+        # old one may be in the change buffer or a DCP message.
+        doc = self._resident(vb, entry)
         lock_cas = self._next_cas(vb)
-        entry.doc.meta.cas = lock_cas
+        doc = entry.doc = Document(replace(doc.meta, cas=lock_cas),
+                                   doc.value, size=doc.size)
         entry.lock_cas = lock_cas
         entry.locked_until = now + (
             lock_time if lock_time is not None else self.LOCK_TIMEOUT
         )
         self.metrics.inc("kv.locks")
-        return entry.doc.copy()
+        return Document(doc.meta, deep_copy(doc.value))
 
     @hot_path
     def unlock(self, vbucket_id: int, key: str, cas: int) -> None:
@@ -681,9 +720,13 @@ class KVEngine:
         if entry is not None and not _xdcr_wins(incoming, entry.doc):
             self.metrics.inc("xdcr.rejected")
             return False
-        doc = incoming.copy()
-        doc.meta.seqno = vb.next_seqno()
-        doc.meta.vbucket_id = vb.id
+        # The remote metadata under this copy's seqno and vBucket: a new
+        # meta, the (immutable) value shared with the incoming document.
+        meta = incoming.meta
+        doc = Document(
+            DocumentMeta(meta.key, meta.cas, vb.next_seqno(), meta.rev,
+                         meta.expiry, meta.flags, meta.deleted, vb.id),
+            incoming.value, size=incoming.size)
         vb.high_cas = max(vb.high_cas, doc.meta.cas)
         self._apply_mutation(vb, doc)
         self.metrics.inc("xdcr.applied")
@@ -711,14 +754,15 @@ class KVEngine:
         if vb is None or vb.state is VBucketState.ACTIVE:
             raise NotMyVBucketError(vbucket_id, self.node_name)
         for doc in docs:
+            # The active's document itself: stored documents are immutable.
             tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
-            copy = doc.copy()
-            vb.hashtable.set(copy, dirty=True)
-            vb.dirty_queue.append(copy.key)
-            vb.high_seqno = max(vb.high_seqno, copy.meta.seqno)
-            vb.high_cas = max(vb.high_cas, copy.meta.cas)
-            vb.record_change(copy)
+            vb.hashtable.set(doc, dirty=True)
+            vb.dirty_queue.append(doc.key)
+            vb.high_seqno = max(vb.high_seqno, doc.meta.seqno)
+            vb.high_cas = max(vb.high_cas, doc.meta.cas)
+            vb.record_change(doc)
         if docs:
+            self.changes += 1
             self._dirty[vb.id] = vb
             if self._waiters:
                 self._settle(vbucket_id)
@@ -826,9 +870,10 @@ class KVEngine:
         under memory pressure the item pager will eject values again).
         Returns the number of items loaded."""
         loaded = 0
+        self.changes += 1
         for vb in self.vbuckets.values():
             for doc in vb.store.all_docs(include_deleted=True):
-                vb.hashtable.set(doc.copy(), dirty=False)
+                vb.hashtable.set(doc, dirty=False)
                 vb.high_cas = max(vb.high_cas, doc.meta.cas)
                 loaded += 1
             vb.high_seqno = max(vb.high_seqno, vb.store.update_seq)
@@ -849,9 +894,10 @@ class KVEngine:
         return self._memory_used
 
     def memory_used_full(self) -> int:
-        """Ground truth by full re-summation; tests assert it always
-        matches the incremental counter."""
-        return sum(vb.hashtable.memory_used for vb in self.vbuckets.values())
+        """Ground truth: every resident entry's footprint summed afresh,
+        not the charges that fed the incremental counter.  Tests and the
+        sanitizer assert it always matches :meth:`memory_used`."""
+        return sum(vb.hashtable.footprint() for vb in self.vbuckets.values())
 
     def _ensure_quota_headroom(self, incoming: Document) -> None:
         if self.quota_bytes is None:
@@ -943,4 +989,4 @@ class KVEngine:
                 continue
             if doc.ejected:
                 doc = vb.store.get(key)
-            yield doc.copy()
+            yield doc  # immutable: consumers read it, never change it

@@ -101,10 +101,11 @@ class HashTable:
         entry = self._entries.get(key)
         if entry is None or entry.dirty or entry.doc.ejected or entry.doc.meta.deleted:
             return False
-        self.charge(-entry.doc.memory_footprint())
-        entry.doc.value = None
-        entry.doc.ejected = True
-        self.charge(entry.doc.memory_footprint())
+        doc = entry.doc
+        # A new document: the old one may still sit in the change buffer
+        # or a DCP message.  It keeps the value's size for the bg-fetch.
+        entry.doc = Document(doc.meta, None, ejected=True, size=doc.size)
+        self.charge(-doc.size)
         return True
 
     def eject_entry(self, key: str) -> bool:
@@ -128,6 +129,12 @@ class HashTable:
 
     def keys(self) -> list[str]:
         return list(self._entries)
+
+    def footprint(self) -> int:
+        """The entries' footprints summed afresh (``memory_used`` is the
+        running tally of charges)."""
+        return sum(entry.doc.memory_footprint()
+                   for entry in self._entries.values())
 
     def resident_ratio(self) -> float:
         """Fraction of entries whose value is in memory."""

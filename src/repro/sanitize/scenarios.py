@@ -324,8 +324,10 @@ def _run_overload_quota(policy: SchedulePolicy) -> RunOutcome:
     retry counts move the CAS counter -- so the cluster digest is
     legitimately schedule dependent and excluded.  What must NOT depend
     on the schedule: every retried write eventually lands with its final
-    value, the incremental memory counter equals the ground-truth sum,
-    and the admission front door recovers (breaker closed, pressure
+    value, the incremental memory counter equals the ground-truth sum --
+    also after falsy values (``{}``, ``[]``, ``""``, ``false``, ``null``)
+    are ejected and fetched back, whose charge a bg-fetch once got wrong
+    -- and the admission front door recovers (breaker closed, pressure
     decayed) once the load stops."""
     cluster = sanitized_cluster(
         "ov", policy, vbuckets=4, nodes=[("ov1", _ALL)],
@@ -349,13 +351,26 @@ def _run_overload_quota(policy: SchedulePolicy) -> RunOutcome:
     client.upsert("b", "probe", {"i": -1})
     engine = cluster.node("ov1").engines["b"]
     reads = {f"k{i}": client.get("b", f"k{i}").value["i"] for i in range(40)}
+    falsy = {f"falsy{i}": value
+             for i, value in enumerate([{}, [], "", False, None])}
+    for key, value in falsy.items():
+        client.upsert("b", key, value)
+    cluster.run_until_idle()  # flushed, so clean and ejectable
+    for key in falsy:
+        for vb in engine.vbuckets.values():
+            vb.hashtable.eject_value(key)
+        reads[key] = client.get("b", key).value
+    # A drift would be the same under every schedule, so it would not
+    # split the digests: fail the run instead.
+    if engine.memory_used() != engine.memory_used_full():
+        raise AssertionError(
+            f"memory counter {engine.memory_used()} != entries' "
+            f"footprints {engine.memory_used_full()}")
     return RunOutcome(
         clusters=[],
         schedulers={"ov": cluster.scheduler},
         observations={
             "reads": reads,
-            "memory_counter_consistent":
-                engine.memory_used() == engine.memory_used_full(),
             "breaker_recovered": cluster.admission.breaker("ov1").state,
             "overloaded_after_quiesce": cluster.admission.overloaded(),
         },

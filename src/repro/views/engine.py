@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from ..common import tracing
 from ..common.contracts import declared_raises
 from ..common.errors import ViewExistsError
+from ..common.jsonval import deep_copy
 from ..dcp.consumer import DcpConsumer
 from ..kv.types import SeqnoWaiter, SeqnoWaiters, VBucketState
 from .mapreduce import DocMetaView, ViewDefinition
@@ -31,14 +32,15 @@ if TYPE_CHECKING:
 
 def _map_rows(definition: ViewDefinition, docs: list) -> list:
     """``ViewIndex.update_docs`` input for ``(vbucket_id, doc)`` pairs: a
-    deleted document maps to no rows."""
+    deleted document maps to no rows.  The map function is user code, so
+    it gets its own copy of the value: the document is the stored one."""
     batch = []
     for vbucket_id, doc in docs:
         rows = []
         if not doc.meta.deleted:
             meta = DocMetaView(doc.key, doc.meta.rev, doc.meta.expiry,
                                doc.meta.flags)
-            rows = definition.run_map(doc.value, meta)
+            rows = definition.run_map(deep_copy(doc.value), meta)
         batch.append((doc.key, vbucket_id, rows))
     return batch
 

@@ -2,7 +2,10 @@
 
 import dataclasses
 
+import pytest
+
 from repro.common.document import Document, DocumentMeta
+from repro.common.jsonval import sizeof
 
 
 class TestDocumentMeta:
@@ -13,14 +16,17 @@ class TestDocumentMeta:
         assert not meta.deleted
 
     def test_copy_is_independent(self):
+        """Meta is frozen: a changed copy is a new meta, and assigning to
+        a field of a stored one raises."""
         meta = DocumentMeta(key="k", cas=5)
-        copy = meta.copy()
-        copy.cas = 9
-        assert meta.cas == 5
+        copy = dataclasses.replace(meta, cas=9)
+        assert meta.cas == 5 and copy.cas == 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            meta.cas = 9
 
     def test_copy_carries_every_field(self):
-        """``copy`` names its fields one by one (it is on the KV read
-        path); a field added to the dataclass must be added there."""
+        """A document copy shares the frozen meta, so every field -- one
+        added later too -- carries, and only the value is copied."""
         samples = {int: 7, float: 2.5, bool: True, str: "k"}
         meta = DocumentMeta(**{
             f.name: samples[type(f.default)] if f.name != "key" else "k"
@@ -29,7 +35,10 @@ class TestDocumentMeta:
         assert meta != DocumentMeta(key="k")
         assert all(getattr(meta, f.name) != f.default
                    for f in dataclasses.fields(DocumentMeta) if f.name != "key")
-        assert meta.copy() == meta and meta.copy() is not meta
+        doc = Document(meta, {"a": [1]})
+        copy = doc.copy()
+        assert copy.meta is meta and copy == doc
+        assert copy.value is not doc.value and copy.size == doc.size
 
     def test_expiry_semantics(self):
         meta = DocumentMeta(key="k", expiry=100.0)
@@ -65,6 +74,17 @@ class TestDocument:
         resident = Document(DocumentMeta(key="k"), "x" * 1000)
         ejected = Document(DocumentMeta(key="k"), None, ejected=True)
         assert ejected.memory_footprint() < resident.memory_footprint()
+
+    def test_size_is_the_value_sizeof_and_survives_ejection(self):
+        value = {"a": [1, "x" * 50]}
+        doc = Document(DocumentMeta(key="k"), value)
+        assert doc.size == sizeof(value)
+        assert doc.memory_footprint() == 64 + 1 + sizeof(value)
+        ejected = Document(doc.meta, None, ejected=True, size=doc.size)
+        assert ejected.size == doc.size
+        assert ejected.memory_footprint() == 64 + 1
+        # A JSON null value and a tombstone charge nothing for the value.
+        assert Document(DocumentMeta(key="k"), None).memory_footprint() == 65
 
     def test_footprint_includes_key_bytes(self):
         short = Document(DocumentMeta(key="k"), None)

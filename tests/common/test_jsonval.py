@@ -67,6 +67,28 @@ class TestDeepCopy:
     def test_equality(self, value):
         assert deep_copy(value) == value
 
+    @given(json_values)
+    def test_copies_every_container_and_plain_types(self, value):
+        """Equal to the input; no dict or list of the input is shared at
+        any depth (scalars may be: they are immutable); and a dict
+        subclass comes back as a plain ``dict``."""
+        class Tagged(dict):
+            pass
+
+        def containers(node):
+            if isinstance(node, (dict, list)):
+                yield node
+                for child in (node.values() if isinstance(node, dict)
+                              else node):
+                    yield from containers(child)
+
+        wrapped = Tagged(root=value)
+        copied = deep_copy(wrapped)
+        assert copied == wrapped and type(copied) is dict
+        originals = {id(node) for node in containers(wrapped)}
+        assert not originals & {id(node) for node in containers(copied)}
+        assert all(type(node) in (dict, list) for node in containers(copied))
+
 
 class TestSizeof:
     def test_monotone_in_content(self):

@@ -24,6 +24,7 @@ from repro.dcp.producer import DcpStream
 from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.gsi.projector import Projector
 from repro.gsi.storage import make_storage
+from repro.kv.engine import VBucket
 from repro.kv.types import VBucketState
 from repro.storage.appendlog import _HEADER, RT_DOC, RT_HEADER, RT_NODE
 from repro.storage.couchstore import VBucketStore
@@ -368,11 +369,15 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
     durability wait, so a round must cost what changed since the last
     one, not what the node holds.  Over 128 vBucket files and 128 DCP
     streams, a round after ``run_until_idle()`` computes no
-    fragmentation ratio and takes from no stream; the round after one
-    upsert re-reads the two files that grew and materializes the replica
-    stream's two messages.  (Walking everything, as every pump once
-    did, cost 128 ratios and 128 takes per round, and the index-less
-    projector copied the upsert into two more messages.)"""
+    fragmentation ratio, takes from no stream, and -- since no engine's
+    change counter moved -- asks no stream ``idle()`` and no vBucket its
+    ``last_change_seqno()``; the round after one upsert re-reads the two
+    files that grew and materializes the replica stream's two messages.
+    (Walking everything, as every pump once did, cost 128 ratios and 128
+    takes per round, and the index-less projector copied the upsert into
+    two more messages; polling every stream and comparing every active
+    vBucket's mark cost 64 ``idle()`` and 128 ``last_change_seqno()``
+    calls per quiet round.)"""
     cluster = Cluster(nodes=4, vbuckets=64)
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
@@ -381,7 +386,20 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
     cluster.run_until_idle()
 
     counts = {"ratios": 0, "takes": 0, "messages": 0}
+    polls = {"idle": 0, "last_change_seqno": 0}
     fragmentation, take = VBucketStore.fragmentation, DcpStream.take
+    idle, last_change_seqno = DcpStream.idle, VBucket.last_change_seqno
+
+    def counted_idle(stream):
+        polls["idle"] += 1
+        return idle(stream)
+
+    def counted_last_change_seqno(vb):
+        polls["last_change_seqno"] += 1
+        return last_change_seqno(vb)
+
+    monkeypatch.setattr(DcpStream, "idle", counted_idle)
+    monkeypatch.setattr(VBucket, "last_change_seqno", counted_last_change_seqno)
 
     def counted_fragmentation(store):
         counts["ratios"] += 1
@@ -398,6 +416,7 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
 
     assert not cluster.scheduler.step()
     assert counts == {"ratios": 0, "takes": 0, "messages": 0}
+    assert polls == {"idle": 0, "last_change_seqno": 0}
 
     # A key whose replica node's pumps run after its active node's, so
     # the active write and the replica write are both flushed this round.
@@ -413,6 +432,63 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
     assert counts == {"ratios": 2, "takes": 1, "messages": 2}
     assert not cluster.scheduler.step()
     assert counts == {"ratios": 2, "takes": 1, "messages": 2}
+    # Once every consumer has seen the write settle, a round is free again.
+    polled = dict(polls)
+    assert not cluster.scheduler.step()
+    assert polls == polled
+
+
+def test_a_write_is_copied_once(monkeypatch):
+    """Stored documents are immutable, so the change buffer, DCP and the
+    replica share the object the active stored: one upsert at
+    ``replicas=1``, drained, copies its value once (on the way in) and
+    walks it with ``sizeof`` once (the ``MAX_VALUE_SIZE`` check, whose
+    number the document carries); a ``get`` copies it once (on the way
+    out to the client) and walks it never.  (Copying at each hand-off
+    and sizing at each footprint cost 5 copies and 3 walks per upsert.)"""
+    import sys
+
+    from repro.common import jsonval
+
+    calls = {"deep_copy": 0, "sizeof": 0}
+    for name, original in [("deep_copy", jsonval.deep_copy),
+                           ("sizeof", jsonval.sizeof)]:
+        depth = [0]
+
+        def counted(value, name=name, original=original, depth=depth):
+            calls[name] += depth[0] == 0  # top-level calls only
+            depth[0] += 1
+            try:
+                return original(value)
+            finally:
+                depth[0] -= 1
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    cluster = Cluster(nodes=4, vbuckets=64)
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    cluster.run_until_idle()
+    assert calls == {"deep_copy": 0, "sizeof": 0}
+
+    client.upsert("b", "k", {"i": 1, "pad": "x" * 380})
+    cluster.run_until_idle()
+    assert calls == {"deep_copy": 1, "sizeof": 1}
+    cluster_map = cluster.manager.cluster_maps["b"]
+    vbucket_id = cluster_map.vbucket_for_key("k")
+    active, replica = (cluster.node(name).engines["b"].vbuckets[vbucket_id]
+                       for name in cluster_map.chains[vbucket_id])
+    stored = active.hashtable.peek("k").doc
+    assert replica.hashtable.peek("k").doc is stored
+    assert active.change_buffer[-1] is stored
+    assert replica.change_buffer[-1] is stored
+
+    read = client.get("b", "k")
+    assert calls == {"deep_copy": 2, "sizeof": 1}
+    assert read.meta is stored.meta and read.value is not stored.value
 
 
 # -- index maintenance in batches (4.3.3, 4.3.4) -----------------------------

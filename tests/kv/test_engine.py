@@ -404,6 +404,31 @@ class TestEviction:
             assert engine.get(VB, f"k{i}").value["i"] == i
         assert engine.metrics.counter_value("kv.bg_fetches") > 0
 
+    @pytest.mark.parametrize("op", ["touch", "mutate_in", "get_and_lock"])
+    def test_ops_reading_an_ejected_value_fetch_it_first(self, engine, op):
+        """Each op that reads the stored value background-fetches an
+        ejected one (they read the ejected ``None`` before: ``touch``
+        stored null, ``mutate_in`` raised)."""
+        engine.upsert(VB, "k", {"i": 1, "tags": ["a"]})
+        engine.flush()
+        assert engine.vbuckets[VB].hashtable.eject_value("k")
+        if op == "touch":
+            engine.touch(VB, "k", 0.0)
+        elif op == "mutate_in":
+            engine.mutate_in(VB, "k", [("array_append", "tags", "b")])
+        else:
+            assert engine.get_and_lock(VB, "k").value["i"] == 1
+        assert engine.metrics.counter_value("kv.bg_fetches") == 1
+        assert engine.get(VB, "k").value == {
+            "i": 1, "tags": ["a", "b"] if op == "mutate_in" else ["a"]}
+        assert engine.memory_used() == engine.memory_used_full()
+
+    def test_counter_of_an_ejected_value_fetches_it_first(self, engine):
+        engine.upsert(VB, "c", 5)
+        engine.flush()
+        assert engine.vbuckets[VB].hashtable.eject_value("c")
+        assert engine.counter(VB, "c", 2)[0] == 7
+
     def test_full_eviction_get_reloads_from_disk(self):
         engine = self.make_full_engine("full")
         for i in range(100):

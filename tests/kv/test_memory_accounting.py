@@ -77,6 +77,25 @@ class TestCounterTracksGroundTruth:
         assert engine.get(vb, victim).value == "v" * 512
         check(engine)
 
+    @pytest.mark.parametrize("value", [{}, [], "", False, None],
+                             ids=["object", "array", "string", "false", "null"])
+    def test_bg_fetch_of_a_falsy_value_recharges_what_eject_released(
+            self, engine, value):
+        """A background fetch re-charges the size the value had when it
+        was ejected.  (Charging ``sizeof(value or 0)`` charged a falsy
+        value as the integer 0: 89 bytes tallied against 81 -- 65 for
+        null -- after one cycle, and 8 or 24 more per cycle.)"""
+        engine.upsert(0, "falsy", value)
+        engine.flush()
+        for _cycle in range(3):
+            assert engine.vbuckets[0].hashtable.eject_value("falsy")
+            assert engine.get(0, "falsy").value == value
+            assert engine.memory_used() == sum(
+                entry.doc.memory_footprint()
+                for vb in engine.vbuckets.values()
+                for _key, entry in vb.hashtable.items())
+        check(engine)
+
     def test_expiry_pager(self, engine, clock):
         for i in range(16):
             engine.upsert(i % len(VBUCKETS), f"e{i}", "v" * 128,
