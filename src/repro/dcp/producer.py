@@ -171,10 +171,7 @@ class DcpStream:
         vb = self.vb
         self.phase = DcpStreamState.IN_MEMORY
         self.producer.engine.metrics.inc("dcp.stream_in_memory")
-        items = [
-            doc for doc in vb.change_buffer
-            if self.last_seqno < doc.meta.seqno <= self.end_seqno
-        ]
+        items = vb.buffered(self.last_seqno, self.end_seqno)
         if not items:
             if self.last_seqno < vb.buffer_start_seqno:
                 return

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from bisect import bisect_right
 from dataclasses import replace
 from typing import Callable, Iterator
 
@@ -53,6 +54,7 @@ __shared_state__ = ("_vb_uuid_counter",)
 _vb_uuid_counter = itertools.count(1000)
 
 _position = operator.attrgetter("position")
+_seqno_of = operator.attrgetter("meta.seqno")
 
 
 def _xdcr_wins(incoming: Document, existing: Document) -> bool:
@@ -125,14 +127,20 @@ class VBucket:
         buffer = self.change_buffer
         return buffer[-1].meta.seqno if buffer else self.buffer_start_seqno
 
+    def buffered(self, after: int, through: float) -> list[Document]:
+        """The buffered mutations with ``after < seqno <= through``.
+        Every write appends in seqno order and a trim drops a prefix, so
+        the buffer is seqno-ascending and both ends are bisected."""
+        buffer = self.change_buffer
+        start = bisect_right(buffer, after, key=_seqno_of)
+        return buffer[start:bisect_right(buffer, through, start,
+                                         key=_seqno_of)]
+
     def trim_change_buffer(self) -> None:
         """Drop buffered mutations already persisted; DCP backfills those
         from the storage snapshot instead."""
-        keep_from = 0
-        for index, doc in enumerate(self.change_buffer):
-            if doc.meta.seqno > self.persisted_seqno:
-                break
-            keep_from = index + 1
+        keep_from = bisect_right(self.change_buffer, self.persisted_seqno,
+                                 key=_seqno_of)
         if keep_from:
             self.buffer_start_seqno = self.change_buffer[keep_from - 1].meta.seqno
             del self.change_buffer[:keep_from]

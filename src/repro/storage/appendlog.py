@@ -38,10 +38,14 @@ class AppendLog:
 
     def __init__(self, file: SimulatedFile):
         self.file = file
-        #: Decoded-record cache used by the B-tree layer (offset ->
-        #: decoded node).  Offsets are never rewritten in an append-only
-        #: file -- compaction swaps in a whole new log -- so entries can
-        #: never go stale.
+        #: B-tree node cache (offset -> ``(kind, items, size, parts)``):
+        #: the decoded node, its record's on-disk size, and each entry's
+        #: encoding, which a copy-on-write rewrite splices in for the
+        #: entries it leaves alone (``None`` for a node read from disk
+        #: until it is first modified; see ``BTree._write_node``).
+        #: Offsets are never rewritten in an append-only file --
+        #: compaction swaps in a whole new log -- so entries can never go
+        #: stale, and they die with the log.
         self.node_cache: dict[int, tuple] = {}
         #: Memoized folds of whole subtrees ((offset, fold spec) -> fold,
         #: see ``BTree.fold_range``).  A fold is a function of the node's

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import json
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Callable, Collection, Hashable, Iterator
 
 from ..common.errors import InvalidArgumentError
@@ -33,6 +35,10 @@ RereduceFn = Callable[[list[JsonValue]], JsonValue]
 #: The one encoder of every storage record (document, node, header):
 #: ``json.dumps(..., separators=...)`` builds a new encoder per call.
 encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
+#: The probe of a batch's work tuple ``(key, action, value, probe)``.
+_work_probe = itemgetter(3)
 
 
 def default_compare(a: JsonValue, b: JsonValue) -> int:
@@ -79,10 +85,27 @@ class BTree:
         #: Per-batch deltas, reset at the top of :meth:`batch_update`.
         self._update_written = 0
         self._update_freed = 0
+        #: The entries (``[key, value]``, in key order) that the
+        #: :meth:`batch_update` which returned this tree overwrote or
+        #: deleted (none for an empty batch, which returns the tree it
+        #: was called on): a caller learns what it replaced from the
+        #: update's own descent.
+        #: They are the node cache's own objects, to be read, not changed.
+        self.replaced: list = []
         if max_node_items is not None:
             self.max_node_items = max_node_items
         else:
             self.max_node_items = self.MAX_NODE_ITEMS
+        #: A batch bisects node entries by key: raw keys under
+        #: :func:`default_compare` (whose order is Python's ``<``),
+        #: ``functools.cmp_to_key`` sort keys under any other comparator.
+        #: ``_probe`` maps a key to what ``_entry_key`` maps an entry to.
+        if compare is default_compare:
+            self._probe = lambda key: key
+            self._entry_key = itemgetter(0)
+        else:
+            probe = self._probe = functools.cmp_to_key(compare)
+            self._entry_key = lambda entry: probe(entry[0])
 
     # -- node I/O -------------------------------------------------------------
 
@@ -98,34 +121,42 @@ class BTree:
             cache.pop(next(iter(cache)))
         cache[key] = entry
 
-    def _write_node(self, kind: str, items: list) -> int:
+    def _write_node(self, kind: str, items: list, parts: list) -> int:
         """Append a node and write it through to the log's node cache:
         the next batch's read-modify-write of this leaf or root is then
         a dict hit, not two file reads, a checksum and a JSON parse.
-        The cached node is the ``items`` just serialized, not a parsed
-        copy, so it equals what a cold read decodes only for JSON-native
-        keys, values and reductions (lists, never tuples; string object
-        keys) -- which is what every caller stores."""
-        body = encode_record([kind, items]).encode("utf-8")
+
+        ``parts`` holds each entry's ``encode_record`` text, so the body
+        is ``encode_record([kind, items])`` -- the encoder writes a list
+        as its elements' encodings joined by ``","`` -- without encoding
+        again the entries an update did not change.  The cache keeps the
+        parts beside the ``items`` just serialized (not a parsed copy),
+        so a cached node equals what a cold read decodes only for
+        JSON-native keys, values and reductions (lists, never tuples;
+        string object keys) -- which is what every caller stores."""
+        body = f'["{kind}",[{",".join(parts)}]]'.encode("utf-8")
         size = _HEADER.size + len(body)
         self._update_written += size
         pointer = self.log.append(RT_NODE, body)
-        self._remember(self.log.node_cache, pointer, (kind, items, size))
+        self._remember(self.log.node_cache, pointer, (kind, items, size, parts))
         return pointer
 
     def _read_node(self, pointer: int) -> tuple[str, list]:
-        kind, items, _size = self._read_node_sized(pointer)
-        return kind, items
+        node = self._read_node_sized(pointer)
+        return node[0], node[1]
 
-    def _read_node_sized(self, pointer: int) -> tuple[str, list, int]:
-        """Like :meth:`_read_node` but also returns the record's on-disk
-        size (framing + body), which the copy-on-write update path needs
-        to account freed bytes when it replaces a node."""
+    def _read_node_sized(self, pointer: int) -> tuple[str, list, int, list | None]:
+        """The node at ``pointer`` as ``(kind, items, size, parts)``:
+        also the record's on-disk size (framing + body), which the
+        copy-on-write update path needs to account freed bytes when it
+        replaces a node, and its entries' encodings -- ``None`` for a
+        node read from disk, whose parts are encoded when first
+        modified."""
         node = self.log.node_cache.get(pointer)
         if node is None:
             _rt, body = self.log.read(pointer)
             kind, items = json.loads(body.decode("utf-8"))
-            node = (kind, items, _HEADER.size + len(body))
+            node = (kind, items, _HEADER.size + len(body), None)
             self._remember(self.log.node_cache, pointer, node)
         return node
 
@@ -347,29 +378,6 @@ class BTree:
     def count(self) -> int:
         return sum(1 for _ in self.items())
 
-    def measure_node_bytes(self) -> int:
-        """Walk the tree and total its nodes' on-disk bytes, setting
-        :attr:`node_bytes`.  One full traversal -- the tests' oracle for
-        the incremental accounting, which every caller relies on."""
-        total = 0
-        stack = [] if self.root is None else [self.root]
-        while stack:
-            kind, items, size = self._read_node_sized(stack.pop())
-            total += size
-            if kind == "kp":
-                stack.extend(child for _key, child, _reduction in items)
-        self.node_bytes = total
-        return total
-
-    def full_reduce(self) -> JsonValue:
-        """Reduce value of the whole tree, O(1) from the root."""
-        if self.root is None:
-            return self._rereduce([]) if self.reduce_fn else None
-        kind, items = self._read_node(self.root)
-        if kind == "kv":
-            return self._reduce_leaf(items)
-        return self._rereduce([reduction for _k, _p, reduction in items])
-
     def reduce_range(
         self,
         start: JsonValue = None,
@@ -496,15 +504,19 @@ class BTree:
         for key, value in inserts or []:
             note(key, "insert", value)
         if not actions:
+            self.replaced = []
             return self
 
-        collate = functools.cmp_to_key(self.compare)
-        work = sorted(actions.values(), key=lambda entry: collate(entry[0]))
+        probe = self._probe
+        work = sorted(((key, action, value, probe(key))
+                       for key, action, value in actions.values()),
+                      key=_work_probe)
 
         self._update_written = 0
         self._update_freed = 0
-        new_root = self._modify_root(work)
-        return BTree(
+        replaced: list = []
+        new_root = self._modify_root(work, replaced)
+        tree = BTree(
             self.log,
             new_root,
             self.compare,
@@ -514,85 +526,111 @@ class BTree:
             node_bytes=self.node_bytes + self._update_written
             - self._update_freed,
         )
+        tree.replaced = replaced
+        return tree
 
-    # Internal: each _modify_* returns a list of kp entries
+    # Internal: ``work`` is the batch's ``(key, action, value, probe)``
+    # tuples in key order, ``probe`` being the key as ``_entry_key``
+    # sees an entry's.  Each _modify_* finds a work key with bisect,
+    # copies the untouched runs around it as slices (entries and their
+    # encodings alike), and returns a list of kp entries
     # [last_key, pointer, reduction] describing the replacement nodes.
 
-    def _write_leaves(self, items: list) -> list:
+    def _write_nodes(self, kind: str, items: list, parts: list) -> list:
+        """Write ``items`` and their ``parts`` as ``kind`` nodes of at
+        most ``max_node_items`` entries each; returns their kp entries."""
         entries = []
-        for chunk in _chunks(items, self.max_node_items):
-            pointer = self._write_node("kv", chunk)
-            entries.append([chunk[-1][0], pointer, self._reduce_leaf(chunk)])
-        return entries
-
-    def _write_interiors(self, kp_entries: list) -> list:
-        entries = []
-        for chunk in _chunks(kp_entries, self.max_node_items):
-            pointer = self._write_node("kp", chunk)
-            reduction = self._rereduce([r for _k, _p, r in chunk])
+        size = self.max_node_items
+        for start in range(0, len(items), size):
+            chunk = items[start:start + size]
+            pointer = self._write_node(kind, chunk, parts[start:start + size])
+            if self.reduce_fn is None:
+                reduction = None
+            elif kind == "kv":
+                reduction = self._reduce_leaf(chunk)
+            else:
+                reduction = self._rereduce([r for _k, _p, r in chunk])
             entries.append([chunk[-1][0], pointer, reduction])
         return entries
 
-    def _modify_leaf(self, items: list, work: list) -> list:
+    def _modify_leaf(self, items: list, parts: list, work: list,
+                     replaced: list) -> list:
+        compare = self.compare
+        entry_key = self._entry_key
         merged: list = []
-        index = 0
-        for action_key, action, value in work:
-            while index < len(items) and self.compare(items[index][0], action_key) < 0:
-                merged.append(items[index])
+        merged_parts: list = []
+        done = 0  # items[:done] are placed
+        for action_key, action, value, probe in work:
+            index = bisect_left(items, probe, done, key=entry_key)
+            merged += items[done:index]
+            merged_parts += parts[done:index]
+            if index < len(items) and compare(items[index][0], action_key) == 0:
+                replaced.append(items[index])  # overwritten or deleted
                 index += 1
-            if index < len(items) and self.compare(items[index][0], action_key) == 0:
-                index += 1  # replaced or deleted
             if action == "insert":
-                merged.append([action_key, value])
-        merged.extend(items[index:])
+                entry = [action_key, value]
+                merged.append(entry)
+                merged_parts.append(encode_record(entry))
+            done = index
+        merged += items[done:]
+        merged_parts += parts[done:]
         if not merged:
             return []
-        return self._write_leaves(merged)
+        return self._write_nodes("kv", merged, merged_parts)
 
-    def _modify_node(self, pointer: int, work: list) -> list:
+    def _modify_node(self, pointer: int, work: list, replaced: list) -> list:
         """Rewrite the node at ``pointer`` with ``work`` applied; returns
         the kp entries of its replacement node(s) *at the same level* --
         one entry normally, several after a split, none when emptied.
         Keeping levels uniform is what stops repeated batches from
         skewing the tree's depth."""
-        kind, items, size = self._read_node_sized(pointer)
+        kind, items, size, parts = self._read_node_sized(pointer)
         self._update_freed += size  # this node is replaced (or emptied)
+        if parts is None:
+            parts = [encode_record(item) for item in items]
         if kind == "kv":
-            return self._modify_leaf(items, work)
+            return self._modify_leaf(items, parts, work, replaced)
+        entry_key = self._entry_key
+        last = len(items) - 1
         child_entries: list = []
-        work_index = 0
-        for child_index, (last_key, child, reduction) in enumerate(items):
-            is_last_child = child_index == len(items) - 1
-            child_work = []
-            while work_index < len(work) and (
-                is_last_child or self.compare(work[work_index][0], last_key) <= 0
-            ):
-                child_work.append(work[work_index])
-                work_index += 1
-            if child_work:
-                child_entries.extend(self._modify_node(child, child_work))
-            else:
-                child_entries.append([last_key, child, reduction])
+        child_parts: list = []
+        done = 0  # items[:done] are placed
+        begin = 0  # work[:begin] is applied
+        while begin < len(work):
+            # A child takes the work keys up to its last key; the last
+            # child takes every key past it too.
+            index = bisect_left(items, work[begin][3], done, last,
+                                key=entry_key)
+            end = len(work) if index == last else bisect_right(
+                work, entry_key(items[index]), begin, key=_work_probe)
+            child_entries += items[done:index]
+            child_parts += parts[done:index]
+            for entry in self._modify_node(items[index][1], work[begin:end],
+                                           replaced):
+                child_entries.append(entry)
+                child_parts.append(encode_record(entry))
+            done = index + 1
+            begin = end
+        child_entries += items[done:]
+        child_parts += parts[done:]
         if not child_entries:
             return []
-        return self._write_interiors(child_entries)
+        return self._write_nodes("kp", child_entries, child_parts)
 
-    def _modify_root(self, work: list) -> int | None:
+    def _modify_root(self, work: list, replaced: list) -> int | None:
         if self.root is None:
-            inserts = [[k, v] for k, action, v in work if action == "insert"]
-            entries = self._write_leaves(inserts) if inserts else []
+            inserts = [[k, v] for k, action, v, _probe in work
+                       if action == "insert"]
+            entries = self._write_nodes(
+                "kv", inserts, [encode_record(entry) for entry in inserts])
         else:
-            entries = self._modify_node(self.root, work)
+            entries = self._modify_node(self.root, work, replaced)
+        while len(entries) > 1:
+            entries = self._write_nodes(
+                "kp", entries, [encode_record(entry) for entry in entries])
         if not entries:
             return None
-        while len(entries) > 1:
-            entries = self._write_interiors(entries)
-        last_key, pointer, _reduction = entries[0]
-        # A single kp entry may still point at a leaf or interior node;
+        # A single kp entry may point at a leaf or an interior node;
         # either is a valid root.
-        return pointer
+        return entries[0][1]
 
-
-def _chunks(items: list, size: int) -> Iterator[list]:
-    for start in range(0, len(items), size):
-        yield items[start:start + size]

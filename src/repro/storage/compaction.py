@@ -4,9 +4,11 @@ Section 4.3.3: *"Compaction is periodically run, based on a fragmentation
 threshold, and while the system is online, to clean up stale data from
 the append-only storage."*
 
-The compactor copies every live document (in seqno order, preserving the
-by-seqno tree DCP backfills from) from the old file into a fresh file,
-writes a header, and atomically renames the new file over the old name.
+The compactor copies every live document record (in seqno order,
+preserving the by-seqno tree DCP backfills from) from the old file into
+a fresh file -- the record's bytes, checksum-verified on read, not a
+decoded document -- writes a header, and atomically renames the new
+file over the old name.
 Because the source is read through its last header -- an immutable
 snapshot -- the vBucket can keep taking writes during the copy; the
 writes that land mid-compaction are replayed onto the new file in a
@@ -98,21 +100,24 @@ class Compactor:
         since_seq: int,
         purge_before_seq: int,
     ) -> int:
-        # The scan below reads the by-seqno tree as it is now, so it
+        # The scan below reads the by-key tree as it is now, so it
         # covers every mutation through the source's current update_seq
         # -- which can exceed the newest *record's* seqno once a purge
         # has dropped the newest tombstone.  Reporting the newest record
         # instead would leave the catch-up loop waiting for it forever.
         through = source.update_seq
-        batch = []
-        for doc in source.changes_since(since_seq):
-            if doc.meta.deleted and doc.meta.seqno <= purge_before_seq:
-                continue  # purge old tombstone
-            batch.append(doc)
-            if len(batch) >= 512:
-                target.save_docs(batch)
-                batch = []
-        if batch:
-            target.save_docs(batch)
+        # A by-key entry is [pointer, seqno, size, deleted]: enough to
+        # pick, purge and order the records without decoding one.
+        copies = sorted(
+            (seqno, key, pointer, deleted)
+            for key, (pointer, seqno, _size, deleted) in source.by_key.items()
+            if seqno > since_seq
+            and not (deleted and seqno <= purge_before_seq))  # old tombstone
+        read = source.log.read
+        for start in range(0, len(copies), 512):
+            target.save_records([
+                (key, seqno, deleted, read(pointer)[1])
+                for seqno, key, pointer, deleted
+                in copies[start:start + 512]])
         target.update_seq = max(target.update_seq, through)
         return through

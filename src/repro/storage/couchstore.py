@@ -90,35 +90,45 @@ class VBucketStore:
         newest: dict[str, Document] = {}
         for doc in docs:
             newest[doc.key] = doc
-        key_inserts: list[tuple[JsonValue, JsonValue]] = []
-        seq_inserts: list[tuple[JsonValue, JsonValue]] = []
-        seq_deletes: list[JsonValue] = []
+        records = []
         for doc in newest.values():
             meta = doc.meta
             body = encode_record([
                 meta.key, doc.value, meta.cas, meta.seqno, meta.rev,
                 meta.expiry, meta.flags, meta.deleted,
             ]).encode("utf-8")
+            records.append((meta.key, meta.seqno, meta.deleted, body))
+        self.save_records(records)
+
+    def save_records(self, records: list[tuple[str, int, bool, bytes]]) -> None:
+        """Append encoded document records, each ``(key, seqno,
+        deleted, body)`` with a distinct key, and index them: the write
+        path of :meth:`save_docs` and of compaction, which copies bodies
+        without decoding them.  The by-key update's own descent finds
+        the entries it replaces (``BTree.replaced``); their seqnos leave
+        the by-seqno tree."""
+        key_inserts: list[tuple[JsonValue, JsonValue]] = []
+        seq_inserts: list[tuple[JsonValue, JsonValue]] = []
+        for key, seqno, deleted, body in records:
             pointer = self.log.append(RT_DOC, body)
-            found, old = self.by_key.lookup(meta.key)
-            if found:
-                _old_pointer, old_seqno, old_size, old_deleted = old
-                seq_deletes.append(old_seqno)
-                self.live_size -= old_size
-                if old_deleted:
-                    self.deleted_count -= 1
-                else:
-                    self.doc_count -= 1
-            key_inserts.append(
-                (meta.key, [pointer, meta.seqno, len(body), int(meta.deleted)]))
-            seq_inserts.append((meta.seqno, pointer))
+            key_inserts.append((key, [pointer, seqno, len(body), int(deleted)]))
+            seq_inserts.append((seqno, pointer))
             self.live_size += len(body)
-            if meta.deleted:
+            if deleted:
                 self.deleted_count += 1
             else:
                 self.doc_count += 1
-            self.update_seq = max(self.update_seq, meta.seqno)
+            self.update_seq = max(self.update_seq, seqno)
         self.by_key = self.by_key.batch_update(inserts=key_inserts)
+        seq_deletes: list[JsonValue] = []
+        for _key, (_pointer, old_seqno, old_size, old_deleted) in \
+                self.by_key.replaced:
+            seq_deletes.append(old_seqno)
+            self.live_size -= old_size
+            if old_deleted:
+                self.deleted_count -= 1
+            else:
+                self.doc_count -= 1
         self.by_seq = self.by_seq.batch_update(
             inserts=seq_inserts, deletes=seq_deletes
         )

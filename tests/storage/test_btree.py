@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from repro.common.disk import SimulatedDisk
 from repro.gsi.storage import HIGH_BOUND, composite_compare
 from repro.storage.appendlog import AppendLog
-from repro.storage.btree import BTree, default_compare
+from repro.storage.btree import BTree, default_compare, encode_record
+from repro.views.mapreduce import ViewDefinition
+from repro.views.viewindex import ViewIndex
+
+from .btree_oracle import full_reduce
 
 
 def make_tree(**kwargs) -> BTree:
@@ -54,6 +58,10 @@ class TestBasicOps:
     def test_empty_batch_returns_self(self):
         tree = make_tree()
         assert tree.batch_update() is tree
+        tree = tree.batch_update(inserts=[("a", 1)]).batch_update(
+            inserts=[("a", 2)])
+        assert tree.replaced == [["a", 1]]
+        assert tree.batch_update() is tree and tree.replaced == []
 
     def test_insert_overrides_delete_in_same_batch(self):
         tree = make_tree().batch_update(inserts=[("a", 1)])
@@ -157,11 +165,11 @@ class TestReduce:
         return tree.batch_update(inserts=[(f"k{i:03d}", i) for i in range(n)])
 
     def test_full_reduce(self):
-        assert self.make_counted(100).full_reduce() == 100
+        assert full_reduce(self.make_counted(100)) == 100
 
     def test_full_reduce_updates(self):
         tree = self.make_counted(10).batch_update(deletes=["k003"])
-        assert tree.full_reduce() == 9
+        assert full_reduce(tree) == 9
 
     def test_reduce_range(self):
         tree = self.make_counted(100)
@@ -190,7 +198,7 @@ class TestReduce:
             reduce_fn=lambda values: sum(values),
         )
         tree = tree.batch_update(inserts=[(f"k{i:02d}", i) for i in range(20)])
-        assert tree.full_reduce() == sum(range(20))
+        assert full_reduce(tree) == sum(range(20))
         assert tree.reduce_range(start="k05", end="k09") == 5 + 6 + 7 + 8 + 9
 
 
@@ -231,6 +239,9 @@ class TestPropertyBased:
             tree = tree.batch_update(
                 inserts=list(inserts), deletes=list(deletes)
             )
+            touched = set(deletes) | {key for key, _value in inserts}
+            assert tree.replaced == [[key, model[key]]
+                                     for key in sorted(touched & set(model))]
             for key in deletes:
                 model.pop(key, None)
             for key, value in inserts:
@@ -361,3 +372,80 @@ class TestRangeAgainstModel:
     @given(st.data())
     def test_composite_comparator(self, data):
         check_range_against_model(data, composite_compare, composite_keys)
+
+
+# -- bytes written against a full encode ----------------------------------------
+#
+# A rewritten node re-encodes only the entries a batch changed and
+# splices in the cached encodings of the rest.  The oracle is the full
+# encode: every reachable node's body must be ``encode_record`` of its
+# decoded entries, and a tree that reads every node cold (encoding its
+# entries afresh) must append exactly the bytes a warm one does.
+
+#: Keys whose JSON texts differ but which GSI collation holds equal
+#: (``1`` and ``1.0``, ``[1]`` and ``[1.0]``), beside every other class.
+MIXED_COMPONENTS = [None, False, True, 0, 1, 1.0, -2.5, "", "a", "b",
+                    [1], [1.0], ["a", None], {"__missing__": True}]
+
+
+def view_tree_kwargs() -> dict:
+    """The comparator and reduce pair of a ``_stats`` view index."""
+    index = ViewIndex(ViewDefinition("d", "v", lambda doc, meta, emit: None,
+                                     "_stats"),
+                      SimulatedDisk(), "v.view")
+    tree = index.tree
+    return {"compare": tree.compare, "reduce_fn": tree.reduce_fn,
+            "rereduce_fn": tree.rereduce_fn}
+
+
+TREE_KINDS = {
+    "str": (st.text("abcdé", max_size=3), st.integers(-9, 9), dict),
+    "int": (st.integers(-40, 40), st.lists(st.integers(0, 3), max_size=2),
+            dict),
+    "gsi": (st.tuples(st.lists(st.sampled_from(MIXED_COMPONENTS),
+                               max_size=2),
+                      st.sampled_from(["d0", "d1", "d2"])).map(list),
+            st.none(), lambda: {"compare": composite_compare}),
+    "view": (st.tuples(st.sampled_from(MIXED_COMPONENTS[:11]),
+                       st.sampled_from(["d0", "d1"])).map(list),
+             st.builds(lambda v, vb: {"v": v, "vb": vb},
+                       st.integers(-5, 5) | st.sampled_from([0.5, -0.0]),
+                       st.integers(0, 3)),
+             view_tree_kwargs),
+}
+
+
+def assert_bodies_are_full_encodes(tree: BTree) -> None:
+    stack = [] if tree.root is None else [tree.root]
+    while stack:
+        pointer = stack.pop()
+        _rt, body = tree.log.read(pointer)
+        kind, items = json.loads(body)
+        assert body == encode_record([kind, items]).encode()
+        cached = tree.log.node_cache.get(pointer)
+        if cached is not None:
+            assert body == encode_record([cached[0], cached[1]]).encode()
+        if kind == "kp":
+            stack.extend(child for _key, child, _reduction in items)
+
+
+class TestBytesWritten:
+    @pytest.mark.parametrize("kind", sorted(TREE_KINDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_warm_and_cold_write_full_encodes(self, kind, data):
+        keys, values, tree_kwargs = TREE_KINDS[kind]
+        fanout = data.draw(st.sampled_from([3, 4, 5]))
+        warm, cold = (make_tree(max_node_items=fanout, **tree_kwargs())
+                      for _tree in range(2))
+        batches = data.draw(st.lists(st.tuples(
+            st.lists(st.tuples(keys, values), max_size=25),
+            st.lists(keys, max_size=8)), min_size=1, max_size=6))
+        for inserts, deletes in batches:
+            cold.log.node_cache.clear()
+            warm = warm.batch_update(inserts=inserts, deletes=deletes)
+            cold = cold.batch_update(inserts=inserts, deletes=deletes)
+            assert_bodies_are_full_encodes(warm)
+            assert cold.log.file.read(0, cold.log.size) == \
+                warm.log.file.read(0, warm.log.size)
+            assert (warm.root, warm.node_bytes) == (cold.root, cold.node_bytes)

@@ -6,6 +6,7 @@ from repro.storage.btree import BTree
 from repro.storage.compaction import Compactor
 from repro.storage.couchstore import VBucketStore
 
+from .btree_oracle import measure_node_bytes
 from .test_couchstore import make_doc
 
 
@@ -194,8 +195,8 @@ class TestFragmentationAccounting:
         full traversal measures -- otherwise fragmentation drifts."""
         disk = SimulatedDisk()
         store, _ = churned_store(disk, rounds=25, keys=40)
-        assert store.by_key.node_bytes == store.by_key.measure_node_bytes()
-        assert store.by_seq.node_bytes == store.by_seq.measure_node_bytes()
+        assert store.by_key.node_bytes == measure_node_bytes(store.by_key)
+        assert store.by_seq.node_bytes == measure_node_bytes(store.by_seq)
 
     def test_node_bytes_roundtrip_through_header(self):
         disk = SimulatedDisk()
@@ -220,8 +221,8 @@ class TestFragmentationAccounting:
         assert node_reads == []
         assert reopened.by_key.node_bytes == store.by_key.node_bytes
         assert reopened.by_seq.node_bytes == store.by_seq.node_bytes
-        assert reopened.by_key.node_bytes == reopened.by_key.measure_node_bytes()
-        assert reopened.by_seq.node_bytes == reopened.by_seq.measure_node_bytes()
+        assert reopened.by_key.node_bytes == measure_node_bytes(reopened.by_key)
+        assert reopened.by_seq.node_bytes == measure_node_bytes(reopened.by_seq)
         assert node_reads
 
     def test_live_bytes_bounded_by_file_size(self):

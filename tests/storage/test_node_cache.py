@@ -21,6 +21,7 @@ from repro.storage.couchstore import VBucketStore
 from repro.views.mapreduce import ViewDefinition
 from repro.views.viewindex import ViewIndex
 
+from .btree_oracle import full_reduce
 from .test_couchstore import make_doc
 
 
@@ -49,7 +50,7 @@ def tree_answers(tree, lookups, ranges, reduces=()):
     for start, end in reduces:
         answers.append(tree.reduce_range(start, end))
     if tree.reduce_fn is not None:
-        answers.append(tree.full_reduce())
+        answers.append(full_reduce(tree))
     return answers
 
 

@@ -25,6 +25,7 @@ from repro.storage.btree import BTree
 from repro.storage.compaction import Compactor
 from repro.storage.couchstore import VBucketStore
 
+from .btree_oracle import measure_node_bytes
 from .test_couchstore import make_doc
 
 FILENAME = "vb7.couch"
@@ -163,8 +164,8 @@ class StoreMachine(RuleBasedStateMachine):
             assert (doc.key, doc.meta.seqno, doc.meta.deleted) == \
                 (key, seqno, bool(deleted))
         assert store.live_size == sum(entry[2] for _key, entry in entries)
-        assert store.by_key.node_bytes == store.by_key.measure_node_bytes()
-        assert store.by_seq.node_bytes == store.by_seq.measure_node_bytes()
+        assert store.by_key.node_bytes == measure_node_bytes(store.by_key)
+        assert store.by_seq.node_bytes == measure_node_bytes(store.by_seq)
 
     @invariant()
     def fragmentation_is_a_proper_fraction(self):
