@@ -21,7 +21,7 @@ from ..common.clock import Clock
 from ..common.disk import SimulatedDisk
 from ..common.contracts import declared_raises
 from ..common.document import Document
-from ..common.errors import BucketNotFoundError, NotMyVBucketError
+from ..common.errors import BucketNotFoundError, NotMyVBucketError, ReproError
 from ..common.metrics import MetricsRegistry
 from ..common.transport import Network
 from ..dcp.producer import DcpProducer
@@ -271,14 +271,26 @@ class Node:
 
     # -- replication RPC surface ----------------------------------------------------
 
-    @declared_raises('BucketNotFoundError', 'CorruptFileError',
-                     'InvalidArgumentError', 'NotMyVBucketError')
-    def kv_replica_apply_batch(self, bucket: str, vbucket_id: int,
-                               docs: list[Document]) -> None:
-        """Replication inbound, batched: one RPC applies one DCP stream
-        batch for one vBucket (the replica-side mirror of
-        :meth:`kv_multi_mutate`)."""
-        self.engine(bucket).apply_replicated_batch(vbucket_id, docs)
+    @declared_raises('BucketNotFoundError')
+    def kv_replica_apply_batch(
+            self, bucket: str, batches: list[tuple[int, list[Document]]]
+    ) -> list[tuple[str, object]]:
+        """Replication inbound, batched: one RPC carries one source
+        node's round of DCP stream batches for this node, one
+        ``(vbucket_id, docs)`` per vBucket (the replica-side mirror of
+        :meth:`kv_multi_mutate`).  Each vBucket's docs apply in stream
+        order under its own ownership check, and the result holds one
+        ``("ok", None)`` or ``("err", error)`` per vBucket, in order, so
+        one misplaced vBucket never fails the others."""
+        engine = self.engine(bucket)
+        out: list[tuple[str, object]] = []
+        for vbucket_id, docs in batches:
+            try:
+                engine.apply_replicated_batch(vbucket_id, docs)
+                out.append(("ok", None))
+            except ReproError as error:
+                out.append(("err", error))
+        return out
 
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
                      'InvalidArgumentError', 'KeyNotFoundError',

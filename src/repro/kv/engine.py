@@ -287,6 +287,7 @@ class KVEngine:
         if vb is not None:
             self._memory_used -= vb.hashtable.memory_used
             vb.hashtable.memory_listener = None
+            self.compactor.forget(vb.store)
             if vb.state is VBucketState.DEAD:
                 # Dropping a DEAD copy discards it for good.  Its file
                 # must go too: ``create_vbucket`` recovers whatever the

@@ -5,7 +5,9 @@ also pushed into the in-memory replication queue to be replicated to
 other nodes within the cluster".  Replication is memory-to-memory DCP:
 each data node runs an :class:`IntraReplicator` pump per bucket that
 maintains a DCP stream per (active vBucket, replica node) pair from the
-current cluster map and forwards batches over the network fabric.
+current cluster map and forwards batches over the network fabric --
+one ``kv_replica_apply_batch`` per replica node per round, as Couchbase
+carries all of a node pair's vBucket streams on one DCP connection.
 
 On a cluster-map change the replicator re-derives its stream set; a
 replica that turns out to be *ahead* of the new active (possible after a
@@ -42,7 +44,8 @@ class IntraReplicator(DcpConsumer):
     def pump(self) -> bool:
         """One scheduler round: refresh topology if needed, then forward
         one batch per stream that has news (an idle stream costs one
-        predicate, no take).  Returns True if any mutation moved."""
+        predicate, no take), one RPC per replica node and every node in
+        one wave.  Returns True if any vBucket's batch was applied."""
         cluster_map = self.node.cluster_maps.get(self.bucket)
         engine = self.node.engines.get(self.bucket)
         if cluster_map is None or engine is None or not self.node.alive:
@@ -62,21 +65,38 @@ class IntraReplicator(DcpConsumer):
                 for target in cluster_map.replica_nodes(vbucket_id)
             }
         self.sync(self._wanted)
+        # One connection per node pair: the round's stream batches are
+        # grouped by replica node, and each node gets one
+        # kv_replica_apply_batch carrying all of its vBuckets' batches,
+        # every node in the same wave.
+        batches: dict[str, list[tuple[int, list]]] = {}
+        for (vbucket_id, target), _stream, docs in self.poll(self.BATCH):
+            if docs:
+                batches.setdefault(target, []).append((vbucket_id, docs))
+        if not batches:
+            return False
+        outcomes = self.network.scatter(
+            self.node.name, list(batches), "kv_replica_apply_batch",
+            [(self.bucket, items) for items in batches.values()])
+        # Every stream was taken from, so every slot is settled before
+        # any error is raised: a stream whose batch was not applied is
+        # dropped, and the next sync reopens it from the replica's
+        # seqno.  An unreachable node drops all of its streams; a
+        # refused vBucket drops only its own.
         moved = False
-        for key, _stream, docs in self.poll(self.BATCH):
-            if not docs:
-                continue
-            try:
-                # One RPC per stream batch: consecutive mutations for
-                # one (vBucket, replica) pair coalesce into a single
-                # kv_replica_apply_batch, the replica-side mirror of the
-                # client's kv_multi_mutate.  The batch applies in stream
-                # order, so a failure rejects it wholesale and the
-                # reopened stream resumes from the replica's seqno.
-                self._replica_rpc(key, "kv_replica_apply_batch", docs)
-                moved = True
-            except (NodeDownError, NotMyVBucketError):
-                self.drop(key)
+        unexpected: Exception | None = None
+        for (target, items), outcome in zip(batches.items(), outcomes):
+            if isinstance(outcome, Exception):
+                outcome = [("err", outcome)] * len(items)
+            for (vbucket_id, _docs), (status, error) in zip(items, outcome):
+                if status == "ok":
+                    moved = True
+                    continue
+                self.drop((vbucket_id, target))
+                if not isinstance(error, (NodeDownError, NotMyVBucketError)):
+                    unexpected = unexpected or error
+        if unexpected is not None:
+            raise unexpected
         return moved
 
     def _replica_rpc(self, key, method: str, *args):

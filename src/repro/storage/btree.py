@@ -21,8 +21,9 @@ from __future__ import annotations
 import functools
 import json
 from bisect import bisect_left, bisect_right
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Collection, Hashable, Iterator
+from typing import Callable, Collection, Hashable, Iterator, NoReturn
 
 from ..common.errors import InvalidArgumentError
 from ..common.jsonval import JsonValue
@@ -32,9 +33,24 @@ Comparator = Callable[[JsonValue, JsonValue], int]
 ReduceFn = Callable[[list[JsonValue]], JsonValue]
 RereduceFn = Callable[[list[JsonValue]], JsonValue]
 
-#: The one encoder of every storage record (document, node, header):
-#: ``json.dumps(..., separators=...)`` builds a new encoder per call.
-encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+def _unencodable(value: object) -> NoReturn:
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+#: ``JSONEncoder(separators=(",", ":")).encode``'s C encoder, built once:
+#: the method builds a new one (and a circular-reference marker dict) on
+#: every call.  No markers -- a shared dict can keep stale entries after
+#: an error -- so a cyclic value raises RecursionError, not ValueError.
+_iterencode = c_make_encoder(None, _unencodable, encode_basestring_ascii,
+                             None, ":", ",", False, False, True)
+
+
+def encode_record(value: JsonValue) -> str:
+    """The one encoder of every storage record (document, node, header):
+    compact JSON, byte for byte ``JSONEncoder(separators=(",", ":"))``'s."""
+    return "".join(_iterencode(value, 0))
 
 
 #: The probe of a batch's work tuple ``(key, action, value, probe)``.
@@ -176,23 +192,23 @@ class BTree:
     # -- queries ---------------------------------------------------------------
 
     def lookup(self, key: JsonValue) -> tuple[bool, JsonValue]:
-        """Point lookup; returns ``(found, value)``."""
+        """Point lookup; returns ``(found, value)``.  Each node is
+        bisected, as :meth:`batch_update` does: a leaf for the first
+        entry not before ``key``, an interior node for the first child
+        whose greatest key is not before it."""
+        probe = self._probe(key)
+        entry_key = self._entry_key
         pointer = self.root
         while pointer is not None:
             kind, items = self._read_node(pointer)
+            index = bisect_left(items, probe, key=entry_key)
+            if index == len(items):
+                return False, None  # past every key in this subtree
             if kind == "kv":
-                for item_key, value in items:
-                    order = self.compare(item_key, key)
-                    if order == 0:
-                        return True, value
-                    if order > 0:
-                        break
+                if self.compare(items[index][0], key) == 0:
+                    return True, items[index][1]
                 return False, None
-            pointer = None
-            for last_key, child, _reduction in items:
-                if self.compare(key, last_key) <= 0:
-                    pointer = child
-                    break
+            pointer = items[index][1]
         return False, None
 
     def range(

@@ -59,6 +59,13 @@ class Compactor:
             self._ratios[store.filename] = cached
         return cached[2]
 
+    def forget(self, store: VBucketStore) -> None:
+        """Drop the cached ratio of a store leaving the engine (its
+        vBucket was dropped), which would otherwise keep the store -- its
+        log, decoded nodes and fold memo -- alive until a file of the
+        same name is checked again."""
+        self._ratios.pop(store.filename, None)
+
     def compact(
         self,
         store: VBucketStore,

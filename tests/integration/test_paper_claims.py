@@ -491,6 +491,36 @@ def test_a_write_is_copied_once(monkeypatch):
     assert read.meta is stored.meta and read.value is not stored.value
 
 
+def test_a_replication_round_costs_one_wave_per_source_node():
+    """Replication is memory-to-memory DCP (4.2), and a node pair's
+    vBucket streams share one connection: a round after one write to
+    each of 64 vBuckets at ``replicas=2`` costs each source node one
+    wave, carrying one ``kv_replica_apply_batch`` per replica node it
+    streams to.  (One RPC per (vBucket, replica) stream batch cost 128
+    waves and 128 calls here.)"""
+    cluster = Cluster(nodes=4, vbuckets=64, network_latency=LATENCY)
+    cluster.create_bucket("b", replicas=2)
+    client = cluster.connect()
+    cluster.run_until_idle()
+    cluster_map = cluster.manager.cluster_maps["b"]
+    keys: dict[int, str] = {}
+    for key in (f"k{i}" for i in range(2000)):
+        keys.setdefault(cluster_map.vbucket_for_key(key), key)
+    assert len(keys) == 64
+    client.multi_upsert("b", {key: {"vb": vb} for vb, key in keys.items()}
+                        ).require_ok()
+    pairs = {(cluster_map.active_node(vb), target)
+             for vb in keys for target in cluster_map.replica_nodes(vb)}
+    sources = {source for source, _target in pairs}
+
+    cluster.network.reset_counters()
+    assert cluster.scheduler.step()
+    assert (waves(cluster), len(sources)) == (4, 4)
+    assert (rpcs(cluster, "kv_replica_apply_batch"), len(pairs)) == (8, 8)
+    assert sum(node.engines["b"].metrics.counter_value("kv.replica_mutations")
+               for node in cluster.nodes()) == 128
+
+
 # -- index maintenance in batches (4.3.3, 4.3.4) -----------------------------
 
 def test_index_build_costs_messages_per_slice_not_per_document():

@@ -50,6 +50,18 @@ class TestEngineCompactor:
         assert engine.run_compactor(threshold=0.6)
         assert engine.compactor is compactor and compactor.runs == 1
 
+    def test_a_dropped_vbucket_store_is_not_pinned(self):
+        """The compactor's ratio cache must not keep a dropped vBucket's
+        store (its log, decoded nodes and fold memo) alive."""
+        import gc
+        import weakref
+        engine = self.make_churned()
+        assert not engine.run_compactor(threshold=0.99)  # ratio cached
+        store = weakref.ref(engine.vbuckets[VB].store)
+        engine.drop_vbucket(VB)
+        gc.collect()
+        assert store() is None
+
     def test_reads_survive_compaction(self):
         engine = self.make_churned()
         engine.run_compactor(threshold=0.5)

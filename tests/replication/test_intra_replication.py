@@ -3,9 +3,13 @@ the lineage handshake, and the stale-replica regression the soak test
 originally uncovered."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.common.document import Document, DocumentMeta
+from repro.common.errors import CorruptFileError, NotMyVBucketError
+from repro.common.transport import Network
 from repro.kv.engine import VBucketState
 
 
@@ -23,6 +27,41 @@ def client(cluster):
 
 def replicator_of(cluster, node, bucket="b"):
     return cluster.manager.replicators[(node, bucket)]
+
+
+def live_docs(cluster, node, vbucket_id, bucket="b") -> dict:
+    vb = cluster.node(node).engines[bucket].vbuckets[vbucket_id]
+    return {key: entry.doc.value for key, entry in vb.hashtable.items()
+            if not entry.doc.meta.deleted}
+
+
+def assert_replicas_match_actives(cluster, bucket="b"):
+    cluster_map = cluster.manager.cluster_maps[bucket]
+    for vbucket_id in range(cluster_map.num_vbuckets):
+        active = live_docs(cluster, cluster_map.active_node(vbucket_id),
+                           vbucket_id, bucket)
+        for replica in cluster_map.replica_nodes(vbucket_id):
+            assert live_docs(cluster, replica, vbucket_id, bucket) == active
+
+
+def key_in(cluster_map, vbucket_id: int) -> str:
+    return next(key for key in (f"k{i}" for i in range(10_000))
+                if cluster_map.vbucket_for_key(key) == vbucket_id)
+
+
+def record_scatters(monkeypatch) -> list:
+    """``(src, dsts, vBuckets per dst)`` of every replication scatter."""
+    sent = []
+    scatter = Network.scatter
+
+    def recorded(network, src, dsts, method, args_per_dst):
+        if method == "kv_replica_apply_batch":
+            sent.append((src, list(dsts),
+                         [[vb for vb, _docs in args[1]] for args in args_per_dst]))
+        return scatter(network, src, dsts, method, args_per_dst)
+
+    monkeypatch.setattr(Network, "scatter", recorded)
+    return sent
 
 
 class TestStreamLifecycle:
@@ -224,3 +263,152 @@ class TestReplicationUnderLoad:
                     if not e.doc.meta.deleted and not e.doc.ejected
                 }
                 assert replica_docs == active_docs
+
+
+class TestOneBatchPerNodePair:
+    """A round's stream batches leave as one ``kv_replica_apply_batch``
+    per replica node, every node in one scatter wave; a failed slot
+    drops only the streams whose batches it did not apply."""
+
+    @pytest.fixture
+    def cluster(self):
+        # replicas=2 on three nodes: every active streams to both others.
+        cluster = Cluster(nodes=3, vbuckets=8)
+        cluster.create_bucket("b", replicas=2)
+        cluster.run_until_idle()
+        return cluster
+
+    def write_one_key_per_active(self, cluster, client, node="node1") -> dict:
+        cluster_map = cluster.manager.cluster_maps["b"]
+        keys = {vb: key_in(cluster_map, vb)
+                for vb in cluster_map.active_vbuckets_of(node)}
+        assert len(keys) >= 2
+        client.multi_upsert("b", {key: {"vb": vb} for vb, key in keys.items()}
+                            ).require_ok()
+        return keys
+
+    def test_one_pump_scatter_reaches_both_replicas(self, cluster, client,
+                                                    monkeypatch):
+        keys = self.write_one_key_per_active(cluster, client)
+        sent = record_scatters(monkeypatch)
+        cluster.network.reset_counters()
+        assert replicator_of(cluster, "node1").pump()
+        owned = sorted(keys)
+        [(src, dsts, vbuckets)] = sent
+        assert (src, sorted(dsts), vbuckets) == \
+            ("node1", ["node2", "node3"], [owned, owned])
+        assert cluster.network.calls == {
+            ("node2", "kv_replica_apply_batch"): 1,
+            ("node3", "kv_replica_apply_batch"): 1}
+        for vb, key in keys.items():
+            for replica in ("node2", "node3"):
+                assert key in live_docs(cluster, replica, vb)
+
+    def test_a_partitioned_replica_does_not_block_the_other(self, cluster,
+                                                            client):
+        cluster.network.partition("node1", "node2")
+        keys = self.write_one_key_per_active(cluster, client)
+        replicator = replicator_of(cluster, "node1")
+        assert replicator.pump()
+        for vb, key in keys.items():
+            assert key in live_docs(cluster, "node3", vb)
+            assert key not in live_docs(cluster, "node2", vb)
+        # Every stream to the unreachable node was dropped.
+        assert {target for _vb, target in replicator.streams} == {"node3"}
+        cluster.network.heal()
+        cluster.run_until_idle()
+        assert_replicas_match_actives(cluster)
+
+    def refuse(self, cluster, monkeypatch, vbucket_id, error, node="node2"):
+        """``node`` refuses the first replica batch for ``vbucket_id``."""
+        engine = cluster.node(node).engines["b"]
+        apply = engine.apply_replicated_batch
+        refused = []
+
+        def refuse_once(vb, docs):
+            if vb == vbucket_id and not refused:
+                refused.append(vb)
+                raise error
+            apply(vb, docs)
+
+        monkeypatch.setattr(engine, "apply_replicated_batch", refuse_once)
+
+    def test_a_refused_vbucket_drops_only_its_stream(self, cluster, client,
+                                                     monkeypatch):
+        owned = cluster.manager.cluster_maps["b"].active_vbuckets_of("node1")
+        refused = owned[0]
+        self.refuse(cluster, monkeypatch, refused,
+                    NotMyVBucketError(refused, "node2"))
+        keys = self.write_one_key_per_active(cluster, client)
+        replicator = replicator_of(cluster, "node1")
+        streams = set(replicator.streams)
+        assert replicator.pump()
+        assert streams - set(replicator.streams) == {(refused, "node2")}
+        for vb, key in keys.items():
+            assert key in live_docs(cluster, "node3", vb)
+            assert (key in live_docs(cluster, "node2", vb)) == (vb != refused)
+        # The next sync reopens the stream from the replica's seqno.
+        assert replicator.pump()
+        assert set(replicator.streams) == streams
+        assert keys[refused] in live_docs(cluster, "node2", refused)
+        cluster.run_until_idle()
+        assert_replicas_match_actives(cluster)
+
+    def test_an_unexpected_error_is_raised_after_every_slot_settles(
+            self, cluster, client, monkeypatch):
+        """No stream stays ahead of its replica: the other slots are
+        applied and the failed stream dropped before the error leaves."""
+        owned = cluster.manager.cluster_maps["b"].active_vbuckets_of("node1")
+        failed = owned[0]
+        # Both slots fail, so whichever is handled first, the other's
+        # failed stream must still be dropped.
+        for replica in ("node2", "node3"):
+            self.refuse(cluster, monkeypatch, failed, CorruptFileError("torn"),
+                        node=replica)
+        keys = self.write_one_key_per_active(cluster, client)
+        replicator = replicator_of(cluster, "node1")
+        streams = set(replicator.streams)
+        with pytest.raises(CorruptFileError):
+            replicator.pump()
+        assert streams - set(replicator.streams) == {(failed, "node2"),
+                                                     (failed, "node3")}
+        for vb, key in keys.items():
+            for replica in ("node2", "node3"):
+                assert (key in live_docs(cluster, replica, vb)) == (vb != failed)
+        cluster.run_until_idle()
+        assert_replicas_match_actives(cluster)
+
+
+PAIRS = [("node1", "node2"), ("node1", "node3"), ("node2", "node3")]
+
+
+class TestConvergenceUnderPartitions:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 30), st.integers(0, 9)),
+        st.tuples(st.just("delete"), st.integers(0, 30)),
+        st.tuples(st.just("partition"), st.sampled_from(PAIRS)),
+        st.tuples(st.just("heal"), st.sampled_from(PAIRS)),
+        st.tuples(st.just("step"))), max_size=40),
+        st.sampled_from([1, 2]))
+    def test_replicas_converge_once_partitions_heal(self, steps, replicas):
+        cluster = Cluster(nodes=3, vbuckets=8)
+        cluster.create_bucket("b", replicas=replicas)
+        client = cluster.connect()
+        live = set()
+        for kind, *args in steps:
+            if kind == "write":
+                client.upsert("b", f"k{args[0]}", {"v": args[1]})
+                live.add(args[0])
+            elif kind == "delete" and args[0] in live:
+                client.remove("b", f"k{args[0]}")
+                live.discard(args[0])
+            elif kind == "partition":
+                cluster.network.partition(*args[0])
+            elif kind == "heal":
+                cluster.network.heal(*args[0])
+            elif kind == "step":
+                cluster.scheduler.step()
+        cluster.network.heal()
+        cluster.run_until_idle()
+        assert_replicas_match_actives(cluster)

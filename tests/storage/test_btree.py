@@ -449,3 +449,74 @@ class TestBytesWritten:
             assert cold.log.file.read(0, cold.log.size) == \
                 warm.log.file.read(0, warm.log.size)
             assert (warm.root, warm.node_bytes) == (cold.root, cold.node_bytes)
+
+
+# -- point lookups against a model ----------------------------------------------
+#
+# ``lookup`` bisects each node.  The model is a dict keyed by a key's JSON
+# text, so every kind below draws keys that compare equal only when their
+# texts are equal.
+
+LOOKUP_KINDS = {
+    "str": (st.text("abcdé", max_size=3), dict),
+    "int": (st.integers(-40, 40), dict),
+    "gsi": (composite_keys, lambda: {"compare": composite_compare}),
+    "view": (st.tuples(st.sampled_from(COMPONENTS),
+                       st.sampled_from(["d0", "d1"])).map(list),
+             view_tree_kwargs),
+}
+
+
+class TestLookupAgainstModel:
+    @pytest.mark.parametrize("kind", sorted(LOOKUP_KINDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lookup_matches_dict_model(self, kind, data):
+        keys, tree_kwargs = LOOKUP_KINDS[kind]
+        tree = make_tree(max_node_items=data.draw(st.sampled_from([3, 4, 5])),
+                         **tree_kwargs())
+        model: dict[str, tuple] = {}
+        batches = data.draw(st.lists(st.tuples(
+            st.lists(keys, max_size=30), st.lists(keys, max_size=8)),
+            min_size=1, max_size=4))
+        serial = 0
+        for inserts, deletes in batches:
+            pairs = []
+            for key in inserts:
+                serial += 1
+                pairs.append((key, {"v": serial}))
+            tree = tree.batch_update(inserts=pairs, deletes=deletes)
+            for key in deletes:
+                model.pop(json.dumps(key), None)
+            for key, value in pairs:
+                model[json.dumps(key)] = (key, value)
+            probes = [key for key, _value in model.values()] + deletes \
+                + data.draw(st.lists(keys, max_size=10))
+            if tree.root is not None:
+                probes += node_last_keys(tree)[0]
+            for key in probes:
+                expected = model.get(json.dumps(key))
+                assert tree.lookup(key) == (
+                    (True, expected[1]) if expected else (False, None))
+
+
+# -- the record encoder against the standard library's -------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20)
+
+
+class TestEncodeRecord:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_the_standard_encoder(self, value):
+        assert encode_record(value) == \
+            json.JSONEncoder(separators=(",", ":")).encode(value)
+
+    def test_rejects_what_the_standard_encoder_rejects(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON"):
+            encode_record({"k": [1, {2}]})
