@@ -13,7 +13,9 @@ manager and retries -- the standard smart-client dance during rebalance
 and failover.
 
 Durability options on mutations (``replicate_to`` / ``persist_to``) ride
-on the observe machinery of :mod:`repro.replication.durability`.
+on the write itself: the active registers the wait in the write's call
+and the replication batches carry it to the replicas, so the wait sends
+no message of its own (see :mod:`repro.replication.durability`).
 """
 
 from __future__ import annotations
@@ -227,9 +229,9 @@ class SmartClient:
                replicate_to: int = 0, persist_to: int = 0) -> MutationResult:
         """Create or replace a document (memcached SET), optionally
         CAS-guarded and with per-mutation durability (section 2.3.2)."""
-        result = self._call(bucket, key, "kv_upsert", value, cas, expiry, flags)
-        self._wait_durable(bucket, key, result, replicate_to, persist_to)
-        return result
+        return self._write(bucket, key, "kv_upsert",
+                           (value, cas, expiry, flags),
+                           replicate_to, persist_to)
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -241,9 +243,8 @@ class SmartClient:
                expiry: float = 0.0, flags: int = 0,
                replicate_to: int = 0, persist_to: int = 0) -> MutationResult:
         """Create a document; fails if the key exists (memcached ADD)."""
-        result = self._call(bucket, key, "kv_insert", value, expiry, flags)
-        self._wait_durable(bucket, key, result, replicate_to, persist_to)
-        return result
+        return self._write(bucket, key, "kv_insert", (value, expiry, flags),
+                           replicate_to, persist_to)
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -255,9 +256,9 @@ class SmartClient:
                 cas: int = 0, expiry: float = 0.0, flags: int = 0,
                 replicate_to: int = 0, persist_to: int = 0) -> MutationResult:
         """Replace an existing document; fails if the key is absent."""
-        result = self._call(bucket, key, "kv_replace", value, cas, expiry, flags)
-        self._wait_durable(bucket, key, result, replicate_to, persist_to)
-        return result
+        return self._write(bucket, key, "kv_replace",
+                           (value, cas, expiry, flags),
+                           replicate_to, persist_to)
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -269,9 +270,8 @@ class SmartClient:
                replicate_to: int = 0, persist_to: int = 0) -> MutationResult:
         """Delete a document (a tombstone mutation that flows through
         DCP like any other write)."""
-        result = self._call(bucket, key, "kv_delete", cas)
-        self._wait_durable(bucket, key, result, replicate_to, persist_to)
-        return result
+        return self._write(bucket, key, "kv_delete", (cas,),
+                           replicate_to, persist_to)
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -597,9 +597,16 @@ class SmartClient:
             raise NotConnectedError("client not connected through a Cluster facade")
         return self.cluster.views.query(bucket, design, view, **params)
 
-    def _wait_durable(self, bucket: str, key: str, result: MutationResult,
-                      replicate_to: int, persist_to: int) -> None:
+    def _write(self, bucket: str, key: str, method: str, args: tuple,
+               replicate_to: int, persist_to: int) -> MutationResult:
+        """One write RPC; a durable one carries its requirement, and the
+        wait the active registered in that call comes back with it."""
         requirement = DurabilityRequirement(replicate_to, persist_to)
         if requirement.trivial:
-            return
-        self._durability.wait(bucket, key, result, requirement, self._map(bucket))
+            return self._call(bucket, key, method, *args)
+        result, wait = self._call(bucket, key, method, *args,
+                                  (replicate_to, persist_to))
+        self._durability.settle(
+            key, requirement,
+            self._map(bucket).chains[result.vbucket_id], wait)
+        return result

@@ -151,6 +151,7 @@ class ClusterManager:
             self.scheduler.unregister(f"views/{node.name}/{name}")
             self.scheduler.unregister(f"projector/{node.name}/{name}")
             self.scheduler.unregister(f"compactor/{node.name}/{name}")
+            self.replicators.pop((node.name, name), None)
             node.drop_bucket(name)
         self._log("bucket-dropped", name)
 
@@ -166,10 +167,11 @@ class ClusterManager:
                 flusher_name,
                 lambda e=engine, n=node: bool(n.alive) and e.flush(),
             )
-        replicator = IntraReplicator(node, bucket, self.network)
-        self.replicators[(node.name, bucket)] = replicator
         replicator_name = f"replicator/{node.name}/{bucket}"
         if replicator_name not in self.scheduler.pump_names():
+            replicator = IntraReplicator(node, bucket, self.network)
+            self.replicators[(node.name, bucket)] = replicator
+            node.replicators[bucket] = replicator
             self.scheduler.register(replicator_name, replicator.pump)
         view_engine = node.view_engines.get(bucket)
         if view_engine is not None:

@@ -26,7 +26,7 @@ from ..common.metrics import MetricsRegistry
 from ..common.transport import Network
 from ..dcp.producer import DcpProducer
 from ..kv.engine import KVEngine
-from ..kv.types import (MutationResult, ObserveResult, ObserveWaiter,
+from ..kv.types import (DurabilityWait, MutationResult, ObserveResult,
                         SeqnoWaiter, VBucketState)
 from .cluster_map import ClusterMap
 from ..common.services import BucketConfig, Service
@@ -34,7 +34,12 @@ from ..common.services import BucketConfig, Service
 if TYPE_CHECKING:  # pragma: no cover
     from ..gsi.manager import IndexService
     from ..n1ql.service import QueryService
+    from ..replication.intra import IntraReplicator
     from ..views.engine import ViewEngine
+
+#: What a durable write returns: the mutation token and the wait the
+#: active registered for it.
+DurableResult = tuple[MutationResult, DurabilityWait]
 
 
 class Node:
@@ -56,6 +61,8 @@ class Node:
         self.engines: dict[str, KVEngine] = {}
         self.producers: dict[str, DcpProducer] = {}
         self.view_engines: dict[str, "ViewEngine"] = {}
+        #: Replication pump per bucket, wired by the cluster manager.
+        self.replicators: dict[str, "IntraReplicator"] = {}
         self.indexer: "IndexService | None" = None
         self.query_service: "QueryService | None" = None
         #: Latest cluster map per bucket, as pushed by the manager.
@@ -93,6 +100,7 @@ class Node:
 
     def drop_bucket(self, name: str) -> None:
         self.engines.pop(name, None)
+        self.replicators.pop(name, None)
         self.producers.pop(name, None)
         self.view_engines.pop(name, None)
         self.cluster_maps.pop(name, None)
@@ -153,10 +161,13 @@ class Node:
                      'DocumentLockedError', 'NotMyVBucketError',
                      'TemporaryFailureError', 'ValueTooLargeError')
     def kv_upsert(self, bucket: str, vbucket_id: int, key: str, value,
-                  cas: int = 0, expiry: float = 0.0, flags: int = 0) -> MutationResult:
-        return self.engine(bucket).upsert(
-            vbucket_id, key, value, cas=cas, expiry=expiry, flags=flags
-        )
+                  cas: int = 0, expiry: float = 0.0, flags: int = 0,
+                  durability: tuple[int, int] | None = None
+                  ) -> MutationResult | DurableResult:
+        return self._durable(bucket, vbucket_id, key, durability,
+                             self.engine(bucket).upsert(
+                                 vbucket_id, key, value, cas=cas,
+                                 expiry=expiry, flags=flags))
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -164,10 +175,13 @@ class Node:
                      'KeyNotFoundError', 'NotMyVBucketError',
                      'TemporaryFailureError', 'ValueTooLargeError')
     def kv_insert(self, bucket: str, vbucket_id: int, key: str, value,
-                  expiry: float = 0.0, flags: int = 0) -> MutationResult:
-        return self.engine(bucket).insert(
-            vbucket_id, key, value, expiry=expiry, flags=flags
-        )
+                  expiry: float = 0.0, flags: int = 0,
+                  durability: tuple[int, int] | None = None
+                  ) -> MutationResult | DurableResult:
+        return self._durable(bucket, vbucket_id, key, durability,
+                             self.engine(bucket).insert(
+                                 vbucket_id, key, value, expiry=expiry,
+                                 flags=flags))
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -175,18 +189,34 @@ class Node:
                      'NotMyVBucketError', 'TemporaryFailureError',
                      'ValueTooLargeError')
     def kv_replace(self, bucket: str, vbucket_id: int, key: str, value,
-                   cas: int = 0, expiry: float = 0.0, flags: int = 0) -> MutationResult:
-        return self.engine(bucket).replace(
-            vbucket_id, key, value, cas=cas, expiry=expiry, flags=flags
-        )
+                   cas: int = 0, expiry: float = 0.0, flags: int = 0,
+                   durability: tuple[int, int] | None = None
+                   ) -> MutationResult | DurableResult:
+        return self._durable(bucket, vbucket_id, key, durability,
+                             self.engine(bucket).replace(
+                                 vbucket_id, key, value, cas=cas,
+                                 expiry=expiry, flags=flags))
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
                      'InvalidArgumentError', 'KeyNotFoundError',
                      'NotMyVBucketError', 'TemporaryFailureError')
     def kv_delete(self, bucket: str, vbucket_id: int, key: str,
-                  cas: int = 0) -> MutationResult:
-        return self.engine(bucket).delete(vbucket_id, key, cas=cas)
+                  cas: int = 0, durability: tuple[int, int] | None = None
+                  ) -> MutationResult | DurableResult:
+        return self._durable(bucket, vbucket_id, key, durability,
+                             self.engine(bucket).delete(vbucket_id, key,
+                                                        cas=cas))
+
+    def _durable(self, bucket: str, vbucket_id: int, key: str,
+                 durability: tuple[int, int] | None,
+                 result: MutationResult) -> MutationResult | DurableResult:
+        """A write's reply: with a ``(replicate_to, persist_to)``, the
+        wait for it is registered in the same call and rides back."""
+        if durability is None:
+            return result
+        return result, self.kv_durability_wait(bucket, vbucket_id, key,
+                                               result.cas, *durability)
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -218,13 +248,23 @@ class Node:
 
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
                      'InvalidArgumentError')
-    def kv_observe_wait(self, bucket: str, vbucket_id: int, key: str,
-                        cas: int, active: str) -> ObserveWaiter:
-        """Register a durability wait on this node's copy of ``key``
-        (see :meth:`repro.kv.engine.KVEngine.observe_wait`).  ``active``
-        names the node the client counts as the vBucket's active."""
-        return self.engine(bucket).observe_wait(vbucket_id, key, cas,
-                                                active == self.name)
+    def kv_durability_wait(self, bucket: str, vbucket_id: int, key: str,
+                           cas: int, replicate_to: int,
+                           persist_to: int) -> DurabilityWait:
+        """Register a durability wait on the mutation of ``key`` with
+        ``cas``, at this node as its vBucket's active (section 2.3.2):
+        this copy's waiter when ``persist_to`` counts it, and -- when a
+        replica can count -- a registration the replicator carries to
+        every replica in its next batch.  A durable write does the same
+        in the write's own call."""
+        engine = self.engine(bucket)
+        wait = DurabilityWait(key, cas)
+        if persist_to:
+            wait.waiters.append(engine.observe_wait(vbucket_id, key, cas,
+                                                    active=True))
+        if replicate_to or persist_to > 1:
+            self.replicators[bucket].register(vbucket_id, wait)
+        return wait
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -273,23 +313,34 @@ class Node:
 
     @declared_raises('BucketNotFoundError')
     def kv_replica_apply_batch(
-            self, bucket: str, batches: list[tuple[int, list[Document]]]
+            self, bucket: str, batches: list[tuple[int, list[Document]]],
+            registrations: dict[int, list[tuple[str, int]]] | None = None
     ) -> list[tuple[str, object]]:
         """Replication inbound, batched: one RPC carries one source
         node's round of DCP stream batches for this node, one
         ``(vbucket_id, docs)`` per vBucket (the replica-side mirror of
         :meth:`kv_multi_mutate`).  Each vBucket's docs apply in stream
         order under its own ownership check, and the result holds one
-        ``("ok", None)`` or ``("err", error)`` per vBucket, in order, so
-        one misplaced vBucket never fails the others."""
+        ``("ok", waiters)`` or ``("err", error)`` per vBucket, in order,
+        so one misplaced vBucket never fails the others.
+        ``registrations`` holds, by vBucket, the ``(key, cas)`` of each
+        durability wait the source registered: once the vBucket's docs
+        are applied, this copy registers a waiter for each, and the
+        ``"ok"`` slot returns them in order (None when there are none)."""
         engine = self.engine(bucket)
+        registrations = registrations or {}
         out: list[tuple[str, object]] = []
         for vbucket_id, docs in batches:
+            due = registrations.get(vbucket_id)
             try:
                 engine.apply_replicated_batch(vbucket_id, docs)
-                out.append(("ok", None))
+                waiters = None if due is None else [
+                    engine.observe_wait(vbucket_id, key, cas, active=False)
+                    for key, cas in due]
             except ReproError as error:
                 out.append(("err", error))
+                continue
+            out.append(("ok", waiters))
         return out
 
     @declared_raises('BucketNotFoundError', 'CorruptFileError',

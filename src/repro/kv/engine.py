@@ -651,7 +651,7 @@ class KVEngine:
     def observe(self, vbucket_id: int, key: str) -> ObserveResult:
         """Durability probe: is the key in memory here, and has its latest
         mutation been persisted?  Works on active and replica vBuckets
-        (the client's observe fan-out asks replicas too)."""
+        (a durability wait registers on replicas too)."""
         vb = self.vbuckets.get(vbucket_id)
         if vb is None or vb.state is VBucketState.DEAD:
             raise NotMyVBucketError(vbucket_id, self.node_name)
@@ -680,7 +680,10 @@ class KVEngine:
         again wherever it can turn true -- after the flusher syncs this
         vBucket's header, after a replica apply, and when the vBucket
         changes state or leaves (the waiter then carries
-        :class:`NotMyVBucketError`).  A settled waiter is not kept."""
+        :class:`NotMyVBucketError`).  A settled waiter is not kept.  The
+        active registers in the durable write's own call, a replica in
+        the replication batch that carries the registration; one that
+        arrives before the mutation settles when the apply brings it."""
         waiter = ObserveWaiter(key, cas, active)
         self._note(vbucket_id, waiter)
         if not waiter.settled:

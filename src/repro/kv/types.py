@@ -66,9 +66,12 @@ class Waiter:
     The flusher, the replica apply, the indexer and the view pump update
     their waiters where that work may have turned the answer true, so
     the waiting side reads the handle locally instead of sending a
-    message per check.  The waiting side cancels the handle when its
-    wait ends, met or not; the owner may drop it earlier, once nothing
-    it does can change the answer."""
+    message per check.  A durability wait's handles come back on the
+    messages the write already sends: the active's with the write's
+    reply, each replica's with its replication batch's (see
+    :class:`DurabilityWait`).  The waiting side cancels the handle when
+    its wait ends, met or not; the owner may drop it earlier, once
+    nothing it does can change the answer."""
 
     def __init__(self) -> None:
         #: Set by the owner when the wait can never be met there (the
@@ -121,6 +124,33 @@ class ObserveWaiter(Waiter):
         """Nothing the owner does later can change this waiter."""
         return self.error is not None or (
             self.persisted and (self.active or self.replicated))
+
+
+class DurabilityWait(Waiter):
+    """One durable wait on the mutation with ``cas`` (section 2.3.2):
+    the :class:`ObserveWaiter` of every copy registered for it so far.
+    The active registers its own when the wait starts; its replicator
+    carries the registration to each replica in that replica's next
+    replication batch, adds the waiter the batch returns, and records
+    the replica in ``placed``.  Cancelling the wait cancels every waiter
+    and takes the registrations not yet placed out of the replicator."""
+
+    #: Bounded by the vBucket's chain: one waiter per copy, one entry
+    #: per replica, and the object lives for one wait.
+    __bounds__ = ("waiters", "placed")
+
+    def __init__(self, key: str, cas: int):
+        super().__init__()
+        self.key = key
+        self.cas = cas
+        self.waiters: list[ObserveWaiter] = []
+        #: Replica nodes that hold a waiter for this wait.
+        self.placed: set[str] = set()
+
+    def cancel(self) -> None:
+        super().cancel()
+        for waiter in self.waiters:
+            waiter.cancel()
 
 
 class SeqnoWaiter(Waiter):

@@ -7,12 +7,18 @@ memory), then waits until the requested number of replicas hold it in
 memory (``replicate_to``) and the requested number of copies are on
 disk (``persist_to``, which counts the active).
 
-The wait costs one message wave, not a poll per scheduler round: one
-``kv_observe_wait`` fan-out registers a waiter on every chain node that
-can contribute -- the active when ``persist_to >= 1``, the replicas when
-``replicate_to >= 1`` or ``persist_to >= 2`` -- and the flusher and the
-replica apply on those nodes complete them.  The scheduler drives the
-pumps while the client checks the returned handles locally.
+The wait sends no message of its own.  A durable write carries its
+``(replicate_to, persist_to)`` to the active, which registers its own
+waiter when ``persist_to >= 1`` and returns the :class:`DurabilityWait`
+with the mutation token; when a replica can count (``replicate_to >= 1``
+or ``persist_to >= 2``), the active's replicator carries the
+registration to every replica it streams the vBucket to in the
+replication batch it sends anyway, and each replica's waiter comes back
+in that batch's reply.  The flusher and the replica apply complete the
+waiters while the scheduler runs them, and the client checks the
+handles locally.  A wait on an earlier mutation token
+(:meth:`DurabilityMonitor.wait`) costs one call to the active, which
+then registers it the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from ..common.errors import DurabilityError, DurabilityImpossibleError
 from ..common.scheduler import Scheduler
 from ..common.transport import Network
-from ..kv.types import MutationResult
+from ..kv.types import DurabilityWait, MutationResult
 
 
 @dataclass
@@ -58,43 +64,33 @@ class DurabilityMonitor:
         requirement: DurabilityRequirement,
         cluster_map,
     ) -> None:
-        """Block (cooperatively) until the requirement is met.
-
-        Raises :class:`DurabilityImpossibleError` if the bucket's chain
-        cannot ever satisfy it, :class:`DurabilityError` if the pumps go
-        idle before it is met (e.g. a replica node is down), and the
-        :class:`NotMyVBucketError` a waiter carries when its vBucket
-        leaves that node mid-wait."""
+        """Block (cooperatively) until the requirement is met for the
+        mutation ``result`` names: one call registers the wait at the
+        vBucket's active, then :meth:`settle`."""
         if requirement.trivial:
             return
-        vbucket_id = result.vbucket_id
-        chain = cluster_map.chains[vbucket_id]
-        replicas = [n for n in chain[1:] if n is not None]
-        if requirement.replicate_to > len(replicas):
-            raise DurabilityImpossibleError(
-                f"replicate_to={requirement.replicate_to} but the chain has "
-                f"only {len(replicas)} replica(s)"
-            )
-        if requirement.persist_to > 1 + len(replicas):
-            raise DurabilityImpossibleError(
-                f"persist_to={requirement.persist_to} exceeds the chain "
-                f"length {1 + len(replicas)}"
-            )
-        active = chain[0]
-        targets = [active] if requirement.persist_to else []
-        if requirement.replicate_to or requirement.persist_to > 1:
-            targets += replicas
-        # A node the client cannot reach contributes nothing, as a
-        # failed observe never did.
-        waiters = self.network.call_fanout(
-            self.client_name,
-            [n for n in targets if self.network.reachable(self.client_name, n)],
-            "kv_observe_wait", bucket, vbucket_id, key, result.cas, active,
-        )
+        chain = cluster_map.chains[result.vbucket_id]
+        _check_possible(requirement, chain)
+        wait = self.network.call(
+            self.client_name, chain[0], "kv_durability_wait", bucket,
+            result.vbucket_id, key, result.cas,
+            requirement.replicate_to, requirement.persist_to)
+        self.settle(key, requirement, chain, wait)
+
+    def settle(self, key: str, requirement: DurabilityRequirement,
+               chain: list, wait: DurabilityWait) -> None:
+        """Drive the pumps until ``wait``'s waiters meet the requirement;
+        the wait is cancelled however this ends.
+
+        Raises :class:`DurabilityImpossibleError` if the vBucket's
+        ``chain`` cannot ever satisfy it, :class:`DurabilityError` if the
+        pumps go idle before it is met (e.g. a replica node is down), and
+        the :class:`NotMyVBucketError` a waiter carries when its vBucket
+        leaves that node mid-wait."""
 
         def satisfied() -> bool:
             replicated = persisted = 0
-            for waiter in waiters:
+            for waiter in wait.waiters:
                 if waiter.error is not None:
                     raise waiter.error
                 replicated += waiter.replicated
@@ -105,13 +101,29 @@ class DurabilityMonitor:
             )
 
         try:
+            _check_possible(requirement, chain)
             met = self.scheduler.run_until(satisfied)
         finally:
-            for waiter in waiters:
-                waiter.cancel()
+            wait.cancel()
         if not met:
             raise DurabilityError(
                 f"durability requirement not met for {key!r} "
                 f"(replicate_to={requirement.replicate_to}, "
                 f"persist_to={requirement.persist_to})"
             )
+
+
+def _check_possible(requirement: DurabilityRequirement, chain: list) -> None:
+    """Raise :class:`DurabilityImpossibleError` if ``chain`` -- the
+    vBucket's nodes in the client's map -- has too few copies."""
+    replicas = sum(1 for name in chain[1:] if name is not None)
+    if requirement.replicate_to > replicas:
+        raise DurabilityImpossibleError(
+            f"replicate_to={requirement.replicate_to} but the chain has "
+            f"only {replicas} replica(s)"
+        )
+    if requirement.persist_to > 1 + replicas:
+        raise DurabilityImpossibleError(
+            f"persist_to={requirement.persist_to} exceeds the chain "
+            f"length {1 + replicas}"
+        )

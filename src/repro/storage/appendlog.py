@@ -11,6 +11,7 @@ sync -- are detected by the CRC and skipped by recovery scans.
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from typing import Iterator
 
 from ..common.crc import crc32
@@ -46,13 +47,13 @@ class AppendLog:
         #: Offsets are never rewritten in an append-only file --
         #: compaction swaps in a whole new log -- so entries can never go
         #: stale, and they die with the log.
-        self.node_cache: dict[int, tuple] = {}
+        self.node_cache: OrderedDict[int, tuple] = OrderedDict()
         #: Memoized folds of whole subtrees ((offset, fold spec) -> fold,
         #: see ``BTree.fold_range``).  A fold is a function of the node's
         #: immutable bytes and the spec, so it is valid exactly as long
         #: as the node cache's entries; one is kept only when it has
         #: fewer groups than its node has entries.
-        self.fold_memo: dict[tuple, object] = {}
+        self.fold_memo: OrderedDict[tuple, object] = OrderedDict()
 
     def append(self, record_type: int, body: bytes) -> int:
         """Append one record; return its offset (for later :meth:`read`)."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Collection, Hashable, Iterator, NoReturn
@@ -131,10 +132,12 @@ class BTree:
     #: life of their :class:`AppendLog`; the bound only caps memory.
     NODE_CACHE_CAPACITY = 4096
 
-    def _remember(self, cache: dict, key, entry) -> None:
-        """Put one entry in a per-log cache, oldest out first."""
+    def _remember(self, cache: OrderedDict, key, entry) -> None:
+        """Put one entry in a per-log cache, oldest out first.  An
+        ``OrderedDict`` pops its oldest entry in O(1); a plain dict's
+        ``next(iter(...))`` scans the deleted slots at its front."""
         if len(cache) >= self.NODE_CACHE_CAPACITY:
-            cache.pop(next(iter(cache)))
+            cache.popitem(last=False)
         cache[key] = entry
 
     def _write_node(self, kind: str, items: list, parts: list) -> int:

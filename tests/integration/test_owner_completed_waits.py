@@ -1,7 +1,8 @@
 """Waits that the owner of the work completes (sections 2.3.2, 3.1.2,
-4.2): a durability wait, a ``request_plus`` barrier and a
-``stale=false`` view query each register waiters in one wave, and the
-flusher, the replica apply, the indexer and the view pump complete them.
+4.2): a durability wait rides on the write and its replication batches,
+a ``request_plus`` barrier and a ``stale=false`` view query each
+register waiters in one wave, and the flusher, the replica apply, the
+indexer and the view pump complete them.
 
 These tests pin what the waits do when they fail, and that no waiter
 outlives its wait -- met, failed or raised.
@@ -18,13 +19,36 @@ from repro.common.errors import (
 )
 from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.kv.types import VBucketState
+from repro.replication.durability import (DurabilityMonitor,
+                                          DurabilityRequirement)
 from repro.views import ViewDefinition
+
+#: Intra-cluster traffic: what the replicators send, never the client.
+REPLICATION = ("kv_replica_apply_batch", "kv_replica_stream_state",
+               "kv_adopt_failover_log", "kv_reset_replica")
 
 
 def kv_waiters(cluster) -> int:
+    """Waiters the engines hold, plus durability registrations the
+    replicators have not placed on every replica yet."""
     return sum(len(waiters) for node in cluster.nodes()
                for engine in node.engines.values()
-               for waiters in engine._waiters.values())
+               for waiters in engine._waiters.values()) + sum(
+        len(waits) for replicator in cluster.manager.replicators.values()
+        for waits in replicator._registrations.values())
+
+
+def client_calls(cluster) -> dict:
+    """RPCs since the last ``reset_counters`` that are not replication
+    traffic, by ``(dst, method)``."""
+    return {call: count for call, count in cluster.network.calls.items()
+            if call[1] not in REPLICATION}
+
+
+def replica_batches(cluster) -> dict:
+    return {dst: count for (dst, method), count
+            in cluster.network.calls.items()
+            if method == "kv_replica_apply_batch"}
 
 
 def index_waiters(cluster) -> int:
@@ -79,15 +103,14 @@ class TestDurabilityWaits:
         client = cluster.connect()
         cluster_map = cluster.manager.cluster_maps["b"]
         vb = cluster_map.vbucket_for_key("k")
+        active = cluster_map.chains[vb][0]
         for name in cluster_map.replica_nodes(vb):
             cluster.network.set_down(name)
         cluster.network.reset_counters()
         with pytest.raises(DurabilityError):
             client.upsert("b", "k", {"v": 1}, replicate_to=1, persist_to=1)
-        # The wave went to the active alone.
-        assert sum(count for (_dst, method), count
-                   in cluster.network.calls.items()
-                   if method == "kv_observe_wait") == 1
+        # The write carried the wait: it is the client's only RPC.
+        assert client_calls(cluster) == {(active, "kv_upsert"): 1}
         assert kv_waiters(cluster) == 0
 
     @pytest.mark.parametrize("demote", [True, False],
@@ -95,24 +118,110 @@ class TestDurabilityWaits:
     def test_a_vbucket_leaving_mid_wait_raises_not_my_vbucket(
             self, cluster, demote):
         """Map reconciliation marks a copy DEAD before dropping it; a
-        replica reset drops it outright.  Either way the wait raises."""
+        replica reset drops it outright.  Either way a replica's waiter
+        that the vBucket leaves before it settles makes the wait raise.
+        The key's active is the last data node the scheduler runs, so in
+        the wait's first round its replicas' flushers run before the
+        batch arrives: the copy leaves, at the round's end, after the
+        apply and before the flush."""
+        client = cluster.connect()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        key = next(f"k{i}" for i in range(1000)
+                   if cluster_map.chains[cluster_map.vbucket_for_key(
+                       f"k{i}")][0] == "node3")
+        vb = cluster_map.vbucket_for_key(key)
+        engine = cluster.node(cluster_map.replica_nodes(vb)[0]).engines["b"]
+        left = []
+
+        def leave() -> None:
+            # The replica's waiter is registered and not settled yet.
+            [waiter] = engine._waiters[vb]
+            assert waiter.replicated and not waiter.persisted
+            if demote:
+                engine.set_vbucket_state(vb, VBucketState.DEAD)
+            engine.drop_vbucket(vb)
+            left.append(waiter)
+
+        run_once_in_a_round(cluster, leave)
+        with pytest.raises(NotMyVBucketError):
+            client.upsert("b", key, {"v": 1}, persist_to=2)
+        assert left and isinstance(left[0].error, NotMyVBucketError)
+        assert kv_waiters(cluster) == 0
+
+    def test_a_partition_healed_mid_wait_resends_the_registration(
+            self, cluster):
+        """The batch that should carry the registration cannot reach the
+        replica; once the partition heals, the next batch to it does."""
         client = cluster.connect()
         cluster_map = cluster.manager.cluster_maps["b"]
         vb = cluster_map.vbucket_for_key("k")
         active = cluster_map.chains[vb][0]
         replicas = cluster_map.replica_nodes(vb)
         for name in replicas:
-            cluster.network.partition(active, name)  # replication stalls
-        engine = cluster.node(replicas[0]).engines["b"]
+            cluster.network.partition(active, name)
+        run_once_in_a_round(cluster, cluster.network.heal)
+        result = client.upsert("b", "k", {"v": 1}, replicate_to=2)
+        for name in replicas:
+            entry = cluster.node(name).engines["b"].vbuckets[vb] \
+                .hashtable.peek("k")
+            assert entry.doc.meta.cas == result.cas
+        assert kv_waiters(cluster) == 0
 
-        def leave() -> None:
-            if demote:
-                engine.set_vbucket_state(vb, VBucketState.DEAD)
-            engine.drop_vbucket(vb)
+    def test_one_scatter_wave_registers_on_both_replicas(self, cluster):
+        client = cluster.connect()
+        cluster.run_until_idle()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("k")
+        active = cluster_map.chains[vb][0]
+        cluster.network.reset_counters()
+        client.upsert("b", "k", {"v": 1}, replicate_to=2, persist_to=3)
+        assert client_calls(cluster) == {(active, "kv_upsert"): 1}
+        assert replica_batches(cluster) == {
+            name: 1 for name in cluster_map.replica_nodes(vb)}
+        assert kv_waiters(cluster) == 0
 
-        run_once_in_a_round(cluster, leave)
-        with pytest.raises(NotMyVBucketError):
-            client.upsert("b", "k", {"v": 1}, replicate_to=1)
+    def test_a_wait_on_a_replicated_mutation_settles_by_an_empty_slot(
+            self, cluster, monkeypatch):
+        client = cluster.connect()
+        result = client.upsert("b", "k", {"v": 1})
+        cluster.run_until_idle()  # every copy holds and persisted it
+        cluster_map = cluster.manager.cluster_maps["b"]
+        replicas = cluster_map.replica_nodes(result.vbucket_id)
+        sent = []
+        scatter = cluster.network.scatter
+
+        def recorded(src, dsts, method, args_per_dst):
+            sent.extend(args for args in args_per_dst)
+            return scatter(src, dsts, method, args_per_dst)
+
+        monkeypatch.setattr(cluster.network, "scatter", recorded)
+        cluster.network.reset_counters()
+        DurabilityMonitor(cluster.network, cluster.scheduler).wait(
+            "b", "k", result, DurabilityRequirement(replicate_to=2),
+            cluster_map)
+        assert client_calls(cluster) == {
+            (cluster_map.chains[result.vbucket_id][0],
+             "kv_durability_wait"): 1}
+        assert replica_batches(cluster) == {name: 1 for name in replicas}
+        assert sent == [("b", [(result.vbucket_id, [])],
+                         {result.vbucket_id: [("k", result.cas)]})] * 2
+        assert kv_waiters(cluster) == 0
+
+    def test_a_failed_wait_leaves_no_pending_registration(self, cluster):
+        client = cluster.connect()
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key("k")
+        active = cluster_map.chains[vb][0]
+        replicas = cluster_map.replica_nodes(vb)
+        cluster.network.partition(active, replicas[0])
+        pending = []
+        replicator = cluster.manager.replicators[(active, "b")]
+        run_once_in_a_round(cluster, lambda: pending.append(
+            sum(len(waits) for waits in replicator._registrations.values())))
+        with pytest.raises(DurabilityError):
+            client.upsert("b", "k", {"v": 1}, replicate_to=2)
+        # Mid-wait, the registration was waiting for the cut replica.
+        assert pending == [1]
         assert kv_waiters(cluster) == 0
 
 

@@ -303,12 +303,14 @@ def test_durability_waits_cost_observe_round_trips_and_scheduler_rounds():
     """Section 2.3.2: "Most users choose to receive a response
     immediately once the data hits memory, or ... first replicate the
     data to one other node for safety".  The memory ack is one RPC and
-    no waiting.  A durability wait adds one wave, however many rounds
-    it lasts: one ``kv_observe_wait`` to each chain node that can
-    contribute registers a waiter there, and the replica apply and the
-    flusher complete it while the scheduler runs them.  (It was a
-    ``kv_observe`` poll of the whole chain before the first round and
-    after each.)"""
+    no waiting.  A durability wait adds no RPC and no wave, however
+    many rounds it lasts: the write registers the active's waiter in
+    its own call, the replication batch registers the replica's, and
+    the replica apply and the flusher complete them while the
+    scheduler runs them.  (It was a ``kv_observe`` poll of the whole
+    chain before the first round and after each; then one
+    ``kv_observe_wait`` wave to each chain node that could contribute,
+    2 RPCs and 2 waves with one such node.)"""
     cluster = Cluster(nodes=3, vbuckets=32, network_latency=LATENCY)
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
@@ -324,7 +326,8 @@ def test_durability_waits_cost_observe_round_trips_and_scheduler_rounds():
         cluster.network.reset_counters()
         rounds, synced = scheduler._round, syncs()
         result = client.upsert("b", key, {"payload": "x" * 256}, **durability)
-        client_rpcs = rpcs(cluster, "kv_upsert", "kv_observe")
+        client_rpcs = rpcs(cluster, "kv_upsert", "kv_observe",
+                           "kv_durability")
         background = sum(cluster.network.calls.values()) - client_rpcs
         assert all(not engine._waiters for engine in engines)
         return {
@@ -343,25 +346,48 @@ def test_durability_waits_cost_observe_round_trips_and_scheduler_rounds():
 
     # Registrations: the replica alone, the active alone, then both.
     replicated = write("k-replicated", replicate_to=1)
-    assert cost(replicated) == (2, 2, 1)
+    assert cost(replicated) == (1, 1, 1)
 
     persisted = write("k-persisted", persist_to=1)
-    assert cost(persisted) == (2, 2, 1) and persisted["syncs"] >= 1
+    assert cost(persisted) == (1, 1, 1) and persisted["syncs"] >= 1
     result = persisted["result"]
     active = cluster.manager.cluster_maps["b"].active_node(result.vbucket_id)
     vbucket = cluster.node(active).engines["b"].vbuckets[result.vbucket_id]
     assert vbucket.persisted_seqno >= result.seqno
 
     both = write("k-both", replicate_to=1, persist_to=2)
-    assert cost(both) == (3, 2, 1) and both["syncs"] >= 2
+    assert cost(both) == (1, 1, 1) and both["syncs"] >= 2
 
     # Behind a flusher backlog the wait lasts several rounds; it still
-    # costs the one registration wave.
+    # costs no wave of its own.
     client.multi_upsert("b", {f"backlog{i:04d}": {"i": i}
                               for i in range(1500)}).require_ok()
     behind = write("k-behind", drain=False, persist_to=1)
     assert behind["rounds"] > 1
-    assert behind["client_rpcs"] == 2 and behind["waves"] == 2
+    assert behind["client_rpcs"] == 1 and behind["waves"] == 1
+
+
+def test_a_durable_write_costs_one_rpc_and_two_waves_with_its_batch():
+    """The ``kv_w_durable`` shape (``persist_to=1, replicate_to=1``, one
+    replica): the write and the one replication batch that carries both
+    the document and the replica's registration are the whole network
+    cost of the ack: those two calls and no other, in 2 waves.  The
+    registration once took a ``kv_observe_wait`` wave of its own."""
+    cluster = Cluster(nodes=3, vbuckets=32, network_latency=LATENCY)
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    cluster.run_until_idle()
+    cluster_map = cluster.manager.cluster_maps["b"]
+    vb = cluster_map.vbucket_for_key("k")
+    active, replica = cluster_map.chains[vb]
+    for op in ("insert", "upsert", "remove"):
+        cluster.network.reset_counters()
+        args = () if op == "remove" else ({"op": op},)
+        getattr(client, op)("b", "k", *args, persist_to=1, replicate_to=1)
+        method = "kv_delete" if op == "remove" else f"kv_{op}"
+        assert cluster.network.calls == {
+            (active, method): 1, (replica, "kv_replica_apply_batch"): 1}, op
+        assert waves(cluster) == 2, op
 
 
 def test_a_scheduler_round_costs_what_changed(monkeypatch):

@@ -157,6 +157,19 @@ class TestWarmEqualsCold:
             lambda: [(d.meta, d.value) for d in store.all_docs()])
         assert len(store.log.node_cache) == 3
 
+    @pytest.mark.parametrize("cache", ["node_cache", "fold_memo"])
+    def test_a_full_cache_keeps_the_newest_entries_in_order(self, cache):
+        """Past capacity each insert evicts the oldest entry, so after
+        3 x capacity inserts exactly the newest ``capacity`` keys are
+        left, in insertion order."""
+        log = AppendLog(SimulatedDisk().open("t.idx"))
+        tree = BTree(log)
+        capacity = BTree.NODE_CACHE_CAPACITY
+        target = getattr(log, cache)
+        for key in range(3 * capacity):
+            tree._remember(target, key, key)
+        assert list(target) == list(range(2 * capacity, 3 * capacity))
+
 
 class TestSteadyStateCounts:
     def flush_round(self, store, key, seqno):
