@@ -3,7 +3,10 @@
 This is the paper's **data service** core (section 4.3.3).  Writes land
 in the per-vBucket hash tables and are acknowledged immediately
 (memory-first, section 2.3.3); a flusher pump drains the disk write
-queue to the append-only storage files; an item pager ejects
+queue to the append-only storage files, committing a vBucket once its
+oldest write has aged ``FLUSH_ROUNDS`` flusher calls, a durability
+waiter asks for it, or memory needs clean values (group commit in
+time; see :meth:`KVEngine.flush`); an item pager ejects
 not-recently-used clean values when the bucket's memory quota is
 exceeded; and every mutation is recorded in an ordered per-vBucket
 change buffer that DCP streams (replication, views, GSI, XDCR) consume.
@@ -100,6 +103,9 @@ class VBucket:
         self.buffer_start_seqno = self.store.update_seq
         #: Keys with un-persisted mutations, in arrival order.
         self.dirty_queue: list[str] = []
+        #: The owning engine's flusher call count when ``dirty_queue``
+        #: last went non-empty: the age of its oldest unpersisted write.
+        self.dirty_since = 0
         #: Slot in the owning engine's ``vbuckets`` iteration order, which
         #: is the order the flusher visits dirty vBuckets in.
         self.position = 0
@@ -167,6 +173,10 @@ class KVEngine:
 
     #: Flusher batch size: mutations persisted per pump invocation.
     FLUSH_BATCH = 256
+    #: Group commit in time: a vBucket's queue is committed once its
+    #: oldest write has waited this many flusher calls (sooner for a
+    #: durability waiter or memory pressure; see :meth:`flush`).
+    FLUSH_ROUNDS = 8
     #: Above this fraction of quota the pager starts ejecting...
     HIGH_WATERMARK = 0.85
     #: ...and it stops once usage falls below this fraction.
@@ -201,9 +211,14 @@ class KVEngine:
         self.eviction_policy = eviction_policy
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.vbuckets: dict[int, VBucket] = {}
-        #: The vBuckets whose dirty queue is non-empty, so the flusher and
-        #: the queue-depth probes visit only those.
+        #: The vBuckets whose dirty queue is non-empty, in the order the
+        #: queues went non-empty -- oldest ``dirty_since`` first, so the
+        #: vBuckets due by age are a prefix.
         self._dirty: dict[int, VBucket] = {}
+        #: Flusher calls so far: the clock ``dirty_since`` is read on.
+        self._flush_calls = 0
+        #: Entries across every dirty queue (``pending_writes``).
+        self._pending = 0
         #: Source of ``VBucket.position``: a vBucket's slot in the
         #: iteration order of ``vbuckets`` (a new id goes last).
         self._positions = itertools.count()
@@ -244,7 +259,7 @@ class KVEngine:
         # Assigning to an existing key keeps its dict slot.
         vb.position = (replaced.position if replaced is not None
                        else next(self._positions))
-        self._dirty.pop(vbucket_id, None)  # the replaced copy's queue
+        self._forget_queue(vbucket_id)  # the replaced copy's
         self.vbuckets[vbucket_id] = vb
         self._to_check[vbucket_id] = vb
         return vb
@@ -280,7 +295,7 @@ class KVEngine:
     def drop_vbucket(self, vbucket_id: int) -> None:
         self.changes += 1
         vb = self.vbuckets.pop(vbucket_id, None)
-        self._dirty.pop(vbucket_id, None)
+        self._forget_queue(vbucket_id)
         self._to_check.pop(vbucket_id, None)
         if self._waiters:
             self._settle(vbucket_id)  # each now carries NotMyVBucketError
@@ -296,6 +311,11 @@ class KVEngine:
                 # replica) would otherwise resurrect the dead copy's
                 # documents under a stale lineage.
                 vb.store.destroy()
+
+    def _forget_queue(self, vbucket_id: int) -> None:
+        vb = self._dirty.pop(vbucket_id, None)
+        if vb is not None:
+            self._pending -= len(vb.dirty_queue)
 
     def _active(self, vbucket_id: int) -> VBucket:
         vb = self.vbuckets.get(vbucket_id)
@@ -339,8 +359,11 @@ class KVEngine:
         entry = vb.hashtable.set(doc, dirty=True)
         entry.locked_until = 0.0  # any successful mutation releases the lock
         entry.lock_cas = 0
+        if vb.id not in self._dirty:
+            vb.dirty_since = self._flush_calls
+            self._dirty[vb.id] = vb
         vb.dirty_queue.append(doc.key)
-        self._dirty[vb.id] = vb
+        self._pending += 1
         vb.record_change(doc)
         self.changes += 1
         self.metrics.inc("kv.mutations")
@@ -775,7 +798,10 @@ class KVEngine:
             vb.record_change(doc)
         if docs:
             self.changes += 1
-            self._dirty[vb.id] = vb
+            self._pending += len(docs)
+            if vb.id not in self._dirty:
+                vb.dirty_since = self._flush_calls
+                self._dirty[vb.id] = vb
             if self._waiters:
                 self._settle(vbucket_id)
         self.metrics.inc("kv.replica_mutations", len(docs))
@@ -784,22 +810,53 @@ class KVEngine:
 
     @hot_path
     def flush(self, max_batch: int | None = None) -> bool:
-        """Drain the disk write queue (the flusher).  Persists up to
-        ``max_batch`` mutations across vBuckets, commits headers, marks
-        entries clean, and advances persisted seqnos.  Returns True if
-        anything was written.  Visits only the dirty vBuckets, in
-        ``vbuckets`` order, so the shared budget lands where it always
-        did."""
+        """Drain the disk write queue (the flusher), committing in time.
+
+        A dirty vBucket is *due* when its oldest unpersisted write has
+        waited ``FLUSH_ROUNDS`` calls, when a durability waiter is
+        registered on it, or -- under a quota, with memory above the low
+        watermark -- always, since the pager can eject only clean
+        values.  Any other queue is held to grow, so one B-tree path
+        rewrite, header and sync cover more documents and a key written
+        twice meanwhile is written once.  The due vBuckets are committed
+        in ``vbuckets`` order, up to ``max_batch`` mutations between
+        them; one the budget cut short stays due.
+
+        Returns True if anything was written or is still held, so a
+        drain (``run_until_idle``) ends with every file synced, at most
+        ``FLUSH_ROUNDS`` calls after the last write.  The crash contract
+        is the paper's asynchronous persistence: a crash loses at most
+        the writes of the last ``FLUSH_ROUNDS`` flusher calls that no
+        ``persist_to`` waiter asked for."""
         budget = max_batch if max_batch is not None else self.FLUSH_BATCH
-        self.metrics.observe("kv.queue_depth", self.pending_writes())
+        self._flush_calls += 1
+        self.metrics.observe("kv.queue_depth", self._pending)
+        dirty = self._dirty
+        if not dirty:
+            return False
+        if self.quota_bytes is not None and \
+                self._memory_used > self.quota_bytes * self.LOW_WATERMARK:
+            due = list(dirty.values())
+        else:
+            cutoff = self._flush_calls - self.FLUSH_ROUNDS
+            due = []
+            for vb in dirty.values():  # oldest first: stop at a young one
+                if vb.dirty_since > cutoff:
+                    break
+                due.append(vb)
+            for vbucket_id in self._waiters:
+                vb = dirty.get(vbucket_id)
+                if vb is not None and vb.dirty_since > cutoff:
+                    due.append(vb)
         wrote = False
-        for vb in sorted(self._dirty.values(), key=_position):
+        for vb in sorted(due, key=_position):
             if budget <= 0:
                 break
             keys, vb.dirty_queue = vb.dirty_queue[:budget], vb.dirty_queue[budget:]
             budget -= len(keys)
+            self._pending -= len(keys)
             if not vb.dirty_queue:
-                del self._dirty[vb.id]
+                del dirty[vb.id]
             docs = []
             seen = set()
             for key in keys:
@@ -826,10 +883,10 @@ class KVEngine:
                 self.metrics.inc("kv.flushed", len(docs))
                 self._to_check[vb.id] = vb  # its file grew
                 wrote = True
-        return wrote
+        return wrote or bool(dirty)
 
     def pending_writes(self) -> int:
-        return sum(len(vb.dirty_queue) for vb in self._dirty.values())
+        return self._pending
 
     @hot_path
     def run_compactor(self, threshold: float = 0.6) -> bool:

@@ -244,7 +244,11 @@ class Cluster:
         gone, the disk files survive.  Engines are rebuilt from storage
         (warmup), views re-materialize, GSI instances hosted here are
         rebuilt, and the node resumes whatever role the current cluster
-        map assigns it."""
+        map assigns it.  Each bucket's map is then republished under a
+        new revision: a restart is a new connection, so every active's
+        replication streams reconnect and their handshake reads what
+        this node's replicas kept on disk, re-sending the tail the
+        restart lost."""
         node = self.node(name)
         manager = self.manager
         self.network.set_down(name, False)
@@ -267,6 +271,11 @@ class Cluster:
             manager._wire_bucket_pumps(node, bucket)
             for definition in manager.design_docs.get(bucket, {}).values():
                 node.view_define(bucket, definition)
+            if bucket in manager.cluster_maps:
+                republished = manager.cluster_maps[bucket].copy()
+                republished.revision += 1
+                manager.cluster_maps[bucket] = republished
+                manager.push_map(bucket)
         if node.indexer is not None:
             indexer = node.indexer.indexer
             # A standard index's tree root lived only in the dead

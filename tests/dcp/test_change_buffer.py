@@ -11,6 +11,7 @@ from repro.common.document import Document, DocumentMeta
 from repro.dcp.messages import Deletion, Mutation, SnapshotMarker, StreamEnd
 from repro.dcp.producer import DcpProducer
 from repro.kv.engine import KVEngine, VBucketState
+from tests.kv.support import drain_flusher
 
 VB = 0
 
@@ -54,7 +55,7 @@ class TestBufferOrder:
         for i in range(30):
             engine.upsert(VB, f"k{i}", i)
             if i % 7 == 0:
-                engine.flush()
+                drain_flusher(engine)
             assert_ascending(vb)
             assert vb.buffer_start_seqno <= vb.persisted_seqno
         assert vb.buffer_start_seqno > 0
@@ -93,7 +94,7 @@ class TestBufferOrder:
         for i in range(12):
             engine.upsert(VB, f"k{i}", i)
         engine.delete(VB, "k3")
-        engine.flush()
+        drain_flusher(engine)
         restarted = KVEngine("n1", "b", disk=disk)
         restarted.create_vbucket(VB)
         assert restarted.warmup() == 12
@@ -113,7 +114,7 @@ class TestBisectedWindow:
             engine.upsert(VB, f"k{i % 11}", i)
             if i % 6 == 0:
                 engine.delete(VB, f"k{i % 11}")
-        engine.flush()
+        drain_flusher(engine)
         vb = engine.vbuckets[VB]
         vb.trim_change_buffer()
         for i in range(20):

@@ -7,6 +7,7 @@ from repro.common.errors import NotMyVBucketError, StreamRollbackRequired
 from repro.dcp.messages import Deletion, Mutation, SnapshotMarker, StreamEnd
 from repro.dcp.producer import DcpProducer
 from repro.kv.engine import KVEngine, VBucketState
+from tests.kv.support import drain_flusher
 
 VB = 0
 
@@ -110,7 +111,7 @@ class TestBackfill:
         engine.create_vbucket(VB)
         for i in range(10):
             engine.upsert(VB, f"k{i}", i)
-        engine.flush()
+        drain_flusher(engine)
         vb = engine.vbuckets[VB]
         vb.trim_change_buffer()
         assert vb.change_buffer == []
@@ -139,7 +140,7 @@ class TestBackfill:
         engine.create_vbucket(VB)
         for round_number in range(3):
             engine.upsert(VB, "hot", round_number)
-        engine.flush()
+        drain_flusher(engine)
         vb = engine.vbuckets[VB]
         vb.trim_change_buffer()
         messages = items_of(drain(DcpProducer(engine).stream_request(VB)))

@@ -150,3 +150,46 @@ class TestServiceRebuildOnRestart:
             1 for i in range(20) if client.get("r", f"k{i}").value == {"i": i}
         )
         assert total_everywhere == 20
+
+    def test_a_replica_restart_gets_its_lost_tail_back(self):
+        """A restarted replica loses its unsynced tail.  Its actives must
+        re-send it: the restart republishes the map, every active's
+        stream reconnects, and the handshake reads the replica's state
+        from its disk.  (The stream once outlived the restart, so the
+        tail stayed lost, and a later failover to that replica lost
+        writes its active had acked and persisted.)"""
+        cluster = Cluster(nodes=4, vbuckets=64)
+        cluster.create_bucket("b", replicas=1)
+        client = cluster.connect()
+        client.multi_upsert("b", {f"k{i}": {"i": i}
+                                  for i in range(400)}).require_ok()
+        cluster.run_until_idle()
+        for i in range(400, 800):
+            client.upsert("b", f"k{i}", {"i": i})
+            if i % 32 == 31:
+                cluster.scheduler.step()
+        cluster.crash_node("node1")
+        cluster.node("node1").disk.crash()
+        cluster.restart_node("node1")
+        cluster.run_until_idle()
+
+        cluster_map = cluster.manager.cluster_maps["b"]
+        replicated = {vb: chain[0] for vb, chain in enumerate(cluster_map.chains)
+                      if "node1" in chain[1:]}
+        assert replicated
+        restarted = cluster.node("node1").engines["b"]
+        behind = sum(
+            cluster.node(active).engines["b"].vbuckets[vb].high_seqno
+            - restarted.vbuckets[vb].high_seqno
+            for vb, active in replicated.items())
+        assert behind == 0
+
+        # Lose every active node1 replicates: its copies are promoted.
+        for active in sorted(set(replicated.values())):
+            cluster.crash_node(active)
+            cluster.failover(active)
+        client = cluster.connect()
+        for i in range(800):
+            key = f"k{i}"
+            if cluster_map.vbucket_for_key(key) in replicated:
+                assert client.get("b", key).value == {"i": i}

@@ -24,7 +24,7 @@ from repro.dcp.producer import DcpStream
 from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.gsi.projector import Projector
 from repro.gsi.storage import make_storage
-from repro.kv.engine import VBucket
+from repro.kv.engine import KVEngine, VBucket
 from repro.kv.types import VBucketState
 from repro.storage.appendlog import _HEADER, RT_DOC, RT_HEADER, RT_NODE
 from repro.storage.couchstore import VBucketStore
@@ -359,9 +359,16 @@ def test_durability_waits_cost_observe_round_trips_and_scheduler_rounds():
     assert cost(both) == (1, 1, 1) and both["syncs"] >= 2
 
     # Behind a flusher backlog the wait lasts several rounds; it still
-    # costs no wave of its own.
-    client.multi_upsert("b", {f"backlog{i:04d}": {"i": i}
-                              for i in range(1500)}).require_ok()
+    # costs no wave of its own.  The waiter makes its vBucket due at
+    # once, so the backlog is one flusher budget queued in that vBucket.
+    cluster_map = cluster.manager.cluster_maps["b"]
+    behind_vb = cluster_map.vbucket_for_key("k-behind")
+    backlog = [key for key in (f"backlog{i:05d}" for i in range(
+                   40 * KVEngine.FLUSH_BATCH))
+               if cluster_map.vbucket_for_key(key) == behind_vb]
+    assert len(backlog) >= KVEngine.FLUSH_BATCH
+    client.multi_upsert("b", {key: {"i": i} for i, key in enumerate(backlog)}
+                        ).require_ok()
     behind = write("k-behind", drain=False, persist_to=1)
     assert behind["rounds"] > 1
     assert behind["client_rpcs"] == 1 and behind["waves"] == 1
@@ -397,13 +404,17 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
     streams, a round after ``run_until_idle()`` computes no
     fragmentation ratio, takes from no stream, and -- since no engine's
     change counter moved -- asks no stream ``idle()`` and no vBucket its
-    ``last_change_seqno()``; the round after one upsert re-reads the two
-    files that grew and materializes the replica stream's two messages.
-    (Walking everything, as every pump once did, cost 128 ratios and 128
-    takes per round, and the index-less projector copied the upsert into
-    two more messages; polling every stream and comparing every active
-    vBucket's mark cost 64 ``idle()`` and 128 ``last_change_seqno()``
-    calls per quiet round.)"""
+    ``last_change_seqno()``; the round after one upsert materializes the
+    replica stream's two messages and re-reads no file, since both
+    copies of the write are held; the round in which the write comes
+    due (``KVEngine.FLUSH_ROUNDS`` flusher calls old) re-reads the two
+    files that grew.  (Walking everything, as every pump once did, cost
+    128 ratios and 128 takes per round, and the index-less projector
+    copied the upsert into two more messages; polling every stream and
+    comparing every active vBucket's mark cost 64 ``idle()`` and 128
+    ``last_change_seqno()`` calls per quiet round; and while the flusher
+    committed every dirty vBucket every round, the round after the
+    upsert re-read the two files itself.)"""
     cluster = Cluster(nodes=4, vbuckets=64)
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
@@ -454,6 +465,11 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
     key = next(key for key in (f"k{i:04d}" for i in range(1000))
                if chain(key)[0] < chain(key)[1])
     client.upsert("b", key, {"i": -1, "pad": "y" * 380})
+    assert cluster.scheduler.step()
+    assert counts == {"ratios": 0, "takes": 1, "messages": 2}
+    for _ in range(KVEngine.FLUSH_ROUNDS - 2):  # held: still busy
+        assert cluster.scheduler.step()
+    assert counts == {"ratios": 0, "takes": 1, "messages": 2}
     assert cluster.scheduler.step()
     assert counts == {"ratios": 2, "takes": 1, "messages": 2}
     assert not cluster.scheduler.step()
@@ -545,6 +561,91 @@ def test_a_replication_round_costs_one_wave_per_source_node():
     assert (rpcs(cluster, "kv_replica_apply_batch"), len(pairs)) == (8, 8)
     assert sum(node.engines["b"].metrics.counter_value("kv.replica_mutations")
                for node in cluster.nodes()) == 128
+
+
+# -- group commit in time (sections 2.3.2, 4.2) ------------------------------
+
+def test_a_vbucket_written_every_round_commits_once_per_flush_rounds(
+        monkeypatch):
+    """Persistence is asynchronous (2.3.2, 4.2), so the flusher holds a
+    vBucket's queue until its oldest write is ``FLUSH_ROUNDS`` flusher
+    calls old.  A vBucket that takes one write per round is committed
+    -- one header, one sync -- once per ``FLUSH_ROUNDS`` rounds, and a
+    key written every round is written once per commit ("repeated
+    updates to an object be aggregated at the level of persistence").
+    (Committing every dirty vBucket every round cost a header and a sync
+    per round.)"""
+    cluster = Cluster(nodes=2, vbuckets=8)
+    cluster.create_bucket("b", replicas=0, compaction_threshold=None)
+    client = cluster.connect()
+    cluster.run_until_idle()
+    headers = [0]
+    write_header = VBucketStore.write_header
+
+    def counted_write_header(store, sync=True):
+        headers[0] += 1
+        return write_header(store, sync)
+
+    monkeypatch.setattr(VBucketStore, "write_header", counted_write_header)
+    engines = [node.engines["b"] for node in cluster.nodes()]
+    syncs = sum(node.disk.stats.syncs for node in cluster.nodes())
+    commits = 4
+    for round_number in range(commits * KVEngine.FLUSH_ROUNDS):
+        client.upsert("b", "hot", {"round": round_number})
+        assert cluster.scheduler.step()
+    assert headers[0] == commits
+    assert sum(node.disk.stats.syncs for node in cluster.nodes()) \
+        - syncs == commits
+    assert sum(engine.metrics.counter_value("kv.flushed")
+               for engine in engines) == commits
+
+
+def test_a_persist_to_write_is_synced_in_the_round_its_waiter_registers():
+    """A ``persist_to`` waiter makes its vBucket due at once: the write
+    costs 1 RPC, 1 wave and 1 scheduler round, as when the flusher
+    committed everything every round, and that round syncs the waiter's
+    vBucket alone -- the young writes queued in other vBuckets stay
+    held."""
+    cluster = Cluster(nodes=2, vbuckets=8, network_latency=LATENCY)
+    cluster.create_bucket("b", replicas=0, compaction_threshold=None)
+    client = cluster.connect()
+    cluster.run_until_idle()
+    cluster_map = cluster.manager.cluster_maps["b"]
+    vb = cluster_map.vbucket_for_key("durable")
+    young = [key for key in (f"young{i}" for i in range(100))
+             if cluster_map.vbucket_for_key(key) != vb]
+    for key in young:
+        client.upsert("b", key, {"young": True})
+    syncs = sum(node.disk.stats.syncs for node in cluster.nodes())
+    rounds = cluster.scheduler._round
+    cluster.network.reset_counters()
+    result = client.upsert("b", "durable", {"v": 1}, persist_to=1)
+    assert (rpcs(cluster, "kv_"), waves(cluster),
+            cluster.scheduler._round - rounds) == (1, 1, 1)
+    assert sum(node.disk.stats.syncs for node in cluster.nodes()) \
+        - syncs == 1
+    engine = cluster.node(cluster_map.active_node(vb)).engines["b"]
+    assert engine.vbuckets[vb].persisted_seqno >= result.seqno
+    assert sum(node.engines["b"].pending_writes()
+               for node in cluster.nodes()) == len(young)
+
+
+def test_a_drain_ends_with_every_write_persisted():
+    """``run_until_idle()`` keeps running while the flusher holds a
+    queue, so a drain leaves no pending write and every copy's persisted
+    seqno at its high seqno; it takes at most ``FLUSH_ROUNDS`` rounds
+    past the last write's replication."""
+    cluster = Cluster(nodes=3, vbuckets=16)
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    client.multi_upsert("b", {f"k{i}": {"i": i}
+                              for i in range(200)}).require_ok()
+    assert cluster.run_until_idle() <= KVEngine.FLUSH_ROUNDS + 2
+    for node in cluster.nodes():
+        engine = node.engines["b"]
+        assert engine.pending_writes() == 0
+        assert all(vb.persisted_seqno == vb.high_seqno
+                   for vb in engine.vbuckets.values())
 
 
 # -- index maintenance in batches (4.3.3, 4.3.4) -----------------------------

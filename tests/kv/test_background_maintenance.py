@@ -6,6 +6,7 @@ import pytest
 from repro import Cluster
 from repro.common.errors import KeyNotFoundError
 from repro.kv.engine import KVEngine, VBucketState
+from tests.kv.support import drain_flusher
 
 VB = 0
 
@@ -16,7 +17,7 @@ class TestEngineCompactor:
         engine.create_vbucket(VB)
         for round_number in range(60):
             engine.upsert(VB, "hot", {"pad": "x" * 300, "round": round_number})
-            engine.flush()
+            drain_flusher(engine)
         return engine
 
     def test_compacts_past_threshold(self):
@@ -33,14 +34,14 @@ class TestEngineCompactor:
         engine = KVEngine("n1", "b")
         engine.create_vbucket(VB)
         engine.upsert(VB, "k", 1)
-        engine.flush()
+        drain_flusher(engine)
         assert not engine.run_compactor(threshold=0.6)
 
     def test_skips_vbuckets_with_dirty_queue(self):
         engine = self.make_churned()
         engine.upsert(VB, "dirty", 1)  # unflushed
         assert not engine.run_compactor(threshold=0.6)
-        engine.flush()
+        drain_flusher(engine)
         assert engine.run_compactor(threshold=0.6)
 
     def test_one_compactor_per_engine(self):

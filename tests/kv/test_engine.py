@@ -14,6 +14,7 @@ from repro.common.errors import (
     ValueTooLargeError,
 )
 from repro.kv.engine import KVEngine, VBucketState
+from tests.kv.support import drain_flusher
 
 VB = 0
 
@@ -293,7 +294,13 @@ class TestPersistence:
         assert not engine.vbuckets[VB].store.contains("k")
 
     def test_flush_persists(self, engine):
+        """Group commit in time: a young write is held (the call still
+        reports work), and call ``FLUSH_ROUNDS`` commits it."""
         engine.upsert(VB, "k", {"v": 1})
+        for _ in range(engine.FLUSH_ROUNDS - 1):
+            assert engine.flush()
+            assert engine.pending_writes() == 1
+            assert not engine.vbuckets[VB].store.contains("k")
         assert engine.flush()
         assert engine.pending_writes() == 0
         assert engine.vbuckets[VB].store.get("k").value == {"v": 1}
@@ -306,6 +313,9 @@ class TestPersistence:
         result = engine.upsert(VB, "k", 1)
         assert not engine.observe(VB, "k").persisted
         engine.flush()
+        assert not engine.observe(VB, "k").persisted  # young: held
+        for _ in range(engine.FLUSH_ROUNDS - 1):
+            engine.flush()
         observed = engine.observe(VB, "k")
         assert observed.persisted
         assert observed.cas == result.cas
@@ -319,11 +329,17 @@ class TestPersistence:
         observed = replica.observe(VB, "k")
         assert observed.exists and not observed.persisted
         replica.flush()
+        assert not replica.observe(VB, "k").persisted  # young: held
+        for _ in range(replica.FLUSH_ROUNDS - 1):
+            replica.flush()
         assert replica.observe(VB, "k").persisted
 
     def test_flush_batch_limit(self, engine):
         for i in range(10):
             engine.upsert(VB, f"k{i}", i)
+        for _ in range(engine.FLUSH_ROUNDS - 1):  # held until due
+            engine.flush(max_batch=4)
+        assert engine.pending_writes() == 10
         engine.flush(max_batch=4)
         assert engine.pending_writes() == 6
 
@@ -331,7 +347,8 @@ class TestPersistence:
         """The flusher visits only dirty vBuckets, but in the order of
         ``vbuckets`` -- creation order, a dropped-and-recreated id last
         -- so a budget smaller than the backlog lands where a walk over
-        every vBucket would put it."""
+        every vBucket would put it.  The queues are made due first, and
+        the vBuckets the budget cut short stay due."""
         engine = KVEngine("node1", "default")
         for vbucket_id in (5, 1, 7, 3):
             engine.create_vbucket(vbucket_id)
@@ -340,6 +357,9 @@ class TestPersistence:
         for vbucket_id in (1, 3, 7, 5):  # dirtied in the opposite order
             for i in range(3):
                 engine.upsert(vbucket_id, f"k{vbucket_id}.{i}", i)
+        for _ in range(engine.FLUSH_ROUNDS - 1):
+            engine.flush()
+        assert engine.pending_writes() == 12
         engine.flush(max_batch=7)
         persisted = {vbucket_id: vb.persisted_seqno
                      for vbucket_id, vb in engine.vbuckets.items()}
@@ -349,9 +369,39 @@ class TestPersistence:
         assert engine.pending_writes() == 0
         assert not engine.flush()
 
+    def test_a_durability_waiter_makes_its_vbucket_due(self, engine):
+        """The call after a ``persist_to`` waiter registers syncs its
+        vBucket; a young queue elsewhere stays held."""
+        engine.create_vbucket(1)
+        engine.upsert(1, "held", 1)
+        result = engine.upsert(VB, "k", 1)
+        waiter = engine.observe_wait(VB, "k", result.cas, active=True)
+        assert not waiter.settled
+        assert engine.flush()
+        assert waiter.settled and waiter.persisted
+        assert engine.vbuckets[VB].persisted_seqno == 1
+        assert engine.vbuckets[1].persisted_seqno == 0
+        assert engine.pending_writes() == 1
+
+    def test_memory_pressure_commits_every_dirty_vbucket(self):
+        """Above the low watermark the pager needs clean values, so one
+        call commits every dirty vBucket, however young."""
+        engine = KVEngine("node1", "default", quota_bytes=60_000)
+        for vbucket_id in range(4):
+            engine.create_vbucket(vbucket_id)
+        writes = 0
+        while engine.memory_used() <= 60_000 * engine.LOW_WATERMARK:
+            engine.upsert(writes % 4, f"k{writes}", {"pad": "x" * 400})
+            writes += 1
+        assert engine.pending_writes() == writes < engine.FLUSH_BATCH
+        assert engine.flush()
+        assert engine.pending_writes() == 0
+        assert all(vb.persisted_seqno == vb.high_seqno > 0
+                   for vb in engine.vbuckets.values())
+
     def test_crash_recovery_to_last_flush(self, engine):
         engine.upsert(VB, "a", 1)
-        engine.flush()
+        drain_flusher(engine)
         engine.upsert(VB, "b", 2)  # never flushed
         engine.disk.crash()
 
@@ -410,7 +460,7 @@ class TestEviction:
         ejected one (they read the ejected ``None`` before: ``touch``
         stored null, ``mutate_in`` raised)."""
         engine.upsert(VB, "k", {"i": 1, "tags": ["a"]})
-        engine.flush()
+        drain_flusher(engine)
         assert engine.vbuckets[VB].hashtable.eject_value("k")
         if op == "touch":
             engine.touch(VB, "k", 0.0)
@@ -425,7 +475,7 @@ class TestEviction:
 
     def test_counter_of_an_ejected_value_fetches_it_first(self, engine):
         engine.upsert(VB, "c", 5)
-        engine.flush()
+        drain_flusher(engine)
         assert engine.vbuckets[VB].hashtable.eject_value("c")
         assert engine.counter(VB, "c", 2)[0] == 7
 
@@ -512,7 +562,7 @@ class TestChangeBuffer:
         engine.vbuckets[VB].MAX_BUFFER = 10
         for i in range(5):
             engine.upsert(VB, f"k{i}", i)
-        engine.flush()
+        drain_flusher(engine)
         engine.upsert(VB, "late", 1)
         vb = engine.vbuckets[VB]
         vb.trim_change_buffer()

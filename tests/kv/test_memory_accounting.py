@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.kv.engine import KVEngine, VBucketState
+from tests.kv.support import drain_flusher
 
 VBUCKETS = range(4)
 
@@ -86,7 +87,7 @@ class TestCounterTracksGroundTruth:
         value as the integer 0: 89 bytes tallied against 81 -- 65 for
         null -- after one cycle, and 8 or 24 more per cycle.)"""
         engine.upsert(0, "falsy", value)
-        engine.flush()
+        drain_flusher(engine)
         for _cycle in range(3):
             assert engine.vbuckets[0].hashtable.eject_value("falsy")
             assert engine.get(0, "falsy").value == value

@@ -11,6 +11,7 @@ from repro.replication.durability import (
     DurabilityMonitor,
     DurabilityRequirement,
 )
+from tests.kv.support import drain_flusher
 
 
 class TestRequirement:
@@ -132,7 +133,7 @@ class TestDeletionDurability:
         observed = engine.observe(vb, "k")
         assert not observed.exists
         assert not observed.persisted  # disk still holds the live doc
-        engine.flush()
+        drain_flusher(engine)
         observed = engine.observe(vb, "k")
         assert observed.persisted
 
