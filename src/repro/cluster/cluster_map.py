@@ -45,22 +45,8 @@ class ClusterMap:
     def replica_nodes(self, vbucket_id: int) -> list[str]:
         return [n for n in self.chains[vbucket_id][1:] if n is not None]
 
-    def nodes_in_use(self) -> set[str]:
-        return {n for chain in self.chains for n in chain if n is not None}
-
     def vbucket_for_key(self, key: str) -> int:
         return vbucket_for_key(key, self.num_vbuckets)
-
-    def node_for_key(self, key: str) -> str | None:
-        return self.active_node(self.vbucket_for_key(key))
-
-    def active_vbuckets_of(self, node: str) -> list[int]:
-        return [vb for vb, chain in enumerate(self.chains) if chain[0] == node]
-
-    def replica_vbuckets_of(self, node: str) -> list[int]:
-        return [
-            vb for vb, chain in enumerate(self.chains) if node in chain[1:]
-        ]
 
     def copy(self) -> "ClusterMap":
         return ClusterMap(

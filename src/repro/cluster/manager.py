@@ -29,6 +29,9 @@ from ..common.errors import (
 )
 from ..common.scheduler import Scheduler
 from ..common.transport import Network
+from ..dcp.producer import DcpProducer
+from ..kv.engine import KVEngine
+from ..kv.types import VBucketState
 from ..replication.intra import IntraReplicator
 from .cluster_map import ClusterMap, plan_map
 from .node import Node
@@ -61,7 +64,6 @@ class ClusterManager:
         #: Cluster-wide GSI metadata, consulted by projectors and the
         #: N1QL planner.
         self.index_registry = IndexRegistry()
-        self.replicators: dict[tuple[str, str], IntraReplicator] = {}
         #: Nodes administratively removed or failed over.
         self.ejected: set[str] = set()
         #: node -> virtual time its unreachability was first noticed.
@@ -78,15 +80,16 @@ class ClusterManager:
         self.nodes[node.name] = node
         self.ejected.discard(node.name)
         self._log("node-added", node.name)
-        # New data nodes get engines for existing buckets; vBuckets arrive
-        # via rebalance.
+        # New data nodes open existing buckets; vBuckets arrive via
+        # rebalance.
         for config in self.bucket_configs.values():
-            node.create_bucket(config)
-            self._wire_bucket_pumps(node, config.name)
-            if config.name in self.cluster_maps:
-                node.apply_cluster_map(config.name, self.cluster_maps[config.name])
-            for definition in self.design_docs.get(config.name, {}).values():
-                node.view_define(config.name, definition)
+            self.open_bucket(node, config)
+
+    def remove_node(self, name: str) -> None:
+        """Forget a node the rebalance has emptied, closing its buckets."""
+        node = self.nodes.pop(name)
+        for bucket in self.bucket_configs:
+            self.close_bucket(node, bucket)
 
     def data_nodes(self, include_ejected: bool = False) -> list[str]:
         return sorted(
@@ -126,88 +129,113 @@ class ClusterManager:
             raise NoQuorumError("no data-service nodes available")
         self.bucket_configs[config.name] = config
         self.ddl_epoch += 1
+        for name in data_nodes:
+            self.open_bucket(self.nodes[name], config)
         cluster_map = plan_map(
             data_nodes, num_vbuckets=num_vbuckets,
             num_replicas=config.num_replicas,
         )
         self.cluster_maps[config.name] = cluster_map
-        for name in data_nodes:
-            node = self.nodes[name]
-            node.create_bucket(config)
-            self._wire_bucket_pumps(node, config.name)
         self.push_map(config.name)
         self._log("bucket-created", config.name)
         return cluster_map
 
     def drop_bucket(self, name: str) -> None:
+        """Drop a bucket: every node discards the files it kept for the
+        bucket, then closes it.  The bucket's views go with it."""
         if name not in self.bucket_configs:
             raise BucketNotFoundError(name)
         del self.bucket_configs[name]
         del self.cluster_maps[name]
+        self.design_docs.pop(name, None)
         self.ddl_epoch += 1
         for node in self.nodes.values():
-            self.scheduler.unregister(f"flusher/{node.name}/{name}")
-            self.scheduler.unregister(f"replicator/{node.name}/{name}")
-            self.scheduler.unregister(f"views/{node.name}/{name}")
-            self.scheduler.unregister(f"projector/{node.name}/{name}")
-            self.scheduler.unregister(f"compactor/{node.name}/{name}")
-            self.replicators.pop((node.name, name), None)
-            node.drop_bucket(name)
+            self._discard_bucket(node, name)
+            self.close_bucket(node, name)
         self._log("bucket-dropped", name)
 
-    def _wire_bucket_pumps(self, node: Node, bucket: str) -> None:
+    # -- a bucket on a node: one way up, one way down --------------------------------
+
+    #: A data node's pumps for one bucket, in registration order.  The
+    #: default schedule runs pumps in that order, so every seed-exact
+    #: count depends on it.
+    BUCKET_PUMPS = ("flusher", "replicator", "views", "projector", "compactor")
+
+    def open_bucket(self, node: Node, config: BucketConfig) -> None:
+        """Bring a bucket up on a data node from whatever its disk holds:
+        build the KV engine, DCP producer, view engine, replicator and
+        projector, register their pumps (the compactor only with a
+        compaction threshold) and the expiry pager, apply the current
+        map, warm up and define the bucket's views."""
         if not node.has_service(Service.DATA):
             return
+        from ..gsi.projector import Projector
+        from ..views.engine import ViewEngine
+        bucket = config.name
+        engine = node.engines[bucket] = KVEngine(
+            node.name, bucket, disk=node.disk, clock=node.clock,
+            quota_bytes=config.quota_bytes,
+            eviction_policy=config.eviction_policy, metrics=node.metrics)
+        node.producers[bucket] = DcpProducer(engine, name=f"{node.name}/{bucket}")
+        views = node.view_engines[bucket] = ViewEngine(node, bucket)
+        replicator = node.replicators[bucket] = IntraReplicator(
+            node, bucket, self.network)
+        projector = node.projectors[bucket] = Projector(
+            node, bucket, self.index_registry, self.network)
+        pumps = [lambda: bool(node.alive) and engine.flush(),
+                 replicator.pump, views.pump, projector.pump]
+        threshold = config.compaction_threshold
+        if threshold is not None:
+            pumps.append(
+                lambda: bool(node.alive) and engine.run_compactor(threshold))
+        for kind, pump in zip(self.BUCKET_PUMPS, pumps):
+            self.scheduler.register(f"{kind}/{node.name}/{bucket}", pump)
+        if config.expiry_pager_interval is not None:
+            self._arm_expiry_pager(node, bucket, config.expiry_pager_interval)
+        if bucket in self.cluster_maps:
+            node.apply_cluster_map(bucket, self.cluster_maps[bucket])
+        engine.warmup()
+        for definition in self.design_docs.get(bucket, {}).values():
+            node.view_define(bucket, definition)
+
+    def close_bucket(self, node: Node, bucket: str) -> None:
+        """Take a bucket down on a node: unregister its pumps and drop its
+        in-memory state.  Its files stay on disk."""
+        for kind in self.BUCKET_PUMPS:
+            self.scheduler.unregister(f"{kind}/{node.name}/{bucket}")
+        node.engines.pop(bucket, None)
+        node.producers.pop(bucket, None)
+        node.view_engines.pop(bucket, None)
+        node.replicators.pop(bucket, None)
+        node.projectors.pop(bucket, None)
+        node.cluster_maps.pop(bucket, None)
+
+    @staticmethod
+    def _discard_bucket(node: Node, bucket: str) -> None:
+        """Destroy the files a node keeps for a bucket: each vBucket's,
+        by the DEAD-then-drop path, and every file under its views
+        directory (``drop_view`` leaves a view's file there)."""
         engine = node.engines.get(bucket)
         if engine is None:
             return
-        flusher_name = f"flusher/{node.name}/{bucket}"
-        if flusher_name not in self.scheduler.pump_names():
-            self.scheduler.register(
-                flusher_name,
-                lambda e=engine, n=node: bool(n.alive) and e.flush(),
-            )
-        replicator_name = f"replicator/{node.name}/{bucket}"
-        if replicator_name not in self.scheduler.pump_names():
-            replicator = IntraReplicator(node, bucket, self.network)
-            self.replicators[(node.name, bucket)] = replicator
-            node.replicators[bucket] = replicator
-            self.scheduler.register(replicator_name, replicator.pump)
-        view_engine = node.view_engines.get(bucket)
-        if view_engine is not None:
-            view_pump_name = f"views/{node.name}/{bucket}"
-            if view_pump_name not in self.scheduler.pump_names():
-                self.scheduler.register(view_pump_name, view_engine.pump)
-        from ..gsi.projector import Projector
-        projector_name = f"projector/{node.name}/{bucket}"
-        if projector_name not in self.scheduler.pump_names():
-            projector = Projector(node, bucket, self.index_registry,
-                                  self.network)
-            self.scheduler.register(projector_name, projector.pump)
-        config = self.bucket_configs.get(bucket)
-        if config is not None and config.compaction_threshold is not None:
-            compactor_name = f"compactor/{node.name}/{bucket}"
-            if compactor_name not in self.scheduler.pump_names():
-                threshold = config.compaction_threshold
-                self.scheduler.register(
-                    compactor_name,
-                    lambda e=engine, n=node, t=threshold: (
-                        bool(n.alive) and e.run_compactor(t)
-                    ),
-                )
-        if config is not None and config.expiry_pager_interval is not None:
-            self._arm_expiry_pager(node, bucket, config.expiry_pager_interval)
+        for vbucket_id in list(engine.vbuckets):
+            engine.set_vbucket_state(vbucket_id, VBucketState.DEAD)
+            engine.drop_vbucket(vbucket_id)
+        for filename in node.disk.list_files():
+            if filename.startswith(f"views/{bucket}/"):
+                node.disk.delete(filename)
 
     def _arm_expiry_pager(self, node: Node, bucket: str,
                           interval: float) -> None:
         """Recurring virtual-time sweep turning expired docs into delete
-        mutations; re-arms itself while the bucket exists on the node."""
+        mutations; re-arms itself while the bucket stays open on the
+        node."""
         engine = node.engines.get(bucket)
 
         @declared_raises('TemporaryFailureError')
         def fire() -> None:
             if node.engines.get(bucket) is not engine:
-                return  # bucket dropped; stop re-arming
+                return  # bucket closed; stop re-arming
             if node.alive:
                 engine.run_expiry_pager()
             self.scheduler.call_later(interval, fire)

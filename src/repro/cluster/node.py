@@ -2,9 +2,12 @@
 
 Section 4.3: every node runs the cluster manager; beyond that, a node
 hosts whichever services it was provisioned with (multi-dimensional
-scaling).  A data-service node carries KV engines (one per bucket), a
-DCP producer per bucket, the view engine, and the GSI projector/router;
-index- and query-service components attach through the ``indexer`` and
+scaling).  A data-service node carries, per bucket, a KV engine, a DCP
+producer, a view engine, an intra-cluster replicator and a GSI
+projector, in the tables below; the cluster manager opens and closes
+them together (:meth:`repro.cluster.manager.ClusterManager.open_bucket`
+and :meth:`~repro.cluster.manager.ClusterManager.close_bucket`).
+Index- and query-service components attach through the ``indexer`` and
 ``query_service`` slots, wired up by the :class:`repro.server.Cluster`
 facade.
 
@@ -29,10 +32,11 @@ from ..kv.engine import KVEngine
 from ..kv.types import (DurabilityWait, MutationResult, ObserveResult,
                         SeqnoWaiter, VBucketState)
 from .cluster_map import ClusterMap
-from ..common.services import BucketConfig, Service
+from ..common.services import Service
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..gsi.manager import IndexService
+    from ..gsi.projector import Projector
     from ..n1ql.service import QueryService
     from ..replication.intra import IntraReplicator
     from ..views.engine import ViewEngine
@@ -58,11 +62,13 @@ class Node:
         self.services = set(services)
         self.disk = SimulatedDisk()
         self.metrics = MetricsRegistry()
+        #: Per-bucket services, filled by the cluster manager's
+        #: ``open_bucket`` and emptied by its ``close_bucket``.
         self.engines: dict[str, KVEngine] = {}
         self.producers: dict[str, DcpProducer] = {}
         self.view_engines: dict[str, "ViewEngine"] = {}
-        #: Replication pump per bucket, wired by the cluster manager.
         self.replicators: dict[str, "IntraReplicator"] = {}
+        self.projectors: dict[str, "Projector"] = {}
         self.indexer: "IndexService | None" = None
         self.query_service: "QueryService | None" = None
         #: Latest cluster map per bucket, as pushed by the manager.
@@ -76,34 +82,7 @@ class Node:
     def has_service(self, service: Service) -> bool:
         return service in self.services
 
-    # -- bucket lifecycle -----------------------------------------------------
-
-    def create_bucket(self, config: BucketConfig) -> None:
-        if not self.has_service(Service.DATA):
-            return
-        if config.name in self.engines:
-            return
-        self.engines[config.name] = KVEngine(
-            self.name,
-            config.name,
-            disk=self.disk,
-            clock=self.clock,
-            quota_bytes=config.quota_bytes,
-            eviction_policy=config.eviction_policy,
-            metrics=self.metrics,
-        )
-        self.producers[config.name] = DcpProducer(
-            self.engines[config.name], name=f"{self.name}/{config.name}"
-        )
-        from ..views.engine import ViewEngine
-        self.view_engines[config.name] = ViewEngine(self, config.name)
-
-    def drop_bucket(self, name: str) -> None:
-        self.engines.pop(name, None)
-        self.replicators.pop(name, None)
-        self.producers.pop(name, None)
-        self.view_engines.pop(name, None)
-        self.cluster_maps.pop(name, None)
+    # -- per-bucket lookups ------------------------------------------------------
 
     def engine(self, bucket: str) -> KVEngine:
         engine = self.engines.get(bucket)

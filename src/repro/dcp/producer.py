@@ -33,6 +33,13 @@ from ..kv.engine import KVEngine, VBucket
 from ..kv.types import VBucketState
 from .messages import Deletion, DcpMessage, Mutation, SnapshotMarker, StreamEnd
 
+__shared_state__ = ("_stream_ids",)
+
+#: Process-wide, so a stream id never repeats -- not across a node's
+#: restarts either, or the write-race tracker would take a new stream
+#: for a dead one.
+_stream_ids = itertools.count(1)
+
 
 @protocol(
     # A stream opens, backfills from disk when its start point was
@@ -72,7 +79,7 @@ class DcpStream:
         #: from the same stream is stealing a peer's queue.
         self.stream_id = (
             f"dcp/{producer.engine.node_name}/{producer.engine.bucket_name}"
-            f"/vb{vb.id}#{next(producer._stream_seq)}"
+            f"/vb{vb.id}#{next(_stream_ids)}"
         )
 
     @property
@@ -194,7 +201,6 @@ class DcpProducer:
     def __init__(self, engine: KVEngine, name: str = "dcp"):
         self.engine = engine
         self.name = name
-        self._stream_seq = itertools.count(1)
 
     @hot_path
     def stream_request(

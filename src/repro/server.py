@@ -99,11 +99,12 @@ class Cluster:
         return self._make_node(name, _parse_services(services))
 
     def remove_node(self, name: str) -> None:
-        """Graceful removal: mark ejected, then rebalance data away."""
+        """Graceful removal: mark ejected, rebalance data away, then close
+        the node's buckets."""
         self.manager.ejected.add(name)
         self.rebalance()
         self.network.unregister(name)
-        del self.manager.nodes[name]
+        self.manager.remove_node(name)
 
     def nodes(self) -> list[Node]:
         """All nodes, sorted by name."""
@@ -142,7 +143,10 @@ class Cluster:
         return cluster_map
 
     def drop_bucket(self, name: str) -> None:
-        """Remove a bucket and all of its data from every node."""
+        """Remove a bucket and all of its data from every node: its GSI
+        indexes, views, vBucket files and in-memory state."""
+        for meta in self.manager.index_registry.indexes_on(name):
+            self.drop_index(meta.definition.name)
         self.manager.drop_bucket(name)
 
     # -- views (section 3.1.2) --------------------------------------------------------------
@@ -231,46 +235,23 @@ class Cluster:
         self.node(name).alive = False
         self.run_until_idle()
 
-    def recover_node(self, name: str) -> None:
-        """Mark a previously crashed node reachable again (its memory
-        state is intact -- for a real process restart use
-        :meth:`restart_node`)."""
-        self.network.set_down(name, False)
-        self.node(name).alive = True
-        self.run_until_idle()
-
     def restart_node(self, name: str) -> None:
         """Bring a crashed node back as a restarted process: memory is
-        gone, the disk files survive.  Engines are rebuilt from storage
-        (warmup), views re-materialize, GSI instances hosted here are
-        rebuilt, and the node resumes whatever role the current cluster
-        map assigns it.  Each bucket's map is then republished under a
-        new revision: a restart is a new connection, so every active's
-        replication streams reconnect and their handshake reads what
-        this node's replicas kept on disk, re-sending the tail the
-        restart lost."""
+        gone, the disk files survive.  Each bucket closes and reopens
+        over the surviving disk (warmup, views re-materialize), GSI
+        instances hosted here are rebuilt, and the node resumes whatever
+        role the current cluster map assigns it.  Each bucket's map is
+        then republished under a new revision: a restart is a new
+        connection, so every active's replication streams reconnect and
+        their handshake reads what this node's replicas kept on disk,
+        re-sending the tail the restart lost."""
         node = self.node(name)
         manager = self.manager
         self.network.set_down(name, False)
         node.alive = True
         for bucket, config in manager.bucket_configs.items():
-            for pump in ("flusher", "replicator", "views", "projector",
-                         "compactor"):
-                self.scheduler.unregister(f"{pump}/{name}/{bucket}")
-            node.engines.pop(bucket, None)
-            dead = node.producers.pop(bucket, None)
-            node.view_engines.pop(bucket, None)
-            node.create_bucket(config)
-            if dead is not None:
-                # Stream ids stay unique across incarnations, or the
-                # write-race tracker takes a new stream for a dead one.
-                node.producers[bucket]._stream_seq = dead._stream_seq
-            if bucket in manager.cluster_maps:
-                node.apply_cluster_map(bucket, manager.cluster_maps[bucket])
-            node.engines[bucket].warmup()
-            manager._wire_bucket_pumps(node, bucket)
-            for definition in manager.design_docs.get(bucket, {}).values():
-                node.view_define(bucket, definition)
+            manager.close_bucket(node, bucket)
+            manager.open_bucket(node, config)
             if bucket in manager.cluster_maps:
                 republished = manager.cluster_maps[bucket].copy()
                 republished.revision += 1

@@ -97,11 +97,6 @@ class YcsbClient:
             raise InvalidArgumentError(f"unknown operation {op.kind!r}")
         self.ops_done += 1
 
-    def run_one(self) -> Operation:
-        op = self.workload.next_operation()
-        self.execute(op)
-        return op
-
     # -- operation implementations ---------------------------------------------------
 
     def _read(self, key: str) -> None:

@@ -13,6 +13,7 @@ from repro.common.errors import (
     KeyNotFoundError,
     NodeDownError,
 )
+from tests.cluster.support import node_for_key
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ class TestNodeGrouping:
         keys = [f"user::{i}" for i in range(60)]
         client.multi_upsert("b", {k: {"i": i} for i, k in enumerate(keys)})
         cluster_map = cluster.manager.cluster_maps["b"]
-        involved = {cluster_map.node_for_key(k) for k in keys}
+        involved = {node_for_key(cluster_map, k) for k in keys}
         assert len(involved) == 4  # 60 keys spread over all 4 nodes
 
         cluster.network.reset_counters()
@@ -148,7 +149,7 @@ class TestPartialFailure:
         cluster.run_until_idle()
         cluster_map = cluster.manager.cluster_maps["b"]
         cut = "node2"
-        on_cut = {k for k in keys if cluster_map.node_for_key(k) == cut}
+        on_cut = {k for k in keys if node_for_key(cluster_map, k) == cut}
         assert 0 < len(on_cut) < len(keys)
         cluster.network.partition(client.name, cut)
 
@@ -191,7 +192,7 @@ class TestPartialFailure:
         cluster_map = cluster.manager.cluster_maps["b"]
         tripped = "node3"
         on_tripped = {k for k in keys
-                      if cluster_map.node_for_key(k) == tripped}
+                      if node_for_key(cluster_map, k) == tripped}
         assert 0 < len(on_tripped) < len(keys)
         breaker = cluster.admission.breaker(tripped)
         for _ in range(breaker.threshold):
@@ -233,7 +234,7 @@ class TestTopologyChanges:
         cluster.remove_node("node3")
         fresh_map = cluster.manager.cluster_maps["b"]
         moved = [k for k in keys
-                 if stale_map.node_for_key(k) != fresh_map.node_for_key(k)]
+                 if node_for_key(stale_map, k) != node_for_key(fresh_map, k)]
         assert moved  # the shrink moved some of our keys
         client._maps["b"] = stale_map
         cluster.network.reset_counters()

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster_map import plan_map
+from tests.cluster.support import (active_vbuckets_of, node_for_key,
+                                   nodes_in_use, replica_vbuckets_of)
 
 
 class TestPlanFresh:
@@ -66,7 +68,7 @@ class TestPlanIncremental:
         before = plan_map(["n1", "n2", "n3"], num_vbuckets=48, num_replicas=1)
         after = plan_map(["n1", "n2"], num_vbuckets=48, num_replicas=1,
                          previous=before)
-        assert "n3" not in after.nodes_in_use()
+        assert "n3" not in nodes_in_use(after)
         assert after.stats()["unassigned_active"] == 0
 
     def test_remove_node_promotes_surviving_replica(self):
@@ -122,12 +124,12 @@ class TestMapQueries:
         cluster_map = plan_map(["n1", "n2"], num_vbuckets=32)
         key = "user::42"
         vb = cluster_map.vbucket_for_key(key)
-        assert cluster_map.node_for_key(key) == cluster_map.active_node(vb)
+        assert node_for_key(cluster_map, key) == cluster_map.active_node(vb)
 
     def test_vbuckets_of_node(self):
         cluster_map = plan_map(["n1", "n2"], num_vbuckets=8, num_replicas=1)
-        actives = cluster_map.active_vbuckets_of("n1")
-        replicas = cluster_map.replica_vbuckets_of("n1")
+        actives = active_vbuckets_of(cluster_map, "n1")
+        replicas = replica_vbuckets_of(cluster_map, "n1")
         assert len(actives) == 4
         assert len(replicas) == 4
         assert not set(actives) & set(replicas)

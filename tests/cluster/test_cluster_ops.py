@@ -161,7 +161,7 @@ class TestFailover:
     def test_recovery_cancels_suspicion(self, cluster, client):
         cluster.crash_node("node3")
         cluster.tick(5.0)
-        cluster.recover_node("node3")
+        cluster.restart_node("node3")
         cluster.tick(60.0)
         assert "node3" not in cluster.manager.ejected
 

@@ -15,6 +15,7 @@ import pytest
 from repro import Cluster
 from repro.common.errors import TemporaryFailureError
 from repro.kv.engine import VBucketState
+from tests.cluster.support import active_vbuckets_of
 
 
 @contextlib.contextmanager
@@ -84,6 +85,6 @@ def test_rebalance_onto_a_new_node_after_refused_writes():
     with deadline(20):
         report = cluster.rebalance()
     assert report["b"]["moves"] > 0
-    assert cluster.manager.cluster_maps["b"].active_vbuckets_of("node3")
+    assert active_vbuckets_of(cluster.manager.cluster_maps["b"], "node3")
     for i in range(40):
         assert client.get("b", f"k{i}").value == {"i": i}

@@ -186,8 +186,7 @@ class TestMaintenance:
                 cluster.run_until_idle()
         cluster.run_until_idle()
         for node in cluster.nodes():
-            projector = dict(cluster.scheduler._pumps)[
-                f"projector/{node.name}/b"].__self__
+            projector = node.projectors["b"]
             engine = node.engines["b"]
             assert projector.projected_seqnos == {
                 vbucket_id: engine.vbuckets[vbucket_id].high_seqno

@@ -265,7 +265,7 @@ class TestPartialDelivery:
         ))
         assert meta.nodes == ["i1", "i2"]
         cluster.run_until_idle()
-        projector = dict(cluster.scheduler._pumps)["projector/d1/b"].__self__
+        projector = cluster.node("d1").projectors["b"]
         engine = cluster.node("d1").engines["b"]
         i1 = cluster.node("i1").indexer.indexer
         before = (projector.projected_seqnos[owed_vb],
@@ -327,8 +327,7 @@ class TestPartialDelivery:
                              vbucket_id, seqno)
                   for seqno, (vbucket_id, partition) in enumerate(
                       [(2, 0), (3, 1), (4, 0), (4, 1)], start=100)]
-        router = dict(cluster.scheduler._pumps)[
-            "projector/d1/b"].__self__.router
+        router = cluster.node("d1").projectors["b"].router
         network = cluster.network
         network.default_latency = 0.001
 

@@ -44,7 +44,7 @@ class TestObservability:
     def test_recovery_event(self, cluster):
         cluster.crash_node("node2")
         cluster.tick(5.0)
-        cluster.recover_node("node2")
+        cluster.restart_node("node2")
         events = [event for _t, event, _d in cluster.manager.event_log]
         assert "node-recovered" in events
 

@@ -34,7 +34,8 @@ def kv_waiters(cluster) -> int:
     return sum(len(waiters) for node in cluster.nodes()
                for engine in node.engines.values()
                for waiters in engine._waiters.values()) + sum(
-        len(waits) for replicator in cluster.manager.replicators.values()
+        len(waits) for node in cluster.nodes()
+        for replicator in node.replicators.values()
         for waits in replicator._registrations.values())
 
 
@@ -215,7 +216,7 @@ class TestDurabilityWaits:
         replicas = cluster_map.replica_nodes(vb)
         cluster.network.partition(active, replicas[0])
         pending = []
-        replicator = cluster.manager.replicators[(active, "b")]
+        replicator = cluster.node(active).replicators["b"]
         run_once_in_a_round(cluster, lambda: pending.append(
             sum(len(waits) for waits in replicator._registrations.values())))
         with pytest.raises(DurabilityError):

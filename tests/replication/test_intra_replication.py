@@ -11,6 +11,7 @@ from repro.common.document import Document, DocumentMeta
 from repro.common.errors import CorruptFileError, NotMyVBucketError
 from repro.common.transport import Network
 from repro.kv.engine import VBucketState
+from tests.cluster.support import active_vbuckets_of
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def client(cluster):
 
 
 def replicator_of(cluster, node, bucket="b"):
-    return cluster.manager.replicators[(node, bucket)]
+    return cluster.node(node).replicators[bucket]
 
 
 def live_docs(cluster, node, vbucket_id, bucket="b") -> dict:
@@ -70,7 +71,7 @@ class TestStreamLifecycle:
         cluster.run_until_idle()
         cluster_map = cluster.manager.cluster_maps["b"]
         for name in ("node1", "node2", "node3"):
-            expected = len(cluster_map.active_vbuckets_of(name))
+            expected = len(active_vbuckets_of(cluster_map, name))
             assert len(replicator_of(cluster, name).streams) == expected
 
     def test_streams_rebuilt_on_revision_change(self, cluster, client):
@@ -281,7 +282,7 @@ class TestOneBatchPerNodePair:
     def write_one_key_per_active(self, cluster, client, node="node1") -> dict:
         cluster_map = cluster.manager.cluster_maps["b"]
         keys = {vb: key_in(cluster_map, vb)
-                for vb in cluster_map.active_vbuckets_of(node)}
+                for vb in active_vbuckets_of(cluster_map, node)}
         assert len(keys) >= 2
         client.multi_upsert("b", {key: {"vb": vb} for vb, key in keys.items()}
                             ).require_ok()
@@ -335,7 +336,7 @@ class TestOneBatchPerNodePair:
 
     def test_a_refused_vbucket_drops_only_its_stream(self, cluster, client,
                                                      monkeypatch):
-        owned = cluster.manager.cluster_maps["b"].active_vbuckets_of("node1")
+        owned = active_vbuckets_of(cluster.manager.cluster_maps["b"], "node1")
         refused = owned[0]
         self.refuse(cluster, monkeypatch, refused,
                     NotMyVBucketError(refused, "node2"))
@@ -358,7 +359,7 @@ class TestOneBatchPerNodePair:
             self, cluster, client, monkeypatch):
         """No stream stays ahead of its replica: the other slots are
         applied and the failed stream dropped before the error leaves."""
-        owned = cluster.manager.cluster_maps["b"].active_vbuckets_of("node1")
+        owned = active_vbuckets_of(cluster.manager.cluster_maps["b"], "node1")
         failed = owned[0]
         # Both slots fail, so whichever is handled first, the other's
         # failed stream must still be dropped.

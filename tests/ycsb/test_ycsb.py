@@ -181,7 +181,7 @@ class TestClientIntegration:
     def test_run_workload_a_ops(self, loaded):
         _cluster, client = loaded
         for _ in range(100):
-            client.run_one()
+            client.execute(client.workload.next_operation())
         assert client.ops_done >= 100
         assert client.read_misses == 0
 
@@ -204,7 +204,7 @@ class TestClientIntegration:
         client = YcsbClient(cluster, "ycsb", workload)
         client.load()
         for _ in range(60):
-            client.run_one()
+            client.execute(workload.next_operation())
         assert client.ops_done == 60
 
     def test_load_above_quota_drains_instead_of_tripping_a_breaker(self):
