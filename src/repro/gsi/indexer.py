@@ -6,14 +6,26 @@ also provides the interface for the query client to run index scans."
 
 One :class:`Indexer` lives inside each index-service node.  It hosts
 index *instances* (the storage plus per-vBucket seqno watermarks), takes
-key versions pushed by routers, and serves range scans.  Watermarks are
-what ``request_plus`` consistency waits on: the scan coordinator blocks
-until the indexer has processed every data-service seqno that existed at
-query time (section 4.2: "the query engine will wait until the index is
-updated up to the maximum sequence number for each vBucket").  The
-coordinator registers that wait once (:meth:`Indexer.wait`); the
-instance strikes its marks as ``apply`` and ``set_watermarks`` pass
-them.
+key versions pushed by routers, and serves range scans.
+
+Key versions are committed in time, like the flusher's disk write queue
+(DESIGN.md § "Group commit in time for the index"): an instance holds
+what the routers hand it and rewrites its tree once, in
+:meth:`IndexInstance.commit`, when the oldest held batch has waited
+``FLUSH_ROUNDS`` calls of the node's ``indexer/<node>`` pump, when a
+freshness waiter is registered, or when a build installs its watermarks.
+A watermark names only seqnos whose rows are in the tree, and scans read
+the tree: a ``not_bounded`` scan may miss what is still held, which is
+the staleness ``not_bounded`` allows.
+
+Watermarks are what ``request_plus`` consistency waits on: the scan
+coordinator blocks until the indexer has processed every data-service
+seqno that existed at query time (section 4.2: "the query engine will
+wait until the index is updated up to the maximum sequence number for
+each vBucket").  The coordinator registers that wait once
+(:meth:`Indexer.wait`), which commits what the instance holds; while the
+wait lasts, every batch is committed as it arrives and the instance
+strikes the marks its watermarks pass.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from ..common.errors import (
     IndexNotFoundError,
 )
 from ..common.jsonval import deep_copy
-from ..kv.types import SeqnoWaiter, SeqnoWaiters
+from ..kv.types import FLUSH_ROUNDS, SeqnoWaiter, SeqnoWaiters
 from .indexdef import IndexDefinition
 from .projector import KeyVersion
 from .storage import Groups, composite_compare, make_storage
@@ -46,28 +58,49 @@ class IndexInstance:
         self.node_name = node_name
         filename = f"gsi/{definition.bucket}/{definition.name}.index"
         self.storage = make_storage(definition.storage, disk, filename)
-        #: vbucket -> highest seqno applied (or acknowledged via an empty
-        #: key version).
+        #: vbucket -> highest seqno committed to the tree (or
+        #: acknowledged via an empty key version).
         self.watermarks: dict[int, int] = {}
-        self.items_applied = 0
+        #: Key versions applied but not yet in the tree, in arrival
+        #: order; :meth:`commit` empties it.
+        self.held: list[KeyVersion] = []
+        #: The indexer pump's call count when ``held`` went non-empty.
+        self.held_since = 0
         #: ``request_plus`` / ``at_plus`` waits on this instance.
         self.waiters = SeqnoWaiters()
 
-    def apply(self, key_versions: list[KeyVersion]) -> None:
-        """One storage rewrite for the batch, then the watermarks: a
-        watermark never names a seqno whose rows are not in the tree."""
+    def apply(self, key_versions: list[KeyVersion], pump_calls: int) -> None:
+        """Hold a router batch for :meth:`commit`; ``pump_calls`` is the
+        indexer pump's call count, from which the batch ages.  While a
+        waiter is registered the batch is committed at once, so a
+        barrier ends in the round its last key version arrives."""
+        if not self.held:
+            self.held_since = pump_calls
+        self.held += key_versions
+        if self.waiters:
+            self.commit()
+
+    def commit(self) -> None:
+        """One storage rewrite for everything held, then the watermarks
+        (a watermark never names a seqno whose rows are not in the
+        tree), then the waiters.  A document's key versions arrive in
+        seqno order and the last one wins."""
+        held = self.held
+        if not held:
+            return
+        self.held = []
         tracing.record_write(f"gsi/{self.node_name}/{self.definition.name}")
-        self.storage.update_docs(
-            [(kv.doc_id, kv.entries) for kv in key_versions])
+        self.storage.update_docs([(kv.doc_id, kv.entries) for kv in held])
         watermarks = self.watermarks
-        for kv in key_versions:
+        for kv in held:
             if kv.seqno > watermarks.get(kv.vbucket_id, 0):
                 watermarks[kv.vbucket_id] = kv.seqno
-        self.items_applied += len(key_versions)
         if self.waiters:
             self.waiters.strike(watermarks)
 
     def set_watermarks(self, marks: dict[int, int]) -> None:
+        """Install a build's snapshot marks over its committed rows."""
+        self.commit()
         for vbucket_id, seqno in marks.items():
             if seqno > self.watermarks.get(vbucket_id, 0):
                 self.watermarks[vbucket_id] = seqno
@@ -81,6 +114,8 @@ class Indexer:
     def __init__(self, node):
         self.node = node
         self.instances: dict[str, IndexInstance] = {}
+        #: Calls of :meth:`pump` so far: the clock held batches age by.
+        self._pump_calls = 0
 
     @declared_raises('IndexExistsError', 'InvalidArgumentError')
     def create(self, definition: IndexDefinition) -> IndexInstance:
@@ -103,20 +138,36 @@ class Indexer:
             raise IndexNotFoundError(name)
         return instance
 
+    def pump(self) -> bool:
+        """The ``indexer/<node>`` pump: commit every instance whose
+        oldest held batch has waited ``FLUSH_ROUNDS`` calls.  Returns
+        True while anything was held, so a drain (``run_until_idle``)
+        ends with every index committed."""
+        self._pump_calls += 1
+        cutoff = self._pump_calls - FLUSH_ROUNDS
+        busy = False
+        for instance in self.instances.values():
+            if instance.held:
+                busy = True
+                if instance.held_since <= cutoff:
+                    instance.commit()
+        return busy
+
     # -- RPC surface -----------------------------------------------------------------
 
     def apply(self, key_versions: list[KeyVersion]) -> None:
-        """Apply one router batch: its key versions grouped by index,
-        one storage rewrite per index.  A document's key versions arrive
-        in seqno order and the last one wins, so replaying a batch (the
-        projector does after a partial delivery) changes nothing."""
+        """Apply one router batch: its key versions grouped by index and
+        held by each instance until it commits.  A document's key
+        versions arrive in seqno order and the last one wins, so
+        replaying a batch (the projector does after a partial delivery)
+        changes nothing."""
         by_index: dict[str, list[KeyVersion]] = {}
         for kv in key_versions:
             by_index.setdefault(kv.index_name, []).append(kv)
         for name, batch in by_index.items():
             instance = self.instances.get(name)
             if instance is not None:
-                instance.apply(batch)
+                instance.apply(batch, self._pump_calls)
 
     @declared_raises('IndexNotFoundError')
     def scan(self, name: str, low: list | None, high: list | None,
@@ -213,9 +264,10 @@ class Indexer:
     @declared_raises('IndexNotFoundError')
     def wait(self, name: str, marks: dict[int, int]) -> SeqnoWaiter:
         """Register a ``request_plus`` / ``at_plus`` wait on this
-        node's instance of ``name``; a drop fails it with
-        :class:`IndexNotFoundError`."""
+        node's instance of ``name``, committing what it holds first; a
+        drop fails it with :class:`IndexNotFoundError`."""
         instance = self.instance(name)
+        instance.commit()
         return instance.waiters.register(marks, instance.watermarks)
 
     def count(self, name: str) -> int:

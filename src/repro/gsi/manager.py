@@ -123,13 +123,20 @@ class IndexRegistry:
 
 
 class IndexService:
-    """Per-node index service (attached when the node runs INDEX)."""
+    """Per-node index service (attached when the node runs INDEX).
+
+    It registers the node's ``indexer/<node>`` pump, which commits held
+    key versions once they are due (:meth:`Indexer.pump`); a crashed
+    node's pump does nothing, and :meth:`close` unregisters it."""
 
     def __init__(self, node, network, scheduler):
         self.node = node
         self.network = network
         self.scheduler = scheduler
         self.indexer = Indexer(node)
+        self.pump_name = f"indexer/{node.name}"
+        scheduler.register(self.pump_name,
+                           lambda: bool(node.alive) and self.indexer.pump())
         # Expose the RPC surface on the node object itself so the network
         # fabric can dispatch to it.
         node.gsi_apply = self.indexer.apply
@@ -140,6 +147,10 @@ class IndexService:
         node.gsi_count = self.indexer.count
         node.gsi_create_local = self.indexer.create
         node.gsi_drop_local = self.indexer.drop
+
+    def close(self) -> None:
+        """The node leaves the cluster: its pump goes with it."""
+        self.scheduler.unregister(self.pump_name)
 
 
 class GsiCoordinator:

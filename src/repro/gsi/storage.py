@@ -442,19 +442,17 @@ class SkipListIndexStorage:
         written.  Recovery is :meth:`load_snapshot` on a fresh instance."""
         if self._disk is None or self._filename is None:
             raise InvalidArgumentError("no backing disk configured for snapshots")
-        import json
         payload = json.dumps(
             [[node_key, doc_id] for node_key, doc_id in self._raw_items()],
             separators=(",", ":"),
         ).encode("utf-8")
         file = self._disk.open(self._filename + ".snapshot")
         file.truncate(0)
-        offset = file.append(payload)
+        file.append(payload)
         file.sync()
         return len(payload)
 
     def load_snapshot(self) -> int:
-        import json
         file = self._disk.open(self._filename + ".snapshot")
         if file.size == 0:
             return 0

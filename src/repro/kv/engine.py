@@ -48,7 +48,13 @@ from ..common.metrics import MetricsRegistry
 from ..storage.compaction import Compactor
 from ..storage.couchstore import VBucketStore
 from .hashtable import HashTable
-from .types import MutationResult, ObserveResult, ObserveWaiter, VBucketState
+from .types import (
+    FLUSH_ROUNDS,
+    MutationResult,
+    ObserveResult,
+    ObserveWaiter,
+    VBucketState,
+)
 
 #: Registered mutable module state (declared-shared-state lint rule):
 #: monotonic vBucket-UUID source shared by every engine in the process.
@@ -176,7 +182,7 @@ class KVEngine:
     #: Group commit in time: a vBucket's queue is committed once its
     #: oldest write has waited this many flusher calls (sooner for a
     #: durability waiter or memory pressure; see :meth:`flush`).
-    FLUSH_ROUNDS = 8
+    FLUSH_ROUNDS = FLUSH_ROUNDS
     #: Above this fraction of quota the pager starts ejecting...
     HIGH_WATERMARK = 0.85
     #: ...and it stops once usage falls below this fraction.

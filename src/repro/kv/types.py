@@ -19,6 +19,13 @@ from typing import Callable
 from ..common.contracts import bounded, protocol
 from ..common.errors import ReproError
 
+#: Group commit in time: a background writer holds what it was handed
+#: and commits it once the oldest of it has waited this many calls of
+#: its pump, unless a waiter asks sooner -- the flusher a vBucket's
+#: queue (:meth:`repro.kv.engine.KVEngine.flush`), the indexer an
+#: index's key versions (:meth:`repro.gsi.indexer.Indexer.pump`).
+FLUSH_ROUNDS = 8
+
 
 @protocol(
     # Rebalance: a move builds a PENDING copy that switches to ACTIVE;

@@ -10,7 +10,9 @@ queue takes.  From those events this tracker flags two shapes of race:
   naming convention: the pumps of a KV engine ``kv/<node>/<bucket>`` are
   its flusher and compactor; a view index ``views/<node>/<bucket>`` is
   owned by that node's view pump; GSI storage ``gsi/<node>/<index>`` is
-  network-fed only (the projector routes key versions over RPC).
+  owned by that node's indexer pump ``indexer/<node>``, which commits
+  held key versions (everything else reaches it over RPC: the projector
+  routes key versions, the coordinator's barrier registers a wait).
   Everything else must either run on the frontend (no pump active) or
   arrive via :meth:`repro.common.transport.Network.call`.
 
@@ -49,6 +51,8 @@ def allowed_writers(tag: str) -> frozenset[str]:
         return frozenset({f"flusher/{rest}", f"compactor/{rest}"})
     if kind == "views":
         return frozenset({f"views/{rest}"})
+    if kind == "gsi":
+        return frozenset({f"indexer/{rest.partition('/')[0]}"})
     return frozenset()
 
 

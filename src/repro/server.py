@@ -100,11 +100,14 @@ class Cluster:
 
     def remove_node(self, name: str) -> None:
         """Graceful removal: mark ejected, rebalance data away, then close
-        the node's buckets."""
+        the node's buckets and its index service."""
         self.manager.ejected.add(name)
         self.rebalance()
         self.network.unregister(name)
+        node = self.node(name)
         self.manager.remove_node(name)
+        if node.indexer is not None:
+            node.indexer.close()
 
     def nodes(self) -> list[Node]:
         """All nodes, sorted by name."""

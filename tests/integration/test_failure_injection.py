@@ -14,6 +14,7 @@ from repro.common.errors import (
 from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.gsi.projector import KeyVersion, _hash_partition
 from repro.kv.engine import VBucketState
+from tests.gsi.support import drain_indexer
 
 
 @pytest.fixture
@@ -217,6 +218,7 @@ class TestIndexBuild:
         # Nothing is routed to an index that is not ready, so a document
         # the failed build did deliver can vanish unseen: the retry must
         # start from empty instances, not on top of the partial rows.
+        drain_indexer(cluster.node("node1").indexer.indexer)
         delivered = {doc_id for _key, doc_id in
                      cluster.node("node1").indexer.indexer.scan("ia", None, None)}
         assert len(delivered) == 44
@@ -288,6 +290,7 @@ class TestPartialDelivery:
 
         cluster.network.reset_counters()
         assert projector.pump() is True  # the landed vBucket was delivered
+        drain_indexer(i1)
         assert cluster.network.calls == {("i1", "gsi_apply"): 1}
         assert projector.projected_seqnos[landed_vb] == \
             engine.vbuckets[landed_vb].high_seqno
@@ -345,6 +348,7 @@ class TestPartialDelivery:
         assert held == {3, 4}
         assert dict(network.calls) == {("i1", "gsi_apply"): 1}
         assert network.latency_charged == network.default_latency
+        drain_indexer(cluster.node("i1").indexer.indexer)
         # i1 took vBucket 2's new key version, not vBucket 4's.
         marks = cluster.node("i1").indexer.indexer.watermarks("by_v")
         assert (marks[2], marks[4]) == (110, 102)

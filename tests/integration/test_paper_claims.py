@@ -25,7 +25,7 @@ from repro.gsi.indexdef import IndexDefinition, path_extractor
 from repro.gsi.projector import Projector
 from repro.gsi.storage import make_storage
 from repro.kv.engine import KVEngine, VBucket
-from repro.kv.types import VBucketState
+from repro.kv.types import FLUSH_ROUNDS, VBucketState
 from repro.storage.appendlog import _HEADER, RT_DOC, RT_HEADER, RT_NODE
 from repro.storage.couchstore import VBucketStore
 from repro.views import ViewDefinition, ViewQueryParams
@@ -709,6 +709,203 @@ def test_a_projector_slice_rewrites_an_index_tree_once():
     rows = cluster.gsi.scan("by_v", scan_consistency="request_plus")
     assert [key for key, _doc_id in rows] == \
         [[v] for v in range(10)] + [[v + 100] for v in range(10, 30)]
+
+
+# -- group commit in time for the index (4.2, 4.3.4) -------------------------
+
+def node_records(storage) -> int:
+    """Node records an index file holds, live or replaced."""
+    return sum(1 for _offset, record_type, _body in storage.log.scan()
+               if record_type == RT_NODE)
+
+
+def tree_nodes(tree) -> int:
+    """Nodes reachable from a tree's root: one tree's worth."""
+    def walk(pointer: int) -> int:
+        kind, items = tree._read_node(pointer)
+        if kind == "kv":
+            return 1
+        return 1 + sum(walk(child) for _last_key, child, _reduction in items)
+    return 0 if tree.root is None else walk(tree.root)
+
+
+def test_an_index_build_writes_one_tree_per_instance():
+    """The indexer "manages the on-disk index tree" (4.3.4) and holds
+    the key versions it is sent until they are due.  A build ends by
+    installing its watermarks, which commits what each instance holds:
+    the whole snapshot is one rewrite, so 900 documents over three
+    partitions append exactly the nodes of the finished trees.  (While
+    each projector slice was its own rewrite, the same build appended
+    57, 60 and 67 node records for trees of 20, 23 and 26 nodes.)"""
+    cluster = Cluster(nodes=3, vbuckets=64)
+    cluster.create_bucket("b")
+    client = cluster.connect()
+    for i in range(900):
+        client.upsert("b", f"k{i:04d}", {"age": i % 40, "name": f"user{i:04d}"})
+    cluster.run_until_idle()
+    meta = cluster.create_index(IndexDefinition(
+        name="by_age", bucket="b", key_sources=["age"],
+        extractors=[path_extractor("age")], num_partitions=3,
+    ))
+    storages = [cluster.node(name).indexer.indexer.instance("by_age").storage
+                for name in meta.nodes]
+    assert [storage.count() for storage in storages] == [276, 304, 320]
+    assert [node_records(storage) for storage in storages] \
+        == [tree_nodes(storage.tree) for storage in storages] == [10, 11, 11]
+
+
+def test_writes_within_flush_rounds_rewrite_a_not_bounded_index_once():
+    """Freshness is asked for per query (4.2), so an index nobody waits
+    on commits in time: one write in each of ``FLUSH_ROUNDS - 1``
+    rounds is ``FLUSH_ROUNDS - 1`` ``gsi_apply`` messages and one tree
+    rewrite on the index node -- here one appended root, because the
+    rows fit a leaf -- and a ``not_bounded`` scan meanwhile reads the
+    committed tree.  (Each batch was its own rewrite: 7 records.)"""
+    cluster = Cluster(
+        nodes=[("d1", {"data"}), ("i1", {"index"}), ("q1", {"query"})],
+        vbuckets=8,
+    )
+    cluster.create_bucket("b", replicas=0)
+    client = cluster.connect()
+    for i in range(20):
+        client.upsert("b", f"k{i}", {"v": i})
+    cluster.query("CREATE INDEX by_v ON b(v) USING GSI")
+    cluster.run_until_idle()
+    disk = cluster.node("i1").disk
+    settled = cluster.gsi.scan("by_v")
+    cluster.network.reset_counters()
+    writes = disk.stats.writes
+    for i in range(FLUSH_ROUNDS - 1):
+        client.upsert("b", f"k{i}", {"v": i + 100})
+        assert cluster.scheduler.step()
+        assert cluster.gsi.scan("by_v") == settled
+    assert rpcs(cluster, "gsi_apply") == FLUSH_ROUNDS - 1
+    assert disk.stats.writes == writes
+    cluster.run_until_idle()
+    assert disk.stats.writes - writes == 1
+    assert [key for key, _doc_id in cluster.gsi.scan("by_v")] == \
+        [[v] for v in range(FLUSH_ROUNDS - 1, 20)] + \
+        [[v + 100] for v in range(FLUSH_ROUNDS - 1)]
+
+
+def test_a_request_plus_query_after_an_upsert_costs_five_waves_and_one_round():
+    """A ``request_plus`` query commits what the index holds when it
+    registers its wait, and every batch that arrives while it waits, so
+    read-your-own-write costs what it did when every batch was committed
+    at once: the upsert, its replication batch, the ``gsi_wait`` wave,
+    the ``gsi_apply`` of the round that carries the write, and the scan
+    -- 5 waves and 1 scheduler round -- and sees a write the index was
+    still holding."""
+    cluster = Cluster(nodes=3, vbuckets=32, network_latency=LATENCY)
+    cluster.create_bucket("b")
+    client = cluster.connect()
+    for i in range(300):
+        client.upsert("b", f"k{i:04d}", {"day": i % 60, "total": i})
+    cluster.run_until_idle()
+    cluster.query('CREATE INDEX by_day ON b(day, total) USING GSI '
+                  'WITH {"num_partitions": 3}')
+    cluster.run_until_idle()
+    client.upsert("b", "held", {"day": 1, "total": -1})
+    assert cluster.scheduler.step()
+    instances = [cluster.node(name).indexer.indexer.instance("by_day")
+                 for name in dict.fromkeys(
+                     cluster.manager.index_registry.require("by_day").nodes)]
+    assert sum(len(instance.held) for instance in instances) == 1
+    cluster.network.reset_counters()
+    rounds = cluster.scheduler._round
+    client.upsert("b", "hot", {"day": 0, "total": -2})
+    rows = cluster.query(
+        "SELECT b.day, b.total FROM b WHERE b.day >= $1 "
+        "ORDER BY b.day LIMIT 3", {"1": 0},
+        scan_consistency="request_plus").rows
+    assert (waves(cluster), cluster.scheduler._round - rounds) == (5, 1)
+    assert rows == [{"day": 0, "total": -2}, {"day": 0, "total": 0},
+                    {"day": 0, "total": 60}]
+    assert cluster.query(
+        "SELECT b.total FROM b WHERE b.day = 1 AND b.total < 0",
+        scan_consistency="request_plus").rows == [{"total": -1}]
+
+
+def test_a_drain_ends_with_every_index_committed():
+    """``run_until_idle()`` keeps running while an indexer holds key
+    versions, so after a drain every index's watermarks stand at the
+    active high seqnos -- for a partitioned index, the highest over its
+    partitions, which is what the ``request_plus`` barrier reads -- and
+    its rows are the documents' rows.  The last writes are durable, so
+    no flusher queue outlives them: the indexers' hold alone keeps the
+    drain going."""
+    cluster = Cluster(nodes=3, vbuckets=16)
+    cluster.create_bucket("b", replicas=0)
+    client = cluster.connect()
+    model = {}
+    for i in range(120):
+        model[f"k{i}"] = i % 17
+    client.multi_upsert("b", {key: {"v": v} for key, v in model.items()}
+                        ).require_ok()
+    cluster.run_until_idle()
+    for kind, partitions in (("standard", 1), ("memopt", 1),
+                             ("standard", 3)):
+        cluster.create_index(IndexDefinition(
+            name=f"{kind}{partitions}", bucket="b", key_sources=["v"],
+            extractors=[path_extractor("v")], storage=kind,
+            num_partitions=partitions,
+        ))
+    for i in range(0, 120, 3):
+        model[f"k{i}"] = 100 + i
+        client.upsert("b", f"k{i}", {"v": 100 + i})
+    for i in range(1, 120, 7):
+        del model[f"k{i}"]
+        client.remove("b", f"k{i}", persist_to=1)
+    assert sum(node.engines["b"].pending_writes()
+               for node in cluster.nodes()) == 0
+    assert cluster.run_until_idle() == FLUSH_ROUNDS
+    high = {}
+    for node in cluster.nodes():
+        engine = node.engines["b"]
+        for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
+            high[vbucket_id] = engine.vbuckets[vbucket_id].high_seqno
+    registry = cluster.manager.index_registry
+    for name in registry.names():
+        instances = [cluster.node(node).indexer.indexer.instance(name)
+                     for node in dict.fromkeys(registry.require(name).nodes)]
+        assert all(not instance.held for instance in instances)
+        assert {vbucket_id: max(instance.watermarks.get(vbucket_id, 0)
+                                for instance in instances)
+                for vbucket_id in high} == high
+        if len(instances) == 1:
+            assert instances[0].watermarks == high
+        rows = sorted(row for instance in instances
+                      for row in instance.storage.scan(None, None))
+        assert rows == sorted(([v], key) for key, v in model.items())
+
+
+def test_an_index_node_crash_loses_held_versions_and_its_rebuild_has_them():
+    """Held key versions live in the index process's memory, like the
+    flusher's queue.  An index node that crashes holding some loses
+    them, and the restart rebuilds the index from the data service's
+    snapshot, so a ``request_plus`` scan still returns every row."""
+    cluster = Cluster(
+        nodes=[("d1", {"data"}), ("d2", {"data"}), ("i1", {"index"}),
+               ("q1", {"query"})],
+        vbuckets=8, auto_failover=False,
+    )
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    model = {f"k{i}": i for i in range(40)}
+    for key, v in model.items():
+        client.upsert("b", key, {"v": v})
+    cluster.query("CREATE INDEX by_v ON b(v) USING GSI")
+    cluster.run_until_idle()
+    for i in range(0, 40, 4):
+        model[f"k{i}"] = 100 + i
+        client.upsert("b", f"k{i}", {"v": 100 + i})
+    assert cluster.scheduler.step()
+    indexer = cluster.node("i1").indexer.indexer
+    assert len(indexer.instance("by_v").held) == 10
+    cluster.crash_node("i1")
+    cluster.restart_node("i1")
+    rows = cluster.gsi.scan("by_v", scan_consistency="request_plus")
+    assert rows == sorted(([v], key) for key, v in model.items())
 
 
 # -- pre-computed aggregates (4.3.3, 5.1) ------------------------------------

@@ -9,7 +9,7 @@ from repro.sanitize import WriteRaceTracker, allowed_writers
 def test_allowed_writers_by_convention():
     assert allowed_writers("kv/n1/b") == {"flusher/n1/b", "compactor/n1/b"}
     assert allowed_writers("views/n1/b") == {"views/n1/b"}
-    assert allowed_writers("gsi/n1/by_i") == frozenset()
+    assert allowed_writers("gsi/n1/by_i") == {"indexer/n1"}
 
 
 def test_frontend_writes_never_flagged():
@@ -37,6 +37,24 @@ def test_foreign_pump_write_is_flagged():
     assert finding.pump == "c:xdcr/b->b"
     assert finding.target == "kv/n1/b"
     assert "kv/n1/b" in finding.format()
+
+
+def test_only_its_own_indexer_pump_commits_an_index_directly():
+    tracker = WriteRaceTracker()
+    tracker.enter_pump("c:indexer/n1")
+    tracker.record_write("gsi/n1/by_i")  # the owning node's commit
+    tracker.exit_pump()
+    assert tracker.findings == []
+    for pump in ("c:projector/n2/b", "c:indexer/n2", "c:views/n1/b"):
+        tracker.enter_pump(pump)
+        tracker.record_write("gsi/n1/by_i")
+        tracker.exit_pump()
+    assert [(finding.kind, finding.pump) for finding in tracker.findings] == [
+        ("unmediated-write", "c:projector/n2/b"),
+        ("unmediated-write", "c:indexer/n2"),
+        ("unmediated-write", "c:views/n1/b"),
+    ]
+    assert "['indexer/n1']" in tracker.findings[0].detail
 
 
 def test_mediated_write_is_clean():
