@@ -214,7 +214,8 @@ class ClusterManager:
     def _discard_bucket(node: Node, bucket: str) -> None:
         """Destroy the files a node keeps for a bucket: each vBucket's,
         by the DEAD-then-drop path, and every file under its views
-        directory (``drop_view`` leaves a view's file there)."""
+        directory: a view dropped while the node was down leaves a file
+        that no reopened view engine knows."""
         engine = node.engines.get(bucket)
         if engine is None:
             return

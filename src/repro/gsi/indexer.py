@@ -9,9 +9,9 @@ index *instances* (the storage plus per-vBucket seqno watermarks), takes
 key versions pushed by routers, and serves range scans.
 
 Key versions are committed in time, like the flusher's disk write queue
-(DESIGN.md § "Group commit in time for the index"): an instance holds
-what the routers hand it and rewrites its tree once, in
-:meth:`IndexInstance.commit`, when the oldest held batch has waited
+(DESIGN.md § "Group commit in time for the index"): an instance is a
+:class:`~repro.kv.types.GroupCommit` that holds what the routers hand it
+and rewrites its tree once when the oldest held batch has waited
 ``FLUSH_ROUNDS`` calls of the node's ``indexer/<node>`` pump, when a
 freshness waiter is registered, or when a build installs its watermarks.
 A watermark names only seqnos whose rows are in the tree, and scans read
@@ -40,72 +40,31 @@ from ..common.errors import (
     IndexNotFoundError,
 )
 from ..common.jsonval import deep_copy
-from ..kv.types import FLUSH_ROUNDS, SeqnoWaiter, SeqnoWaiters
+from ..kv.types import GroupCommit, SeqnoWaiter
 from .indexdef import IndexDefinition
 from .projector import KeyVersion
 from .storage import Groups, composite_compare, make_storage
 
 
-class IndexInstance:
-    """One index's rows (or one partition of them) on one index node."""
-
-    #: one watermark per vbucket -- capacity is the vbucket keyspace.
-    __bounds__ = ("watermarks",)
+class IndexInstance(GroupCommit):
+    """One index's rows (or one partition of them) on one index node:
+    the storage, and the key versions held for it with the per-vBucket
+    watermarks they reach once committed."""
 
     def __init__(self, definition: IndexDefinition, disk: SimulatedDisk,
                  node_name: str):
+        super().__init__(self._write)
         self.definition = definition
         self.node_name = node_name
         filename = f"gsi/{definition.bucket}/{definition.name}.index"
         self.storage = make_storage(definition.storage, disk, filename)
-        #: vbucket -> highest seqno committed to the tree (or
-        #: acknowledged via an empty key version).
-        self.watermarks: dict[int, int] = {}
-        #: Key versions applied but not yet in the tree, in arrival
-        #: order; :meth:`commit` empties it.
-        self.held: list[KeyVersion] = []
-        #: The indexer pump's call count when ``held`` went non-empty.
-        self.held_since = 0
-        #: ``request_plus`` / ``at_plus`` waits on this instance.
-        self.waiters = SeqnoWaiters()
 
-    def apply(self, key_versions: list[KeyVersion], pump_calls: int) -> None:
-        """Hold a router batch for :meth:`commit`; ``pump_calls`` is the
-        indexer pump's call count, from which the batch ages.  While a
-        waiter is registered the batch is committed at once, so a
-        barrier ends in the round its last key version arrives."""
-        if not self.held:
-            self.held_since = pump_calls
-        self.held += key_versions
-        if self.waiters:
-            self.commit()
-
-    def commit(self) -> None:
-        """One storage rewrite for everything held, then the watermarks
-        (a watermark never names a seqno whose rows are not in the
-        tree), then the waiters.  A document's key versions arrive in
-        seqno order and the last one wins."""
-        held = self.held
-        if not held:
-            return
-        self.held = []
+    def _write(self, held: list[KeyVersion]) -> None:
+        """One storage rewrite for everything held; a document's key
+        versions arrive in seqno order and the last one wins."""
         tracing.record_write(f"gsi/{self.node_name}/{self.definition.name}")
-        self.storage.update_docs([(kv.doc_id, kv.entries) for kv in held])
-        watermarks = self.watermarks
-        for kv in held:
-            if kv.seqno > watermarks.get(kv.vbucket_id, 0):
-                watermarks[kv.vbucket_id] = kv.seqno
-        if self.waiters:
-            self.waiters.strike(watermarks)
-
-    def set_watermarks(self, marks: dict[int, int]) -> None:
-        """Install a build's snapshot marks over its committed rows."""
-        self.commit()
-        for vbucket_id, seqno in marks.items():
-            if seqno > self.watermarks.get(vbucket_id, 0):
-                self.watermarks[vbucket_id] = seqno
-        if self.waiters:
-            self.waiters.strike(self.watermarks)
+        self.storage.update_docs([(kv.doc_id, kv.vbucket_id, kv.entries)
+                                  for kv in held])
 
 
 class Indexer:
@@ -114,8 +73,6 @@ class Indexer:
     def __init__(self, node):
         self.node = node
         self.instances: dict[str, IndexInstance] = {}
-        #: Calls of :meth:`pump` so far: the clock held batches age by.
-        self._pump_calls = 0
 
     @declared_raises('IndexExistsError', 'InvalidArgumentError')
     def create(self, definition: IndexDefinition) -> IndexInstance:
@@ -130,7 +87,7 @@ class Indexer:
         instance = self.instances.pop(name, None)
         if instance is not None:
             instance.storage.destroy()
-            instance.waiters.fail(IndexNotFoundError(name))
+            instance.fail(IndexNotFoundError(name))
 
     def instance(self, name: str) -> IndexInstance:
         instance = self.instances.get(name)
@@ -139,18 +96,12 @@ class Indexer:
         return instance
 
     def pump(self) -> bool:
-        """The ``indexer/<node>`` pump: commit every instance whose
-        oldest held batch has waited ``FLUSH_ROUNDS`` calls.  Returns
-        True while anything was held, so a drain (``run_until_idle``)
-        ends with every index committed."""
-        self._pump_calls += 1
-        cutoff = self._pump_calls - FLUSH_ROUNDS
+        """The ``indexer/<node>`` pump: one tick of every instance's
+        group commit.  Returns True while anything was held, so a drain
+        (``run_until_idle``) ends with every index committed."""
         busy = False
         for instance in self.instances.values():
-            if instance.held:
-                busy = True
-                if instance.held_since <= cutoff:
-                    instance.commit()
+            busy = instance.tick() or busy
         return busy
 
     # -- RPC surface -----------------------------------------------------------------
@@ -167,7 +118,8 @@ class Indexer:
         for name, batch in by_index.items():
             instance = self.instances.get(name)
             if instance is not None:
-                instance.apply(batch, self._pump_calls)
+                instance.hold(batch, ((kv.vbucket_id, kv.seqno)
+                                      for kv in batch))
 
     @declared_raises('IndexNotFoundError')
     def scan(self, name: str, low: list | None, high: list | None,
@@ -266,9 +218,7 @@ class Indexer:
         """Register a ``request_plus`` / ``at_plus`` wait on this
         node's instance of ``name``, committing what it holds first; a
         drop fails it with :class:`IndexNotFoundError`."""
-        instance = self.instance(name)
-        instance.commit()
-        return instance.waiters.register(marks, instance.watermarks)
+        return self.instance(name).register(marks)
 
     def count(self, name: str) -> int:
         return self.instance(name).storage.count()

@@ -2,14 +2,15 @@
 
 The paper's "Indexer (Local Indexer) ... manages the on-disk index tree
 data structure" (section 4.3.4); version 4.5 adds fully memory-resident
-indexes with disk backups for recoverability (section 6.1.1).  Both
-backends expose the same interface:
+indexes with disk backups for recoverability (section 6.1.1).  The
+standard backend is the shared :class:`~repro.storage.indexfile.IndexFile`;
+the memory-optimized one is a skiplist with the same back-index.  Both
+expose the same interface:
 
-* ``update_docs([(doc_id, entries), ...])`` -- replace all entries of
-  every document in the batch, the last pair per ``doc_id`` winning (the
-  back-index lives inside the storage so a batch is one call, and
-  replaying a batch leaves the index as it was); ``update_doc`` is the
-  batch of one;
+* ``update_docs([(doc_id, vbucket_id, entries), ...])`` -- replace all
+  entries of every document in the batch, the last triple per ``doc_id``
+  winning (the back-index lives inside the storage so a batch is one
+  call, and replaying a batch leaves the index as it was);
 * ``scan(low, high, ...)``        -- ordered range scan over composite
   keys, yielding ``(key_tuple, doc_id)``;
 * ``fold(low, high, ...)``        -- the partial GROUP BY of the rows
@@ -30,8 +31,7 @@ from ..common.disk import SimulatedDisk
 from ..common.errors import InvalidArgumentError
 from ..common.jsonval import deep_copy
 from ..n1ql.collation import MISSING, compare
-from ..storage.appendlog import AppendLog
-from ..storage.btree import BTree
+from ..storage.indexfile import BackIndex, IndexFile, replace_rows
 
 #: Encoded form of MISSING inside stored keys (MISSING is not JSON).
 _MISSING_TOKEN = {"__missing__": True}
@@ -205,36 +205,20 @@ def _composite_bounds(low: list | None, high: list | None,
     return start, end
 
 
-class BTreeIndexStorage:
-    """Standard (disk-resident) index: copy-on-write B-tree in an
-    append-only file on the index node's disk."""
+def index_row(doc_id: str, vbucket_id: int, entry: list) -> tuple[list, None]:
+    """An index entry as the ``[key_components, doc_id]`` composite both
+    backends store (:data:`~repro.storage.indexfile.RowFn`)."""
+    return [encode_key(entry), doc_id], None
+
+
+class BTreeIndexStorage(IndexFile):
+    """Standard (disk-resident) index: the shared index file, ordered by
+    :func:`composite_compare`, with no values and no reduce."""
 
     kind = "standard"
 
     def __init__(self, disk: SimulatedDisk, filename: str):
-        self._disk = disk
-        self._filename = filename
-        self.log = AppendLog(disk.open(filename))
-        self.tree = BTree(self.log, compare=composite_compare)
-        self.back_index: dict[str, list] = {}
-
-    def update_docs(self, batch: list[tuple[str, list[list]]]) -> None:
-        """One copy-on-write tree rewrite for the whole batch."""
-        deletes: list = []
-        inserts: list = []
-        for doc_id, entries in dict(batch).items():
-            deletes.extend(self.back_index.pop(doc_id, ()))
-            composites = [[encode_key(key_components), doc_id]
-                          for key_components in entries]
-            if composites:
-                self.back_index[doc_id] = composites
-                inserts.extend((composite, None) for composite in composites)
-        # A key both deleted and inserted is inserted: batch_update lets
-        # the insert win.
-        self.tree = self.tree.batch_update(inserts=inserts, deletes=deletes)
-
-    def update_doc(self, doc_id: str, entries: list[list]) -> None:
-        self.update_docs([(doc_id, entries)])
+        super().__init__(disk, filename, index_row, composite_compare)
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
@@ -270,20 +254,11 @@ class BTreeIndexStorage:
             spec=(tuple(group_positions), tuple(map(tuple, agg_specs))),
         )
 
-    def count(self) -> int:
-        return self.tree.count()
-
     def memory_bytes(self) -> int:
         return 0  # resident data lives on "disk"
 
     def disk_bytes(self) -> int:
         return self.log.size
-
-    def destroy(self) -> None:
-        """Delete the index file.  The tree's root lives only in memory,
-        so a later instance of the same name could never read these
-        bytes -- it would only append behind them."""
-        self._disk.delete(self._filename)
 
 
 class _SkipNode:
@@ -310,7 +285,7 @@ class SkipListIndexStorage:
         self._head = _SkipNode(None, None, self.MAX_LEVEL)
         self._level = 1
         self._size = 0
-        self.back_index: dict[str, list] = {}
+        self.back_index: BackIndex = {}
         self._disk = disk
         self._filename = filename
 
@@ -322,44 +297,41 @@ class SkipListIndexStorage:
             level += 1
         return level
 
-    def _less(self, node: _SkipNode, key, doc_id) -> bool:
-        order = composite_compare([node.key, node.doc_id], [key, doc_id])
-        return order < 0
-
-    def _insert(self, key, doc_id) -> None:
+    def _predecessors(self, composite: list) -> list[_SkipNode]:
+        """Per level, the last node ordered before ``composite``."""
         update = [self._head] * self.MAX_LEVEL
         node = self._head
         for level in range(self._level - 1, -1, -1):
             while (node.forward[level] is not None
-                   and self._less(node.forward[level], key, doc_id)):
+                   and composite_compare([node.forward[level].key,
+                                          node.forward[level].doc_id],
+                                         composite) < 0):
                 node = node.forward[level]
             update[level] = node
-        candidate = node.forward[0]
+        return update
+
+    def _insert(self, composite: list) -> None:
+        update = self._predecessors(composite)
+        candidate = update[0].forward[0]
         if (candidate is not None
                 and composite_compare([candidate.key, candidate.doc_id],
-                                      [key, doc_id]) == 0):
+                                      composite) == 0):
             return  # already present
         new_level = self._random_level()
         if new_level > self._level:
             self._level = new_level
-        new_node = _SkipNode(key, doc_id, new_level)
+        new_node = _SkipNode(composite[0], composite[1], new_level)
         for level in range(new_level):
             new_node.forward[level] = update[level].forward[level]
             update[level].forward[level] = new_node
         self._size += 1
 
-    def _delete(self, key, doc_id) -> None:
-        update = [self._head] * self.MAX_LEVEL
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while (node.forward[level] is not None
-                   and self._less(node.forward[level], key, doc_id)):
-                node = node.forward[level]
-            update[level] = node
-        target = node.forward[0]
+    def _delete(self, composite: list) -> None:
+        update = self._predecessors(composite)
+        target = update[0].forward[0]
         if (target is None
                 or composite_compare([target.key, target.doc_id],
-                                     [key, doc_id]) != 0):
+                                     composite) != 0):
             return
         for level in range(self._level):
             if update[level].forward[level] is target:
@@ -368,20 +340,13 @@ class SkipListIndexStorage:
 
     # -- storage interface ---------------------------------------------------------
 
-    def update_docs(self, batch: list[tuple[str, list[list]]]) -> None:
-        for doc_id, entries in dict(batch).items():
-            for old_key in self.back_index.pop(doc_id, []):
-                self._delete(old_key, doc_id)
-            stored = []
-            for key_components in entries:
-                encoded = encode_key(key_components)
-                self._insert(encoded, doc_id)
-                stored.append(encoded)
-            if stored:
-                self.back_index[doc_id] = stored
-
-    def update_doc(self, doc_id: str, entries: list[list]) -> None:
-        self.update_docs([(doc_id, entries)])
+    def update_docs(self, batch: list[tuple[str, int, list[list]]]) -> None:
+        deletes, inserts, _changed = replace_rows(self.back_index, batch,
+                                                  index_row)
+        for composite in deletes:
+            self._delete(composite)
+        for composite, _value in inserts:
+            self._insert(composite)
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
@@ -403,15 +368,8 @@ class SkipListIndexStorage:
     def _scan_ascending(self, low, high, inclusive_low, inclusive_high):
         start_key, end_key = _composite_bounds(low, high, inclusive_low,
                                                inclusive_high)
-        node = self._head
-        if start_key is not None:
-            for level in range(self._level - 1, -1, -1):
-                while (node.forward[level] is not None
-                       and composite_compare(
-                           [node.forward[level].key,
-                            node.forward[level].doc_id],
-                           start_key) < 0):
-                    node = node.forward[level]
+        node = self._head if start_key is None \
+            else self._predecessors(start_key)[0]
         node = node.forward[0]
         while node is not None:
             if end_key is not None and composite_compare(
@@ -443,7 +401,9 @@ class SkipListIndexStorage:
         if self._disk is None or self._filename is None:
             raise InvalidArgumentError("no backing disk configured for snapshots")
         payload = json.dumps(
-            [[node_key, doc_id] for node_key, doc_id in self._raw_items()],
+            [[vbucket_id, doc_id, [key for key, _doc_id in composites]]
+             for vbucket_id, docs in self.back_index.items()
+             for doc_id, composites in docs.items()],
             separators=(",", ":"),
         ).encode("utf-8")
         file = self._disk.open(self._filename + ".snapshot")
@@ -453,21 +413,14 @@ class SkipListIndexStorage:
         return len(payload)
 
     def load_snapshot(self) -> int:
+        """Load a backup into this (empty) instance; returns its rows."""
         file = self._disk.open(self._filename + ".snapshot")
         if file.size == 0:
             return 0
         payload = file.read(0, file.size)
-        rows = json.loads(payload.decode("utf-8"))
-        for node_key, doc_id in rows:
-            self._insert(node_key, doc_id)
-            self.back_index.setdefault(doc_id, []).append(node_key)
-        return len(rows)
-
-    def _raw_items(self):
-        node = self._head.forward[0]
-        while node is not None:
-            yield node.key, node.doc_id
-            node = node.forward[0]
+        self.update_docs([(doc_id, vbucket_id, keys) for vbucket_id, doc_id, keys
+                          in json.loads(payload.decode("utf-8"))])
+        return self._size
 
 
 def make_storage(kind: str, disk: SimulatedDisk, filename: str):

@@ -14,16 +14,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
-from ..common.contracts import bounded, protocol
+from ..common.contracts import protocol
 from ..common.errors import ReproError
 
 #: Group commit in time: a background writer holds what it was handed
 #: and commits it once the oldest of it has waited this many calls of
 #: its pump, unless a waiter asks sooner -- the flusher a vBucket's
-#: queue (:meth:`repro.kv.engine.KVEngine.flush`), the indexer an
-#: index's key versions (:meth:`repro.gsi.indexer.Indexer.pump`).
+#: queue (:meth:`repro.kv.engine.KVEngine.flush`), a GSI index and a
+#: node's views what their pumps hand them (:class:`GroupCommit`).
 FLUSH_ROUNDS = 8
 
 
@@ -176,42 +176,101 @@ class SeqnoWaiter(Waiter):
             del pending[vbucket_id]
 
 
-class SeqnoWaiters:
-    """The freshness waits one index holds (a GSI instance, a node's
-    view engine), struck against its own per-vBucket watermarks."""
+def _raise_marks(into: dict[int, int],
+                 marks: Iterable[tuple[int, int]]) -> None:
+    for vbucket_id, seqno in marks:
+        if seqno > into.get(vbucket_id, 0):
+            into[vbucket_id] = seqno
 
-    def __init__(self) -> None:
-        self._waiters: list[SeqnoWaiter] = []
 
-    def __len__(self) -> int:
-        return len(self._waiters)
+class GroupCommit:
+    """Group commit in time for an index (DESIGN.md § "Group commit in
+    time for the index"): what the owner hands over -- a GSI instance's
+    key versions, a view engine's documents -- is held with the
+    per-vBucket seqno marks it brings and written by ``write`` in one go
+    once it has waited ``FLUSH_ROUNDS`` calls of the owner's pump, at
+    once while a freshness waiter (sections 3.1.2 and 4.2) is
+    registered, before a build installs its marks and before a vBucket
+    leaves.  A watermark names only seqnos whose rows were written."""
 
-    @bounded("consumer-drained", "a waiter leaves when its wait ends "
-                                 "(cancel) or once its marks are passed")
-    def register(self, marks: dict[int, int],
-                 watermarks: dict[int, int]) -> SeqnoWaiter:
-        """A waiter for the ``marks`` these ``watermarks`` have not
-        passed yet; kept only while some are left."""
-        waiter = SeqnoWaiter(marks)
-        waiter.strike(watermarks)
-        if waiter.pending:
-            self._waiters.append(waiter)
-            waiter.hold(functools.partial(self._waiters.remove, waiter))
-        return waiter
+    #: One watermark and one held mark per vbucket -- capacity is the
+    #: vbucket keyspace; a waiter leaves when its wait ends or once its
+    #: marks are passed (:meth:`register`).
+    __bounds__ = ("watermarks", "_marks", "waiters")
 
-    def strike(self, watermarks: dict[int, int]) -> None:
-        """The owner's watermarks advanced: strike every passed mark;
-        a waiter with none left leaves."""
-        done = []
-        for waiter in self._waiters:
-            waiter.strike(watermarks)
+    def __init__(self, write: Callable[[list], None]):
+        self._write = write
+        #: Items handed over and not yet written, in arrival order.
+        self.held: list = []
+        #: vbucket -> the highest seqno held; every held item brings one,
+        #: so it is empty exactly when nothing is held.
+        self._marks: dict[int, int] = {}
+        #: Owner pump calls since something was first held.
+        self._age = 0
+        #: vbucket -> highest seqno written (or acknowledged).
+        self.watermarks: dict[int, int] = {}
+        self.waiters: list[SeqnoWaiter] = []
+
+    def hold(self, items: list, marks: Iterable[tuple[int, int]]) -> None:
+        """Hold ``items`` and the ``(vbucket_id, seqno)`` marks they
+        bring; written at once while a waiter is registered, so a
+        barrier ends in the round its last item arrives."""
+        self.held += items
+        _raise_marks(self._marks, marks)
+        if self.waiters:
+            self.commit()
+
+    def tick(self) -> bool:
+        """One call of the owner's pump; True while anything was held,
+        so a drain ends with everything written."""
+        if not self._marks:
+            return False
+        self._age += 1
+        if self._age >= FLUSH_ROUNDS:
+            self.commit()
+        return True
+
+    def commit(self) -> None:
+        """One write of everything held, then the watermarks, then the
+        waiters."""
+        held, marks = self.held, self._marks
+        if not marks:
+            return
+        self.held, self._marks, self._age = [], {}, 0
+        if held:
+            self._write(held)
+        self._advance(marks)
+
+    def set_watermarks(self, marks: dict[int, int]) -> None:
+        """Install a build's snapshot marks over its written rows."""
+        self.commit()
+        self._advance(marks)
+
+    def retire(self, vbucket_id: int) -> None:
+        """A vBucket leaves: write what is held, then forget its mark."""
+        self.commit()
+        self.watermarks.pop(vbucket_id, None)
+
+    def _advance(self, marks: dict[int, int]) -> None:
+        _raise_marks(self.watermarks, marks.items())
+        for waiter in list(self.waiters):
+            waiter.strike(self.watermarks)
             if not waiter.pending:
-                done.append(waiter)
-        for waiter in done:
-            waiter.cancel()
+                waiter.cancel()
+
+    def register(self, marks: dict[int, int]) -> SeqnoWaiter:
+        """Write what is held, then a waiter for the ``marks`` the
+        watermarks have not passed yet; kept only while some are left."""
+        self.commit()
+        waiter = SeqnoWaiter(marks)
+        waiter.strike(self.watermarks)
+        if waiter.pending:
+            self.waiters.append(waiter)
+            waiter.hold(functools.partial(self.waiters.remove, waiter))
+        return waiter
 
     def fail(self, error: ReproError) -> None:
         """The index is gone: every waiter carries ``error`` and leaves."""
-        for waiter in list(self._waiters):
+        for waiter in list(self.waiters):
             waiter.error = error
             waiter.cancel()

@@ -242,8 +242,9 @@ class Cluster:
         """Bring a crashed node back as a restarted process: memory is
         gone, the disk files survive.  Each bucket closes and reopens
         over the surviving disk (warmup, views re-materialize), GSI
-        instances hosted here are rebuilt, and the node resumes whatever
-        role the current cluster map assigns it.  Each bucket's map is
+        instances hosted here are recreated and the ready ones rebuilt,
+        and the node resumes whatever role the current cluster map
+        assigns it.  Each bucket's map is
         then republished under a new revision: a restart is a new
         connection, so every active's replication streams reconnect and
         their handshake reads what this node's replicas kept on disk,
@@ -261,20 +262,16 @@ class Cluster:
                 manager.cluster_maps[bucket] = republished
                 manager.push_map(bucket)
         if node.indexer is not None:
+            # A fresh instance starts a standard index's file afresh (the
+            # old root lived only in memory; a memopt snapshot stays).
             indexer = node.indexer.indexer
-            # A standard index's tree root lived only in the dead
-            # process's memory: its file is unreadable, and the rebuild
-            # below would append behind it.  (A memopt index's backup
-            # snapshot is left where it is.)
-            for instance in indexer.instances.values():
-                if instance.storage.kind == "standard":
-                    instance.storage.destroy()
             indexer.instances.clear()
             for index_name in manager.index_registry.names():
                 meta = manager.index_registry.require(index_name)
-                if name in meta.nodes and meta.state == "ready":
+                if name in meta.nodes:
                     indexer.create(meta.definition)
-                    self.gsi._build(meta)
+                    if meta.state == "ready":
+                        self.gsi._build(meta)
         self.run_until_idle()
 
     # -- time ------------------------------------------------------------------------------------

@@ -6,10 +6,11 @@ indexes.  During initial view building, Couchbase reads the partition's
 data files and applies the map function across every document."
 
 One :class:`ViewEngine` runs per (node, bucket).  Its pump maintains a
-DCP stream per locally active vBucket, applies every mutation to every
-defined view, and tracks the per-vBucket indexed seqno -- which is what
-``stale=false`` queries wait on (section 3.1.2): the pump completes the
-waiters :meth:`ViewEngine.wait` registers.
+DCP stream per locally active vBucket, commits every mutation to every
+defined view in time (a :class:`~repro.kv.types.GroupCommit`), and
+tracks the per-vBucket indexed seqno -- which is what ``stale=false``
+queries wait on (section 3.1.2), while ``stale=ok`` reads what is
+committed.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import TYPE_CHECKING
 
 from ..common import tracing
 from ..common.contracts import declared_raises
-from ..common.errors import ViewExistsError
+from ..common.errors import ViewExistsError, ViewNotFoundError
 from ..common.jsonval import deep_copy
 from ..dcp.consumer import DcpConsumer
-from ..kv.types import SeqnoWaiter, SeqnoWaiters, VBucketState
+from ..kv.types import GroupCommit, SeqnoWaiter, VBucketState
 from .mapreduce import DocMetaView, ViewDefinition
 from .viewindex import ViewIndex, ViewQueryParams
 
@@ -47,8 +48,8 @@ def _map_rows(definition: ViewDefinition, docs: list) -> list:
 
 class ViewEngine(DcpConsumer):
     """Local view indexing and querying for one bucket on one node.  Its
-    stream table is keyed by vBucket; the checkpoint is
-    :attr:`indexed_seqnos`."""
+    stream table is keyed by vBucket; the checkpoint is the group
+    commit's watermarks."""
 
     BATCH = 256
 
@@ -57,9 +58,8 @@ class ViewEngine(DcpConsumer):
         self.node = node
         self.bucket = bucket
         self.indexes: dict[tuple[str, str], ViewIndex] = {}
-        self.indexed_seqnos: dict[int, int] = {}
-        #: ``stale=false`` waits on this engine; see :meth:`wait`.
-        self.waiters = SeqnoWaiters()
+        #: Held documents, indexed seqnos and ``stale=false`` waits.
+        self.commits = GroupCommit(self._write)
 
     @property
     def engine(self) -> KVEngine:
@@ -71,35 +71,47 @@ class ViewEngine(DcpConsumer):
         """Create (and initially materialize) a view.
 
         Initial build applies the map function across every locally
-        active document, as the paper describes."""
+        active document, as the paper describes, and covers each active
+        vBucket through its high seqno.  The views already defined first
+        catch up to the streams' ends and commit, and every stream then
+        resumes after the build, so no document is mapped into a view
+        twice."""
         key = (definition.design, definition.name)
         if key in self.indexes:
             raise ViewExistsError(definition.full_name)
+        while self.indexes and self._take():
+            pass
         filename = (
             f"views/{self.bucket}/{definition.design}_{definition.name}.view"
         )
         index = ViewIndex(definition, self.node.disk, filename)
         tracing.record_write(f"views/{self.node.name}/{self.bucket}")
         engine = self.engine
+        active = engine.owned_vbuckets(VBucketState.ACTIVE)
         docs = (
             (vbucket_id, doc)
-            for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)
+            for vbucket_id in active
             for doc in engine.docs_in_vbucket(vbucket_id)
         )
         while batch := list(itertools.islice(docs, self.BATCH)):
             index.update_docs(_map_rows(definition, batch))
+        self.commits.set_watermarks({
+            vbucket_id: engine.vbuckets[vbucket_id].high_seqno
+            for vbucket_id in active})
         self.indexes[key] = index
+        for vbucket_id in list(self.streams):
+            self.drop(vbucket_id)  # reopened after the build's marks
         self.node.metrics.inc("views.defined")
         return index
 
     def drop_view(self, design: str, name: str) -> None:
-        from ..common.errors import ViewNotFoundError
-        if (design, name) not in self.indexes:
+        """Forget a view and delete its file."""
+        index = self.indexes.pop((design, name), None)
+        if index is None:
             raise ViewNotFoundError(design, name)
-        del self.indexes[(design, name)]
+        index.destroy()
 
     def get_index(self, design: str, name: str) -> ViewIndex:
-        from ..common.errors import ViewNotFoundError
         index = self.indexes.get((design, name))
         if index is None:
             raise ViewNotFoundError(design, name)
@@ -110,37 +122,42 @@ class ViewEngine(DcpConsumer):
     @declared_raises('CorruptFileError', 'DiskFullError',
                      'InvalidArgumentError')
     def pump(self) -> bool:
-        """Apply everything the streams yield this slice: one tree
-        rewrite per view, however many documents changed.  An idle
-        stream costs one predicate, no take."""
+        """Hold what the streams yield this slice; one rewrite per view
+        commits everything held when it is due.  An idle stream costs
+        one predicate, no take.  Returns True while anything is held."""
         if not self.node.alive or not self.indexes:
             return False
+        self._take()
+        return self.commits.tick()
+
+    def _take(self) -> bool:
+        """Hold one poll of the streams; False when every one was idle."""
         producer = self.node.producers[self.bucket]
         self.sync({vbucket_id: (producer, vbucket_id) for vbucket_id
                    in self.engine.owned_vbuckets(VBucketState.ACTIVE)})
         polled = self.poll(self.BATCH)
-        batch = [(vbucket_id, doc) for vbucket_id, _stream, docs in polled
-                 for doc in docs]
-        if batch:
-            tracing.record_write(f"views/{self.node.name}/{self.bucket}")
-            for index in self.indexes.values():
-                index.update_docs(_map_rows(index.definition, batch))
-            self.node.metrics.inc("views.mutations_indexed", len(batch))
-        for vbucket_id, stream, _docs in polled:
-            if stream.last_seqno > self.indexed_seqnos.get(vbucket_id, 0):
-                self.indexed_seqnos[vbucket_id] = stream.last_seqno
-        if self.waiters:
-            self.waiters.strike(self.indexed_seqnos)
-        return bool(batch)
+        self.commits.hold(
+            [(vbucket_id, doc) for vbucket_id, _stream, docs in polled
+             for doc in docs],
+            ((vbucket_id, stream.last_seqno)
+             for vbucket_id, stream, _docs in polled))
+        return bool(polled)
+
+    def _write(self, docs: list) -> None:
+        """Map the held ``(vbucket_id, doc)`` pairs into every view."""
+        tracing.record_write(f"views/{self.node.name}/{self.bucket}")
+        for index in self.indexes.values():
+            index.update_docs(_map_rows(index.definition, docs))
+        self.node.metrics.inc("views.mutations_indexed", len(docs))
 
     def checkpoint(self, vbucket_id: int) -> tuple[int, int]:
         """Under the local copy's uuid: a mark lives only while active."""
         vb = self.engine.vbuckets[vbucket_id]
-        return vb.uuid, self.indexed_seqnos.get(vbucket_id, 0)
+        return vb.uuid, self.commits.watermarks.get(vbucket_id, 0)
 
     def retired(self, vbucket_id: int) -> None:
         """A vBucket that left this node takes its mark and its rows."""
-        self.indexed_seqnos.pop(vbucket_id, None)
+        self.commits.retire(vbucket_id)
         for index in self.indexes.values():
             index.remove_vbucket(vbucket_id)
 
@@ -148,14 +165,14 @@ class ViewEngine(DcpConsumer):
 
     def wait(self) -> SeqnoWaiter:
         """Register a ``stale=false`` wait: every locally active vBucket
-        indexed through the high seqno it has now.  The pump strikes the
-        marks as its indexed seqnos pass them."""
+        indexed through the high seqno it has now.  It commits what is
+        held, and the pump strikes the marks as its watermarks pass."""
         marks = {
             vbucket_id: vb.high_seqno
             for vbucket_id, vb in self.engine.vbuckets.items()
             if vb.state is VBucketState.ACTIVE
         }
-        return self.waiters.register(marks, self.indexed_seqnos)
+        return self.commits.register(marks)
 
     # -- local query (one scatter target) ------------------------------------------------
 

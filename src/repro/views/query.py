@@ -136,8 +136,12 @@ class ViewQueryCoordinator:
             return ViewResult(value=value, is_reduced=True)
         if kind == "grouped":
             return self._merge_grouped(definition, partials, params)
-        streams = [p["rows"] for p in partials]
-        rows = _kway_merge(streams, params.descending)
+        # Each node's rows are already sorted under view collation; ties
+        # fall to node order.
+        rows = list(heapq.merge(
+            *(p["rows"] for p in partials),
+            key=lambda row: sort_key((row["key"], row["id"])),
+            reverse=params.descending))
         if params.skip:
             rows = rows[params.skip:]
         if params.limit is not None:
@@ -168,31 +172,3 @@ class ViewQueryCoordinator:
             rows = rows[:params.limit]
         return ViewResult(rows=rows)
 
-
-def _kway_merge(streams: list[list[dict]], descending: bool) -> list[dict]:
-    """Merge per-node row lists already sorted under view collation."""
-    if descending:
-        # Descending streams arrive reverse-sorted; a concatenate-and-sort
-        # is simplest and the per-node lists are already small.
-        merged = [row for rows in streams for row in rows]
-        merged.sort(key=lambda r: sort_key((r["key"], r["id"])), reverse=True)
-        return merged
-    heap = []
-    for stream_index, rows in enumerate(streams):
-        if rows:
-            heap.append(
-                (sort_key((rows[0]["key"], rows[0]["id"])), stream_index, 0)
-            )
-    heapq.heapify(heap)
-    merged: list[dict] = []
-    while heap:
-        _key, stream_index, row_index = heapq.heappop(heap)
-        merged.append(streams[stream_index][row_index])
-        next_index = row_index + 1
-        if next_index < len(streams[stream_index]):
-            row = streams[stream_index][next_index]
-            heapq.heappush(
-                heap,
-                (sort_key((row["key"], row["id"])), stream_index, next_index),
-            )
-    return merged

@@ -7,10 +7,10 @@ which stores vBucket information *in the tree itself* so that entries
 belonging to migrated partitions can be masked out during rebalance and
 failover without a rebuild.
 
-A back-index (doc_id -> previously emitted keys) makes incremental
-updates possible: when documents change, their old rows are removed and
-the new emissions inserted in one batch -- one tree rewrite per view per
-pump slice (:meth:`ViewIndex.update_docs`).
+The tree, its file and the back-index that makes updates incremental
+are the shared :class:`~repro.storage.indexfile.IndexFile`; a view
+configures it with view collation, its reduce function and rows that
+carry their vBucket.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..common.disk import SimulatedDisk
 from ..common.errors import ViewQueryError
 from ..common.jsonval import deep_copy
 from ..n1ql.collation import compare
-from ..storage.appendlog import AppendLog
+from ..storage.indexfile import IndexFile
 from .mapreduce import ReduceFn, ViewDefinition
 
 #: Sentinel bounds: (key, doc_id) composite keys are compared
@@ -39,21 +39,21 @@ def _composite_compare(a, b) -> int:
     return compare(a[1], b[1])
 
 
-class ViewIndex:
-    """Materialized rows of one view on one node."""
+def _view_row(doc_id: str, vbucket_id: int, emitted: tuple) -> tuple:
+    """An emitted ``(key, value)`` as the tree stores it: under ``[key,
+    doc_id]``, with the row's vBucket beside its value."""
+    key, value = emitted
+    return [key, doc_id], {"v": value, "vb": vbucket_id}
 
-    #: Incremental updates between automatic file compactions.
+
+class ViewIndex(IndexFile):
+    """Materialized rows of one view on one node: the shared index file
+    in view collation, reduced by the view's reduce function."""
+
     COMPACT_EVERY = 4096
 
     def __init__(self, definition: ViewDefinition, disk: SimulatedDisk,
                  filename: str):
-        from ..storage.btree import BTree
-        self.definition = definition
-        self.disk = disk
-        self.filename = filename
-        self.updates_since_compaction = 0
-        self.compactions = 0
-        self.log = AppendLog(disk.open(filename))
         user_reduce: ReduceFn | None = definition.reduce_fn
         if user_reduce is not None:
             tree_reduce = lambda values: user_reduce(  # noqa: E731
@@ -62,98 +62,9 @@ class ViewIndex:
             tree_rereduce = lambda parts: user_reduce(parts, True)  # noqa: E731
         else:
             tree_reduce = tree_rereduce = None
-        self.tree = BTree(
-            self.log,
-            compare=_composite_compare,
-            reduce_fn=tree_reduce,
-            rereduce_fn=tree_rereduce,
-        )
-        #: doc_id -> list of [emitted_key, doc_id] composite keys.
-        self.back_index: dict[str, list] = {}
-        #: vBuckets that currently have rows in the tree.
-        self.vbuckets_present: set[int] = set()
-
-    # -- maintenance -----------------------------------------------------------
-
-    def update_docs(
-        self, batch: list[tuple[str, int, list[tuple[Any, Any]]]],
-    ) -> None:
-        """Replace the rows of every ``(doc_id, vbucket_id, rows)`` in
-        the batch in one tree rewrite; the last triple per ``doc_id``
-        wins, and empty ``rows`` removes the document."""
-        deletes: list = []
-        inserts: list = []
-        latest = {doc_id: (vbucket_id, rows)
-                  for doc_id, vbucket_id, rows in batch}
-        for doc_id, (vbucket_id, rows) in latest.items():
-            old_keys = self.back_index.pop(doc_id, [])
-            if not old_keys and not rows:
-                continue
-            deletes.extend(old_keys)
-            keys = []
-            for emitted_key, emitted_value in rows:
-                composite = [emitted_key, doc_id]
-                inserts.append(
-                    (composite, {"v": emitted_value, "vb": vbucket_id}))
-                keys.append(composite)
-            if keys:
-                self.back_index[doc_id] = keys
-                self.vbuckets_present.add(vbucket_id)
-            self.updates_since_compaction += 1
-        # A key both deleted and inserted is inserted: batch_update lets
-        # the insert win.
-        self.tree = self.tree.batch_update(inserts=inserts, deletes=deletes)
-        if self.updates_since_compaction >= self.COMPACT_EVERY:
-            self.compact()
-
-    def update_doc(self, doc_id: str, vbucket_id: int,
-                   rows: list[tuple[Any, Any]]) -> None:
-        self.update_docs([(doc_id, vbucket_id, rows)])
-
-    def remove_doc(self, doc_id: str) -> None:
-        self.update_doc(doc_id, -1, [])
-
-    def remove_vbucket(self, vbucket_id: int) -> None:
-        """Purge all rows of a migrated-away vBucket (the deactivation the
-        paper describes, made permanent)."""
-        doomed_docs = []
-        deletes = []
-        for composite, entry in self.tree.items():
-            if entry["vb"] == vbucket_id:
-                deletes.append(composite)
-                doomed_docs.append(composite[1])
-        if deletes:
-            self.tree = self.tree.batch_update(deletes=deletes)
-        for doc_id in doomed_docs:
-            self.back_index.pop(doc_id, None)
-        self.vbuckets_present.discard(vbucket_id)
-
-    def compact(self) -> None:
-        """Rewrite the index file with only the live rows.  View files
-        are append-only like the data files (section 4.3.3), so churn
-        leaves dead nodes behind; compaction copies the current tree
-        into a fresh file and swaps it in."""
-        from ..storage.btree import BTree
-        temp_name = self.filename + ".compact"
-        if self.disk.exists(temp_name):
-            self.disk.delete(temp_name)
-        new_log = AppendLog(self.disk.open(temp_name))
-        new_tree = BTree(
-            new_log,
-            compare=self.tree.compare,
-            reduce_fn=self.tree.reduce_fn,
-            rereduce_fn=self.tree.rereduce_fn,
-        )
-        live_rows = list(self.tree.items())
-        if live_rows:
-            new_tree = new_tree.batch_update(inserts=live_rows)
-        self.disk.delete(self.filename)
-        self.disk.rename(temp_name, self.filename)
-        new_log.file.name = self.filename
-        self.log = new_log
-        self.tree = new_tree
-        self.updates_since_compaction = 0
-        self.compactions += 1
+        super().__init__(disk, filename, _view_row, _composite_compare,
+                         tree_reduce, tree_rereduce)
+        self.definition = definition
 
     # -- queries ---------------------------------------------------------------
 
@@ -204,7 +115,7 @@ class ViewIndex:
             raise ViewQueryError(f"view {definition.full_name} has no reduce")
         needs_mask = (
             active_vbuckets is not None
-            and not self.vbuckets_present <= active_vbuckets
+            and not self.back_index.keys() <= active_vbuckets
         )
         if not needs_mask and params.keys is None:
             start, end, _inclusive = self._bounds(params)
@@ -231,9 +142,6 @@ class ViewIndex:
             {"key": group_key, "value": definition.reduce_fn(values, False)}
             for group_key, values in groups
         ]
-
-    def row_count(self) -> int:
-        return self.tree.count()
 
 
 class ViewQueryParams:

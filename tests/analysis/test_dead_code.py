@@ -24,10 +24,6 @@ SURVIVORS = {
         "tests zero the RPC counters with it",
     "repro.gsi.manager.GsiCoordinator.list_indexes":
         "GSI tests list index metadata with it",
-    "repro.views.viewindex.ViewIndex.remove_doc":
-        "view and node-cache tests call it",
-    "repro.views.viewindex.ViewIndex.row_count":
-        "view and DML tests count rows with it",
     "repro.ycsb.workload.CoreWorkload.next_operation":
         "the ledger's YCSB workloads draw their ops with it",
 }

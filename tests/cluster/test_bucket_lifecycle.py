@@ -117,8 +117,8 @@ class TestDropBucketDiscardsWhatItOwned:
         cluster.define_view("b", ViewDefinition("dd", "old", map_fn))
         cluster.drop_view("b", "dd", "old")
         filenames = ["views/b/dd_by_v.view", "views/b/dd_old.view"]
-        assert all(node.disk.exists(filename) for node in cluster.nodes()
-                   for filename in filenames)
+        assert [[node.disk.exists(filename) for filename in filenames]
+                for node in cluster.nodes()] == [[True, False]] * 2
 
         cluster.drop_bucket("b")
         assert not any(node.disk.exists(filename) for node in cluster.nodes()

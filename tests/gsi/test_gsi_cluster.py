@@ -81,6 +81,23 @@ class TestDdl:
         assert again.nodes == meta.nodes
         assert disk.open("gsi/b/ia.index").size == first_build
 
+    def test_a_restarted_index_node_keeps_its_deferred_index(self):
+        """A restart recreates every instance its node hosts, not only the
+        ready ones: a deferred index can still be built there, and its
+        file is a fresh one that a drop deletes."""
+        cluster = Cluster(
+            nodes=[("d1", {"data"}), ("i1", {"index"}), ("q1", {"query"})],
+            vbuckets=8, auto_failover=False)
+        cluster.create_bucket("b", replicas=0)
+        load(cluster.connect(), 20)
+        cluster.create_index(primary_index("pk", "b", deferred=True))
+        cluster.crash_node("i1")
+        cluster.restart_node("i1")
+        cluster.gsi.build_index("pk")
+        assert len(cluster.gsi.scan("pk")) == 20
+        cluster.drop_index("pk")
+        assert "gsi/b/pk.index" not in cluster.node("i1").disk.list_files()
+
     def test_drop_deletes_a_memopt_snapshot(self, cluster, client):
         load(client)
         meta = cluster.create_index(IndexDefinition(

@@ -106,66 +106,66 @@ class TestStorageBackends:
             make_storage("other", disk, "f")
 
     def test_update_and_scan(self, storage):
-        storage.update_doc("d1", [[5]])
-        storage.update_doc("d2", [[3]])
-        storage.update_doc("d3", [[7]])
+        storage.update_docs([("d1", 0, [[5]])])
+        storage.update_docs([("d2", 0, [[3]])])
+        storage.update_docs([("d3", 0, [[7]])])
         rows = list(storage.scan(None, None))
         assert [key[0] for key, _ in rows] == [3, 5, 7]
 
     def test_update_replaces(self, storage):
-        storage.update_doc("d1", [[5]])
-        storage.update_doc("d1", [[9]])
+        storage.update_docs([("d1", 0, [[5]])])
+        storage.update_docs([("d1", 0, [[9]])])
         rows = list(storage.scan(None, None))
         assert rows == [([9], "d1")]
         assert storage.count() == 1
 
     def test_remove_via_empty_entries(self, storage):
-        storage.update_doc("d1", [[5]])
-        storage.update_doc("d1", [])
+        storage.update_docs([("d1", 0, [[5]])])
+        storage.update_docs([("d1", 0, [])])
         assert storage.count() == 0
 
     def test_range_bounds(self, storage):
         for i in range(10):
-            storage.update_doc(f"d{i}", [[i]])
+            storage.update_docs([(f"d{i}", 0, [[i]])])
         rows = list(storage.scan([3], [6]))
         assert [key[0] for key, _ in rows] == [3, 4, 5, 6]
 
     def test_exclusive_bounds(self, storage):
         for i in range(10):
-            storage.update_doc(f"d{i}", [[i]])
+            storage.update_docs([(f"d{i}", 0, [[i]])])
         rows = list(storage.scan([3], [6], inclusive_low=False,
                                  inclusive_high=False))
         assert [key[0] for key, _ in rows] == [4, 5]
 
     def test_descending(self, storage):
         for i in range(5):
-            storage.update_doc(f"d{i}", [[i]])
+            storage.update_docs([(f"d{i}", 0, [[i]])])
         rows = list(storage.scan([1], [3], descending=True))
         assert [key[0] for key, _ in rows] == [3, 2, 1]
 
     def test_duplicate_keys_different_docs(self, storage):
-        storage.update_doc("d1", [[5]])
-        storage.update_doc("d2", [[5]])
+        storage.update_docs([("d1", 0, [[5]])])
+        storage.update_docs([("d2", 0, [[5]])])
         rows = list(storage.scan([5], [5]))
         assert [(key[0], doc) for key, doc in rows] == [(5, "d1"), (5, "d2")]
 
     def test_missing_component_roundtrips(self, storage):
-        storage.update_doc("d1", [["US", MISSING]])
+        storage.update_docs([("d1", 0, [["US", MISSING]])])
         rows = list(storage.scan(None, None))
         assert rows[0][0] == ["US", MISSING]
 
     def test_multi_entry_docs(self, storage):
-        storage.update_doc("d1", [["a"], ["b"]])
+        storage.update_docs([("d1", 0, [["a"], ["b"]])])
         assert storage.count() == 2
-        storage.update_doc("d1", [["c"]])
+        storage.update_docs([("d1", 0, [["c"]])])
         rows = list(storage.scan(None, None))
         assert [key[0] for key, _ in rows] == ["c"]
 
     def test_mixed_type_keys_collate(self, storage):
-        storage.update_doc("d1", [["str"]])
-        storage.update_doc("d2", [[10]])
-        storage.update_doc("d3", [[None]])
-        storage.update_doc("d4", [[True]])
+        storage.update_docs([("d1", 0, [["str"]])])
+        storage.update_docs([("d2", 0, [[10]])])
+        storage.update_docs([("d3", 0, [[None]])])
+        storage.update_docs([("d4", 0, [[True]])])
         rows = [key[0] for key, _ in storage.scan(None, None)]
         assert rows == [None, True, 10, "str"]
 
@@ -183,8 +183,8 @@ class TestStorageBackends:
         skiplist = make_storage("memopt", disk, "b.index")
         for doc_id, keys in operations:
             entries = [[k] for k in keys]
-            btree.update_doc(doc_id, entries)
-            skiplist.update_doc(doc_id, entries)
+            btree.update_docs([(doc_id, 0, entries)])
+            skiplist.update_docs([(doc_id, 0, entries)])
         assert list(btree.scan(None, None)) == list(skiplist.scan(None, None))
         assert btree.count() == skiplist.count()
 
@@ -194,7 +194,7 @@ class TestMemoptSnapshot:
         disk = SimulatedDisk()
         storage = SkipListIndexStorage(disk, "idx")
         for i in range(20):
-            storage.update_doc(f"d{i}", [[i]])
+            storage.update_docs([(f"d{i}", 0, [[i]])])
         written = storage.snapshot_to_disk()
         assert written > 0
 
@@ -209,11 +209,11 @@ class TestMemoptSnapshot:
 
     def test_memopt_reports_memory_not_disk(self):
         storage = SkipListIndexStorage(SimulatedDisk(), "idx")
-        storage.update_doc("d1", [[1]])
+        storage.update_docs([("d1", 0, [[1]])])
         assert storage.memory_bytes() > 0
         assert storage.disk_bytes() == 0
 
     def test_standard_reports_disk(self):
         storage = BTreeIndexStorage(SimulatedDisk(), "idx")
-        storage.update_doc("d1", [[1]])
+        storage.update_docs([("d1", 0, [[1]])])
         assert storage.disk_bytes() > 0

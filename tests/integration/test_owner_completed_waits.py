@@ -59,7 +59,7 @@ def index_waiters(cluster) -> int:
 
 
 def view_waiters(cluster) -> int:
-    return sum(len(engine.waiters) for node in cluster.nodes()
+    return sum(len(engine.commits.waiters) for node in cluster.nodes()
                for engine in node.view_engines.values())
 
 

@@ -788,6 +788,65 @@ def test_writes_within_flush_rounds_rewrite_a_not_bounded_index_once():
         [[v + 100] for v in range(FLUSH_ROUNDS - 1)]
 
 
+def test_writes_within_flush_rounds_rewrite_a_view_once():
+    """Views commit in time like a GSI index: one write in each of
+    ``FLUSH_ROUNDS - 1`` rounds is one rewrite of the view's tree -- one
+    appended root, because the rows fit a leaf -- and a ``stale=ok``
+    query meanwhile reads the committed tree.  (Each pump slice was its
+    own rewrite: 7 records.)"""
+    cluster = Cluster(nodes=1, vbuckets=8)
+    cluster.create_bucket("b", replicas=0)
+    client = cluster.connect()
+    for i in range(20):
+        client.upsert("b", f"k{i}", {"v": i})
+    cluster.run_until_idle()
+    cluster.define_view("b", ViewDefinition(
+        "dd", "by_v", lambda doc, meta, emit: emit(doc["v"], None)))
+    index = cluster.node("node1").view_engines["b"].get_index("dd", "by_v")
+
+    def keys(stale: str) -> list:
+        return [row["key"] for row in cluster.views.query(
+            "b", "dd", "by_v", stale=stale, reduce=False).rows]
+
+    settled = keys("ok")
+    records = node_records(index)
+    for i in range(FLUSH_ROUNDS - 1):
+        client.upsert("b", f"k{i}", {"v": i + 100})
+        assert cluster.scheduler.step()
+        assert keys("ok") == settled
+    assert node_records(index) == records
+    cluster.run_until_idle()
+    assert node_records(index) - records == 1
+    assert keys("ok") == list(range(FLUSH_ROUNDS - 1, 20)) + \
+        [v + 100 for v in range(FLUSH_ROUNDS - 1)]
+
+
+def test_a_stale_false_view_query_commits_what_its_views_hold_in_one_wave():
+    """A ``stale=false`` query registers its wait in one ``view_wait``
+    wave, which commits what each node's views hold -- one rewrite per
+    view -- so it then scatters at once: 2 waves, no scheduler round."""
+    cluster = Cluster(nodes=2, vbuckets=8, network_latency=LATENCY)
+    cluster.create_bucket("b", replicas=0)
+    client = cluster.connect()
+    cluster.define_view("b", ViewDefinition(
+        "dd", "by_v", lambda doc, meta, emit: emit(doc["v"], None)))
+    for i in range(20):
+        client.upsert("b", f"k{i}", {"v": i})
+    assert cluster.scheduler.step()
+    indexes = [node.view_engines["b"].get_index("dd", "by_v")
+               for node in cluster.nodes()]
+    assert [index.count() for index in indexes] == [0, 0]
+    records = [node_records(index) for index in indexes]
+    cluster.network.reset_counters()
+    rounds = cluster.scheduler._round
+    rows = cluster.views.query("b", "dd", "by_v", stale="false").rows
+    assert (waves(cluster), cluster.scheduler._round - rounds) == (2, 0)
+    assert rpcs(cluster, "view_wait") == 2
+    assert [row["key"] for row in rows] == list(range(20))
+    assert [node_records(index) - before
+            for index, before in zip(indexes, records)] == [1, 1]
+
+
 def test_a_request_plus_query_after_an_upsert_costs_five_waves_and_one_round():
     """A ``request_plus`` query commits what the index holds when it
     registers its wait, and every batch that arrives while it waits, so
@@ -1023,7 +1082,7 @@ def test_memopt_index_never_touches_disk():
               for kind, disk in disks.items()}
     for storage in stores.values():
         for i in range(2000):
-            storage.update_doc(f"d{i:06d}", [[i % 500, f"d{i:06d}"]])
+            storage.update_docs([(f"d{i:06d}", 0, [[i % 500, f"d{i:06d}"]])])
     assert (list(stores["standard"].scan([100], [120]))
             == list(stores["memopt"].scan([100], [120])))
     assert stores["standard"].disk_bytes() > 0

@@ -126,7 +126,7 @@ class TestViewIndexCompaction:
     def test_manual_compaction_shrinks_file(self):
         index = self.make_index()
         for round_number in range(200):
-            index.update_doc("hot", 0, [(round_number, None)])
+            index.update_docs([("hot", 0, [(round_number, None)])])
         before = index.log.size
         index.compact()
         assert index.log.size < before
@@ -137,7 +137,7 @@ class TestViewIndexCompaction:
         definition = ViewDefinition("dd", "v", lambda d, m, e: None, "_count")
         index = ViewIndex(definition, SimulatedDisk(), "v.view")
         for i in range(50):
-            index.update_doc(f"d{i}", 0, [(i, None)])
+            index.update_docs([(f"d{i}", 0, [(i, None)])])
         index.compact()
         assert index.reduce(ViewQueryParams()) == 50
 
@@ -145,25 +145,25 @@ class TestViewIndexCompaction:
         index = self.make_index()
         index.COMPACT_EVERY = 100
         for round_number in range(250):
-            index.update_doc("hot", 0, [(round_number, None)])
+            index.update_docs([("hot", 0, [(round_number, None)])])
         assert index.compactions >= 2
         assert list(index.scan(ViewQueryParams()))[0]["key"] == 249
 
     def test_back_index_survives_compaction(self):
         index = self.make_index()
-        index.update_doc("d1", 0, [("a", 1)])
+        index.update_docs([("d1", 0, [("a", 1)])])
         for i in range(30):
-            index.update_doc("d2", 0, [(f"k{i}", i)])
+            index.update_docs([("d2", 0, [(f"k{i}", i)])])
         index.compact()
-        index.update_doc("d1", 0, [("z", 2)])  # replaces the old row
+        index.update_docs([("d1", 0, [("z", 2)])])  # replaces the old row
         rows = list(index.scan(ViewQueryParams()))
         keys = [r["key"] for r in rows]
         assert "a" not in keys and "z" in keys
 
     def test_vbucket_masking_survives_compaction(self):
         index = self.make_index()
-        index.update_doc("d1", 0, [("a", 1)])
-        index.update_doc("d2", 1, [("b", 2)])
+        index.update_docs([("d1", 0, [("a", 1)])])
+        index.update_docs([("d2", 1, [("b", 2)])])
         index.compact()
         rows = list(index.scan(ViewQueryParams(), active_vbuckets={0}))
         assert [r["id"] for r in rows] == ["d1"]

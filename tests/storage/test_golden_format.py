@@ -115,7 +115,7 @@ class TestIndexFiles:
                     entries = []  # the document leaves the index
                 elif i % 5 == 0:
                     entries.append([keys[i % len(keys)], "second"])
-                batch.append((f"doc{i:03d}", entries))
+                batch.append((f"doc{i:03d}", i % 4, entries))
             storage.update_docs(batch)
         assert digest(disk, "gsi/b/idx.index") == GSI_INDEX
 

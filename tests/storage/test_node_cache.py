@@ -108,10 +108,10 @@ class TestWarmEqualsCold:
     def test_gsi_tree(self):
         storage = BTreeIndexStorage(SimulatedDisk(), "idx")
         for i in range(150):
-            storage.update_doc(f"d{i:03d}", [[i % 10, f"name{i}"]])
+            storage.update_docs([(f"d{i:03d}", 0, [[i % 10, f"name{i}"]])])
         for i in range(0, 150, 3):  # re-key a third, unindex a few
             entries = [] if i % 9 == 0 else [[MISSING, [i, "tag"]], [i % 4, None]]
-            storage.update_doc(f"d{i:03d}", entries)
+            storage.update_docs([(f"d{i:03d}", 0, entries)])
 
         def collect():
             return [
@@ -132,11 +132,11 @@ class TestWarmEqualsCold:
         )
         index = ViewIndex(definition, SimulatedDisk(), "view")
         for i in range(180):
-            index.update_doc(f"d{i:03d}", i % 8, [([i % 6, i], i * 1.5)])
+            index.update_docs([(f"d{i:03d}", i % 8, [([i % 6, i], i * 1.5)])])
         for i in range(0, 180, 4):
-            index.update_doc(f"d{i:03d}", i % 8, [([i % 5, -i], i * 0.5)])
+            index.update_docs([(f"d{i:03d}", i % 8, [([i % 5, -i], i * 0.5)])])
         for i in range(0, 180, 11):
-            index.remove_doc(f"d{i:03d}")
+            index.update_docs([(f"d{i:03d}", i % 8, [])])
         tree = index.tree
         low, high = [[2, None], ""], [[4, {}], ""]
         assert_warm_equals_cold(index.log, lambda: tree_answers(

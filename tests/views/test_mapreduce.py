@@ -112,36 +112,36 @@ def make_index(reduce_fn=None):
 class TestViewIndex:
     def test_update_and_scan(self):
         index = make_index()
-        index.update_doc("d1", 0, [("apple", 1)])
-        index.update_doc("d2", 0, [("banana", 2)])
+        index.update_docs([("d1", 0, [("apple", 1)])])
+        index.update_docs([("d2", 0, [("banana", 2)])])
         rows = list(index.scan(ViewQueryParams()))
         assert [(r["key"], r["id"]) for r in rows] == [("apple", "d1"), ("banana", "d2")]
 
     def test_update_replaces_old_rows(self):
         index = make_index()
-        index.update_doc("d1", 0, [("old", 1)])
-        index.update_doc("d1", 0, [("new", 2)])
+        index.update_docs([("d1", 0, [("old", 1)])])
+        index.update_docs([("d1", 0, [("new", 2)])])
         rows = list(index.scan(ViewQueryParams()))
         assert [r["key"] for r in rows] == ["new"]
 
     def test_remove_doc(self):
         index = make_index()
-        index.update_doc("d1", 0, [("k", 1)])
-        index.remove_doc("d1")
+        index.update_docs([("d1", 0, [("k", 1)])])
+        index.update_docs([("d1", 0, [])])
         assert list(index.scan(ViewQueryParams())) == []
 
     def test_multi_emit_per_doc(self):
         index = make_index()
-        index.update_doc("d1", 0, [("a", 1), ("b", 2)])
-        assert index.row_count() == 2
-        index.remove_doc("d1")
-        assert index.row_count() == 0
+        index.update_docs([("d1", 0, [("a", 1), ("b", 2)])])
+        assert index.count() == 2
+        index.update_docs([("d1", 0, [])])
+        assert index.count() == 0
 
     def test_key_lookup(self):
         index = make_index()
-        index.update_doc("d1", 0, [("x", 1)])
-        index.update_doc("d2", 0, [("x", 2)])
-        index.update_doc("d3", 0, [("y", 3)])
+        index.update_docs([("d1", 0, [("x", 1)])])
+        index.update_docs([("d2", 0, [("x", 2)])])
+        index.update_docs([("d3", 0, [("y", 3)])])
         rows = list(index.scan(ViewQueryParams(key="x")))
         assert len(rows) == 2
         assert all(r["key"] == "x" for r in rows)
@@ -149,21 +149,21 @@ class TestViewIndex:
     def test_keys_lookup(self):
         index = make_index()
         for i, key in enumerate(["a", "b", "c", "d"]):
-            index.update_doc(f"d{i}", 0, [(key, i)])
+            index.update_docs([(f"d{i}", 0, [(key, i)])])
         rows = list(index.scan(ViewQueryParams(keys=["b", "d"])))
         assert [r["key"] for r in rows] == ["b", "d"]
 
     def test_range_inclusive(self):
         index = make_index()
         for i in range(10):
-            index.update_doc(f"d{i}", 0, [(i, None)])
+            index.update_docs([(f"d{i}", 0, [(i, None)])])
         rows = list(index.scan(ViewQueryParams(startkey=3, endkey=6)))
         assert [r["key"] for r in rows] == [3, 4, 5, 6]
 
     def test_range_exclusive_end(self):
         index = make_index()
         for i in range(10):
-            index.update_doc(f"d{i}", 0, [(i, None)])
+            index.update_docs([(f"d{i}", 0, [(i, None)])])
         rows = list(
             index.scan(ViewQueryParams(startkey=3, endkey=6, inclusive_end=False))
         )
@@ -172,68 +172,68 @@ class TestViewIndex:
     def test_descending(self):
         index = make_index()
         for i in range(5):
-            index.update_doc(f"d{i}", 0, [(i, None)])
+            index.update_docs([(f"d{i}", 0, [(i, None)])])
         rows = list(index.scan(ViewQueryParams(descending=True)))
         assert [r["key"] for r in rows] == [4, 3, 2, 1, 0]
 
     def test_mixed_type_keys_collate(self):
         index = make_index()
-        index.update_doc("d1", 0, [("str", None)])
-        index.update_doc("d2", 0, [(1, None)])
-        index.update_doc("d3", 0, [(None, None)])
-        index.update_doc("d4", 0, [([1], None)])
-        index.update_doc("d5", 0, [(True, None)])
+        index.update_docs([("d1", 0, [("str", None)])])
+        index.update_docs([("d2", 0, [(1, None)])])
+        index.update_docs([("d3", 0, [(None, None)])])
+        index.update_docs([("d4", 0, [([1], None)])])
+        index.update_docs([("d5", 0, [(True, None)])])
         rows = [r["key"] for r in index.scan(ViewQueryParams())]
         assert rows == [None, True, 1, "str", [1]]
 
     def test_vbucket_masking(self):
         index = make_index()
-        index.update_doc("d1", 0, [("a", 1)])
-        index.update_doc("d2", 1, [("b", 2)])
+        index.update_docs([("d1", 0, [("a", 1)])])
+        index.update_docs([("d2", 1, [("b", 2)])])
         rows = list(index.scan(ViewQueryParams(), active_vbuckets={0}))
         assert [r["id"] for r in rows] == ["d1"]
 
     def test_remove_vbucket(self):
         index = make_index()
-        index.update_doc("d1", 0, [("a", 1)])
-        index.update_doc("d2", 1, [("b", 2)])
+        index.update_docs([("d1", 0, [("a", 1)])])
+        index.update_docs([("d2", 1, [("b", 2)])])
         index.remove_vbucket(1)
         assert [r["id"] for r in index.scan(ViewQueryParams())] == ["d1"]
-        assert index.vbuckets_present == {0}
+        assert index.back_index.keys() == {0}
 
 
 class TestViewIndexReduce:
     def test_full_reduce_count(self):
         index = make_index("_count")
         for i in range(25):
-            index.update_doc(f"d{i}", 0, [(i, None)])
+            index.update_docs([(f"d{i}", 0, [(i, None)])])
         assert index.reduce(ViewQueryParams()) == 25
 
     def test_range_reduce_sum(self):
         index = make_index("_sum")
         for i in range(20):
-            index.update_doc(f"d{i}", 0, [(i, i * 10)])
+            index.update_docs([(f"d{i}", 0, [(i, i * 10)])])
         assert index.reduce(ViewQueryParams(startkey=5, endkey=7)) == 50 + 60 + 70
 
     def test_reduce_with_masking_falls_back(self):
         index = make_index("_count")
-        index.update_doc("d1", 0, [("a", None)])
-        index.update_doc("d2", 1, [("b", None)])
+        index.update_docs([("d1", 0, [("a", None)])])
+        index.update_docs([("d2", 1, [("b", None)])])
         assert index.reduce(ViewQueryParams(), active_vbuckets={0}) == 1
 
     def test_grouped(self):
         index = make_index("_count")
-        index.update_doc("d1", 0, [("a", None)])
-        index.update_doc("d2", 0, [("a", None)])
-        index.update_doc("d3", 0, [("b", None)])
+        index.update_docs([("d1", 0, [("a", None)])])
+        index.update_docs([("d2", 0, [("a", None)])])
+        index.update_docs([("d3", 0, [("b", None)])])
         groups = index.grouped(ViewQueryParams(group=True))
         assert groups == [{"key": "a", "value": 2}, {"key": "b", "value": 1}]
 
     def test_group_level_truncates_array_keys(self):
         index = make_index("_count")
-        index.update_doc("d1", 0, [(["2016", "01", "05"], None)])
-        index.update_doc("d2", 0, [(["2016", "01", "09"], None)])
-        index.update_doc("d3", 0, [(["2016", "02", "01"], None)])
+        index.update_docs([("d1", 0, [(["2016", "01", "05"], None)])])
+        index.update_docs([("d2", 0, [(["2016", "01", "09"], None)])])
+        index.update_docs([("d3", 0, [(["2016", "02", "01"], None)])])
         groups = index.grouped(ViewQueryParams(group_level=2))
         assert groups == [
             {"key": ["2016", "01"], "value": 2},

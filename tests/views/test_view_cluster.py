@@ -6,7 +6,10 @@ import pytest
 
 from repro import Cluster
 from repro.common.errors import NodeDownError, ViewNotFoundError
+from repro.storage.appendlog import RT_NODE
 from repro.views import ViewDefinition, ViewQueryParams
+
+from ..integration.test_paper_claims import tree_nodes
 
 
 def age_view():
@@ -297,3 +300,106 @@ class TestTopologyChanges:
                                    reduce=False)
         ids = [row["id"] for row in result.rows]
         assert len(ids) == len(set(ids)) == 40
+
+
+class TestDescendingMergeAcrossNodes:
+    def test_rows_merge_in_collation_order_both_ways(self, cluster, client):
+        """Every node returns its rows sorted; the coordinator's merge
+        interleaves them by (key, doc id), and equal keys from different
+        nodes come out by doc id in either direction."""
+        load_users(client, 20)
+        cluster.define_view("b", age_view())
+        hosts = {node.name for node in cluster.nodes()
+                 if node.view_query_local("b", "dd", "by_age",
+                                          ViewQueryParams(reduce=False))
+                 ["rows"]}
+        assert len(hosts) == 3
+        expected = sorted((20 + i % 10, f"u{i}") for i in range(20))
+        for descending in (False, True):
+            result = client.view_query("b", "dd", "by_age", stale="false",
+                                       reduce=False, descending=descending)
+            assert [(row["key"], row["id"]) for row in result.rows] == (
+                expected[::-1] if descending else expected)
+
+
+def node_records(index) -> int:
+    """Node records a view file holds, live or replaced."""
+    return sum(1 for _offset, record_type, _body in index.log.scan()
+               if record_type == RT_NODE)
+
+
+class TestOneBuildPerView:
+    """A view build maps each active document once and covers each
+    active vBucket through its high seqno, so the streams opened after
+    it replay nothing; a reopened node starts every view file afresh."""
+
+    def test_each_document_is_mapped_and_written_once(self):
+        mapped = []
+
+        def by_v(doc, meta, emit):
+            mapped.append(meta.id)
+            emit(doc["v"], None)
+
+        cluster = Cluster(nodes=1, vbuckets=8, auto_failover=False)
+        cluster.create_bucket("b", replicas=0)
+        client = cluster.connect()
+        for i in range(200):
+            client.upsert("b", f"k{i:03d}", {"v": i})
+        cluster.run_until_idle()
+        node = cluster.node("node1")
+        views = node.view_engines["b"]
+        cluster.define_view("b", ViewDefinition("dd", "first", by_v))
+        first = views.get_index("dd", "first")
+        assert sorted(mapped) == [f"k{i:03d}" for i in range(200)]
+        # One batch of 200 rows from an empty tree: every node record
+        # written is a node of the tree.
+        assert node_records(first) == tree_nodes(first.tree)
+        assert node.metrics.counter_value("views.mutations_indexed") == 0
+
+        # Writes the first view has not indexed yet: the second view's
+        # build brings it to the same point, and maps them once itself.
+        for i in range(200, 250):
+            client.upsert("b", f"k{i:03d}", {"v": i})
+        mapped.clear()
+        cluster.define_view("b", ViewDefinition("dd", "second", by_v))
+        cluster.run_until_idle()
+        assert sorted(mapped) == sorted(
+            [f"k{i:03d}" for i in range(200, 250)]
+            + [f"k{i:03d}" for i in range(250)])
+        assert node.metrics.counter_value("views.mutations_indexed") == 50
+
+        cluster.crash_node("node1")
+        mapped.clear()
+        cluster.restart_node("node1")
+        assert sorted(mapped) == sorted(
+            [f"k{i:03d}" for i in range(250)] * 2)
+        views = node.view_engines["b"]
+        for name in ("first", "second"):
+            index = views.get_index("dd", name)
+            assert node_records(index) == tree_nodes(index.tree)
+            assert index.count() == 250
+
+    def test_a_view_file_is_as_large_after_restarts_and_a_redefine(self):
+        def by_v(doc, meta, emit):
+            emit(doc["v"], None)
+
+        cluster = Cluster(nodes=2, vbuckets=16)
+        cluster.create_bucket("b", replicas=1)
+        client = cluster.connect()
+        for i in range(200):
+            client.upsert("b", f"k{i}", {"v": i})
+        cluster.run_until_idle()
+        disk = cluster.node("node1").disk
+        filename = "views/b/dd_by_v.view"
+        cluster.define_view("b", ViewDefinition("dd", "by_v", by_v))
+        built = disk.open(filename).size
+        for _ in range(3):
+            cluster.crash_node("node1")
+            cluster.restart_node("node1")
+            assert disk.open(filename).size == built
+        assert len(cluster.views.query("b", "dd", "by_v",
+                                       stale="false").rows) == 200
+        cluster.drop_view("b", "dd", "by_v")
+        assert not disk.exists(filename)
+        cluster.define_view("b", ViewDefinition("dd", "by_v", by_v))
+        assert disk.open(filename).size == built
