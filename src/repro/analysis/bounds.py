@@ -41,8 +41,7 @@ RPC_WRAPPERS = frozenset(
     {"_call", "_multi_call", "_routed_call", "_routed_multi_call"})
 
 #: Primitives whose return value is a slot/permit that must be released.
-ACQUIRE_ATTRS = frozenset(
-    {"acquire", "admit_query", "fabric_filter", "try_enter"})
+ACQUIRE_ATTRS = frozenset({"acquire"})
 RELEASE_ATTRS = frozenset({"release", "exit", "close"})
 
 

@@ -104,19 +104,22 @@ class SmartClient:
     cluster: "Cluster | None" = None
 
     def __init__(self, manager, network: Network, scheduler: Scheduler,
-                 admission: "AdmissionController", service: str = "kv"):
+                 admission: "AdmissionController",
+                 service: str | None = "kv"):
         self.manager = manager
         self.network = network
         self.scheduler = scheduler
         #: The cluster's admission controller (the overload front door).
         self.admission = admission
-        #: Service class for bulkhead attribution: "kv" for application
-        #: handles, "n1ql" for the query engine's internal data traffic.
+        #: The service budget this handle's ops draw on: "kv" for
+        #: application handles; None for the query engine's own handle,
+        #: whose fetches belong to a query already charged at
+        #: ``admit_query``.
         self.service = service
         self.name = f"client{next(_client_ids)}"
         self._maps: dict[str, Any] = {}
         self._durability = DurabilityMonitor(network, scheduler, self.name)
-        admission.register_client(self.name, service)
+        admission.register_client(self.name)
 
     # -- cluster map handling ----------------------------------------------------
 
@@ -137,8 +140,8 @@ class SmartClient:
         """Release this handle's server-side admission state.  Handles
         get a fresh unique name per connect, so an application that
         connects and discards handles without closing them leaks one
-        tenant bucket per connection in the controller (found by
-        the bounds checks)."""
+        registration per connection in the controller (found by the
+        bounds checks)."""
         self.admission.unregister_client(self.name)
         self._maps.clear()
 
@@ -146,11 +149,9 @@ class SmartClient:
     def _call(self, bucket: str, key: str, method: str, *args) -> Any:
         """Route one KV op through the admission front door and to the
         key's active node."""
-        release = self.admission.acquire(self.service, self.name)
-        try:
-            return self._routed_call(bucket, key, method, args)
-        finally:
-            release()
+        if self.service is not None:
+            self.admission.acquire(self.service)
+        return self._routed_call(bucket, key, method, args)
 
     def _routed_call(self, bucket: str, key: str, method: str,
                      args: tuple) -> Any:
@@ -185,11 +186,6 @@ class SmartClient:
                     return result
                 except (NotMyVBucketError, NodeDownError) as error:
                     last_error = error
-                except AdmissionRejectedError:
-                    # Shed by the fabric (node bulkhead): not our node's
-                    # fault, and retrying immediately would defeat the
-                    # point of shedding.
-                    raise
                 except TemporaryFailureError as error:
                     last_error = error
                     if error.retry_after is None:
@@ -364,18 +360,15 @@ class SmartClient:
         pending = list(dict.fromkeys(keys))  # de-dup, keep order
         if not pending:
             return batch
-        try:
-            release = self.admission.acquire(self.service, self.name,
-                                             ops=len(pending))
-        except AdmissionRejectedError as error:
-            for key in pending:
-                batch.errors[key] = error
-            return batch
-        try:
-            return self._routed_multi_call(batch, bucket, method, pending,
-                                           payload)
-        finally:
-            release()
+        if self.service is not None:
+            try:
+                self.admission.acquire(self.service, ops=len(pending))
+            except AdmissionRejectedError as error:
+                for key in pending:
+                    batch.errors[key] = error
+                return batch
+        return self._routed_multi_call(batch, bucket, method, pending,
+                                       payload)
 
     def _routed_multi_call(self, batch: BatchResult, bucket: str, method: str,
                            pending: list[str],
@@ -434,11 +427,6 @@ class SmartClient:
                 self.name, [node for node, _items, _breaker in sent], method,
                 requests)
             for (node, items, breaker), outcome in zip(sent, outcomes):
-                if isinstance(outcome, AdmissionRejectedError):
-                    # Shed by the fabric's node bulkhead: honor it.
-                    for _vbucket_id, key in items:
-                        batch.errors[key] = outcome
-                    continue
                 if isinstance(outcome, self._TOPOLOGY_RETRYABLE):
                     # Whole-node failure: every key of this group retries.
                     for _vbucket_id, key in items:

@@ -166,7 +166,10 @@ class ClusterManager:
         build the KV engine, DCP producer, view engine, replicator and
         projector, register their pumps (the compactor only with a
         compaction threshold) and the expiry pager, apply the current
-        map, warm up and define the bucket's views."""
+        map, warm up and define the bucket's views.  Every view file of
+        the bucket is deleted first: each registered view is rebuilt
+        anyway, and a view dropped while the node was down leaves a file
+        that no view engine knows."""
         if not node.has_service(Service.DATA):
             return
         from ..gsi.projector import Projector
@@ -195,6 +198,7 @@ class ClusterManager:
         if bucket in self.cluster_maps:
             node.apply_cluster_map(bucket, self.cluster_maps[bucket])
         engine.warmup()
+        self.delete_files(node, f"views/{bucket}/")
         for definition in self.design_docs.get(bucket, {}).values():
             node.view_define(bucket, definition)
 
@@ -214,16 +218,22 @@ class ClusterManager:
     def _discard_bucket(node: Node, bucket: str) -> None:
         """Destroy the files a node keeps for a bucket: each vBucket's,
         by the DEAD-then-drop path, and every file under its views
-        directory: a view dropped while the node was down leaves a file
-        that no reopened view engine knows."""
+        directory."""
         engine = node.engines.get(bucket)
         if engine is None:
             return
         for vbucket_id in list(engine.vbuckets):
             engine.set_vbucket_state(vbucket_id, VBucketState.DEAD)
             engine.drop_vbucket(vbucket_id)
+        ClusterManager.delete_files(node, f"views/{bucket}/")
+
+    @staticmethod
+    def delete_files(node: Node, prefix: str,
+                     keep: tuple[str, ...] = ()) -> None:
+        """Delete every file of ``node`` whose name starts with
+        ``prefix`` and with none of the ``keep`` prefixes."""
         for filename in node.disk.list_files():
-            if filename.startswith(f"views/{bucket}/"):
+            if filename.startswith(prefix) and not filename.startswith(keep):
                 node.disk.delete(filename)
 
     def _arm_expiry_pager(self, node: Node, bucket: str,

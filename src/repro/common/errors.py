@@ -107,9 +107,8 @@ class TemporaryFailureError(KeyValueError):
 
 class AdmissionRejectedError(TemporaryFailureError):
     """The admission-control front door shed this request before it cost
-    the cluster any work: a token bucket ran dry, a bulkhead compartment
-    was full, a circuit breaker is open, or the degradation policy is
-    shedding this service class.  Subclasses
+    the cluster any work: a service budget ran dry, a circuit breaker
+    is open, or the degradation policy is shedding queries.  Subclasses
     :class:`TemporaryFailureError` so every pre-admission caller's
     back-off handling (and ``@declared_raises`` contract) covers it."""
 

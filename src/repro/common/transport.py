@@ -37,11 +37,10 @@ class Network:
         self.calls: Counter[tuple[str, str]] = Counter()
         #: Total virtual seconds of latency charged so far.
         self.latency_charged = 0.0
-        #: Optional admission hook ``(src, dst, method) -> release|None``
-        #: consulted before every dispatch; it may raise to shed the call
-        #: and may return a callable invoked when the call finishes.
-        #: Duck-typed so ``common`` does not depend on the admission
-        #: layer; the cluster facade installs the controller's filter.
+        #: Optional admission hook ``(src, dst, method) -> None`` run
+        #: before every dispatch.  Duck-typed so ``common`` does not
+        #: depend on the admission layer; the cluster facade installs
+        #: the controller's filter.
         self.call_filter = None
 
     # -- membership ----------------------------------------------------------
@@ -103,9 +102,9 @@ class Network:
     def call(self, src: str, dst: str, method: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke ``method`` on the endpoint named ``dst`` on behalf of
         ``src``.  Raises :class:`NodeDownError` if unreachable."""
-        release = self._admit(src, dst, method)
+        self._admit(src, dst, method)
         self.latency_charged += self.default_latency
-        return self._deliver(dst, method, args, kwargs, release)
+        return self._deliver(dst, method, args, kwargs)
 
     def call_fanout(self, src: str, dsts: list[str], method: str,
                     *args: Any) -> list[Any]:
@@ -113,8 +112,8 @@ class Network:
         ``dsts`` as one parallel wave; returns the results in ``dsts``
         order.
 
-        All or nothing: the first destination that fails -- unreachable,
-        shed, or raising -- raises to the caller (a partial scatter-gather
+        All or nothing: the first destination that fails -- unreachable
+        or raising -- raises to the caller (a partial scatter-gather
         would silently drop that node's rows).  Dispatch happens in list
         order, so the sanitizer sees identical merge inputs under any pump
         schedule."""
@@ -149,44 +148,40 @@ class Network:
         charged = False
         for dst, args in requests:
             try:
-                release = self._admit(src, dst, method)
+                self._admit(src, dst, method)
                 if not charged:
                     self.latency_charged += self.default_latency
                     charged = True
-                outcomes.append(self._deliver(dst, method, args, {}, release))
+                outcomes.append(self._deliver(dst, method, args, {}))
             except Exception as error:
                 if all_or_nothing:
                     raise
                 outcomes.append(error)
         return outcomes
 
-    def _admit(self, src: str, dst: str, method: str) -> Any:
+    def _admit(self, src: str, dst: str, method: str) -> None:
         """Reachability and the admission hook, before anything is
-        delivered or charged; returns the hook's release (or None)."""
+        delivered or charged."""
         if dst not in self._endpoints or not self.reachable(src, dst):
             raise NodeDownError(dst)
-        return (self.call_filter(src, dst, method)
-                if self.call_filter is not None else None)
+        if self.call_filter is not None:
+            self.call_filter(src, dst, method)
 
-    def _deliver(self, dst: str, method: str, args: tuple, kwargs: dict,
-                 release: Any) -> Any:
+    def _deliver(self, dst: str, method: str, args: tuple,
+                 kwargs: dict) -> Any:
+        self.calls[(dst, method)] += 1
+        # An RPC is a *declared* hand-off point: whatever the endpoint
+        # mutates while serving it was mediated by the fabric, which the
+        # write-race tracker treats as legitimate cross-pump
+        # communication.
+        tracker = tracing.current()
+        if tracker is None:
+            return getattr(self._endpoints[dst], method)(*args, **kwargs)
+        tracker.enter_mediated()
         try:
-            self.calls[(dst, method)] += 1
-            # An RPC is a *declared* hand-off point: whatever the endpoint
-            # mutates while serving it was mediated by the fabric, which the
-            # write-race tracker treats as legitimate cross-pump
-            # communication.
-            tracker = tracing.current()
-            if tracker is None:
-                return getattr(self._endpoints[dst], method)(*args, **kwargs)
-            tracker.enter_mediated()
-            try:
-                return getattr(self._endpoints[dst], method)(*args, **kwargs)
-            finally:
-                tracker.exit_mediated()
+            return getattr(self._endpoints[dst], method)(*args, **kwargs)
         finally:
-            if release is not None:
-                release()
+            tracker.exit_mediated()
 
     def reset_counters(self) -> None:
         self.calls.clear()

@@ -254,9 +254,9 @@ class QueryService:
         #: service runs, so the cluster-map cache and the node-grouped
         #: batch path survive across queries (previously each
         #: ExecutionContext called ``cluster.connect()`` afresh).
-        #: Tagged "n1ql" so a scan storm's data traffic draws on the
-        #: query compartment, not the application KV compartment.
-        self.client = cluster.connect(service="n1ql")
+        #: It draws on no admission budget: each query is charged once,
+        #: at ``admit_query``, not again per fetched key.
+        self.client = cluster.connect(service=None)
 
     # -- entry point --------------------------------------------------------------------
 
@@ -285,49 +285,45 @@ class QueryService:
             )
         # Degradation order under overload: N1QL is shed at this front
         # door (before parse/plan/execute cost anything) while KV point
-        # ops keep flowing.  The admission slot is held for the whole
-        # request so the n1ql bulkhead counts running queries.
-        release = self.cluster.admission.admit_query()
-        try:
-            metrics = self.node.metrics
-            metrics.inc("n1ql.requests")
-            scan_tokens = consistent_with or []
-            params = _normalize_params(params)
-            # An EXECUTE text seen before is not lexed either; its name
-            # is looked up in ``self.prepared`` on every call.
-            name = self.plan_cache.prepared_name(text)
-            if name is not None:
-                self._scan_tokens = scan_tokens
-                return self._execute_prepared(name, params, scan_consistency)
-            epoch = self.catalog.current_epoch()
-            # A text seen before is not lexed; otherwise the key and the
-            # parser share one token list.
-            cached, literals = self.plan_cache.lookup(text, epoch)
-            if cached is None:
-                tokens = tokenize(text)
-                shape, literals = statement_shape(tokens)
-                cached = self.plan_cache.get(shape, epoch)
-                if cached is not None:
-                    self.plan_cache.remember(text, shape, literals)
+        # ops keep flowing.
+        self.cluster.admission.admit_query()
+        metrics = self.node.metrics
+        metrics.inc("n1ql.requests")
+        scan_tokens = consistent_with or []
+        params = _normalize_params(params)
+        # An EXECUTE text seen before is not lexed either; its name
+        # is looked up in ``self.prepared`` on every call.
+        name = self.plan_cache.prepared_name(text)
+        if name is not None:
+            self._scan_tokens = scan_tokens
+            return self._execute_prepared(name, params, scan_consistency)
+        epoch = self.catalog.current_epoch()
+        # A text seen before is not lexed; otherwise the key and the
+        # parser share one token list.
+        cached, literals = self.plan_cache.lookup(text, epoch)
+        if cached is None:
+            tokens = tokenize(text)
+            shape, literals = statement_shape(tokens)
+            cached = self.plan_cache.get(shape, epoch)
             if cached is not None:
-                metrics.inc("n1ql.plan_cache.hit")
-                self._scan_tokens = scan_tokens
-                return self._run_select(cached.plan,
-                                        _bind_slots(params, literals),
-                                        scan_consistency)
-            # A SELECT with literals is parsed in its lifted form, the
-            # form its shape's plan is built from.
-            statement = None
-            with metrics.timer("n1ql.parse_seconds"):
-                if literals and shape[0] == ("keyword", "SELECT"):
-                    statement = parse_lifted(tokens, shape)
-                if statement is None:
-                    literals = None
-                    statement = parse(tokens)
-            return self._dispatch(statement, params, scan_consistency,
-                                  scan_tokens, (text, tokens, shape, literals))
-        finally:
-            release()
+                self.plan_cache.remember(text, shape, literals)
+        if cached is not None:
+            metrics.inc("n1ql.plan_cache.hit")
+            self._scan_tokens = scan_tokens
+            return self._run_select(cached.plan,
+                                    _bind_slots(params, literals),
+                                    scan_consistency)
+        # A SELECT with literals is parsed in its lifted form, the
+        # form its shape's plan is built from.
+        statement = None
+        with metrics.timer("n1ql.parse_seconds"):
+            if literals and shape[0] == ("keyword", "SELECT"):
+                statement = parse_lifted(tokens, shape)
+            if statement is None:
+                literals = None
+                statement = parse(tokens)
+        return self._dispatch(statement, params, scan_consistency,
+                              scan_tokens, (text, tokens, shape, literals))
 
     def _dispatch(self, statement, params: dict,
                   scan_consistency: str, scan_tokens: list,

@@ -56,7 +56,7 @@ class Cluster:
         defaults to 64 for in-process speed; pass 1024 for the paper's
         fixed production value.  ``admission`` is an
         :class:`AdmissionConfig` with explicit budgets; None gives the
-        default controller (permissive limits, breakers and backpressure
+        default controller (no rate caps, breakers and backpressure
         on)."""
         self.clock = VirtualClock()
         self.scheduler = Scheduler(self.clock)
@@ -164,10 +164,14 @@ class Cluster:
         self.run_until_idle()
 
     def drop_view(self, bucket: str, design: str, view: str) -> None:
-        """Remove a view from every node's design-document registry."""
+        """Remove a view from the design-document registry and from
+        every reachable data node.  A node that is down forgets it when
+        it reopens the bucket, which deletes every view file first."""
         self.manager.design_docs.get(bucket, {}).pop((design, view), None)
         for name in self.manager.data_nodes():
-            self.network.call("admin", name, "view_drop", bucket, design, view)
+            if self.network.reachable("admin", name):
+                self.network.call("admin", name, "view_drop", bucket,
+                                  design, view)
 
     @property
     def views(self) -> "ViewQueryCoordinator":
@@ -192,10 +196,11 @@ class Cluster:
 
     # -- clients --------------------------------------------------------------------------
 
-    def connect(self, *, service: str = "kv") -> SmartClient:
+    def connect(self, *, service: str | None = "kv") -> SmartClient:
         """Create an application client (the SDK handle of section 3.1).
-        ``service`` tags the handle's traffic for bulkhead attribution
-        ("kv" for applications; the query engine connects as "n1ql")."""
+        ``service`` names the admission budget its ops draw on ("kv" for
+        applications; the query engine connects with None, because each
+        query is charged once at the front door)."""
         client = SmartClient(self.manager, self.network, self.scheduler,
                              admission=self.admission, service=service)
         client.cluster = self
@@ -264,14 +269,19 @@ class Cluster:
         if node.indexer is not None:
             # A fresh instance starts a standard index's file afresh (the
             # old root lived only in memory; a memopt snapshot stays).
+            # The files of an index dropped while the node was down go.
             indexer = node.indexer.indexer
             indexer.instances.clear()
-            for index_name in manager.index_registry.names():
-                meta = manager.index_registry.require(index_name)
-                if name in meta.nodes:
-                    indexer.create(meta.definition)
-                    if meta.state == "ready":
-                        self.gsi._build(meta)
+            registry = manager.index_registry
+            placed = [meta for meta in map(registry.require, registry.names())
+                      if name in meta.nodes]
+            manager.delete_files(node, "gsi/", keep=tuple(
+                f"gsi/{meta.definition.bucket}/{meta.definition.name}.index"
+                for meta in placed))
+            for meta in placed:
+                indexer.create(meta.definition)
+                if meta.state == "ready":
+                    self.gsi._build(meta)
         self.run_until_idle()
 
     # -- time ------------------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Unit tests for the admission-control building blocks: token buckets,
-seeded backoff, bulkheads, the circuit-breaker state machine under the
+seeded backoff, the circuit-breaker state machine under the
 deterministic scheduler, and the controller's shed-N1QL-before-KV
 degradation order."""
 
@@ -11,7 +11,6 @@ from repro.admission import (
     OPEN,
     AdmissionConfig,
     AdmissionController,
-    Bulkhead,
     CircuitBreaker,
     ExponentialBackoff,
     TokenBucket,
@@ -86,23 +85,6 @@ class TestExponentialBackoff:
         for attempt, delay in enumerate(a, start=1):
             raw = min(0.01 * 2.0 ** (attempt - 1), 0.25)
             assert 0.5 * raw <= delay <= raw
-
-
-class TestBulkhead:
-    def test_uncapped_by_default(self):
-        bulkhead = Bulkhead("kv")
-        assert all(bulkhead.try_enter() for _ in range(100))
-        assert bulkhead.rejected == 0
-
-    def test_cap_rejects_and_exit_frees(self):
-        bulkhead = Bulkhead("n1ql", max_inflight=2)
-        assert bulkhead.try_enter()
-        assert bulkhead.try_enter()
-        assert not bulkhead.try_enter()
-        assert bulkhead.rejected == 1
-        bulkhead.exit()
-        assert bulkhead.try_enter()
-        assert bulkhead.peak_inflight == 2
 
 
 class TestCircuitBreaker:
@@ -202,45 +184,18 @@ class TestController:
     def test_permissive_defaults_admit_everything(self, scheduler):
         controller = self.make(scheduler)
         for _ in range(1000):
-            release = controller.acquire("kv", "client1")
-            release()
+            controller.acquire("kv")
         assert controller.metrics.counter_value("admission.requests") == 1000
 
-    def test_tenant_rate_shed_carries_retry_hint(self, scheduler):
-        controller = self.make(scheduler, tenant_rate=10.0, tenant_burst=2.0)
-        controller.acquire("kv", "t1")()
-        controller.acquire("kv", "t1")()
+    def test_service_rate_shed_carries_retry_hint(self, scheduler):
+        controller = self.make(scheduler, service_rates={"kv": (10.0, 2.0)})
+        controller.acquire("kv")
+        controller.acquire("kv")
         with pytest.raises(AdmissionRejectedError) as exc_info:
-            controller.acquire("kv", "t1")
+            controller.acquire("kv")
         assert exc_info.value.retry_after == pytest.approx(0.1)
         assert isinstance(exc_info.value, TemporaryFailureError)
-        # Tenants are isolated: a different tenant still has its burst.
-        controller.acquire("kv", "t2")()
-
-    def test_unconfigured_tenant_gets_fair_share_not_a_free_pass(
-            self, scheduler):
-        """Regression: once a deployment configures a service budget, a
-        tenant nobody provisioned must NOT be unlimited -- it gets
-        ``TENANT_FAIR_SHARE`` of the service budget, so one greedy
-        handle cannot starve the tenants an operator actually set up."""
-        controller = self.make(
-            scheduler,
-            service_rates={"kv": (10.0, 10.0)},
-            tenant_rates={"vip": (10.0, 4.0)},
-        )
-        # The greedy unconfigured tenant hits its half-budget wall...
-        for _ in range(5):
-            controller.acquire("kv", "greedy")()
-        with pytest.raises(AdmissionRejectedError):
-            controller.acquire("kv", "greedy")
-        # ...while the explicitly provisioned tenant is still admitted.
-        for _ in range(4):
-            controller.acquire("kv", "vip")()
-
-    def test_fair_share_only_applies_with_a_service_budget(self, scheduler):
-        controller = self.make(scheduler)
-        for _ in range(100):
-            controller.acquire("kv", "anyone")()
+        assert controller.metrics.counter_value("admission.kv.shed") == 1
 
     def test_overload_weight_scales_with_error_metadata(self, scheduler):
         controller = self.make(scheduler)
@@ -260,54 +215,40 @@ class TestController:
         assert controller._pressure["node1"][0] == pytest.approx(
             controller.PRESSURE_WEIGHT_CAP)
 
-    def test_service_bulkhead_isolates_compartments(self, scheduler):
-        controller = self.make(scheduler, service_inflight={"n1ql": 1})
-        held = controller.acquire("n1ql", "q")
+    def test_service_budget_isolates_compartments(self, scheduler):
+        controller = self.make(scheduler, service_rates={"n1ql": (1.0, 1.0)})
+        controller.acquire("n1ql")
         with pytest.raises(AdmissionRejectedError):
-            controller.acquire("n1ql", "q")
-        # The KV compartment is untouched by the full n1ql one.
-        controller.acquire("kv", "app")()
-        held()
-        controller.acquire("n1ql", "q")()
+            controller.acquire("n1ql")
+        # The KV budget is untouched by the spent n1ql one.
+        for _ in range(100):
+            controller.acquire("kv")
         assert controller.metrics.counter_value("admission.n1ql.shed") == 1
         assert controller.metrics.counter_value("admission.kv.shed") == 0
 
     def test_shed_order_n1ql_before_kv_under_pressure(self, clock, scheduler):
-        controller = self.make(scheduler, shed_threshold=1.0)
+        controller = self.make(scheduler)
         controller.note_overload("node1")
         assert controller.overloaded()
         with pytest.raises(AdmissionRejectedError):
             controller.admit_query()
         # KV point ops keep flowing through the same controller.
-        controller.acquire("kv", "app")()
+        controller.acquire("kv")
         # Pressure decays with virtual time; queries come back.
         clock.advance(10.0)
         assert not controller.overloaded()
-        controller.admit_query()()
+        controller.admit_query()
 
     def test_query_front_door_draws_on_the_service_budget(self, scheduler):
-        """Regression: ``admit_query`` charged every query to a synthetic
-        tenant "n1ql", which the fair-share default capped at half the
-        n1ql budget -- half the provisioned rate was unusable and the
-        refusals were booked as tenant sheds."""
+        """Regression: ``admit_query`` once charged every query to a
+        synthetic tenant capped at half the n1ql budget, so half the
+        provisioned rate was unusable.  The whole budget is usable."""
         controller = self.make(scheduler, service_rates={"n1ql": (8.0, 4.0)})
         for _ in range(4):
-            controller.admit_query()()
+            controller.admit_query()
         with pytest.raises(AdmissionRejectedError):
             controller.admit_query()
-        counter = controller.metrics.counter_value
-        assert counter("admission.n1ql.shed") == 1
-        assert counter("admission.tenant.shed") == 0
-
-    def test_query_from_a_named_tenant_keeps_its_fair_share(self, scheduler):
-        controller = self.make(scheduler, service_rates={"n1ql": (8.0, 4.0)})
-        controller.admit_query("reports")()
-        controller.admit_query("reports")()
-        with pytest.raises(AdmissionRejectedError):
-            controller.admit_query("reports")
-        assert controller.metrics.counter_value("admission.tenant.shed") == 1
-        # The rest of the service budget is still there for everyone else.
-        controller.admit_query()()
+        assert controller.metrics.counter_value("admission.n1ql.shed") == 1
 
     def test_open_breaker_sheds_queries(self, clock, scheduler):
         controller = self.make(scheduler, breaker_threshold=1)
@@ -320,14 +261,14 @@ class TestController:
         assert not controller.overloaded()
 
     def test_fabric_filter_ignores_unregistered_pumps(self, scheduler):
-        controller = self.make(scheduler, node_inflight=1)
-        assert controller.fabric_filter("flusher/node1/b", "node1", "x") is None
-        controller.register_client("client1", "kv")
-        release = controller.fabric_filter("client1", "node1", "kv_get")
-        with pytest.raises(AdmissionRejectedError):
-            controller.fabric_filter("client1", "node1", "kv_get")
-        release()
-        controller.fabric_filter("client1", "node1", "kv_get")()
+        controller = self.make(scheduler)
+        controller.fabric_filter("flusher/node1/b", "node1", "x")
+        counter = controller.metrics.counter_value
+        assert counter("admission.fabric.calls") == 0
+        controller.register_client("client1")
+        controller.fabric_filter("client1", "node1", "kv_get")
+        controller.fabric_filter("client1", "node1", "kv_get")
+        assert counter("admission.fabric.calls") == 2
 
     def test_backoff_advances_virtual_time_not_a_quiesce(self, clock,
                                                          scheduler):
@@ -342,12 +283,11 @@ class TestController:
         assert clock.now() >= 0.05
 
     def test_snapshot_shape(self, scheduler):
-        controller = self.make(scheduler, service_inflight={"n1ql": 2})
+        controller = self.make(scheduler)
         controller.note_overload("node2")
         controller.breaker("node2").record_failure()
-        release = controller.acquire("n1ql", "q")
+        controller.acquire("n1ql")
         snapshot = controller.snapshot()
         assert snapshot["pressure"]["node2"] > 0
         assert snapshot["breakers"]["node2"] == CLOSED
-        assert snapshot["bulkheads"]["n1ql"]["inflight"] == 1
-        release()
+        assert snapshot["metrics"]["counters"]["admission.requests"] == 1

@@ -17,8 +17,10 @@ Two overload shapes from the paper's operational story:
   per-node breaker converts the sustained failure run into cheap
   fail-fast rejections.
 
-What the same loads cost a client without a controller is recorded in
-EXPERIMENTS.md (measured at e8e6da7, before that arm was deleted).
+Each shape also runs with its component switched off through values
+the configuration already has -- no ``service_rates``, and a breaker
+threshold no failure run reaches -- and that arm must break the bound
+the kept arm holds, so each kept component shows what it pays.
 """
 
 import itertools
@@ -42,11 +44,14 @@ KV_PER_TICK = 32
 QUERY_BASE = 4  # queries/tick at saturation (= the admitted budget)
 
 
-def _run_scan_storm(multiplier: int) -> dict:
+#: The n1ql service budget: exactly the saturation rate.
+N1QL_BUDGET = {"n1ql": (QUERY_BASE / TICK_SECONDS, float(QUERY_BASE))}
+
+
+def _run_scan_storm(multiplier: int, service_rates: dict = N1QL_BUDGET
+                    ) -> dict:
     cluster = Cluster(nodes=2, vbuckets=16, admission=AdmissionConfig(
-        service_rates={"n1ql": (QUERY_BASE / TICK_SECONDS,
-                                float(QUERY_BASE))},
-    ))
+        service_rates=service_rates))
     cluster.create_bucket("b", replicas=0)
     cluster.query("CREATE INDEX by_v ON b(v) USING GSI")
     client = cluster.connect()
@@ -86,7 +91,6 @@ def _run_scan_storm(multiplier: int) -> dict:
         "kv_ok": kv_ok, "q_ok": q_ok, "q_shed": q_shed,
         "goodput": (kv_ok + q_ok) / (sched._round - start),
         "shed_n1ql": metrics.counter_value("admission.n1ql.shed"),
-        "shed_tenant": metrics.counter_value("admission.tenant.shed"),
         "shed_kv": metrics.counter_value("admission.kv.shed"),
     }
 
@@ -98,12 +102,10 @@ def at_saturation() -> dict:
 
 def test_query_budget_is_fully_usable_at_saturation(at_saturation):
     """Offered load equal to the provisioned n1ql budget is admitted in
-    full: the query front door charges the n1ql compartment, not a
-    synthetic tenant capped at a fair share of it (which admitted 59 of
-    120 and booked the other 61 as tenant sheds)."""
+    full: each query is charged once to the n1ql budget, and its own
+    fetches are not charged again."""
     assert at_saturation["q_ok"] == QUERY_BASE * TICKS
     assert at_saturation["q_shed"] == 0
-    assert at_saturation["shed_tenant"] == 0
 
 
 def test_scan_storm_is_shed_from_the_n1ql_compartment(at_saturation):
@@ -115,10 +117,18 @@ def test_scan_storm_is_shed_from_the_n1ql_compartment(at_saturation):
     # budget got in, the rest was shed from the n1ql compartment ...
     assert storm["q_ok"] == QUERY_BASE * TICKS
     assert storm["shed_n1ql"] == storm["q_shed"] > 0
-    assert storm["shed_tenant"] == 0
     # ... and not one KV op was refused or lost.
     assert storm["shed_kv"] == 0
     assert storm["kv_ok"] == KV_PER_TICK * TICKS
+
+
+def test_scan_storm_without_the_n1ql_budget_loses_goodput(at_saturation):
+    """The off arm: with no service budget every storm query is
+    admitted, each ``request_plus`` barrier quiesces the cluster, and
+    goodput falls below the bound the budgeted storm holds."""
+    storm = _run_scan_storm(OVERLOAD_MULTIPLIER, service_rates={})
+    assert storm["q_shed"] == 0
+    assert storm["goodput"] < 0.8 * at_saturation["goodput"]
 
 
 # -- shape 2: TMPFAIL retry spin under unrecoverable memory pressure ------
@@ -131,8 +141,15 @@ HOT_PER_TICK = 24  # small resident rewrites: the viable traffic
 BLOAT_PER_TICK = 4 * OVERLOAD_MULTIPLIER  # 2 KiB inserts: the doomed traffic
 
 
-def test_retry_spin_is_bounded_by_backoff_and_breaker():
-    cluster = Cluster(nodes=1, vbuckets=8)
+#: Ceilings pinned just above the 508 rounds / 248 engine TMPFAILs the
+#: spin costs with the breaker on.
+SPIN_ROUND_CEILING = 540
+SPIN_TMPFAIL_CEILING = 270
+
+
+def _run_retry_spin(breaker_threshold: int) -> dict:
+    cluster = Cluster(nodes=1, vbuckets=8, admission=AdmissionConfig(
+        breaker_threshold=breaker_threshold))
     cluster.create_bucket("b", replicas=0, quota_bytes=SPIN_QUOTA,
                           expiry_pager_interval=None)
     client = cluster.connect()
@@ -155,15 +172,29 @@ def test_retry_spin_is_bounded_by_backoff_and_breaker():
         for _ in range(SPIN_PUMP_BUDGET):
             if not sched.step():
                 break
-    rounds = sched._round - start
-    tmpfails = cluster.node("node1").engines["b"].metrics.counter_value(
-        "kv.tmpfails")
-    assert successes + failures == SPIN_TICKS * (HOT_PER_TICK
-                                                 + BLOAT_PER_TICK)
-    assert successes > 0 and failures > 0
-    # Ceilings pinned just above today's 508 rounds / 248 engine
-    # TMPFAILs: bounded relief steps per retry, and the breaker shields
-    # the engine from the retry storm.  A quiesce per retry cost 8 770
-    # rounds / 8 537 TMPFAILs on this load.
-    assert rounds <= 540
-    assert tmpfails <= 270
+    return {
+        "successes": successes, "failures": failures,
+        "rounds": sched._round - start,
+        "tmpfails": cluster.node("node1").engines["b"].metrics
+        .counter_value("kv.tmpfails"),
+    }
+
+
+def test_retry_spin_is_bounded_by_backoff_and_breaker():
+    spin = _run_retry_spin(AdmissionConfig().breaker_threshold)
+    assert spin["successes"] + spin["failures"] == SPIN_TICKS * (
+        HOT_PER_TICK + BLOAT_PER_TICK)
+    assert spin["successes"] > 0 and spin["failures"] > 0
+    # Bounded relief steps per retry, and the breaker shields the
+    # engine from the retry storm.
+    assert spin["rounds"] <= SPIN_ROUND_CEILING
+    assert spin["tmpfails"] <= SPIN_TMPFAIL_CEILING
+
+
+def test_retry_spin_without_the_breaker_exceeds_the_ceilings():
+    """The off arm: a threshold no failure run reaches leaves every
+    doomed write to retry against the engine until its retries run out,
+    and both ceilings the breaker holds are broken."""
+    spin = _run_retry_spin(10 ** 9)
+    assert spin["rounds"] > SPIN_ROUND_CEILING
+    assert spin["tmpfails"] > SPIN_TMPFAIL_CEILING

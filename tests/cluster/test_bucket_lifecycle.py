@@ -12,6 +12,7 @@ import pytest
 
 from repro import Cluster
 from repro.common.errors import KeyNotFoundError
+from repro.gsi import attribute_index
 from repro.views import ViewDefinition
 
 #: A data node's pumps for one bucket, in registration order: the
@@ -127,6 +128,44 @@ class TestDropBucketDiscardsWhatItOwned:
         cluster.add_node("node3")
         for node in cluster.nodes():
             assert node.view_engines["b"].indexes == {}
+
+
+class TestDropWhileANodeIsDown:
+    def test_drop_view_skips_a_down_node_that_forgets_it_on_restart(self):
+        def map_fn(doc, meta, emit):
+            emit(doc["v"], None)
+
+        cluster = Cluster(nodes=3, vbuckets=8, auto_failover=False)
+        cluster.create_bucket("b", replicas=1)
+        cluster.define_view("b", ViewDefinition("dd", "v", map_fn))
+        cluster.crash_node("node2")
+        cluster.drop_view("b", "dd", "v")
+        for name in ("node1", "node3"):
+            node = cluster.node(name)
+            assert node.view_engines["b"].indexes == {}
+            assert not node.disk.exists("views/b/dd_v.view")
+        assert cluster.node("node2").disk.exists("views/b/dd_v.view")
+
+        cluster.restart_node("node2")
+        node2 = cluster.node("node2")
+        assert node2.view_engines["b"].indexes == {}
+        assert not node2.disk.exists("views/b/dd_v.view")
+
+    def test_an_index_dropped_while_its_host_is_down_loses_its_file(self):
+        cluster = Cluster(nodes=3, vbuckets=8, auto_failover=False)
+        cluster.create_bucket("b", replicas=1)
+        cluster.query("CREATE INDEX by_v ON b(v) USING GSI")
+        host = cluster.manager.index_registry.require("by_v").nodes[0]
+        cluster.create_index(attribute_index("by_w", "b", "w"), nodes=[host])
+        cluster.crash_node(host)
+        cluster.query("DROP INDEX b.by_v")
+        assert cluster.node(host).disk.exists("gsi/b/by_v.index")
+
+        cluster.restart_node(host)
+        disk = cluster.node(host).disk
+        assert not disk.exists("gsi/b/by_v.index")
+        # An index the registry still places here keeps its file.
+        assert disk.exists("gsi/b/by_w.index")
 
 
 class TestRemoveNodeClosesItsBuckets:

@@ -12,7 +12,7 @@ fail fast without an RPC.
 import pytest
 
 from repro import Cluster
-from repro.admission import CLOSED, HALF_OPEN, OPEN
+from repro.admission import CLOSED, HALF_OPEN, OPEN, AdmissionConfig
 from repro.common.errors import AdmissionRejectedError, TemporaryFailureError
 
 QUOTA = 64 * 1024
@@ -142,3 +142,24 @@ class TestClientBreakerPath:
         assert cluster.admission.breaker("node1").state == CLOSED
         assert cluster.admission.metrics.counter_value(
             "admission.backoffs") == 0
+
+
+class TestQueryChargedOnce:
+    def test_query_fetches_draw_on_no_budget(self):
+        """Regression: the query engine's own handle charged every
+        fetched key to a budget again -- first a tenant fair share of
+        the n1ql budget, under that the n1ql budget itself -- so a
+        query admitted at the front door was refused mid-fetch."""
+        cluster = Cluster(nodes=2, vbuckets=16, admission=AdmissionConfig(
+            service_rates={"n1ql": (8.0, 4.0)}))
+        cluster.create_bucket("b", replicas=0)
+        cluster.query("CREATE INDEX by_v ON b(v) USING GSI")
+        client = cluster.connect()
+        for i in range(20):
+            client.upsert("b", f"k{i}", {"v": i % 2, "i": i})
+        cluster.tick(1.0)
+        rows = cluster.query("SELECT x.* FROM b x WHERE x.v = 0",
+                             scan_consistency="request_plus").rows
+        assert sorted(row["i"] for row in rows) == list(range(0, 20, 2))
+        assert cluster.admission.metrics.counter_value(
+            "admission.n1ql.shed") == 0

@@ -4,10 +4,9 @@ never a suppression):
 
 * ``ClusterManager.event_log`` -- fed from the failure-detector pump,
   it grew forever; now capped at ``EVENT_LOG_LIMIT``.
-* ``AdmissionController._clients`` / ``_tenants`` -- every connect
-  registered a fresh unique handle name and lazily built it a token
-  bucket, and nothing ever removed either; now ``SmartClient.close()``
-  releases both.
+* ``AdmissionController._clients`` -- every connect registered a fresh
+  unique handle name, and nothing ever removed it; now
+  ``SmartClient.close()`` releases it.
 * ``AdmissionController._pressure`` -- decayed-to-nothing overload
   scores lingered per node forever; now pruned at ``PRESSURE_FLOOR``.
 """
@@ -56,7 +55,6 @@ class TestClientLifecycleReleasesAdmissionState:
     def test_close_releases_registration_and_tenant_bucket(self, cluster):
         controller = cluster.admission
         baseline_clients = len(controller._clients)
-        baseline_tenants = len(controller._tenants)
         handles = [cluster.connect() for _ in range(8)]
         for handle in handles:
             handle.upsert("b", f"k-{handle.name}", 1)
@@ -64,20 +62,17 @@ class TestClientLifecycleReleasesAdmissionState:
         for handle in handles:
             handle.close()
         assert len(controller._clients) == baseline_clients
-        assert len(controller._tenants) == baseline_tenants
 
     def test_connect_close_churn_does_not_accumulate(self, cluster):
         controller = cluster.admission
         # The query service keeps its own long-lived internal handles;
         # churned application handles must not add to them.
         baseline_clients = len(controller._clients)
-        baseline_tenants = len(controller._tenants)
         for i in range(50):
             handle = cluster.connect()
             handle.upsert("b", f"churn-{i}", i)
             handle.close()
         assert len(controller._clients) == baseline_clients
-        assert len(controller._tenants) == baseline_tenants
 
     def test_close_is_idempotent(self, cluster):
         handle = cluster.connect()
