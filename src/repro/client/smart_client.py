@@ -595,6 +595,6 @@ class SmartClient:
         result, wait = self._call(bucket, key, method, *args,
                                   (replicate_to, persist_to))
         self._durability.settle(
-            key, requirement,
+            bucket, key, requirement,
             self._map(bucket).chains[result.vbucket_id], wait)
         return result

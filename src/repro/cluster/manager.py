@@ -27,7 +27,7 @@ from ..common.errors import (
     NodeNotFoundError,
     NoQuorumError,
 )
-from ..common.scheduler import Scheduler
+from ..common.scheduler import Scheduler, pump_name
 from ..common.transport import Network
 from ..dcp.producer import DcpProducer
 from ..kv.engine import KVEngine
@@ -192,7 +192,7 @@ class ClusterManager:
             pumps.append(
                 lambda: bool(node.alive) and engine.run_compactor(threshold))
         for kind, pump in zip(self.BUCKET_PUMPS, pumps):
-            self.scheduler.register(f"{kind}/{node.name}/{bucket}", pump)
+            self.scheduler.register(pump_name(kind, node.name, bucket), pump)
         if config.expiry_pager_interval is not None:
             self._arm_expiry_pager(node, bucket, config.expiry_pager_interval)
         if bucket in self.cluster_maps:
@@ -206,7 +206,7 @@ class ClusterManager:
         """Take a bucket down on a node: unregister its pumps and drop its
         in-memory state.  Its files stay on disk."""
         for kind in self.BUCKET_PUMPS:
-            self.scheduler.unregister(f"{kind}/{node.name}/{bucket}")
+            self.scheduler.unregister(pump_name(kind, node.name, bucket))
         node.engines.pop(bucket, None)
         node.producers.pop(bucket, None)
         node.view_engines.pop(bucket, None)

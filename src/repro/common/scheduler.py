@@ -12,7 +12,10 @@ bounded batch of their queue when invoked and report whether they did any
 work.  ``run_until_idle()`` repeatedly invokes every pump until a full
 round does nothing.  This gives the same observable semantics -- writes
 acknowledge immediately, downstream state catches up "later" -- while
-keeping tests exact and repeatable.
+keeping tests exact and repeatable.  A blocking wait drives only the
+pumps that can end it (:meth:`Scheduler.run_until` with the names
+:func:`pump_name` builds): a durable write runs its vBucket's flusher
+and replicator, not every node's compactor and projector.
 
 The *order* pumps run in within a round is owned by a pluggable
 :class:`SchedulePolicy`.  The default (:class:`RegistrationOrder`)
@@ -34,13 +37,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from random import Random
-from typing import Callable
+from typing import Callable, Collection
 
 from . import tracing
 from .clock import VirtualClock
 from .errors import InvalidArgumentError, LivelockError, SchedulerReentrancyError
 
 Pump = Callable[[], bool]
+
+
+def pump_name(kind: str, node: str, bucket: str | None = None) -> str:
+    """The name a node's pump registers under -- ``kind/node/bucket``
+    for a bucket's pump, ``kind/node`` for the node's own -- and the
+    name a wait passes to :meth:`Scheduler.run_until` to drive it."""
+    return f"{kind}/{node}" if bucket is None else f"{kind}/{node}/{bucket}"
+
 
 #: Large prime used to mix (seed, round) into a single int seed.  Seeding
 #: with an int only -- never a tuple containing strings -- keeps schedules
@@ -198,14 +209,18 @@ class Scheduler:
     def pump_names(self) -> list[str]:
         return [name for name, _ in self._pumps]
 
-    def step(self) -> bool:
-        """Run one round of every pump; return True if any did work.
+    def step(self, pumps: Collection[str] | None = None) -> bool:
+        """Run one round of every pump -- or, given ``pumps``, one pass
+        over only the registered pumps it names -- and return True if
+        any did work.
 
-        The round order is ``policy.order(...)`` over a snapshot of the
-        live pump names.  A pump registered mid-round joins the *next*
-        round; a pump unregistered mid-round is skipped for the remainder
-        of this round (it no longer exists -- running it from the stale
-        snapshot would execute a torn-down component).
+        The order is ``policy.order(...)`` over a snapshot of the live
+        pump names (of the named ones, for a pass; a name nobody
+        registered is skipped).  A pass counts in ``_round`` and in
+        ``trace`` like a round.  A pump registered mid-round joins the
+        *next* round; a pump unregistered mid-round is skipped for the
+        remainder of this round (it no longer exists -- running it from
+        the stale snapshot would execute a torn-down component).
         """
         if self._in_pump:
             raise SchedulerReentrancyError(
@@ -215,6 +230,8 @@ class Scheduler:
         round_index = self._round
         self._round += 1
         names = self.pump_names()
+        if pumps is not None:
+            names = [name for name in names if name in pumps]
         ordered = self.policy.order(round_index, names)
         if ordered is not names and sorted(ordered) != sorted(names):
             raise InvalidArgumentError(
@@ -262,20 +279,27 @@ class Scheduler:
                 )
         return rounds
 
-    def run_until(self, condition: Callable[[], bool], max_rounds: int = 100_000) -> bool:
+    def run_until(self, condition: Callable[[], bool],
+                  max_rounds: int = 100_000,
+                  pumps: Collection[str] | None = None) -> bool:
         """Drive pumps until ``condition()`` holds or the system goes idle.
 
         Returns True if the condition was met.  Used for blocking waits
-        such as ``stale=false`` view queries and ``request_plus`` scans.
+        such as durable writes, ``stale=false`` view queries and
+        ``request_plus`` scans.  Given ``pumps`` -- the pumps that can
+        end the wait -- it runs passes over only those while they make
+        progress, then whole rounds until one makes none.
         """
         if condition():
             return True
         for _ in range(max_rounds):
-            progressed = self.step()
+            progressed = self.step(pumps)
             if condition():
                 return True
             if not progressed:
-                return condition()
+                if pumps is None:
+                    return False
+                pumps = None
         raise LivelockError("run_until exceeded max_rounds without idling")
 
     # -- timers ------------------------------------------------------------

@@ -34,6 +34,7 @@ from ..common.errors import (
     ServiceUnavailableError,
     TimeoutError_,
 )
+from ..common.scheduler import pump_name
 from ..common.services import Service
 from ..kv.types import VBucketState
 from .indexdef import IndexDefinition
@@ -134,7 +135,7 @@ class IndexService:
         self.network = network
         self.scheduler = scheduler
         self.indexer = Indexer(node)
-        self.pump_name = f"indexer/{node.name}"
+        self.pump_name = pump_name("indexer", node.name)
         scheduler.register(self.pump_name,
                            lambda: bool(node.alive) and self.indexer.pump())
         # Expose the RPC surface on the node object itself so the network
@@ -448,9 +449,12 @@ class GsiCoordinator:
         One ``gsi_wait`` wave registers the marks with every hosting
         node, whose instance strikes each mark its watermark passes, and
         the wait then checks the returned handles locally: no message
-        per scheduler round.  A mark is met once *some* partition passed
-        it, because the router delivers a vBucket's key versions in
-        seqno order and stops at the first undelivered one: a partition
+        per scheduler pass.  The wait drives only the pumps that carry
+        the index forward -- every data node's projector for the bucket
+        and each hosting node's indexer -- and whole rounds only once
+        those stall.  A mark is met once *some* partition passed it,
+        because the router delivers a vBucket's key versions in seqno
+        order and stops at the first undelivered one: a partition
         holding seqno s proves every earlier key version of that vBucket
         reached its own partition.  The scan behind the barrier needs
         every hosting node, so an unreachable one fails the barrier
@@ -473,8 +477,12 @@ class GsiCoordinator:
                 pending = pending & waiter.pending.keys()
             return not pending
 
+        bucket = meta.definition.bucket
+        pumps = {pump_name("projector", node, bucket)
+                 for node in self.cluster.manager.data_nodes()}
+        pumps.update(pump_name("indexer", host) for host in hosts)
         try:
-            met = self.cluster.scheduler.run_until(satisfied)
+            met = self.cluster.scheduler.run_until(satisfied, pumps=pumps)
         finally:
             for waiter in waiters:
                 waiter.cancel()

@@ -15,10 +15,13 @@ or ``persist_to >= 2``), the active's replicator carries the
 registration to every replica it streams the vBucket to in the
 replication batch it sends anyway, and each replica's waiter comes back
 in that batch's reply.  The flusher and the replica apply complete the
-waiters while the scheduler runs them, and the client checks the
-handles locally.  A wait on an earlier mutation token
-(:meth:`DurabilityMonitor.wait`) costs one call to the active, which
-then registers it the same way.
+waiters, and the client checks the handles locally.  The wait drives
+only the pumps that can complete them -- the active's flusher and
+replicator, and each replica's flusher when ``persist_to >= 2`` -- in
+scheduler passes; whole rounds run only once those stall (a replica
+that cannot be reached, a vBucket moving away).  A wait on an earlier
+mutation token (:meth:`DurabilityMonitor.wait`) costs one call to the
+active, which then registers it the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import DurabilityError, DurabilityImpossibleError
-from ..common.scheduler import Scheduler
+from ..common.scheduler import Scheduler, pump_name
 from ..common.transport import Network
 from ..kv.types import DurabilityWait, MutationResult
 
@@ -75,12 +78,13 @@ class DurabilityMonitor:
             self.client_name, chain[0], "kv_durability_wait", bucket,
             result.vbucket_id, key, result.cas,
             requirement.replicate_to, requirement.persist_to)
-        self.settle(key, requirement, chain, wait)
+        self.settle(bucket, key, requirement, chain, wait)
 
-    def settle(self, key: str, requirement: DurabilityRequirement,
-               chain: list, wait: DurabilityWait) -> None:
-        """Drive the pumps until ``wait``'s waiters meet the requirement;
-        the wait is cancelled however this ends.
+    def settle(self, bucket: str, key: str,
+               requirement: DurabilityRequirement, chain: list,
+               wait: DurabilityWait) -> None:
+        """Drive the pumps that can meet the requirement until ``wait``'s
+        waiters meet it; the wait is cancelled however this ends.
 
         Raises :class:`DurabilityImpossibleError` if the vBucket's
         ``chain`` cannot ever satisfy it, :class:`DurabilityError` if the
@@ -100,9 +104,15 @@ class DurabilityMonitor:
                 and persisted >= requirement.persist_to
             )
 
+        active = chain[0]
+        pumps = {pump_name("flusher", active, bucket),
+                 pump_name("replicator", active, bucket)}
+        if requirement.persist_to >= 2:
+            pumps.update(pump_name("flusher", name, bucket)
+                         for name in chain[1:] if name is not None)
         try:
             _check_possible(requirement, chain)
-            met = self.scheduler.run_until(satisfied)
+            met = self.scheduler.run_until(satisfied, pumps=pumps)
         finally:
             wait.cancel()
         if not met:

@@ -155,12 +155,15 @@ class Cluster:
     # -- views (section 3.1.2) --------------------------------------------------------------
 
     def define_view(self, bucket: str, definition) -> None:
-        """Publish a view (design document) to every data node and
-        materialize it; joining nodes receive it automatically."""
+        """Publish a view (design document) to every reachable data node
+        and materialize it; joining nodes receive it automatically, and
+        a node that is down defines it when it reopens the bucket."""
         registry = self.manager.design_docs.setdefault(bucket, {})
         registry[(definition.design, definition.name)] = definition
         for name in self.manager.data_nodes():
-            self.network.call("admin", name, "view_define", bucket, definition)
+            if self.network.reachable("admin", name):
+                self.network.call("admin", name, "view_define", bucket,
+                                  definition)
         self.run_until_idle()
 
     def drop_view(self, bucket: str, design: str, view: str) -> None:

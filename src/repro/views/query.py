@@ -27,6 +27,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from ..common.errors import NodeDownError, TimeoutError_, ViewNotFoundError
+from ..common.scheduler import pump_name
 from ..n1ql.collation import sort_key
 from .viewindex import ViewQueryParams
 
@@ -105,9 +106,10 @@ class ViewQueryCoordinator:
 
     def _wait_indexed(self, bucket: str, names: list[str]) -> None:
         """``stale=false``: one ``view_wait`` wave registers the wait
-        with every node's view engine, the view pumps complete it, and
-        the wait checks the handles locally.  The scatter behind it needs
-        every node, so an unreachable one fails before the wave."""
+        with every node's view engine, those nodes' view pumps complete
+        it -- the wait drives no other pump while they make progress --
+        and the wait checks the handles locally.  The scatter behind it
+        needs every node, so an unreachable one fails before the wave."""
         network = self.cluster.network
         for name in names:
             if not network.reachable("view-coordinator", name):
@@ -116,7 +118,8 @@ class ViewQueryCoordinator:
                                       "view_wait", bucket)
         try:
             met = self.cluster.scheduler.run_until(
-                lambda: not any(waiter.pending for waiter in waiters))
+                lambda: not any(waiter.pending for waiter in waiters),
+                pumps={pump_name("views", name, bucket) for name in names})
         finally:
             for waiter in waiters:
                 waiter.cancel()

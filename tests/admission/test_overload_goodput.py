@@ -4,9 +4,9 @@ scheduler rounds (virtual work units) -- no wall clock anywhere.
 Two overload shapes from the paper's operational story:
 
 * **N1QL scan storm**: every ``request_plus`` query runs the GSI
-  consistency barrier, which quiesces the whole cluster, so an
-  unthrottled query storm multiplies scheduler work while adding
-  nothing to goodput.  The n1ql service budget sheds the excess at the
+  consistency barrier, which runs scheduler passes over the projectors
+  and indexers until the index has caught up, so an unthrottled query
+  storm multiplies scheduler work while adding nothing to goodput.  The n1ql service budget sheds the excess at the
   front door for free and the KV point-op path never notices (shed
   N1QL before KV).
 
@@ -124,8 +124,8 @@ def test_scan_storm_is_shed_from_the_n1ql_compartment(at_saturation):
 
 def test_scan_storm_without_the_n1ql_budget_loses_goodput(at_saturation):
     """The off arm: with no service budget every storm query is
-    admitted, each ``request_plus`` barrier quiesces the cluster, and
-    goodput falls below the bound the budgeted storm holds."""
+    admitted, each ``request_plus`` barrier runs its own scheduler
+    passes, and goodput falls below the bound the budgeted storm holds."""
     storm = _run_scan_storm(OVERLOAD_MULTIPLIER, service_rates={})
     assert storm["q_shed"] == 0
     assert storm["goodput"] < 0.8 * at_saturation["goodput"]

@@ -130,6 +130,34 @@ class TestDropBucketDiscardsWhatItOwned:
             assert node.view_engines["b"].indexes == {}
 
 
+class TestDefineWhileANodeIsDown:
+    def test_define_view_skips_a_down_node_that_defines_it_on_restart(self):
+        """Every reachable node gets the view; the down node defines it
+        when it reopens the bucket, so a ``stale=false`` query after the
+        restart sees every document.  (``define_view`` once raised
+        ``NodeDownError`` at the down node, and the nodes after it never
+        got the view.)"""
+        def map_fn(doc, meta, emit):
+            emit(doc["v"], None)
+
+        cluster = Cluster(nodes=3, vbuckets=16, auto_failover=False)
+        cluster.create_bucket("b", replicas=1)
+        client = cluster.connect()
+        for i in range(30):
+            client.upsert("b", f"k{i}", {"v": i})
+        cluster.run_until_idle()
+        cluster.crash_node("node2")
+        cluster.define_view("b", ViewDefinition("dd", "v", map_fn))
+        assert [("dd", "v") in node.view_engines["b"].indexes
+                for node in cluster.nodes()] == [True, False, True]
+
+        cluster.restart_node("node2")
+        assert all(("dd", "v") in node.view_engines["b"].indexes
+                   for node in cluster.nodes())
+        rows = cluster.views.query("b", "dd", "v", stale="false").rows
+        assert sorted(row["key"] for row in rows) == list(range(30))
+
+
 class TestDropWhileANodeIsDown:
     def test_drop_view_skips_a_down_node_that_forgets_it_on_restart(self):
         def map_fn(doc, meta, emit):

@@ -228,3 +228,100 @@ def test_current_pump_visible_inside_and_cleared_outside():
     scheduler.step()
     assert observed == ["me"]
     assert scheduler.current_pump is None
+
+
+# -- a pass over named pumps (what a blocking wait drives) -------------------------
+
+
+def _recording_scheduler(policy: SchedulePolicy | None = None):
+    scheduler = Scheduler(policy=policy)
+    calls: list[str] = []
+
+    def make_pump(name):
+        def pump() -> bool:
+            calls.append(name)
+            return False
+        return pump
+
+    for name in NAMES:
+        scheduler.register(name, make_pump(name))
+    return scheduler, calls
+
+
+def test_a_pass_runs_only_the_named_pumps_in_the_policys_order():
+    policy = SeededShuffle(4)
+    scheduler, calls = _recording_scheduler(policy)
+    named = ["views/n1/b", "flusher/n1/b", "xdcr/b->b", "cluster-manager"]
+    in_registration_order = [name for name in NAMES if name in named]
+    orders = set()
+    for round_index in range(6):
+        calls.clear()
+        scheduler.step(set(named))
+        assert calls == policy.order(round_index, in_registration_order)
+        orders.add(tuple(calls))
+    assert len(orders) > 1  # the policy, not the set, orders the pass
+
+
+def test_a_pass_counts_as_a_round_and_is_traced():
+    scheduler, _calls = _recording_scheduler()
+    scheduler.trace = []
+    scheduler.step({"replicator/n1/b", "flusher/n1/b"})
+    scheduler.step()
+    assert scheduler._round == 2
+    assert scheduler.trace == [["flusher/n1/b", "replicator/n1/b"], NAMES]
+
+
+def test_a_pass_skips_a_name_nobody_registered():
+    scheduler, calls = _recording_scheduler()
+    scheduler.trace = []
+    assert not scheduler.step({"flusher/n1/b", "flusher/n9/b"})
+    assert calls == ["flusher/n1/b"]
+    assert scheduler.trace == [["flusher/n1/b"]]
+
+
+def test_whole_rounds_take_over_once_the_named_pumps_stall():
+    """The named pump makes progress twice and then stalls; the pump
+    that ends the wait is not named, so the first whole round ends it."""
+    scheduler = Scheduler()
+    scheduler.trace = []
+    budget = [2]
+    done = []
+
+    def named() -> bool:
+        if budget[0] <= 0:
+            return False
+        budget[0] -= 1
+        return True
+
+    def other() -> bool:
+        done.append(True)
+        return True
+
+    scheduler.register("named", named)
+    scheduler.register("other", other)
+    assert scheduler.run_until(lambda: bool(done), pumps={"named"})
+    assert scheduler.trace == [["named"]] * 3 + [["named", "other"]]
+
+
+def test_a_wait_over_named_pumps_ends_when_a_whole_round_is_idle():
+    scheduler, _calls = _recording_scheduler()
+    scheduler.trace = []
+    assert not scheduler.run_until(lambda: False, pumps={"views/n1/b"})
+    assert scheduler.trace == [["views/n1/b"], NAMES]
+
+
+@pytest.mark.parametrize("drive", [
+    lambda s: s.step({"bad"}),
+    lambda s: s.run_until(lambda: False, pumps={"bad"}),
+])
+def test_a_pump_reentering_a_pass_raises(drive):
+    scheduler = Scheduler()
+
+    def bad() -> bool:
+        scheduler.step({"bad"})
+        return True
+
+    scheduler.register("bad", bad)
+    with pytest.raises(SchedulerReentrancyError, match="re-entered"):
+        drive(scheduler)
+    assert scheduler.current_pump is None

@@ -63,18 +63,22 @@ def view_waiters(cluster) -> int:
                for engine in node.view_engines.values())
 
 
-def run_once_in_a_round(cluster, action) -> None:
-    """Register a pump that performs ``action`` in the next scheduler
-    round -- inside whatever wait drives that round."""
+def run_once_after(cluster, name, action) -> None:
+    """Perform ``action`` right after the next call of the registered
+    pump ``name`` -- inside the wait that drives it.  A wait drives only
+    the pumps that can end it, so the action rides on one of those."""
+    scheduler = cluster.scheduler
+    pump = scheduler._by_name[name]
     done = []
 
-    def pump() -> bool:
+    def wrapped() -> bool:
+        progressed = pump()
         if not done:
             done.append(True)
             action()
-        return False
+        return progressed
 
-    cluster.scheduler.register("test/mid-wait", pump)
+    scheduler._by_name[name] = wrapped
 
 
 @pytest.fixture
@@ -121,16 +125,13 @@ class TestDurabilityWaits:
         """Map reconciliation marks a copy DEAD before dropping it; a
         replica reset drops it outright.  Either way a replica's waiter
         that the vBucket leaves before it settles makes the wait raise.
-        The key's active is the last data node the scheduler runs, so in
-        the wait's first round its replicas' flushers run before the
-        batch arrives: the copy leaves, at the round's end, after the
-        apply and before the flush."""
+        The copy leaves right after the active's replicator delivers the
+        batch: after the apply and before the replica's flush."""
         client = cluster.connect()
         cluster_map = cluster.manager.cluster_maps["b"]
-        key = next(f"k{i}" for i in range(1000)
-                   if cluster_map.chains[cluster_map.vbucket_for_key(
-                       f"k{i}")][0] == "node3")
+        key = "k"
         vb = cluster_map.vbucket_for_key(key)
+        active = cluster_map.chains[vb][0]
         engine = cluster.node(cluster_map.replica_nodes(vb)[0]).engines["b"]
         left = []
 
@@ -143,7 +144,7 @@ class TestDurabilityWaits:
             engine.drop_vbucket(vb)
             left.append(waiter)
 
-        run_once_in_a_round(cluster, leave)
+        run_once_after(cluster, f"replicator/{active}/b", leave)
         with pytest.raises(NotMyVBucketError):
             client.upsert("b", key, {"v": 1}, persist_to=2)
         assert left and isinstance(left[0].error, NotMyVBucketError)
@@ -160,7 +161,8 @@ class TestDurabilityWaits:
         replicas = cluster_map.replica_nodes(vb)
         for name in replicas:
             cluster.network.partition(active, name)
-        run_once_in_a_round(cluster, cluster.network.heal)
+        run_once_after(cluster, f"replicator/{active}/b",
+                       cluster.network.heal)
         result = client.upsert("b", "k", {"v": 1}, replicate_to=2)
         for name in replicas:
             entry = cluster.node(name).engines["b"].vbuckets[vb] \
@@ -217,8 +219,10 @@ class TestDurabilityWaits:
         cluster.network.partition(active, replicas[0])
         pending = []
         replicator = cluster.node(active).replicators["b"]
-        run_once_in_a_round(cluster, lambda: pending.append(
-            sum(len(waits) for waits in replicator._registrations.values())))
+        run_once_after(
+            cluster, f"replicator/{active}/b", lambda: pending.append(
+                sum(len(waits)
+                    for waits in replicator._registrations.values())))
         with pytest.raises(DurabilityError):
             client.upsert("b", "k", {"v": 1}, replicate_to=2)
         # Mid-wait, the registration was waiting for the cut replica.
@@ -250,7 +254,8 @@ class TestBarriers:
 
     def test_an_index_dropped_mid_barrier_raises_index_not_found(
             self, indexed):
-        run_once_in_a_round(indexed, lambda: indexed.gsi.drop_index("by_v"))
+        run_once_after(indexed, "projector/node1/b",
+                       lambda: indexed.gsi.drop_index("by_v"))
         with pytest.raises(IndexNotFoundError):
             indexed.gsi.scan("by_v", scan_consistency="request_plus")
         assert index_waiters(indexed) == 0

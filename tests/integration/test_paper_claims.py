@@ -19,6 +19,7 @@ import math
 
 from repro import Cluster
 from repro.common.disk import SimulatedDisk
+from repro.common.scheduler import Scheduler
 from repro.common.document import Document, DocumentMeta
 from repro.dcp.producer import DcpStream
 from repro.gsi.indexdef import IndexDefinition, path_extractor
@@ -29,6 +30,7 @@ from repro.kv.types import FLUSH_ROUNDS, VBucketState
 from repro.storage.appendlog import _HEADER, RT_DOC, RT_HEADER, RT_NODE
 from repro.storage.couchstore import VBucketStore
 from repro.views import ViewDefinition, ViewQueryParams
+from tests.kv.support import drain_flusher
 
 
 def rpcs(cluster, *prefixes: str) -> int:
@@ -225,8 +227,8 @@ def test_request_plus_barrier_costs_one_watermark_wave_per_poll():
         before = scheduler._round
         rows = cluster.gsi.scan("by_age", [7], [7],
                                 scan_consistency="request_plus")
-        # Every other RPC is a pump's (replication, gsi_apply) inside a
-        # scheduler round the barrier drove: one call, one wave each.
+        # Every other RPC is a projector's gsi_apply inside a scheduler
+        # pass the barrier drove: one call, one wave each.
         mine = rpcs(cluster, "gsi_wait", "gsi_scan_page")
         background = sum(cluster.network.calls.values()) - mine
         return {
@@ -563,6 +565,113 @@ def test_a_replication_round_costs_one_wave_per_source_node():
                for node in cluster.nodes()) == 128
 
 
+# -- a wait drives only the pumps that can end it (2.3.2, 3.2.3, 4.2) -------
+
+#: Every kind of pump a cluster registers.
+PUMP_KINDS = {"compactor", "cluster-manager", "projector", "indexer",
+             "views", "replicator", "flusher"}
+
+
+def waited_cluster() -> Cluster:
+    """Three nodes with every pump kind registered -- compactors, a GSI
+    index's indexers, a view -- and nothing outstanding."""
+    cluster = Cluster(nodes=3, vbuckets=16)
+    cluster.create_bucket("b", replicas=1)
+    cluster.query("CREATE INDEX by_v ON b(v) USING GSI")
+    cluster.define_view("b", ViewDefinition(
+        "dd", "by_v", lambda doc, meta, emit: emit(doc["v"], None)))
+    client = cluster.connect()
+    for i in range(30):
+        client.upsert("b", f"k{i}", {"v": i})
+    cluster.run_until_idle()
+    kinds = {name.split("/")[0] for name in cluster.scheduler.pump_names()}
+    assert kinds == PUMP_KINDS
+    return cluster
+
+
+def pumps_run(cluster, wait) -> set:
+    """The pumps the scheduler ran inside ``wait()``, from its trace."""
+    scheduler = cluster.scheduler
+    scheduler.trace = []
+    wait()
+    ran = {name for executed in scheduler.trace for name in executed}
+    scheduler.trace = None
+    return ran
+
+
+def test_a_durable_write_drives_only_its_vbuckets_flusher_and_replicator():
+    """Section 2.3.2: persistence and replication are consumers of their
+    own; a durable write waits for its vBucket's flusher and replicator
+    and for no compactor, projector, indexer, view or cluster-manager
+    pump.  ``persist_to=2`` adds the replica's flusher.  Each wait is
+    one scheduler pass over those pumps.  (The wait once ran whole
+    rounds of every pump in the cluster.)"""
+    cluster = waited_cluster()
+    client = cluster.connect()
+    cluster_map = cluster.manager.cluster_maps["b"]
+    active, replica = cluster_map.chains[cluster_map.vbucket_for_key("k1")]
+    rounds = cluster.scheduler._round
+    assert pumps_run(cluster, lambda: client.upsert(
+        "b", "k1", {"v": -1}, persist_to=1, replicate_to=1)) \
+        == {f"flusher/{active}/b", f"replicator/{active}/b"}
+    assert pumps_run(cluster, lambda: client.upsert(
+        "b", "k1", {"v": -2}, persist_to=2)) \
+        == {f"flusher/{active}/b", f"replicator/{active}/b",
+            f"flusher/{replica}/b"}
+    assert cluster.scheduler._round - rounds == 1 + 2
+
+
+def test_a_request_plus_scan_drives_only_projectors_and_indexers():
+    """Section 4.2: a ``request_plus`` scan waits "until the index is
+    updated" -- for the projectors and the indexers, not for flushers,
+    replicators, compaction or views."""
+    cluster = waited_cluster()
+    client = cluster.connect()
+    for i in range(30):
+        client.upsert("b", f"k{i}", {"v": 100 + i})
+    ran = pumps_run(cluster, lambda: cluster.query(
+        "SELECT b.v FROM b WHERE b.v >= 100", scan_consistency="request_plus"))
+    assert {name.split("/")[0] for name in ran} == {"projector", "indexer"}
+
+
+def test_a_stale_false_query_drives_only_view_pumps():
+    """Section 3.1.2: ``stale=false`` waits for the view indexer, so the
+    wait runs the nodes' view pumps and nothing else."""
+    cluster = waited_cluster()
+    client = cluster.connect()
+    for i in range(30):
+        client.upsert("b", f"k{i}", {"v": 100 + i})
+    rows: list = []
+    ran = pumps_run(cluster, lambda: rows.extend(cluster.views.query(
+        "b", "dd", "by_v", stale="false").rows))
+    assert ran == {f"views/node{n}/b" for n in (1, 2, 3)}
+    assert [row["key"] for row in rows] == list(range(100, 130))
+
+
+def test_every_pump_a_wait_names_is_registered(monkeypatch):
+    """A wait names its pumps by the kind/node/bucket rule the cluster
+    manager registers them by; a name nobody registered would silently
+    drop that pump out of the wait, so in a healthy cluster every name
+    each of the three waits passes is a registered pump."""
+    cluster = waited_cluster()
+    client = cluster.connect()
+    named: list[set] = []
+    run_until = Scheduler.run_until
+
+    def recording(scheduler, condition, max_rounds=100_000, pumps=None):
+        named.append(set(pumps))
+        return run_until(scheduler, condition, max_rounds, pumps)
+
+    monkeypatch.setattr(Scheduler, "run_until", recording)
+    client.upsert("b", "k1", {"v": 1}, persist_to=2, replicate_to=1)
+    cluster.query("SELECT b.v FROM b WHERE b.v > 0",
+                  scan_consistency="request_plus")
+    cluster.views.query("b", "dd", "by_v", stale="false")
+    registered = set(cluster.scheduler.pump_names())
+    assert [len(names) for names in named] == [3, 3 + 1, 3]
+    assert all(names <= registered for names in named)
+
+
 # -- group commit in time (sections 2.3.2, 4.2) ------------------------------
 
 def test_a_vbucket_written_every_round_commits_once_per_flush_rounds(
@@ -847,14 +956,16 @@ def test_a_stale_false_view_query_commits_what_its_views_hold_in_one_wave():
             for index, before in zip(indexes, records)] == [1, 1]
 
 
-def test_a_request_plus_query_after_an_upsert_costs_five_waves_and_one_round():
+def test_a_request_plus_query_after_an_upsert_costs_four_waves_and_one_pass():
     """A ``request_plus`` query commits what the index holds when it
     registers its wait, and every batch that arrives while it waits, so
-    read-your-own-write costs what it did when every batch was committed
-    at once: the upsert, its replication batch, the ``gsi_wait`` wave,
-    the ``gsi_apply`` of the round that carries the write, and the scan
-    -- 5 waves and 1 scheduler round -- and sees a write the index was
-    still holding."""
+    read-your-own-write costs the upsert, the ``gsi_wait`` wave, the
+    ``gsi_apply`` of the pass that carries the write, and the scan -- 4
+    waves and 1 scheduler pass -- and sees a write the index was still
+    holding.  The pass runs only the projectors and the indexers, so
+    the upsert's replication batch leaves with the next background
+    round, not inside the query (5 waves while the barrier ran whole
+    rounds)."""
     cluster = Cluster(nodes=3, vbuckets=32, network_latency=LATENCY)
     cluster.create_bucket("b")
     client = cluster.connect()
@@ -877,7 +988,8 @@ def test_a_request_plus_query_after_an_upsert_costs_five_waves_and_one_round():
         "SELECT b.day, b.total FROM b WHERE b.day >= $1 "
         "ORDER BY b.day LIMIT 3", {"1": 0},
         scan_consistency="request_plus").rows
-    assert (waves(cluster), cluster.scheduler._round - rounds) == (5, 1)
+    assert (waves(cluster), cluster.scheduler._round - rounds) == (4, 1)
+    assert rpcs(cluster, "kv_replica_apply_batch") == 0
     assert rows == [{"day": 0, "total": -2}, {"day": 0, "total": 0},
                     {"day": 0, "total": 60}]
     assert cluster.query(
@@ -890,9 +1002,9 @@ def test_a_drain_ends_with_every_index_committed():
     versions, so after a drain every index's watermarks stand at the
     active high seqnos -- for a partitioned index, the highest over its
     partitions, which is what the ``request_plus`` barrier reads -- and
-    its rows are the documents' rows.  The last writes are durable, so
-    no flusher queue outlives them: the indexers' hold alone keeps the
-    drain going."""
+    its rows are the documents' rows.  Every write is persisted before
+    the drain and one round carries every key version to the indexers,
+    so the indexers' hold alone keeps the drain going."""
     cluster = Cluster(nodes=3, vbuckets=16)
     cluster.create_bucket("b", replicas=0)
     client = cluster.connect()
@@ -914,16 +1026,22 @@ def test_a_drain_ends_with_every_index_committed():
         client.upsert("b", f"k{i}", {"v": 100 + i})
     for i in range(1, 120, 7):
         del model[f"k{i}"]
-        client.remove("b", f"k{i}", persist_to=1)
+        client.remove("b", f"k{i}")
+    for node in cluster.nodes():
+        drain_flusher(node.engines["b"])
+    assert cluster.scheduler.step()
     assert sum(node.engines["b"].pending_writes()
                for node in cluster.nodes()) == 0
+    registry = cluster.manager.index_registry
+    assert all(cluster.node(node).indexer.indexer.instance(name).held
+               for name in registry.names()
+               for node in registry.require(name).nodes)
     assert cluster.run_until_idle() == FLUSH_ROUNDS
     high = {}
     for node in cluster.nodes():
         engine = node.engines["b"]
         for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE):
             high[vbucket_id] = engine.vbuckets[vbucket_id].high_seqno
-    registry = cluster.manager.index_registry
     for name in registry.names():
         instances = [cluster.node(node).indexer.indexer.instance(name)
                      for node in dict.fromkeys(registry.require(name).nodes)]
