@@ -82,7 +82,7 @@ def main() -> None:
     for i in range(100):
         mds_client.upsert("b", f"k{i}", {"v": i, "bucket_of": i % 10})
     mds.query("CREATE INDEX by_v ON b(v) USING GSI")
-    meta = mds.manager.index_registry.require("by_v")
+    meta = mds.manager.catalog.require("by_v")
     rows = mds.query("SELECT b.v FROM b WHERE b.v BETWEEN 10 AND 14",
                      scan_consistency="request_plus").rows
     print(f"  index lives on {meta.nodes}, query served by "

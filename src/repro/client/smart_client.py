@@ -575,8 +575,9 @@ class SmartClient:
 
     # -- view query API (section 3.1.2) -------------------------------------------------
 
-    @declared_raises('CorruptFileError', 'InvalidArgumentError',
-                     'NodeDownError', 'NotConnectedError', 'TimeoutError_',
+    @declared_raises('BucketNotFoundError', 'CorruptFileError',
+                     'InvalidArgumentError', 'NodeDownError',
+                     'NotConnectedError', 'TimeoutError_',
                      'ViewNotFoundError', 'ViewQueryError')
     def view_query(self, bucket: str, design: str, view: str, **params):
         """Query a view with the REST-style parameters (key, keys,

@@ -22,7 +22,6 @@ from ..common.contracts import declared_raises
 from ..common.errors import (
     BucketExistsError,
     BucketNotFoundError,
-    NodeDownError,
     NodeExistsError,
     NodeNotFoundError,
     NoQuorumError,
@@ -33,6 +32,7 @@ from ..dcp.producer import DcpProducer
 from ..kv.engine import KVEngine
 from ..kv.types import VBucketState
 from ..replication.intra import IntraReplicator
+from .catalog import Catalog
 from .cluster_map import ClusterMap, plan_map
 from .node import Node
 from ..common.services import BucketConfig, Service
@@ -54,16 +54,12 @@ class ClusterManager:
         self.nodes: dict[str, Node] = {}
         self.bucket_configs: dict[str, BucketConfig] = {}
         self.cluster_maps: dict[str, ClusterMap] = {}
-        #: bucket -> {(design, view): ViewDefinition}; the cluster-wide
-        #: design-document registry pushed to joining nodes.
-        self.design_docs: dict[str, dict] = {}
-        #: Bumped on keyspace DDL (create/drop bucket); the query service
-        #: folds it into the plan-cache epoch.
-        self.ddl_epoch = 0
-        from ..gsi.manager import IndexRegistry
-        #: Cluster-wide GSI metadata, consulted by projectors and the
-        #: N1QL planner.
-        self.index_registry = IndexRegistry()
+        #: Every bucket's design documents, GSI and view indexes (the
+        #: ledger reads the GSI indexes under the older name).
+        self.catalog = self.index_registry = Catalog()
+        #: node -> the catalog epoch and the map revision per bucket it
+        #: acknowledged (an empty catalog and no map until a push).
+        self.acked: dict[str, tuple[int, dict[str, int]]] = {}
         #: Nodes administratively removed or failed over.
         self.ejected: set[str] = set()
         #: node -> virtual time its unreachability was first noticed.
@@ -81,22 +77,21 @@ class ClusterManager:
         self.ejected.discard(node.name)
         self._log("node-added", node.name)
         # New data nodes open existing buckets; vBuckets arrive via
-        # rebalance.
+        # rebalance, the maps and views with the push.
         for config in self.bucket_configs.values():
             self.open_bucket(node, config)
+        self.push_catalog()
 
     def remove_node(self, name: str) -> None:
-        """Forget a node the rebalance has emptied, closing its buckets."""
+        """Forget a node the rebalance has emptied, closing its buckets,
+        and what it acknowledged."""
         node = self.nodes.pop(name)
+        self.acked.pop(name, None)
         for bucket in self.bucket_configs:
             self.close_bucket(node, bucket)
 
-    def data_nodes(self, include_ejected: bool = False) -> list[str]:
-        return sorted(
-            name for name, node in self.nodes.items()
-            if node.has_service(Service.DATA)
-            and (include_ejected or name not in self.ejected)
-        )
+    def data_nodes(self) -> list[str]:
+        return self.nodes_with_service(Service.DATA)
 
     def nodes_with_service(self, service: Service) -> list[str]:
         return sorted(
@@ -128,7 +123,7 @@ class ClusterManager:
         if not data_nodes:
             raise NoQuorumError("no data-service nodes available")
         self.bucket_configs[config.name] = config
-        self.ddl_epoch += 1
+        self.catalog.add_bucket(config.name)
         for name in data_nodes:
             self.open_bucket(self.nodes[name], config)
         cluster_map = plan_map(
@@ -141,17 +136,20 @@ class ClusterManager:
         return cluster_map
 
     def drop_bucket(self, name: str) -> None:
-        """Drop a bucket: every node discards the files it kept for the
-        bucket, then closes it.  The bucket's views go with it."""
+        """Drop a bucket: every node discards its vBucket files and
+        closes it, and the catalog push drops its views and indexes."""
         if name not in self.bucket_configs:
             raise BucketNotFoundError(name)
         del self.bucket_configs[name]
         del self.cluster_maps[name]
-        self.design_docs.pop(name, None)
-        self.ddl_epoch += 1
+        self.catalog.drop_bucket(name)
         for node in self.nodes.values():
             self._discard_bucket(node, name)
             self.close_bucket(node, name)
+        # A bucket created again may reuse a map revision some node
+        # acknowledged: every node gets the maps again.
+        self.acked.clear()
+        self.push_catalog()
         self._log("bucket-dropped", name)
 
     # -- a bucket on a node: one way up, one way down --------------------------------
@@ -163,13 +161,11 @@ class ClusterManager:
 
     def open_bucket(self, node: Node, config: BucketConfig) -> None:
         """Bring a bucket up on a data node from whatever its disk holds:
-        build the KV engine, DCP producer, view engine, replicator and
-        projector, register their pumps (the compactor only with a
-        compaction threshold) and the expiry pager, apply the current
-        map, warm up and define the bucket's views.  Every view file of
-        the bucket is deleted first: each registered view is rebuilt
-        anyway, and a view dropped while the node was down leaves a file
-        that no view engine knows."""
+        build the KV engine, DCP producer, an empty view engine,
+        replicator and projector, register their pumps (the compactor
+        only with a compaction threshold) and the expiry pager, apply
+        the current map and warm up.  The catalog push that follows
+        defines the bucket's views (:meth:`Node.apply_catalog`)."""
         if not node.has_service(Service.DATA):
             return
         from ..gsi.projector import Projector
@@ -184,7 +180,7 @@ class ClusterManager:
         replicator = node.replicators[bucket] = IntraReplicator(
             node, bucket, self.network)
         projector = node.projectors[bucket] = Projector(
-            node, bucket, self.index_registry, self.network)
+            node, bucket, self.catalog, self.network)
         pumps = [lambda: bool(node.alive) and engine.flush(),
                  replicator.pump, views.pump, projector.pump]
         threshold = config.compaction_threshold
@@ -198,9 +194,6 @@ class ClusterManager:
         if bucket in self.cluster_maps:
             node.apply_cluster_map(bucket, self.cluster_maps[bucket])
         engine.warmup()
-        self.delete_files(node, f"views/{bucket}/")
-        for definition in self.design_docs.get(bucket, {}).values():
-            node.view_define(bucket, definition)
 
     def close_bucket(self, node: Node, bucket: str) -> None:
         """Take a bucket down on a node: unregister its pumps and drop its
@@ -216,25 +209,14 @@ class ClusterManager:
 
     @staticmethod
     def _discard_bucket(node: Node, bucket: str) -> None:
-        """Destroy the files a node keeps for a bucket: each vBucket's,
-        by the DEAD-then-drop path, and every file under its views
-        directory."""
+        """Destroy each vBucket file a node keeps for a bucket, by the
+        DEAD-then-drop path."""
         engine = node.engines.get(bucket)
         if engine is None:
             return
         for vbucket_id in list(engine.vbuckets):
             engine.set_vbucket_state(vbucket_id, VBucketState.DEAD)
             engine.drop_vbucket(vbucket_id)
-        ClusterManager.delete_files(node, f"views/{bucket}/")
-
-    @staticmethod
-    def delete_files(node: Node, prefix: str,
-                     keep: tuple[str, ...] = ()) -> None:
-        """Delete every file of ``node`` whose name starts with
-        ``prefix`` and with none of the ``keep`` prefixes."""
-        for filename in node.disk.list_files():
-            if filename.startswith(prefix) and not filename.startswith(keep):
-                node.disk.delete(filename)
 
     def _arm_expiry_pager(self, node: Node, bucket: str,
                           interval: float) -> None:
@@ -253,23 +235,49 @@ class ClusterManager:
 
         self.scheduler.call_later(interval, fire)
 
+    # -- pushing maps and the catalog: one rule ---------------------------------------
+
+    def _reachable(self) -> list[str]:
+        return [name for name in self.nodes if name not in self.ejected
+                and self.network.reachable("cluster-manager", name)]
+
     def push_map(self, bucket: str) -> None:
-        """Stream the current map to every reachable node (and clients
-        pick it up on their next refresh)."""
-        cluster_map = self.cluster_maps[bucket]
-        for name, node in self.nodes.items():
-            if name in self.ejected:
-                continue
-            try:
-                # Control plane: one RPC per *node* on a map change,
-                # O(nodes) and rare -- not per-document fan-out.
-                # repro: disable-next=n-plus-one-rpc
-                self.network.call("cluster-manager", name, "apply_cluster_map",
-                                  bucket, cluster_map)
-            # Down nodes pick the map up from the manager when they reconnect.
-            # repro: disable-next=swallowed-exception
-            except NodeDownError:
-                continue
+        """Push the bucket's map to every reachable node (clients pick it
+        up on their next refresh)."""
+        self._push(self._reachable(), bucket)
+
+    def push_catalog(self) -> None:
+        """Push the catalog to every reachable node; each reconciles to
+        it (:meth:`Node.apply_catalog`)."""
+        self._push(self._reachable())
+
+    def _current(self) -> tuple[int, dict[str, int]]:
+        """What an up-to-date node has acknowledged."""
+        return self.catalog.epoch, {
+            bucket: cluster_map.revision
+            for bucket, cluster_map in self.cluster_maps.items()}
+
+    def _push(self, names: list[str], bucket: str | None = None) -> bool:
+        """The one push rule: each map, and then the catalog, goes in one
+        wave to those of ``names`` whose acknowledged revision lags --
+        ``bucket``'s map to all of them -- and they are recorded as up to
+        date.  The heartbeat sweep runs it once a reachable node lags, so
+        one that was unreachable catches up.  True if it pushed."""
+        epoch, revisions = current = self._current()
+        acked = [self.acked.get(name, (0, {})) for name in names]
+        pushed = []
+        for each, cluster_map in self.cluster_maps.items():
+            lagging = [name for name, (_, maps) in zip(names, acked)
+                       if each == bucket or maps.get(each) != revisions[each]]
+            self.network.call_fanout("cluster-manager", lagging,
+                                     "apply_cluster_map", each, cluster_map)
+            pushed += lagging
+        lagging = [name for name, (seen, _) in zip(names, acked)
+                   if seen != epoch]
+        self.network.call_fanout("cluster-manager", lagging,
+                                 "apply_catalog", self.catalog)
+        self.acked.update(dict.fromkeys(names, current))
+        return bool(pushed or lagging)
 
     # -- failure detection & failover ------------------------------------------------------
 
@@ -277,18 +285,20 @@ class ClusterManager:
                      'NodeNotFoundError')
     def _pump(self) -> bool:
         """Heartbeat sweep: notice unreachable nodes; auto-failover those
-        unreachable longer than the timeout."""
-        progressed = False
+        unreachable longer than the timeout; re-push a map or the catalog
+        to each reachable node whose acknowledged revision lags."""
+        progressed = behind = False
         now = self.clock.now()
+        current = self._current()
         for name in list(self.nodes):
             if name in self.ejected:
                 continue
-            reachable = not self.network.is_down(name)
-            if reachable:
+            if not self.network.is_down(name):
                 if name in self._suspects:
                     del self._suspects[name]
                     self._log("node-recovered", name)
                     progressed = True
+                behind = behind or self.acked.get(name, (0, {})) != current
                 continue
             if name not in self._suspects:
                 self._suspects[name] = now
@@ -300,6 +310,8 @@ class ClusterManager:
             ):
                 self.failover(name)
                 progressed = True
+        if behind:
+            progressed = self._push(self._reachable()) or progressed
         return progressed
 
     def failover(self, node_name: str) -> dict:
@@ -331,16 +343,8 @@ class ClusterManager:
             # clients' perspective but still reachable by the manager,
             # demote its vBuckets so it cannot serve stale data to a
             # client holding an old map.
-            try:
-                # One demotion RPC per bucket during a failover -- a rare
-                # control-plane event bounded by bucket count.
-                # repro: disable-next=n-plus-one-rpc
-                self.network.call("cluster-manager", node_name,
-                                  "apply_cluster_map", bucket, new_map)
-            # Demotion is best-effort: a truly dead node has nothing to demote.
-            # repro: disable-next=swallowed-exception
-            except NodeDownError:
-                pass
+            if self.network.reachable("cluster-manager", node_name):
+                self._push([node_name], bucket)
             report[bucket] = {"promoted": promoted, "lost": lost}
         self._log("failover", node_name)
         return report

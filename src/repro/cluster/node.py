@@ -128,6 +128,39 @@ class Node:
             elif current.state is not desired:
                 engine.set_vbucket_state(vb, desired)
 
+    # -- catalog application -----------------------------------------------------
+
+    @declared_raises('InvalidArgumentError')
+    def apply_catalog(self, catalog) -> None:
+        """Reconcile local views and GSI instances with the catalog, as
+        :meth:`apply_cluster_map` does vBuckets: drop, file included,
+        what the catalog no longer has or made again (another revision),
+        make what is missing, and delete every file under ``views/`` and
+        ``gsi/`` that nothing kept names."""
+        keep: list[str] = []
+        for bucket, views in self.view_engines.items():
+            want = catalog.views(bucket)
+            for key in _stale(views.indexes, want):
+                views.drop_view(*key)
+            for key, entry in want.items():
+                if key not in views.indexes:
+                    views.define_view(entry.definition, entry.revision)
+            keep += [index.filename for index in views.indexes.values()]
+        if self.indexer is not None:
+            indexer = self.indexer.indexer
+            want = catalog.placed_on(self.name)
+            for name in _stale(indexer.instances, want):
+                indexer.drop(name)
+            for name, meta in want.items():
+                if name not in indexer.instances:
+                    indexer.create(meta.definition, meta.revision)
+            keep += [instance.filename
+                     for instance in indexer.instances.values()]
+        for filename in self.disk.list_files():
+            if filename.startswith(("views/", "gsi/")) \
+                    and not filename.startswith(tuple(keep)):
+                self.disk.delete(filename)
+
     # -- KV RPC surface (what smart clients call) ------------------------------------
 
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
@@ -379,16 +412,6 @@ class Node:
     def view_query_local(self, bucket: str, design: str, view: str, params) -> dict:
         return self.view_engines[bucket].local_query(design, view, params)
 
-    @declared_raises('CorruptFileError', 'DiskFullError',
-                     'InvalidArgumentError', 'KeyNotFoundError',
-                     'ViewExistsError')
-    def view_define(self, bucket: str, definition) -> None:
-        self.view_engines[bucket].define_view(definition)
-
-    @declared_raises('ViewNotFoundError')
-    def view_drop(self, bucket: str, design: str, view: str) -> None:
-        self.view_engines[bucket].drop_view(design, view)
-
     def view_wait(self, bucket: str) -> SeqnoWaiter:
         """Register a ``stale=false`` wait on this node's view engine
         (see :meth:`repro.views.engine.ViewEngine.wait`)."""
@@ -405,3 +428,11 @@ class Node:
             "services": sorted(s.value for s in self.services),
             "buckets": {name: e.stats() for name, e in self.engines.items()},
         }
+
+
+
+def _stale(have: dict, want: dict) -> list:
+    """Keys of local views or instances whose catalog entry is gone or
+    of another revision."""
+    return [key for key, local in have.items()
+            if key not in want or want[key].revision != local.revision]

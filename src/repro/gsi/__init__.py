@@ -12,7 +12,7 @@ from .indexdef import (
     primary_index,
 )
 from .indexer import Indexer, IndexInstance
-from .manager import GsiCoordinator, IndexMeta, IndexRegistry, IndexService
+from .manager import GsiCoordinator, IndexMeta, IndexService
 from .projector import KeyVersion, Projector, Router
 from .storage import BTreeIndexStorage, SkipListIndexStorage, make_storage
 
@@ -22,7 +22,6 @@ __all__ = [
     "IndexDefinition",
     "IndexInstance",
     "IndexMeta",
-    "IndexRegistry",
     "IndexService",
     "Indexer",
     "KeyVersion",

@@ -35,10 +35,7 @@ import itertools
 from ..common import tracing
 from ..common.contracts import declared_raises
 from ..common.disk import SimulatedDisk
-from ..common.errors import (
-    IndexExistsError,
-    IndexNotFoundError,
-)
+from ..common.errors import IndexNotFoundError
 from ..common.jsonval import deep_copy
 from ..kv.types import GroupCommit, SeqnoWaiter
 from .indexdef import IndexDefinition
@@ -49,15 +46,17 @@ from .storage import Groups, composite_compare, make_storage
 class IndexInstance(GroupCommit):
     """One index's rows (or one partition of them) on one index node:
     the storage, and the key versions held for it with the per-vBucket
-    watermarks they reach once committed."""
+    watermarks they reach once committed.  ``revision`` is the catalog
+    revision that made the index."""
 
     def __init__(self, definition: IndexDefinition, disk: SimulatedDisk,
-                 node_name: str):
+                 node_name: str, revision: int = 0):
         super().__init__(self._write)
         self.definition = definition
         self.node_name = node_name
-        filename = f"gsi/{definition.bucket}/{definition.name}.index"
-        self.storage = make_storage(definition.storage, disk, filename)
+        self.revision = revision
+        self.filename = f"gsi/{definition.bucket}/{definition.name}.index"
+        self.storage = make_storage(definition.storage, disk, self.filename)
 
     def _write(self, held: list[KeyVersion]) -> None:
         """One storage rewrite for everything held; a document's key
@@ -74,11 +73,11 @@ class Indexer:
         self.node = node
         self.instances: dict[str, IndexInstance] = {}
 
-    @declared_raises('IndexExistsError', 'InvalidArgumentError')
-    def create(self, definition: IndexDefinition) -> IndexInstance:
-        if definition.name in self.instances:
-            raise IndexExistsError(definition.name)
-        instance = IndexInstance(definition, self.node.disk, self.node.name)
+    @declared_raises('InvalidArgumentError')
+    def create(self, definition: IndexDefinition,
+               revision: int = 0) -> IndexInstance:
+        instance = IndexInstance(definition, self.node.disk, self.node.name,
+                                 revision)
         self.instances[definition.name] = instance
         self.node.metrics.inc("gsi.indexes_hosted")
         return instance

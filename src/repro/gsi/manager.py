@@ -1,20 +1,18 @@
-"""The index service and the cluster-wide index manager.
+"""The index service and the cluster-level GSI coordinator.
 
 Section 4.3.4: "The Index Manager resides within the indexing service
 and is responsible for receiving requests for indexing operations (e.g.,
 creation, deletion, maintenance, scan, lookup)."
 
-Three pieces live here:
+Each index's :class:`IndexMeta` (definition, hosting nodes, state)
+lives in the cluster catalog (:mod:`repro.cluster.catalog`), and a
+node's catalog reconcile makes and drops its instances.  Here:
 
-* :class:`IndexRegistry` -- the cluster-wide index metadata (name ->
-  definition, hosting nodes, state), held by the cluster manager and
-  consulted by projectors/routers on every mutation and by the N1QL
-  planner at plan time.
 * :class:`IndexService` -- the per-node service wrapper exposing the
   indexer's RPC surface (``gsi_apply``, ``gsi_scan``, ...).
-* :class:`GsiCoordinator` -- cluster-level DDL (create/build/drop with
-  placement), scan fan-out for partitioned indexes, and the
-  ``request_plus`` consistency barrier.
+* :class:`GsiCoordinator` -- GSI DDL (create/build/drop with placement:
+  validate, change the catalog, push it), scan fan-out for partitioned
+  indexes, and the ``request_plus`` consistency barrier.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..common.errors import (
-    IndexExistsError,
     InvalidArgumentError,
     IndexNotFoundError,
     IndexNotReadyError,
@@ -72,55 +69,14 @@ class IndexMeta:
     #: scanned and maintained by projectors; "building" outside
     #: :meth:`GsiCoordinator._build` means a build failed part-way.
     state: str = "ready"
+    #: The catalog revision that made the index.
+    revision: int = 0
 
     def describe(self) -> dict:
         info = self.definition.describe()
         info["nodes"] = list(dict.fromkeys(self.nodes))
         info["state"] = self.state
         return info
-
-
-class IndexRegistry:
-    """Cluster-wide index metadata."""
-
-    def __init__(self):
-        self._by_name: dict[str, IndexMeta] = {}
-        #: Bumped on every metadata change that can alter planning (index
-        #: added, removed, or built to readiness).  The query service
-        #: folds this into its catalog epoch so cached/prepared plans
-        #: built against an older index set are re-planned, not executed.
-        self.epoch = 0
-
-    def add(self, meta: IndexMeta) -> None:
-        if meta.definition.name in self._by_name:
-            raise IndexExistsError(meta.definition.name)
-        self._by_name[meta.definition.name] = meta
-        self.epoch += 1
-
-    def remove(self, name: str) -> IndexMeta:
-        if name not in self._by_name:
-            raise IndexNotFoundError(name)
-        meta = self._by_name.pop(name)
-        self.epoch += 1
-        return meta
-
-    def get(self, name: str) -> IndexMeta | None:
-        return self._by_name.get(name)
-
-    def require(self, name: str) -> IndexMeta:
-        meta = self._by_name.get(name)
-        if meta is None:
-            raise IndexNotFoundError(name)
-        return meta
-
-    def indexes_on(self, bucket: str) -> list[IndexMeta]:
-        return [
-            meta for meta in self._by_name.values()
-            if meta.definition.bucket == bucket
-        ]
-
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
 
 
 class IndexService:
@@ -130,9 +86,8 @@ class IndexService:
     key versions once they are due (:meth:`Indexer.pump`); a crashed
     node's pump does nothing, and :meth:`close` unregisters it."""
 
-    def __init__(self, node, network, scheduler):
+    def __init__(self, node, scheduler):
         self.node = node
-        self.network = network
         self.scheduler = scheduler
         self.indexer = Indexer(node)
         self.pump_name = pump_name("indexer", node.name)
@@ -146,8 +101,6 @@ class IndexService:
         node.gsi_scan_aggregate = self.indexer.scan_aggregate
         node.gsi_wait = self.indexer.wait
         node.gsi_count = self.indexer.count
-        node.gsi_create_local = self.indexer.create
-        node.gsi_drop_local = self.indexer.drop
 
     def close(self) -> None:
         """The node leaves the cluster: its pump goes with it."""
@@ -159,14 +112,13 @@ class GsiCoordinator:
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
-
-    @property
-    def registry(self) -> IndexRegistry:
-        return self.cluster.manager.index_registry
+        self.catalog = cluster.manager.catalog
 
     def _index_nodes(self) -> list[str]:
+        """The index nodes the manager can push the catalog to."""
         names = self.cluster.manager.nodes_with_service(Service.INDEX)
-        live = [n for n in names if not self.cluster.network.is_down(n)]
+        live = [n for n in names
+                if self.cluster.network.reachable("cluster-manager", n)]
         if not live:
             raise ServiceUnavailableError("index")
         return live
@@ -178,34 +130,25 @@ class GsiCoordinator:
         """Create (and unless deferred, build) an index.
 
         Placement: explicit ``nodes``, else the least-loaded index node;
-        partitioned indexes stripe partitions across index nodes."""
-        if self.registry.get(definition.name) is not None:
-            raise IndexExistsError(definition.name)
+        partitioned indexes stripe partitions across index nodes.  The
+        name must be free and every host a live index node."""
+        self.catalog.require_free(definition.name)
         available = self._index_nodes()
         if nodes is None:
-            by_load = sorted(
-                available,
-                key=lambda n: (
-                    len(self.cluster.node(n).indexer.indexer.instances), n
-                ),
-            )
-            if definition.num_partitions == 1:
-                nodes = [by_load[0]]
-            else:
-                nodes = [
-                    by_load[i % len(by_load)]
-                    for i in range(definition.num_partitions)
-                ]
+            by_load = sorted(available, key=lambda n: (
+                len(self.catalog.placed_on(n)), n))
+            nodes = [by_load[i % len(by_load)]
+                     for i in range(definition.num_partitions)]
+        for host in nodes:
+            if host not in available:
+                raise NodeDownError(host)
         meta = IndexMeta(
             definition=definition,
             nodes=nodes,
             state="deferred" if definition.deferred else "building",
         )
-        for node_name in dict.fromkeys(nodes):
-            self.cluster.network.call(
-                "gsi-coordinator", node_name, "gsi_create_local", definition
-            )
-        self.registry.add(meta)
+        self.catalog.add(meta)
+        self.cluster.manager.push_catalog()
         if not definition.deferred:
             self._build(meta)
         return meta
@@ -213,20 +156,16 @@ class GsiCoordinator:
     def build_index(self, name: str) -> None:
         """BUILD INDEX for a deferred index (defer_build, section 3.3.3),
         or for one whose earlier build failed part-way."""
-        meta = self.registry.require(name)
+        meta = self.catalog.require(name)
         if meta.state == "ready":
             return
         if meta.state == "building":
             # Only a build that raised leaves this state behind.  Its
             # rows may belong to documents deleted since (nothing is
-            # routed to an index that is not ready), so start over from
-            # empty instances.
-            network = self.cluster.network
-            for node_name in dict.fromkeys(meta.nodes):
-                network.call("gsi-coordinator", node_name,
-                             "gsi_drop_local", name)
-                network.call("gsi-coordinator", node_name,
-                             "gsi_create_local", meta.definition)
+            # routed to an index that is not ready), so the catalog makes
+            # the index again and each host's reconcile starts it empty.
+            self.catalog.renew(meta)
+            self.cluster.manager.push_catalog()
         self._build(meta)
 
     def _build(self, meta: IndexMeta) -> None:
@@ -243,7 +182,7 @@ class GsiCoordinator:
             engine = node.engines.get(definition.bucket)
             if engine is None:
                 continue
-            router = Router(node, manager.index_registry, self.cluster.network)
+            router = Router(node, manager.catalog, self.cluster.network)
             active = engine.owned_vbuckets(VBucketState.ACTIVE)
             key_versions = (
                 KeyVersion(
@@ -272,27 +211,20 @@ class GsiCoordinator:
                 definition.name
             )
             instance.set_watermarks(marks)
-        meta.state = "ready"
-        self.registry.epoch += 1  # a new access path exists; invalidate plans
+        self.catalog.mark_ready(meta)
+        manager.push_catalog()
         self.cluster.run_until_idle()
 
     def drop_index(self, name: str) -> None:
-        meta = self.registry.remove(name)
-        for node_name in dict.fromkeys(meta.nodes):
-            try:
-                self.cluster.network.call(
-                    "gsi-coordinator", node_name, "gsi_drop_local", name
-                )
-            # Drop is best-effort: registry removal already hides the index.
-            # repro: disable-next=swallowed-exception
-            except NodeDownError:
-                continue
+        """Drop a GSI or view index from the catalog and push it."""
+        self.catalog.remove(name)
+        self.cluster.manager.push_catalog()
 
     def list_indexes(self, bucket: str | None = None) -> list[dict]:
         metas = (
-            self.registry.indexes_on(bucket)
+            self.catalog.indexes_on(bucket)
             if bucket is not None
-            else [self.registry.require(n) for n in self.registry.names()]
+            else [self.catalog.require(n) for n in self.catalog.names()]
         )
         return [meta.describe() for meta in metas]
 
@@ -314,7 +246,7 @@ class GsiCoordinator:
         """Cluster-level index scan: consistency barrier (see
         :meth:`_consistency_barrier`), parallel partition fan-out, and a
         streaming ordered merge that short-circuits at ``limit``."""
-        meta = self.registry.require(name)
+        meta = self.catalog.require(name)
         if meta.state != "ready":
             raise IndexNotReadyError(name)
         low, high = self._pad_span(meta, low, inclusive_low,
@@ -393,7 +325,7 @@ class GsiCoordinator:
         by group token with the same ``merge_folds`` a node merges its
         memoized folds with.  Returns ``[(group_values, partials), ...]``
         in collation order of the group values."""
-        meta = self.registry.require(name)
+        meta = self.catalog.require(name)
         if meta.state != "ready":
             raise IndexNotReadyError(name)
         low, high = self._pad_span(meta, low, inclusive_low,

@@ -45,9 +45,9 @@ class KeyVersion:
 class Router:
     """Key-version routing (data node side)."""
 
-    def __init__(self, node, registry, network):
+    def __init__(self, node, catalog, network):
         self.node = node
-        self.registry = registry
+        self.catalog = catalog
         self.network = network
 
     def route(self, key_versions: list[KeyVersion]) -> set[int]:
@@ -88,7 +88,7 @@ class Router:
         return held
 
     def _targets(self, kv: KeyVersion) -> list[str]:
-        meta = self.registry.get(kv.index_name)
+        meta = self.catalog.get(kv.index_name)
         if meta is None:
             return []
         if meta.definition.num_partitions == 1:
@@ -115,12 +115,12 @@ class Projector(DcpConsumer):
 
     BATCH = 256
 
-    def __init__(self, node, bucket: str, registry, network):
+    def __init__(self, node, bucket: str, catalog, network):
         super().__init__()
         self.node = node
         self.bucket = bucket
-        self.registry = registry
-        self.router = Router(node, registry, network)
+        self.catalog = catalog
+        self.router = Router(node, catalog, network)
         #: Per-vBucket seqno this projector has processed through.
         self.projected_seqnos: dict[int, int] = {}
         #: ``(engine, engine.changes)`` after the last fast-forward; the
@@ -136,10 +136,8 @@ class Projector(DcpConsumer):
         engine = self.node.engines.get(self.bucket)
         if engine is None or not self.node.alive:
             return False
-        definitions = [
-            meta.definition for meta in self.registry.indexes_on(self.bucket)
-            if meta.state == "ready"
-        ]
+        definitions = [meta.definition
+                       for meta in self.catalog.ready_on(self.bucket)]
         if not definitions:
             return self._fast_forward(engine)
         self._forwarded = None

@@ -12,7 +12,6 @@ here would close an import cycle back into GSI.
 from .collation import MISSING, compare, sort_key
 
 __all__ = [
-    "Catalog",
     "Env",
     "Evaluator",
     "MISSING",
@@ -27,7 +26,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "Catalog": ("catalog", "Catalog"),
     "ViewIndexInfo": ("catalog", "ViewIndexInfo"),
     "Env": ("expressions", "Env"),
     "Evaluator": ("expressions", "Evaluator"),

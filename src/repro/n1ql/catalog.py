@@ -1,11 +1,10 @@
-"""The query catalog.
+"""What the query service keeps in the cluster catalog.
 
 Section 4.3.5: "This Query Service component provides catalog support
 for the Query Service", covering keyspaces and index metadata.  The
-planner asks it which access paths exist for a keyspace: GSI indexes
-(from the cluster-wide index registry) and view-backed indexes (from
-the design-document registry entries that CREATE INDEX ... USING VIEW
-produced).
+planner reads the cluster catalog (:mod:`repro.cluster.catalog`) for
+the access paths of a keyspace: its ready GSI indexes and the view
+indexes ``CREATE INDEX ... USING VIEW`` made, described here.
 """
 
 from __future__ import annotations
@@ -13,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import N1qlSemanticError
+
+#: Design doc that holds the N1QL-created views.
+N1QL_DESIGN = "_n1ql"
 
 
 @dataclass
@@ -27,80 +29,7 @@ class ViewIndexInfo:
     is_primary: bool = False
 
 
-class Catalog:
-    """Planner-facing metadata access."""
-
-    #: Design doc that holds the N1QL-created views.
-    N1QL_DESIGN = "_n1ql"
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        #: name -> ViewIndexInfo for USING VIEW indexes.
-        self.view_indexes: dict[str, ViewIndexInfo] = {}
-        #: Bumped on view-index DDL; folded into :meth:`current_epoch`.
-        self._view_epoch = 0
-
-    # -- keyspaces ---------------------------------------------------------------
-
-    def require_keyspace(self, name: str) -> None:
-        if name not in self.cluster.manager.bucket_configs:
-            raise N1qlSemanticError(f"keyspace {name!r} does not exist")
-
-    # -- DDL epoch ---------------------------------------------------------------
-
-    def current_epoch(self) -> tuple:
-        """Composite DDL epoch: moves whenever anything the planner could
-        have consulted changes — GSI index set (create/drop/build),
-        keyspaces (create/drop bucket), or view indexes.  Cached and
-        prepared plans carry the epoch they were built under; a mismatch
-        at lookup/EXECUTE time forces a re-plan."""
-        manager = self.cluster.manager
-        return (
-            manager.index_registry.epoch,
-            getattr(manager, "ddl_epoch", 0),
-            self._view_epoch,
-        )
-
-    # -- GSI metadata -------------------------------------------------------------
-
-    def gsi_indexes(self, bucket: str) -> list:
-        registry = self.cluster.manager.index_registry
-        return [
-            meta for meta in registry.indexes_on(bucket)
-            if meta.state == "ready"
-        ]
-
-    def gsi_primary(self, bucket: str):
-        for meta in self.gsi_indexes(bucket):
-            if meta.definition.is_primary:
-                return meta
-        return None
-
-    # -- view indexes ---------------------------------------------------------------
-
-    def add_view_index(self, info: ViewIndexInfo) -> None:
-        if info.name in self.view_indexes:
-            from ..common.errors import IndexExistsError
-            raise IndexExistsError(info.name)
-        self.view_indexes[info.name] = info
-        self._view_epoch += 1
-
-    def drop_view_index(self, name: str) -> ViewIndexInfo:
-        from ..common.errors import IndexNotFoundError
-        if name not in self.view_indexes:
-            raise IndexNotFoundError(name)
-        info = self.view_indexes.pop(name)
-        self._view_epoch += 1
-        return info
-
-    def view_indexes_on(self, bucket: str) -> list[ViewIndexInfo]:
-        return [
-            info for info in self.view_indexes.values()
-            if info.bucket == bucket
-        ]
-
-    def view_primary(self, bucket: str) -> ViewIndexInfo | None:
-        for info in self.view_indexes_on(bucket):
-            if info.is_primary:
-                return info
-        return None
+def require_keyspace(catalog, name: str) -> None:
+    """Refuse a statement naming a bucket the cluster catalog lacks."""
+    if not catalog.has_bucket(name):
+        raise N1qlSemanticError(f"keyspace {name!r} does not exist")

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..common.contracts import bounded, hot_path
 from ..common.errors import N1qlRuntimeError
+from .catalog import N1QL_DESIGN
 from .collation import MISSING
 from .compile import compile_expr, compile_sort_key
 from .expressions import Env, Evaluator
@@ -313,7 +314,7 @@ def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
              if ctx.scan_consistency in ("request_plus", "at_plus")
              else "ok")
     result = ctx.cluster.views.query(
-        op.keyspace, "_n1ql", op.index_name,
+        op.keyspace, N1QL_DESIGN, op.index_name,
         ViewQueryParams(stale=stale, reduce=False),
     )
     for row in result.rows:
@@ -381,18 +382,16 @@ def run_system_scan(op, ctx: ExecutionContext) -> Batches:
     cluster = ctx.cluster
     rows: list[dict] = []
     if op.what == "indexes":
-        registry = cluster.manager.index_registry
-        for name in registry.names():
-            rows.append(registry.require(name).describe())
-        catalog = getattr(cluster, "query_catalog", None)
-        if catalog is not None:
-            for info in catalog.view_indexes.values():
-                rows.append({
-                    "name": info.name, "bucket": info.bucket,
-                    "keys": [info.attribute], "condition": None,
-                    "storage": "view", "is_primary": info.is_primary,
-                    "partitions": 1, "nodes": [], "state": "ready",
-                })
+        catalog = cluster.manager.catalog
+        for name in catalog.names():
+            rows.append(catalog.require(name).describe())
+        for info in catalog.view_indexes():
+            rows.append({
+                "name": info.name, "bucket": info.bucket,
+                "keys": [info.attribute], "condition": None,
+                "storage": "view", "is_primary": info.is_primary,
+                "partitions": 1, "nodes": [], "state": "ready",
+            })
     elif op.what == "keyspaces":
         for name, config in sorted(cluster.manager.bucket_configs.items()):
             rows.append({

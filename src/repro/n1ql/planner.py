@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import NoSuitableIndexError, N1qlSemanticError
-from .catalog import Catalog
+from .catalog import require_keyspace
 from .collation import MISSING
 from .expressions import collect_aggregates
 from .functions import is_aggregate
@@ -375,7 +375,8 @@ def _implies_one(bounds: dict[str, Bounds], conjunct: Expr, alias: str) -> bool:
 class Planner:
     """Access-path selection and pipeline assembly (section 4.5.3)."""
 
-    def __init__(self, catalog: Catalog):
+    def __init__(self, catalog):
+        #: The cluster catalog (:mod:`repro.cluster.catalog`).
         self.catalog = catalog
 
     # -- SELECT ---------------------------------------------------------------------
@@ -386,16 +387,16 @@ class Planner:
         if statement.from_term is not None:
             term = statement.from_term
             if not term.keyspace.startswith("system:"):
-                self.catalog.require_keyspace(term.keyspace)
+                require_keyspace(self.catalog, term.keyspace)
             default_alias = term.alias
             operators.extend(self._plan_access_path(statement, term))
             for clause in statement.joins:
                 if isinstance(clause, JoinClause):
-                    self.catalog.require_keyspace(clause.keyspace)
+                    require_keyspace(self.catalog, clause.keyspace)
                     operators.append(JoinOp(clause.alias, clause.keyspace,
                                             clause.on_keys, clause.outer))
                 elif isinstance(clause, NestClause):
-                    self.catalog.require_keyspace(clause.keyspace)
+                    require_keyspace(self.catalog, clause.keyspace)
                     operators.append(NestOp(clause.alias, clause.keyspace,
                                             clause.on_keys, clause.outer))
                 elif isinstance(clause, UnnestClause):
@@ -489,7 +490,7 @@ class Planner:
                 or not _span_is_filter(operators):
             return None
         scan = operators[0]
-        meta = self.catalog.cluster.manager.index_registry.get(scan.index_name)
+        meta = self.catalog.get(scan.index_name)
         if meta is None or meta.definition.array_component is not None:
             return None
         key_sources = meta.definition.key_sources
@@ -614,7 +615,7 @@ class Planner:
         scan = operators[0] if operators else None
         if not isinstance(scan, IndexScan) or scan.using != "gsi":
             return False
-        meta = self.catalog.cluster.manager.index_registry.get(scan.index_name)
+        meta = self.catalog.get(scan.index_name)
         if meta is None:
             return False
         leading = meta.definition.key_sources[0]
@@ -660,7 +661,8 @@ class Planner:
             return choice
 
         # Fall back to a primary scan (section 5.1.1 warns about these).
-        primary = self.catalog.gsi_primary(term.keyspace)
+        primary = next((meta for meta in self.catalog.ready_on(term.keyspace)
+                        if meta.definition.is_primary), None)
         if primary is not None:
             # The primary index yields meta().id itself: queries that
             # reference nothing else (the YCSB-E scan shape) skip the
@@ -685,7 +687,8 @@ class Planner:
             if covered:
                 return [scan]
             return [scan, Fetch(term.alias, term.keyspace)]
-        view_primary = self.catalog.view_primary(term.keyspace)
+        view_primary = next((info for info in self.catalog.view_indexes(
+            term.keyspace) if info.is_primary), None)
         if view_primary is not None:
             return [
                 PrimaryScan(term.alias, term.keyspace, view_primary.name,
@@ -696,7 +699,7 @@ class Planner:
 
     def _choose_index(self, statement, term, bounds) -> list | None:
         candidates = []
-        for meta in self.catalog.gsi_indexes(term.keyspace):
+        for meta in self.catalog.ready_on(term.keyspace):
             definition = meta.definition
             if definition.is_primary:
                 continue
@@ -711,7 +714,7 @@ class Planner:
                 continue
             covered, cover_paths = self._coverage(statement, term, definition)
             candidates.append((sargable, covered, definition, cover_paths))
-        for info in self.catalog.view_indexes_on(term.keyspace):
+        for info in self.catalog.view_indexes(term.keyspace):
             if info.is_primary:
                 continue
             b = bounds.get(info.attribute)

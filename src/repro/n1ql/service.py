@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..common.contracts import declared_raises
-from ..common.errors import IndexNotFoundError, N1qlSemanticError
+from ..common.errors import N1qlSemanticError
 from ..gsi.indexdef import IndexDefinition, primary_index
-from .catalog import Catalog, ViewIndexInfo
+from .catalog import N1QL_DESIGN, ViewIndexInfo, require_keyspace
 from .compile import compile_expr
 from .dml import execute_delete, execute_insert, execute_update
 from .expressions import Env, Evaluator
@@ -238,9 +238,8 @@ class QueryService:
     def __init__(self, cluster: "Cluster", node):
         self.cluster = cluster
         self.node = node
-        if not hasattr(cluster, "query_catalog"):
-            cluster.query_catalog = Catalog(cluster)
-        self.catalog: Catalog = cluster.query_catalog
+        #: The cluster catalog; its epoch is the plan-cache epoch.
+        self.catalog = cluster.manager.catalog
         self.planner = Planner(self.catalog)
         #: name -> CachedPlan; populated by PREPARE.  Query parsing and
         #: planning "are done serially" (section 4.5.3), so skipping
@@ -297,7 +296,7 @@ class QueryService:
         if name is not None:
             self._scan_tokens = scan_tokens
             return self._execute_prepared(name, params, scan_consistency)
-        epoch = self.catalog.current_epoch()
+        epoch = self.catalog.epoch
         # A text seen before is not lexed; otherwise the key and the
         # parser share one token list.
         cached, literals = self.plan_cache.lookup(text, epoch)
@@ -343,19 +342,19 @@ class QueryService:
             return self._select(statement, params, scan_consistency,
                                 *request)
         if isinstance(statement, InsertStatement):
-            self.catalog.require_keyspace(statement.keyspace)
+            require_keyspace(self.catalog, statement.keyspace)
             ctx = self._context(params, scan_consistency, statement.keyspace)
             outcome = execute_insert(statement, ctx)
             return QueryResult(rows=outcome["returning"],
                                metrics={"mutationCount": outcome["mutationCount"]})
         if isinstance(statement, UpdateStatement):
-            self.catalog.require_keyspace(statement.keyspace)
+            require_keyspace(self.catalog, statement.keyspace)
             ctx = self._context(params, scan_consistency, statement.alias)
             outcome = execute_update(statement, self.planner, ctx)
             return QueryResult(rows=outcome["returning"],
                                metrics={"mutationCount": outcome["mutationCount"]})
         if isinstance(statement, DeleteStatement):
-            self.catalog.require_keyspace(statement.keyspace)
+            require_keyspace(self.catalog, statement.keyspace)
             ctx = self._context(params, scan_consistency, statement.alias)
             outcome = execute_delete(statement, self.planner, ctx)
             return QueryResult(rows=outcome["returning"],
@@ -365,7 +364,8 @@ class QueryService:
         if isinstance(statement, CreatePrimaryIndexStatement):
             return self._create_primary_index(statement)
         if isinstance(statement, DropIndexStatement):
-            return self._drop_index(statement)
+            self.cluster.drop_index(statement.name)
+            return QueryResult()
         if isinstance(statement, BuildIndexStatement):
             for name in statement.names:
                 self.cluster.gsi.build_index(name)
@@ -413,7 +413,7 @@ class QueryService:
         like every statement without ``literals``, cached under its
         text."""
         self.node.metrics.inc("n1ql.plan_cache.miss")
-        epoch = self.catalog.current_epoch()
+        epoch = self.catalog.epoch
         if literals is not None:
             try:
                 plan = self._plan(statement)
@@ -435,7 +435,7 @@ class QueryService:
         inner = statement.statement
         if not isinstance(inner, SelectStatement):
             raise N1qlSemanticError("only SELECT statements can be prepared")
-        epoch = self.catalog.current_epoch()
+        epoch = self.catalog.epoch
         plan = self._plan(inner)
         # An anonymous statement takes the first free p<n>: counting the
         # entries could land on a name PREPARE <name> FROM already took.
@@ -451,7 +451,7 @@ class QueryService:
         entry = self.prepared.get(name)
         if entry is None:
             raise N1qlSemanticError(f"no prepared statement named {name!r}")
-        current = self.catalog.current_epoch()
+        current = self.catalog.epoch
         if entry.epoch != current:
             # Index or keyspace DDL happened since this statement was
             # planned; re-plan from the stored AST instead of executing
@@ -505,7 +505,7 @@ class QueryService:
         return condition
 
     def _create_index(self, statement: CreateIndexStatement) -> QueryResult:
-        self.catalog.require_keyspace(statement.keyspace)
+        require_keyspace(self.catalog, statement.keyspace)
         if statement.using == "view":
             return self._create_view_index(statement)
         options = statement.with_options
@@ -573,36 +573,31 @@ class QueryService:
         if statement.where is not None:
             raise N1qlSemanticError("USING VIEW indexes cannot be partial")
         from ..views.mapreduce import attribute_view
-        definition = attribute_view(Catalog.N1QL_DESIGN, statement.name,
-                                    attribute)
-        self.cluster.define_view(statement.keyspace, definition)
-        self.catalog.add_view_index(ViewIndexInfo(
-            name=statement.name,
-            bucket=statement.keyspace,
-            attribute=attribute,
-            design=Catalog.N1QL_DESIGN,
-            view=statement.name,
-        ))
+        self._add_view_index(statement.keyspace, attribute_view(
+            N1QL_DESIGN, statement.name, attribute), attribute)
         return QueryResult()
+
+    def _add_view_index(self, bucket: str, definition, attribute: str,
+                        is_primary: bool = False) -> None:
+        """Register a USING VIEW index with the view it reads -- one
+        catalog change, refused whole if either name is taken."""
+        manager = self.cluster.manager
+        manager.catalog.define_view(bucket, definition, ViewIndexInfo(
+            definition.name, bucket, attribute, definition.design,
+            definition.name, is_primary))
+        manager.push_catalog()
+        self.cluster.run_until_idle()
 
     def _create_primary_index(self,
                               statement: CreatePrimaryIndexStatement) -> QueryResult:
-        self.catalog.require_keyspace(statement.keyspace)
+        require_keyspace(self.catalog, statement.keyspace)
         # Index names are global in this registry, so the default primary
         # name is scoped by keyspace.
         name = statement.name or f"#primary_{statement.keyspace}"
         if statement.using == "view":
             from ..views.mapreduce import primary_view
-            definition = primary_view(Catalog.N1QL_DESIGN, name)
-            self.cluster.define_view(statement.keyspace, definition)
-            self.catalog.add_view_index(ViewIndexInfo(
-                name=name,
-                bucket=statement.keyspace,
-                attribute="meta().id",
-                design=Catalog.N1QL_DESIGN,
-                view=name,
-                is_primary=True,
-            ))
+            self._add_view_index(statement.keyspace, primary_view(
+                N1QL_DESIGN, name), "meta().id", is_primary=True)
             return QueryResult()
         definition = primary_index(
             name, statement.keyspace,
@@ -613,15 +608,4 @@ class QueryService:
         self.cluster.gsi.create_index(
             definition, statement.with_options.get("nodes")
         )
-        return QueryResult()
-
-    def _drop_index(self, statement: DropIndexStatement) -> QueryResult:
-        try:
-            self.cluster.gsi.drop_index(statement.name)
-        except IndexNotFoundError:
-            # Not a GSI index: fall back to the view-backed catalog.  If
-            # the name is unknown there too, drop_view_index raises its
-            # own IndexNotFoundError to the caller.
-            info = self.catalog.drop_view_index(statement.name)
-            self.cluster.drop_view(info.bucket, info.design, info.view)
         return QueryResult()

@@ -90,7 +90,7 @@ class Cluster:
         from .gsi.manager import IndexService
         from .n1ql.service import QueryService
         if node.has_service(Service.INDEX) and node.indexer is None:
-            node.indexer = IndexService(node, self.network, self.scheduler)
+            node.indexer = IndexService(node, self.scheduler)
         if node.has_service(Service.QUERY) and node.query_service is None:
             node.query_service = QueryService(self, node)
 
@@ -148,33 +148,22 @@ class Cluster:
     def drop_bucket(self, name: str) -> None:
         """Remove a bucket and all of its data from every node: its GSI
         indexes, views, vBucket files and in-memory state."""
-        for meta in self.manager.index_registry.indexes_on(name):
-            self.drop_index(meta.definition.name)
         self.manager.drop_bucket(name)
 
     # -- views (section 3.1.2) --------------------------------------------------------------
 
     def define_view(self, bucket: str, definition) -> None:
-        """Publish a view (design document) to every reachable data node
-        and materialize it; joining nodes receive it automatically, and
-        a node that is down defines it when it reopens the bucket."""
-        registry = self.manager.design_docs.setdefault(bucket, {})
-        registry[(definition.design, definition.name)] = definition
-        for name in self.manager.data_nodes():
-            if self.network.reachable("admin", name):
-                self.network.call("admin", name, "view_define", bucket,
-                                  definition)
+        """Add a view (design document) to the catalog and push it: each
+        data node defines and materializes it when the push reaches it."""
+        self.manager.catalog.define_view(bucket, definition)
+        self.manager.push_catalog()
         self.run_until_idle()
 
     def drop_view(self, bucket: str, design: str, view: str) -> None:
-        """Remove a view from the design-document registry and from
-        every reachable data node.  A node that is down forgets it when
-        it reopens the bucket, which deletes every view file first."""
-        self.manager.design_docs.get(bucket, {}).pop((design, view), None)
-        for name in self.manager.data_nodes():
-            if self.network.reachable("admin", name):
-                self.network.call("admin", name, "view_drop", bucket,
-                                  design, view)
+        """Remove a view from the catalog and push it: each data node
+        drops the view and its file when the push reaches it."""
+        self.manager.catalog.drop_view(bucket, design, view)
+        self.manager.push_catalog()
 
     @property
     def views(self) -> "ViewQueryCoordinator":
@@ -194,7 +183,7 @@ class Cluster:
         return self.gsi.create_index(definition, nodes)
 
     def drop_index(self, name: str) -> None:
-        """Drop a GSI index everywhere it is hosted."""
+        """Drop a GSI or view index everywhere it is hosted."""
         self.gsi.drop_index(name)
 
     # -- clients --------------------------------------------------------------------------
@@ -256,35 +245,26 @@ class Cluster:
         then republished under a new revision: a restart is a new
         connection, so every active's replication streams reconnect and
         their handshake reads what this node's replicas kept on disk,
-        re-sending the tail the restart lost."""
+        re-sending the tail the restart lost.  The node reconciles to the
+        catalog from empty: every view and GSI instance is made afresh,
+        and the file of one dropped meanwhile goes."""
         node = self.node(name)
         manager = self.manager
         self.network.set_down(name, False)
         node.alive = True
+        if node.indexer is not None:
+            node.indexer.indexer.instances.clear()
         for bucket, config in manager.bucket_configs.items():
             manager.close_bucket(node, bucket)
             manager.open_bucket(node, config)
-            if bucket in manager.cluster_maps:
-                republished = manager.cluster_maps[bucket].copy()
-                republished.revision += 1
-                manager.cluster_maps[bucket] = republished
-                manager.push_map(bucket)
-        if node.indexer is not None:
-            # A fresh instance starts a standard index's file afresh (the
-            # old root lived only in memory; a memopt snapshot stays).
-            # The files of an index dropped while the node was down go.
-            indexer = node.indexer.indexer
-            indexer.instances.clear()
-            registry = manager.index_registry
-            placed = [meta for meta in map(registry.require, registry.names())
-                      if name in meta.nodes]
-            manager.delete_files(node, "gsi/", keep=tuple(
-                f"gsi/{meta.definition.bucket}/{meta.definition.name}.index"
-                for meta in placed))
-            for meta in placed:
-                indexer.create(meta.definition)
-                if meta.state == "ready":
-                    self.gsi._build(meta)
+        node.apply_catalog(manager.catalog)
+        for bucket, cluster_map in manager.cluster_maps.items():
+            republished = manager.cluster_maps[bucket] = cluster_map.copy()
+            republished.revision += 1
+            manager.push_map(bucket)
+        for meta in manager.catalog.placed_on(name).values():
+            if meta.state == "ready":
+                self.gsi._build(meta)
         self.run_until_idle()
 
     # -- time ------------------------------------------------------------------------------------

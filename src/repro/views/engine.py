@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from ..common import tracing
 from ..common.contracts import declared_raises
-from ..common.errors import ViewExistsError, ViewNotFoundError
+from ..common.errors import ViewNotFoundError
 from ..common.jsonval import deep_copy
 from ..dcp.consumer import DcpConsumer
 from ..kv.types import GroupCommit, SeqnoWaiter, VBucketState
@@ -67,8 +67,10 @@ class ViewEngine(DcpConsumer):
 
     # -- DDL ------------------------------------------------------------------
 
-    def define_view(self, definition: ViewDefinition) -> ViewIndex:
-        """Create (and initially materialize) a view.
+    def define_view(self, definition: ViewDefinition,
+                    revision: int = 0) -> ViewIndex:
+        """Create (and initially materialize) a view this engine lacks;
+        the node's catalog reconcile calls it.
 
         Initial build applies the map function across every locally
         active document, as the paper describes, and covers each active
@@ -76,15 +78,12 @@ class ViewEngine(DcpConsumer):
         catch up to the streams' ends and commit, and every stream then
         resumes after the build, so no document is mapped into a view
         twice."""
-        key = (definition.design, definition.name)
-        if key in self.indexes:
-            raise ViewExistsError(definition.full_name)
         while self.indexes and self._take():
             pass
         filename = (
             f"views/{self.bucket}/{definition.design}_{definition.name}.view"
         )
-        index = ViewIndex(definition, self.node.disk, filename)
+        index = ViewIndex(definition, self.node.disk, filename, revision)
         tracing.record_write(f"views/{self.node.name}/{self.bucket}")
         engine = self.engine
         active = engine.owned_vbuckets(VBucketState.ACTIVE)
@@ -98,7 +97,7 @@ class ViewEngine(DcpConsumer):
         self.commits.set_watermarks({
             vbucket_id: engine.vbuckets[vbucket_id].high_seqno
             for vbucket_id in active})
-        self.indexes[key] = index
+        self.indexes[definition.design, definition.name] = index
         for vbucket_id in list(self.streams):
             self.drop(vbucket_id)  # reopened after the build's marks
         self.node.metrics.inc("views.defined")
@@ -106,10 +105,7 @@ class ViewEngine(DcpConsumer):
 
     def drop_view(self, design: str, name: str) -> None:
         """Forget a view and delete its file."""
-        index = self.indexes.pop((design, name), None)
-        if index is None:
-            raise ViewNotFoundError(design, name)
-        index.destroy()
+        self.indexes.pop((design, name)).destroy()
 
     def get_index(self, design: str, name: str) -> ViewIndex:
         index = self.indexes.get((design, name))

@@ -26,7 +26,7 @@ import heapq
 import json
 from typing import TYPE_CHECKING, Any
 
-from ..common.errors import NodeDownError, TimeoutError_, ViewNotFoundError
+from ..common.errors import NodeDownError, TimeoutError_
 from ..common.scheduler import pump_name
 from ..n1ql.collation import sort_key
 from .viewindex import ViewQueryParams
@@ -57,35 +57,13 @@ class ViewQueryCoordinator:
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
 
-    def _data_nodes(self):
-        manager = self.cluster.manager
-        return [
-            manager.nodes[name]
-            for name in manager.data_nodes()
-            if not self.cluster.network.is_down(name)
-        ]
-
-    def _view_engines(self, bucket: str):
-        return [
-            node.view_engines[bucket]
-            for node in self._data_nodes()
-            if bucket in node.view_engines
-        ]
-
-    def _definition(self, bucket: str, design: str, view: str):
-        for engine in self._view_engines(bucket):
-            index = engine.indexes.get((design, view))
-            if index is not None:
-                return index.definition
-        raise ViewNotFoundError(design, view)
-
     def query(self, bucket: str, design: str, view: str,
               params: ViewQueryParams | None = None, **kwargs) -> ViewResult:
         if params is None:
             params = ViewQueryParams(**kwargs)
         elif kwargs:
             raise TypeError("pass either params or keyword options, not both")
-        definition = self._definition(bucket, design, view)
+        definition = self.cluster.manager.catalog.view(bucket, design, view)
 
         # Scatter to every data node hosting the bucket, down or not, in
         # one parallel wave: each holds vbuckets no other node serves, so

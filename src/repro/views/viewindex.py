@@ -48,12 +48,13 @@ def _view_row(doc_id: str, vbucket_id: int, emitted: tuple) -> tuple:
 
 class ViewIndex(IndexFile):
     """Materialized rows of one view on one node: the shared index file
-    in view collation, reduced by the view's reduce function."""
+    in view collation, reduced by the view's reduce function.
+    ``revision`` is the catalog revision that made the view."""
 
     COMPACT_EVERY = 4096
 
     def __init__(self, definition: ViewDefinition, disk: SimulatedDisk,
-                 filename: str):
+                 filename: str, revision: int = 0):
         user_reduce: ReduceFn | None = definition.reduce_fn
         if user_reduce is not None:
             tree_reduce = lambda values: user_reduce(  # noqa: E731
@@ -65,6 +66,7 @@ class ViewIndex(IndexFile):
         super().__init__(disk, filename, _view_row, _composite_compare,
                          tree_reduce, tree_rereduce)
         self.definition = definition
+        self.revision = revision
 
     # -- queries ---------------------------------------------------------------
 

@@ -196,6 +196,67 @@ class TestDropWhileANodeIsDown:
         assert disk.exists("gsi/b/by_w.index")
 
 
+def unreachable_during(cluster, node, ddl):
+    """Run ``ddl`` while ``node`` is cut off from the network (its
+    process stays up), bring it back and let the heartbeat sweep run."""
+    cluster.network.set_down(node)
+    ddl()
+    cluster.network.set_down(node, False)
+    cluster.tick(5)
+
+
+@pytest.fixture
+def loaded():
+    """3 nodes, 16 vBuckets and 30 documents, no auto-failover."""
+    cluster = Cluster(nodes=3, vbuckets=16, auto_failover=False)
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    for i in range(30):
+        client.upsert("b", f"k{i}", {"v": i, "a": i})
+    cluster.run_until_idle()
+    return cluster
+
+
+def map_v(doc, meta, emit):
+    emit(doc["v"], None)
+
+
+class TestDDLWhileANodeIsUnreachable:
+    """A node that is unreachable during DDL and comes back without a
+    restart catches up from the manager's heartbeat sweep.  (It once
+    kept what it had for good.)"""
+
+    def test_a_view_defined_meanwhile_is_defined_on_it(self, loaded):
+        unreachable_during(loaded, "node2", lambda: loaded.define_view(
+            "b", ViewDefinition("dd", "v", map_v)))
+        assert all(("dd", "v") in node.view_engines["b"].indexes
+                   for node in loaded.nodes())
+        rows = loaded.views.query("b", "dd", "v", stale="false").rows
+        assert sorted(row["key"] for row in rows) == list(range(30))
+
+    def test_a_view_dropped_meanwhile_goes_with_its_file(self, loaded):
+        loaded.define_view("b", ViewDefinition("dd", "v", map_v))
+        unreachable_during(loaded, "node2",
+                           lambda: loaded.drop_view("b", "dd", "v"))
+        node2 = loaded.node("node2")
+        assert node2.view_engines["b"].indexes == {}
+        assert not node2.disk.exists("views/b/dd_v.view")
+        loaded.define_view("b", ViewDefinition("dd", "v", map_v))
+        rows = loaded.views.query("b", "dd", "v", stale="false").rows
+        assert len(rows) == 30
+
+    def test_an_index_dropped_meanwhile_goes_with_its_file(self, loaded):
+        create = 'CREATE INDEX ia ON b(a) WITH {"nodes": ["node2"]}'
+        loaded.query(create)
+        unreachable_during(loaded, "node2",
+                           lambda: loaded.query("DROP INDEX ia"))
+        node2 = loaded.node("node2")
+        assert "ia" not in node2.indexer.indexer.instances
+        assert not node2.disk.exists("gsi/b/ia.index")
+        loaded.query(create)
+        assert len(loaded.gsi.scan("ia")) == 30
+
+
 class TestRemoveNodeClosesItsBuckets:
     def test_a_removed_node_keeps_no_pump_and_no_engine(self):
         cluster = Cluster(nodes=2, vbuckets=8)

@@ -133,7 +133,7 @@ class TestPlanCache:
         text = "SELECT x.name FROM b x WHERE x.age = 22"
         cluster.query(text, scan_consistency="request_plus")
         entry = service.plan_cache.get(shape_of(text),
-                                       service.catalog.current_epoch())
+                                       service.catalog.epoch)
         assert type(entry.plan.operators[0]).__name__ == "PrimaryScan"
         cluster.query("CREATE INDEX by_age ON b(age) USING GSI")
         # The epoch moved: the stale entry is discarded at lookup and the
@@ -144,7 +144,7 @@ class TestPlanCache:
         assert service.node.metrics.counter_value(
             "n1ql.plan_cache.hit") == hits_before
         entry = service.plan_cache.get(shape_of(text),
-                                       service.catalog.current_epoch())
+                                       service.catalog.epoch)
         scan = entry.plan.operators[0]
         assert type(scan).__name__ == "IndexScan"
         assert scan.index_name == "by_age"
@@ -155,14 +155,14 @@ class TestPlanCache:
         text = "SELECT x.name FROM b x WHERE x.age = 21"
         cluster.query(text, scan_consistency="request_plus")
         entry = service.plan_cache.get(shape_of(text),
-                                       service.catalog.current_epoch())
+                                       service.catalog.epoch)
         assert type(entry.plan.operators[0]).__name__ == "IndexScan"
         cluster.query("DROP INDEX by_age")
         # Re-running the cached statement must not scan the dead index.
         rows = cluster.query(text, scan_consistency="request_plus").rows
         assert len(rows) == 4
         entry = service.plan_cache.get(shape_of(text),
-                                       service.catalog.current_epoch())
+                                       service.catalog.epoch)
         assert type(entry.plan.operators[0]).__name__ == "PrimaryScan"
 
     def test_lru_eviction(self, cluster):
