@@ -562,7 +562,7 @@ class SmartClient:
                      'N1qlSemanticError', 'NoSuitableIndexError',
                      'NodeDownError', 'NotConnectedError', 'NotMyVBucketError',
                      'ServiceUnavailableError', 'TemporaryFailureError',
-                     'ViewExistsError', 'ViewNotFoundError')
+                     'TimeoutError_', 'ViewExistsError', 'ViewNotFoundError')
     def query(self, statement: str, params=None,
               scan_consistency: str = "not_bounded",
               consistent_with=None):

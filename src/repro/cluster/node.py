@@ -412,10 +412,11 @@ class Node:
     def view_query_local(self, bucket: str, design: str, view: str, params) -> dict:
         return self.view_engines[bucket].local_query(design, view, params)
 
-    def view_wait(self, bucket: str) -> SeqnoWaiter:
-        """Register a ``stale=false`` wait on this node's view engine
-        (see :meth:`repro.views.engine.ViewEngine.wait`)."""
-        return self.view_engines[bucket].wait()
+    @declared_raises('ViewNotFoundError')
+    def view_wait(self, bucket: str, design: str, view: str) -> SeqnoWaiter:
+        """Register a ``stale=false`` wait on one view of this node's
+        view engine (see :meth:`repro.views.engine.ViewEngine.wait`)."""
+        return self.view_engines[bucket].wait(design, view)
 
     # -- health ------------------------------------------------------------------------
 

@@ -12,8 +12,8 @@ Key versions are committed in time, like the flusher's disk write queue
 (DESIGN.md § "Group commit in time for the index"): an instance is a
 :class:`~repro.kv.types.GroupCommit` that holds what the routers hand it
 and rewrites its tree once when the oldest held batch has waited
-``FLUSH_ROUNDS`` calls of the node's ``indexer/<node>`` pump, when a
-freshness waiter is registered, or when a build installs its watermarks.
+``FLUSH_ROUNDS`` calls of the node's ``indexer/<node>`` pump or when a
+freshness waiter is registered.
 A watermark names only seqnos whose rows are in the tree, and scans read
 the tree: a ``not_bounded`` scan may miss what is still held, which is
 the staleness ``not_bounded`` allows.
@@ -58,12 +58,13 @@ class IndexInstance(GroupCommit):
         self.filename = f"gsi/{definition.bucket}/{definition.name}.index"
         self.storage = make_storage(definition.storage, disk, self.filename)
 
-    def _write(self, held: list[KeyVersion]) -> None:
-        """One storage rewrite for everything held; a document's key
-        versions arrive in seqno order and the last one wins."""
+    def _write(self, held: list[KeyVersion], resets: set[int]) -> None:
+        """One storage rewrite for the resets and everything held; a
+        document's key versions arrive in seqno order and the last one
+        wins."""
         tracing.record_write(f"gsi/{self.node_name}/{self.definition.name}")
         self.storage.update_docs([(kv.doc_id, kv.vbucket_id, kv.entries)
-                                  for kv in held])
+                                  for kv in held], resets)
 
 
 class Indexer:
@@ -107,18 +108,21 @@ class Indexer:
 
     def apply(self, key_versions: list[KeyVersion]) -> None:
         """Apply one router batch: its key versions grouped by index and
-        held by each instance until it commits.  A document's key
-        versions arrive in seqno order and the last one wins, so
-        replaying a batch (the projector does after a partial delivery)
-        changes nothing."""
+        held by each instance until it commits, a vBucket's reset (a
+        key version without a document) ahead of its replay.  A
+        document's key versions arrive in seqno order and the last one
+        wins, so replaying a batch (the projector does after a partial
+        delivery) changes nothing."""
         by_index: dict[str, list[KeyVersion]] = {}
         for kv in key_versions:
             by_index.setdefault(kv.index_name, []).append(kv)
         for name, batch in by_index.items():
             instance = self.instances.get(name)
             if instance is not None:
-                instance.hold(batch, ((kv.vbucket_id, kv.seqno)
-                                      for kv in batch))
+                docs = [kv for kv in batch if kv.doc_id is not None]
+                instance.hold(docs, ((kv.vbucket_id, kv.seqno) for kv in docs),
+                              [kv.vbucket_id for kv in batch
+                               if kv.doc_id is None])
 
     @declared_raises('IndexNotFoundError')
     def scan(self, name: str, low: list | None, high: list | None,

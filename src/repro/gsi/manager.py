@@ -36,7 +36,6 @@ from ..common.services import Service
 from ..kv.types import VBucketState
 from .indexdef import IndexDefinition
 from .indexer import Indexer
-from .projector import KeyVersion, Projector, Router
 from .storage import HIGH_BOUND, composite_compare, merge_folds
 
 if TYPE_CHECKING:
@@ -65,9 +64,10 @@ class IndexMeta:
     #: Hosting index nodes; one entry per partition for partitioned
     #: indexes (entries may repeat when partitions share a node).
     nodes: list[str]
-    #: "ready" | "deferred" | "building".  Only "ready" is planned,
-    #: scanned and maintained by projectors; "building" outside
-    #: :meth:`GsiCoordinator._build` means a build failed part-way.
+    #: "ready" | "deferred" | "building".  Only "ready" is planned and
+    #: scanned; projectors stream to every index but a deferred one.
+    #: "building" outside :meth:`GsiCoordinator._build` means a build
+    #: failed part-way.
     state: str = "ready"
     #: The catalog revision that made the index.
     revision: int = 0
@@ -148,8 +148,9 @@ class GsiCoordinator:
             state="deferred" if definition.deferred else "building",
         )
         self.catalog.add(meta)
-        self.cluster.manager.push_catalog()
-        if not definition.deferred:
+        if definition.deferred:
+            self.cluster.manager.push_catalog()
+        else:
             self._build(meta)
         return meta
 
@@ -160,60 +161,29 @@ class GsiCoordinator:
         if meta.state == "ready":
             return
         if meta.state == "building":
-            # Only a build that raised leaves this state behind.  Its
-            # rows may belong to documents deleted since (nothing is
-            # routed to an index that is not ready), so the catalog makes
-            # the index again and each host's reconcile starts it empty.
+            # Only a build that raised leaves this state behind.  A host
+            # restarted since has lost rows its projectors' checkpoints
+            # passed, so the catalog makes the index again: each host's
+            # reconcile starts it empty and every stream replays from 0.
             self.catalog.renew(meta)
-            self.cluster.manager.push_catalog()
         self._build(meta)
 
     def _build(self, meta: IndexMeta) -> None:
-        """Initial materialization: snapshot-scan every active vBucket on
-        every data node, route the entries to the hosting indexer(s) in
-        projector-sized slices, install watermarks at the snapshot
-        seqnos, and only then declare the index ready."""
-        definition = meta.definition
+        """Build an index from its streams: once the catalog says
+        ``building``, every data node's projector streams each active
+        vBucket to it from seqno 0 (a reset, then the replay).  The
+        build drains those streams, checks them against every reachable
+        data node's high seqnos -- the ``request_plus`` barrier, after
+        the drain so that it does not commit each arriving batch on its
+        own -- and only then declares the index ready.  A data node
+        that is down delays its vBuckets' rows until it is back."""
         manager = self.cluster.manager
         meta.state = "building"
-        marks: dict[int, int] = {}
-        for node_name in manager.data_nodes():
-            node = manager.nodes[node_name]
-            engine = node.engines.get(definition.bucket)
-            if engine is None:
-                continue
-            router = Router(node, manager.catalog, self.cluster.network)
-            active = engine.owned_vbuckets(VBucketState.ACTIVE)
-            key_versions = (
-                KeyVersion(
-                    index_name=definition.name,
-                    bucket=definition.bucket,
-                    doc_id=doc.key,
-                    entries=entries,
-                    vbucket_id=vbucket_id,
-                    seqno=doc.meta.seqno,
-                )
-                for vbucket_id in active
-                for doc in engine.docs_in_vbucket(vbucket_id)
-                if (entries := definition.entries_for(doc.value, doc.key))
-            )
-            while batch := list(itertools.islice(key_versions,
-                                                 Projector.BATCH)):
-                if router.route(batch):
-                    # Installing watermarks over a row the indexer never
-                    # received would declare a permanently incomplete
-                    # index "ready".
-                    raise ServiceUnavailableError("index")
-            for vbucket_id in active:
-                marks[vbucket_id] = engine.vbuckets[vbucket_id].high_seqno
-        for node_name in dict.fromkeys(meta.nodes):
-            instance = self.cluster.node(node_name).indexer.indexer.instance(
-                definition.name
-            )
-            instance.set_watermarks(marks)
-        self.catalog.mark_ready(meta)
         manager.push_catalog()
         self.cluster.run_until_idle()
+        self._barrier(meta, self._current_seqnos(meta.definition.bucket))
+        self.catalog.mark_ready(meta)
+        manager.push_catalog()
 
     def drop_index(self, name: str) -> None:
         """Drop a GSI or view index from the catalog and push it."""

@@ -8,11 +8,15 @@ Router is responsible for sending Key Versions to the index service.
 The router relies on the index distribution and partitioning topology to
 determine which indexer(s) should receive the key version."
 
-One projector pump runs per (data node, bucket).  It consumes the DCP
-streams of the locally active vBuckets, evaluates every index defined on
-the bucket against each mutation, and hands the resulting
-:class:`KeyVersion` batches to the router, which forwards them to the
-responsible index-service node(s) over the network.
+One projector pump runs per (data node, bucket).  Every index on the
+bucket but a deferred one reads its own DCP stream of each locally
+active vBucket, from its own checkpoint; the pump evaluates each
+index's definition against its stream's mutations and hands the
+resulting :class:`KeyVersion` batches to the router, which forwards
+them to the responsible index-service node(s) over the network.  An
+index is filled one way: a new index has no checkpoint, so its streams
+open at seqno 0, and that replay -- a reset of the vBucket at the index,
+then every change the vBucket still has -- is its build.
 
 Every mutation produces a key version for every index -- with an empty
 entry list when the document does not qualify -- so that indexer seqno
@@ -35,7 +39,9 @@ class KeyVersion:
 
     index_name: str
     bucket: str
-    doc_id: str
+    #: None = a reset: the vBucket's rows and mark go, its replay from
+    #: seqno 0 follows.
+    doc_id: str | None
     #: Extracted composite keys; empty = remove the doc from the index.
     entries: list[list]
     vbucket_id: int
@@ -110,8 +116,13 @@ def _hash_partition(doc_id: str, partitions: int) -> int:
 
 class Projector(DcpConsumer):
     """DCP consumer producing key versions (one per data node/bucket).
-    Its stream table is keyed by vBucket; the checkpoint is
-    :attr:`projected_seqnos`."""
+
+    Its stream table is keyed by ``(index, catalog revision, vBucket)``:
+    every index projected here -- building or ready -- reads its own
+    stream of each locally active vBucket from its own checkpoint
+    (:attr:`checkpoints`).  A key without one opens at seqno 0, and so
+    does a rollback; such a stream is preceded by its vBucket's reset,
+    which the indexer applies in the same commit as the replay."""
 
     BATCH = 256
 
@@ -121,102 +132,80 @@ class Projector(DcpConsumer):
         self.bucket = bucket
         self.catalog = catalog
         self.router = Router(node, catalog, network)
-        #: Per-vBucket seqno this projector has processed through.
-        self.projected_seqnos: dict[int, int] = {}
-        #: ``(engine, engine.changes)`` after the last fast-forward; the
-        #: marks are current while it holds.  None once streams run.
-        self._forwarded: tuple | None = None
+        #: Stream key -> the seqno delivered through.
+        self.checkpoints: dict[tuple[str, int, int], int] = {}
+        #: Keys opened at seqno 0 since the last slice.
+        self._resets: list[tuple[str, int, int]] = []
 
     def pump(self) -> bool:
-        """Project everything the streams yield this slice, route it as
-        one batch, and advance the vBuckets the batch was delivered for.
-        True only when something was delivered: claiming progress for a
-        slice that will be replayed would livelock ``run_until_idle``
-        while an indexer node is down."""
+        """Reset what reopened at 0, project everything the streams yield
+        this slice, route it as one batch, and advance the keys whose
+        vBuckets the batch was delivered for.  True only when something
+        was delivered: claiming progress for a slice that will be
+        replayed would livelock ``run_until_idle`` while an indexer node
+        is down."""
         engine = self.node.engines.get(self.bucket)
         if engine is None or not self.node.alive:
             return False
-        definitions = [meta.definition
-                       for meta in self.catalog.ready_on(self.bucket)]
-        if not definitions:
-            return self._fast_forward(engine)
-        self._forwarded = None
+        metas = [meta for meta in self.catalog.indexes_on(self.bucket)
+                 if meta.state != "deferred"]
+        if not metas and not self.streams:
+            return False
         producer = self.node.producers[self.bucket]
-        self.sync({vbucket_id: (producer, vbucket_id)
-                   for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)})
-        key_versions: list[KeyVersion] = []
-        yielded: set[int] = set()
+        active = engine.owned_vbuckets(VBucketState.ACTIVE)
+        self.sync({(meta.definition.name, meta.revision, vbucket_id):
+                   (producer, vbucket_id)
+                   for meta in metas for vbucket_id in active})
+        definitions = {meta.definition.name: meta.definition
+                       for meta in metas}
+        resets, self._resets = self._resets, []
+        key_versions = [KeyVersion(index_name=name, bucket=self.bucket,
+                                   doc_id=None, entries=[],
+                                   vbucket_id=vbucket_id, seqno=0)
+                        for name, _revision, vbucket_id in resets]
         polled = self.poll(self.BATCH)
-        for vbucket_id, _stream, docs in polled:
+        for (name, _revision, vbucket_id), _stream, docs in polled:
+            definition = definitions[name]
             for doc in docs:
-                yielded.add(vbucket_id)
-                for definition in definitions:
-                    key_versions.append(KeyVersion(
-                        index_name=definition.name,
-                        bucket=self.bucket,
-                        doc_id=doc.key,
-                        entries=[] if doc.meta.deleted
-                        else definition.entries_for(doc.value, doc.key),
-                        vbucket_id=vbucket_id,
-                        seqno=doc.meta.seqno,
-                    ))
+                key_versions.append(KeyVersion(
+                    index_name=name,
+                    bucket=self.bucket,
+                    doc_id=doc.key,
+                    entries=[] if doc.meta.deleted
+                    else definition.entries_for(doc.value, doc.key),
+                    vbucket_id=vbucket_id,
+                    seqno=doc.meta.seqno,
+                ))
                 self.node.metrics.inc("gsi.projected")
+        sent = {kv.vbucket_id for kv in key_versions}
         undelivered = (self.router.route(key_versions) if key_versions
                        else set())
-        for vbucket_id in undelivered:
-            # Reopened by the next sync from the last delivered seqno,
-            # so the slice is retried instead of silently lost.
-            self.drop(vbucket_id)
+        for key in resets + [key for key, _stream, _docs in polled]:
+            if key[2] in undelivered and key in self.streams:
+                # Reopened by the next sync from the last delivered seqno,
+                # so the slice is retried instead of silently lost.
+                self.drop(key)
         # An idle stream did not move, so only the streams polled can
-        # advance a projected seqno.
-        for vbucket_id, stream, _docs in polled:
-            if vbucket_id not in undelivered \
-                    and stream.last_seqno > self.projected_seqnos.get(vbucket_id, 0):
-                self.projected_seqnos[vbucket_id] = stream.last_seqno
-        return bool(yielded - undelivered)
+        # advance a checkpoint.
+        for key, stream, _docs in polled:
+            if key[2] not in undelivered:
+                self.checkpoints[key] = stream.last_seqno
+        return bool(sent - undelivered)
 
-    def checkpoint(self, vbucket_id: int) -> tuple[int, int]:
+    def checkpoint(self, key) -> tuple[int, int]:
         """Under the local copy's uuid: a mark lives only while active."""
-        vb = self.node.engines[self.bucket].vbuckets[vbucket_id]
-        return vb.uuid, self.projected_seqnos.get(vbucket_id, 0)
+        vb = self.node.engines[self.bucket].vbuckets[key[2]]
+        return vb.uuid, self.checkpoints.get(key, 0)
 
-    def retired(self, vbucket_id: int) -> None:
-        self.projected_seqnos.pop(vbucket_id, None)
+    def rollback(self, key, seqno: int) -> int:
+        """Replay from 0: the reset drops what the lost history indexed."""
+        return 0
 
-    def _fast_forward(self, engine) -> bool:
-        """The pump without a ready index: nothing to project, so hold no
-        streams, copy no documents, and record each active vBucket's
-        newest change (its high seqno, see ``VBucket.last_change_seqno``)
-        as projected -- exactly where taking and discarding the whole
-        backlog would leave a stream.  An index that becomes ready later
-        is built from a snapshot, and its first projection starts here.
-        Progress is the answer the discarded messages would have given:
-        some active vBucket had a change past its mark.  While the
-        engine's ``changes`` counter stands where the last pass left it,
-        no mark can differ, so the pass is one comparison."""
-        stamp = (engine, engine.changes)
-        if stamp == self._forwarded:
-            return False
-        self._forwarded = stamp
-        for vbucket_id in list(self.streams):
-            self.drop(vbucket_id)
-        projected = self.projected_seqnos
-        progressed = False
-        active = 0
-        for vbucket_id, vb in engine.vbuckets.items():
-            if vb.state is not VBucketState.ACTIVE:
-                continue
-            active += 1
-            last, mark = vb.last_change_seqno(), projected.get(vbucket_id)
-            if last != mark:
-                projected[vbucket_id] = last
-                progressed = progressed or last > (mark or 0)
-        # Every active vBucket has a mark now, so a surplus mark belongs
-        # to one that stopped being active here.
-        if len(projected) > active:
-            self.projected_seqnos = {
-                vbucket_id: seqno for vbucket_id, seqno in projected.items()
-                if vbucket_id in engine.vbuckets
-                and engine.vbuckets[vbucket_id].state is VBucketState.ACTIVE
-            }
-        return progressed
+    def opened(self, key, stream):
+        if stream.last_seqno == 0:
+            self.checkpoints.pop(key, None)
+            self._resets.append(key)
+        return stream
+
+    def retired(self, key) -> None:
+        self.checkpoints.pop(key, None)

@@ -7,10 +7,11 @@ standard backend is the shared :class:`~repro.storage.indexfile.IndexFile`;
 the memory-optimized one is a skiplist with the same back-index.  Both
 expose the same interface:
 
-* ``update_docs([(doc_id, vbucket_id, entries), ...])`` -- replace all
-  entries of every document in the batch, the last triple per ``doc_id``
-  winning (the back-index lives inside the storage so a batch is one
-  call, and replaying a batch leaves the index as it was);
+* ``update_docs([(doc_id, vbucket_id, entries), ...], reset)`` -- drop
+  every row of the ``reset`` vBuckets, then replace all entries of
+  every document in the batch, the last triple per ``doc_id`` winning
+  (the back-index lives inside the storage so a batch is one call, and
+  replaying a batch leaves the index as it was);
 * ``scan(low, high, ...)``        -- ordered range scan over composite
   keys, yielding ``(key_tuple, doc_id)``;
 * ``fold(low, high, ...)``        -- the partial GROUP BY of the rows
@@ -340,9 +341,10 @@ class SkipListIndexStorage:
 
     # -- storage interface ---------------------------------------------------------
 
-    def update_docs(self, batch: list[tuple[str, int, list[list]]]) -> None:
+    def update_docs(self, batch: list[tuple[str, int, list[list]]],
+                    reset: Iterable[int] = ()) -> None:
         deletes, inserts, _changed = replace_rows(self.back_index, batch,
-                                                  index_row)
+                                                  index_row, reset)
         for composite in deletes:
             self._delete(composite)
         for composite, _value in inserts:

@@ -24,7 +24,7 @@ import itertools
 import operator
 from bisect import bisect_right
 from dataclasses import replace
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..common import tracing
 from ..common.contracts import bounded
@@ -1051,17 +1051,3 @@ class KVEngine:
                 / max(1, len(self.vbuckets))
             ),
         }
-
-    def docs_in_vbucket(self, vbucket_id: int) -> Iterator[Document]:
-        """Every live in-memory document of a vBucket (fetching ejected
-        bodies from disk); feeds rebalance movers and view/GSI backfills."""
-        vb = self.vbuckets[vbucket_id]
-        for key, entry in vb.hashtable.items():
-            doc = entry.doc
-            if doc.meta.deleted:
-                continue
-            if doc.meta.is_expired(self.clock.now()):
-                continue
-            if doc.ejected:
-                doc = vb.store.get(key)
-            yield doc  # immutable: consumers read it, never change it

@@ -186,35 +186,47 @@ def _raise_marks(into: dict[int, int],
 class GroupCommit:
     """Group commit in time for an index (DESIGN.md § "Group commit in
     time for the index"): what the owner hands over -- a GSI instance's
-    key versions, a view engine's documents -- is held with the
-    per-vBucket seqno marks it brings and written by ``write`` in one go
-    once it has waited ``FLUSH_ROUNDS`` calls of the owner's pump, at
+    key versions, a view's documents -- is held with the per-vBucket
+    seqno marks it brings and written by ``write(held, resets)`` in one
+    go once it has waited ``FLUSH_ROUNDS`` calls of the owner's pump, at
     once while a freshness waiter (sections 3.1.2 and 4.2) is
-    registered, before a build installs its marks and before a vBucket
-    leaves.  A watermark names only seqnos whose rows were written."""
+    registered, and before a vBucket leaves.  A vBucket whose stream
+    reopened at seqno 0 is a *reset*: the same write replaces its rows
+    and its mark with what the replay brings.  A watermark names only
+    seqnos whose rows were written."""
 
     #: One watermark and one held mark per vbucket -- capacity is the
     #: vbucket keyspace; a waiter leaves when its wait ends or once its
     #: marks are passed (:meth:`register`).
-    __bounds__ = ("watermarks", "_marks", "waiters")
+    __bounds__ = ("watermarks", "_marks", "_resets", "waiters")
 
-    def __init__(self, write: Callable[[list], None]):
+    def __init__(self, write: Callable[[list, set], None]):
         self._write = write
         #: Items handed over and not yet written, in arrival order.
         self.held: list = []
-        #: vbucket -> the highest seqno held; every held item brings one,
-        #: so it is empty exactly when nothing is held.
+        #: vbucket -> the highest seqno held; every held item and reset
+        #: brings one, so it is empty exactly when nothing is held.
         self._marks: dict[int, int] = {}
+        #: vBuckets whose rows and mark the next write replaces.
+        self._resets: set[int] = set()
         #: Owner pump calls since something was first held.
         self._age = 0
         #: vbucket -> highest seqno written (or acknowledged).
         self.watermarks: dict[int, int] = {}
         self.waiters: list[SeqnoWaiter] = []
 
-    def hold(self, items: list, marks: Iterable[tuple[int, int]]) -> None:
+    def hold(self, items: list, marks: Iterable[tuple[int, int]],
+             resets: Iterable[int] = ()) -> None:
         """Hold ``items`` and the ``(vbucket_id, seqno)`` marks they
-        bring; written at once while a waiter is registered, so a
-        barrier ends in the round its last item arrives."""
+        bring, after the ``resets`` -- vBuckets replayed from seqno 0,
+        whose items all follow; written at once while a waiter is
+        registered, so a barrier ends in the round its last item
+        arrives."""
+        for vbucket_id in resets:
+            if vbucket_id in self._marks:
+                self.commit()  # what is held for it predates the replay
+            self._resets.add(vbucket_id)
+            self._marks.setdefault(vbucket_id, 0)
         self.held += items
         _raise_marks(self._marks, marks)
         if self.waiters:
@@ -231,19 +243,16 @@ class GroupCommit:
         return True
 
     def commit(self) -> None:
-        """One write of everything held, then the watermarks, then the
-        waiters."""
-        held, marks = self.held, self._marks
+        """One write of the resets and everything held, then the
+        watermarks, then the waiters."""
+        held, marks, resets = self.held, self._marks, self._resets
         if not marks:
             return
-        self.held, self._marks, self._age = [], {}, 0
-        if held:
-            self._write(held)
-        self._advance(marks)
-
-    def set_watermarks(self, marks: dict[int, int]) -> None:
-        """Install a build's snapshot marks over its written rows."""
-        self.commit()
+        self.held, self._marks, self._resets, self._age = [], {}, set(), 0
+        if held or resets:
+            self._write(held, resets)
+        for vbucket_id in resets:
+            self.watermarks.pop(vbucket_id, None)
         self._advance(marks)
 
     def retire(self, vbucket_id: int) -> None:

@@ -268,8 +268,8 @@ class QueryService:
                      'N1qlSemanticError', 'NoSuitableIndexError',
                      'NodeDownError', 'NotMyVBucketError',
                      'ServiceUnavailableError', 'TemporaryFailureError',
-                     'ValueTooLargeError', 'ViewExistsError',
-                     'ViewNotFoundError')
+                     'TimeoutError_', 'ValueTooLargeError',
+                     'ViewExistsError', 'ViewNotFoundError')
     def query(self, text: str, params=None,
               scan_consistency: str = "not_bounded",
               consistent_with=None) -> QueryResult:

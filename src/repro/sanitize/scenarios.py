@@ -191,7 +191,10 @@ def _run_rebalance(policy: SchedulePolicy) -> RunOutcome:
 
 def _run_views_gsi(policy: SchedulePolicy) -> RunOutcome:
     """View and GSI maintenance are DCP consumers racing the flusher and
-    each other; index contents after quiescence must be identical."""
+    each other; index contents after quiescence must be identical.  A
+    second view and a second GSI index are made after the writes, so
+    their builds -- their own streams from seqno 0 -- run under the
+    schedule too."""
     cluster = sanitized_cluster(
         "ix", policy, vbuckets=8, nodes=[("ix1", _ALL), ("ix2", _ALL)],
     )
@@ -212,13 +215,20 @@ def _run_views_gsi(policy: SchedulePolicy) -> RunOutcome:
         client.remove("b", f"k{i}")
     for i in range(1, 20, 5):
         client.upsert("b", f"k{i}", {"i": i + 100, "g": i % 4})
+    cluster.define_view("b", ViewDefinition("dd", "by_g2", by_group))
+    cluster.create_index(IndexDefinition(
+        "by_g", "b", ["g"], [path_extractor("g")],
+    ))
     cluster.run_until_idle()
-    view_rows = cluster.views.query("b", "dd", "by_g", stale="false").rows
-    gsi_rows = cluster.gsi.scan("by_i", scan_consistency="request_plus")
-    return _outcome(("ix", cluster), observations={
-        "view": [[row["key"], row["value"], row["id"]] for row in view_rows],
-        "gsi": [[key, doc_id] for key, doc_id in gsi_rows],
-    })
+    observations = {}
+    for view in ("by_g", "by_g2"):
+        rows = cluster.views.query("b", "dd", view, stale="false").rows
+        observations[view] = [[row["key"], row["value"], row["id"]]
+                              for row in rows]
+    for index in ("by_i", "by_g"):
+        rows = cluster.gsi.scan(index, scan_consistency="request_plus")
+        observations[index] = [[key, doc_id] for key, doc_id in rows]
+    return _outcome(("ix", cluster), observations=observations)
 
 
 # -- xdcr-bidirectional -----------------------------------------------------------

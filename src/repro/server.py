@@ -238,16 +238,18 @@ class Cluster:
     def restart_node(self, name: str) -> None:
         """Bring a crashed node back as a restarted process: memory is
         gone, the disk files survive.  Each bucket closes and reopens
-        over the surviving disk (warmup, views re-materialize), GSI
-        instances hosted here are recreated and the ready ones rebuilt,
-        and the node resumes whatever role the current cluster map
-        assigns it.  Each bucket's map is
+        over the surviving disk (warmup, views replay their streams from
+        seqno 0), and the node resumes whatever role the current cluster
+        map assigns it.  Each bucket's map is
         then republished under a new revision: a restart is a new
         connection, so every active's replication streams reconnect and
         their handshake reads what this node's replicas kept on disk,
         re-sending the tail the restart lost.  The node reconciles to the
         catalog from empty: every view and GSI instance is made afresh,
-        and the file of one dropped meanwhile goes."""
+        and the file of one dropped meanwhile goes.  Each ready GSI index
+        hosted here is then renewed and built like a new one, from every
+        projector's streams at seqno 0; a data node that is down delays
+        its rows."""
         node = self.node(name)
         manager = self.manager
         self.network.set_down(name, False)
@@ -264,6 +266,7 @@ class Cluster:
             manager.push_map(bucket)
         for meta in manager.catalog.placed_on(name).values():
             if meta.state == "ready":
+                manager.catalog.renew(meta)
                 self.gsi._build(meta)
         self.run_until_idle()
 

@@ -14,7 +14,7 @@ starts by deleting it.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..common.disk import SimulatedDisk
 from .appendlog import AppendLog
@@ -29,14 +29,18 @@ BackIndex = dict[int, dict[str, list]]
 
 
 def replace_rows(back_index: BackIndex, batch: list[tuple[str, int, list]],
-                 row: RowFn) -> tuple[list, list, int]:
-    """The tree edits that replace the rows of every ``(doc_id,
-    vbucket_id, rows)`` in ``batch`` -- ``(deletes, inserts, documents
-    changed)`` -- with ``back_index`` updated to match.  The last triple
-    per document wins and empty ``rows`` removes the document.  A
-    document's vBucket is a hash of its id, so its old keys are found
-    under the vBucket it arrives with."""
-    deletes: list = []
+                 row: RowFn, reset: Iterable[int] = ()
+                 ) -> tuple[list, list, int]:
+    """The tree edits that drop every row of the ``reset`` vBuckets and
+    then replace the rows of every ``(doc_id, vbucket_id, rows)`` in
+    ``batch`` -- ``(deletes, inserts, documents changed)`` -- with
+    ``back_index`` updated to match.  The last triple per document wins
+    and empty ``rows`` removes the document.  A document's vBucket is a
+    hash of its id, so its old keys are found under the vBucket it
+    arrives with."""
+    deletes: list = [key for vbucket_id in reset
+                     for keys in back_index.pop(vbucket_id, {}).values()
+                     for key in keys]
     inserts: list = []
     changed = 0
     latest = {doc_id: (vbucket_id, rows) for doc_id, vbucket_id, rows in batch}
@@ -79,12 +83,14 @@ class IndexFile:
         self.updates_since_compaction = 0
         self.compactions = 0
 
-    def update_docs(self, batch: list[tuple[str, int, list]]) -> None:
-        """Replace the rows of every ``(doc_id, vbucket_id, rows)`` in
-        one tree rewrite; the last triple per document wins, and empty
-        ``rows`` removes the document."""
+    def update_docs(self, batch: list[tuple[str, int, list]],
+                    reset: Iterable[int] = ()) -> None:
+        """Drop the rows of the ``reset`` vBuckets and replace the rows
+        of every ``(doc_id, vbucket_id, rows)`` in one tree rewrite; the
+        last triple per document wins, and empty ``rows`` removes the
+        document."""
         deletes, inserts, changed = replace_rows(self.back_index, batch,
-                                                 self.row)
+                                                 self.row, reset)
         # A key both deleted and inserted is inserted: batch_update lets
         # the insert win.
         self.tree = self.tree.batch_update(inserts=inserts, deletes=deletes)
@@ -96,9 +102,7 @@ class IndexFile:
     def remove_vbucket(self, vbucket_id: int) -> None:
         """Purge every row of a vBucket that left the node (the masking
         the paper describes, made permanent)."""
-        docs = self.back_index.pop(vbucket_id, {})
-        self.tree = self.tree.batch_update(
-            deletes=[key for keys in docs.values() for key in keys])
+        self.update_docs([], (vbucket_id,))
 
     def compact(self) -> None:
         """Rewrite the file with only the live rows.  Index files are

@@ -74,7 +74,7 @@ class ViewQueryCoordinator:
         names = [name for name in manager.data_nodes()
                  if bucket in manager.nodes[name].view_engines]
         if params.stale == "false":
-            self._wait_indexed(bucket, names)
+            self._wait_indexed(bucket, design, view, names)
         network = self.cluster.network
         partials = network.call_fanout("view-coordinator", names,
                                        "view_query_local",
@@ -82,9 +82,10 @@ class ViewQueryCoordinator:
         network.calls[("view-coordinator", "scatter_gather")] += 1
         return self._merge(definition, partials, params)
 
-    def _wait_indexed(self, bucket: str, names: list[str]) -> None:
+    def _wait_indexed(self, bucket: str, design: str, view: str,
+                      names: list[str]) -> None:
         """``stale=false``: one ``view_wait`` wave registers the wait
-        with every node's view engine, those nodes' view pumps complete
+        with the view on every node, those nodes' view pumps complete
         it -- the wait drives no other pump while they make progress --
         and the wait checks the handles locally.  The scatter behind it
         needs every node, so an unreachable one fails before the wave."""
@@ -93,7 +94,7 @@ class ViewQueryCoordinator:
             if not network.reachable("view-coordinator", name):
                 raise NodeDownError(name)
         waiters = network.call_fanout("view-coordinator", names,
-                                      "view_wait", bucket)
+                                      "view_wait", bucket, design, view)
         try:
             met = self.cluster.scheduler.run_until(
                 lambda: not any(waiter.pending for waiter in waiters),

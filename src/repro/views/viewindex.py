@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+from ..common import tracing
 from ..common.disk import SimulatedDisk
 from ..common.errors import ViewQueryError
 from ..common.jsonval import deep_copy
+from ..kv.types import GroupCommit
 from ..n1ql.collation import compare
 from ..storage.indexfile import IndexFile
-from .mapreduce import ReduceFn, ViewDefinition
+from .mapreduce import DocMetaView, ReduceFn, ViewDefinition
 
 #: Sentinel bounds: (key, doc_id) composite keys are compared
 #: lexicographically, so a range on bare keys uses these to span every
@@ -46,15 +48,19 @@ def _view_row(doc_id: str, vbucket_id: int, emitted: tuple) -> tuple:
     return [key, doc_id], {"v": value, "vb": vbucket_id}
 
 
-class ViewIndex(IndexFile):
+class ViewIndex(IndexFile, GroupCommit):
     """Materialized rows of one view on one node: the shared index file
-    in view collation, reduced by the view's reduce function.
-    ``revision`` is the catalog revision that made the view."""
+    in view collation, reduced by the view's reduce function, and the
+    group commit that holds the ``(vbucket_id, doc)`` pairs its streams
+    bring with the per-vBucket indexed seqnos they reach once mapped.
+    ``revision`` is the catalog revision that made the view; ``owner``
+    names the pump that writes it (``views/<node>/<bucket>``)."""
 
     COMPACT_EVERY = 4096
 
     def __init__(self, definition: ViewDefinition, disk: SimulatedDisk,
-                 filename: str, revision: int = 0):
+                 filename: str, revision: int = 0, owner: str = "views"):
+        GroupCommit.__init__(self, self._map_docs)
         user_reduce: ReduceFn | None = definition.reduce_fn
         if user_reduce is not None:
             tree_reduce = lambda values: user_reduce(  # noqa: E731
@@ -67,6 +73,23 @@ class ViewIndex(IndexFile):
                          tree_reduce, tree_rereduce)
         self.definition = definition
         self.revision = revision
+        self.owner = owner
+
+    def _map_docs(self, docs: list, resets: set[int]) -> None:
+        """Map the held ``(vbucket_id, doc)`` pairs into one rewrite that
+        also replaces the reset vBuckets' rows.  A deleted document maps
+        to no rows; the map function is user code, so it gets its own
+        copy of the value: the document is the stored one."""
+        tracing.record_write(self.owner)
+        batch = []
+        for vbucket_id, doc in docs:
+            rows = []
+            if not doc.meta.deleted:
+                meta = DocMetaView(doc.key, doc.meta.rev, doc.meta.expiry,
+                                   doc.meta.flags)
+                rows = self.definition.run_map(deep_copy(doc.value), meta)
+            batch.append((doc.key, vbucket_id, rows))
+        self.update_docs(batch, resets)
 
     # -- queries ---------------------------------------------------------------
 

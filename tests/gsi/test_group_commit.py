@@ -3,8 +3,8 @@
 An :class:`Indexer` holds the key versions routers apply and commits an
 instance -- one tree rewrite, then its watermarks, then its waiters --
 when the oldest held batch has waited ``FLUSH_ROUNDS`` pump calls, when
-a wait registers, at once while a waiter is registered, or when a build
-installs its watermarks.  The model is the same rule over dicts; after
+a wait registers, at once while a waiter is registered, or when asked
+to.  The model is the same rule over dicts; after
 every step the tree must hold exactly the key versions its watermarks
 name, no more and no fewer, so a watermark never runs ahead of the rows.
 Both storage kinds follow the one rule.
@@ -12,6 +12,7 @@ Both storage kinds follow the one rule.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -121,10 +122,11 @@ class GroupCommitMachine(RuleBasedStateMachine):
         self.commit()
 
     @rule()
-    def install_build_marks(self):
-        # A build ends by installing its snapshot's marks: what it routed
-        # is committed first.
-        self.instance.set_watermarks(dict(enumerate(self.seqnos)))
+    def hold_marks_and_commit(self):
+        # Marks held without rows (a slice that only advanced its
+        # streams) are committed with what is held before them.
+        self.instance.hold([], list(enumerate(self.seqnos)))
+        self.instance.commit()
         self.commit()
         for vbucket_id, seqno in enumerate(self.seqnos):
             if seqno > self.marks.get(vbucket_id, 0):
@@ -179,3 +181,36 @@ TestStandardGroupCommit.settings = settings(
 TestMemoptGroupCommit = MemoptGroupCommitMachine.TestCase
 TestMemoptGroupCommit.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None)
+
+
+@pytest.mark.parametrize("kind", ["standard", "memopt"])
+def test_a_reset_replaces_its_vbuckets_rows_and_mark_in_one_commit(kind):
+    """A key version without a document resets its vBucket: the commit
+    that writes the replay behind it first drops the vBucket's rows and
+    watermark, in one storage write, and leaves every other vBucket as
+    it was.  A reset with no replay behind it empties the vBucket."""
+    disk = SimulatedDisk()
+    node = SimpleNamespace(name="i1", disk=disk, metrics=MetricsRegistry())
+    indexer = Indexer(node)
+    indexer.create(IndexDefinition(
+        name="ix", bucket="b", key_sources=["v"],
+        extractors=[path_extractor("v")], storage=kind,
+    ))
+    indexer.apply([KeyVersion("ix", "b", "d0", [[0]], 0, 1),
+                   KeyVersion("ix", "b", "d3", [[3]], 0, 2),
+                   KeyVersion("ix", "b", "d1", [[1]], 1, 1),
+                   KeyVersion("ix", "b", "d2", [[2]], 2, 1)])
+    drain_indexer(indexer)
+    writes = disk.stats.writes
+
+    indexer.apply([KeyVersion("ix", "b", None, [], 0, 0),
+                   KeyVersion("ix", "b", "d3", [[30]], 0, 1),
+                   KeyVersion("ix", "b", None, [], 2, 0)])
+    # Held: the committed rows and marks are untouched until the commit.
+    assert indexer.watermarks("ix") == {0: 2, 1: 1, 2: 1}
+    assert len(indexer.scan("ix", None, None)) == 4
+    drain_indexer(indexer)
+    assert indexer.scan("ix", None, None) == [([1], "d1"), ([30], "d3")]
+    assert indexer.watermarks("ix") == {0: 1, 1: 1}
+    if kind == "standard":
+        assert disk.stats.writes - writes == 1

@@ -7,14 +7,13 @@ never the replicas.  ``n1`` is then failed over, the partition heals, and
 10 new documents land on the promoted vBuckets.  The promoted copies
 reuse seqnos the lost writes already had.
 
-The GSI index still trusts the watermarks it reached on the lost
-branch: a ``request_plus`` barrier is met at once and misses the new
-documents, and the rows of the lost documents are never removed.  Both
-are ROADMAP item 10(c), moving the projector's checkpoint and rollback
-to the indexer.  A view is kept on the data node that owns the vBucket,
-so a ``stale=false`` query is already right."""
-
-import pytest
+The promoted vBuckets are new to ``n2``'s projector, so each index's
+stream of them opens at seqno 0: the reset drops the rows and the
+watermark the index reached on the lost branch, and the replay brings
+back what the promoted copy holds.  A ``request_plus`` barrier then
+waits for the new documents, and no row of a lost document is left.  A
+view is kept on the data node that owns the vBucket, and its streams of
+a promoted vBucket open at seqno 0 the same way."""
 
 from repro import Cluster
 from repro.gsi.indexdef import IndexDefinition, path_extractor
@@ -66,14 +65,12 @@ def define_view(cluster) -> None:
     cluster.define_view("b", ViewDefinition("dd", "by_v", by_v))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 10(c)")
 def test_a_request_plus_scan_sees_the_writes_after_a_lossy_failover():
     cluster, _lost, fresh = fail_over_with_lost_writes(define_index)
     rows = cluster.gsi.scan("by_v", scan_consistency="request_plus")
     assert fresh <= {doc_id for _key, doc_id in rows}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 10(c)")
 def test_the_index_drops_the_rows_of_documents_a_failover_lost():
     cluster, lost, _fresh = fail_over_with_lost_writes(define_index)
     cluster.run_until_idle()

@@ -59,8 +59,9 @@ def index_waiters(cluster) -> int:
 
 
 def view_waiters(cluster) -> int:
-    return sum(len(engine.commits.waiters) for node in cluster.nodes()
-               for engine in node.view_engines.values())
+    return sum(len(index.waiters) for node in cluster.nodes()
+               for engine in node.view_engines.values()
+               for index in engine.indexes.values())
 
 
 def run_once_after(cluster, name, action) -> None:

@@ -15,7 +15,6 @@ the LIMIT short-circuit of the partitioned scan
 """
 
 import json
-import math
 
 from repro import Cluster
 from repro.common.disk import SimulatedDisk
@@ -761,10 +760,12 @@ def test_a_drain_ends_with_every_write_persisted():
 
 def test_index_build_costs_messages_per_slice_not_per_document():
     """The projector/router/indexer pipeline consumes a *stream*: a build
-    ships each data node's key versions to each hosting index node in
-    projector-sized slices, and each slice is one copy-on-write rewrite
-    of the leaves it touches.  900 documents used to cost 900
-    ``gsi_apply`` RPCs and 1 139 132 index-file bytes."""
+    is the index's own streams from seqno 0, and each data node ships a
+    slice -- up to ``Projector.BATCH`` messages of every stream -- to
+    each hosting index node in one ``gsi_apply``, one copy-on-write
+    rewrite of the leaves it touches once committed.  900 documents used
+    to cost 900 ``gsi_apply`` RPCs and 1 139 132 index-file bytes, and
+    18 RPCs while the build routed 256-row slices of a snapshot."""
     cluster = Cluster(nodes=3, vbuckets=64)
     cluster.create_bucket("b")
     client = cluster.connect()
@@ -774,9 +775,11 @@ def test_index_build_costs_messages_per_slice_not_per_document():
     shares = []
     for node in cluster.nodes():
         engine = node.engines["b"]
-        shares.append(sum(
-            len(list(engine.docs_in_vbucket(vbucket_id)))
-            for vbucket_id in engine.owned_vbuckets(VBucketState.ACTIVE)))
+        active = engine.owned_vbuckets(VBucketState.ACTIVE)
+        shares.append(sum(len(engine.vbuckets[vbucket_id].hashtable)
+                          for vbucket_id in active))
+        assert max(engine.vbuckets[vbucket_id].high_seqno
+                   for vbucket_id in active) <= Projector.BATCH
     assert shares == [308, 296, 296]
     cluster.network.reset_counters()
     meta = cluster.create_index(IndexDefinition(
@@ -785,8 +788,8 @@ def test_index_build_costs_messages_per_slice_not_per_document():
     ))
     hosting = len(set(meta.nodes))
     assert hosting == 3
-    slices = sum(math.ceil(share / Projector.BATCH) for share in shares)
-    assert rpcs(cluster, "gsi_apply") == hosting * slices == 18
+    # No vBucket holds more than one slice: one slice per data node.
+    assert rpcs(cluster, "gsi_apply") == hosting * len(shares) == 9
     assert len(cluster.gsi.scan("by_age")) == 900
     assert sum(node.disk.open("gsi/b/by_age.index").size
                for node in cluster.nodes()) <= 75_378

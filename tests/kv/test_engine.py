@@ -13,6 +13,8 @@ from repro.common.errors import (
     TemporaryFailureError,
     ValueTooLargeError,
 )
+from repro.dcp.messages import Deletion, Mutation
+from repro.dcp.producer import DcpProducer
 from repro.kv.engine import KVEngine, VBucketState
 from tests.kv.support import drain_flusher
 
@@ -584,9 +586,19 @@ class TestStats:
         assert stats["pending_writes"] == 1
         assert stats["vbuckets"]["active"] == 1
 
-    def test_docs_in_vbucket(self, engine):
+    def test_a_replay_from_zero_ends_with_each_documents_last_change(
+            self, engine):
+        """What an index build reads: a stream from seqno 0, whose last
+        message per key is the live document or its deletion."""
         engine.upsert(VB, "a", 1)
         engine.upsert(VB, "b", 2)
         engine.delete(VB, "a")
-        docs = list(engine.docs_in_vbucket(VB))
-        assert [d.key for d in docs] == ["b"]
+        stream = DcpProducer(engine).stream_request(VB, 0)
+        last = {}
+        while not stream.idle():
+            for message in stream.take():
+                if isinstance(message, (Mutation, Deletion)):
+                    last[message.doc.key] = message
+        assert {key: type(message) for key, message in last.items()} == \
+            {"a": Deletion, "b": Mutation}
+        assert last["b"].doc.value == 2
