@@ -104,8 +104,13 @@ class Node:
 
         Active here -> ensure an active vBucket (promoting a replica, the
         failover path); replica here -> ensure a replica vBucket; not in
-        the chain -> mark dead and drop."""
+        the chain -> mark dead and drop.  An index hosted here drops
+        the rows of every vBucket the map leaves without an active."""
         self.cluster_maps[bucket] = cluster_map
+        if self.indexer is not None:
+            self.indexer.indexer.reset(bucket, [
+                vb for vb, chain in enumerate(cluster_map.chains)
+                if chain[0] is None])
         engine = self.engines.get(bucket)
         if engine is None:
             return

@@ -30,8 +30,6 @@ strikes the marks its watermarks pass.
 
 from __future__ import annotations
 
-import itertools
-
 from ..common import tracing
 from ..common.contracts import declared_raises
 from ..common.disk import SimulatedDisk
@@ -40,7 +38,7 @@ from ..common.jsonval import deep_copy
 from ..kv.types import GroupCommit, SeqnoWaiter
 from .indexdef import IndexDefinition
 from .projector import KeyVersion
-from .storage import Groups, composite_compare, make_storage
+from .storage import Groups, make_storage
 
 
 class IndexInstance(GroupCommit):
@@ -124,6 +122,15 @@ class Indexer:
                               [kv.vbucket_id for kv in batch
                                if kv.doc_id is None])
 
+    def reset(self, bucket: str, vbucket_ids: list[int]) -> None:
+        """Every index on ``bucket`` drops the rows and watermarks of
+        ``vbucket_ids``, which have no active copy left: no projector
+        streams them, so no stream reopened at seqno 0 can reset them,
+        and KV serves none of their documents."""
+        for instance in self.instances.values():
+            if instance.definition.bucket == bucket:
+                instance.reset(vbucket_ids)
+
     @declared_raises('IndexNotFoundError')
     def scan(self, name: str, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
@@ -135,9 +142,8 @@ class Indexer:
         found" (section 4.5.1) -- plus the key components themselves,
         which is what makes covering indexes (section 5.1.2) possible."""
         instance = self.instance(name)
-        rows = list(itertools.islice(instance.storage.scan(
-            low, high, inclusive_low, inclusive_high, descending,
-        ), limit))
+        rows = instance.storage.rows(low, high, inclusive_low, inclusive_high,
+                                     descending, limit)
         self.node.metrics.inc("gsi.scans")
         self.node.metrics.inc("gsi.scan_rows", len(rows))
         return rows
@@ -155,29 +161,14 @@ class Indexer:
         This is the node half of the coordinator's streaming merge: the
         coordinator pulls pages on demand and stops once a LIMIT is
         satisfied, so a partition never materializes a partial the merge
-        frontier will not reach.  The continuation restarts the walk at
-        ``after``'s key, skipping rows at-or-before it -- duplicate keys
-        at the page boundary are re-walked but never re-returned."""
+        frontier will not reach.  The continuation is an exclusive bound
+        on the composite ``[key, doc_id]``, so the walk starts just past
+        ``after`` -- rows sharing its key but not its doc id included --
+        and never re-walks a row."""
         instance = self.instance(name)
         page_size = max(1, page_size)
-        after_row: list | None = None
-        if after is not None:
-            after_row = [after[0], after[1]]
-            if descending:
-                high, inclusive_high = after[0], True
-            else:
-                low, inclusive_low = after[0], True
-        rows: list[tuple[list, str]] = []
-        for key_components, doc_id in instance.storage.scan(
-            low, high, inclusive_low, inclusive_high, descending,
-        ):
-            if after_row is not None:
-                order = composite_compare([key_components, doc_id], after_row)
-                if order >= 0 if descending else order <= 0:
-                    continue
-            rows.append((key_components, doc_id))
-            if len(rows) >= page_size:
-                break
+        rows = instance.storage.rows(low, high, inclusive_low, inclusive_high,
+                                     descending, page_size, after)
         self.node.metrics.inc("gsi.scan_pages")
         self.node.metrics.inc("gsi.scan_page_rows", len(rows))
         return rows, len(rows) < page_size

@@ -17,7 +17,6 @@ node's catalog reconcile makes and drops its instances.  Here:
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -34,9 +33,10 @@ from ..common.errors import (
 from ..common.scheduler import pump_name
 from ..common.services import Service
 from ..kv.types import VBucketState
+from ..n1ql.collation import collate_key
 from .indexdef import IndexDefinition
 from .indexer import Indexer
-from .storage import HIGH_BOUND, composite_compare, merge_folds
+from .storage import HIGH_BOUND, index_key, merge_folds
 
 if TYPE_CHECKING:
     from ..server import Cluster
@@ -45,17 +45,11 @@ if TYPE_CHECKING:
 #: size, so a LIMIT-k query drains at most k + one page per partition.
 SCAN_PAGE_SIZE = 64
 
-#: Total order over (key_components, doc_id) rows for the k-way merge;
-#: identical to the ordering the index nodes return pages in.
-_ROW_ORDER = functools.cmp_to_key(
-    lambda a, b: composite_compare([a[0], a[1]], [b[0], b[1]])
-)
 
-#: Deterministic output order for merged aggregate groups: collation
-#: order over the group key values.
-_GROUP_ORDER = functools.cmp_to_key(
-    lambda a, b: composite_compare([a[0], ""], [b[0], ""])
-)
+def _group_order(group: tuple[list, list]) -> tuple:
+    """Deterministic output order for merged aggregate groups:
+    collation order over the group key values."""
+    return tuple([collate_key(value) for value in group[0]])
 
 
 @dataclass
@@ -253,7 +247,8 @@ class GsiCoordinator:
                               exhausted)
             for node_name, (rows, exhausted) in zip(node_names, first_pages)
         ]
-        merged = heapq.merge(*streams, key=_ROW_ORDER, reverse=descending)
+        # The order the index nodes return pages in.
+        merged = heapq.merge(*streams, key=index_key, reverse=descending)
         return list(itertools.islice(merged, limit))
 
     def _page_stream(self, node_name: str, name: str, low, high,
@@ -310,7 +305,7 @@ class GsiCoordinator:
             list(group_positions), list(agg_specs),
         )
         out = list(merge_folds(node_results, agg_specs).values())
-        out.sort(key=_GROUP_ORDER)
+        out.sort(key=_group_order)
         return out
 
     def _pad_span(self, meta: IndexMeta, low: list | None,

@@ -13,13 +13,17 @@ expose the same interface:
   (the back-index lives inside the storage so a batch is one call, and
   replaying a batch leaves the index as it was);
 * ``scan(low, high, ...)``        -- ordered range scan over composite
-  keys, yielding ``(key_tuple, doc_id)``;
+  keys, yielding ``(key_tuple, doc_id)``; ``rows(..., limit, after)``
+  is the same rows as a list, cut at ``limit`` and started past the
+  ``after`` row;
 * ``fold(low, high, ...)``        -- the partial GROUP BY of the rows
   ``scan`` would yield (:func:`fold_rows`);
 * ``count()`` / stats.
 
-Composite keys are lists of JSON values compared component-wise under
-N1QL collation, with the doc_id as the final tiebreaker.
+Composite keys are lists of JSON values ordered component-wise under
+N1QL collation, with the doc_id as the final tiebreaker: both backends
+order a ``[key_components, doc_id]`` composite by one native key,
+:func:`index_key`.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ import json
 import random
 from typing import Any, Iterable, Iterator
 
+from ..common.contracts import hot_path
 from ..common.disk import SimulatedDisk
 from ..common.errors import InvalidArgumentError
 from ..common.jsonval import deep_copy
-from ..n1ql.collation import MISSING, compare
+from ..n1ql.collation import MISSING, collate_key, compare
 from ..storage.indexfile import BackIndex, IndexFile, replace_rows
 
 #: Encoded form of MISSING inside stored keys (MISSING is not JSON).
@@ -54,9 +59,13 @@ def decode_key(components: list) -> list:
     the tree's node cache (or the skiplist node) holds, so a caller that
     mutated a returned row would otherwise rewrite the index; scalar
     components are immutable and pass through uncopied.  (Stored values
-    are JSON-native, so an exact type test suffices.)"""
-    return [_decode_container(c) if type(c) in _CONTAINER_TYPES else c
-            for c in components]
+    are JSON-native, so an exact type test suffices.)  A key of scalars
+    alone, the common case, is one list copy."""
+    for component in components:
+        if type(component) in _CONTAINER_TYPES:
+            return [_decode_container(c) if type(c) in _CONTAINER_TYPES
+                    else c for c in components]
+    return components[:]
 
 
 def _decode_container(component):
@@ -65,26 +74,18 @@ def _decode_container(component):
     return deep_copy(component)
 
 
-def composite_compare(a, b) -> int:
-    """Compare [key_components, doc_id] pairs."""
-    order = _components_compare(a[0], b[0])
-    if order != 0:
-        return order
-    return compare(a[1], b[1])
+_MISSING_KEY = collate_key(MISSING)
 
 
-def _components_compare(a: list, b: list) -> int:
-    for item_a, item_b in zip(a, b):
-        order = compare(_decode_one(item_a), _decode_one(item_b))
-        if order != 0:
-            return order
-    return (len(a) > len(b)) - (len(a) < len(b))
-
-
-def _decode_one(value):
-    if isinstance(value, dict) and value.get("__missing__"):
-        return MISSING
-    return value
+def index_key(composite) -> tuple:
+    """The collation key of a ``[key_components, doc_id]`` composite,
+    stored (MISSING as its token) or as a scan returns it: Python's
+    ``<`` orders composites by it as N1QL collation orders their
+    components one by one (a shorter prefix first), the doc id last."""
+    components, doc_id = composite
+    return (tuple([_MISSING_KEY if isinstance(c, dict) and c.get("__missing__")
+                   else collate_key(c) for c in components]),
+            collate_key(doc_id))
 
 
 #: Bounds used to turn a bare-key range into a composite range.
@@ -193,17 +194,30 @@ def merge_folds(folds: Iterable[Groups],
     return merged
 
 
+#: A composite range: ``(start, end, inclusive_start, inclusive_end)``.
+Bounds = tuple[Any, Any, bool, bool]
+
+
 def _composite_bounds(low: list | None, high: list | None,
-                      inclusive_low: bool, inclusive_high: bool):
+                      inclusive_low: bool, inclusive_high: bool,
+                      descending: bool = False,
+                      after: tuple[list, str] | None = None) -> Bounds:
     """A range over key components as a range over [components,
     doc_id] composites: the doc id bound puts an inclusive low before
-    (an exclusive one after) every doc id sharing the components."""
+    (an exclusive one after) every doc id sharing the components.  An
+    ``after`` row (a page's continuation) is an exclusive bound on the
+    side the scan starts from."""
     start = end = None
     if low is not None:
         start = [encode_key(low), LOW_BOUND if inclusive_low else HIGH_BOUND]
     if high is not None:
         end = [encode_key(high), HIGH_BOUND if inclusive_high else LOW_BOUND]
-    return start, end
+    if after is None:
+        return start, end, True, True
+    past = [encode_key(after[0]), after[1]]
+    if descending:
+        return start, past, True, False
+    return past, end, False, True
 
 
 def index_row(doc_id: str, vbucket_id: int, entry: list) -> tuple[list, None]:
@@ -212,24 +226,56 @@ def index_row(doc_id: str, vbucket_id: int, entry: list) -> tuple[list, None]:
     return [encode_key(entry), doc_id], None
 
 
-class BTreeIndexStorage(IndexFile):
-    """Standard (disk-resident) index: the shared index file, ordered by
-    :func:`composite_compare`, with no values and no reduce."""
+class _Rows:
+    """The scans both backends serve from ``_runs(bounds, descending)``:
+    lists of stored ``(composite, value)`` entries in scan order."""
 
-    kind = "standard"
-
-    def __init__(self, disk: SimulatedDisk, filename: str):
-        super().__init__(disk, filename, index_row, composite_compare)
+    def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
+        raise NotImplementedError
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
              descending: bool = False) -> Iterator[tuple[list, str]]:
-        start, end = _composite_bounds(low, high, inclusive_low,
-                                       inclusive_high)
-        for composite, _value in self.tree.range(
-            start=start, end=end, descending=descending,
-        ):
-            yield decode_key(composite[0]), composite[1]
+        return iter(self.rows(low, high, inclusive_low, inclusive_high,
+                              descending))
+
+    @hot_path
+    def rows(self, low: list | None, high: list | None,
+             inclusive_low: bool = True, inclusive_high: bool = True,
+             descending: bool = False, limit: int | None = None,
+             after: tuple[list, str] | None = None) -> list[tuple[list, str]]:
+        """The rows :meth:`scan` yields, strictly past the ``after``
+        row when given, as a list of at most ``limit``: each run is
+        cut to the room left and decoded in one comprehension."""
+        rows: list[tuple[list, str]] = []
+        if limit is not None and limit <= 0:
+            return rows
+        bounds = _composite_bounds(low, high, inclusive_low, inclusive_high,
+                                   descending, after)
+        for run in self._runs(bounds, descending):
+            if limit is not None and len(run) > limit - len(rows):
+                run = run[:limit - len(rows)]
+            rows += [(decode_key(composite[0]), composite[1])
+                     for composite, _value in run]
+            if len(rows) == limit:
+                break
+        return rows
+
+
+class BTreeIndexStorage(_Rows, IndexFile):
+    """Standard (disk-resident) index: the shared index file, ordered by
+    :func:`index_key`, with no values and no reduce."""
+
+    kind = "standard"
+
+    def __init__(self, disk: SimulatedDisk, filename: str):
+        super().__init__(disk, filename, index_row, index_key)
+
+    def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
+        start, end, inclusive_start, inclusive_end = bounds
+        return self.tree.slices(start, end, inclusive_start=inclusive_start,
+                                inclusive_end=inclusive_end,
+                                descending=descending)
 
     def fold(self, low: list | None, high: list | None,
              inclusive_low: bool, inclusive_high: bool,
@@ -240,8 +286,8 @@ class BTreeIndexStorage(IndexFile):
         when a node holds fewer groups than entries, only the first query
         to cover it folds its rows, and later ones fold only the range's
         boundary leaves.  A spec is one GROUP BY shape."""
-        start, end = _composite_bounds(low, high, inclusive_low,
-                                       inclusive_high)
+        start, end, _inclusive_start, _inclusive_end = _composite_bounds(
+            low, high, inclusive_low, inclusive_high)
 
         def fold_items(items: list) -> Groups:
             return fold_rows(
@@ -263,15 +309,17 @@ class BTreeIndexStorage(IndexFile):
 
 
 class _SkipNode:
-    __slots__ = ("key", "doc_id", "forward")
+    __slots__ = ("key", "doc_id", "sort", "forward")
 
-    def __init__(self, key, doc_id, level):
+    def __init__(self, key, doc_id, sort, level):
         self.key = key
         self.doc_id = doc_id
+        #: The composite's :func:`index_key`.
+        self.sort = sort
         self.forward: list = [None] * level
 
 
-class SkipListIndexStorage:
+class SkipListIndexStorage(_Rows):
     """Memory-optimized index (section 6.1.1): a skiplist kept entirely
     in memory, with :meth:`snapshot_to_disk` providing the paper's
     "recoverability via disk-backups"."""
@@ -283,7 +331,7 @@ class SkipListIndexStorage:
     def __init__(self, disk: SimulatedDisk | None = None,
                  filename: str | None = None, seed: int = 7):
         self._rng = random.Random(seed)
-        self._head = _SkipNode(None, None, self.MAX_LEVEL)
+        self._head = _SkipNode(None, None, None, self.MAX_LEVEL)
         self._level = 1
         self._size = 0
         self.back_index: BackIndex = {}
@@ -298,41 +346,42 @@ class SkipListIndexStorage:
             level += 1
         return level
 
-    def _predecessors(self, composite: list) -> list[_SkipNode]:
-        """Per level, the last node ordered before ``composite``."""
+    def _predecessors(self, sort: tuple,
+                      past: bool = False) -> list[_SkipNode]:
+        """Per level, the last node ordered before ``sort`` (or, when
+        ``past``, not after it)."""
         update = [self._head] * self.MAX_LEVEL
         node = self._head
         for level in range(self._level - 1, -1, -1):
-            while (node.forward[level] is not None
-                   and composite_compare([node.forward[level].key,
-                                          node.forward[level].doc_id],
-                                         composite) < 0):
-                node = node.forward[level]
+            while True:
+                following = node.forward[level]
+                if following is None or following.sort > sort or (
+                        following.sort == sort and not past):
+                    break
+                node = following
             update[level] = node
         return update
 
     def _insert(self, composite: list) -> None:
-        update = self._predecessors(composite)
+        sort = index_key(composite)
+        update = self._predecessors(sort)
         candidate = update[0].forward[0]
-        if (candidate is not None
-                and composite_compare([candidate.key, candidate.doc_id],
-                                      composite) == 0):
+        if candidate is not None and candidate.sort == sort:
             return  # already present
         new_level = self._random_level()
         if new_level > self._level:
             self._level = new_level
-        new_node = _SkipNode(composite[0], composite[1], new_level)
+        new_node = _SkipNode(composite[0], composite[1], sort, new_level)
         for level in range(new_level):
             new_node.forward[level] = update[level].forward[level]
             update[level].forward[level] = new_node
         self._size += 1
 
     def _delete(self, composite: list) -> None:
-        update = self._predecessors(composite)
+        sort = index_key(composite)
+        update = self._predecessors(sort)
         target = update[0].forward[0]
-        if (target is None
-                or composite_compare([target.key, target.doc_id],
-                                     composite) != 0):
+        if target is None or target.sort != sort:
             return
         for level in range(self._level):
             if update[level].forward[level] is target:
@@ -350,35 +399,37 @@ class SkipListIndexStorage:
         for composite, _value in inserts:
             self._insert(composite)
 
-    def scan(self, low: list | None, high: list | None,
-             inclusive_low: bool = True, inclusive_high: bool = True,
-             descending: bool = False) -> Iterator[tuple[list, str]]:
-        rows = self._scan_ascending(low, high, inclusive_low, inclusive_high)
-        if descending:
-            rows = reversed(list(rows))
-        yield from rows
+    #: Entries per run of an ascending scan.
+    RUN = 64
 
     def fold(self, low: list | None, high: list | None,
              inclusive_low: bool, inclusive_high: bool,
              group_positions: list[int],
              agg_specs: list[tuple[str, int | None]]) -> Groups:
         """:func:`fold_rows` over the rows :meth:`scan` would yield."""
-        return fold_rows(
-            self._scan_ascending(low, high, inclusive_low, inclusive_high),
-            group_positions, agg_specs)
+        return fold_rows(self.scan(low, high, inclusive_low, inclusive_high),
+                         group_positions, agg_specs)
 
-    def _scan_ascending(self, low, high, inclusive_low, inclusive_high):
-        start_key, end_key = _composite_bounds(low, high, inclusive_low,
-                                               inclusive_high)
-        node = self._head if start_key is None \
-            else self._predecessors(start_key)[0]
+    def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
+        """The range's nodes as ``((key, doc_id), None)`` entries in
+        runs of :data:`RUN`, ascending; a descending scan is the whole
+        range reversed."""
+        start, end, inclusive_start, inclusive_end = bounds
+        node = self._head if start is None else self._predecessors(
+            index_key(start), past=not inclusive_start)[0]
         node = node.forward[0]
-        while node is not None:
-            if end_key is not None and composite_compare(
-                    [node.key, node.doc_id], end_key) > 0:
-                return
-            yield decode_key(node.key), node.doc_id
+        end_sort = None if end is None else index_key(end)
+        run: list = []
+        while node is not None and (end_sort is None or node.sort < end_sort
+                                    or (node.sort == end_sort
+                                        and inclusive_end)):
+            run.append(((node.key, node.doc_id), None))
+            if len(run) == self.RUN and not descending:
+                yield run
+                run = []
             node = node.forward[0]
+        if run:
+            yield run[::-1] if descending else run
 
     def count(self) -> int:
         return self._size

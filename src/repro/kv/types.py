@@ -255,6 +255,16 @@ class GroupCommit:
             self.watermarks.pop(vbucket_id, None)
         self._advance(marks)
 
+    def reset(self, vbucket_ids: Iterable[int]) -> None:
+        """Reset each of ``vbucket_ids`` that anything was held or
+        written for, with no replay behind it: the next write drops its
+        rows, and its mark goes.  For a vBucket no stream can replay --
+        it has no active copy left anywhere."""
+        resets = [vbucket_id for vbucket_id in vbucket_ids
+                  if vbucket_id in self._marks or vbucket_id in self.watermarks]
+        if resets:
+            self.hold([], (), resets)
+
     def retire(self, vbucket_id: int) -> None:
         """A vBucket leaves: write what is held, then forget its mark."""
         self.commit()

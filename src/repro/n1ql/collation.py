@@ -20,7 +20,6 @@ before everything and is excluded from index entries for leading keys.
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
 
@@ -110,8 +109,28 @@ def compare(a: Any, b: Any) -> int:
     return (len(pairs_a) > len(pairs_b)) - (len(pairs_a) < len(pairs_b))
 
 
-#: Key function for ``sorted(...)`` under JSON collation.
-sort_key = functools.cmp_to_key(compare)
+def collate_key(value: Any) -> tuple:
+    """The collation key of a JSON value (or MISSING): a tuple that
+    Python's ``<`` and ``==`` order exactly as :func:`compare` does, so
+    ``sorted``, ``bisect`` and ``heapq`` order values in C.  The
+    bracket rank leads; a number or string follows as itself (``1``,
+    ``1.0`` and ``-0.0 == 0.0`` tie as they do in :func:`compare`), an
+    array as the tuple of its elements' keys (shorter is smaller on a
+    tie), an object as its ``(name, key)`` pairs sorted by name."""
+    kind = type(value)
+    if kind is str:
+        return (5, value)
+    if kind is int or kind is float:
+        return (4, value)
+    rank = type_rank(value)
+    if rank == 6:
+        return (6, tuple([collate_key(item) for item in value]))
+    if rank == 7:
+        return (7, tuple([(name, collate_key(value[name]))
+                          for name in sorted(value)]))
+    if rank >= 4:
+        return (rank, value)
+    return (rank,)  # MISSING, NULL, FALSE, TRUE: singletons
 
 
 def equal(a: Any, b: Any) -> bool:

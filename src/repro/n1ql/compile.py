@@ -31,7 +31,8 @@ import re
 from typing import Any, Callable
 
 from ..common.errors import N1qlSemanticError
-from .collation import MISSING, compare, sort_key
+from .collation import MISSING, collate_key, compare
+from .expressions import ScanRow
 from .functions import SCALARS, is_aggregate
 from .printer import print_expr
 from .syntax import (
@@ -630,6 +631,20 @@ def _c_meta_field(expr: FunctionCall, alias, path: tuple[str, ...]):
     MISSING."""
     meta_of = _c_meta(expr, alias)
     target = expr.args[0].name if expr.args else alias
+    if len(path) == 1:
+        field = path[0]
+
+        def field_fn(env, ev):
+            if type(env) is ScanRow and env.alias == target:
+                # A covered row's metadata is its document id alone.
+                return env.doc_id if field == "id" else MISSING
+            # A metadata namespace is always a dict.
+            value = env.lookup_meta(target)
+            if value is None:
+                return meta_of(env, ev)
+            return value.get(field, MISSING)
+
+        return _dynamic(field_fn)
 
     def fn(env, ev):
         value = env.lookup_meta(target)
@@ -697,7 +712,7 @@ def compile_sort_key(terms, default_alias: str | None) -> Compiled:
     def key_for(env, ev):
         parts = []
         for fn, descending in compiled:
-            key = sort_key(fn(env, ev))
+            key = collate_key(fn(env, ev))
             parts.append(_Reversed(key) if descending else key)
         return tuple(parts)
 

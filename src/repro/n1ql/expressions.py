@@ -3,6 +3,8 @@
 Rows are :class:`Env` chains: alias -> document value, with document
 metadata in a parallel namespace for ``META()``.  LET bindings,
 UNNEST/comprehension variables, and group aggregates extend the chain.
+A covered index row is a :class:`ScanRow`, one object with the same
+read interface, at the root of its chain.
 Expressions themselves are lowered to closures by
 :mod:`repro.n1ql.compile`; each closure is called as ``fn(env, ev)``
 with a row :class:`Env` and the execution's :class:`Evaluator`.
@@ -29,7 +31,7 @@ class Env:
 
     def __init__(self, values: dict[str, Any] | None = None,
                  metas: dict[str, dict] | None = None,
-                 parent: "Env | None" = None):
+                 parent: "Env | ScanRow | None" = None):
         """A frame over ``parent``; a scan row passes its one binding
         in, ``Env({alias: doc}, {alias: meta})``, and the frame takes
         both dicts as its own."""
@@ -43,31 +45,58 @@ class Env:
             self.metas[name] = meta
 
     def lookup(self, name: str) -> tuple[bool, Any]:
-        env: Env | None = self
-        while env is not None:
-            if name in env.values:
-                return True, env.values[name]
-            env = env.parent
-        return False, MISSING
+        if name in self.values:
+            return True, self.values[name]
+        if self.parent is None:
+            return False, MISSING
+        return self.parent.lookup(name)
 
     def lookup_meta(self, name: str) -> dict | None:
-        env: Env | None = self
-        while env is not None:
-            if name in env.metas:
-                return env.metas[name]
-            env = env.parent
-        return None
+        if name in self.metas:
+            return self.metas[name]
+        if self.parent is None:
+            return None
+        return self.parent.lookup_meta(name)
 
     def child(self) -> "Env":
         return Env(parent=self)
 
     def aliases(self) -> list[str]:
-        names: list[str] = []
-        env: Env | None = self
-        while env is not None:
-            names.extend(env.metas.keys())
-            env = env.parent
+        names = list(self.metas)
+        if self.parent is not None:
+            names += self.parent.aliases()
         return names
+
+
+class ScanRow:
+    """One covered index row: ``alias`` bound to ``doc``, the document
+    its covered keys rebuild, and ``META(alias).id`` the row's document
+    id.  It reads as an :class:`Env` frame (``lookup``, ``lookup_meta``,
+    ``child``, ``aliases``) and binds nothing: a LET, join or group
+    extends it with a child frame."""
+
+    __slots__ = ("alias", "doc", "doc_id")
+
+    def __init__(self, alias: str, doc: dict, doc_id: str):
+        self.alias = alias
+        self.doc = doc
+        self.doc_id = doc_id
+
+    def lookup(self, name: str) -> tuple[bool, Any]:
+        if name == self.alias:
+            return True, self.doc
+        return False, MISSING
+
+    def lookup_meta(self, name: str) -> dict | None:
+        if name == self.alias:
+            return {"id": self.doc_id}
+        return None
+
+    def child(self) -> Env:
+        return Env(parent=self)
+
+    def aliases(self) -> list[str]:
+        return [self.alias]
 
 
 class Evaluator:

@@ -25,7 +25,7 @@ from ..common.errors import N1qlRuntimeError
 from .catalog import N1QL_DESIGN
 from .collation import MISSING
 from .compile import compile_expr, compile_sort_key
-from .expressions import Env, Evaluator
+from .expressions import Env, Evaluator, ScanRow
 from .functions import _COUNT_STAR, Accumulator
 from .plan import (
     DistinctOp,
@@ -249,10 +249,13 @@ def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
     if cover_parts is None:
         cover_parts = [path.split(".") for path in op.cover_paths]
         op._cover_parts = cover_parts
-    for batch in _chunks(rows):
+    if not cover_parts:
         # A primary index covers meta().id alone: its rows bind no field.
-        yield [Env({alias: _cover_doc(cover_parts, key_values)
-                    if cover_parts else {}}, {alias: {"id": doc_id}})
+        for batch in _chunks(rows):
+            yield [ScanRow(alias, {}, doc_id) for _key_values, doc_id in batch]
+        return
+    for batch in _chunks(rows):
+        yield [ScanRow(alias, _cover_doc(cover_parts, key_values), doc_id)
                for key_values, doc_id in batch]
 
 
@@ -302,8 +305,7 @@ def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Batches:
         yield from _pending_batches(alias, rows)
         return
     for batch in _chunks(rows):
-        yield [Env({alias: {}}, {alias: {"id": doc_id}})
-               for _key_values, doc_id in batch]
+        yield [ScanRow(alias, {}, doc_id) for _key_values, doc_id in batch]
 
 
 def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
@@ -789,15 +791,17 @@ def run_limit(op: LimitOp, ctx: ExecutionContext,
 
 
 def _project_compiled(op: InitialProject, ctx: ExecutionContext):
-    """Compiled projection list: each entry is ``(fn, name, star_of)``
-    with the output name (explicit alias or implicit field name)
-    resolved once instead of per row.  ``fn`` is None for star
-    projections."""
-    entries = getattr(op, "_compiled_projections", None)
-    if entries is None:
+    """The projection list lowered once per plan, the way
+    :func:`compile_expr` lowers an expression, into one closure
+    ``project(batch, ev) -> result values``: output names (explicit
+    alias or implicit field name) are resolved at compile time, and a
+    single named expression -- a covered scan's ``SELECT META().id``
+    among them -- builds each row's object without a per-entry
+    dispatch."""
+    project = getattr(op, "_compiled_projection", None)
+    if project is None:
         alias = ctx.evaluator.default_alias
         entries = []
-        count = 0
         for projection in op.projections:
             if projection.expr is None:
                 entries.append((None, None, projection.star_of))
@@ -806,10 +810,69 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
                                 projection.alias
                                 or _implicit_name(projection.expr),
                                 None))
-                count += 1
-        op._compiled_projections = entries
-        ctx.count("n1ql.compile.count", count)
-    return entries
+        project = op._compiled_projection = _lower_projection(op.raw, entries)
+        ctx.count("n1ql.compile.count",
+                  sum(1 for fn, _name, _star_of in entries if fn is not None))
+    return project
+
+
+def _lower_projection(raw: bool, entries: list):
+    """One batch closure for ``(fn, name, star_of)`` projection entries
+    (``fn`` None for a star, ``name`` None for an unnamed value); one
+    named expression needs no per-entry dispatch at all."""
+    if raw:
+        raw_fn = entries[0][0]
+
+        @hot_path
+        def project_raw(batch, ev):
+            return [None if value is MISSING else value
+                    for value in [raw_fn(env, ev) for env in batch]]
+
+        return project_raw
+    if len(entries) == 1 and entries[0][0] is not None \
+            and entries[0][1] is not None:
+        (fn, name, _star_of), = entries
+
+        @hot_path
+        def project_one(batch, ev):
+            return [{} if value is MISSING else {name: value}
+                    for value in [fn(env, ev) for env in batch]]
+
+        return project_one
+
+    def project_row(env, ev):
+        result = {}
+        unnamed = 0
+        for fn, name, star_of in entries:
+            if fn is None:
+                # '*' or alias.*: splice document(s) in.
+                if star_of is not None:
+                    found, value = env.lookup(star_of)
+                    if found and isinstance(value, dict):
+                        result.update(value)
+                    continue
+                # Bare '*': N1QL wraps each keyspace's document
+                # under its alias (SELECT * FROM b -> [{"b": {...}}]).
+                for alias in reversed(env.aliases()):
+                    found, value = env.lookup(alias)
+                    if found and value is not MISSING:
+                        result[alias] = value
+                continue
+            value = fn(env, ev)
+            if value is MISSING:
+                continue
+            if name is None:
+                unnamed += 1
+                result[f"${unnamed}"] = value
+            else:
+                result[name] = value
+        return result
+
+    @hot_path
+    def project(batch, ev):
+        return [project_row(env, ev) for env in batch]
+
+    return project
 
 
 @hot_path
@@ -817,44 +880,10 @@ def run_initial_project(op: InitialProject, ctx: ExecutionContext,
                         batches: Batches) -> Iterator[list[Any]]:
     """Evaluate the projection list; emits batches of result values,
     which every operator after this one handles as they are."""
-    entries = _project_compiled(op, ctx)
+    project = _project_compiled(op, ctx)
     ev = ctx.evaluator
-    if op.raw:
-        raw_fn = entries[0][0]
-        for batch in batches:
-            values = [raw_fn(env, ev) for env in batch]
-            yield [None if value is MISSING else value for value in values]
-        return
     for batch in batches:
-        out_batch = []
-        for env in batch:
-            result = {}
-            unnamed = 0
-            for fn, name, star_of in entries:
-                if fn is None:
-                    # '*' or alias.*: splice document(s) in.
-                    if star_of is not None:
-                        found, value = env.lookup(star_of)
-                        if found and isinstance(value, dict):
-                            result.update(value)
-                        continue
-                    # Bare '*': N1QL wraps each keyspace's document
-                    # under its alias (SELECT * FROM b -> [{"b": {...}}]).
-                    for alias in reversed(env.aliases()):
-                        found, value = env.lookup(alias)
-                        if found and value is not MISSING:
-                            result[alias] = value
-                    continue
-                value = fn(env, ev)
-                if value is MISSING:
-                    continue
-                if name is None:
-                    unnamed += 1
-                    result[f"${unnamed}"] = value
-                else:
-                    result[name] = value
-            out_batch.append(result)
-        yield out_batch
+        yield project(batch, ev)
 
 
 def _implicit_name(expr) -> str | None:

@@ -14,7 +14,7 @@ builds a service-segregated topology.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .admission.controller import AdmissionConfig, AdmissionController
 from .client.smart_client import SmartClient
@@ -27,10 +27,6 @@ from .common.clock import VirtualClock
 from .common.errors import ServiceUnavailableError
 from .common.scheduler import Scheduler
 from .common.transport import Network
-
-if TYPE_CHECKING:
-    from .gsi.manager import GsiCoordinator
-    from .views.query import ViewQueryCoordinator
 
 _ALL = {Service.DATA, Service.INDEX, Service.QUERY}
 
@@ -58,6 +54,8 @@ class Cluster:
         :class:`AdmissionConfig` with explicit budgets; None gives the
         default controller (no rate caps, breakers and backpressure
         on)."""
+        from .gsi.manager import GsiCoordinator
+        from .views.query import ViewQueryCoordinator
         self.clock = VirtualClock()
         self.scheduler = Scheduler(self.clock)
         self.network = Network(default_latency=network_latency)
@@ -67,6 +65,10 @@ class Cluster:
             self.network, self.scheduler, auto_failover=auto_failover
         )
         self.rebalancer = Rebalancer(self.manager)
+        #: View queries (section 3.1.2) and GSI DDL and scans (sections
+        #: 3.3, 4.3.4): stateless coordinators, one each per cluster.
+        self.views = ViewQueryCoordinator(self)
+        self.gsi = GsiCoordinator(self)
         self.num_vbuckets = vbuckets
         if isinstance(nodes, int):
             specs = [(f"node{i + 1}", _ALL) for i in range(nodes)]
@@ -165,17 +167,7 @@ class Cluster:
         self.manager.catalog.drop_view(bucket, design, view)
         self.manager.push_catalog()
 
-    @property
-    def views(self) -> "ViewQueryCoordinator":
-        from .views.query import ViewQueryCoordinator
-        return ViewQueryCoordinator(self)
-
     # -- global secondary indexes (sections 3.3, 4.3.4) --------------------------------------
-
-    @property
-    def gsi(self) -> "GsiCoordinator":
-        from .gsi.manager import GsiCoordinator
-        return GsiCoordinator(self)
 
     def create_index(self, definition, nodes=None):
         """Create a GSI index from an :class:`IndexDefinition` (the N1QL

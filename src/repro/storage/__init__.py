@@ -3,7 +3,7 @@ reduce annotations, per-vBucket stores, and the compactor (section
 4.3.3 of the paper)."""
 
 from .appendlog import RT_DOC, RT_HEADER, RT_NODE, AppendLog
-from .btree import BTree, default_compare
+from .btree import BTree
 from .compaction import Compactor
 from .couchstore import VBucketStore
 
@@ -15,5 +15,4 @@ __all__ = [
     "RT_HEADER",
     "RT_NODE",
     "VBucketStore",
-    "default_compare",
 ]

@@ -10,15 +10,16 @@ Reduce function as a part of the index tree; this allows for very fast
 aggregation at query time"* (section 4.3.3) -- falls directly out of the
 reduce annotations here.
 
-Keys and values are arbitrary JSON values; ordering is injected as a
-comparator so the same structure serves the by-key index (string doc
-IDs), the by-seqno index (integers), view indexes (view collation on
-[emitted_key, doc_id] pairs), and GSI indexes (N1QL collation).
+Keys and values are arbitrary JSON values.  Keys order as they are
+(the by-key index's string doc IDs, the by-seqno index's integers) or
+by a sort key function that maps each to one native key Python's ``<``
+orders (view collation on [emitted_key, doc_id] pairs, N1QL collation
+for GSI indexes); a cached node keeps its entries' sort keys, so every
+search in it is a C ``bisect``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -30,7 +31,8 @@ from ..common.errors import InvalidArgumentError
 from ..common.jsonval import JsonValue
 from .appendlog import _HEADER, RT_NODE, AppendLog
 
-Comparator = Callable[[JsonValue, JsonValue], int]
+#: Maps a stored key to the native key it orders by.
+SortKey = Callable[[JsonValue], object]
 ReduceFn = Callable[[list[JsonValue]], JsonValue]
 RereduceFn = Callable[[list[JsonValue]], JsonValue]
 
@@ -57,14 +59,14 @@ def encode_record(value: JsonValue) -> str:
 #: The probe of a batch's work tuple ``(key, action, value, probe)``.
 _work_probe = itemgetter(3)
 
+#: An entry's key, for bisecting the entries of a tree without a sort key.
+_entry_key = itemgetter(0)
 
-def default_compare(a: JsonValue, b: JsonValue) -> int:
-    """Comparator for homogeneous keys (strings or numbers)."""
-    if a < b:  # type: ignore[operator]
-        return -1
-    if a > b:  # type: ignore[operator]
-        return 1
-    return 0
+
+def _search(items: list, keys: list | None) -> tuple[list, Callable | None]:
+    """What ``bisect`` searches in a node: its sort keys as they are,
+    or, in a tree whose keys order themselves, its entries by key."""
+    return (items, _entry_key) if keys is None else (keys, None)
 
 
 class BTree:
@@ -81,7 +83,7 @@ class BTree:
         self,
         log: AppendLog,
         root: int | None = None,
-        compare: Comparator = default_compare,
+        sort_key: SortKey | None = None,
         reduce_fn: ReduceFn | None = None,
         rereduce_fn: RereduceFn | None = None,
         max_node_items: int | None = None,
@@ -89,7 +91,8 @@ class BTree:
     ):
         self.log = log
         self.root = root
-        self.compare = compare
+        #: None (the identity) when keys order as they are.
+        self.sort_key = sort_key
         self.reduce_fn = reduce_fn
         self.rereduce_fn = rereduce_fn
         #: On-disk bytes (framing included) of every node reachable from
@@ -113,16 +116,11 @@ class BTree:
             self.max_node_items = max_node_items
         else:
             self.max_node_items = self.MAX_NODE_ITEMS
-        #: A batch bisects node entries by key: raw keys under
-        #: :func:`default_compare` (whose order is Python's ``<``),
-        #: ``functools.cmp_to_key`` sort keys under any other comparator.
-        #: ``_probe`` maps a key to what ``_entry_key`` maps an entry to.
-        if compare is default_compare:
-            self._probe = lambda key: key
-            self._entry_key = itemgetter(0)
-        else:
-            probe = self._probe = functools.cmp_to_key(compare)
-            self._entry_key = lambda entry: probe(entry[0])
+
+    def _probe(self, key: JsonValue) -> object:
+        """``key`` as a node's sort keys (or, without a sort key, its
+        entries' keys) are searched for."""
+        return key if self.sort_key is None else self.sort_key(key)
 
     # -- node I/O -------------------------------------------------------------
 
@@ -140,7 +138,8 @@ class BTree:
             cache.popitem(last=False)
         cache[key] = entry
 
-    def _write_node(self, kind: str, items: list, parts: list) -> int:
+    def _write_node(self, kind: str, items: list, parts: list,
+                    keys: list | None) -> int:
         """Append a node and write it through to the log's node cache:
         the next batch's read-modify-write of this leaf or root is then
         a dict hit, not two file reads, a checksum and a JSON parse.
@@ -152,32 +151,47 @@ class BTree:
         parts beside the ``items`` just serialized (not a parsed copy),
         so a cached node equals what a cold read decodes only for
         JSON-native keys, values and reductions (lists, never tuples;
-        string object keys) -- which is what every caller stores."""
+        string object keys) -- which is what every caller stores.
+        ``keys`` are the entries' sort keys (None without a sort key);
+        they live only in the cache, never on disk."""
         body = f'["{kind}",[{",".join(parts)}]]'.encode("utf-8")
         size = _HEADER.size + len(body)
         self._update_written += size
         pointer = self.log.append(RT_NODE, body)
-        self._remember(self.log.node_cache, pointer, (kind, items, size, parts))
+        self._remember(self.log.node_cache, pointer,
+                       (kind, items, size, parts, keys))
         return pointer
 
     def _read_node(self, pointer: int) -> tuple[str, list]:
         node = self._read_node_sized(pointer)
         return node[0], node[1]
 
-    def _read_node_sized(self, pointer: int) -> tuple[str, list, int, list | None]:
-        """The node at ``pointer`` as ``(kind, items, size, parts)``:
-        also the record's on-disk size (framing + body), which the
-        copy-on-write update path needs to account freed bytes when it
-        replaces a node, and its entries' encodings -- ``None`` for a
+    def _read_node_sized(self, pointer: int
+                         ) -> tuple[str, list, int, list | None, list | None]:
+        """The node at ``pointer`` as ``(kind, items, size, parts,
+        keys)``: also the record's on-disk size (framing + body), which
+        the copy-on-write update path needs to account freed bytes when
+        it replaces a node, its entries' encodings -- ``None`` for a
         node read from disk, whose parts are encoded when first
-        modified."""
+        modified -- and its entries' sort keys, made when the node is
+        read (None in a tree without a sort key)."""
         node = self.log.node_cache.get(pointer)
         if node is None:
             _rt, body = self.log.read(pointer)
             kind, items = json.loads(body.decode("utf-8"))
-            node = (kind, items, _HEADER.size + len(body), None)
+            sort_key = self.sort_key
+            keys = None if sort_key is None else [
+                sort_key(item[0]) for item in items]
+            node = (kind, items, _HEADER.size + len(body), None, keys)
             self._remember(self.log.node_cache, pointer, node)
         return node
+
+    def _node_keys(self, pointer: int) -> tuple[str, list, list]:
+        """The node at ``pointer`` as ``(kind, items, keys)``, with the
+        entries' own keys standing in for sort keys in a tree without
+        one."""
+        kind, items, _size, _parts, keys = self._read_node_sized(pointer)
+        return kind, items, [item[0] for item in items] if keys is None else keys
 
     # -- reduce ---------------------------------------------------------------
 
@@ -200,15 +214,16 @@ class BTree:
         entry not before ``key``, an interior node for the first child
         whose greatest key is not before it."""
         probe = self._probe(key)
-        entry_key = self._entry_key
         pointer = self.root
         while pointer is not None:
-            kind, items = self._read_node(pointer)
-            index = bisect_left(items, probe, key=entry_key)
+            kind, items, _size, _parts, keys = self._read_node_sized(pointer)
+            seq, entry_key = _search(items, keys)
+            index = bisect_left(seq, probe, key=entry_key)
             if index == len(items):
                 return False, None  # past every key in this subtree
             if kind == "kv":
-                if self.compare(items[index][0], key) == 0:
+                found = items[index][0] if keys is None else keys[index]
+                if found == probe:
                     return True, items[index][1]
                 return False, None
             pointer = items[index][1]
@@ -229,101 +244,104 @@ class BTree:
         reverses the iteration order (section 3.1.2 allows descending
         view scans).  The walk is :meth:`_pieces`'s, so bounds are
         compared only along the range's two boundary paths."""
-        for piece in self._pieces(start, end, inclusive_start,
-                                  inclusive_end, descending):
-            if type(piece) is int:
-                yield from self._subtree(piece, descending)
-                continue
-            if descending:
-                piece.reverse()
+        for piece in self.slices(start, end, inclusive_start=inclusive_start,
+                                 inclusive_end=inclusive_end,
+                                 descending=descending):
             for key, value in piece:
                 yield key, value
 
-    def _subtree(self, pointer: int,
-                 descending: bool) -> Iterator[tuple[JsonValue, JsonValue]]:
-        """Every pair under ``pointer``, without a comparison."""
-        kind, items = self._read_node(pointer)
-        if kind == "kv":
-            for key, value in reversed(items) if descending else items:
-                yield key, value
-            return
-        for _last_key, child, _reduction in (reversed(items) if descending
-                                             else items):
-            yield from self._subtree(child, descending)
+    def slices(
+        self,
+        start: JsonValue = None,
+        end: JsonValue = None,
+        *,
+        inclusive_start: bool = True,
+        inclusive_end: bool = True,
+        descending: bool = False,
+    ) -> Iterator[list]:
+        """The ``[key, value]`` entries of :meth:`range`, in its order,
+        as runs: a boundary leaf's in-range slice or a whole leaf's
+        entries.  A run may be the node cache's own list, to be read,
+        never changed, so a caller can turn each leaf into rows in one
+        comprehension."""
+        return self._pieces(start, end, inclusive_start, inclusive_end,
+                            descending, leaves=True)
 
     def _pieces(self, start: JsonValue, end: JsonValue,
                 inclusive_start: bool, inclusive_end: bool,
-                descending: bool) -> Iterator[int | list]:
+                descending: bool, leaves: bool = False) -> Iterator[int | list]:
         """The range [start, end] in key order, as pieces: an ``int`` is
         the offset of a node whose whole subtree lies inside the range,
         a ``list`` the in-range slice (a fresh list) of a boundary leaf.
+        With ``leaves``, a whole subtree comes as its leaves' entries
+        instead (a whole leaf's own list, or a reversed copy).
 
         A kp entry's ``last_key`` is its subtree's greatest key and the
         previous entry's is an exclusive lower bound, so in any node
         only the first candidate child can hold keys before ``start``
         and only the last can hold keys past ``end``: those two inherit
         the check, found by bisection, and every child between them is
-        a whole subtree, handed out without a comparison."""
-        compare = self.compare
-
-        def below(key: JsonValue) -> bool:
-            order = compare(key, start)
-            return order < 0 or (order == 0 and not inclusive_start)
-
-        def within(key: JsonValue) -> bool:
-            order = compare(key, end)
-            return order < 0 or (order == 0 and inclusive_end)
-
-        def ends_before(last_key: JsonValue) -> bool:
-            """The subtree's greatest key is strictly before ``end``, so
-            the next sibling may still hold in-range keys."""
-            return compare(last_key, end) < 0
-
-        def first_not(holds, items: list, low: int) -> int:
-            """Bisect ``items[low:]`` -- ``holds(item[0])`` true for a
-            prefix, false after it -- for the first index where it is
-            false."""
-            high = len(items)
-            while low < high:
-                middle = (low + high) // 2
-                if holds(items[middle][0]):
-                    low = middle + 1
-                else:
-                    high = middle
-            return low
-
-        def walk(pointer: int, check_start: bool,
-                 check_end: bool) -> Iterator[int | list]:
-            kind, items = self._read_node(pointer)
-            first = first_not(below, items, 0) if check_start else 0
-            if kind == "kv":
-                stop = first_not(within, items, first) if check_end \
-                    else len(items)
-                if first == 0 and stop == len(items):
-                    yield pointer
-                elif first < stop:
-                    yield items[first:stop]
-                return
-            # Children are ordered; the first whose last key reaches the
-            # end bound is the last candidate, later ones are past it.
-            last = len(items) - 1
-            if check_end:
-                last = min(first_not(ends_before, items, first), last)
-            children = range(first, last + 1)
-            for index in reversed(children) if descending else children:
-                child_start = check_start and index == first
-                child_end = check_end and index == last
-                if child_start or child_end:
-                    yield from walk(items[index][1], child_start, child_end)
-                else:
-                    yield items[index][1]
-
+        a whole subtree, handed out without a comparison.  The walk is
+        one loop over a stack of what is left, in reverse order: an
+        ``int`` for a whole subtree, ``(pointer, check_start,
+        check_end)`` for a boundary node."""
         if self.root is None:
             return
-        if start is None and end is None:
-            yield self.root
-        else:
-            yield from walk(self.root, start is not None, end is not None)
+        start_key = None if start is None else self._probe(start)
+        end_key = None if end is None else self._probe(end)
+        # The first entry not before ``start``, the first one past ``end``.
+        first_in = bisect_left if inclusive_start else bisect_right
+        first_past = bisect_right if inclusive_end else bisect_left
+        stack: list = [self.root if start is None and end is None
+                       else (self.root, start is not None, end is not None)]
+        while stack:
+            node = stack.pop()
+            if type(node) is int:
+                if not leaves:
+                    yield node
+                    continue
+                kind, items = self._read_node(node)
+                if kind == "kv":
+                    yield items[::-1] if descending else items
+                    continue
+                pending = [child for _last_key, child, _reduction in items]
+            else:
+                pointer, check_start, check_end = node
+                kind, items, _size, _parts, keys = \
+                    self._read_node_sized(pointer)
+                seq, entry_key = _search(items, keys)
+                first = first_in(seq, start_key, key=entry_key) \
+                    if check_start else 0
+                if kind == "kv":
+                    stop = first_past(seq, end_key, first, key=entry_key) \
+                        if check_end else len(items)
+                    if first == 0 and stop == len(items):
+                        stack.append(pointer)
+                    elif first < stop:
+                        piece = items[first:stop]
+                        if descending:
+                            piece.reverse()
+                        yield piece
+                    continue
+                # Children are ordered; the first whose last key reaches
+                # the end bound is the last candidate, later ones are
+                # past it.
+                last = len(items) - 1
+                if check_end:
+                    last = min(bisect_left(seq, end_key, first,
+                                           key=entry_key), last)
+                pending = [child for _last_key, child, _reduction
+                           in items[first:last + 1]]
+                if not pending:
+                    continue
+                if check_end:
+                    pending[-1] = (pending[-1], check_start and first == last,
+                                   True)
+                if check_start and not (check_end and first == last):
+                    pending[0] = (pending[0], True, False)
+            if not descending:
+                pending.reverse()
+            stack += pending
 
     def fold_range(
         self,
@@ -411,64 +429,41 @@ class BTree:
         whole and only the boundary leaves are re-reduced."""
         if self.reduce_fn is None:
             raise InvalidArgumentError("tree has no reduce function")
+        low = None if start is None else self._probe(start)
+        high = None if end is None else self._probe(end)
 
-        def key_in(key: JsonValue) -> bool:
-            if start is not None:
-                order = self.compare(key, start)
-                if order < 0 or (order == 0 and not inclusive_start):
-                    return False
-            if end is not None:
-                order = self.compare(key, end)
-                if order > 0 or (order == 0 and not inclusive_end):
-                    return False
-            return True
+        def after_start(key) -> bool:
+            return low is None or key > low or (key == low and inclusive_start)
 
-        def walk(pointer: int, lower: JsonValue | None) -> JsonValue | None:
+        def before_end(key) -> bool:
+            return high is None or key < high or (key == high and inclusive_end)
+
+        def walk(pointer: int, lower) -> JsonValue | None:
             """Reduce the in-range part of the subtree at ``pointer``.
-            ``lower`` is the greatest last_key of any preceding sibling,
-            i.e. an exclusive lower bound on keys in this subtree."""
-            kind, items = self._read_node(pointer)
+            ``lower`` is the sort key of the greatest last_key of any
+            preceding sibling, i.e. an exclusive lower bound on keys in
+            this subtree."""
+            kind, items, keys = self._node_keys(pointer)
             if kind == "kv":
-                values = [value for key, value in items if key_in(key)]
+                values = [value for (_key, value), key in zip(items, keys)
+                          if after_start(key) and before_end(key)]
                 if not values:
                     return None
                 return self.reduce_fn(values)
             parts: list[JsonValue] = []
             previous_last = lower
-            for last_key, child, reduction in items:
+            for (_last_key, child, reduction), last_key in zip(items, keys):
                 # Subtree covers keys in (previous_last, last_key].
                 subtree_entirely_inside = (
-                    (
-                        start is None
-                        or (
-                            previous_last is not None
-                            and (
-                                self.compare(previous_last, start) > 0
-                                or (
-                                    self.compare(previous_last, start) >= 0
-                                    and inclusive_start
-                                )
-                            )
-                        )
-                    )
-                    and (
-                        end is None
-                        or self.compare(last_key, end) < 0
-                        or (self.compare(last_key, end) == 0 and inclusive_end)
-                    )
-                )
-                subtree_before = start is not None and (
-                    self.compare(last_key, start) < 0
-                    or (self.compare(last_key, start) == 0 and not inclusive_start)
-                )
+                    (low is None or (previous_last is not None and (
+                        previous_last > low
+                        or (previous_last >= low and inclusive_start))))
+                    and before_end(last_key))
+                subtree_before = low is not None and not after_start(last_key)
                 subtree_after = (
-                    end is not None
-                    and previous_last is not None
-                    and (
-                        self.compare(previous_last, end) > 0
-                        or (self.compare(previous_last, end) == 0 and not inclusive_end)
-                    )
-                )
+                    high is not None and previous_last is not None
+                    and (previous_last > high
+                         or (previous_last == high and not inclusive_end)))
                 if subtree_before or subtree_after:
                     previous_last = last_key
                     continue
@@ -538,7 +533,7 @@ class BTree:
         tree = BTree(
             self.log,
             new_root,
-            self.compare,
+            self.sort_key,
             self.reduce_fn,
             self.rereduce_fn,
             self.max_node_items,
@@ -549,20 +544,26 @@ class BTree:
         return tree
 
     # Internal: ``work`` is the batch's ``(key, action, value, probe)``
-    # tuples in key order, ``probe`` being the key as ``_entry_key``
-    # sees an entry's.  Each _modify_* finds a work key with bisect,
-    # copies the untouched runs around it as slices (entries and their
-    # encodings alike), and returns a list of kp entries
-    # [last_key, pointer, reduction] describing the replacement nodes.
+    # tuples in key order, ``probe`` being the key's sort key (the key
+    # itself without a sort key).  Each _modify_* finds a work key with
+    # bisect, copies the untouched runs around it as slices (entries,
+    # their encodings and their sort keys alike), and returns the kp
+    # entries [last_key, pointer, reduction] describing the replacement
+    # nodes, with their sort keys (None without a sort key).
 
-    def _write_nodes(self, kind: str, items: list, parts: list) -> list:
-        """Write ``items`` and their ``parts`` as ``kind`` nodes of at
-        most ``max_node_items`` entries each; returns their kp entries."""
+    def _write_nodes(self, kind: str, items: list, parts: list,
+                     keys: list | None) -> tuple[list, list | None]:
+        """Write ``items`` with their ``parts`` and ``keys`` as ``kind``
+        nodes of at most ``max_node_items`` entries each; returns their
+        kp entries and those entries' sort keys."""
         entries = []
+        entry_keys: list | None = None if keys is None else []
         size = self.max_node_items
         for start in range(0, len(items), size):
             chunk = items[start:start + size]
-            pointer = self._write_node(kind, chunk, parts[start:start + size])
+            chunk_keys = None if keys is None else keys[start:start + size]
+            pointer = self._write_node(kind, chunk, parts[start:start + size],
+                                       chunk_keys)
             if self.reduce_fn is None:
                 reduction = None
             elif kind == "kv":
@@ -570,83 +571,104 @@ class BTree:
             else:
                 reduction = self._rereduce([r for _k, _p, r in chunk])
             entries.append([chunk[-1][0], pointer, reduction])
-        return entries
+            if keys is not None:
+                entry_keys.append(chunk_keys[-1])
+        return entries, entry_keys
 
-    def _modify_leaf(self, items: list, parts: list, work: list,
-                     replaced: list) -> list:
-        compare = self.compare
-        entry_key = self._entry_key
+    def _modify_leaf(self, items: list, parts: list, keys: list | None,
+                     work: list, replaced: list) -> tuple[list, list | None]:
+        seq, entry_key = _search(items, keys)
         merged: list = []
         merged_parts: list = []
+        merged_keys: list | None = None if keys is None else []
         done = 0  # items[:done] are placed
         for action_key, action, value, probe in work:
-            index = bisect_left(items, probe, done, key=entry_key)
+            index = bisect_left(seq, probe, done, key=entry_key)
             merged += items[done:index]
             merged_parts += parts[done:index]
-            if index < len(items) and compare(items[index][0], action_key) == 0:
+            if keys is not None:
+                merged_keys += keys[done:index]
+            if index < len(items) and probe == (
+                    items[index][0] if keys is None else keys[index]):
                 replaced.append(items[index])  # overwritten or deleted
                 index += 1
             if action == "insert":
                 entry = [action_key, value]
                 merged.append(entry)
                 merged_parts.append(encode_record(entry))
+                if keys is not None:
+                    merged_keys.append(probe)
             done = index
         merged += items[done:]
         merged_parts += parts[done:]
+        if keys is not None:
+            merged_keys += keys[done:]
         if not merged:
-            return []
-        return self._write_nodes("kv", merged, merged_parts)
+            return [], merged_keys
+        return self._write_nodes("kv", merged, merged_parts, merged_keys)
 
-    def _modify_node(self, pointer: int, work: list, replaced: list) -> list:
+    def _modify_node(self, pointer: int, work: list,
+                     replaced: list) -> tuple[list, list | None]:
         """Rewrite the node at ``pointer`` with ``work`` applied; returns
         the kp entries of its replacement node(s) *at the same level* --
-        one entry normally, several after a split, none when emptied.
-        Keeping levels uniform is what stops repeated batches from
-        skewing the tree's depth."""
-        kind, items, size, parts = self._read_node_sized(pointer)
+        one entry normally, several after a split, none when emptied --
+        and their sort keys.  Keeping levels uniform is what stops
+        repeated batches from skewing the tree's depth."""
+        kind, items, size, parts, keys = self._read_node_sized(pointer)
         self._update_freed += size  # this node is replaced (or emptied)
         if parts is None:
             parts = [encode_record(item) for item in items]
         if kind == "kv":
-            return self._modify_leaf(items, parts, work, replaced)
-        entry_key = self._entry_key
+            return self._modify_leaf(items, parts, keys, work, replaced)
+        seq, entry_key = _search(items, keys)
         last = len(items) - 1
         child_entries: list = []
         child_parts: list = []
+        child_keys: list | None = None if keys is None else []
         done = 0  # items[:done] are placed
         begin = 0  # work[:begin] is applied
         while begin < len(work):
             # A child takes the work keys up to its last key; the last
             # child takes every key past it too.
-            index = bisect_left(items, work[begin][3], done, last,
+            index = bisect_left(seq, work[begin][3], done, last,
                                 key=entry_key)
             end = len(work) if index == last else bisect_right(
-                work, entry_key(items[index]), begin, key=_work_probe)
+                work, items[index][0] if keys is None else keys[index],
+                begin, key=_work_probe)
             child_entries += items[done:index]
             child_parts += parts[done:index]
-            for entry in self._modify_node(items[index][1], work[begin:end],
-                                           replaced):
-                child_entries.append(entry)
-                child_parts.append(encode_record(entry))
+            entries, entry_keys = self._modify_node(
+                items[index][1], work[begin:end], replaced)
+            child_entries += entries
+            child_parts += [encode_record(entry) for entry in entries]
+            if keys is not None:
+                child_keys += keys[done:index]
+                child_keys += entry_keys
             done = index + 1
             begin = end
         child_entries += items[done:]
         child_parts += parts[done:]
+        if keys is not None:
+            child_keys += keys[done:]
         if not child_entries:
-            return []
-        return self._write_nodes("kp", child_entries, child_parts)
+            return [], child_keys
+        return self._write_nodes("kp", child_entries, child_parts, child_keys)
 
     def _modify_root(self, work: list, replaced: list) -> int | None:
         if self.root is None:
             inserts = [[k, v] for k, action, v, _probe in work
                        if action == "insert"]
-            entries = self._write_nodes(
-                "kv", inserts, [encode_record(entry) for entry in inserts])
+            entries, keys = self._write_nodes(
+                "kv", inserts, [encode_record(entry) for entry in inserts],
+                None if self.sort_key is None else
+                [probe for _k, action, _v, probe in work
+                 if action == "insert"])
         else:
-            entries = self._modify_node(self.root, work, replaced)
+            entries, keys = self._modify_node(self.root, work, replaced)
         while len(entries) > 1:
-            entries = self._write_nodes(
-                "kp", entries, [encode_record(entry) for entry in entries])
+            entries, keys = self._write_nodes(
+                "kp", entries, [encode_record(entry) for entry in entries],
+                keys)
         if not entries:
             return None
         # A single kp entry may point at a leaf or an interior node;

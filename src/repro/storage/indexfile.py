@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable
 
 from ..common.disk import SimulatedDisk
 from .appendlog import AppendLog
-from .btree import BTree, Comparator, ReduceFn, RereduceFn
+from .btree import BTree, ReduceFn, RereduceFn, SortKey
 
 #: ``row(doc_id, vbucket_id, row)`` -> the ``(key, value)`` the tree
 #: stores for one row a document emitted.
@@ -70,14 +70,14 @@ class IndexFile:
     COMPACT_EVERY: int | None = None
 
     def __init__(self, disk: SimulatedDisk, filename: str, row: RowFn,
-                 compare: Comparator, reduce_fn: ReduceFn | None = None,
+                 sort_key: SortKey, reduce_fn: ReduceFn | None = None,
                  rereduce_fn: RereduceFn | None = None):
         self.disk = disk
         self.filename = filename
         self.row = row
         disk.delete(filename)
         self.log = AppendLog(disk.open(filename))
-        self.tree = BTree(self.log, compare=compare, reduce_fn=reduce_fn,
+        self.tree = BTree(self.log, sort_key=sort_key, reduce_fn=reduce_fn,
                           rereduce_fn=rereduce_fn)
         self.back_index: BackIndex = {}
         self.updates_since_compaction = 0
@@ -113,7 +113,7 @@ class IndexFile:
         self.disk.delete(temp_name)
         new_log = AppendLog(self.disk.open(temp_name))
         tree = self.tree
-        new_tree = BTree(new_log, compare=tree.compare,
+        new_tree = BTree(new_log, sort_key=tree.sort_key,
                          reduce_fn=tree.reduce_fn,
                          rereduce_fn=tree.rereduce_fn)
         live_rows = list(tree.items())

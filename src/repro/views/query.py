@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..common.errors import NodeDownError, TimeoutError_
 from ..common.scheduler import pump_name
-from ..n1ql.collation import sort_key
+from ..n1ql.collation import collate_key
 from .viewindex import ViewQueryParams
 
 if TYPE_CHECKING:
@@ -122,7 +122,7 @@ class ViewQueryCoordinator:
         # fall to node order.
         rows = list(heapq.merge(
             *(p["rows"] for p in partials),
-            key=lambda row: sort_key((row["key"], row["id"])),
+            key=lambda row: (collate_key(row["key"]), collate_key(row["id"])),
             reverse=params.descending))
         if params.skip:
             rows = rows[params.skip:]
@@ -147,7 +147,8 @@ class ViewQueryCoordinator:
                 definition.reduce_fn(values, True) if len(values) > 1 else values[0]
             )
             rows.append({"key": group_key, "value": value})
-        rows.sort(key=lambda r: sort_key(r["key"]), reverse=params.descending)
+        rows.sort(key=lambda r: collate_key(r["key"]),
+                  reverse=params.descending)
         if params.skip:
             rows = rows[params.skip:]
         if params.limit is not None:

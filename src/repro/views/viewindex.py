@@ -22,11 +22,11 @@ from ..common.disk import SimulatedDisk
 from ..common.errors import ViewQueryError
 from ..common.jsonval import deep_copy
 from ..kv.types import GroupCommit
-from ..n1ql.collation import compare
+from ..n1ql.collation import collate_key, compare
 from ..storage.indexfile import IndexFile
 from .mapreduce import DocMetaView, ReduceFn, ViewDefinition
 
-#: Sentinel bounds: (key, doc_id) composite keys are compared
+#: Sentinel bounds: (key, doc_id) composite keys are ordered
 #: lexicographically, so a range on bare keys uses these to span every
 #: doc_id under one key.  ``{}`` sorts after any scalar/array under view
 #: collation; LOW sorts before any string doc id.
@@ -34,11 +34,9 @@ _LOW_DOCID = ""
 _HIGH_DOCID = {"￿": "￿"}
 
 
-def _composite_compare(a, b) -> int:
-    order = compare(a[0], b[0])
-    if order != 0:
-        return order
-    return compare(a[1], b[1])
+def _view_key(composite: list) -> tuple:
+    """The collation key of a stored ``[key, doc_id]`` composite."""
+    return collate_key(composite[0]), collate_key(composite[1])
 
 
 def _view_row(doc_id: str, vbucket_id: int, emitted: tuple) -> tuple:
@@ -69,7 +67,7 @@ class ViewIndex(IndexFile, GroupCommit):
             tree_rereduce = lambda parts: user_reduce(parts, True)  # noqa: E731
         else:
             tree_reduce = tree_rereduce = None
-        super().__init__(disk, filename, _view_row, _composite_compare,
+        super().__init__(disk, filename, _view_row, _view_key,
                          tree_reduce, tree_rereduce)
         self.definition = definition
         self.revision = revision

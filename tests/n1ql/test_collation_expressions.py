@@ -2,15 +2,16 @@
 NULL semantics, operators, functions)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.gsi.storage import HIGH_BOUND, LOW_BOUND
 from repro.n1ql.collation import (
     MISSING,
+    collate_key,
     compare,
     equal,
     less,
-    sort_key,
     type_rank,
 )
 from repro.common.errors import N1qlSemanticError
@@ -89,7 +90,7 @@ class TestCollation:
     @given(json_values, json_values, json_values)
     @settings(max_examples=60)
     def test_transitivity_via_sorting(self, a, b, c):
-        ordered = sorted([a, b, c], key=sort_key)
+        ordered = sorted([a, b, c], key=collate_key)
         for i in range(2):
             assert compare(ordered[i], ordered[i + 1]) <= 0
 
@@ -100,6 +101,59 @@ class TestCollation:
     def test_type_rank_rejects_garbage(self):
         with pytest.raises(TypeError):
             type_rank(object())
+        with pytest.raises(TypeError):
+            collate_key([object()])
+
+
+def sign(number: int) -> int:
+    return (number > 0) - (number < 0)
+
+
+#: Values whose JSON differs but which collate equal or close: ``1`` /
+#: ``1.0`` / ``True``, ``-0.0`` / ``0.0``, and the scan sentinels.
+TRICKY = [1, 1.0, True, False, 0, -0.0, 0.0, "", "\uffff", LOW_BOUND,
+          HIGH_BOUND, {"\uffff": "\uffff"}, {"\uffff": "\uffff", "a": 1}]
+
+collatable = st.recursive(
+    st.sampled_from([MISSING, None] + TRICKY)
+    | st.integers(-3, 3) | st.floats(allow_nan=False, width=32)
+    | st.text("ab\uffff", max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text("ab\uffff", max_size=2), children, max_size=3),
+    max_leaves=10,
+)
+
+
+class TestCollateKey:
+    """``collate_key`` orders values exactly as ``compare`` does, so
+    every sort, bisect and merge can use Python's native ``<``."""
+
+    @settings(max_examples=400)
+    @given(collatable, collatable)
+    @example(1, 1.0)
+    @example(1, True)
+    @example(-0.0, 0.0)
+    @example([1, [2, {"a": MISSING}]], [1.0, [2, {"a": None}]])
+    @example({"a": [1]}, {"a": [1], "b": 0})
+    @example({"b": 1}, {"a": 1, "c": 1})
+    @example(["x"], HIGH_BOUND)
+    @example("zz", LOW_BOUND)
+    @example([MISSING], [])
+    def test_the_key_orders_like_the_comparator(self, a, b):
+        key_a, key_b = collate_key(a), collate_key(b)
+        assert sign(compare(a, b)) == (key_a > key_b) - (key_a < key_b)
+        assert (key_a == key_b) == (compare(a, b) == 0)
+
+    @settings(max_examples=200)
+    @given(collatable)
+    def test_the_doc_id_sentinels_bracket_every_doc_id(self, value):
+        """``LOW_BOUND`` is before every string and ``HIGH_BOUND`` after
+        every scalar and array, as they are under ``compare``."""
+        if isinstance(value, str):
+            assert collate_key(LOW_BOUND) <= collate_key(value)
+        if not isinstance(value, dict):
+            assert collate_key(value) < collate_key(HIGH_BOUND)
 
 
 class TestLiteralsAndParams:

@@ -11,7 +11,7 @@ def measure_node_bytes(tree: BTree) -> int:
     total = 0
     stack = [] if tree.root is None else [tree.root]
     while stack:
-        kind, items, size, _parts = tree._read_node_sized(stack.pop())
+        kind, items, size, _parts, _keys = tree._read_node_sized(stack.pop())
         total += size
         if kind == "kp":
             stack.extend(child for _key, child, _reduction in items)

@@ -2,19 +2,46 @@
 
 import functools
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.disk import SimulatedDisk
-from repro.gsi.storage import HIGH_BOUND, composite_compare
+from repro.common.metrics import MetricsRegistry
+from repro.gsi.indexdef import IndexDefinition
+from repro.gsi.indexer import Indexer
+from repro.gsi.storage import HIGH_BOUND, index_key, make_storage
+from repro.n1ql.collation import MISSING, compare
 from repro.storage.appendlog import AppendLog
-from repro.storage.btree import BTree, default_compare, encode_record
+from repro.storage.btree import BTree, encode_record
 from repro.views.mapreduce import ViewDefinition
 from repro.views.viewindex import ViewIndex
 
 from .btree_oracle import full_reduce
+
+
+def natural_compare(a, b) -> int:
+    """Three-way comparison of keys that order themselves."""
+    return (a > b) - (a < b)
+
+
+def composite_compare(a, b) -> int:
+    """The oracle for :func:`index_key`: N1QL collation over
+    ``[components, doc_id]`` composites, component by component (the
+    encoded MISSING as MISSING, a shorter prefix first), doc id last."""
+    def decoded(component):
+        if isinstance(component, dict) and component.get("__missing__"):
+            return MISSING
+        return component
+
+    for mine, theirs in zip(a[0], b[0]):
+        order = compare(decoded(mine), decoded(theirs))
+        if order:
+            return order
+    order = (len(a[0]) > len(b[0])) - (len(a[0]) < len(b[0]))
+    return order or compare(a[1], b[1])
 
 
 def make_tree(**kwargs) -> BTree:
@@ -307,9 +334,9 @@ def node_last_keys(tree: BTree) -> tuple[list, int]:
     return found, depth
 
 
-def check_range_against_model(data, compare, keys):
+def check_range_against_model(data, compare, sort_key, keys):
     tree = make_tree(max_node_items=data.draw(st.sampled_from([3, 4])),
-                     compare=compare)
+                     sort_key=sort_key)
     model: dict[str, tuple] = {}
     first = data.draw(st.lists(keys, min_size=40, max_size=70))
     batches = [(first, [])] + data.draw(st.lists(
@@ -366,12 +393,89 @@ class TestRangeAgainstModel:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_default_comparator(self, data):
-        check_range_against_model(data, default_compare, int_keys)
+        check_range_against_model(data, natural_compare, None, int_keys)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_composite_comparator(self, data):
-        check_range_against_model(data, composite_compare, composite_keys)
+        check_range_against_model(data, composite_compare, index_key,
+                                  composite_keys)
+
+    @pytest.mark.parametrize("kind", ["standard", "memopt"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_index_scans_match_the_comparator(self, kind, data):
+        """A GSI backend's scans over prefix, exclusive and descending
+        bounds, against a model sorted by the comparator; and the same
+        scans paged through ``Indexer.scan_page``'s continuation."""
+        indexer = Indexer(SimpleNamespace(disk=SimulatedDisk(), name="n1",
+                                          metrics=MetricsRegistry()))
+        instance = indexer.create(IndexDefinition(
+            "i", "b", ["a", "b"], [lambda doc: MISSING] * 2, storage=kind))
+        storage = instance.storage
+        if kind == "standard":
+            storage.tree.max_node_items = data.draw(st.sampled_from([3, 4]))
+        docs = {}
+        for _batch in range(data.draw(st.integers(1, 4))):
+            batch = data.draw(st.lists(st.tuples(
+                st.sampled_from(SCAN_DOC_IDS),
+                st.lists(st.lists(st.sampled_from(SCAN_COMPONENTS),
+                                  min_size=2, max_size=2), max_size=3)),
+                max_size=30))
+            storage.update_docs([(doc_id, 0, entries)
+                                 for doc_id, entries in batch])
+            docs.update(batch)
+        # A document's repeated entry is one row.
+        rows = {repr((entry, doc_id)): [entry, doc_id]
+                for doc_id, entries in docs.items() for entry in entries}
+        model = sorted(rows.values(),
+                       key=functools.cmp_to_key(composite_compare))
+        bound = st.none() | st.lists(st.sampled_from(SCAN_COMPONENTS),
+                                     min_size=1, max_size=2)
+        for _query in range(6):
+            low, high = data.draw(bound), data.draw(bound)
+            inclusive_low, inclusive_high, descending = (
+                data.draw(st.booleans()) for _flag in range(3))
+            # The coordinator's prefix padding (``_pad_span``).
+            if low is not None and not inclusive_low and len(low) < 2:
+                low = low + [HIGH_BOUND]
+            if high is not None and inclusive_high and len(high) < 2:
+                high = high + [HIGH_BOUND]
+            start = None if low is None else [
+                low, "" if inclusive_low else HIGH_BOUND]
+            end = None if high is None else [
+                high, HIGH_BOUND if inclusive_high else ""]
+            expected = [(entry, doc_id) for entry, doc_id in model
+                        if (start is None or composite_compare(
+                            [entry, doc_id], start) >= 0)
+                        and (end is None or composite_compare(
+                            [entry, doc_id], end) <= 0)]
+            if descending:
+                expected.reverse()
+            args = (low, high, inclusive_low, inclusive_high, descending)
+            assert list(storage.scan(*args)) == expected
+            assert indexer.scan("i", *args) == expected
+            limit = data.draw(st.integers(0, 5))
+            assert indexer.scan("i", *args, limit=limit) == expected[:limit]
+            page_size = data.draw(st.integers(1, 4))
+            pages, after = [], None
+            while True:
+                rows, exhausted = indexer.scan_page(
+                    "i", *args, page_size=page_size, after=after)
+                pages += rows
+                if exhausted:
+                    break
+                after = rows[-1]
+            assert pages == expected
+
+
+#: Components of the index scan model: every collation class, MISSING
+#: among them, and few enough that equal keys under other doc ids are
+#: common and pages split runs of them.  No two collate equal (no ``1``
+#: beside ``1.0``), so the model's order has no ties.
+SCAN_COMPONENTS = [MISSING, None, False, True, 0, 1, 2.5, "a", "b",
+                   [1], {"k": 1}]
+SCAN_DOC_IDS = ["d0", "d1", "d2", "d3", "d4", "d5"]
 
 
 # -- bytes written against a full encode ----------------------------------------
@@ -389,12 +493,12 @@ MIXED_COMPONENTS = [None, False, True, 0, 1, 1.0, -2.5, "", "a", "b",
 
 
 def view_tree_kwargs() -> dict:
-    """The comparator and reduce pair of a ``_stats`` view index."""
+    """The sort key and reduce pair of a ``_stats`` view index."""
     index = ViewIndex(ViewDefinition("d", "v", lambda doc, meta, emit: None,
                                      "_stats"),
                       SimulatedDisk(), "v.view")
     tree = index.tree
-    return {"compare": tree.compare, "reduce_fn": tree.reduce_fn,
+    return {"sort_key": tree.sort_key, "reduce_fn": tree.reduce_fn,
             "rereduce_fn": tree.rereduce_fn}
 
 
@@ -405,7 +509,7 @@ TREE_KINDS = {
     "gsi": (st.tuples(st.lists(st.sampled_from(MIXED_COMPONENTS),
                                max_size=2),
                       st.sampled_from(["d0", "d1", "d2"])).map(list),
-            st.none(), lambda: {"compare": composite_compare}),
+            st.none(), lambda: {"sort_key": index_key}),
     "view": (st.tuples(st.sampled_from(MIXED_COMPONENTS[:11]),
                        st.sampled_from(["d0", "d1"])).map(list),
              st.builds(lambda v, vb: {"v": v, "vb": vb},
@@ -460,7 +564,7 @@ class TestBytesWritten:
 LOOKUP_KINDS = {
     "str": (st.text("abcdé", max_size=3), dict),
     "int": (st.integers(-40, 40), dict),
-    "gsi": (composite_keys, lambda: {"compare": composite_compare}),
+    "gsi": (composite_keys, lambda: {"sort_key": index_key}),
     "view": (st.tuples(st.sampled_from(COMPONENTS),
                        st.sampled_from(["d0", "d1"])).map(list),
              view_tree_kwargs),

@@ -13,7 +13,7 @@ import pytest
 
 from repro.common.disk import SimulatedDisk
 from repro.common.errors import CorruptFileError
-from repro.gsi.storage import BTreeIndexStorage
+from repro.gsi.storage import BTreeIndexStorage, index_key
 from repro.n1ql.collation import MISSING
 from repro.storage.appendlog import _HEADER, AppendLog
 from repro.storage.btree import BTree
@@ -123,6 +123,30 @@ class TestWarmEqualsCold:
 
         assert_warm_equals_cold(storage.log, collect)
 
+    def test_gsi_rows_and_pages(self):
+        """Scan rows cut at a limit and continued past a row, from
+        cached sort keys and from keys made on a cold read."""
+        storage = BTreeIndexStorage(SimulatedDisk(), "idx")
+        storage.tree.max_node_items = 4
+        storage.update_docs([(f"d{i:03d}", 0, [[i % 6, [i % 3]], [MISSING, i]])
+                             for i in range(90)])
+
+        def collect():
+            pages = []
+            for descending in (False, True):
+                after = None
+                while True:
+                    page = storage.rows([1], [4], True, False, descending,
+                                        limit=7, after=after)
+                    pages.append(page)
+                    if len(page) < 7:
+                        break
+                    after = page[-1]
+            return pages + [storage.rows(None, None, limit=11),
+                            storage.rows([MISSING], [MISSING])]
+
+        assert_warm_equals_cold(storage.log, collect)
+
     @pytest.mark.parametrize("reduce_fn", ["_count", "_sum", "_stats"])
     def test_view_tree_with_reduce(self, reduce_fn):
         definition = ViewDefinition(
@@ -169,6 +193,96 @@ class TestWarmEqualsCold:
         for key in range(3 * capacity):
             tree._remember(target, key, key)
         assert list(target) == list(range(2 * capacity, 3 * capacity))
+
+
+def counted_index_key(calls: list):
+    """:func:`index_key` that appends each key it makes to ``calls``."""
+    def sort_key(composite):
+        calls.append(composite)
+        return index_key(composite)
+
+    return sort_key
+
+
+def assert_cached_keys_are_fresh(log) -> None:
+    """Every cached node's sort keys are its entries' keys made anew."""
+    assert log.node_cache
+    for kind, items, _size, _parts, keys in log.node_cache.values():
+        assert keys == [index_key(item[0]) for item in items], kind
+
+
+def gsi_rows(count: int) -> list:
+    return [([[i % 7, f"n{i}"], f"d{i:03d}"], None) for i in range(count)]
+
+
+class TestSortKeysLiveAndDieWithTheirNode:
+    """A node's sort keys live only in its cache entry: a write keys
+    only the entries it adds, a cold read keys the node it reads, and
+    whatever ends the entry -- eviction, a compaction's new file, a
+    truncate -- ends its keys."""
+
+    def test_a_write_keys_only_its_new_entries(self):
+        calls: list = []
+        log = AppendLog(SimulatedDisk().open("keys.idx"))
+        tree = BTree(log, sort_key=counted_index_key(calls),
+                     max_node_items=4).batch_update(inserts=gsi_rows(60))
+        assert len(calls) == 60
+        assert_cached_keys_are_fresh(log)
+        calls.clear()
+        tree = tree.batch_update(inserts=[([[3, "new"], "d999"], None)],
+                                 deletes=[[[0, "n0"], "d000"]])
+        assert len(calls) == 2  # the two probes: no copied entry is keyed
+        assert_cached_keys_are_fresh(log)
+        calls.clear()
+        assert len(list(tree.range())) == 60
+        assert calls == []  # a warm walk keys nothing
+
+    def test_an_evicted_node_is_keyed_again_when_read(self, monkeypatch):
+        monkeypatch.setattr(BTree, "NODE_CACHE_CAPACITY", 3)
+        calls: list = []
+        log = AppendLog(SimulatedDisk().open("keys.idx"))
+        tree = BTree(log, sort_key=counted_index_key(calls),
+                     max_node_items=4).batch_update(inserts=gsi_rows(60))
+        calls.clear()
+        rows = list(tree.range([[2], ""], [[5], ""]))
+        # Beyond the two bound probes: nodes evicted since their write
+        # were keyed again.
+        assert len(calls) > 2
+        assert len(log.node_cache) == 3
+        assert_cached_keys_are_fresh(log)
+        log.node_cache.clear()
+        assert list(tree.range([[2], ""], [[5], ""])) == rows
+
+    def test_truncate_forgets_the_keys(self):
+        calls: list = []
+        log = AppendLog(SimulatedDisk().open("keys.idx"))
+        BTree(log, sort_key=counted_index_key(calls),
+              max_node_items=4).batch_update(inserts=gsi_rows(40))
+        log.truncate(0)
+        assert log.node_cache == {}
+        calls.clear()
+        tree = BTree(log, sort_key=counted_index_key(calls),
+                     max_node_items=4).batch_update(inserts=gsi_rows(5))
+        assert len(calls) == 5
+        assert [key for key, _value in tree.range()] == \
+            [key for key, _value in gsi_rows(5)]
+
+    def test_a_compaction_keys_its_new_file_afresh(self):
+        storage = BTreeIndexStorage(SimulatedDisk(), "idx")
+        storage.tree.max_node_items = 4
+        storage.update_docs([(f"d{i:03d}", 0, [[i % 5, f"n{i}"]])
+                             for i in range(50)])
+        storage.update_docs([(f"d{i:03d}", 0, []) for i in range(0, 50, 3)])
+        before = list(storage.scan(None, None))
+        old_log = storage.log
+        storage.compact()
+        assert storage.log is not old_log and storage.tree.log is storage.log
+        assert all(offset < storage.log.size
+                   for offset in storage.log.node_cache)
+        assert_cached_keys_are_fresh(storage.log)
+        assert list(storage.scan(None, None)) == before
+        storage.log.node_cache.clear()
+        assert list(storage.scan(None, None)) == before
 
 
 class TestSteadyStateCounts:
