@@ -12,12 +12,11 @@ expose the same interface:
   every document in the batch, the last triple per ``doc_id`` winning
   (the back-index lives inside the storage so a batch is one call, and
   replaying a batch leaves the index as it was);
-* ``scan(low, high, ...)``        -- ordered range scan over composite
-  keys, yielding ``(key_tuple, doc_id)``; ``rows(..., limit, after)``
-  is the same rows as a list, cut at ``limit`` and started past the
-  ``after`` row;
+* ``rows(low, high, ..., limit, after)`` -- ordered range scan over
+  composite keys: a list of ``(key_tuple, doc_id)``, cut at ``limit``
+  and started past the ``after`` row;
 * ``fold(low, high, ...)``        -- the partial GROUP BY of the rows
-  ``scan`` would yield (:func:`fold_rows`);
+  ``rows`` would return (:func:`fold_rows`);
 * ``count()`` / stats.
 
 Composite keys are lists of JSON values ordered component-wise under
@@ -233,18 +232,12 @@ class _Rows:
     def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
         raise NotImplementedError
 
-    def scan(self, low: list | None, high: list | None,
-             inclusive_low: bool = True, inclusive_high: bool = True,
-             descending: bool = False) -> Iterator[tuple[list, str]]:
-        return iter(self.rows(low, high, inclusive_low, inclusive_high,
-                              descending))
-
     @hot_path
     def rows(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
              descending: bool = False, limit: int | None = None,
              after: tuple[list, str] | None = None) -> list[tuple[list, str]]:
-        """The rows :meth:`scan` yields, strictly past the ``after``
+        """The range's rows in scan order, strictly past the ``after``
         row when given, as a list of at most ``limit``: each run is
         cut to the room left and decoded in one comprehension."""
         rows: list[tuple[list, str]] = []
@@ -281,7 +274,7 @@ class BTreeIndexStorage(_Rows, IndexFile):
              inclusive_low: bool, inclusive_high: bool,
              group_positions: list[int],
              agg_specs: list[tuple[str, int | None]]) -> Groups:
-        """:func:`fold_rows` over the rows :meth:`scan` would yield,
+        """:func:`fold_rows` over the rows :meth:`rows` would return,
         through the tree's memoized node folds (``BTree.fold_range``):
         when a node holds fewer groups than entries, only the first query
         to cover it folds its rows, and later ones fold only the range's
@@ -406,9 +399,14 @@ class SkipListIndexStorage(_Rows):
              inclusive_low: bool, inclusive_high: bool,
              group_positions: list[int],
              agg_specs: list[tuple[str, int | None]]) -> Groups:
-        """:func:`fold_rows` over the rows :meth:`scan` would yield."""
-        return fold_rows(self.scan(low, high, inclusive_low, inclusive_high),
-                         group_positions, agg_specs)
+        """:func:`fold_rows` over the rows :meth:`rows` would return,
+        decoded one run at a time."""
+        bounds = _composite_bounds(low, high, inclusive_low, inclusive_high)
+        return fold_rows(
+            ((decode_key(key), doc_id)
+             for run in self._runs(bounds, False)
+             for (key, doc_id), _value in run),
+            group_positions, agg_specs)
 
     def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
         """The range's nodes as ``((key, doc_id), None)`` entries in

@@ -631,22 +631,11 @@ def _c_meta_field(expr: FunctionCall, alias, path: tuple[str, ...]):
     MISSING."""
     meta_of = _c_meta(expr, alias)
     target = expr.args[0].name if expr.args else alias
-    if len(path) == 1:
-        field = path[0]
-
-        def field_fn(env, ev):
-            if type(env) is ScanRow and env.alias == target:
-                # A covered row's metadata is its document id alone.
-                return env.doc_id if field == "id" else MISSING
-            # A metadata namespace is always a dict.
-            value = env.lookup_meta(target)
-            if value is None:
-                return meta_of(env, ev)
-            return value.get(field, MISSING)
-
-        return _dynamic(field_fn)
 
     def fn(env, ev):
+        if type(env) is ScanRow and env.alias == target:
+            # A covered row's metadata is its document id alone.
+            return env.doc_id if path == ("id",) else MISSING
         value = env.lookup_meta(target)
         if value is None:
             return meta_of(env, ev)

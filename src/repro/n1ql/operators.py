@@ -818,8 +818,7 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
 
 def _lower_projection(raw: bool, entries: list):
     """One batch closure for ``(fn, name, star_of)`` projection entries
-    (``fn`` None for a star, ``name`` None for an unnamed value); one
-    named expression needs no per-entry dispatch at all."""
+    (``fn`` None for a star, ``name`` None for an unnamed value)."""
     if raw:
         raw_fn = entries[0][0]
 
@@ -829,16 +828,6 @@ def _lower_projection(raw: bool, entries: list):
                     for value in [raw_fn(env, ev) for env in batch]]
 
         return project_raw
-    if len(entries) == 1 and entries[0][0] is not None \
-            and entries[0][1] is not None:
-        (fn, name, _star_of), = entries
-
-        @hot_path
-        def project_one(batch, ev):
-            return [{} if value is MISSING else {name: value}
-                    for value in [fn(env, ev) for env in batch]]
-
-        return project_one
 
     def project_row(env, ev):
         result = {}

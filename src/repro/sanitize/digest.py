@@ -107,7 +107,7 @@ def _gsi_digests(cluster) -> dict:
         for name, instance in node.indexer.indexer.instances.items():
             rows = [
                 [key_components, doc_id]
-                for key_components, doc_id in instance.storage.scan(None, None)
+                for key_components, doc_id in instance.storage.rows(None, None)
             ]
             out[f"{node.name}/{name}"] = rows
     return out

@@ -50,14 +50,14 @@ def test_update_docs_equals_one_at_a_time(kind, batches):
         batched.update_docs(key_versions)
         for key_version in key_versions:
             single.update_docs([key_version])
-        assert list(batched.scan(None, None)) == list(single.scan(None, None))
+        assert list(batched.rows(None, None)) == list(single.rows(None, None))
         assert batched.back_index == single.back_index
         assert batched.count() == single.count()
     # Replay is idempotent: the projector resends a whole slice when part
     # of it was not delivered.
-    rows = list(batched.scan(None, None))
+    rows = list(batched.rows(None, None))
     batched.update_docs(batches[-1])
-    assert list(batched.scan(None, None)) == rows
+    assert list(batched.rows(None, None)) == rows
     assert batched.back_index == single.back_index
 
 

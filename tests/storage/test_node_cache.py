@@ -115,9 +115,9 @@ class TestWarmEqualsCold:
 
         def collect():
             return [
-                list(storage.scan(None, None)),
-                list(storage.scan([3], [7], inclusive_high=False)),
-                list(storage.scan([MISSING], [2], descending=True)),
+                list(storage.rows(None, None)),
+                list(storage.rows([3], [7], inclusive_high=False)),
+                list(storage.rows([MISSING], [2], descending=True)),
                 storage.count(),
             ]
 
@@ -273,16 +273,16 @@ class TestSortKeysLiveAndDieWithTheirNode:
         storage.update_docs([(f"d{i:03d}", 0, [[i % 5, f"n{i}"]])
                              for i in range(50)])
         storage.update_docs([(f"d{i:03d}", 0, []) for i in range(0, 50, 3)])
-        before = list(storage.scan(None, None))
+        before = list(storage.rows(None, None))
         old_log = storage.log
         storage.compact()
         assert storage.log is not old_log and storage.tree.log is storage.log
         assert all(offset < storage.log.size
                    for offset in storage.log.node_cache)
         assert_cached_keys_are_fresh(storage.log)
-        assert list(storage.scan(None, None)) == before
+        assert list(storage.rows(None, None)) == before
         storage.log.node_cache.clear()
-        assert list(storage.scan(None, None)) == before
+        assert list(storage.rows(None, None)) == before
 
 
 class TestSteadyStateCounts:
