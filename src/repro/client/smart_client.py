@@ -35,7 +35,7 @@ from ..common.errors import (
     NotMyVBucketError,
     TemporaryFailureError,
 )
-from ..common.jsonval import JsonValue
+from ..common.jsonval import JsonValue, deep_copy
 from ..common.scheduler import Scheduler
 from ..common.transport import Network
 from ..kv.types import MutationResult
@@ -211,8 +211,9 @@ class SmartClient:
                      'NodeDownError', 'NotMyVBucketError',
                      'TemporaryFailureError')
     def get(self, bucket: str, key: str) -> Document:
-        """Read a document by primary key (routed to the active node)."""
-        return self._call(bucket, key, "kv_get")
+        """Read a document by primary key (routed to the active node):
+        the caller's own copy, as from every read call here."""
+        return self._call(bucket, key, "kv_get").copy()
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -286,7 +287,7 @@ class SmartClient:
                      lock_time: float | None = None) -> Document:
         """Read and pessimistically lock a document (section 3.1.1); the
         returned CAS is the lock token."""
-        return self._call(bucket, key, "kv_get_and_lock", lock_time)
+        return self._call(bucket, key, "kv_get_and_lock", lock_time).copy()
 
     @declared_raises('BucketNotFoundError', 'DocumentLockedError',
                      'InvalidArgumentError', 'KeyNotFoundError',
@@ -314,7 +315,7 @@ class SmartClient:
                      'TemporaryFailureError')
     def lookup_in(self, bucket: str, key: str, paths: list[str]) -> list:
         """Fetch selected sub-document paths; one result dict per path."""
-        return self._call(bucket, key, "kv_lookup_in", paths)
+        return deep_copy(self._call(bucket, key, "kv_lookup_in", paths))
 
     @declared_raises('BucketNotFoundError', 'CasMismatchError',
                      'CorruptFileError', 'DocumentLockedError',
@@ -497,18 +498,31 @@ class SmartClient:
         node, all in one round trip, instead of one round trip per key.
         Missing keys are simply absent from the result; any other
         per-key error propagates."""
-        batch = self.multi_get_batch(bucket, keys)
+        return {key: doc.copy()
+                for key, doc in self.fetch(bucket, keys).items()}
+
+    @declared_raises('BucketNotFoundError', 'CorruptFileError',
+                     'InvalidArgumentError', 'NodeDownError',
+                     'NotMyVBucketError', 'TemporaryFailureError')
+    def fetch(self, bucket: str, keys: list[str]) -> dict[str, Document]:
+        """:meth:`multi_get` without the copy: the stored documents
+        themselves, for a service of the cluster that only reads them
+        (the query service's Fetch and joins).  Whatever leaves for an
+        application is copied where it leaves."""
+        batch = self._multi_call(bucket, "kv_multi_get", list(keys))
         for key, error in batch.errors.items():
             if not isinstance(error, KeyNotFoundError):
                 raise error
-        # The BatchResult is ours alone; hand its dict out as-is rather
-        # than copying it on the hot fetch path.
+        # The BatchResult is ours alone; hand its dict out as-is.
         return batch.results
 
     @declared_raises('BucketNotFoundError', 'InvalidArgumentError')
     def multi_get_batch(self, bucket: str, keys: list[str]) -> BatchResult:
         """Batch point lookups with the full per-key outcome surface."""
-        return self._multi_call(bucket, "kv_multi_get", list(keys))
+        batch = self._multi_call(bucket, "kv_multi_get", list(keys))
+        batch.results = {key: doc.copy()
+                         for key, doc in batch.results.items()}
+        return batch
 
     @declared_raises('BucketNotFoundError', 'InvalidArgumentError')
     def multi_upsert(self, bucket: str,

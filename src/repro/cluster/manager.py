@@ -60,8 +60,14 @@ class ClusterManager:
         #: node -> the catalog epoch and the map revision per bucket it
         #: acknowledged (an empty catalog and no map until a push).
         self.acked: dict[str, tuple[int, dict[str, int]]] = {}
-        #: Nodes administratively removed or failed over.
+        #: Nodes administratively removed or failed over; changed only
+        #: through :meth:`add_node` and :meth:`eject`.
         self.ejected: set[str] = set()
+        #: Per service, the names of its nodes that are not ejected,
+        #: sorted: recomputed by each change of membership (add, remove,
+        #: failover, a removed node added back), read by every query.
+        self._service_nodes: dict[Service, list[str]] = {
+            service: [] for service in Service}
         #: node -> virtual time its unreachability was first noticed.
         self._suspects: dict[str, float] = {}
         #: History of (time, event, detail) tuples for observability.
@@ -75,6 +81,7 @@ class ClusterManager:
             raise NodeExistsError(node.name)
         self.nodes[node.name] = node
         self.ejected.discard(node.name)
+        self._membership_changed()
         self._log("node-added", node.name)
         # New data nodes open existing buckets; vBuckets arrive via
         # rebalance, the maps and views with the push.
@@ -86,6 +93,7 @@ class ClusterManager:
         """Forget a node the rebalance has emptied, closing its buckets,
         and what it acknowledged."""
         node = self.nodes.pop(name)
+        self._membership_changed()
         self.acked.pop(name, None)
         for bucket in self.bucket_configs:
             self.close_bucket(node, bucket)
@@ -94,10 +102,22 @@ class ClusterManager:
         return self.nodes_with_service(Service.DATA)
 
     def nodes_with_service(self, service: Service) -> list[str]:
-        return sorted(
-            name for name, node in self.nodes.items()
-            if node.has_service(service) and name not in self.ejected
-        )
+        """The service's nodes that are not ejected, by name: the
+        manager's own list, to be read, not changed."""
+        return self._service_nodes[service]
+
+    def eject(self, name: str) -> None:
+        """Take a node out of service (a failover, or the first step of
+        its removal); it stays a member until :meth:`remove_node`."""
+        self.ejected.add(name)
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
+        self._service_nodes = {
+            service: sorted(name for name, node in self.nodes.items()
+                            if node.has_service(service)
+                            and name not in self.ejected)
+            for service in Service}
 
     def live_nodes(self) -> list[str]:
         return sorted(
@@ -320,7 +340,7 @@ class ClusterManager:
         promoted and (replica-less) lost vBuckets."""
         if node_name not in self.nodes:
             raise NodeNotFoundError(node_name)
-        self.ejected.add(node_name)
+        self.eject(node_name)
         self._suspects.pop(node_name, None)
         report: dict[str, dict] = {}
         for bucket, cluster_map in self.cluster_maps.items():

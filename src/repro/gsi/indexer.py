@@ -153,10 +153,11 @@ class Indexer:
                   inclusive_low: bool = True, inclusive_high: bool = True,
                   descending: bool = False, page_size: int = 64,
                   after: tuple[list, str] | None = None,
-                  ) -> tuple[list[tuple[list, str]], bool]:
+                  ) -> tuple[list[tuple[list, str]], list[tuple], bool]:
         """One page of a range scan: up to ``page_size`` rows strictly
         past the ``after`` continuation (the last row of the previous
-        page), plus an exhausted flag.
+        page), their sort keys (``Storage.keyed_rows``), which the
+        coordinator merges pages by, and an exhausted flag.
 
         This is the node half of the coordinator's streaming merge: the
         coordinator pulls pages on demand and stops once a LIMIT is
@@ -167,11 +168,12 @@ class Indexer:
         and never re-walks a row."""
         instance = self.instance(name)
         page_size = max(1, page_size)
-        rows = instance.storage.rows(low, high, inclusive_low, inclusive_high,
-                                     descending, page_size, after)
+        rows, sorts = instance.storage.keyed_rows(
+            low, high, inclusive_low, inclusive_high, descending, page_size,
+            after)
         self.node.metrics.inc("gsi.scan_pages")
         self.node.metrics.inc("gsi.scan_page_rows", len(rows))
-        return rows, len(rows) < page_size
+        return rows, sorts, len(rows) < page_size
 
     @declared_raises('IndexNotFoundError')
     def scan_aggregate(self, name: str, low: list | None, high: list | None,
@@ -187,7 +189,7 @@ class Indexer:
         rows -- cross the fabric.  A standard index serves the fold from
         its memoized node folds (``BTreeIndexStorage.fold``).
 
-        Returns ``{group_token: (group_values, partials)}``.  Everything
+        Returns ``{group_key: (group_values, partials)}``.  Everything
         in it is the caller's own: the values and MIN/MAX bests are
         copied (``deep_copy`` returns a scalar as is), because the fold
         may be a memoized one."""
@@ -197,10 +199,10 @@ class Indexer:
                                        list(agg_specs))
         self.node.metrics.inc("gsi.scan_aggregates")
         return {
-            token: (deep_copy(values),
+            key: (deep_copy(values),
                     [[count, total, deep_copy(best)]
                      for count, total, best in partials])
-            for token, (values, partials) in groups.items()
+            for key, (values, partials) in groups.items()
         }
 
     @declared_raises('IndexNotFoundError')

@@ -36,7 +36,7 @@ from ..kv.types import VBucketState
 from ..n1ql.collation import collate_key
 from .indexdef import IndexDefinition
 from .indexer import Indexer
-from .storage import HIGH_BOUND, index_key, merge_folds
+from .storage import HIGH_BOUND, merge_folds
 
 if TYPE_CHECKING:
     from ..server import Cluster
@@ -232,9 +232,10 @@ class GsiCoordinator:
             return rows if limit is None else rows[:limit]
         # Parallel scatter-gather: one wave of first-page RPCs to every
         # partition (charged a single round trip -- the calls overlap),
-        # then a streaming k-way merge over lazily pulled pages.  With a
-        # LIMIT the merge stops at the frontier, so each partition
-        # yields at most limit + one page of rows.
+        # then a streaming k-way merge over lazily pulled pages, by the
+        # sort keys the index nodes hold for their rows.  With a LIMIT
+        # the merge stops at the frontier, so each partition yields at
+        # most limit + one page of rows.
         page = SCAN_PAGE_SIZE if limit is None else min(SCAN_PAGE_SIZE, limit)
         first_pages = self.cluster.network.call_fanout(
             "gsi-coordinator", node_names, "gsi_scan_page", name,
@@ -243,28 +244,28 @@ class GsiCoordinator:
         )
         streams = [
             self._page_stream(node_name, name, low, high, inclusive_low,
-                              inclusive_high, descending, page, rows,
-                              exhausted)
-            for node_name, (rows, exhausted) in zip(node_names, first_pages)
+                              inclusive_high, descending, page, first_page)
+            for node_name, first_page in zip(node_names, first_pages)
         ]
-        # The order the index nodes return pages in.
-        merged = heapq.merge(*streams, key=index_key, reverse=descending)
-        return list(itertools.islice(merged, limit))
+        # (sort key, row) pairs: no two rows of an index share a sort key.
+        merged = heapq.merge(*streams, reverse=descending)
+        return [row for _sort, row in itertools.islice(merged, limit)]
 
     def _page_stream(self, node_name: str, name: str, low, high,
                      inclusive_low: bool, inclusive_high: bool,
-                     descending: bool, page: int, rows, exhausted: bool):
-        """One partition's rows, pulled page by page: the next page is
-        requested only when the merge frontier actually drains this
-        partition past its buffered rows."""
+                     descending: bool, page: int, first_page: tuple):
+        """One partition's ``(sort key, row)`` pairs, pulled page by
+        page: the next page is requested only when the merge frontier
+        actually drains this partition past its buffered rows."""
+        rows, sorts, exhausted = first_page
         while True:
-            yield from rows
+            yield from zip(sorts, rows)
             if exhausted or not rows:
                 return
             # One RPC per *page*, pulled only when the merge frontier
             # drains past the buffer -- paging is the point here.
             # repro: disable-next=n-plus-one-rpc
-            rows, exhausted = self.cluster.network.call(
+            rows, sorts, exhausted = self.cluster.network.call(
                 "gsi-coordinator", node_name, "gsi_scan_page", name,
                 low, high, inclusive_low, inclusive_high, descending,
                 page, rows[-1],
@@ -287,7 +288,7 @@ class GsiCoordinator:
         pre-aggregates its own rows via ``gsi_scan_aggregate`` -- one
         parallel wave, like :meth:`scan` -- and only the per-group
         partial states cross the fabric; this coordinator merges them
-        by group token with the same ``merge_folds`` a node merges its
+        by group key with the same ``merge_folds`` a node merges its
         memoized folds with.  Returns ``[(group_values, partials), ...]``
         in collation order of the group values."""
         meta = self.catalog.require(name)

@@ -35,7 +35,7 @@ from ..common.contracts import hot_path
 from ..common.disk import SimulatedDisk
 from ..common.errors import InvalidArgumentError
 from ..common.jsonval import deep_copy
-from ..n1ql.collation import MISSING, collate_key, compare
+from ..n1ql.collation import MISSING, collate_key, compare, value_key
 from ..storage.indexfile import BackIndex, IndexFile, replace_rows
 
 #: Encoded form of MISSING inside stored keys (MISSING is not JSON).
@@ -59,12 +59,13 @@ def decode_key(components: list) -> list:
     mutated a returned row would otherwise rewrite the index; scalar
     components are immutable and pass through uncopied.  (Stored values
     are JSON-native, so an exact type test suffices.)  A key of scalars
-    alone, the common case, is one list copy."""
+    alone, the common case, is the stored list itself, to be read, not
+    changed: the query service builds new rows from it."""
     for component in components:
         if type(component) in _CONTAINER_TYPES:
             return [_decode_container(c) if type(c) in _CONTAINER_TYPES
                     else c for c in components]
-    return components[:]
+    return components
 
 
 def _decode_container(component):
@@ -94,21 +95,10 @@ HIGH_BOUND: Any = {"￿": "￿"}
 
 # -- partial aggregates --------------------------------------------------------
 
-#: A fold of index rows: group token -> (group values, one
-#: ``[count, total, best]`` partial per aggregate spec).
-Groups = dict[str, tuple[list, list[list]]]
-
-
-def _same_group(values: list, previous: list) -> bool:
-    """Whether two rows' group values share a group token.  Decided
-    without serializing only for same-typed strings, integers, booleans,
-    NULL and MISSING: Python's ``1 == 1.0 == True`` and ``0.0 == -0.0``
-    are not JSON's, and a list or object could hide either inside."""
-    for mine, theirs in zip(values, previous):
-        if (type(mine) is not type(theirs) or mine != theirs
-                or isinstance(mine, (float, list, dict))):
-            return False
-    return True
+#: A fold of index rows: group key (:func:`value_key` of the group
+#: values) -> (group values, one ``[count, total, best]`` partial per
+#: aggregate spec).
+Groups = dict[Any, tuple[list, list[list]]]
 
 
 def fold_rows(rows: Iterable[tuple[list, str]],
@@ -121,24 +111,16 @@ def fold_rows(rows: Iterable[tuple[list, str]],
     A spec position of None is COUNT(*) (counts rows) and -1 takes the
     document id.  ``count`` counts non-MISSING/non-NULL inputs, ``total``
     sums numeric inputs (SUM/AVG), ``best`` is the MIN/MAX candidate.
-    The token is the JSON shape the query service's Group operator uses,
-    so partials merge by value equality, not object identity."""
+    The group key is the value key the query service's Group operator
+    uses, so partials merge by value equality, not object identity."""
     groups: Groups = {}
-    entry = None
     for key_components, doc_id in rows:
         values = [key_components[p] for p in group_positions]
-        # Index order keeps a leading group key's rows together, so
-        # most rows land in the previous row's group: serialize a
-        # token only when the group values change.
-        if entry is None or not _same_group(values, entry[0]):
-            token = json.dumps(
-                [None if v is MISSING else ["$", v] for v in values],
-                sort_keys=True,
-            )
-            entry = groups.get(token)
-            if entry is None:
-                entry = (values, [[0, 0, MISSING] for _ in agg_specs])
-                groups[token] = entry
+        key = value_key(values)
+        entry = groups.get(key)
+        if entry is None:
+            entry = groups[key] = (values,
+                                   [[0, 0, MISSING] for _ in agg_specs])
         for (agg_name, position), partial in zip(agg_specs, entry[1]):
             if position is None:  # COUNT(*): counts rows, not values
                 partial[0] += 1
@@ -172,10 +154,10 @@ def merge_folds(folds: Iterable[Groups],
     bests, which nobody mutates either."""
     merged: Groups = {}
     for groups in folds:
-        for token, (values, partials) in groups.items():
-            entry = merged.get(token)
+        for key, (values, partials) in groups.items():
+            entry = merged.get(key)
             if entry is None:
-                merged[token] = (values, [list(p) for p in partials])
+                merged[key] = (values, [list(p) for p in partials])
                 continue
             for (agg_name, _position), mine, theirs in zip(
                 agg_specs, entry[1], partials,
@@ -227,32 +209,48 @@ def index_row(doc_id: str, vbucket_id: int, entry: list) -> tuple[list, None]:
 
 class _Rows:
     """The scans both backends serve from ``_runs(bounds, descending)``:
-    lists of stored ``(composite, value)`` entries in scan order."""
+    runs of stored ``(composite, value)`` entries in scan order, each
+    with its entries' :func:`index_key` sort keys, ``(entries, keys)``."""
 
-    def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
+    def _runs(self, bounds: Bounds,
+              descending: bool) -> Iterator[tuple[list, list]]:
         raise NotImplementedError
 
     @hot_path
+    def keyed_rows(self, low: list | None, high: list | None,
+                   inclusive_low: bool = True, inclusive_high: bool = True,
+                   descending: bool = False, limit: int | None = None,
+                   after: tuple[list, str] | None = None,
+                   ) -> tuple[list[tuple[list, str]], list[tuple]]:
+        """The range's rows in scan order, strictly past the ``after``
+        row when given, as a list of at most ``limit``, and beside it
+        their sort keys as the index holds them, for a coordinator that
+        merges partitions' pages: each run is cut to the room left and
+        decoded in one comprehension."""
+        rows: list[tuple[list, str]] = []
+        sorts: list[tuple] = []
+        if limit is not None and limit <= 0:
+            return rows, sorts
+        bounds = _composite_bounds(low, high, inclusive_low, inclusive_high,
+                                   descending, after)
+        for run, keys in self._runs(bounds, descending):
+            if limit is not None and len(run) > limit - len(rows):
+                room = limit - len(rows)
+                run, keys = run[:room], keys[:room]
+            rows += [(decode_key(composite[0]), composite[1])
+                     for composite, _value in run]
+            sorts += keys
+            if len(rows) == limit:
+                break
+        return rows, sorts
+
     def rows(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
              descending: bool = False, limit: int | None = None,
              after: tuple[list, str] | None = None) -> list[tuple[list, str]]:
-        """The range's rows in scan order, strictly past the ``after``
-        row when given, as a list of at most ``limit``: each run is
-        cut to the room left and decoded in one comprehension."""
-        rows: list[tuple[list, str]] = []
-        if limit is not None and limit <= 0:
-            return rows
-        bounds = _composite_bounds(low, high, inclusive_low, inclusive_high,
-                                   descending, after)
-        for run in self._runs(bounds, descending):
-            if limit is not None and len(run) > limit - len(rows):
-                run = run[:limit - len(rows)]
-            rows += [(decode_key(composite[0]), composite[1])
-                     for composite, _value in run]
-            if len(rows) == limit:
-                break
-        return rows
+        """The rows of :meth:`keyed_rows`."""
+        return self.keyed_rows(low, high, inclusive_low, inclusive_high,
+                               descending, limit, after)[0]
 
 
 class BTreeIndexStorage(_Rows, IndexFile):
@@ -264,7 +262,8 @@ class BTreeIndexStorage(_Rows, IndexFile):
     def __init__(self, disk: SimulatedDisk, filename: str):
         super().__init__(disk, filename, index_row, index_key)
 
-    def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
+    def _runs(self, bounds: Bounds,
+              descending: bool) -> Iterator[tuple[list, list]]:
         start, end, inclusive_start, inclusive_end = bounds
         return self.tree.slices(start, end, inclusive_start=inclusive_start,
                                 inclusive_end=inclusive_end,
@@ -302,7 +301,7 @@ class BTreeIndexStorage(_Rows, IndexFile):
 
 
 class _SkipNode:
-    __slots__ = ("key", "doc_id", "sort", "forward")
+    __slots__ = ("key", "doc_id", "sort", "forward", "back")
 
     def __init__(self, key, doc_id, sort, level):
         self.key = key
@@ -310,6 +309,9 @@ class _SkipNode:
         #: The composite's :func:`index_key`.
         self.sort = sort
         self.forward: list = [None] * level
+        #: The previous node at level 0 (the head for the first node), so
+        #: a descending scan walks back from its end bound.
+        self.back: _SkipNode | None = None
 
 
 class SkipListIndexStorage(_Rows):
@@ -368,6 +370,9 @@ class SkipListIndexStorage(_Rows):
         for level in range(new_level):
             new_node.forward[level] = update[level].forward[level]
             update[level].forward[level] = new_node
+        new_node.back = update[0]
+        if new_node.forward[0] is not None:
+            new_node.forward[0].back = new_node
         self._size += 1
 
     def _delete(self, composite: list) -> None:
@@ -379,6 +384,8 @@ class SkipListIndexStorage(_Rows):
         for level in range(self._level):
             if update[level].forward[level] is target:
                 update[level].forward[level] = target.forward[level]
+        if target.forward[0] is not None:
+            target.forward[0].back = target.back
         self._size -= 1
 
     # -- storage interface ---------------------------------------------------------
@@ -404,30 +411,56 @@ class SkipListIndexStorage(_Rows):
         bounds = _composite_bounds(low, high, inclusive_low, inclusive_high)
         return fold_rows(
             ((decode_key(key), doc_id)
-             for run in self._runs(bounds, False)
+             for run, _keys in self._runs(bounds, False)
              for (key, doc_id), _value in run),
             group_positions, agg_specs)
 
-    def _runs(self, bounds: Bounds, descending: bool) -> Iterator[list]:
+    def _runs(self, bounds: Bounds,
+              descending: bool) -> Iterator[tuple[list, list]]:
         """The range's nodes as ``((key, doc_id), None)`` entries in
-        runs of :data:`RUN`, ascending; a descending scan is the whole
-        range reversed."""
-        start, end, inclusive_start, inclusive_end = bounds
-        node = self._head if start is None else self._predecessors(
-            index_key(start), past=not inclusive_start)[0]
-        node = node.forward[0]
-        end_sort = None if end is None else index_key(end)
+        runs of :data:`RUN`, in scan order: an ascending scan walks
+        forward from its start bound, a descending one back from its end
+        bound, so a LIMIT that stops the scan stops the walk."""
         run: list = []
+        keys: list = []
+        for node in (self._backward if descending else self._forward)(bounds):
+            run.append(((node.key, node.doc_id), None))
+            keys.append(node.sort)
+            if len(run) == self.RUN:
+                yield run, keys
+                run, keys = [], []
+        if run:
+            yield run, keys
+
+    def _forward(self, bounds: Bounds) -> Iterator[_SkipNode]:
+        start, end, inclusive_start, inclusive_end = bounds
+        node = (self._head if start is None else self._predecessors(
+            index_key(start), past=not inclusive_start)[0]).forward[0]
+        end_sort = None if end is None else index_key(end)
         while node is not None and (end_sort is None or node.sort < end_sort
                                     or (node.sort == end_sort
                                         and inclusive_end)):
-            run.append(((node.key, node.doc_id), None))
-            if len(run) == self.RUN and not descending:
-                yield run
-                run = []
+            yield node
             node = node.forward[0]
-        if run:
-            yield run[::-1] if descending else run
+
+    def _backward(self, bounds: Bounds) -> Iterator[_SkipNode]:
+        start, end, inclusive_start, inclusive_end = bounds
+        node = self._last_node() if end is None else self._predecessors(
+            index_key(end), past=inclusive_end)[0]
+        start_sort = None if start is None else index_key(start)
+        while node is not self._head and (
+                start_sort is None or node.sort > start_sort
+                or (node.sort == start_sort and inclusive_start)):
+            yield node
+            node = node.back
+
+    def _last_node(self) -> _SkipNode:
+        """The last node (the head when the list is empty)."""
+        node = self._head
+        for level in range(self._level - 1, -1, -1):
+            while node.forward[level] is not None:
+                node = node.forward[level]
+        return node
 
     def count(self) -> int:
         return self._size

@@ -434,9 +434,9 @@ class KVEngine:
             doc = self._resident(vb, entry)
         entry.referenced = True
         self.metrics.inc("kv.gets")
-        # The client's own value (it may change what it read); the
-        # frozen meta is shared.
-        return Document(doc.meta, deep_copy(doc.value))
+        # The stored document itself: a service reads it in place, and
+        # the smart client copies it for an application.
+        return doc
 
     def _resident(self, vb: VBucket, entry) -> Document:
         """The entry's document with its value in memory: an ejected one
@@ -661,7 +661,7 @@ class KVEngine:
             lock_time if lock_time is not None else self.LOCK_TIMEOUT
         )
         self.metrics.inc("kv.locks")
-        return Document(doc.meta, deep_copy(doc.value))
+        return doc
 
     @hot_path
     def unlock(self, vbucket_id: int, key: str, cas: int) -> None:

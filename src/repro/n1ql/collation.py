@@ -133,6 +133,35 @@ def collate_key(value: Any) -> tuple:
     return (rank,)  # MISSING, NULL, FALSE, TRUE: singletons
 
 
+#: Private tags of :func:`value_key`: no JSON value's key equals them.
+_FLOAT, _TRUE, _FALSE, _MISSING_VALUE = object(), object(), object(), object()
+
+
+def value_key(value: Any) -> Any:
+    """The identity of a JSON value (or MISSING) as one hashable key:
+    two values get equal keys exactly when their JSON texts with sorted
+    object names are equal.  So ``1``, ``1.0`` and ``true`` differ, as
+    do ``0.0`` and ``-0.0`` (a float keys by its exact ``hex``) and
+    MISSING and NULL, while an object's name order does not matter.  A
+    string, an integer and NULL are their own key, the common case.
+    GROUP BY, DISTINCT and the index's partial folds key rows by it."""
+    kind = type(value)
+    if kind is str or kind is int or value is None:
+        return value
+    if kind is float:
+        return (_FLOAT, value.hex())
+    if kind is bool:
+        return _TRUE if value else _FALSE
+    if kind is list:
+        return tuple([value_key(item) for item in value])
+    if kind is dict:
+        return frozenset([(name, value_key(item))
+                          for name, item in value.items()])
+    if value is MISSING:
+        return _MISSING_VALUE
+    raise TypeError(f"not a JSON value: {value!r}")
+
+
 def equal(a: Any, b: Any) -> bool:
     return compare(a, b) == 0
 

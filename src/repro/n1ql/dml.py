@@ -34,8 +34,8 @@ from ..common.errors import (
 from ..common.jsonval import deep_copy
 from .collation import MISSING
 from .compile import compile_expr
-from .expressions import Env
-from .operators import ExecutionContext, meta_dict
+from .expressions import Env, meta_dict
+from .operators import ExecutionContext
 from .plan import Filter, LimitOp, QueryPlan
 from .pipeline import execute_plan
 from .planner import Planner
@@ -324,7 +324,7 @@ def execute_update(statement: UpdateStatement, planner: Planner,
             check_env.bind(statement.alias, current.value, meta_dict(current))
             if where_fn is not None and where_fn(check_env, ev) is not True:
                 break
-            updated = deep_copy(current.value)
+            updated = current.value  # the client's own copy
             mutate_env = Env()
             mutate_env.bind(statement.alias, updated, meta_dict(current))
             for steps, value_fn in compiled_sets:
@@ -386,6 +386,8 @@ def execute_delete(statement: DeleteStatement, planner: Planner,
         count += 1
         if statement.returning:
             result_env = Env()
-            result_env.bind(statement.alias, value, {"id": key})
+            # The fetched document is the data service's own; the
+            # application gets a copy.
+            result_env.bind(statement.alias, deep_copy(value), {"id": key})
             returned.append(_returning(statement, ctx, result_env))
     return {"mutationCount": count, "returning": returned}

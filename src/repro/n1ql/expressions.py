@@ -3,8 +3,9 @@
 Rows are :class:`Env` chains: alias -> document value, with document
 metadata in a parallel namespace for ``META()``.  LET bindings,
 UNNEST/comprehension variables, and group aggregates extend the chain.
-A covered index row is a :class:`ScanRow`, one object with the same
-read interface, at the root of its chain.
+A covered index row is a :class:`ScanRow` and a fetched document's row
+a :class:`FetchedRow`, each one object with the same read interface,
+at the root of its chain.
 Expressions themselves are lowered to closures by
 :mod:`repro.n1ql.compile`; each closure is called as ``fn(env, ev)``
 with a row :class:`Env` and the execution's :class:`Evaluator`.
@@ -31,7 +32,7 @@ class Env:
 
     def __init__(self, values: dict[str, Any] | None = None,
                  metas: dict[str, dict] | None = None,
-                 parent: "Env | ScanRow | None" = None):
+                 parent: "Env | ScanRow | FetchedRow | None" = None):
         """A frame over ``parent``; a scan row passes its one binding
         in, ``Env({alias: doc}, {alias: meta})``, and the frame takes
         both dicts as its own."""
@@ -90,6 +91,48 @@ class ScanRow:
     def lookup_meta(self, name: str) -> dict | None:
         if name == self.alias:
             return {"id": self.doc_id}
+        return None
+
+    def child(self) -> Env:
+        return Env(parent=self)
+
+    def aliases(self) -> list[str]:
+        return [self.alias]
+
+
+def meta_dict(doc) -> dict:
+    """``META()`` of a document: its metadata as a new object."""
+    meta = doc.meta
+    return {
+        "id": meta.key,
+        "cas": meta.cas,
+        "seqno": meta.seqno,
+        "rev": meta.rev,
+        "expiration": meta.expiry,
+        "flags": meta.flags,
+    }
+
+
+class FetchedRow:
+    """One fetched row: ``alias`` bound to a stored document's value,
+    read in place, and ``META(alias)`` to its metadata, built when an
+    expression asks for it.  It reads as an :class:`Env` frame, like
+    :class:`ScanRow`, and binds nothing."""
+
+    __slots__ = ("alias", "document")
+
+    def __init__(self, alias: str, document):
+        self.alias = alias
+        self.document = document
+
+    def lookup(self, name: str) -> tuple[bool, Any]:
+        if name == self.alias:
+            return True, self.document.value
+        return False, MISSING
+
+    def lookup_meta(self, name: str) -> dict | None:
+        if name == self.alias:
+            return meta_dict(self.document)
         return None
 
     def child(self) -> Env:

@@ -367,6 +367,9 @@ SCALARS: dict[str, Callable[[list], Any]] = {
 class Accumulator:
     """Streaming aggregate state for one (group, aggregate expr)."""
 
+    __slots__ = ("name", "distinct", "count", "total", "best", "items",
+                 "_seen")
+
     def __init__(self, name: str, distinct: bool):
         self.name = name
         self.distinct = distinct

@@ -6,16 +6,18 @@ operators, and the positional (``$1``/``?``) and named (``$name``)
 parameters the YCSB workload-E query uses
 (``SELECT meta().id FROM bucket WHERE meta().id >= $1 LIMIT $2``).
 
-One compiled pattern does the scanning.  Each alternative is a named
-group, tried in order at every position; the last one catches what no
-other group starts with.  A token's line and column come from its match
-offset, and every matched span's newlines -- in whitespace, comments,
-strings and backtick identifiers alike -- advance the line count.
+One compiled pattern does the scanning, one match per token: each
+match skips the whitespace and comments before its token, then tries
+the token's alternatives, each a named group, in order; the last one
+catches what no other group starts with, and the end of the text ends
+the scan.  A token's line and column come from its offset and the
+offsets where the text's lines start.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..common.errors import N1qlSyntaxError
@@ -35,22 +37,28 @@ KEYWORDS = {
 
 #: The token grammar.  ``\s``, ``\d`` and ``\w`` are Python's Unicode
 #: classes: ``str.isspace()``, ``str.isdecimal()``, and ``str.isalnum()``
-#: or ``_``.  A string body takes one character per step, never a run,
-#: so an unterminated string backtracks in linear time; its closing
-#: quote may not be the first of a doubled pair, so it ends where a
-#: scan from left to right would.  A ``/`` that opens a comment is no
-#: operator: an unclosed comment is an error.  A number takes one
-#: fraction and one exponent, each only when a digit follows, so ``1.x``
-#: lexes as ``1`` ``.`` ``x``.
+#: or ``_``.  What precedes a token (whitespace, ``--`` and ``/* */``
+#: comments) is skipped inside its match; after a greedy skip some
+#: alternative always matches, so the skip never backtracks.  A string
+#: body is runs of plain characters between escapes (``\\x`` or a
+#: doubled quote), each run a span no escape can start inside, so an
+#: unterminated string backtracks in linear time; its closing quote may
+#: not be the first of a doubled pair, so it ends where a scan from left
+#: to right would.  A ``/`` that opens a comment is no operator: an unclosed
+#: comment is an error.  A number takes one fraction and one exponent,
+#: each only when a digit follows, so ``1.x`` lexes as ``1`` ``.`` ``x``;
+#: it is tried before the operators, so ``.5`` is a number.
 _TOKEN = re.compile(r"""
-    (?P<skip> \s+ | --[^\n]* | /\*.*?\*/ )
-  | (?P<string> '(?:[^'\\]|\\.|'')*'(?!') | "(?:[^"\\]|\\.|"")*"(?!") )
-  | (?P<backtick> `[^`]*` )
-  | (?P<number> (?:\d+(?:\.\d+)?|\.\d+) (?:[eE][+-]?\d+)? )
-  | (?P<param> \$\w+ | \? )
-  | (?P<word> [^\W\d]\w* )
-  | (?P<op> \|\| | [<>=!]= | <> | [-=<>+*%()\[\]{},.:;] | /(?!\*) )
-  | (?P<error> /\* | . )
+    \s* (?: (?: --[^\n]* | /\*.*?\*/ ) \s* )*
+    (?: (?P<word> [^\W\d]\w* )
+      | (?P<number> (?:\d+(?:\.\d+)?|\.\d+) (?:[eE][+-]?\d+)? )
+      | (?P<op> \|\| | [<>=!]= | <> | [-=<>+*%()\[\]{},.:;] | /(?!\*) )
+      | (?P<string> '[^'\\]*(?:(?:\\.|'')[^'\\]*)*'(?!')
+                  | "[^"\\]*(?:(?:\\.|"")[^"\\]*)*"(?!") )
+      | (?P<param> \$\w+ | \? )
+      | (?P<backtick> `[^`]*` )
+      | (?P<error> /\* | . )
+      | (?P<end> \Z ) )
 """, re.VERBOSE | re.DOTALL)
 
 #: The message for an error match that opens a token but cannot finish it.
@@ -68,7 +76,7 @@ _STRING_ESCAPE = {quote: re.compile(rf"\\(.)|{quote}{quote}", re.DOTALL)
 _ESCAPED = {"n": "\n", "t": "\t"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # "keyword" | "ident" | "string" | "number" | "op" | "param" | "eof"
     value: str | int | float
@@ -83,43 +91,57 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    line_starts = [0]
+    newline = text.find("\n")
+    while newline >= 0:
+        line_starts.append(newline + 1)
+        newline = text.find("\n", newline + 1)
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    append = tokens.append
     for match in _TOKEN.finditer(text):
-        kind, raw, start = match.lastgroup, match[0], match.start()
-        if kind == "word" and not (raw[0].isalpha() or raw[0] == "_"):
-            kind, raw = "error", raw[0]  # a numeral such as '²' starts no word
-        if kind == "error":
+        kind = match.lastgroup
+        start = match.start(kind)
+        line = bisect_right(line_starts, start)
+        column = start - line_starts[line - 1] + 1
+        if kind == "word":
+            raw = match[kind]
+            upper = raw.upper()
+            if upper in KEYWORDS:
+                append(Token("keyword", upper, line, column))
+            elif raw[0].isalpha() or raw[0] == "_":
+                append(Token("ident", raw, line, column))
+            else:  # a numeral such as '²' starts no word
+                raise _error(text, start,
+                             f"unexpected character {raw[0]!r}")
+        elif kind == "op":
+            append(Token("op", match[kind], line, column))
+        elif kind == "string":
+            raw = match[kind]
+            body = raw[1:-1]
+            quote = raw[0]
+            if "\\" in body or quote + quote in body:
+                body = _STRING_ESCAPE[quote].sub(_unescape, body)
+            append(Token("string", body, line, column))
+        elif kind == "number":
+            raw = match[kind]
+            append(Token("number", int(raw) if raw.isdecimal()
+                         else float(raw), line, column))
+        elif kind == "param":
+            raw = match[kind]
+            append(Token("param", raw if raw == "?" else raw[1:],
+                         line, column))
+        elif kind == "backtick":
+            append(Token("ident", match[kind][1:-1], line, column))
+        elif kind == "end":
+            append(Token("eof", "", line, column))
+            return tokens
+        else:
+            raw = match[kind]
             # An unterminated string runs to the end of the text.
             at = len(text) if raw in ("'", '"') else start
             raise _error(text, at, _UNCLOSED.get(
                 raw, f"unexpected character {raw!r}"))
-        column = start - line_start + 1
-        if kind == "string":
-            body = _STRING_ESCAPE[raw[0]].sub(_unescape, raw[1:-1])
-            tokens.append(Token("string", body, line, column))
-        elif kind == "backtick":
-            tokens.append(Token("ident", raw[1:-1], line, column))
-        elif kind == "number":
-            value = int(raw) if raw.isdecimal() else float(raw)
-            tokens.append(Token("number", value, line, column))
-        elif kind == "param":
-            name = raw if raw == "?" else raw[1:]
-            tokens.append(Token("param", name, line, column))
-        elif kind == "word":
-            upper = raw.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, line, column))
-            else:
-                tokens.append(Token("ident", raw, line, column))
-        elif kind == "op":
-            tokens.append(Token("op", raw, line, column))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            line_start = start + raw.rindex("\n") + 1
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    raise AssertionError("the end of the text always matches")
 
 
 def _unescape(match: re.Match) -> str:

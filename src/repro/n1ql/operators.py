@@ -17,15 +17,15 @@ per batch and the compiled expression closures (see
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..common.contracts import bounded, hot_path
 from ..common.errors import N1qlRuntimeError
+from ..common.jsonval import deep_copy
 from .catalog import N1QL_DESIGN
-from .collation import MISSING
+from .collation import MISSING, value_key
 from .compile import compile_expr, compile_sort_key
-from .expressions import Env, Evaluator, ScanRow
+from .expressions import Env, Evaluator, FetchedRow, ScanRow, meta_dict
 from .functions import _COUNT_STAR, Accumulator
 from .plan import (
     DistinctOp,
@@ -47,6 +47,19 @@ from .plan import (
     UnnestOp,
 )
 from .printer import print_expr
+from .syntax import (
+    Between,
+    Binary,
+    CollectionPredicate,
+    FieldAccess,
+    FunctionCall,
+    Identifier,
+    InList,
+    IsPredicate,
+    Literal,
+    MissingLiteral,
+    Unary,
+)
 
 if TYPE_CHECKING:
     from ..client.smart_client import SmartClient
@@ -58,7 +71,8 @@ if TYPE_CHECKING:
 #: cluster amortizes to ~1 RPC per node).
 BATCH_SIZE = 64
 
-Rows = Iterator[Env]
+_CONTAINERS = frozenset((dict, list))
+
 Batches = Iterator[list[Env]]
 
 
@@ -91,10 +105,13 @@ class ExecutionContext:
     def fetch_docs(self, bucket: str, keys: list[str]) -> dict:
         """Bulk lookup through the smart client's node-grouped batch
         path: one ``kv_multi_get`` RPC per involved node instead of one
-        round trip per key.  Absent keys are omitted."""
+        round trip per key.  Absent keys are omitted.  The documents are
+        the data service's own, read in place: the query service never
+        changes a value it did not build, and a result value is copied
+        where it leaves (:func:`_project_compiled`)."""
         if not keys:
             return {}
-        return self.client.multi_get(bucket, keys)
+        return self.client.fetch(bucket, keys)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Forwarding shim over the registry; every caller passes a
@@ -115,17 +132,6 @@ def _compiled(op, slot: str, expr, ctx: "ExecutionContext"):
     return fn
 
 
-def meta_dict(doc) -> dict:
-    return {
-        "id": doc.meta.key,
-        "cas": doc.meta.cas,
-        "seqno": doc.meta.seqno,
-        "rev": doc.meta.rev,
-        "expiration": doc.meta.expiry,
-        "flags": doc.meta.flags,
-    }
-
-
 def _cover_doc(cover_parts: list[list[str]], key_values: list) -> dict:
     """Reconstruct a partial document from covered index key values so
     downstream expressions evaluate without a fetch."""
@@ -140,12 +146,12 @@ def _cover_doc(cover_parts: list[list[str]], key_values: list) -> dict:
     return doc
 
 
-def _batched(rows: Iterator[Env]) -> Batches:
-    """Chunk a row stream into batches (adapter for the view-backed
-    scans, which stay row-at-a-time underneath)."""
-    batch: list[Env] = []
-    for env in rows:
-        batch.append(env)
+def _batched(ids: Iterator[str]) -> Iterator[list[str]]:
+    """Chunk a stream of document ids into batches (adapter for the
+    view-backed scans, which stay row-at-a-time underneath)."""
+    batch: list[str] = []
+    for doc_id in ids:
+        batch.append(doc_id)
         if len(batch) >= BATCH_SIZE:
             yield batch
             batch = []
@@ -158,13 +164,12 @@ def _chunks(rows: list) -> Batches:
         yield rows[start:start + BATCH_SIZE]
 
 
-def _pending_batches(alias: str, rows: list) -> Batches:
-    """Index rows ``(key_values, doc_id)`` as row batches bound to a
-    placeholder the Fetch operator replaces with the document."""
+def _id_batches(rows: list) -> Batches:
+    """Index rows ``(key_values, doc_id)`` as the batches of document
+    ids a scan hands its Fetch (which always follows a scan that does
+    not cover the query)."""
     for batch in _chunks(rows):
-        yield [Env({alias: {"__pending_fetch__": doc_id}},
-                   {alias: {"id": doc_id}})
-               for _key_values, doc_id in batch]
+        yield [doc_id for _key_values, doc_id in batch]
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +185,7 @@ def run_key_scan(op: KeyScan, ctx: ExecutionContext) -> Batches:
     if not isinstance(keys, list):
         return
     ctx.count("n1ql.keyscan")
-    yield from _pending_batches(
-        op.alias, [(None, key) for key in keys if isinstance(key, str)])
+    yield from _chunks([key for key in keys if isinstance(key, str)])
 
 
 def _evaluate_span(span, ctx: ExecutionContext):
@@ -241,10 +245,10 @@ def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
         scan_consistency=ctx.scan_consistency,
         mutation_tokens=ctx.scan_tokens,
     )
-    alias = op.alias
     if not op.covered:
-        yield from _pending_batches(alias, rows)
+        yield from _id_batches(rows)
         return
+    alias = op.alias
     cover_parts = getattr(op, "_cover_parts", None)
     if cover_parts is None:
         cover_parts = [path.split(".") for path in op.cover_paths]
@@ -259,7 +263,7 @@ def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
                for key_values, doc_id in batch]
 
 
-def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
+def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Iterator[str]:
     from ..views.viewindex import ViewQueryParams
     span = _evaluate_span(op.span, ctx)
     if span is None:
@@ -286,8 +290,7 @@ def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Rows:
     for row in result.rows:
         if low and not inclusive_low and row["key"] == low[0]:
             continue
-        yield Env({op.alias: {"__pending_fetch__": row["id"]}},
-                  {op.alias: {"id": row["id"]}})
+        yield row["id"]
 
 
 @hot_path
@@ -300,15 +303,16 @@ def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Batches:
                                 limit=_pushed_limit(op, ctx),
                                 scan_consistency=ctx.scan_consistency,
                                 mutation_tokens=ctx.scan_tokens)
-    alias = op.alias
     if not op.covered:
-        yield from _pending_batches(alias, rows)
+        yield from _id_batches(rows)
         return
+    alias = op.alias
     for batch in _chunks(rows):
         yield [ScanRow(alias, {}, doc_id) for _key_values, doc_id in batch]
 
 
-def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
+def _run_view_primary_scan(op: PrimaryScan,
+                           ctx: ExecutionContext) -> Iterator[str]:
     from ..views.viewindex import ViewQueryParams
     # Same as _run_view_index_scan: at_plus on a view-backed path must
     # not degrade below stale="false".
@@ -320,8 +324,7 @@ def _run_view_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Rows:
         ViewQueryParams(stale=stale, reduce=False),
     )
     for row in result.rows:
-        yield Env({op.alias: {"__pending_fetch__": row["id"]}},
-                  {op.alias: {"id": row["id"]}})
+        yield row["id"]
 
 
 def _finalize_partial(name: str, partial: list) -> Any:
@@ -420,78 +423,34 @@ def run_system_scan(op, ctx: ExecutionContext) -> Batches:
 # ---------------------------------------------------------------------------
 
 
-class FetchState:
-    """Whole-operator fetch state.
-
-    Fetched documents are cached for the life of the operator, so a key
-    appearing again -- in the same chunk or a later one -- reuses the
-    first fetch's snapshot instead of re-fetching (a re-fetch could
-    observe a concurrent mutation, making two rows for the same key
-    disagree mid-query), and every occurrence after the first gets a
-    fresh copy so duplicate rows never share mutable state."""
-
-    __slots__ = ("op", "ctx", "docs", "bound")
-
-    def __init__(self, op: Fetch, ctx: ExecutionContext):
-        self.op = op
-        self.ctx = ctx
-        #: key -> Document, or None once known absent.
-        self.docs: dict[str, Any] = {}
-        #: Keys already bound to at least one emitted row.
-        self.bound: set[str] = set()
-
-    @bounded("maxlen", "docs/bound hold at most one entry per distinct "
-                       "key of one query's rows; the state dies with "
-                       "the operator")
-    def drain(self, buffered: list[Env]) -> list[Env]:
-        op, ctx, docs = self.op, self.ctx, self.docs
-        fresh: list[str] = []
-        for env in buffered:
-            _found, value = env.lookup(op.alias)
-            if isinstance(value, dict) and "__pending_fetch__" in value:
-                key = value["__pending_fetch__"]
-                if key not in docs:
-                    docs[key] = None
-                    fresh.append(key)
-        if fresh:
-            found = ctx.fetch_docs(op.keyspace, fresh)
-            for key in fresh:
-                docs[key] = found.get(key)
-        out: list[Env] = []
-        for env in buffered:
-            _found, value = env.lookup(op.alias)
-            if isinstance(value, dict) and "__pending_fetch__" in value:
-                key = value["__pending_fetch__"]
-                doc = docs.get(key)
-                if doc is None:
-                    continue  # deleted between scan and fetch
-                if key in self.bound:
-                    doc = doc.copy()  # duplicate keys must not share state
-                self.bound.add(key)
-                env.bind(op.alias, doc.value, meta_dict(doc))
-                ctx.count("n1ql.fetch")
-            out.append(env)
-        return out
-
-
 @hot_path
+@bounded("maxlen", "docs holds at most one entry per distinct key of one "
+                   "query's rows; it dies with the operator")
 def run_fetch(op: Fetch, ctx: ExecutionContext,
-              batches: Batches) -> Batches:
-    """Resolve pending document fetches in node-grouped batches: one
-    bulk lookup per incoming batch (one RPC per node holding any of its
-    keys), rows re-emitted in order.  Rows whose document vanished
-    between scan and fetch are dropped."""
-    state = FetchState(op, ctx)
-    for batch in batches:
-        buffered = []
-        for env in batch:
-            found, _value = env.lookup(op.alias)
-            if found:
-                buffered.append(env)
-        if not buffered:
-            continue
-        out = state.drain(buffered)
+              batches: Iterator[list[str]]) -> Batches:
+    """Turn each incoming batch of document ids into rows with one bulk
+    lookup (one RPC per node holding any of its keys), in order.  A key
+    seen before -- in this batch or an earlier one -- reuses the first
+    fetch's document instead of fetching again (a re-fetch could observe
+    a concurrent mutation, making two rows for one key disagree
+    mid-query); the rows share it, since nothing changes a fetched
+    document.  Rows whose document vanished between scan and fetch are
+    dropped."""
+    alias = op.alias
+    #: key -> Document, or None once known absent.
+    docs: dict[str, Any] = {}
+    for ids in batches:
+        fresh = []
+        for key in ids:
+            if key not in docs:
+                docs[key] = None
+                fresh.append(key)
+        if fresh:
+            docs.update(ctx.fetch_docs(op.keyspace, fresh))
+        out = [FetchedRow(alias, doc)
+               for doc in [docs[key] for key in ids] if doc is not None]
         if out:
+            ctx.count("n1ql.fetch", len(out))
             yield out
 
 
@@ -547,25 +506,12 @@ def _fetch_on_keys(op, ctx: ExecutionContext, on_keys,
     """Resolve one incoming batch's ON KEYS with a single bulk lookup
     (one RPC per data node holding any of them, however many left rows
     there are).  Returns, per row, the documents its keys found, in key
-    order; a document the batch joins more than once is copied, so rows
-    never share mutable state."""
+    order; rows that join one document share it."""
     key_lists = [_on_keys_list(on_keys, ctx, env) for env in batch]
     wanted = dict.fromkeys(key for keys in key_lists for key in keys)
     found = ctx.fetch_docs(op.keyspace, list(wanted))
-    bound: set[str] = set()
-    joined = []
-    for keys in key_lists:
-        docs = []
-        for key in keys:
-            doc = found.get(key)
-            if doc is None:
-                continue
-            if key in bound:
-                doc = doc.copy()
-            bound.add(key)
-            docs.append(doc)
-        joined.append(docs)
-    return joined
+    return [[found[key] for key in keys if key in found]
+            for keys in key_lists]
 
 
 @hot_path
@@ -576,9 +522,8 @@ def run_join(op: JoinOp, ctx: ExecutionContext,
     for batch in batches:
         for env, docs in zip(batch, _fetch_on_keys(op, ctx, on_keys, batch)):
             for doc in docs:
-                child = env.child()
-                child.bind(op.alias, doc.value, meta_dict(doc))
-                out.append(child)
+                out.append(Env({op.alias: doc.value},
+                               {op.alias: meta_dict(doc)}, env))
                 if len(out) >= BATCH_SIZE:
                     yield out
                     out = []
@@ -621,15 +566,14 @@ def run_unnest(op: UnnestOp, ctx: ExecutionContext,
     array (section 4.5.3)."""
     unnest_fn = _compiled(op, "_compiled_expr", op.expr, ctx)
     ev = ctx.evaluator
+    alias = op.alias
     out: list[Env] = []
     for batch in batches:
         for env in batch:
             value = unnest_fn(env, ev)
             if isinstance(value, list) and value:
                 for item in value:
-                    child = env.child()
-                    child.bind(op.alias, item)
-                    out.append(child)
+                    out.append(Env({alias: item}, None, env))
                     if len(out) >= BATCH_SIZE:
                         yield out
                         out = []
@@ -676,29 +620,30 @@ def _group_compiled(op: GroupOp, ctx: ExecutionContext):
 @hot_path
 def run_group(op: GroupOp, ctx: ExecutionContext,
               batches: Batches) -> Batches:
+    """A row's group is the :func:`value_key` of its group values (one
+    value's own key when there is one group expression); groups come out
+    in the order their first rows came in."""
     group_fns, agg_entries = _group_compiled(op, ctx)
     ev = ctx.evaluator
-    groups: dict[str, tuple[Env, list[Accumulator]]] = {}
-    order: list[str] = []
+    arg_fns = [arg_fn for _key, _name, _distinct, _star, arg_fn
+               in agg_entries]
+    single = group_fns[0] if len(group_fns) == 1 else None
+    groups: dict[Any, tuple[Env, list[Accumulator]]] = {}
     for batch in batches:
         for env in batch:
-            values = [fn(env, ev) for fn in group_fns]
-            token = json.dumps(
-                [None if v is MISSING else ["$", _jsonable(v)]
-                 for v in values],
-                sort_keys=True,
-            )
-            entry = groups.get(token)
+            if single is not None:
+                key = value_key(single(env, ev))
+            else:
+                key = tuple([value_key(fn(env, ev)) for fn in group_fns])
+            entry = groups.get(key)
             if entry is None:
-                entry = (env, [
+                entry = groups[key] = (env, [
                     Accumulator(name, distinct)
                     for _key, name, distinct, _star, _fn in agg_entries
                 ])
-                groups[token] = entry
-                order.append(token)
-            for spec, accumulator in zip(agg_entries, entry[1]):
-                _key, _name, _distinct, star, arg_fn = spec
-                accumulator.add(_COUNT_STAR if star else arg_fn(env, ev))
+            for arg_fn, accumulator in zip(arg_fns, entry[1]):
+                accumulator.add(_COUNT_STAR if arg_fn is None
+                                else arg_fn(env, ev))
 
     if not groups and not group_fns and agg_entries:
         # Aggregates over an empty input still produce one row
@@ -710,8 +655,7 @@ def run_group(op: GroupOp, ctx: ExecutionContext,
         return
 
     batch = []
-    for token in order:
-        representative, accumulators = groups[token]
+    for representative, accumulators in groups.values():
         out = representative.child()
         for spec, accumulator in zip(agg_entries, accumulators):
             out.bind(spec[0], accumulator.result())
@@ -721,12 +665,6 @@ def run_group(op: GroupOp, ctx: ExecutionContext,
             batch = []
     if batch:
         yield batch
-
-
-def _jsonable(value):
-    if value is MISSING:
-        return None
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +732,14 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
     """The projection list lowered once per plan, the way
     :func:`compile_expr` lowers an expression, into one closure
     ``project(batch, ev) -> result values``: output names (explicit
-    alias or implicit field name) are resolved at compile time, and a
-    single named expression -- a covered scan's ``SELECT META().id``
-    among them -- builds each row's object without a per-entry
-    dispatch."""
+    alias or implicit field name) are resolved at compile time.
+
+    Result values leave for the application, and the rows they come
+    from read stored documents in place, so a container result is
+    copied here, once.  Whether an expression can yield one is decided
+    here too: one that cannot (:func:`_yields_own_value` -- Fig 16's
+    ``META().id`` among them) is projected as it is, with no per-row
+    check."""
     project = getattr(op, "_compiled_projection", None)
     if project is None:
         alias = ctx.evaluator.default_alias
@@ -805,15 +747,43 @@ def _project_compiled(op: InitialProject, ctx: ExecutionContext):
         for projection in op.projections:
             if projection.expr is None:
                 entries.append((None, None, projection.star_of))
-            else:
-                entries.append((compile_expr(projection.expr, alias),
-                                projection.alias
-                                or _implicit_name(projection.expr),
-                                None))
+                continue
+            fn = compile_expr(projection.expr, alias)
+            if not _yields_own_value(projection.expr):
+                fn = _copying(fn)
+            entries.append((fn, projection.alias
+                            or _implicit_name(projection.expr), None))
         project = op._compiled_projection = _lower_projection(op.raw, entries)
         ctx.count("n1ql.compile.count",
                   sum(1 for fn, _name, _star_of in entries if fn is not None))
     return project
+
+
+def _yields_own_value(expr) -> bool:
+    """Whether ``expr``'s value is always a scalar -- an operator's, a
+    predicate's, a scalar literal's, ``META()``'s fields, a count or a
+    sum -- and so never a stored document's own container."""
+    if isinstance(expr, (Binary, Unary, Between, InList, IsPredicate,
+                         CollectionPredicate, MissingLiteral)):
+        return True
+    if isinstance(expr, Literal):
+        return type(expr.value) not in _CONTAINERS
+    if isinstance(expr, FieldAccess):
+        while isinstance(expr, FieldAccess):
+            expr = expr.base
+        return isinstance(expr, FunctionCall) and expr.name == "META"
+    return isinstance(expr, FunctionCall) and expr.name in ("COUNT", "SUM",
+                                                            "AVG")
+
+
+def _copying(fn):
+    """``fn`` with a container result copied (a scalar is immutable)."""
+
+    def copied(env, ev):
+        value = fn(env, ev)
+        return deep_copy(value) if type(value) in _CONTAINERS else value
+
+    return copied
 
 
 def _lower_projection(raw: bool, entries: list):
@@ -838,14 +808,14 @@ def _lower_projection(raw: bool, entries: list):
                 if star_of is not None:
                     found, value = env.lookup(star_of)
                     if found and isinstance(value, dict):
-                        result.update(value)
+                        result.update(deep_copy(value))
                     continue
                 # Bare '*': N1QL wraps each keyspace's document
                 # under its alias (SELECT * FROM b -> [{"b": {...}}]).
                 for alias in reversed(env.aliases()):
                     found, value = env.lookup(alias)
                     if found and value is not MISSING:
-                        result[alias] = value
+                        result[alias] = deep_copy(value)
                 continue
             value = fn(env, ev)
             if value is MISSING:
@@ -876,27 +846,24 @@ def run_initial_project(op: InitialProject, ctx: ExecutionContext,
 
 
 def _implicit_name(expr) -> str | None:
-    from .syntax import FieldAccess, Identifier, FunctionCall
     if isinstance(expr, FieldAccess):
         return expr.field
     if isinstance(expr, Identifier):
         return expr.name
-    if isinstance(expr, FunctionCall) and expr.name == "META":
-        return None
     return None
 
 
 @hot_path
 def run_distinct(op: DistinctOp, ctx: ExecutionContext,
                  batches: Iterator[list[Any]]) -> Iterator[list[Any]]:
-    seen: set[str] = set()
+    seen: set = set()
     for batch in batches:
         kept = []
         for result in batch:
-            token = json.dumps(result, sort_keys=True, default=str)
-            if token in seen:
+            key = value_key(result)
+            if key in seen:
                 continue
-            seen.add(token)
+            seen.add(key)
             kept.append(result)
         if kept:
             yield kept

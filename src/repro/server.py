@@ -103,7 +103,7 @@ class Cluster:
     def remove_node(self, name: str) -> None:
         """Graceful removal: mark ejected, rebalance data away, then close
         the node's buckets and its index service."""
-        self.manager.ejected.add(name)
+        self.manager.eject(name)
         self.rebalance()
         self.network.unregister(name)
         node = self.node(name)
@@ -276,12 +276,12 @@ class Cluster:
     # -- service lookup (used by clients and the query path) -----------------------------------------
 
     def service_node(self, service: Service) -> Node:
-        """A live node running the given service (MDS placement)."""
-        names = self.manager.nodes_with_service(service)
-        live = [n for n in names if not self.network.is_down(n)]
-        if not live:
-            raise ServiceUnavailableError(service.value)
-        return self.manager.nodes[live[0]]
+        """The first live node, by name, running the given service (MDS
+        placement), from the manager's per-service node list."""
+        for name in self.manager.nodes_with_service(service):
+            if not self.network.is_down(name):
+                return self.manager.nodes[name]
+        raise ServiceUnavailableError(service.value)
 
     def stats(self) -> dict:
         """Cluster-wide status snapshot (nodes, orchestrator, maps)."""

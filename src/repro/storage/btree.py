@@ -244,9 +244,9 @@ class BTree:
         reverses the iteration order (section 3.1.2 allows descending
         view scans).  The walk is :meth:`_pieces`'s, so bounds are
         compared only along the range's two boundary paths."""
-        for piece in self.slices(start, end, inclusive_start=inclusive_start,
-                                 inclusive_end=inclusive_end,
-                                 descending=descending):
+        for piece, _keys in self.slices(
+                start, end, inclusive_start=inclusive_start,
+                inclusive_end=inclusive_end, descending=descending):
             for key, value in piece:
                 yield key, value
 
@@ -261,9 +261,10 @@ class BTree:
     ) -> Iterator[list]:
         """The ``[key, value]`` entries of :meth:`range`, in its order,
         as runs: a boundary leaf's in-range slice or a whole leaf's
-        entries.  A run may be the node cache's own list, to be read,
-        never changed, so a caller can turn each leaf into rows in one
-        comprehension."""
+        entries, each with its entries' sort keys (None in a tree without
+        a sort key), ``(entries, keys)``.  A run may be the node cache's
+        own lists, to be read, never changed, so a caller can turn each
+        leaf into rows in one comprehension."""
         return self._pieces(start, end, inclusive_start, inclusive_end,
                             descending, leaves=True)
 
@@ -274,7 +275,9 @@ class BTree:
         the offset of a node whose whole subtree lies inside the range,
         a ``list`` the in-range slice (a fresh list) of a boundary leaf.
         With ``leaves``, a whole subtree comes as its leaves' entries
-        instead (a whole leaf's own list, or a reversed copy).
+        instead (a whole leaf's own list, or a reversed copy), and every
+        leaf piece comes with its entries' sort keys: ``(entries,
+        keys)``.
 
         A kp entry's ``last_key`` is its subtree's greatest key and the
         previous entry's is an exclusive lower bound, so in any node
@@ -300,9 +303,13 @@ class BTree:
                 if not leaves:
                     yield node
                     continue
-                kind, items = self._read_node(node)
+                kind, items, _size, _parts, keys = \
+                    self._read_node_sized(node)
                 if kind == "kv":
-                    yield items[::-1] if descending else items
+                    if descending:
+                        yield items[::-1], keys and keys[::-1]
+                    else:
+                        yield items, keys
                     continue
                 pending = [child for _last_key, child, _reduction in items]
             else:
@@ -319,9 +326,12 @@ class BTree:
                         stack.append(pointer)
                     elif first < stop:
                         piece = items[first:stop]
+                        piece_keys = keys and keys[first:stop]
                         if descending:
                             piece.reverse()
-                        yield piece
+                            if piece_keys:
+                                piece_keys.reverse()
+                        yield (piece, piece_keys) if leaves else piece
                     continue
                 # Children are ordered; the first whose last key reaches
                 # the end bound is the last candidate, later ones are

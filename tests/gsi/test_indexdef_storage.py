@@ -188,6 +188,58 @@ class TestStorageBackends:
         assert list(btree.rows(None, None)) == list(skiplist.rows(None, None))
         assert btree.count() == skiplist.count()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+                  st.lists(st.integers(0, 20), min_size=0, max_size=3)),
+        max_size=30,
+    ), st.one_of(st.none(), st.integers(0, 20)),
+       st.one_of(st.none(), st.integers(0, 20)),
+       st.booleans(), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 8)))
+    def test_backends_agree_on_bounded_descending_scans(
+            self, operations, low, high, inclusive_low, inclusive_high,
+            limit):
+        """A memopt descending scan walks back from its end bound over
+        nodes whose back links every insert and delete keeps: it returns
+        the standard backend's rows, bounds, LIMIT and all."""
+        disk = SimulatedDisk()
+        btree = make_storage("standard", disk, "a.index")
+        skiplist = make_storage("memopt", disk, "b.index")
+        for doc_id, keys in operations:
+            entries = [[k] for k in keys]
+            btree.update_docs([(doc_id, 0, entries)])
+            skiplist.update_docs([(doc_id, 0, entries)])
+        span = (None if low is None else [low],
+                None if high is None else [high], inclusive_low,
+                inclusive_high)
+        for descending in (True, False):
+            assert skiplist.rows(*span, descending=descending, limit=limit) \
+                == btree.rows(*span, descending=descending, limit=limit)
+
+    def test_a_descending_memopt_scan_stops_at_its_limit(self):
+        """``rows(None, None, descending=True, limit=1)`` over 1 000 rows
+        visits one run of nodes back from the end, not the whole range
+        (which it built in full, 1 000 nodes, before the LIMIT cut it)."""
+        skiplist = SkipListIndexStorage()
+        btree = BTreeIndexStorage(SimulatedDisk(), "idx")
+        batch = [(f"d{i:04d}", 0, [[i % 97, i]]) for i in range(1000)]
+        skiplist.update_docs(batch)
+        btree.update_docs(batch)
+        walk = skiplist._backward
+        visited = []
+
+        def counted(bounds):
+            for node in walk(bounds):
+                visited.append(node)
+                yield node
+
+        skiplist._backward = counted
+        rows = skiplist.rows(None, None, descending=True, limit=1)
+        assert rows == btree.rows(None, None, descending=True, limit=1)
+        assert rows == [([96, 969], "d0969")]
+        assert len(visited) <= SkipListIndexStorage.RUN
+
 
 class TestMemoptSnapshot:
     def test_snapshot_and_recover(self):

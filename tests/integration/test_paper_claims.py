@@ -481,14 +481,11 @@ def test_a_scheduler_round_costs_what_changed(monkeypatch):
     assert polls == polled
 
 
-def test_a_write_is_copied_once(monkeypatch):
-    """Stored documents are immutable, so the change buffer, DCP and the
-    replica share the object the active stored: one upsert at
-    ``replicas=1``, drained, copies its value once (on the way in) and
-    walks it with ``sizeof`` once (the ``MAX_VALUE_SIZE`` check, whose
-    number the document carries); a ``get`` copies it once (on the way
-    out to the client) and walks it never.  (Copying at each hand-off
-    and sizing at each footprint cost 5 copies and 3 walks per upsert.)"""
+def count_copies_and_walks(monkeypatch) -> dict[str, int]:
+    """Top-level calls of ``jsonval.deep_copy`` and ``jsonval.sizeof``
+    (a recursion is one call), counted in every ``repro`` module that
+    imported them by name -- also one first imported while an earlier
+    test counted, which holds that test's counter (``__wrapped__``)."""
     import sys
 
     from repro.common import jsonval
@@ -506,11 +503,25 @@ def test_a_write_is_copied_once(monkeypatch):
             finally:
                 depth[0] -= 1
 
+        counted.__wrapped__ = original
         for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("repro") \
-                    and getattr(module, name, None) is original:
+            bound = getattr(module, name, None)
+            if module_name.startswith("repro") and (
+                    bound is original
+                    or getattr(bound, "__wrapped__", None) is original):
                 monkeypatch.setattr(module, name, counted)
+    return calls
 
+
+def test_a_write_is_copied_once(monkeypatch):
+    """Stored documents are immutable, so the change buffer, DCP and the
+    replica share the object the active stored: one upsert at
+    ``replicas=1``, drained, copies its value once (on the way in) and
+    walks it with ``sizeof`` once (the ``MAX_VALUE_SIZE`` check, whose
+    number the document carries); a ``get`` copies it once (on the way
+    out to the client) and walks it never.  (Copying at each hand-off
+    and sizing at each footprint cost 5 copies and 3 walks per upsert.)"""
+    calls = count_copies_and_walks(monkeypatch)
     cluster = Cluster(nodes=4, vbuckets=64)
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
@@ -532,6 +543,43 @@ def test_a_write_is_copied_once(monkeypatch):
     read = client.get("b", "k")
     assert calls == {"deep_copy": 2, "sizeof": 1}
     assert read.meta is stored.meta and read.value is not stored.value
+
+
+def test_a_value_is_copied_only_where_it_leaves_for_an_application(
+        monkeypatch):
+    """The query service reads stored documents in place (section 4.5's
+    fetch from the data service): a query that fetches 20 orders and
+    projects scalars, or unnests and groups them, copies nothing, and
+    one that returns each order's ``items`` copies once per row -- its
+    result is the application's.  A ``get`` still copies once.  (Every
+    fetched document was copied before: 20 copies per query.)"""
+    calls = count_copies_and_walks(monkeypatch)
+    cluster = Cluster(nodes=4, vbuckets=64)
+    cluster.create_bucket("b", replicas=1)
+    client = cluster.connect()
+    orders = {f"o{i:02d}": {"total": i, "items": [{"sku": "a", "qty": 1},
+                                                  {"sku": "b", "qty": i}]}
+              for i in range(20)}
+    client.multi_upsert("b", orders).require_ok()
+    cluster.run_until_idle()
+    keys = json.dumps(list(orders))
+
+    def copies(run) -> int:
+        before = calls["deep_copy"]
+        run()
+        return calls["deep_copy"] - before
+
+    assert copies(lambda: client.get("b", "o00")) == 1
+    scalar = cluster.query(
+        f"SELECT o.total, META(o).id AS id FROM b o USE KEYS {keys}")
+    assert len(scalar.rows) == 20
+    assert copies(lambda: cluster.query(
+        f"SELECT o.total, META(o).id AS id FROM b o USE KEYS {keys}")) == 0
+    assert copies(lambda: cluster.query(
+        f"SELECT i.sku, SUM(i.qty) AS qty, COUNT(*) AS n FROM b o "
+        f"USE KEYS {keys} UNNEST o.items AS i GROUP BY i.sku")) == 0
+    assert copies(lambda: cluster.query(
+        f"SELECT o.items FROM b o USE KEYS {keys}")) == 20
 
 
 def test_a_replication_round_costs_one_wave_per_source_node():

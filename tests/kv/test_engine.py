@@ -86,13 +86,16 @@ class TestBasicOps:
         with pytest.raises(KeyNotFoundError):
             engine.delete(VB, "ghost")
 
-    def test_value_is_deep_copied(self, engine):
+    def test_value_is_copied_in_and_read_in_place(self, engine):
         value = {"nested": [1, 2]}
         engine.upsert(VB, "k", value)
         value["nested"].append(3)
         assert engine.get(VB, "k").value == {"nested": [1, 2]}
-        engine.get(VB, "k").value["nested"].append(99)
-        assert engine.get(VB, "k").value == {"nested": [1, 2]}
+        # A read hands out the stored document itself: a service reads
+        # it in place, and the smart client copies it for an application
+        # (tests/integration/test_copy_boundary.py).
+        assert engine.get(VB, "k") is engine.get(VB, "k")
+        assert engine.multi_get([(VB, "k")]) == [("ok", engine.get(VB, "k"))]
 
     def test_non_json_value_rejected(self, engine):
         with pytest.raises(TypeError):

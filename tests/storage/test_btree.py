@@ -460,8 +460,9 @@ class TestRangeAgainstModel:
             page_size = data.draw(st.integers(1, 4))
             pages, after = [], None
             while True:
-                rows, exhausted = indexer.scan_page(
+                rows, sorts, exhausted = indexer.scan_page(
                     "i", *args, page_size=page_size, after=after)
+                assert sorts == [index_key(row) for row in rows]
                 pages += rows
                 if exhausted:
                     break
