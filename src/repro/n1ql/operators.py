@@ -146,19 +146,6 @@ def _cover_doc(cover_parts: list[list[str]], key_values: list) -> dict:
     return doc
 
 
-def _batched(ids: Iterator[str]) -> Iterator[list[str]]:
-    """Chunk a stream of document ids into batches (adapter for the
-    view-backed scans, which stay row-at-a-time underneath)."""
-    batch: list[str] = []
-    for doc_id in ids:
-        batch.append(doc_id)
-        if len(batch) >= BATCH_SIZE:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
 def _chunks(rows: list) -> Batches:
     for start in range(0, len(rows), BATCH_SIZE):
         yield rows[start:start + BATCH_SIZE]
@@ -168,8 +155,7 @@ def _id_batches(rows: list) -> Batches:
     """Index rows ``(key_values, doc_id)`` as the batches of document
     ids a scan hands its Fetch (which always follows a scan that does
     not cover the query)."""
-    for batch in _chunks(rows):
-        yield [doc_id for _key_values, doc_id in batch]
+    return _chunks([doc_id for _key_values, doc_id in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +217,7 @@ def _pushed_limit(op, ctx: ExecutionContext) -> int | None:
 @hot_path
 def run_index_scan(op: IndexScan, ctx: ExecutionContext) -> Batches:
     if op.using == "view":
-        yield from _batched(_run_view_index_scan(op, ctx))
+        yield from _chunks(list(_run_view_index_scan(op, ctx)))
         return
     ctx.count("n1ql.indexscan")
     span = _evaluate_span(op.span, ctx)
@@ -297,7 +283,7 @@ def _run_view_index_scan(op: IndexScan, ctx: ExecutionContext) -> Iterator[str]:
 def run_primary_scan(op: PrimaryScan, ctx: ExecutionContext) -> Batches:
     ctx.count("n1ql.primaryscan")
     if op.using != "gsi":
-        yield from _batched(_run_view_primary_scan(op, ctx))
+        yield from _chunks(list(_run_view_primary_scan(op, ctx)))
         return
     rows = ctx.cluster.gsi.scan(op.index_name,
                                 limit=_pushed_limit(op, ctx),
