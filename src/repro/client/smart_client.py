@@ -499,12 +499,12 @@ class SmartClient:
         Missing keys are simply absent from the result; any other
         per-key error propagates."""
         return {key: doc.copy()
-                for key, doc in self.fetch(bucket, keys).items()}
+                for key, doc in self._fetch(bucket, keys).items()}
 
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
                      'InvalidArgumentError', 'NodeDownError',
                      'NotMyVBucketError', 'TemporaryFailureError')
-    def fetch(self, bucket: str, keys: list[str]) -> dict[str, Document]:
+    def _fetch(self, bucket: str, keys: list[str]) -> dict[str, Document]:
         """:meth:`multi_get` without the copy: the stored documents
         themselves, for a service of the cluster that only reads them
         (the query service's Fetch and joins).  Whatever leaves for an

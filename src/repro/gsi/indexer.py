@@ -142,8 +142,8 @@ class Indexer:
         found" (section 4.5.1) -- plus the key components themselves,
         which is what makes covering indexes (section 5.1.2) possible."""
         instance = self.instance(name)
-        rows = instance.storage.rows(low, high, inclusive_low, inclusive_high,
-                                     descending, limit)
+        rows, _sorts = instance.storage.keyed_rows(
+            low, high, inclusive_low, inclusive_high, descending, limit)
         self.node.metrics.inc("gsi.scans")
         self.node.metrics.inc("gsi.scan_rows", len(rows))
         return rows

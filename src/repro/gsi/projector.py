@@ -56,25 +56,28 @@ class Router:
         self.catalog = catalog
         self.network = network
 
-    def route(self, key_versions: list[KeyVersion]) -> set[int]:
+    def route(self, key_versions: list[KeyVersion]) -> set[tuple[str, int]]:
         """Deliver a slice of key versions, one ``gsi_apply`` per
         responsible index node, all in one ``Network.scatter`` wave, and
-        return the vBuckets that were NOT delivered in full.
+        return the ``(index, vBucket)`` pairs that were NOT delivered in
+        full.
 
-        The caller must not advance such a vBucket: it replays the
-        vBucket's slice instead, which is safe because a batch replaces
-        a document's entries.  A vBucket owed to an unreachable node
-        sends nothing to any node this slice -- the ``request_plus``
-        barrier reads the maximum watermark over an index's partitions,
-        and that is only sound while no partition holds a vBucket's
-        later seqno before another holds its earlier one."""
+        The caller must not advance such a pair's stream: it replays the
+        slice instead, which is safe because a batch replaces a
+        document's entries.  An index's vBucket owed to an unreachable
+        node sends nothing to any of that index's nodes this slice --
+        the ``request_plus`` barrier reads the maximum watermark over an
+        index's partitions, and that is only sound while no partition
+        holds a vBucket's later seqno before another holds its earlier
+        one.  Another index's streams of the vBucket are not held: one
+        index's host being down delays no other index."""
         batches: dict[str, list[KeyVersion]] = {}
         for kv in key_versions:
             for target in self._targets(kv):
                 batches.setdefault(target, []).append(kv)
         source = self.node.name
         held = {
-            kv.vbucket_id
+            (kv.index_name, kv.vbucket_id)
             for target, batch in batches.items()
             if not self.network.reachable(source, target)
             for kv in batch
@@ -82,13 +85,14 @@ class Router:
         if held:
             batches = {target: kept for target, batch in batches.items()
                        if (kept := [kv for kv in batch
-                                    if kv.vbucket_id not in held])}
+                                    if (kv.index_name, kv.vbucket_id)
+                                    not in held])}
         outcomes = self.network.scatter(
             source, list(batches), "gsi_apply",
             [(batch,) for batch in batches.values()])
         for batch, outcome in zip(batches.values(), outcomes):
             if isinstance(outcome, NodeDownError):
-                held.update(kv.vbucket_id for kv in batch)
+                held.update((kv.index_name, kv.vbucket_id) for kv in batch)
             elif isinstance(outcome, Exception):
                 raise outcome
         return held
@@ -177,18 +181,18 @@ class Projector(DcpConsumer):
                     seqno=doc.meta.seqno,
                 ))
                 self.node.metrics.inc("gsi.projected")
-        sent = {kv.vbucket_id for kv in key_versions}
+        sent = {(kv.index_name, kv.vbucket_id) for kv in key_versions}
         undelivered = (self.router.route(key_versions) if key_versions
                        else set())
         for key in resets + [key for key, _stream, _docs in polled]:
-            if key[2] in undelivered and key in self.streams:
+            if (key[0], key[2]) in undelivered and key in self.streams:
                 # Reopened by the next sync from the last delivered seqno,
                 # so the slice is retried instead of silently lost.
                 self.drop(key)
         # An idle stream did not move, so only the streams polled can
         # advance a checkpoint.
         for key, stream, _docs in polled:
-            if key[2] not in undelivered:
+            if (key[0], key[2]) not in undelivered:
                 self.checkpoints[key] = stream.last_seqno
         return bool(sent - undelivered)
 

@@ -12,11 +12,12 @@ expose the same interface:
   every document in the batch, the last triple per ``doc_id`` winning
   (the back-index lives inside the storage so a batch is one call, and
   replaying a batch leaves the index as it was);
-* ``rows(low, high, ..., limit, after)`` -- ordered range scan over
-  composite keys: a list of ``(key_tuple, doc_id)``, cut at ``limit``
-  and started past the ``after`` row;
+* ``keyed_rows(low, high, ..., limit, after)`` -- ordered range scan
+  over composite keys: a list of ``(key_tuple, doc_id)``, cut at
+  ``limit`` and started past the ``after`` row, and beside it each
+  row's sort key;
 * ``fold(low, high, ...)``        -- the partial GROUP BY of the rows
-  ``rows`` would return (:func:`fold_rows`);
+  ``keyed_rows`` would return (:func:`fold_rows`);
 * ``count()`` / stats.
 
 Composite keys are lists of JSON values ordered component-wise under
@@ -59,13 +60,14 @@ def decode_key(components: list) -> list:
     mutated a returned row would otherwise rewrite the index; scalar
     components are immutable and pass through uncopied.  (Stored values
     are JSON-native, so an exact type test suffices.)  A key of scalars
-    alone, the common case, is the stored list itself, to be read, not
-    changed: the query service builds new rows from it."""
+    alone, the common case, is one list copy: an application scans an
+    index through the same ``GsiCoordinator.scan`` the query service
+    calls, so a row leaves the index as its caller's own."""
     for component in components:
         if type(component) in _CONTAINER_TYPES:
             return [_decode_container(c) if type(c) in _CONTAINER_TYPES
                     else c for c in components]
-    return components
+    return components[:]
 
 
 def _decode_container(component):
@@ -244,14 +246,6 @@ class _Rows:
                 break
         return rows, sorts
 
-    def rows(self, low: list | None, high: list | None,
-             inclusive_low: bool = True, inclusive_high: bool = True,
-             descending: bool = False, limit: int | None = None,
-             after: tuple[list, str] | None = None) -> list[tuple[list, str]]:
-        """The rows of :meth:`keyed_rows`."""
-        return self.keyed_rows(low, high, inclusive_low, inclusive_high,
-                               descending, limit, after)[0]
-
 
 class BTreeIndexStorage(_Rows, IndexFile):
     """Standard (disk-resident) index: the shared index file, ordered by
@@ -273,7 +267,7 @@ class BTreeIndexStorage(_Rows, IndexFile):
              inclusive_low: bool, inclusive_high: bool,
              group_positions: list[int],
              agg_specs: list[tuple[str, int | None]]) -> Groups:
-        """:func:`fold_rows` over the rows :meth:`rows` would return,
+        """:func:`fold_rows` over the rows :meth:`keyed_rows` would return,
         through the tree's memoized node folds (``BTree.fold_range``):
         when a node holds fewer groups than entries, only the first query
         to cover it folds its rows, and later ones fold only the range's
@@ -406,7 +400,7 @@ class SkipListIndexStorage(_Rows):
              inclusive_low: bool, inclusive_high: bool,
              group_positions: list[int],
              agg_specs: list[tuple[str, int | None]]) -> Groups:
-        """:func:`fold_rows` over the rows :meth:`rows` would return,
+        """:func:`fold_rows` over the rows :meth:`keyed_rows` would return,
         decoded one run at a time."""
         bounds = _composite_bounds(low, high, inclusive_low, inclusive_high)
         return fold_rows(

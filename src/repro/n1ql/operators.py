@@ -111,7 +111,7 @@ class ExecutionContext:
         where it leaves (:func:`_project_compiled`)."""
         if not keys:
             return {}
-        return self.client.fetch(bucket, keys)
+        return self.client._fetch(bucket, keys)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Forwarding shim over the registry; every caller passes a
@@ -606,21 +606,16 @@ def _group_compiled(op: GroupOp, ctx: ExecutionContext):
 @hot_path
 def run_group(op: GroupOp, ctx: ExecutionContext,
               batches: Batches) -> Batches:
-    """A row's group is the :func:`value_key` of its group values (one
-    value's own key when there is one group expression); groups come out
-    in the order their first rows came in."""
+    """A row's group is the tuple of its group values' :func:`value_key`;
+    groups come out in the order their first rows came in."""
     group_fns, agg_entries = _group_compiled(op, ctx)
     ev = ctx.evaluator
     arg_fns = [arg_fn for _key, _name, _distinct, _star, arg_fn
                in agg_entries]
-    single = group_fns[0] if len(group_fns) == 1 else None
     groups: dict[Any, tuple[Env, list[Accumulator]]] = {}
     for batch in batches:
         for env in batch:
-            if single is not None:
-                key = value_key(single(env, ev))
-            else:
-                key = tuple([value_key(fn(env, ev)) for fn in group_fns])
+            key = tuple([value_key(fn(env, ev)) for fn in group_fns])
             entry = groups.get(key)
             if entry is None:
                 entry = groups[key] = (env, [

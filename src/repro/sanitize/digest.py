@@ -107,7 +107,8 @@ def _gsi_digests(cluster) -> dict:
         for name, instance in node.indexer.indexer.instances.items():
             rows = [
                 [key_components, doc_id]
-                for key_components, doc_id in instance.storage.rows(None, None)
+                for key_components, doc_id
+                in instance.storage.keyed_rows(None, None)[0]
             ]
             out[f"{node.name}/{name}"] = rows
     return out

@@ -256,6 +256,9 @@ def _assert_converged(cluster: Cluster, nodes: list) -> None:
 # node1 and node2 hold every copy of some vBuckets: the index on node3
 # must drop their rows.
 @example([("create_index", 0, 3), ("failover", 1), ("failover", 2)])
+# node3, down, hosts g1: node1's restarted projector must still build g0.
+@example([("create_index", 0, 1), ("create_index", 1, 3), ("crash", 1),
+          ("crash", 3)])
 def test_every_node_converges_to_the_catalog(steps):
     """DDL mixed with crash/restart, transient outages, failover, a
     joining node and a re-created bucket; any number of nodes may be

@@ -109,13 +109,13 @@ class TestStorageBackends:
         storage.update_docs([("d1", 0, [[5]])])
         storage.update_docs([("d2", 0, [[3]])])
         storage.update_docs([("d3", 0, [[7]])])
-        rows = list(storage.rows(None, None))
+        rows = storage.keyed_rows(None, None)[0]
         assert [key[0] for key, _ in rows] == [3, 5, 7]
 
     def test_update_replaces(self, storage):
         storage.update_docs([("d1", 0, [[5]])])
         storage.update_docs([("d1", 0, [[9]])])
-        rows = list(storage.rows(None, None))
+        rows = storage.keyed_rows(None, None)[0]
         assert rows == [([9], "d1")]
         assert storage.count() == 1
 
@@ -127,38 +127,38 @@ class TestStorageBackends:
     def test_range_bounds(self, storage):
         for i in range(10):
             storage.update_docs([(f"d{i}", 0, [[i]])])
-        rows = list(storage.rows([3], [6]))
+        rows = storage.keyed_rows([3], [6])[0]
         assert [key[0] for key, _ in rows] == [3, 4, 5, 6]
 
     def test_exclusive_bounds(self, storage):
         for i in range(10):
             storage.update_docs([(f"d{i}", 0, [[i]])])
-        rows = list(storage.rows([3], [6], inclusive_low=False,
-                                 inclusive_high=False))
+        rows = storage.keyed_rows([3], [6], inclusive_low=False,
+                                  inclusive_high=False)[0]
         assert [key[0] for key, _ in rows] == [4, 5]
 
     def test_descending(self, storage):
         for i in range(5):
             storage.update_docs([(f"d{i}", 0, [[i]])])
-        rows = list(storage.rows([1], [3], descending=True))
+        rows = storage.keyed_rows([1], [3], descending=True)[0]
         assert [key[0] for key, _ in rows] == [3, 2, 1]
 
     def test_duplicate_keys_different_docs(self, storage):
         storage.update_docs([("d1", 0, [[5]])])
         storage.update_docs([("d2", 0, [[5]])])
-        rows = list(storage.rows([5], [5]))
+        rows = storage.keyed_rows([5], [5])[0]
         assert [(key[0], doc) for key, doc in rows] == [(5, "d1"), (5, "d2")]
 
     def test_missing_component_roundtrips(self, storage):
         storage.update_docs([("d1", 0, [["US", MISSING]])])
-        rows = list(storage.rows(None, None))
+        rows = storage.keyed_rows(None, None)[0]
         assert rows[0][0] == ["US", MISSING]
 
     def test_multi_entry_docs(self, storage):
         storage.update_docs([("d1", 0, [["a"], ["b"]])])
         assert storage.count() == 2
         storage.update_docs([("d1", 0, [["c"]])])
-        rows = list(storage.rows(None, None))
+        rows = storage.keyed_rows(None, None)[0]
         assert [key[0] for key, _ in rows] == ["c"]
 
     def test_mixed_type_keys_collate(self, storage):
@@ -166,7 +166,7 @@ class TestStorageBackends:
         storage.update_docs([("d2", 0, [[10]])])
         storage.update_docs([("d3", 0, [[None]])])
         storage.update_docs([("d4", 0, [[True]])])
-        rows = [key[0] for key, _ in storage.rows(None, None)]
+        rows = [key[0] for key, _ in storage.keyed_rows(None, None)[0]]
         assert rows == [None, True, 10, "str"]
 
     @settings(max_examples=30, deadline=None)
@@ -185,7 +185,8 @@ class TestStorageBackends:
             entries = [[k] for k in keys]
             btree.update_docs([(doc_id, 0, entries)])
             skiplist.update_docs([(doc_id, 0, entries)])
-        assert list(btree.rows(None, None)) == list(skiplist.rows(None, None))
+        assert (btree.keyed_rows(None, None)[0]
+                == skiplist.keyed_rows(None, None)[0])
         assert btree.count() == skiplist.count()
 
     @settings(max_examples=40, deadline=None)
@@ -214,8 +215,9 @@ class TestStorageBackends:
                 None if high is None else [high], inclusive_low,
                 inclusive_high)
         for descending in (True, False):
-            assert skiplist.rows(*span, descending=descending, limit=limit) \
-                == btree.rows(*span, descending=descending, limit=limit)
+            options = dict(descending=descending, limit=limit)
+            assert (skiplist.keyed_rows(*span, **options)[0]
+                    == btree.keyed_rows(*span, **options)[0])
 
     def test_a_descending_memopt_scan_stops_at_its_limit(self):
         """``rows(None, None, descending=True, limit=1)`` over 1 000 rows
@@ -235,8 +237,9 @@ class TestStorageBackends:
                 yield node
 
         skiplist._backward = counted
-        rows = skiplist.rows(None, None, descending=True, limit=1)
-        assert rows == btree.rows(None, None, descending=True, limit=1)
+        rows = skiplist.keyed_rows(None, None, descending=True, limit=1)[0]
+        assert rows == btree.keyed_rows(None, None, descending=True,
+                                        limit=1)[0]
         assert rows == [([96, 969], "d0969")]
         assert len(visited) <= SkipListIndexStorage.RUN
 
@@ -252,7 +255,8 @@ class TestMemoptSnapshot:
 
         recovered = SkipListIndexStorage(disk, "idx")
         assert recovered.load_snapshot() == 20
-        assert list(recovered.rows(None, None)) == list(storage.rows(None, None))
+        assert (recovered.keyed_rows(None, None)[0]
+                == storage.keyed_rows(None, None)[0])
 
     def test_snapshot_without_disk_raises(self):
         storage = SkipListIndexStorage()

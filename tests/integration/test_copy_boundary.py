@@ -1,12 +1,13 @@
 """A value is copied only where it leaves for an application.
 
-The data service hands the query service its stored documents, and the
-index service its stored keys, to be read in place; the smart client's
-read calls and the query service's result values are the caller's own
-copies.  These tests change everything a caller gets back and check
-that no stored document changed: read through a fresh client, through
-the stored objects themselves, and after every node crashed and came
-back from its disk.
+The data service hands the query service its stored documents to be
+read in place; the smart client's read calls, the query service's
+result values and the rows of an index scan (which applications call
+directly) are the caller's own copies.  These tests change everything a
+caller gets back and check that no stored document changed, read
+through a fresh client, through the stored objects themselves, and
+after every node crashed and came back from its disk, and that no index
+answers differently.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def check_every_read(stored: StoredDocuments, orders: list) -> None:
     stored.clusters = (cluster,)
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
+    cluster.query("CREATE INDEX by_extra ON b(extra, total) USING GSI")
     keys = [f"o{i}" for i in range(len(orders))]
     written = {key: json.loads(json.dumps(order))
                for key, order in zip(keys, orders)}
@@ -114,10 +116,14 @@ def check_every_read(stored: StoredDocuments, orders: list) -> None:
         rows = cluster.query(text).rows
         first_rows[text] = json.loads(json.dumps(rows))
         vandalize(rows)
+    scanned = cluster.gsi.scan("by_extra", scan_consistency="request_plus")
+    first_scan = json.loads(json.dumps(scanned))
+    vandalize([key for key, _doc_id in scanned])
     assert stored_values(cluster, keys) == expected
     stored.check()
     for text, rows in first_rows.items():
         assert cluster.query(text).rows == rows
+    assert json.loads(json.dumps(cluster.gsi.scan("by_extra"))) == first_scan
 
     for node in cluster.nodes():
         cluster.crash_node(node.name)

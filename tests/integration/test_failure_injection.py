@@ -352,7 +352,7 @@ class TestPartialDelivery:
         held = router.route([KeyVersion(kv.index_name, kv.bucket, kv.doc_id,
                                         kv.entries, kv.vbucket_id,
                                         kv.seqno + 10) for kv in slice_])
-        assert held == {3, 4}
+        assert held == {("by_v", 3), ("by_v", 4)}
         assert dict(network.calls) == {("i1", "gsi_apply"): 1}
         assert network.latency_charged == network.default_latency
         drain_indexer(cluster.node("i1").indexer.indexer)

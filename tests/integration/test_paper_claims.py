@@ -1103,7 +1103,7 @@ def test_a_drain_ends_with_every_index_committed():
         if len(instances) == 1:
             assert instances[0].watermarks == high
         rows = sorted(row for instance in instances
-                      for row in instance.storage.rows(None, None))
+                      for row in instance.storage.keyed_rows(None, None)[0])
         assert rows == sorted(([v], key) for key, v in model.items())
 
 
@@ -1252,8 +1252,8 @@ def test_memopt_index_never_touches_disk():
     for storage in stores.values():
         for i in range(2000):
             storage.update_docs([(f"d{i:06d}", 0, [[i % 500, f"d{i:06d}"]])])
-    assert (list(stores["standard"].rows([100], [120]))
-            == list(stores["memopt"].rows([100], [120])))
+    assert (list(stores["standard"].keyed_rows([100], [120])[0])
+            == list(stores["memopt"].keyed_rows([100], [120])[0]))
     assert stores["standard"].disk_bytes() > 0
     assert disks["standard"].stats.bytes_written > 0
     assert stores["memopt"].disk_bytes() == 0

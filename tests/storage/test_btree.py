@@ -453,7 +453,7 @@ class TestRangeAgainstModel:
             if descending:
                 expected.reverse()
             args = (low, high, inclusive_low, inclusive_high, descending)
-            assert list(storage.rows(*args)) == expected
+            assert storage.keyed_rows(*args)[0] == expected
             assert indexer.scan("i", *args) == expected
             limit = data.draw(st.integers(0, 5))
             assert indexer.scan("i", *args, limit=limit) == expected[:limit]

@@ -115,9 +115,9 @@ class TestWarmEqualsCold:
 
         def collect():
             return [
-                list(storage.rows(None, None)),
-                list(storage.rows([3], [7], inclusive_high=False)),
-                list(storage.rows([MISSING], [2], descending=True)),
+                storage.keyed_rows(None, None)[0],
+                storage.keyed_rows([3], [7], inclusive_high=False)[0],
+                storage.keyed_rows([MISSING], [2], descending=True)[0],
                 storage.count(),
             ]
 
@@ -136,14 +136,15 @@ class TestWarmEqualsCold:
             for descending in (False, True):
                 after = None
                 while True:
-                    page = storage.rows([1], [4], True, False, descending,
-                                        limit=7, after=after)
+                    page = storage.keyed_rows([1], [4], True, False,
+                                              descending, limit=7,
+                                              after=after)[0]
                     pages.append(page)
                     if len(page) < 7:
                         break
                     after = page[-1]
-            return pages + [storage.rows(None, None, limit=11),
-                            storage.rows([MISSING], [MISSING])]
+            return pages + [storage.keyed_rows(None, None, limit=11)[0],
+                            storage.keyed_rows([MISSING], [MISSING])[0]]
 
         assert_warm_equals_cold(storage.log, collect)
 
@@ -273,16 +274,16 @@ class TestSortKeysLiveAndDieWithTheirNode:
         storage.update_docs([(f"d{i:03d}", 0, [[i % 5, f"n{i}"]])
                              for i in range(50)])
         storage.update_docs([(f"d{i:03d}", 0, []) for i in range(0, 50, 3)])
-        before = list(storage.rows(None, None))
+        before = storage.keyed_rows(None, None)[0]
         old_log = storage.log
         storage.compact()
         assert storage.log is not old_log and storage.tree.log is storage.log
         assert all(offset < storage.log.size
                    for offset in storage.log.node_cache)
         assert_cached_keys_are_fresh(storage.log)
-        assert list(storage.rows(None, None)) == before
+        assert storage.keyed_rows(None, None)[0] == before
         storage.log.node_cache.clear()
-        assert list(storage.rows(None, None)) == before
+        assert storage.keyed_rows(None, None)[0] == before
 
 
 class TestSteadyStateCounts:
