@@ -220,7 +220,7 @@ class TestStorageBackends:
                     == btree.keyed_rows(*span, **options)[0])
 
     def test_a_descending_memopt_scan_stops_at_its_limit(self):
-        """``rows(None, None, descending=True, limit=1)`` over 1 000 rows
+        """``keyed_rows(None, None, descending=True, limit=1)`` over 1 000 rows
         visits one run of nodes back from the end, not the whole range
         (which it built in full, 1 000 nodes, before the LIMIT cut it)."""
         skiplist = SkipListIndexStorage()
