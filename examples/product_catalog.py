@@ -88,9 +88,13 @@ def main() -> None:
     cluster.query(
         "CREATE INDEX by_category ON catalog"
         "(DISTINCT ARRAY c FOR c IN categories END) USING GSI")
-    audio = cluster.gsi.scan("by_category", low=["audio"], high=["audio"],
-                             scan_consistency="request_plus")
+    tagged_audio = ("SELECT META(p).id FROM catalog p "
+                    "WHERE ANY c IN p.categories SATISFIES c = 'audio' END")
+    explain = cluster.query(f"EXPLAIN {tagged_audio}")
+    assert explain.rows[0]["~children"][0]["index"] == "by_category"
+    audio = cluster.query(tagged_audio, scan_consistency="request_plus").rows
     print(f"  {len(audio)} products tagged 'audio' via the array index")
+    assert len(audio) == 30
 
     # -- partial index over in-stock products (section 3.3.4) ----------------------------
     print("\n== partial index ==")

@@ -45,8 +45,8 @@ def main() -> None:
     for i in range(10):
         client.upsert("profiles", f"user::{i}",
                       {"name": f"user{i}", "email": f"u{i}@example.com"})
-    result = cluster.views.query("profiles", "dd", "profile",
-                                 stale="false", key="Dipti")
+    result = client.view_query("profiles", "dd", "profile",
+                               stale="false", key="Dipti")
     print(f"view lookup key='Dipti' -> {result.rows}")
 
     # -- access path 3: N1QL (sections 3.1.3, 3.2) ----------------------------

@@ -8,6 +8,11 @@ indexes, the N1QL query language, DCP change streams, rebalance and
 failover, multi-dimensional scaling, and XDCR -- plus a YCSB harness that
 regenerates the paper's two evaluation figures.
 
+The application surface is ``SmartClient`` (KV, N1QL and view queries)
+plus ``Cluster``'s DDL and topology calls; what it returns is the
+application's own copy.  The services behind it hand each other their
+stored values in place.
+
 Quickstart::
 
     from repro import Cluster

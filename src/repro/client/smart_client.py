@@ -595,10 +595,14 @@ class SmartClient:
                      'ViewNotFoundError', 'ViewQueryError')
     def view_query(self, bucket: str, design: str, view: str, **params):
         """Query a view with the REST-style parameters (key, keys,
-        startkey/endkey, stale, group, limit, ...)."""
+        startkey/endkey, stale, group, limit, ...); the rows and value
+        are copies of what the view stores."""
         if getattr(self, "cluster", None) is None:
             raise NotConnectedError("client not connected through a Cluster facade")
-        return self.cluster.views.query(bucket, design, view, **params)
+        result = self.cluster.views.query(bucket, design, view, **params)
+        result.rows = deep_copy(result.rows)
+        result.value = deep_copy(result.value)
+        return result
 
     def _write(self, bucket: str, key: str, method: str, args: tuple,
                replicate_to: int, persist_to: int) -> MutationResult:

@@ -34,7 +34,6 @@ from ..common import tracing
 from ..common.contracts import declared_raises
 from ..common.disk import SimulatedDisk
 from ..common.errors import IndexNotFoundError
-from ..common.jsonval import deep_copy
 from ..kv.types import GroupCommit, SeqnoWaiter
 from .indexdef import IndexDefinition
 from .projector import KeyVersion
@@ -189,21 +188,15 @@ class Indexer:
         rows -- cross the fabric.  A standard index serves the fold from
         its memoized node folds (``BTreeIndexStorage.fold``).
 
-        Returns ``{group_key: (group_values, partials)}``.  Everything
-        in it is the caller's own: the values and MIN/MAX bests are
-        copied (``deep_copy`` returns a scalar as is), because the fold
-        may be a memoized one."""
+        Returns ``{group_key: (group_values, partials)}`` as the
+        storage folded it, which may be a memoized fold: the caller reads
+        it in place (``merge_folds`` never mutates its inputs)."""
         instance = self.instance(name)
         groups = instance.storage.fold(low, high, inclusive_low,
                                        inclusive_high, list(group_positions),
                                        list(agg_specs))
         self.node.metrics.inc("gsi.scan_aggregates")
-        return {
-            key: (deep_copy(values),
-                    [[count, total, deep_copy(best)]
-                     for count, total, best in partials])
-            for key, (values, partials) in groups.items()
-        }
+        return groups
 
     @declared_raises('IndexNotFoundError')
     def watermarks(self, name: str) -> dict[int, int]:

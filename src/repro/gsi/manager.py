@@ -102,7 +102,8 @@ class IndexService:
 
 
 class GsiCoordinator:
-    """Cluster-level GSI DDL and scans (what the query service calls)."""
+    """Cluster-level GSI DDL and the query service's scans (section 4.4),
+    whose rows hold the index's stored keys, read in place."""
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
@@ -183,14 +184,6 @@ class GsiCoordinator:
         """Drop a GSI or view index from the catalog and push it."""
         self.catalog.remove(name)
         self.cluster.manager.push_catalog()
-
-    def list_indexes(self, bucket: str | None = None) -> list[dict]:
-        metas = (
-            self.catalog.indexes_on(bucket)
-            if bucket is not None
-            else [self.catalog.require(n) for n in self.catalog.names()]
-        )
-        return [meta.describe() for meta in metas]
 
     # -- scans ---------------------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from typing import Any, Iterable, Iterator
 from ..common.contracts import hot_path
 from ..common.disk import SimulatedDisk
 from ..common.errors import InvalidArgumentError
-from ..common.jsonval import deep_copy
 from ..n1ql.collation import MISSING, collate_key, compare, value_key
 from ..storage.indexfile import BackIndex, IndexFile, replace_rows
 
@@ -50,30 +49,15 @@ def encode_key(components: list) -> list:
     ]
 
 
-_CONTAINER_TYPES = frozenset((list, dict))
-
-
 def decode_key(components: list) -> list:
-    """A stored key as it leaves the index: MISSING restored and every
-    container component copied.  The stored components are the objects
-    the tree's node cache (or the skiplist node) holds, so a caller that
-    mutated a returned row would otherwise rewrite the index; scalar
-    components are immutable and pass through uncopied.  (Stored values
-    are JSON-native, so an exact type test suffices.)  A key of scalars
-    alone, the common case, is one list copy: an application scans an
-    index through the same ``GsiCoordinator.scan`` the query service
-    calls, so a row leaves the index as its caller's own."""
+    """A stored key as the index hands it to the query service: the
+    stored list itself (the node cache's or a skiplist node's, to be
+    read in place), or a new one when a component is MISSING."""
     for component in components:
-        if type(component) in _CONTAINER_TYPES:
-            return [_decode_container(c) if type(c) in _CONTAINER_TYPES
+        if type(component) is dict and component.get("__missing__"):
+            return [MISSING if type(c) is dict and c.get("__missing__")
                     else c for c in components]
-    return components[:]
-
-
-def _decode_container(component):
-    if isinstance(component, dict) and component.get("__missing__"):
-        return MISSING
-    return deep_copy(component)
+    return components
 
 
 _MISSING_KEY = collate_key(MISSING)

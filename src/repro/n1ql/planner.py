@@ -59,6 +59,7 @@ from .printer import path_of, print_expr
 from .syntax import (
     Between,
     Binary,
+    CollectionPredicate,
     Expr,
     FieldAccess,
     FunctionCall,
@@ -145,7 +146,9 @@ def is_constant(expr: Expr) -> bool:
 
 
 def extract_bounds(where: Expr | None, alias: str) -> dict[str, Bounds]:
-    """Map attribute paths (alias-stripped) to their sargable bounds."""
+    """Map attribute paths (alias-stripped) to their sargable bounds;
+    ``ANY v IN <path> SATISFIES v = c END`` bounds the array index key
+    ``distinct array <path>``."""
     bounds: dict[str, Bounds] = {}
 
     def bound_for(path: str) -> Bounds:
@@ -200,6 +203,14 @@ def extract_bounds(where: Expr | None, alias: str) -> dict[str, Bounds]:
                         b.low = Literal(prefix)
                     if b.high is None:
                         b.high = Literal(prefix + "￿")
+        elif isinstance(conjunct, CollectionPredicate) and conjunct.quantifier == "ANY" \
+                and isinstance(conjunct.condition, Binary) and conjunct.condition.op == "=":
+            path = path_of(conjunct.collection, strip_alias=alias)
+            left, right = conjunct.condition.left, conjunct.condition.right
+            for element, value in ((left, right), (right, left)):
+                if path is not None and isinstance(element, Identifier) \
+                        and element.name == conjunct.variable and is_constant(value):
+                    bounds.setdefault(f"distinct array {path}", Bounds(eq=value))
     return bounds
 
 
@@ -757,10 +768,7 @@ class Planner:
         for path in definition.key_sources:
             b = bounds.get(path)
             if definition.array_component is not None:
-                # Array index: sargable when the element path is bounded.
-                source = definition.key_sources[0]
-                element = source.replace("distinct array ", "")
-                b = bounds.get(element)
+                # Array index: sargable when its leading key is bounded.
                 return 1 if (b is not None and b.restricted) else 0
             if b is None or not b.restricted:
                 break
@@ -787,11 +795,7 @@ class Planner:
         inclusive_low = inclusive_high = True
         used: list[Bounds] = []
         for path in definition.key_sources:
-            if definition.array_component is not None:
-                element = path.replace("distinct array ", "")
-                b = bounds.get(element)
-            else:
-                b = bounds.get(path)
+            b = bounds.get(path)
             if b is None or not b.restricted:
                 break
             used.append(b)

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..common.jsonval import deep_copy
+
 MapFn = Callable[[dict, "DocMetaView", Callable[[Any, Any], None]], None]
 ReduceFn = Callable[[list, bool], Any]
 
@@ -80,6 +82,7 @@ BUILTIN_REDUCES: dict[str, ReduceFn] = {
     "_sum": _sum,
     "_stats": _stats,
 }
+_BUILTINS = frozenset(BUILTIN_REDUCES.values())
 
 
 @dataclass
@@ -106,19 +109,27 @@ class ViewDefinition:
         return f"{self.design}/{self.name}"
 
     def run_map(self, doc: dict, meta: DocMetaView) -> list[tuple[Any, Any]]:
-        """Apply the map function; returns the emitted (key, value) rows.
-        A throwing map function indexes nothing for that document (the
-        server logs and skips, it does not fail the build)."""
+        """Apply the map function to its own copy of the stored ``doc``;
+        returns the emitted (key, value) rows.  A throwing map function
+        indexes nothing for that document (the server logs and skips, it
+        does not fail the build)."""
         rows: list[tuple[Any, Any]] = []
 
         def emit(key, value=None):
             rows.append((key, value))
 
         try:
-            self.map_fn(doc, meta, emit)
+            self.map_fn(deep_copy(doc), meta, emit)
         except Exception:
             return []
         return rows
+
+    def reduce(self, values: list, rereduce: bool) -> Any:
+        """Apply the reduce function to stored emitted values or subtree
+        reductions: a custom one (user code) gets its own copy of them."""
+        if self.reduce_fn in _BUILTINS:
+            return self.reduce_fn(values, rereduce)
+        return self.reduce_fn(deep_copy(values), rereduce)
 
 
 def attribute_view(design: str, name: str, attribute: str,

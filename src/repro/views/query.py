@@ -114,7 +114,7 @@ class ViewQueryCoordinator:
         kind = partials[0]["kind"]
         if kind == "reduced":
             values = [p["value"] for p in partials]
-            value = definition.reduce_fn(values, True) if len(values) > 1 else values[0]
+            value = definition.reduce(values, True) if len(values) > 1 else values[0]
             return ViewResult(value=value, is_reduced=True)
         if kind == "grouped":
             return self._merge_grouped(definition, partials, params)
@@ -144,7 +144,7 @@ class ViewQueryCoordinator:
         rows = []
         for group_key, values in merged.values():
             value = (
-                definition.reduce_fn(values, True) if len(values) > 1 else values[0]
+                definition.reduce(values, True) if len(values) > 1 else values[0]
             )
             rows.append({"key": group_key, "value": value})
         rows.sort(key=lambda r: collate_key(r["key"]),

@@ -20,11 +20,10 @@ from typing import Any, Iterator
 from ..common import tracing
 from ..common.disk import SimulatedDisk
 from ..common.errors import ViewQueryError
-from ..common.jsonval import deep_copy
 from ..kv.types import GroupCommit
 from ..n1ql.collation import collate_key, compare
 from ..storage.indexfile import IndexFile
-from .mapreduce import DocMetaView, ReduceFn, ViewDefinition
+from .mapreduce import DocMetaView, ViewDefinition
 
 #: Sentinel bounds: (key, doc_id) composite keys are ordered
 #: lexicographically, so a range on bare keys uses these to span every
@@ -59,12 +58,10 @@ class ViewIndex(IndexFile, GroupCommit):
     def __init__(self, definition: ViewDefinition, disk: SimulatedDisk,
                  filename: str, revision: int = 0, owner: str = "views"):
         GroupCommit.__init__(self, self._map_docs)
-        user_reduce: ReduceFn | None = definition.reduce_fn
-        if user_reduce is not None:
-            tree_reduce = lambda values: user_reduce(  # noqa: E731
-                [v["v"] for v in values], False
-            )
-            tree_rereduce = lambda parts: user_reduce(parts, True)  # noqa: E731
+        if definition.reduce_fn is not None:
+            tree_reduce = lambda values: definition.reduce(  # noqa: E731
+                [v["v"] for v in values], False)
+            tree_rereduce = lambda parts: definition.reduce(parts, True)  # noqa: E731
         else:
             tree_reduce = tree_rereduce = None
         super().__init__(disk, filename, _view_row, _view_key,
@@ -76,8 +73,7 @@ class ViewIndex(IndexFile, GroupCommit):
     def _map_docs(self, docs: list, resets: set[int]) -> None:
         """Map the held ``(vbucket_id, doc)`` pairs into one rewrite that
         also replaces the reset vBuckets' rows.  A deleted document maps
-        to no rows; the map function is user code, so it gets its own
-        copy of the value: the document is the stored one."""
+        to no rows."""
         tracing.record_write(self.owner)
         batch = []
         for vbucket_id, doc in docs:
@@ -85,7 +81,7 @@ class ViewIndex(IndexFile, GroupCommit):
             if not doc.meta.deleted:
                 meta = DocMetaView(doc.key, doc.meta.rev, doc.meta.expiry,
                                    doc.meta.flags)
-                rows = self.definition.run_map(deep_copy(doc.value), meta)
+                rows = self.definition.run_map(doc.value, meta)
             batch.append((doc.key, vbucket_id, rows))
         self.update_docs(batch, resets)
 
@@ -107,7 +103,9 @@ class ViewIndex(IndexFile, GroupCommit):
     def scan(self, params: "ViewQueryParams",
              active_vbuckets: set[int] | None = None) -> Iterator[dict]:
         """Yield row dicts {id, key, value} under the query parameters,
-        masked to ``active_vbuckets`` when given."""
+        masked to ``active_vbuckets`` when given.  The key and value are
+        the tree's stored objects, read in place by services;
+        ``SmartClient.view_query`` copies what an application gets."""
         if params.keys is not None:
             for wanted in params.keys:
                 sub = params.replace(key=wanted, keys=None)
@@ -116,17 +114,14 @@ class ViewIndex(IndexFile, GroupCommit):
         start, end, _inclusive = self._bounds(params)
         # Composite bounds already encode end inclusivity: an inclusive
         # endkey becomes [endkey, HIGH] (after every doc id), an exclusive
-        # one becomes [endkey, LOW] (before every doc id).  The key and
-        # value are the node cache's own objects: a row carries copies
-        # of them (``deep_copy`` returns a scalar as is), so a caller
-        # that mutates a row cannot rewrite the index.
+        # one becomes [endkey, LOW] (before every doc id).
         for composite, entry in self.tree.range(
             start=start, end=end, descending=params.descending,
         ):
             if active_vbuckets is not None and entry["vb"] not in active_vbuckets:
                 continue
-            yield {"id": composite[1], "key": deep_copy(composite[0]),
-                   "value": deep_copy(entry["v"])}
+            yield {"id": composite[1], "key": composite[0],
+                   "value": entry["v"]}
 
     def reduce(self, params: "ViewQueryParams",
                active_vbuckets: set[int] | None = None) -> Any:
@@ -144,7 +139,7 @@ class ViewIndex(IndexFile, GroupCommit):
             start, end, _inclusive = self._bounds(params)
             return self.tree.reduce_range(start=start, end=end)
         values = [row["value"] for row in self.scan(params, active_vbuckets)]
-        return definition.reduce_fn(values, False)
+        return definition.reduce(values, False)
 
     def grouped(self, params: "ViewQueryParams",
                 active_vbuckets: set[int] | None = None) -> list[dict]:
@@ -162,7 +157,7 @@ class ViewIndex(IndexFile, GroupCommit):
             else:
                 groups.append((group_key, [row["value"]]))
         return [
-            {"key": group_key, "value": definition.reduce_fn(values, False)}
+            {"key": group_key, "value": definition.reduce(values, False)}
             for group_key, values in groups
         ]
 

@@ -22,8 +22,6 @@ SURVIVORS = {
         "fault-injection tests end partitions with it",
     "repro.common.transport.Network.reset_counters":
         "tests zero the RPC counters with it",
-    "repro.gsi.manager.GsiCoordinator.list_indexes":
-        "GSI tests list index metadata with it",
     "repro.ycsb.workload.CoreWorkload.next_operation":
         "the ledger's YCSB workloads draw their ops with it",
 }

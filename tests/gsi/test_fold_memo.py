@@ -141,7 +141,7 @@ def test_memoized_fold_equals_a_plain_fold(with_clause, actions):
         cluster.create_bucket("b", replicas=0)
         client = cluster.connect()
         cluster.query(f"CREATE INDEX ix ON b(a, b) USING GSI{with_clause}")
-        hosts = cluster.gsi.list_indexes("b")[0]["nodes"]
+        hosts = cluster.manager.catalog.indexes_on("b")[0].describe()["nodes"]
         stored: set[str] = set()
         for action in actions:
             if action[0] == "write":

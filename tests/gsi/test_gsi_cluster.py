@@ -125,7 +125,8 @@ class TestDdl:
     def test_list_indexes(self, cluster):
         cluster.create_index(attribute_index("i1", "b", "age"))
         cluster.create_index(primary_index("pk", "b"))
-        described = cluster.gsi.list_indexes("b")
+        described = [meta.describe()
+                     for meta in cluster.manager.catalog.indexes_on("b")]
         assert {d["name"] for d in described} == {"i1", "pk"}
         primary = next(d for d in described if d["name"] == "pk")
         assert primary["is_primary"]

@@ -1,13 +1,15 @@
 """A value is copied only where it leaves for an application.
 
-The data service hands the query service its stored documents to be
-read in place; the smart client's read calls, the query service's
-result values and the rows of an index scan (which applications call
-directly) are the caller's own copies.  These tests change everything a
-caller gets back and check that no stored document changed, read
+Services hand each other their stored values to be read in place: the
+data service its documents, the index service its key lists, the view
+service its keys and values.  The smart client's read calls, its view
+queries and the query service's result values are the caller's own
+copies.  These tests change everything an application gets back --
+KV reads, N1QL rows (also those an index covers or folds) and view rows
+and reductions -- and check that no stored document changed, read
 through a fresh client, through the stored objects themselves, and
 after every node crashed and came back from its disk, and that no index
-answers differently.
+or view answers differently.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster
+from repro.n1ql.collation import collate_key
+from repro.views import ViewDefinition
 
 from .test_stored_documents_are_immutable import StoredDocuments
 
@@ -57,6 +61,33 @@ STATEMENTS = (
     "SELECT o.total, n FROM b o USE KEYS {keys} NEST b n ON KEYS META(o).id",
 )
 
+#: Statements the ``by_extra(extra, total)`` index serves, whose rows
+#: carry its container keys: a covered scan, GROUP BY over it, and
+#: pushed aggregates (``IndexAggregateScan``) with MIN/MAX of them.
+INDEX_STATEMENTS = (
+    ("SELECT o.extra, o.total FROM b o WHERE o.extra >= []", "IndexScan"),
+    ("SELECT o.total, MIN(o.extra) AS least, MAX(o.extra) AS most FROM b o "
+     "WHERE o.extra >= [] GROUP BY o.total", "IndexScan"),
+    ("SELECT o.extra, MIN(o.extra) AS least, MAX(o.extra) AS most, "
+     "COUNT(*) AS n FROM b o WHERE o.extra >= [] GROUP BY o.extra",
+     "IndexAggregateScan"),
+    ("SELECT MIN(o.extra) AS least, MAX(o.extra) AS most FROM b o "
+     "WHERE o.extra >= []", "IndexAggregateScan"),
+)
+
+
+def emit_extra(doc, meta, emit):
+    emit(doc["extra"], doc["items"])
+
+
+def greatest(values, rereduce):
+    """One of its inputs: the collation-greatest."""
+    return max(values, key=collate_key, default=None)
+
+
+#: View queries: rows, the reduction and one per group.
+VIEW_QUERIES = ({"reduce": False}, {}, {"group": True})
+
 
 def vandalize(value) -> None:
     """Change every container reachable from ``value``, in place."""
@@ -93,6 +124,8 @@ def check_every_read(stored: StoredDocuments, orders: list) -> None:
     cluster.create_bucket("b", replicas=1)
     client = cluster.connect()
     cluster.query("CREATE INDEX by_extra ON b(extra, total) USING GSI")
+    cluster.define_view("b", ViewDefinition("dd", "extra", emit_extra,
+                                            greatest))
     keys = [f"o{i}" for i in range(len(orders))]
     written = {key: json.loads(json.dumps(order))
                for key, order in zip(keys, orders)}
@@ -116,14 +149,28 @@ def check_every_read(stored: StoredDocuments, orders: list) -> None:
         rows = cluster.query(text).rows
         first_rows[text] = json.loads(json.dumps(rows))
         vandalize(rows)
-    scanned = cluster.gsi.scan("by_extra", scan_consistency="request_plus")
-    first_scan = json.loads(json.dumps(scanned))
-    vandalize([key for key, _doc_id in scanned])
+    for text, operator in INDEX_STATEMENTS:
+        plan = cluster.query(f"EXPLAIN {text}").rows[0]["~children"]
+        assert (plan[0]["#operator"], plan[0]["index"]) == (operator,
+                                                             "by_extra")
+        rows = cluster.query(text, scan_consistency="request_plus").rows
+        first_rows[text] = json.loads(json.dumps(rows))
+        vandalize(rows)
+    first_views = []
+    for params in VIEW_QUERIES:
+        result = client.view_query("b", "dd", "extra", stale="false",
+                                   **params)
+        first_views.append(json.loads(json.dumps([result.rows,
+                                                  result.value])))
+        vandalize(result.rows)
+        vandalize(result.value)
     assert stored_values(cluster, keys) == expected
     stored.check()
     for text, rows in first_rows.items():
         assert cluster.query(text).rows == rows
-    assert json.loads(json.dumps(cluster.gsi.scan("by_extra"))) == first_scan
+    for params, first in zip(VIEW_QUERIES, first_views):
+        result = client.view_query("b", "dd", "extra", stale="ok", **params)
+        assert [result.rows, result.value] == first
 
     for node in cluster.nodes():
         cluster.crash_node(node.name)

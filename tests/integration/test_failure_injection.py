@@ -209,7 +209,8 @@ class TestIndexBuild:
         epoch = cluster.manager.index_registry.epoch
         with pytest.raises(TimeoutError_):
             cluster.query("CREATE INDEX ia ON b(a)")
-        (described,) = cluster.gsi.list_indexes("b")
+        (meta,) = cluster.manager.catalog.indexes_on("b")
+        described = meta.describe()
         assert described["nodes"] == ["node1"]
         assert described["state"] == "building"
         # Registered, but no new access path was announced to the planner.
@@ -401,7 +402,7 @@ class TestNodeCrashRecovery:
                 "SELECT COUNT(*) AS n, SUM(a) AS s FROM b WHERE a >= 0").rows
 
         cluster, twin = indexed_cluster(), indexed_cluster()
-        (host,) = cluster.gsi.list_indexes("b")[0]["nodes"]
+        (host,) = cluster.manager.catalog.indexes_on("b")[0].describe()["nodes"]
         before = answers(cluster)
         assert before == [{"n": 600, "s": sum(i % 37 for i in range(600))}]
         for each in (cluster, twin):

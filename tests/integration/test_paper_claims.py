@@ -552,7 +552,10 @@ def test_a_value_is_copied_only_where_it_leaves_for_an_application(
     projects scalars, or unnests and groups them, copies nothing, and
     one that returns each order's ``items`` copies once per row -- its
     result is the application's.  A ``get`` still copies once.  (Every
-    fetched document was copied before: 20 copies per query.)"""
+    fetched document was copied before: 20 copies per query.)  It reads
+    index rows in place too (section 4.4): a covered Fig 16 scan copies
+    no key list, and two scans hand out the index's own key lists.
+    (Each scanned key list was copied before.)"""
     calls = count_copies_and_walks(monkeypatch)
     cluster = Cluster(nodes=4, vbuckets=64)
     cluster.create_bucket("b", replicas=1)
@@ -580,6 +583,17 @@ def test_a_value_is_copied_only_where_it_leaves_for_an_application(
         f"USE KEYS {keys} UNNEST o.items AS i GROUP BY i.sku")) == 0
     assert copies(lambda: cluster.query(
         f"SELECT o.items FROM b o USE KEYS {keys}")) == 20
+
+    cluster.query("CREATE PRIMARY INDEX ON b USING GSI")
+    fig16 = ("SELECT META(o).id AS id FROM b o WHERE META(o).id >= 'o05' "
+             "LIMIT 10")
+    assert len(cluster.query(fig16).rows) == 10
+    assert copies(lambda: cluster.query(fig16)) == 0
+    first, second = (cluster.gsi.scan("#primary_b", ["o05"], limit=10)
+                     for _scan in range(2))
+    assert [doc_id for _key, doc_id in first] \
+        == [doc_id for _key, doc_id in second] == sorted(orders)[5:15]
+    assert all(mine is theirs for (mine, _), (theirs, _) in zip(first, second))
 
 
 def test_a_replication_round_costs_one_wave_per_source_node():

@@ -476,6 +476,30 @@ class TestDdlThroughN1ql:
         assert len(rows) == 40
         cluster.query("DROP INDEX by_cat")
 
+    def test_any_satisfies_scans_the_array_index(self, cluster):
+        """``ANY c IN p.categories SATISFIES c = <constant> END`` is an
+        equality span of the array index over ``categories``; a plain
+        comparison of the whole array is not, since its elements are
+        the index's keys."""
+        cluster.query(
+            "CREATE INDEX by_cat ON profiles"
+            "(DISTINCT ARRAY c FOR c IN categories END) USING GSI")
+        query = ("SELECT META(p).id AS id FROM profiles p WHERE "
+                 "ANY c IN p.categories SATISFIES {} = c END")
+        try:
+            for value, expected in (("'c1'", 10), ("'all'", 40), ("'c9'", 0)):
+                text = query.format(value)
+                plan = cluster.query(f"EXPLAIN {text}").rows[0]["~children"]
+                assert plan[0]["index"] == "by_cat"
+                rows = cluster.query(text, **RP).rows
+                assert len(rows) == expected == len({r["id"] for r in rows})
+            whole = cluster.query(
+                "EXPLAIN SELECT META(p).id FROM profiles p "
+                "WHERE p.categories = 'c1'").rows[0]["~children"]
+            assert whole[0]["index"] != "by_cat"
+        finally:
+            cluster.query("DROP INDEX by_cat")
+
     def test_view_index_via_n1ql(self, cluster):
         cluster.query("CREATE INDEX v_city ON profiles(city) USING VIEW")
         rows = cluster.query(
